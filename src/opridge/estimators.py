@@ -6,10 +6,15 @@ row, row j of the estimate solves
 
     a_hat[j] @ (c_kk + lambda_j I) = c_lk[j]
 
-and unlearned rows are exactly zero. Rows sharing a coefficient reuse a
-single Cholesky factorization, so a schedule with k distinct coefficients
-costs k factorizations regardless of how many rows it learns. Covariances
-are uncentered and c_kk is symmetrized before factorization.
+and unlearned rows are exactly zero. EmpiricalCovariances keeps one
+eigendecomposition c_kk = Q diag(Lambda) Q.T, made when it is built, and
+every row is solved from it as ((c_lk[j] @ Q) / (Lambda + lambda_j)) @ Q.T,
+so a cell costs one eigh however many distinct coefficients its estimators
+use. Covariances are uncentered and c_kk is symmetrized.
+
+streamed_covariances computes the covariances of a simulated cell from
+inputs and noise drawn in fixed-size row blocks, without building the
+dataset; empirical_covariances does the same for a SampleSet in hand.
 
 The population oracles (population_regularized, analytic_bias) evaluate the
 infinite-sample limit of the same ridge in closed form; tests pit the solver
@@ -18,10 +23,9 @@ against them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .core import (
     EigenDecay,
@@ -36,12 +40,14 @@ from .schedules import (
     multilevel_schedule,
     variance_lambdas,
 )
-from .synth import SampleSet, sample_inputs
+from .synth import NoiseProfile, SampleSet, sample_blocks, sample_inputs
 
 __all__ = [
     "EmpiricalCovariances",
     "LambdaMap",
     "empirical_covariances",
+    "streamed_covariances",
+    "STREAM_BLOCK_ROWS",
     "fit_rowwise_ridge",
     "estimate_single_ridge",
     "estimate_variance_contour",
@@ -59,6 +65,12 @@ __all__ = [
 _SYM_TOL = 1e-12
 _EIG_TOL = 1e-12
 
+# Rows per block when streaming a cell's statistics. A constant, never
+# derived from n or the worker count: the Gram sums then run in an order
+# that depends on n alone, so a cell gives the same bytes in any pool, and
+# the memory a cell needs does not grow with n.
+STREAM_BLOCK_ROWS = 4096
+
 
 @dataclass(frozen=True)
 class EmpiricalCovariances:
@@ -69,11 +81,15 @@ class EmpiricalCovariances:
             (d_in, d_in).
         c_lk: cross matrix v.T @ u / n, shape (d_out, d_in).
         n: number of samples the moments were computed from.
+        eigvals, eigvecs: c_kk = eigvecs @ diag(eigvals) @ eigvecs.T,
+            eigenvalues ascending; computed on construction.
     """
 
     c_kk: np.ndarray
     c_lk: np.ndarray
     n: int
+    eigvals: np.ndarray = field(init=False, repr=False, compare=False)
+    eigvecs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         c_kk = np.asarray(self.c_kk, dtype=np.float64)
@@ -86,14 +102,18 @@ class EmpiricalCovariances:
             )
         if self.n < 1:
             raise ValueError(f"sample count must be >= 1, got {self.n}")
+        if not (np.all(np.isfinite(c_kk)) and np.all(np.isfinite(c_lk))):
+            raise ValueError("covariances must be finite")
         asym = float(np.max(np.abs(c_kk - c_kk.T), initial=0.0))
         if asym > _SYM_TOL:
             raise ValueError(f"c_kk asymmetric by {asym:.3e}")
-        eig_min = float(np.linalg.eigvalsh(c_kk).min())
-        if eig_min < -_EIG_TOL:
-            raise ValueError(f"c_kk indefinite, min eigenvalue {eig_min:.3e}")
+        eigvals, eigvecs = np.linalg.eigh(c_kk)
+        if eigvals[0] < -_EIG_TOL:
+            raise ValueError(f"c_kk indefinite, min eigenvalue {eigvals[0]:.3e}")
         object.__setattr__(self, "c_kk", c_kk)
         object.__setattr__(self, "c_lk", c_lk)
+        object.__setattr__(self, "eigvals", eigvals)
+        object.__setattr__(self, "eigvecs", eigvecs)
 
     @property
     def d_in(self) -> int:
@@ -111,6 +131,29 @@ def empirical_covariances(data: SampleSet) -> EmpiricalCovariances:
     c_kk = (c_kk + c_kk.T) / 2.0
     c_lk = data.v.T @ data.u / n
     return EmpiricalCovariances(c_kk=c_kk, c_lk=c_lk, n=n)
+
+
+def streamed_covariances(
+    a0: OperatorMatrix, n: int, profile: NoiseProfile, rng_seed: int
+) -> EmpiricalCovariances:
+    """Covariances of make_dataset(a0, n, profile, rng_seed), never built.
+
+    Draws the dataset's inputs u and noise eps in blocks of
+    STREAM_BLOCK_ROWS rows and accumulates u.T @ u and eps.T @ u. Since
+    v = u @ a0.m.T + eps, the cross matrix is exactly
+    c_lk = a0.m @ c_kk + eps.T @ u / n, so v is never formed and memory
+    stays at one block whatever n is. The result agrees with
+    empirical_covariances(make_dataset(...)) up to rounding.
+    """
+    uu = np.zeros((a0.d_in, a0.d_in))
+    eu = np.zeros((a0.d_out, a0.d_in))
+    for u, eps in sample_blocks(a0, n, profile, rng_seed, STREAM_BLOCK_ROWS):
+        uu += u.T @ u
+        eu += eps.T @ u
+        del u, eps  # free this block before the next one is drawn
+    c_kk = uu / n
+    c_kk = (c_kk + c_kk.T) / 2.0
+    return EmpiricalCovariances(c_kk=c_kk, c_lk=a0.m @ c_kk + eu / n, n=n)
 
 
 @dataclass(frozen=True)
@@ -177,7 +220,7 @@ class LambdaMap:
 
 
 def fit_rowwise_ridge(cov: EmpiricalCovariances, lmap: LambdaMap) -> np.ndarray:
-    """Solve the per-row ridge systems, one factorization per distinct lambda.
+    """Solve the per-row ridge systems from the eigendecomposition of c_kk.
 
     Args:
         cov: empirical (or population) covariances.
@@ -189,22 +232,24 @@ def fit_rowwise_ridge(cov: EmpiricalCovariances, lmap: LambdaMap) -> np.ndarray:
 
     Raises:
         ValueError: dimension mismatch.
-        numpy.linalg.LinAlgError: factorization failure, which signals an
-            indefinite c_kk.
+        numpy.linalg.LinAlgError: some c_kk + lambda_j I is not positive
+            definite, which signals an indefinite c_kk.
     """
     if lmap.d_out != cov.d_out:
         raise ValueError(
             f"lambda map covers {lmap.d_out} rows, covariances have {cov.d_out}"
         )
+    rows = np.flatnonzero(lmap.learned)
+    lams = lmap.lams[rows]
+    if np.any(lams + cov.eigvals[0] <= 0.0):
+        raise np.linalg.LinAlgError(
+            f"c_kk + lambda I is not positive definite: min eigenvalue "
+            f"{cov.eigvals[0]:.3e}, min lambda {lams.min():.3e}"
+        )
+    q = cov.eigvecs
     a_hat = np.zeros_like(cov.c_lk)
-    eye = np.eye(cov.d_in)
-    groups: dict[float, list[int]] = {}
-    for j in range(lmap.d_out):
-        if lmap.learned[j]:
-            groups.setdefault(float(lmap.lams[j]), []).append(j)
-    for lam, rows in groups.items():
-        factor = cho_factor(cov.c_kk + lam * eye, lower=True)
-        a_hat[rows] = cho_solve(factor, cov.c_lk[rows].T).T
+    denom = cov.eigvals[np.newaxis, :] + lams[:, np.newaxis]
+    a_hat[rows] = ((cov.c_lk[rows] @ q) / denom) @ q.T
     return a_hat
 
 

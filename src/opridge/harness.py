@@ -43,17 +43,16 @@ from .estimators import (
     EmpiricalCovariances,
     LambdaMap,
     analytic_bias,
-    empirical_covariances,
     estimate_from_covariances,
     fit_rowwise_ridge,
     population_regularized,
+    streamed_covariances,
 )
 from .synth import (
     NoiseProfile,
     derive_seed,
     ground_truth_seed,
     laplacian_operator,
-    make_dataset,
     packing_operator,
     random_source_operator,
 )
@@ -82,6 +81,10 @@ __all__ = [
 _TAG_TRIAL = 0x7
 
 _GROUND_TRUTH_KINDS = ("random", "laplacian", "packing")
+
+# Environment variables that set a BLAS library's thread count.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                     "OMP_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 RUNS_HEADER = "estimator,n,trial,error_sq,elapsed_ms"
 SUMMARY_HEADER = "estimator,n,median_error_sq,iqr_low,iqr_high"
@@ -326,16 +329,19 @@ def run_cell(
 ) -> tuple[TrialRecord, ...]:
     """Fit every requested estimator on one freshly drawn dataset.
 
-    The dataset and its covariances are computed once and shared, so each
-    record's elapsed_ms charges the shared preparation plus that
+    The cell's covariances are streamed from its dataset's draws (see
+    streamed_covariances): the n-row dataset is never held in memory, and
+    the one eigendecomposition they carry serves every estimator. Each
+    record's elapsed_ms charges that shared preparation plus the
     estimator's own solve; timings approximate standalone run_trial costs
     while the whole cell stays cheap.
     """
     if noise is None:
         noise = NoiseProfile(sigma=cfg.sigma)
     t0 = time.perf_counter()
-    data = make_dataset(a0, n, noise, derive_seed(cfg.seed, _TAG_TRIAL, n, trial_index))
-    cov = empirical_covariances(data)
+    cov = streamed_covariances(
+        a0, n, noise, derive_seed(cfg.seed, _TAG_TRIAL, n, trial_index)
+    )
     prep = time.perf_counter() - t0
     records = []
     for name in estimators:
@@ -423,9 +429,14 @@ def run_convergence(plan: ExperimentPlan) -> RateReport:
     """Execute the full (estimator, n, trial) grid and fit the rates.
 
     Cells always run inside spawned worker processes with BLAS threading
-    defaulted to one thread, so the floating-point environment -- and
-    therefore every error value -- is identical for any worker count.
-    Results are assembled in a fixed order independent of scheduling.
+    pinned to one thread, whatever the caller's environment says, so the
+    floating-point environment -- and therefore every error value -- is
+    identical for any worker count. Results are assembled in a fixed order
+    independent of scheduling.
+
+    Raises:
+        ConfigError: the ground truth is the zero operator and the noise
+            sigma is 0, so every error is 0 and no rate can be fitted.
     """
     if len(plan.n_list) < 3:
         raise ValueError(
@@ -434,15 +445,20 @@ def run_convergence(plan: ExperimentPlan) -> RateReport:
     t0 = time.perf_counter()
     a0 = plan.ground_truth.build(plan.cfg)
     noise = plan.noise_profile
+    if noise.sigma == 0.0 and not np.any(a0.m):
+        raise ConfigError(
+            f"the ground truth (B={plan.cfg.B}, ground_truth.kind "
+            f"{plan.ground_truth.kind!r}) is the zero operator and the noise "
+            "sigma (sigma, noise.sigma) is 0: every error would be 0 and no "
+            "rate can be fitted"
+        )
     tasks = [(n, t) for n in plan.n_list for t in range(plan.trials)]
 
     # Children read BLAS thread env at import; set-before-spawn pins them
-    # without touching the already-initialized parent.
-    thread_vars = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                   "OMP_NUM_THREADS", "NUMEXPR_NUM_THREADS")
-    saved = {v: os.environ.get(v) for v in thread_vars}
-    for v in thread_vars:
-        os.environ.setdefault(v, "1")
+    # without touching the already-initialized parent. Set outright: a
+    # user's export must not change the floating-point environment.
+    saved = {v: os.environ.get(v) for v in _BLAS_THREAD_VARS}
+    os.environ.update({v: "1" for v in _BLAS_THREAD_VARS})
     try:
         with ProcessPoolExecutor(
             max_workers=plan.workers,

@@ -1,5 +1,9 @@
 """Synthetic data generation: datasets v = A0 u + eps and ground truths.
 
+make_dataset draws a whole dataset; sample_blocks yields the same draws in
+row blocks, for statistics that are accumulated without holding the
+dataset.
+
 Input coordinates are bounded uniforms scaled by sqrt(mu_i) so the
 almost-sure embedding bound genuinely holds (Gaussians would violate it).
 Noise coordinates follow the Basel-normalized law sigma_j^2 =
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -34,6 +39,7 @@ __all__ = [
     "sample_inputs",
     "sample_noise",
     "make_dataset",
+    "sample_blocks",
     "random_source_operator",
     "laplacian_operator",
     "packing_operator",
@@ -120,6 +126,15 @@ class NoiseProfile:
         return (self.sigma**2) * (6.0 / math.pi**2) * j**-2.0
 
 
+def _scaled_uniform(
+    rng: np.random.Generator, rows: int, scale: np.ndarray
+) -> np.ndarray:
+    """rows x len(scale) draws uniform on [-sqrt3, sqrt3], column i times scale[i]."""
+    x = rng.uniform(-SQRT3, SQRT3, size=(rows, scale.size))
+    x *= scale[np.newaxis, :]
+    return x
+
+
 def sample_inputs(n: int, in_decay: EigenDecay, rng_seed: int) -> np.ndarray:
     """Draw N input coordinate rows u[k][i] = sqrt(mu_i) * xi.
 
@@ -129,9 +144,8 @@ def sample_inputs(n: int, in_decay: EigenDecay, rng_seed: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
-    rng = np.random.default_rng(rng_seed)
-    xi = rng.uniform(-SQRT3, SQRT3, size=(n, len(in_decay)))
-    return xi * np.sqrt(in_decay.values)[np.newaxis, :]
+    scale = np.sqrt(in_decay.values)
+    return _scaled_uniform(np.random.default_rng(rng_seed), n, scale)
 
 
 def sample_noise(
@@ -140,9 +154,8 @@ def sample_noise(
     """Draw N noise rows eps[k][j] = sigma_j * eta, eta uniform on [-sqrt3, sqrt3]."""
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
-    rng = np.random.default_rng(rng_seed)
-    eta = rng.uniform(-SQRT3, SQRT3, size=(n, len(out_decay)))
-    return eta * np.sqrt(profile.variances(len(out_decay)))[np.newaxis, :]
+    scale = np.sqrt(profile.variances(len(out_decay)))
+    return _scaled_uniform(np.random.default_rng(rng_seed), n, scale)
 
 
 def make_dataset(
@@ -159,6 +172,32 @@ def make_dataset(
     )
     v = u @ a0.m.T + eps
     return SampleSet(u=u, v=v, seed_used=rng_seed)
+
+
+def sample_blocks(
+    a0: OperatorMatrix, n: int, profile: NoiseProfile, rng_seed: int, block_rows: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield the inputs and noise of make_dataset(a0, n, ...) in row blocks.
+
+    Each block is (u rows, eps rows) with block_rows rows; the last one may
+    be shorter. The blocks come from the same two sub-streams as
+    make_dataset, and a Generator fills a chunked uniform draw with the same
+    values as one large draw, so the stacked blocks equal make_dataset's u
+    and noise bit for bit. The generator keeps no reference to a block it
+    has yielded, so a consumer that drops each block holds one at a time.
+    """
+    if n < 1:
+        raise ValueError(f"sample count must be >= 1, got {n}")
+    if block_rows < 1:
+        raise ValueError(f"block_rows must be >= 1, got {block_rows}")
+    u_rng = np.random.default_rng(derive_seed(rng_seed, _TAG_INPUTS))
+    eps_rng = np.random.default_rng(derive_seed(rng_seed, _TAG_NOISE))
+    u_scale = np.sqrt(a0.input_decay.values)
+    eps_scale = np.sqrt(profile.variances(len(a0.output_decay)))
+    for start in range(0, n, block_rows):
+        rows = min(block_rows, n - start)
+        yield (_scaled_uniform(u_rng, rows, u_scale),
+               _scaled_uniform(eps_rng, rows, eps_scale))
 
 
 def random_source_operator(

@@ -219,6 +219,16 @@ class TestRates:
 
 
 class TestExitCodes:
+    def test_zero_problem_exits_two_naming_the_fields(self, tmp_path, capsys):
+        # Passes validation, but every error would be 0 and no slope exists.
+        path, _ = write_config(tmp_path, B=0.0, sigma=0.0, noise={"sigma": 0.0})
+        out = tmp_path / "sweep.csv"
+        assert cli_main(["rates", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "B=0" in err and "ground_truth" in err and "sigma" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_missing_config_flag(self, capsys):
         assert cli_main(["schedule", "--n", "64"]) == 2
         assert "--config" in capsys.readouterr().err

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import random_decay, random_problem_config
@@ -35,6 +37,7 @@ from opridge import (
     single_ridge_lambda,
     variance_lambdas,
 )
+from opridge.estimators import STREAM_BLOCK_ROWS, streamed_covariances
 from opridge.synth import SampleSet
 
 
@@ -81,6 +84,59 @@ class TestEmpiricalCovariances:
                 c_lk=np.zeros((1, 2)),
                 n=1,
             )
+
+    @pytest.mark.parametrize("which", ["c_kk", "c_lk"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, which, bad):
+        mats = {"c_kk": np.eye(2), "c_lk": np.ones((3, 2))}
+        mats[which][1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            EmpiricalCovariances(c_kk=mats["c_kk"], c_lk=mats["c_lk"], n=1)
+
+    def test_eigendecomposition_reconstructs_c_kk(self):
+        g = np.random.default_rng(3).normal(size=(6, 6))
+        c_kk = g @ g.T
+        cov = EmpiricalCovariances(c_kk=c_kk, c_lk=np.zeros((2, 6)), n=1)
+        assert np.all(np.diff(cov.eigvals) >= 0.0), "eigenvalues must ascend"
+        rebuilt = cov.eigvecs @ np.diag(cov.eigvals) @ cov.eigvecs.T
+        np.testing.assert_allclose(rebuilt, c_kk, rtol=0, atol=1e-12 * np.abs(c_kk).max())
+
+
+class TestStreamedCovariances:
+    @staticmethod
+    def problem():
+        cfg = small_config(d_in=8, d_out=12)
+        _, a0 = random_source_operator(cfg, rng_seed=51)
+        return a0, NoiseProfile(sigma=0.3)
+
+    @pytest.mark.parametrize("n", [100, 2 * STREAM_BLOCK_ROWS + 123])
+    def test_matches_raw_sample_covariances(self, n):
+        # n below one block, and n spanning a partial last block.
+        a0, profile = self.problem()
+        got = streamed_covariances(a0, n, profile, rng_seed=52)
+        want = empirical_covariances(make_dataset(a0, n, profile, rng_seed=52))
+        assert got.n == want.n == n
+        for name in ("c_kk", "c_lk"):
+            a, b = getattr(got, name), getattr(want, name)
+            rel = np.abs(a - b).max() / np.abs(b).max()
+            assert rel <= 1e-12, f"{name} differs by {rel:.3e} relative at n={n}"
+        assert np.array_equal(got.c_kk, got.c_kk.T), "symmetrization must be exact"
+
+    def test_peak_memory_does_not_grow_with_n(self):
+        a0, profile = self.problem()
+
+        def peak(n: int) -> int:
+            tracemalloc.start()
+            try:
+                streamed_covariances(a0, n, profile, rng_seed=53)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(STREAM_BLOCK_ROWS)  # warm-up: first-call allocations
+        small, large = peak(2 * STREAM_BLOCK_ROWS), peak(16 * STREAM_BLOCK_ROWS)
+        # Whole arrays at 16 blocks would need 8x the memory of 2 blocks.
+        assert large <= 1.1 * small, f"peak {large} B at 16 blocks vs {small} B at 2"
 
 
 class TestFitRowwiseRidge:
@@ -134,6 +190,17 @@ class TestFitRowwiseRidge:
                 lhs = out[j] @ (cov.c_kk + lams[j] * np.eye(d_in))
                 resid = np.linalg.norm(lhs - cov.c_lk[j]) / np.linalg.norm(cov.c_lk[j])
                 assert resid <= 1e-10, f"row {j} residual {resid}"
+
+    def test_not_positive_definite_raises_linalg_error(self):
+        # c_kk passes the PSD tolerance, but c_kk + lambda I is singular.
+        cov = EmpiricalCovariances(
+            c_kk=np.diag([1.0, -1e-13]), c_lk=np.ones((2, 2)), n=1
+        )
+        with pytest.raises(np.linalg.LinAlgError):
+            fit_rowwise_ridge(cov, LambdaMap.uniform(2, 1e-13))
+        lmap = LambdaMap(lams=np.array([1.0, 1e-14]), learned=np.array([True, False]))
+        assert fit_rowwise_ridge(cov, lmap)[0, 0] == pytest.approx(0.5, rel=1e-14), \
+            "an unlearned row's lambda must not be checked"
 
     def test_row_count_mismatch_rejected(self):
         cov = EmpiricalCovariances(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -19,13 +20,11 @@ from opridge import (
     bg_norm,
     config_to_dict,
     derive_seed,
-    empirical_covariances,
-    estimate_multilevel,
+    estimate_from_covariances,
     fit_rate,
     ground_truth_seed,
     laplacian_operator,
     load_config,
-    make_dataset,
     multilevel_schedule,
     oracle_checks,
     packing_operator,
@@ -35,6 +34,8 @@ from opridge import (
     run_convergence,
     run_trial,
 )
+from opridge import harness
+from opridge.estimators import streamed_covariances
 
 from conftest import random_problem_config
 
@@ -209,9 +210,9 @@ class TestRunCell:
         cfg = small_config()
         _, a0 = random_source_operator(cfg, ground_truth_seed(cfg))
         rec = run_cell(cfg, a0, 256, 2, ("multilevel",))[0]
-        data = make_dataset(a0, 256, NoiseProfile(sigma=cfg.sigma),
-                            derive_seed(cfg.seed, 0x7, 256, 2))
-        a_hat = estimate_multilevel(data, cfg)
+        cov = streamed_covariances(a0, 256, NoiseProfile(sigma=cfg.sigma),
+                                   derive_seed(cfg.seed, 0x7, 256, 2))
+        a_hat = estimate_from_covariances(cov, cfg, "multilevel")
         want = bg_norm(a_hat.difference(a0), cfg.beta_prime, cfg.gamma_prime) ** 2
         assert rec.error_sq == want, \
             "cell path and standalone estimate must agree bit for bit"
@@ -309,6 +310,46 @@ class TestRunConvergence:
                             noise=plan.noise_profile, single_lambda=64.0**-0.2)
         assert report.runs[0].error_sq == want, \
             "the exponent override must reach the baseline coefficient"
+
+    def test_blas_threads_pinned_over_the_callers_environment(self, monkeypatch):
+        thread_vars = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                       "OMP_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+        for v in thread_vars:
+            monkeypatch.setenv(v, "3")
+        seen = []
+
+        class RecordingPool:
+            """Runs the cells in this process and records the environment
+            that spawned workers would inherit."""
+
+            def __init__(self, *, initializer, initargs, **_):
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                seen.append({v: os.environ.get(v) for v in thread_vars})
+                return map(fn, tasks)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        run_convergence(tiny_plan())
+        assert seen == [{v: "1" for v in thread_vars}], \
+            f"workers must start with one BLAS thread whatever the caller exports: {seen}"
+        assert all(os.environ[v] == "3" for v in thread_vars), \
+            "the caller's values must be restored"
+
+    def test_zero_problem_rejected_before_any_cell(self):
+        plan = tiny_plan(cfg=small_config(d_in=12, d_out=16, B=0.0, sigma=0.0),
+                         noise=NoiseProfile(sigma=0.0))
+        with pytest.raises(ConfigError, match="sigma"):
+            run_convergence(plan)
+        # Noise alone makes every error positive.
+        report = run_convergence(tiny_plan(cfg=small_config(d_in=12, d_out=16, B=0.0)))
+        assert all(r.error_sq > 0.0 for r in report.runs)
 
     def test_needs_three_sample_counts(self):
         with pytest.raises(ValueError, match="3 sample counts"):

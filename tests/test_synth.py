@@ -24,6 +24,7 @@ from opridge import (
     sample_inputs,
     sample_noise,
 )
+from opridge.synth import sample_blocks
 
 SQRT3 = math.sqrt(3.0)
 
@@ -144,6 +145,28 @@ class TestMakeDataset:
         d3 = make_dataset(op, 16, NoiseProfile(sigma=0.5), rng_seed=12)
         assert np.array_equal(d1.u, d2.u) and np.array_equal(d1.v, d2.v)
         assert not np.array_equal(d1.v, d3.v)
+
+
+class TestSampleBlocks:
+    def test_blocks_stack_to_the_dataset_bit_for_bit(self):
+        cfg = small_config(d_in=5, d_out=7)
+        _, a0 = random_source_operator(cfg, rng_seed=1)
+        profile = NoiseProfile(sigma=0.3)
+        data = make_dataset(a0, 23, profile, rng_seed=9)
+        blocks = list(sample_blocks(a0, 23, profile, 9, block_rows=5))
+        assert [u.shape[0] for u, _ in blocks] == [5, 5, 5, 5, 3]
+        u = np.vstack([b[0] for b in blocks])
+        eps = np.vstack([b[1] for b in blocks])
+        assert np.array_equal(u, data.u), "chunked input draws must equal one draw"
+        assert np.array_equal(u @ a0.m.T + eps, data.v), "chunked noise draws must equal one draw"
+
+    def test_rejects_empty_sizes(self):
+        cfg = small_config()
+        _, a0 = random_source_operator(cfg, rng_seed=1)
+        with pytest.raises(ValueError):
+            next(sample_blocks(a0, 0, NoiseProfile(sigma=0.1), 9, block_rows=4))
+        with pytest.raises(ValueError):
+            next(sample_blocks(a0, 8, NoiseProfile(sigma=0.1), 9, block_rows=0))
 
 
 class TestRandomSourceOperator:
