@@ -4,148 +4,20 @@ Synthetic operator regression problems with power-law input/output spectra,
 the estimators that learn them (single ridge, contour-scheduled ridges, the
 multilevel staircase), and the analytic oracles and convergence harness used
 to check the predicted error rates.
+
+Each module's __all__ is the one list of its public names; the package
+re-exports all of them.
 """
 
-from .core import (
-    ConfigError,
-    EigenDecay,
-    OperatorMatrix,
-    ProblemConfig,
-    SourceCoefficients,
-    bg_norm,
-    bg_norm_via_embedding,
-    input_rate_part,
-    make_decay,
-    operator_from_source,
-    output_rate_part,
-    theoretical_rate,
-    validate_config,
-)
-from .estimators import (
-    ESTIMATOR_NAMES,
-    EmpiricalCovariances,
-    LambdaMap,
-    analytic_bias,
-    effective_dimension,
-    empirical_covariances,
-    estimate_bias_contour,
-    estimate_from_covariances,
-    estimate_multilevel,
-    estimate_single_ridge,
-    estimate_variance_contour,
-    fit_rowwise_ridge,
-    population_regularized,
-    prediction_error_metric,
-    single_ridge_lambda,
-)
-from .harness import (
-    ExperimentPlan,
-    GroundTruthSpec,
-    RateFit,
-    RateReport,
-    RateSummary,
-    TrialRecord,
-    config_to_dict,
-    fit_rate,
-    load_config,
-    oracle_checks,
-    parse_config,
-    run_cell,
-    run_convergence,
-    run_trial,
-    write_report_json,
-    write_runs_csv,
-    write_summary_csv,
-)
-from .schedules import (
-    LambdaSchedule,
-    Level,
-    LevelSchedule,
-    bias_lambdas,
-    contour_points,
-    lambda_floor,
-    level_count_bound,
-    multilevel_schedule,
-    variance_lambdas,
-)
-from .synth import (
-    NoiseProfile,
-    SampleSet,
-    derive_seed,
-    ground_truth_seed,
-    laplacian_operator,
-    make_dataset,
-    packing_operator,
-    random_source_operator,
-    sample_inputs,
-    sample_noise,
-)
+from . import core, estimators, harness, schedules, synth
+from .core import *
+from .estimators import *
+from .harness import *
+from .schedules import *
+from .synth import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConfigError",
-    "ESTIMATOR_NAMES",
-    "EigenDecay",
-    "EmpiricalCovariances",
-    "ExperimentPlan",
-    "GroundTruthSpec",
-    "LambdaMap",
-    "LambdaSchedule",
-    "Level",
-    "LevelSchedule",
-    "NoiseProfile",
-    "OperatorMatrix",
-    "ProblemConfig",
-    "RateFit",
-    "RateReport",
-    "RateSummary",
-    "SampleSet",
-    "SourceCoefficients",
-    "TrialRecord",
-    "analytic_bias",
-    "bg_norm",
-    "bg_norm_via_embedding",
-    "bias_lambdas",
-    "config_to_dict",
-    "contour_points",
-    "derive_seed",
-    "effective_dimension",
-    "empirical_covariances",
-    "estimate_bias_contour",
-    "estimate_from_covariances",
-    "estimate_multilevel",
-    "estimate_single_ridge",
-    "estimate_variance_contour",
-    "fit_rate",
-    "fit_rowwise_ridge",
-    "ground_truth_seed",
-    "input_rate_part",
-    "lambda_floor",
-    "laplacian_operator",
-    "level_count_bound",
-    "load_config",
-    "make_dataset",
-    "make_decay",
-    "multilevel_schedule",
-    "operator_from_source",
-    "oracle_checks",
-    "output_rate_part",
-    "packing_operator",
-    "parse_config",
-    "population_regularized",
-    "prediction_error_metric",
-    "random_source_operator",
-    "run_cell",
-    "run_convergence",
-    "run_trial",
-    "sample_inputs",
-    "sample_noise",
-    "single_ridge_lambda",
-    "theoretical_rate",
-    "validate_config",
-    "variance_lambdas",
-    "write_report_json",
-    "write_runs_csv",
-    "write_summary_csv",
-]
+__all__ = (
+    core.__all__ + estimators.__all__ + harness.__all__ + schedules.__all__ + synth.__all__
+)

@@ -83,10 +83,15 @@ def _parse_n_list(raw: str) -> list[int]:
 
 def _resolve_n(args: argparse.Namespace, extras: dict[str, Any]) -> int:
     if args.n is not None:
-        return args.n
-    if extras.get("n_list"):
-        return max(extras["n_list"])
-    raise ConfigError("no sample count: pass --n or put n_list in the config")
+        n, source = args.n, "--n"
+    elif extras.get("n_list"):
+        n, source = max(extras["n_list"]), "the maximum of n_list"
+    else:
+        raise ConfigError("no sample count: pass --n or put n_list in the config")
+    # The regularization floor c0 * (n / ln n)^(-1/alpha) needs n >= 2.
+    if n < 2:
+        raise ConfigError(f"{source} must be >= 2, got {n}")
+    return n
 
 
 def _load(args: argparse.Namespace) -> tuple[ProblemConfig, GroundTruthSpec, NoiseProfile, dict[str, Any]]:
@@ -140,6 +145,8 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
 def _cmd_contours(args: argparse.Namespace) -> int:
     cfg, _, _, extras = _load(args)
     n = _resolve_n(args, extras)
+    if args.samples < 2:
+        raise ConfigError(f"--samples must be >= 2, got {args.samples}")
     eta1, eta2, _ = theoretical_rate(cfg)
     sched = multilevel_schedule(cfg, n)
     x_hi = 2.0 * max(lv.x for lv in sched.levels)
@@ -193,7 +200,22 @@ def _cmd_rates(args: argparse.Namespace) -> int:
         raise ConfigError("no sample counts: pass --n-list or put n_list in the config")
     trials = args.trials if args.trials is not None else extras.get("trials", 10)
     out = Path(args.out)
-    json_only = args.format == "json"
+    if args.format == "json":
+        paths = {"out_report": out}
+    else:
+        paths = {
+            "out_summary": out,
+            "out_runs": out.with_name(out.stem + "_runs" + out.suffix),
+            "out_report": out.with_suffix(".json"),
+        }
+    written = [p.resolve() for p in paths.values()]
+    if len(set(written)) < len(written):
+        raise ConfigError(
+            f"--out {args.out} makes two output files share a path; "
+            "in csv format the report goes to the .json sibling of --out"
+        )
+    if Path(args.config).resolve() in written:
+        raise ConfigError(f"--out {args.out} would overwrite the config file {args.config}")
     plan = ExperimentPlan(
         cfg=cfg,
         n_list=tuple(n_list),
@@ -202,9 +224,7 @@ def _cmd_rates(args: argparse.Namespace) -> int:
         ground_truth=gt,
         noise=noise,
         workers=args.workers,
-        out_summary=None if json_only else str(out),
-        out_runs=None if json_only else str(out.with_name(out.stem + "_runs" + out.suffix)),
-        out_report=str(out) if json_only else str(out.with_suffix(".json")),
+        **{name: str(p) for name, p in paths.items()},
     )
     report = run_convergence(plan)
     for fit in report.fits:

@@ -82,7 +82,7 @@ class ProblemConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        validate_config(self)
+        _validate_config(self)
 
     @property
     def input_decay(self) -> "EigenDecay":
@@ -93,7 +93,7 @@ class ProblemConfig:
         return make_decay(self.d_out, self.q)
 
 
-def validate_config(cfg: ProblemConfig) -> None:
+def _validate_config(cfg: ProblemConfig) -> None:
     """Check every ProblemConfig invariant, naming the field on failure.
 
     Raises:
@@ -323,16 +323,6 @@ def bg_norm_via_embedding(op: OperatorMatrix, b: float, g: float) -> float:
     return float(np.linalg.norm(rescaled))
 
 
-def input_rate_part(cfg: ProblemConfig) -> float:
-    """Input-side candidate for the squared-error decay exponent."""
-    return (cfg.beta - cfg.beta_prime) / max(cfg.alpha, cfg.beta + cfg.p)
-
-
-def output_rate_part(cfg: ProblemConfig) -> float:
-    """Output-side candidate for the squared-error decay exponent."""
-    return (cfg.gamma_prime - cfg.gamma) / (1.0 - cfg.gamma)
-
-
 def theoretical_rate(cfg: ProblemConfig) -> tuple[float, float, float]:
     """Predicted error exponents and the staircase contraction parameter.
 
@@ -344,7 +334,10 @@ def theoretical_rate(cfg: ProblemConfig) -> tuple[float, float, float]:
         governs the multilevel recursion (u > 1 iff the input side limits the
         rate).
     """
-    eta1 = min(input_rate_part(cfg), output_rate_part(cfg))
+    eta1 = min(
+        (cfg.beta - cfg.beta_prime) / max(cfg.alpha, cfg.beta + cfg.p),
+        (cfg.gamma_prime - cfg.gamma) / (1.0 - cfg.gamma),
+    )
     eta2 = 1.0 - eta1
     u = (
         (cfg.beta_prime + max(cfg.alpha - cfg.beta, cfg.p))

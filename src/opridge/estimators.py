@@ -11,6 +11,7 @@ eigendecomposition c_kk = Q diag(Lambda) Q.T, made when it is built, and
 every row is solved from it as ((c_lk[j] @ Q) / (Lambda + lambda_j)) @ Q.T,
 so a cell costs one eigh however many distinct coefficients its estimators
 use. Covariances are uncentered and c_kk is symmetrized.
+estimate_from_covariances fits any of the ESTIMATOR_NAMES this way.
 
 streamed_covariances computes the covariances of a simulated cell from
 inputs and noise drawn in fixed-size row blocks, without building the
@@ -43,16 +44,14 @@ from .schedules import (
 from .synth import NoiseProfile, SampleSet, sample_blocks, sample_inputs
 
 __all__ = [
+    "ESTIMATOR_NAMES",
     "EmpiricalCovariances",
     "LambdaMap",
     "empirical_covariances",
     "streamed_covariances",
     "STREAM_BLOCK_ROWS",
     "fit_rowwise_ridge",
-    "estimate_single_ridge",
-    "estimate_variance_contour",
-    "estimate_bias_contour",
-    "estimate_multilevel",
+    "estimate_from_covariances",
     "single_ridge_lambda",
     "population_regularized",
     "analytic_bias",
@@ -260,43 +259,28 @@ def single_ridge_lambda(cfg: ProblemConfig, n: int) -> float:
     return float(n) ** (-1.0 / (cfg.beta + cfg.p))
 
 
-def _wrap(cfg: ProblemConfig, a_hat: np.ndarray) -> OperatorMatrix:
-    return OperatorMatrix(
-        m=a_hat,
-        input_decay=cfg.input_decay,
-        output_decay=cfg.output_decay,
-    )
-
-
 ESTIMATOR_NAMES = ("single", "variance", "bias", "multilevel")
 
 
 def estimate_from_covariances(
-    cov: EmpiricalCovariances,
-    cfg: ProblemConfig,
-    estimator: str,
-    lam: float | None = None,
+    cov: EmpiricalCovariances, cfg: ProblemConfig, estimator: str
 ) -> OperatorMatrix:
-    """One ridge fit from precomputed covariances.
+    """Fit one named estimator from a dataset's covariances.
 
-    The Gram matrices dominate the cost at large n, so callers fitting
-    several estimators on one dataset should compute the covariances once
-    and dispatch through here.
+    Every estimator is the same row-wise ridge; the name only picks the
+    lambda map. The Gram matrices dominate the cost at large n, so callers
+    fitting several estimators on one dataset compute the covariances once
+    and call this for each name. An arbitrary uniform coefficient lam is
+    fit_rowwise_ridge(cov, LambdaMap.uniform(cov.d_out, lam)).
 
     Args:
         cov: empirical covariances of a dataset of cov.n samples.
         cfg: problem configuration supplying schedules and decays.
-        estimator: one of "single" (uniform coefficient), "variance" /
+        estimator: one of "single" (uniform n^(-1/(beta+p))), "variance" /
             "bias" (per-row contour schedules), "multilevel" (staircase).
-        lam: uniform coefficient override, only valid for "single";
-            defaults to n^(-1/(beta+p)).
     """
-    if lam is not None and estimator != "single":
-        raise ValueError(f"lam override only applies to 'single', got {estimator!r}")
     if estimator == "single":
-        if lam is None:
-            lam = single_ridge_lambda(cfg, cov.n)
-        lmap = LambdaMap.uniform(cov.d_out, lam)
+        lmap = LambdaMap.uniform(cov.d_out, single_ridge_lambda(cfg, cov.n))
     elif estimator == "variance":
         lmap = LambdaMap.from_lambda_schedule(variance_lambdas(cfg, cov.n), cov.d_out)
     elif estimator == "bias":
@@ -306,35 +290,11 @@ def estimate_from_covariances(
         lmap = LambdaMap.from_level_schedule(sched, cov.d_out)
     else:
         raise ValueError(f"unknown estimator {estimator!r}, expected one of {ESTIMATOR_NAMES}")
-    return _wrap(cfg, fit_rowwise_ridge(cov, lmap))
-
-
-def estimate_single_ridge(
-    data: SampleSet, cfg: ProblemConfig, lam: float | None = None
-) -> OperatorMatrix:
-    """Uniform-lambda ridge over all output rows.
-
-    Args:
-        data: samples with d_in inputs and d_out outputs.
-        cfg: problem configuration supplying the frequency decays.
-        lam: ridge coefficient; defaults to n^(-1/(beta+p)).
-    """
-    return estimate_from_covariances(empirical_covariances(data), cfg, "single", lam)
-
-
-def estimate_variance_contour(data: SampleSet, cfg: ProblemConfig) -> OperatorMatrix:
-    """Ridge with per-row coefficients from the variance-equalizing contour."""
-    return estimate_from_covariances(empirical_covariances(data), cfg, "variance")
-
-
-def estimate_bias_contour(data: SampleSet, cfg: ProblemConfig) -> OperatorMatrix:
-    """Ridge with per-row coefficients from the bias-equalizing contour."""
-    return estimate_from_covariances(empirical_covariances(data), cfg, "bias")
-
-
-def estimate_multilevel(data: SampleSet, cfg: ProblemConfig) -> OperatorMatrix:
-    """Ridge with the piecewise-constant coefficients of the staircase."""
-    return estimate_from_covariances(empirical_covariances(data), cfg, "multilevel")
+    return OperatorMatrix(
+        m=fit_rowwise_ridge(cov, lmap),
+        input_decay=cfg.input_decay,
+        output_decay=cfg.output_decay,
+    )
 
 
 def population_regularized(a0: OperatorMatrix, lmap: LambdaMap) -> OperatorMatrix:

@@ -71,7 +71,6 @@ __all__ = [
     "parse_config",
     "run_cell",
     "run_convergence",
-    "run_trial",
     "write_report_json",
     "write_runs_csv",
     "write_summary_csv",
@@ -193,10 +192,8 @@ class GroundTruthSpec:
 class ExperimentPlan:
     """Everything a convergence sweep needs, validated up front.
 
-    single_lambda_exponent overrides the baseline rule: the uniform
-    coefficient becomes n^(-single_lambda_exponent) instead of the default
-    n^(-1/(beta+p)). Output paths are optional; when set, run_convergence
-    writes the corresponding artifacts after the sweep.
+    Output paths are optional; when set, run_convergence writes the
+    corresponding artifacts after the sweep.
     """
 
     cfg: ProblemConfig
@@ -205,7 +202,6 @@ class ExperimentPlan:
     estimators: tuple[str, ...] = ESTIMATOR_NAMES
     ground_truth: GroundTruthSpec = field(default_factory=GroundTruthSpec)
     noise: NoiseProfile | None = None
-    single_lambda_exponent: float | None = None
     workers: int = 1
     out_summary: str | None = None
     out_runs: str | None = None
@@ -215,8 +211,9 @@ class ExperimentPlan:
         n_list = tuple(int(n) for n in self.n_list)
         object.__setattr__(self, "n_list", n_list)
         object.__setattr__(self, "estimators", tuple(self.estimators))
-        if not n_list or any(n < 1 for n in n_list):
-            raise ConfigError(f"n_list must contain sample counts >= 1, got {n_list}")
+        # The regularization floor c0 * (n / ln n)^(-1/alpha) needs n >= 2.
+        if not n_list or any(n < 2 for n in n_list):
+            raise ConfigError(f"n_list must contain sample counts >= 2, got {n_list}")
         if any(b <= a for a, b in zip(n_list, n_list[1:])):
             raise ConfigError(f"n_list must be strictly increasing, got {n_list}")
         if self.trials < 1:
@@ -229,21 +226,12 @@ class ExperimentPlan:
             raise ConfigError(f"unknown estimator(s) {bad}; valid: {ESTIMATOR_NAMES}")
         if len(set(self.estimators)) != len(self.estimators):
             raise ConfigError(f"estimators repeat: {self.estimators}")
-        if self.single_lambda_exponent is not None and self.single_lambda_exponent <= 0:
-            raise ConfigError(
-                f"single_lambda_exponent must be positive, got {self.single_lambda_exponent}"
-            )
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
 
     @property
     def noise_profile(self) -> NoiseProfile:
         return self.noise if self.noise is not None else NoiseProfile(sigma=self.cfg.sigma)
-
-    def single_lambda_for(self, n: int) -> float | None:
-        if self.single_lambda_exponent is None:
-            return None
-        return float(n) ** -self.single_lambda_exponent
 
 
 @dataclass(frozen=True)
@@ -325,7 +313,6 @@ def run_cell(
     trial_index: int,
     estimators: Sequence[str],
     noise: NoiseProfile | None = None,
-    single_lambda: float | None = None,
 ) -> tuple[TrialRecord, ...]:
     """Fit every requested estimator on one freshly drawn dataset.
 
@@ -333,8 +320,9 @@ def run_cell(
     streamed_covariances): the n-row dataset is never held in memory, and
     the one eigendecomposition they carry serves every estimator. Each
     record's elapsed_ms charges that shared preparation plus the
-    estimator's own solve; timings approximate standalone run_trial costs
-    while the whole cell stays cheap.
+    estimator's own solve and norm, so it approximates what fitting that
+    estimator alone would cost, while the whole cell pays the preparation
+    once.
     """
     if noise is None:
         noise = NoiseProfile(sigma=cfg.sigma)
@@ -346,31 +334,11 @@ def run_cell(
     records = []
     for name in estimators:
         t1 = time.perf_counter()
-        lam = single_lambda if name == "single" else None
-        a_hat = estimate_from_covariances(cov, cfg, name, lam=lam)
+        a_hat = estimate_from_covariances(cov, cfg, name)
         err = bg_norm(a_hat.difference(a0), cfg.beta_prime, cfg.gamma_prime) ** 2
         elapsed = prep + time.perf_counter() - t1
         records.append(TrialRecord(name, int(n), int(trial_index), float(err), elapsed * 1e3))
     return tuple(records)
-
-
-def run_trial(
-    cfg: ProblemConfig,
-    a0: OperatorMatrix,
-    n: int,
-    trial_index: int,
-    estimator: str,
-    noise: NoiseProfile | None = None,
-    single_lambda: float | None = None,
-) -> tuple[float, float]:
-    """One estimator on one dataset: (squared error, elapsed seconds).
-
-    The dataset sub-seed depends only on (cfg.seed, n, trial_index), so a
-    repeated call reproduces the error bit for bit and different trials
-    use decorrelated streams.
-    """
-    rec = run_cell(cfg, a0, n, trial_index, (estimator,), noise, single_lambda)[0]
-    return rec.error_sq, rec.elapsed_ms / 1e3
 
 
 # ---------------------------------------------------------------------------
@@ -414,15 +382,14 @@ _WORKER_STATE: dict[str, Any] = {}
 
 
 def _pool_init(cfg: ProblemConfig, a0: OperatorMatrix, noise: NoiseProfile,
-               estimators: tuple[str, ...], exponent: float | None) -> None:
-    _WORKER_STATE["args"] = (cfg, a0, noise, estimators, exponent)
+               estimators: tuple[str, ...]) -> None:
+    _WORKER_STATE["args"] = (cfg, a0, noise, estimators)
 
 
 def _pool_cell(task: tuple[int, int]) -> tuple[TrialRecord, ...]:
     n, trial = task
-    cfg, a0, noise, estimators, exponent = _WORKER_STATE["args"]
-    lam = None if exponent is None else float(n) ** -exponent
-    return run_cell(cfg, a0, n, trial, estimators, noise, lam)
+    cfg, a0, noise, estimators = _WORKER_STATE["args"]
+    return run_cell(cfg, a0, n, trial, estimators, noise)
 
 
 def run_convergence(plan: ExperimentPlan) -> RateReport:
@@ -464,8 +431,7 @@ def run_convergence(plan: ExperimentPlan) -> RateReport:
             max_workers=plan.workers,
             mp_context=get_context("spawn"),
             initializer=_pool_init,
-            initargs=(plan.cfg, a0, noise, plan.estimators,
-                      plan.single_lambda_exponent),
+            initargs=(plan.cfg, a0, noise, plan.estimators),
         ) as pool:
             cell_results = list(pool.map(_pool_cell, tasks, chunksize=1))
     finally:
@@ -577,10 +543,7 @@ def parse_config(obj: Any) -> tuple[ProblemConfig, GroundTruthSpec, NoiseProfile
     n_sigma = noise_obj.get("sigma", cfg.sigma)
     if isinstance(n_sigma, bool) or not isinstance(n_sigma, (int, float)):
         raise ConfigError(f"field 'noise.sigma' must be a number, got {n_sigma!r}")
-    try:
-        noise = NoiseProfile(sigma=float(n_sigma), kind=noise_obj.get("profile", "polynomial"))
-    except ValueError as exc:
-        raise ConfigError(f"field 'noise.profile' invalid: {exc}") from exc
+    noise = NoiseProfile(sigma=float(n_sigma), kind=noise_obj.get("profile", "polynomial"))
 
     extras: dict[str, Any] = {}
     if "n_list" in obj:

@@ -24,6 +24,7 @@ from typing import Iterator
 import numpy as np
 
 from .core import (
+    ConfigError,
     EigenDecay,
     OperatorMatrix,
     ProblemConfig,
@@ -40,6 +41,7 @@ __all__ = [
     "sample_noise",
     "make_dataset",
     "sample_blocks",
+    "ground_truth_seed",
     "random_source_operator",
     "laplacian_operator",
     "packing_operator",
@@ -115,10 +117,13 @@ class NoiseProfile:
     kind: str = "polynomial"
 
     def __post_init__(self) -> None:
+        # Messages name the config fields these come from.
         if self.kind != "polynomial":
-            raise ValueError(f"unknown noise profile kind {self.kind!r}")
+            raise ConfigError(f"noise.profile must be 'polynomial', got {self.kind!r}")
         if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
-            raise ValueError(f"noise sigma must be nonnegative, got {self.sigma!r}")
+            raise ConfigError(
+                f"noise.sigma must be finite and nonnegative, got {self.sigma!r}"
+            )
 
     def variances(self, d_out: int) -> np.ndarray:
         """Truncated per-coordinate variances sigma_j^2 for j = 1..d_out."""

@@ -207,6 +207,25 @@ class TestRates:
         assert cli_main(["rates", "--config", str(path)]) == 2
         assert "--out" in capsys.readouterr().err
 
+    def test_out_onto_the_config_is_refused(self, tmp_path, capsys):
+        path, _ = write_config(tmp_path, name="c2.json")
+        before = path.read_bytes()
+        assert cli_main(["rates", "--config", str(path),
+                         "--out", str(tmp_path / "c2.csv")]) == 2
+        assert "--out" in capsys.readouterr().err
+        assert path.read_bytes() == before, "the config must be left as it was"
+        assert not (tmp_path / "c2.csv").exists()
+
+    def test_colliding_outputs_are_refused(self, tmp_path, capsys):
+        # In csv format the report goes to out.with_suffix(".json").
+        path, _ = write_config(tmp_path)
+        before = path.read_bytes()
+        out = tmp_path / "r.json"
+        assert cli_main(["rates", "--config", str(path), "--out", str(out)]) == 2
+        assert "--out" in capsys.readouterr().err
+        assert path.read_bytes() == before
+        assert not out.exists()
+
     def test_n_list_flag_overrides_config(self, tmp_path, capsys):
         path, _ = write_config(tmp_path)
         out = tmp_path / "sweep.csv"
@@ -228,6 +247,33 @@ class TestExitCodes:
         assert "B=0" in err and "ground_truth" in err and "sigma" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, field", [
+        (["simulate", "--n", "1"], "--n"),
+        (["simulate", "--n", "0"], "--n"),
+        (["schedule", "--n", "1"], "--n"),
+        (["contours", "--n", "1"], "--n"),
+        (["contours", "--samples", "1"], "--samples"),
+        (["rates", "--n-list", "1,2,4", "--out", "{tmp}/x.csv"], "n_list"),
+    ])
+    def test_sample_counts_below_two_exit_two(self, tmp_path, capsys, argv, field):
+        # The regularization floor needs n >= 2 and a contour two points.
+        path, _ = write_config(tmp_path, d_in=16, d_out=16)
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        assert cli_main([*argv, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("noise, field, other", [
+        ({"sigma": -1}, "noise.sigma", "noise.profile"),
+        ({"sigma": 0.1, "profile": "white"}, "noise.profile", "noise.sigma"),
+    ])
+    def test_bad_noise_names_its_own_field(self, tmp_path, capsys, noise, field, other):
+        path, _ = write_config(tmp_path, noise=noise)
+        assert cli_main(["schedule", "--config", str(path), "--n", "64"]) == 2
+        err = capsys.readouterr().err
+        assert field in err and other not in err
 
     def test_missing_config_flag(self, capsys):
         assert cli_main(["schedule", "--n", "64"]) == 2

@@ -20,10 +20,7 @@ from opridge import (
     bias_lambdas,
     effective_dimension,
     empirical_covariances,
-    estimate_bias_contour,
-    estimate_multilevel,
-    estimate_single_ridge,
-    estimate_variance_contour,
+    estimate_from_covariances,
     fit_rowwise_ridge,
     lambda_floor,
     make_dataset,
@@ -233,8 +230,8 @@ class TestEstimators:
         cfg = small_config(d_in=16, d_out=16)
         _, a0 = random_source_operator(cfg, rng_seed=21)
         data = make_dataset(a0, 200, NoiseProfile(sigma=cfg.sigma), rng_seed=22)
-        est = estimate_multilevel(data, cfg)
         cov = empirical_covariances(data)
+        est = estimate_from_covariances(cov, cfg, "multilevel")
         sched = multilevel_schedule(cfg, data.n)
         want = fit_rowwise_ridge(cov, LambdaMap.from_level_schedule(sched, cfg.d_out))
         assert np.array_equal(est.m, want), "must be the same computation"
@@ -243,11 +240,9 @@ class TestEstimators:
         cfg = small_config(d_in=8, d_out=8)
         _, a0 = random_source_operator(cfg, rng_seed=23)
         data = make_dataset(a0, 64, NoiseProfile(sigma=cfg.sigma), rng_seed=24)
-        for fit, sched_fn in (
-            (estimate_variance_contour, variance_lambdas),
-            (estimate_bias_contour, bias_lambdas),
-        ):
-            est = fit(data, cfg)
+        cov = empirical_covariances(data)
+        for name, sched_fn in (("variance", variance_lambdas), ("bias", bias_lambdas)):
+            est = estimate_from_covariances(cov, cfg, name)
             y_max = sched_fn(cfg, data.n).y_max
             assert np.all(est.m[y_max:] == 0.0)
             assert np.all(np.any(est.m[:y_max] != 0.0, axis=1))
@@ -256,7 +251,9 @@ class TestEstimators:
         cfg = small_config(d_in=8, d_out=8, sigma=0.0)
         _, a0 = random_source_operator(cfg, rng_seed=25)
         data = make_dataset(a0, 4096, NoiseProfile(sigma=0.0), rng_seed=26)
-        est = estimate_single_ridge(data, cfg, lam=lambda_floor(cfg, data.n))
+        lmap = LambdaMap.uniform(cfg.d_out, lambda_floor(cfg, data.n))
+        est = OperatorMatrix(fit_rowwise_ridge(empirical_covariances(data), lmap),
+                             cfg.input_decay, cfg.output_decay)
         err = bg_norm(est.difference(a0), cfg.beta_prime, cfg.gamma_prime)
         scale = bg_norm(a0, cfg.beta_prime, cfg.gamma_prime)
         assert err <= 1e-3 * scale, f"noiseless recovery error {err / scale}"
@@ -265,8 +262,8 @@ class TestEstimators:
         cfg = small_config()
         u = sample_inputs(32, cfg.input_decay, rng_seed=27)
         data = SampleSet(u=u, v=np.zeros((32, 8)), seed_used=0)
-        est = estimate_single_ridge(data, cfg, lam=0.5)
-        assert np.all(est.m == 0.0)
+        est = fit_rowwise_ridge(empirical_covariances(data), LambdaMap.uniform(8, 0.5))
+        assert np.all(est == 0.0)
 
     def test_default_single_lambda_rule(self):
         cfg = small_config()
@@ -275,9 +272,18 @@ class TestEstimators:
         )
         _, a0 = random_source_operator(cfg, rng_seed=29)
         data = make_dataset(a0, 100, NoiseProfile(sigma=0.1), rng_seed=30)
-        default = estimate_single_ridge(data, cfg)
-        explicit = estimate_single_ridge(data, cfg, lam=single_ridge_lambda(cfg, 100))
-        assert np.array_equal(default.m, explicit.m)
+        cov = empirical_covariances(data)
+        default = estimate_from_covariances(cov, cfg, "single")
+        explicit = fit_rowwise_ridge(
+            cov, LambdaMap.uniform(cfg.d_out, single_ridge_lambda(cfg, 100))
+        )
+        assert np.array_equal(default.m, explicit)
+
+    def test_unknown_name_rejected(self):
+        cfg = small_config()
+        cov = population_covariances(random_source_operator(cfg, rng_seed=31)[1])
+        with pytest.raises(ValueError, match="lasso"):
+            estimate_from_covariances(cov, cfg, "lasso")
 
 
 class TestPopulationRegularized:

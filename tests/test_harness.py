@@ -15,6 +15,7 @@ from opridge import (
     GroundTruthSpec,
     LambdaMap,
     NoiseProfile,
+    OperatorMatrix,
     ProblemConfig,
     analytic_bias,
     bg_norm,
@@ -22,6 +23,7 @@ from opridge import (
     derive_seed,
     estimate_from_covariances,
     fit_rate,
+    fit_rowwise_ridge,
     ground_truth_seed,
     laplacian_operator,
     load_config,
@@ -32,7 +34,6 @@ from opridge import (
     random_source_operator,
     run_cell,
     run_convergence,
-    run_trial,
 )
 from opridge import harness
 from opridge.estimators import streamed_covariances
@@ -155,19 +156,27 @@ class TestGroundTruthSpec:
             GroundTruthSpec("laplacian", {"taper_in": 0.5})
 
 
+def trial_record(cfg, a0, n, trial_index, estimator, noise=None):
+    """The record of one estimator on the dataset of cell (n, trial_index)."""
+    (rec,) = run_cell(cfg, a0, n, trial_index, (estimator,), noise)
+    return rec
+
+
 class TestRunTrial:
+    """One estimator on one cell's dataset, through run_cell."""
+
     def test_bitwise_deterministic(self):
         cfg = small_config()
         _, a0 = random_source_operator(cfg, ground_truth_seed(cfg))
-        e1, _ = run_trial(cfg, a0, 256, 3, "variance")
-        e2, _ = run_trial(cfg, a0, 256, 3, "variance")
+        e1 = trial_record(cfg, a0, 256, 3, "variance").error_sq
+        e2 = trial_record(cfg, a0, 256, 3, "variance").error_sq
         assert e1 == e2, f"same (seed, n, trial) must reproduce the error bit for bit: {e1} vs {e2}"
 
     def test_trials_decorrelated(self):
         cfg = small_config()
         _, a0 = random_source_operator(cfg, ground_truth_seed(cfg))
-        e1, _ = run_trial(cfg, a0, 256, 0, "single")
-        e2, _ = run_trial(cfg, a0, 256, 1, "single")
+        e1 = trial_record(cfg, a0, 256, 0, "single").error_sq
+        e2 = trial_record(cfg, a0, 256, 1, "single").error_sq
         assert e1 != e2, "different trial indices must draw different datasets"
 
     def test_noiseless_error_at_most_analytic_bias(self):
@@ -176,7 +185,7 @@ class TestRunTrial:
         cfg = small_config(sigma=0.0, d_in=8, d_out=32, seed=99)
         src, a0 = random_source_operator(cfg, 1234)
         n = 16384
-        err_sq, _ = run_trial(cfg, a0, n, 0, "multilevel", noise=NoiseProfile(sigma=0.0))
+        err_sq = trial_record(cfg, a0, n, 0, "multilevel", NoiseProfile(sigma=0.0)).error_sq
         lmap = LambdaMap.from_level_schedule(multilevel_schedule(cfg, n), cfg.d_out)
         bias = analytic_bias(src, lmap, cfg.input_decay, cfg.output_decay,
                              cfg.beta_prime, cfg.gamma_prime)
@@ -186,7 +195,11 @@ class TestRunTrial:
     def test_huge_lambda_recovers_truth_norm(self):
         cfg = small_config()
         _, a0 = random_source_operator(cfg, ground_truth_seed(cfg))
-        err_sq, _ = run_trial(cfg, a0, 128, 0, "single", single_lambda=1e30)
+        cov = streamed_covariances(a0, 128, NoiseProfile(sigma=cfg.sigma),
+                                   derive_seed(cfg.seed, 0x7, 128, 0))
+        a_hat = OperatorMatrix(fit_rowwise_ridge(cov, LambdaMap.uniform(cfg.d_out, 1e30)),
+                               cfg.input_decay, cfg.output_decay)
+        err_sq = bg_norm(a_hat.difference(a0), cfg.beta_prime, cfg.gamma_prime) ** 2
         want = bg_norm(a0, cfg.beta_prime, cfg.gamma_prime) ** 2
         assert abs(err_sq - want) <= 1e-10 * want, \
             f"an infinitely shrunk estimate must score the truth's norm: {err_sq} vs {want}"
@@ -194,8 +207,7 @@ class TestRunTrial:
     def test_elapsed_positive(self):
         cfg = small_config()
         _, a0 = random_source_operator(cfg, ground_truth_seed(cfg))
-        _, elapsed = run_trial(cfg, a0, 64, 0, "multilevel")
-        assert elapsed > 0.0
+        assert trial_record(cfg, a0, 64, 0, "multilevel").elapsed_ms > 0.0
 
 
 class TestRunCell:
@@ -235,6 +247,11 @@ class TestExperimentPlan:
         with pytest.raises(ConfigError, match="increasing"):
             tiny_plan(n_list=(64, 64, 128))
 
+    def test_n_list_needs_two_samples(self):
+        # The regularization floor is undefined at n = 1.
+        with pytest.raises(ConfigError, match="n_list"):
+            tiny_plan(n_list=(1, 2, 4))
+
     def test_trials_must_be_positive(self):
         with pytest.raises(ConfigError, match="trials"):
             tiny_plan(trials=0)
@@ -254,11 +271,6 @@ class TestExperimentPlan:
     def test_noise_defaults_to_config_sigma(self):
         plan = tiny_plan()
         assert plan.noise_profile.sigma == plan.cfg.sigma
-
-    def test_single_lambda_exponent_rule(self):
-        plan = tiny_plan(single_lambda_exponent=0.25)
-        assert plan.single_lambda_for(16) == 16.0**-0.25
-        assert tiny_plan().single_lambda_for(16) is None
 
 
 class TestRunConvergence:
@@ -301,15 +313,6 @@ class TestRunConvergence:
             meds = [s.median_error_sq for s in report.summaries if s.estimator == name]
             assert all(b <= a for a, b in zip(meds, meds[1:])), \
                 f"noiseless {name} medians must fall with n, got {meds}"
-
-    def test_single_lambda_exponent_respected(self):
-        plan = tiny_plan(estimators=("single",), single_lambda_exponent=0.2)
-        report = run_convergence(plan)
-        a0 = plan.ground_truth.build(plan.cfg)
-        want, _ = run_trial(plan.cfg, a0, 64, 0, "single",
-                            noise=plan.noise_profile, single_lambda=64.0**-0.2)
-        assert report.runs[0].error_sq == want, \
-            "the exponent override must reach the baseline coefficient"
 
     def test_blas_threads_pinned_over_the_callers_environment(self, monkeypatch):
         thread_vars = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -433,7 +436,7 @@ class TestConfigIO:
     def test_bad_noise_profile_named(self):
         obj = self.full_dict()
         obj["noise"] = {"sigma": 0.1, "profile": "gaussian-white"}
-        with pytest.raises(ConfigError, match="profile"):
+        with pytest.raises(ConfigError, match="noise.profile"):
             parse_config(obj)
 
     def test_bad_n_list_named(self):
