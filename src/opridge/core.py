@@ -19,7 +19,7 @@ Conventions fixed across the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -86,69 +86,74 @@ class ProblemConfig:
 
     @property
     def input_decay(self) -> "EigenDecay":
-        return make_decay(self.d_in, self.p)
+        return _config_decay(self.d_in, self.p, "d_in", "p")
 
     @property
     def output_decay(self) -> "EigenDecay":
-        return make_decay(self.d_out, self.q)
+        return _config_decay(self.d_out, self.q, "d_out", "q")
 
 
 def _validate_config(cfg: ProblemConfig) -> None:
     """Check every ProblemConfig invariant, naming the field on failure.
 
+    Stores each field as its annotated type: float fields as float, and int
+    fields as int, where an integral float such as 16.0 is accepted.
+
     Raises:
-        ConfigError: if any field is outside its allowed range.
+        ConfigError: if any field is not a number of its type or is outside
+            its allowed range.
     """
-    def _num(name: str, value: object) -> float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{name} must be a number, got {value!r}")
-        if not math.isfinite(float(value)):
-            raise ConfigError(f"{name} must be finite, got {value!r}")
-        return float(value)
-
-    p = _num("p", cfg.p)
-    q = _num("q", cfg.q)
-    alpha = _num("alpha", cfg.alpha)
-    beta = _num("beta", cfg.beta)
-    beta_prime = _num("beta_prime", cfg.beta_prime)
-    gamma = _num("gamma", cfg.gamma)
-    gamma_prime = _num("gamma_prime", cfg.gamma_prime)
-    B = _num("B", cfg.B)
-    sigma = _num("sigma", cfg.sigma)
-    c0 = _num("c0", cfg.c0)
-
-    if not 0.0 < p < 1.0:
-        raise ConfigError(f"p must lie in (0, 1), got {p}")
-    if not 0.0 < q < 1.0:
-        raise ConfigError(f"q must lie in (0, 1), got {q}")
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
-    if not 0.0 <= beta < 1.0:
-        raise ConfigError(f"beta must lie in [0, 1), got {beta}")
-    if not 0.0 < beta_prime < beta:
+    for f in fields(cfg):
+        # Annotations are strings here (from __future__ import annotations).
+        object.__setattr__(cfg, f.name, _scalar(f.name, getattr(cfg, f.name), f.type == "int"))
+    if not 0.0 < cfg.p < 1.0:
+        raise ConfigError(f"p must lie in (0, 1), got {cfg.p}")
+    if not 0.0 < cfg.q < 1.0:
+        raise ConfigError(f"q must lie in (0, 1), got {cfg.q}")
+    if not 0.0 < cfg.alpha < 1.0:
+        raise ConfigError(f"alpha must lie in (0, 1), got {cfg.alpha}")
+    if not 0.0 <= cfg.beta < 1.0:
+        raise ConfigError(f"beta must lie in [0, 1), got {cfg.beta}")
+    if not 0.0 < cfg.beta_prime < cfg.beta:
         raise ConfigError(
-            f"beta_prime must lie in (0, beta)=(0, {beta}), got {beta_prime}"
+            f"beta_prime must lie in (0, beta)=(0, {cfg.beta}), got {cfg.beta_prime}"
         )
-    if not 0.0 <= gamma < 1.0:
-        raise ConfigError(f"gamma must lie in [0, 1), got {gamma}")
-    if not gamma < gamma_prime < 1.0:
+    if not 0.0 <= cfg.gamma < 1.0:
+        raise ConfigError(f"gamma must lie in [0, 1), got {cfg.gamma}")
+    if not cfg.gamma < cfg.gamma_prime < 1.0:
         raise ConfigError(
-            f"gamma_prime must lie in (gamma, 1)=({gamma}, 1), got {gamma_prime}"
+            f"gamma_prime must lie in (gamma, 1)=({cfg.gamma}, 1), got {cfg.gamma_prime}"
         )
-    if B < 0.0:
-        raise ConfigError(f"B must be nonnegative, got {B}")
-    if sigma < 0.0:
-        raise ConfigError(f"sigma must be nonnegative, got {sigma}")
-    if c0 <= 0.0:
-        raise ConfigError(f"c0 must be positive, got {c0}")
-    if not isinstance(cfg.d_in, int) or isinstance(cfg.d_in, bool) or cfg.d_in < 1:
-        raise ConfigError(f"d_in must be an integer >= 1, got {cfg.d_in!r}")
-    if not isinstance(cfg.d_out, int) or isinstance(cfg.d_out, bool) or cfg.d_out < 1:
-        raise ConfigError(f"d_out must be an integer >= 1, got {cfg.d_out!r}")
-    if not isinstance(cfg.seed, int) or isinstance(cfg.seed, bool) or cfg.seed < 0:
-        raise ConfigError(f"seed must be a nonnegative integer, got {cfg.seed!r}")
-    if cfg.seed >= 2 ** 64:
-        raise ConfigError(f"seed must fit in 64 bits, got {cfg.seed!r}")
+    if cfg.B < 0.0:
+        raise ConfigError(f"B must be nonnegative, got {cfg.B}")
+    if cfg.sigma < 0.0:
+        raise ConfigError(f"sigma must be nonnegative, got {cfg.sigma}")
+    if cfg.c0 <= 0.0:
+        raise ConfigError(f"c0 must be positive, got {cfg.c0}")
+    if cfg.d_in < 1:
+        raise ConfigError(f"d_in must be an integer >= 1, got {cfg.d_in}")
+    if cfg.d_out < 1:
+        raise ConfigError(f"d_out must be an integer >= 1, got {cfg.d_out}")
+    if not 0 <= cfg.seed < 2 ** 64:
+        raise ConfigError(f"seed must be an integer in [0, 2^64), got {cfg.seed}")
+
+
+def _scalar(name: str, value: object, integer: bool) -> float | int:
+    """A config number as float, or as int when `integer`, naming the field."""
+    # bool is an int subclass; a config saying "beta": true is a mistake.
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    if integer:
+        if isinstance(value, float) and not value.is_integer():
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        return int(value)
+    try:
+        x = float(value)
+    except OverflowError:  # an int beyond float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigError(f"{name} must be a finite float, got {x}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -197,6 +202,18 @@ def make_decay(dim: int, exponent: float) -> EigenDecay:
         raise ValueError(f"decay exponent must lie in (0, 1), got {exponent!r}")
     idx = np.arange(1, dim + 1, dtype=np.float64)
     return EigenDecay(values=idx ** (-1.0 / exponent), exponent=float(exponent))
+
+
+def _config_decay(dim: int, exponent: float, dim_name: str, exp_name: str) -> EigenDecay:
+    """make_decay on a config's grid; the error names the fields when it underflows."""
+    try:
+        return make_decay(dim, exponent)
+    except ValueError as exc:
+        raise ConfigError(
+            f"{exp_name}={exponent} with {dim_name}={dim} gives eigenvalues "
+            f"i^(-1/{exp_name}) that double precision cannot hold ({exc}); "
+            f"raise {exp_name} or lower {dim_name}"
+        ) from None
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from multiprocessing import get_context
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
@@ -180,6 +180,8 @@ class GroundTruthSpec:
             raise ConfigError(
                 f"ground_truth.params for kind {self.kind!r} is missing key {exc.args[0]!r}"
             ) from exc
+        except ConfigError:  # names a config field, not a ground-truth parameter
+            raise
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"ground_truth.params invalid: {exc}") from exc
 
@@ -192,8 +194,9 @@ class GroundTruthSpec:
 class ExperimentPlan:
     """Everything a convergence sweep needs, validated up front.
 
-    Output paths are optional; when set, run_convergence writes the
-    corresponding artifacts after the sweep.
+    noise defaults to NoiseProfile(sigma=cfg.sigma). Output paths are
+    optional; when set, run_convergence writes the corresponding artifacts
+    after the sweep.
     """
 
     cfg: ProblemConfig
@@ -211,11 +214,10 @@ class ExperimentPlan:
         n_list = tuple(int(n) for n in self.n_list)
         object.__setattr__(self, "n_list", n_list)
         object.__setattr__(self, "estimators", tuple(self.estimators))
-        # The regularization floor c0 * (n / ln n)^(-1/alpha) needs n >= 2.
-        if not n_list or any(n < 2 for n in n_list):
-            raise ConfigError(f"n_list must contain sample counts >= 2, got {n_list}")
-        if any(b <= a for a, b in zip(n_list, n_list[1:])):
-            raise ConfigError(f"n_list must be strictly increasing, got {n_list}")
+        # A rate fit needs 3 points; the floor c0 * (n / ln n)^(-1/alpha), n >= 2.
+        if len(n_list) < 3 or n_list[0] < 2 or any(b <= a for a, b in zip(n_list, n_list[1:])):
+            raise ConfigError("n_list must hold at least 3 strictly increasing sample "
+                              f"counts >= 2, got {n_list}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if not self.estimators:
@@ -228,10 +230,8 @@ class ExperimentPlan:
             raise ConfigError(f"estimators repeat: {self.estimators}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
-
-    @property
-    def noise_profile(self) -> NoiseProfile:
-        return self.noise if self.noise is not None else NoiseProfile(sigma=self.cfg.sigma)
+        if self.noise is None:
+            object.__setattr__(self, "noise", NoiseProfile(sigma=self.cfg.sigma))
 
 
 @dataclass(frozen=True)
@@ -301,7 +301,6 @@ class RateReport:
                 return s
         raise KeyError(f"no summary for ({estimator!r}, n={n})")
 
-
 # ---------------------------------------------------------------------------
 # Single cells
 
@@ -312,7 +311,7 @@ def run_cell(
     n: int,
     trial_index: int,
     estimators: Sequence[str],
-    noise: NoiseProfile | None = None,
+    noise: NoiseProfile,
 ) -> tuple[TrialRecord, ...]:
     """Fit every requested estimator on one freshly drawn dataset.
 
@@ -323,9 +322,11 @@ def run_cell(
     estimator's own solve and norm, so it approximates what fitting that
     estimator alone would cost, while the whole cell pays the preparation
     once.
+
+    Raises:
+        ConfigError: an error is not finite, because the scales B and
+            noise.sigma are too large for double precision.
     """
-    if noise is None:
-        noise = NoiseProfile(sigma=cfg.sigma)
     t0 = time.perf_counter()
     cov = streamed_covariances(
         a0, n, noise, derive_seed(cfg.seed, _TAG_TRIAL, n, trial_index)
@@ -336,6 +337,12 @@ def run_cell(
         t1 = time.perf_counter()
         a_hat = estimate_from_covariances(cov, cfg, name)
         err = bg_norm(a_hat.difference(a0), cfg.beta_prime, cfg.gamma_prime) ** 2
+        if not math.isfinite(err):
+            raise ConfigError(
+                f"the {name} error at n={n} is {err}: the scales B={cfg.B} and "
+                f"noise.sigma={noise.sigma} (default: sigma) are too large for "
+                "double precision"
+            )
         elapsed = prep + time.perf_counter() - t1
         records.append(TrialRecord(name, int(n), int(trial_index), float(err), elapsed * 1e3))
     return tuple(records)
@@ -403,15 +410,12 @@ def run_convergence(plan: ExperimentPlan) -> RateReport:
 
     Raises:
         ConfigError: the ground truth is the zero operator and the noise
-            sigma is 0, so every error is 0 and no rate can be fitted.
+            sigma is 0, so every error is 0 and no rate can be fitted; or a
+            cell's error is not finite (see run_cell).
     """
-    if len(plan.n_list) < 3:
-        raise ValueError(
-            f"rate fitting needs at least 3 sample counts, got {len(plan.n_list)}"
-        )
     t0 = time.perf_counter()
     a0 = plan.ground_truth.build(plan.cfg)
-    noise = plan.noise_profile
+    noise = plan.noise
     if noise.sigma == 0.0 and not np.any(a0.m):
         raise ConfigError(
             f"the ground truth (B={plan.cfg.B}, ground_truth.kind "
@@ -484,17 +488,15 @@ def run_convergence(plan: ExperimentPlan) -> RateReport:
 # Config files
 
 
-_SCALAR_FIELDS: tuple[tuple[str, type], ...] = (
-    ("p", float), ("q", float), ("alpha", float), ("beta", float),
-    ("beta_prime", float), ("gamma", float), ("gamma_prime", float),
-    ("B", float), ("sigma", float), ("c0", float),
-    ("d_in", int), ("d_out", int), ("seed", int),
-)
+_SCALAR_FIELDS = tuple(f.name for f in fields(ProblemConfig))
 _OPTIONAL_KEYS = ("ground_truth", "noise", "n_list", "trials")
 
 
 def parse_config(obj: Any) -> tuple[ProblemConfig, GroundTruthSpec, NoiseProfile, dict[str, Any]]:
     """Validate a decoded config object.
+
+    Checks the JSON shape here; each value is checked by the type it
+    builds (ProblemConfig, GroundTruthSpec, NoiseProfile).
 
     Returns:
         (cfg, ground_truth, noise, extras) where extras carries the
@@ -505,23 +507,13 @@ def parse_config(obj: Any) -> tuple[ProblemConfig, GroundTruthSpec, NoiseProfile
     """
     if not isinstance(obj, dict):
         raise ConfigError(f"config must be a JSON object, got {type(obj).__name__}")
-    known = {name for name, _ in _SCALAR_FIELDS} | set(_OPTIONAL_KEYS)
-    unknown = set(obj) - known
+    unknown = set(obj) - set(_SCALAR_FIELDS) - set(_OPTIONAL_KEYS)
     if unknown:
         raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
-
-    values: dict[str, Any] = {}
-    for name, want in _SCALAR_FIELDS:
+    for name in _SCALAR_FIELDS:
         if name not in obj:
             raise ConfigError(f"config is missing required field {name!r}")
-        v = obj[name]
-        # bool is an int subclass; a config saying "beta": true is a mistake.
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"field {name!r} must be a number, got {v!r}")
-        if want is int and int(v) != v:
-            raise ConfigError(f"field {name!r} must be an integer, got {v!r}")
-        values[name] = want(v)
-    cfg = ProblemConfig(**values)
+    cfg = ProblemConfig(**{name: obj[name] for name in _SCALAR_FIELDS})
 
     gt_obj = obj.get("ground_truth", {"kind": "random", "params": {}})
     if not isinstance(gt_obj, dict):
@@ -540,10 +532,8 @@ def parse_config(obj: Any) -> tuple[ProblemConfig, GroundTruthSpec, NoiseProfile
     unknown = set(noise_obj) - {"sigma", "profile"}
     if unknown:
         raise ConfigError(f"unknown noise key(s): {sorted(unknown)}")
-    n_sigma = noise_obj.get("sigma", cfg.sigma)
-    if isinstance(n_sigma, bool) or not isinstance(n_sigma, (int, float)):
-        raise ConfigError(f"field 'noise.sigma' must be a number, got {n_sigma!r}")
-    noise = NoiseProfile(sigma=float(n_sigma), kind=noise_obj.get("profile", "polynomial"))
+    noise = NoiseProfile(sigma=noise_obj.get("sigma", cfg.sigma),
+                         kind=noise_obj.get("profile", "polynomial"))
 
     extras: dict[str, Any] = {}
     if "n_list" in obj:
@@ -582,7 +572,7 @@ def config_to_dict(
     trials: int | None = None,
 ) -> dict[str, Any]:
     """Config file content for the given pieces, ready for json.dump."""
-    out: dict[str, Any] = {name: getattr(cfg, name) for name, _ in _SCALAR_FIELDS}
+    out: dict[str, Any] = {name: getattr(cfg, name) for name in _SCALAR_FIELDS}
     if ground_truth is not None:
         out["ground_truth"] = {"kind": ground_truth.kind, "params": dict(ground_truth.params)}
     if noise is not None:
@@ -632,17 +622,13 @@ def write_summary_csv(report: RateReport, path: str | Path) -> None:
     _write_lines(path, lines)
 
 
-def write_report_json(
-    report: RateReport, path: str | Path, cfg: ProblemConfig | None = None
-) -> None:
+def write_report_json(report: RateReport, path: str | Path, cfg: ProblemConfig) -> None:
     """Full report (fits, summaries, theory target, timings) as JSON."""
-    eta1, eta2, u = (None, None, None)
-    if cfg is not None:
-        eta1, eta2, u = theoretical_rate(cfg)
+    eta1, eta2, u = theoretical_rate(cfg)
     doc: dict[str, Any] = {
         "theoretical_eta1": report.theoretical_eta1,
         "slope_target": -report.theoretical_eta1,
-        "theoretical": None if cfg is None else {"eta1": eta1, "eta2": eta2, "u": u},
+        "theoretical": {"eta1": eta1, "eta2": eta2, "u": u},
         "fits": {
             f.estimator: {"slope": f.slope, "intercept": f.intercept, "r_squared": f.r_squared}
             for f in report.fits

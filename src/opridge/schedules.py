@@ -108,7 +108,7 @@ class LambdaSchedule:
 
 
 def _learned_row_count(cfg: ProblemConfig, n: int) -> tuple[int, bool]:
-    eta1, eta2, _ = theoretical_rate(cfg)
+    eta2 = theoretical_rate(cfg)[1]
     y_raw = _exp_saturated((cfg.q / (1.0 - cfg.gamma_prime)) * eta2 * math.log(n))
     if y_raw >= cfg.d_out + 1.0:
         return cfg.d_out, True
@@ -116,6 +116,22 @@ def _learned_row_count(cfg: ProblemConfig, n: int) -> tuple[int, bool]:
     if y_max > cfg.d_out:
         return cfg.d_out, True
     return y_max, False
+
+
+def _contour_lambdas(
+    cfg: ProblemConfig, n: int, kind: str, eta: float, denom: float
+) -> LambdaSchedule:
+    """Lambdas max{(j^(-e_y) * n^eta)^(-1/denom), lambda_floor} for rows j = 1..y_max.
+
+    e_y is the row exponent of the `kind` contour.
+    """
+    y_max, clamped = _learned_row_count(cfg, n)
+    floor = lambda_floor(cfg, n)
+    row_expo = -_contour_exponents(cfg, kind)[1]
+    expo = -1.0 / denom
+    level = n**eta
+    lams = tuple(max((j**row_expo * level) ** expo, floor) for j in range(1, y_max + 1))
+    return LambdaSchedule(y_max=y_max, lambdas=lams, clamped=clamped)
 
 
 def variance_lambdas(cfg: ProblemConfig, n: int) -> LambdaSchedule:
@@ -127,15 +143,9 @@ def variance_lambdas(cfg: ProblemConfig, n: int) -> LambdaSchedule:
     for j = 1..y_max with y_max = ceil(n^((q/(1-gamma'))*eta2)) clamped to
     d_out.
     """
-    eta1, eta2, _ = theoretical_rate(cfg)
-    y_max, clamped = _learned_row_count(cfg, n)
-    floor = lambda_floor(cfg, n)
-    expo = -1.0 / (cfg.beta_prime + max(cfg.alpha - cfg.beta, cfg.p))
-    lams = []
-    for j in range(1, y_max + 1):
-        contour = (j ** (-(1.0 - cfg.gamma_prime) / cfg.q) * n**eta2) ** expo
-        lams.append(max(contour, floor))
-    return LambdaSchedule(y_max=y_max, lambdas=tuple(lams), clamped=clamped)
+    eta2 = theoretical_rate(cfg)[1]
+    denom = cfg.beta_prime + max(cfg.alpha - cfg.beta, cfg.p)
+    return _contour_lambdas(cfg, n, "variance", eta2, denom)
 
 
 def bias_lambdas(cfg: ProblemConfig, n: int) -> LambdaSchedule:
@@ -145,15 +155,8 @@ def bias_lambdas(cfg: ProblemConfig, n: int) -> LambdaSchedule:
         max{ (j^(-(gamma'-gamma)/q) * n^eta1)^(-1/(beta-beta')), lambda_floor }
     with the same learned-row count as variance_lambdas.
     """
-    eta1, eta2, _ = theoretical_rate(cfg)
-    y_max, clamped = _learned_row_count(cfg, n)
-    floor = lambda_floor(cfg, n)
-    expo = -1.0 / (cfg.beta - cfg.beta_prime)
-    lams = []
-    for j in range(1, y_max + 1):
-        contour = (j ** (-(cfg.gamma_prime - cfg.gamma) / cfg.q) * n**eta1) ** expo
-        lams.append(max(contour, floor))
-    return LambdaSchedule(y_max=y_max, lambdas=tuple(lams), clamped=clamped)
+    eta1 = theoretical_rate(cfg)[0]
+    return _contour_lambdas(cfg, n, "bias", eta1, cfg.beta - cfg.beta_prime)
 
 
 def contour_points(
@@ -221,11 +224,6 @@ class LevelSchedule:
     u: float
     special_case: bool
     clamped: bool
-
-    @property
-    def learned_row_end(self) -> int:
-        """One past the last learned 1-based row."""
-        return self.levels[-1].row_end
 
     @property
     def level_count(self) -> int:

@@ -1,8 +1,8 @@
 """Synthetic data generation: datasets v = A0 u + eps and ground truths.
 
-make_dataset draws a whole dataset; sample_blocks yields the same draws in
-row blocks, for statistics that are accumulated without holding the
-dataset.
+sample_blocks draws the inputs and noise of a dataset in row blocks, for
+statistics that are accumulated without holding the dataset; make_dataset
+is its one-block case.
 
 Input coordinates are bounded uniforms scaled by sqrt(mu_i) so the
 almost-sure embedding bound genuinely holds (Gaussians would violate it).
@@ -29,7 +29,6 @@ from .core import (
     OperatorMatrix,
     ProblemConfig,
     SourceCoefficients,
-    make_decay,
     operator_from_source,
 )
 
@@ -38,7 +37,6 @@ __all__ = [
     "NoiseProfile",
     "derive_seed",
     "sample_inputs",
-    "sample_noise",
     "make_dataset",
     "sample_blocks",
     "ground_truth_seed",
@@ -120,10 +118,19 @@ class NoiseProfile:
         # Messages name the config fields these come from.
         if self.kind != "polynomial":
             raise ConfigError(f"noise.profile must be 'polynomial', got {self.kind!r}")
-        if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
+        sigma = self.sigma
+        if isinstance(sigma, bool) or not isinstance(sigma, (int, float)):
+            raise ConfigError(f"noise.sigma (default: sigma) must be a number, got {sigma!r}")
+        try:
+            ok = sigma >= 0.0 and math.isfinite(float(sigma) ** 2)
+        except OverflowError:  # float() of a huge int, or the square
+            ok = False
+        if not ok:
             raise ConfigError(
-                f"noise.sigma must be finite and nonnegative, got {self.sigma!r}"
+                "noise.sigma (default: sigma) must be nonnegative with a finite "
+                f"square, got {sigma!r}"
             )
+        object.__setattr__(self, "sigma", float(sigma))
 
     def variances(self, d_out: int) -> np.ndarray:
         """Truncated per-coordinate variances sigma_j^2 for j = 1..d_out."""
@@ -153,28 +160,16 @@ def sample_inputs(n: int, in_decay: EigenDecay, rng_seed: int) -> np.ndarray:
     return _scaled_uniform(np.random.default_rng(rng_seed), n, scale)
 
 
-def sample_noise(
-    n: int, out_decay: EigenDecay, profile: NoiseProfile, rng_seed: int
-) -> np.ndarray:
-    """Draw N noise rows eps[k][j] = sigma_j * eta, eta uniform on [-sqrt3, sqrt3]."""
-    if n < 1:
-        raise ValueError(f"sample count must be >= 1, got {n}")
-    scale = np.sqrt(profile.variances(len(out_decay)))
-    return _scaled_uniform(np.random.default_rng(rng_seed), n, scale)
-
-
 def make_dataset(
     a0: OperatorMatrix, n: int, profile: NoiseProfile, rng_seed: int
 ) -> SampleSet:
     """Draw a dataset from the model v = A0 u + eps.
 
-    Inputs and noise come from decorrelated sub-streams of rng_seed, so the
-    noiseless part of a dataset is unchanged when sigma changes.
+    u and eps are the one block of sample_blocks(a0, n, profile, rng_seed,
+    n), drawn from decorrelated sub-streams of rng_seed, so the noiseless
+    part of a dataset is unchanged when sigma changes.
     """
-    u = sample_inputs(n, a0.input_decay, derive_seed(rng_seed, _TAG_INPUTS))
-    eps = sample_noise(
-        n, a0.output_decay, profile, derive_seed(rng_seed, _TAG_NOISE)
-    )
+    ((u, eps),) = sample_blocks(a0, n, profile, rng_seed, n)
     v = u @ a0.m.T + eps
     return SampleSet(u=u, v=v, seed_used=rng_seed)
 
@@ -182,14 +177,14 @@ def make_dataset(
 def sample_blocks(
     a0: OperatorMatrix, n: int, profile: NoiseProfile, rng_seed: int, block_rows: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield the inputs and noise of make_dataset(a0, n, ...) in row blocks.
+    """Yield the inputs and noise of the dataset of (a0, n, rng_seed) in row blocks.
 
     Each block is (u rows, eps rows) with block_rows rows; the last one may
-    be shorter. The blocks come from the same two sub-streams as
-    make_dataset, and a Generator fills a chunked uniform draw with the same
-    values as one large draw, so the stacked blocks equal make_dataset's u
-    and noise bit for bit. The generator keeps no reference to a block it
-    has yielded, so a consumer that drops each block holds one at a time.
+    be shorter. A Generator fills a chunked uniform draw with the same
+    values as one large draw, so the stacked blocks are the same bits for
+    any block_rows, and equal make_dataset's u and noise. The generator
+    keeps no reference to a block it has yielded, so a consumer that drops
+    each block holds one at a time.
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
@@ -233,9 +228,7 @@ def random_source_operator(
     else:
         a = np.zeros_like(a)
     src = SourceCoefficients(a=a, beta=cfg.beta, gamma=cfg.gamma)
-    in_decay = make_decay(cfg.d_in, cfg.p)
-    out_decay = make_decay(cfg.d_out, cfg.q)
-    return src, operator_from_source(src, in_decay, out_decay)
+    return src, operator_from_source(src, cfg.input_decay, cfg.output_decay)
 
 
 def laplacian_operator(

@@ -275,6 +275,27 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert field in err and other not in err
 
+    @pytest.mark.parametrize("argv, overrides, fields", [
+        (["rates", "--n-list", "16,32"], {}, ("n_list",)),
+        (["schedule", "--n", "64"], {"B": 10**400}, ("B",)),
+        (["rates", "--n-list", "16,32,64"], {"B": 1e200}, ("B", "sigma")),
+        (["rates", "--n-list", "16,32,64"], {"noise": {"sigma": 1e200}}, ("noise.sigma",)),
+        (["simulate", "--n", "64"], {"q": 0.005, "d_out": 512}, ("q", "d_out")),
+        (["simulate", "--n", "64"], {"p": 0.005, "d_in": 512}, ("p", "d_in")),
+    ], ids=["two-sample-counts", "B-400-digit-int", "B-1e200", "noise-sigma-1e200",
+            "q-underflows-at-d_out", "p-underflows-at-d_in"])
+    def test_valid_looking_config_exits_two(self, tmp_path, capsys, argv, overrides, fields):
+        # Each config passes the JSON-shape checks; a rule further in must
+        # still end in exit 2 naming the fields, not in a traceback.
+        path, _ = write_config(tmp_path, **{"d_in": 16, "d_out": 16, **overrides})
+        out = tmp_path / "x.csv"
+        extra = ["--trials", "1", "--out", str(out)] if argv[0] == "rates" else []
+        assert cli_main([*argv, *extra, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert all(f in err for f in fields), err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_missing_config_flag(self, capsys):
         assert cli_main(["schedule", "--n", "64"]) == 2
         assert "--config" in capsys.readouterr().err

@@ -18,6 +18,7 @@ from opridge import (
     bg_norm_via_embedding,
     make_decay,
     operator_from_source,
+    parse_config,
     theoretical_rate,
 )
 
@@ -217,15 +218,25 @@ class TestConfigValidation:
             ("d_in", 0),
             ("d_out", -4),
             ("seed", -1),
+            ("seed", 2**64),
+            ("d_in", 16.5),
+            pytest.param("B", 10**400, id="B-400-digit-int"),
+            ("sigma", True),
+            ("c0", "1"),
         ],
     )
     def test_bad_field_named_in_error(self, field, value):
+        # The same check whether the config comes from code or from JSON.
         fields = dict(
             p=0.5, q=0.5, alpha=0.5, beta=0.6, beta_prime=0.3, gamma=0.1, gamma_prime=0.7
         )
         fields[field] = value
         with pytest.raises(ConfigError, match=field):
             ProblemConfig(**fields)
+        obj = {"B": 1.0, "sigma": 0.1, "c0": 1.0, "d_in": 128, "d_out": 128, "seed": 0,
+               **fields}
+        with pytest.raises(ConfigError, match=field):
+            parse_config(obj)
 
     def test_beta_prime_must_be_below_beta(self):
         with pytest.raises(ConfigError, match="beta_prime"):

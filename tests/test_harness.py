@@ -158,6 +158,7 @@ class TestGroundTruthSpec:
 
 def trial_record(cfg, a0, n, trial_index, estimator, noise=None):
     """The record of one estimator on the dataset of cell (n, trial_index)."""
+    noise = NoiseProfile(sigma=cfg.sigma) if noise is None else noise
     (rec,) = run_cell(cfg, a0, n, trial_index, (estimator,), noise)
     return rec
 
@@ -214,14 +215,14 @@ class TestRunCell:
     def test_records_follow_requested_order(self):
         cfg = small_config()
         _, a0 = random_source_operator(cfg, ground_truth_seed(cfg))
-        recs = run_cell(cfg, a0, 128, 0, ("multilevel", "single"))
+        recs = run_cell(cfg, a0, 128, 0, ("multilevel", "single"), NoiseProfile(sigma=cfg.sigma))
         assert [r.estimator for r in recs] == ["multilevel", "single"]
         assert all(r.n == 128 and r.trial == 0 for r in recs)
 
     def test_shared_covariances_match_standalone_estimates(self):
         cfg = small_config()
         _, a0 = random_source_operator(cfg, ground_truth_seed(cfg))
-        rec = run_cell(cfg, a0, 256, 2, ("multilevel",))[0]
+        rec = run_cell(cfg, a0, 256, 2, ("multilevel",), NoiseProfile(sigma=cfg.sigma))[0]
         cov = streamed_covariances(a0, 256, NoiseProfile(sigma=cfg.sigma),
                                    derive_seed(cfg.seed, 0x7, 256, 2))
         a_hat = estimate_from_covariances(cov, cfg, "multilevel")
@@ -270,7 +271,7 @@ class TestExperimentPlan:
 
     def test_noise_defaults_to_config_sigma(self):
         plan = tiny_plan()
-        assert plan.noise_profile.sigma == plan.cfg.sigma
+        assert plan.noise == NoiseProfile(sigma=plan.cfg.sigma)
 
 
 class TestRunConvergence:
@@ -355,8 +356,9 @@ class TestRunConvergence:
         assert all(r.error_sq > 0.0 for r in report.runs)
 
     def test_needs_three_sample_counts(self):
-        with pytest.raises(ValueError, match="3 sample counts"):
-            run_convergence(tiny_plan(n_list=(64, 128)))
+        # The plan refuses it before any cell runs.
+        with pytest.raises(ConfigError, match="n_list"):
+            tiny_plan(n_list=(64, 128))
 
     def test_writes_requested_artifacts(self, tmp_path):
         plan = tiny_plan(
@@ -420,6 +422,13 @@ class TestConfigIO:
         obj["beta"] = True
         with pytest.raises(ConfigError, match="beta"):
             parse_config(obj)
+
+    def test_integral_floats_load_as_their_types(self):
+        obj = self.full_dict()
+        obj.update(d_in=8.0, seed=424242.0, B=1)
+        cfg, _, _, _ = parse_config(obj)
+        assert cfg == small_config() == small_config(d_in=8.0, seed=424242.0, B=1)
+        assert type(cfg.d_in) is int and type(cfg.seed) is int and type(cfg.B) is float
 
     def test_fractional_dimension_rejected(self):
         obj = self.full_dict()

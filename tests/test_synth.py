@@ -9,6 +9,7 @@ import pytest
 from conftest import random_problem_config
 
 from opridge import (
+    ConfigError,
     NoiseProfile,
     OperatorMatrix,
     ProblemConfig,
@@ -21,10 +22,9 @@ from opridge import (
     operator_from_source,
     packing_operator,
     random_source_operator,
+    sample_blocks,
     sample_inputs,
-    sample_noise,
 )
-from opridge.synth import sample_blocks
 
 SQRT3 = math.sqrt(3.0)
 
@@ -82,10 +82,27 @@ class TestSampleInputs:
         assert weighted.max() <= bound + 1e-12
 
 
+def drawn_noise(n: int, d_out: int, profile: NoiseProfile, rng_seed: int) -> np.ndarray:
+    """The noise rows of a dataset with d_in = 2, drawn as one block."""
+    op = OperatorMatrix(np.zeros((d_out, 2)), make_decay(2, 0.5), make_decay(d_out, 0.5))
+    ((_, eps),) = sample_blocks(op, n, profile, rng_seed, n)
+    return eps
+
+
 class TestSampleNoise:
     def test_zero_sigma_gives_zero_matrix(self):
-        eps = sample_noise(32, make_decay(4, 0.5), NoiseProfile(sigma=0.0), rng_seed=4)
-        assert np.all(eps == 0.0)
+        eps = drawn_noise(32, 4, NoiseProfile(sigma=0.0), rng_seed=4)
+        assert eps.shape == (32, 4) and np.all(eps == 0.0)
+
+    @pytest.mark.parametrize("sigma", [-0.1, math.nan, 1e200, 10**400, True, "0.1"],
+                             ids=["negative", "nan", "1e200", "400-digit-int", "bool", "str"])
+    def test_bad_sigma_named(self, sigma):
+        # 1e200 is finite, but its square, the noise variance, is not.
+        with pytest.raises(ConfigError, match="noise.sigma"):
+            NoiseProfile(sigma=sigma)
+
+    def test_sigma_stored_as_float(self):
+        assert type(NoiseProfile(sigma=1).sigma) is float
 
     def test_first_coordinate_variance_scale(self):
         profile = NoiseProfile(sigma=1.0)
@@ -100,7 +117,7 @@ class TestSampleNoise:
 
     def test_noise_bounded_by_sqrt3_sigma_j(self):
         profile = NoiseProfile(sigma=2.0)
-        eps = sample_noise(300, make_decay(6, 0.5), profile, rng_seed=5)
+        eps = drawn_noise(300, 6, profile, rng_seed=5)
         sd = np.sqrt(profile.variances(6))
         assert (np.abs(eps) <= SQRT3 * sd[None, :] + 1e-15).all()
 
