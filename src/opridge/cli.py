@@ -117,11 +117,12 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
     n = _resolve_n(args, extras)
     sched = multilevel_schedule(cfg, n)
     if args.format == "json":
+        eta1, eta2, u = theoretical_rate(cfg)
         doc = {
             "n": n,
-            "eta1": sched.eta1,
-            "eta2": sched.eta2,
-            "u": sched.u,
+            "eta1": eta1,
+            "eta2": eta2,
+            "u": u,
             "special_case": sched.special_case,
             "clamped": sched.clamped,
             "levels": [

@@ -41,7 +41,7 @@ from .schedules import (
     multilevel_schedule,
     variance_lambdas,
 )
-from .synth import NoiseProfile, SampleSet, sample_blocks, sample_inputs
+from .synth import NoiseProfile, SampleSet, sample_blocks
 
 __all__ = [
     "ESTIMATOR_NAMES",
@@ -55,8 +55,6 @@ __all__ = [
     "single_ridge_lambda",
     "population_regularized",
     "analytic_bias",
-    "effective_dimension",
-    "prediction_error_metric",
 ]
 
 # Tolerances for the covariance invariants; empirical Gram matrices are
@@ -357,40 +355,3 @@ def analytic_bias(
     total = np.einsum("ji,i,j->", (ratio * a) ** 2, w_in, w_out)
     return float(np.sqrt(total))
 
-
-def effective_dimension(decay: EigenDecay, lam: float) -> float:
-    """Trace of mu (mu + lambda)^(-1) over the truncated spectrum."""
-    if lam <= 0.0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    mu = decay.values
-    return float(np.sum(mu / (mu + lam)))
-
-
-def prediction_error_metric(
-    a_hat: OperatorMatrix,
-    a0: OperatorMatrix,
-    cfg: ProblemConfig,
-    n_mc: int,
-    rng_seed: int,
-) -> float:
-    """Monte Carlo out-of-sample prediction error of an estimate.
-
-    Draws n_mc fresh inputs, applies the error matrix a_hat - a0, and
-    averages the squared output norm with coordinate j reweighted by
-    rho_j^(-(1-gamma')). The population value of this average is
-    bg_norm(a_hat - a0, 0, gamma')^2.
-
-    Args:
-        a_hat: estimate.
-        a0: ground-truth operator on the same grid.
-        cfg: problem configuration (supplies gamma' and the input law).
-        n_mc: number of fresh inputs, >= 1.
-        rng_seed: seed for the fresh draw.
-    """
-    if n_mc < 1:
-        raise ValueError(f"n_mc must be >= 1, got {n_mc}")
-    err = a_hat.difference(a0)
-    u = sample_inputs(n_mc, cfg.input_decay, rng_seed)
-    r = u @ err.m.T
-    w_out = err.output_decay.values ** (-(1.0 - cfg.gamma_prime))
-    return float(np.mean((r**2) @ w_out))

@@ -559,7 +559,9 @@ def load_config(path: str | Path) -> tuple[ProblemConfig, GroundTruthSpec, Noise
         raise ConfigError(f"cannot read config {p}: {exc}") from exc
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # A ValueError is malformed JSON or an integer past Python's digit
+        # limit; a RecursionError is nesting deeper than the parser's stack.
         raise ConfigError(f"config {p} is not valid JSON: {exc}") from exc
     return parse_config(obj)
 

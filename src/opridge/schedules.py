@@ -13,6 +13,13 @@ never cross the variance contour at level N^eta2, giving a schedule of
 (x_i, y_i) corners whose x-sequence contracts double-exponentially (u != 1,
 at a pace set by |log u|) or halves (u = 1).
 
+Every contour quantity -- a row's lambda, the learned-row count, a staircase
+corner, a sampled contour point -- is solved in log space from one table of
+contour exponents and levels: a corner can lie far beyond what doubles
+represent (x astronomically small, y astronomically large). Corners, and the
+lambdas x^(-1/p) read off them, are exponentiated with saturation at
+e^(+-709), so such a corner prints as a tiny or huge finite number.
+
 Every lambda is floored at c0 * (N / ln N)^(-1/alpha), the resolution limit
 below which the empirical input covariance is not trustworthy. Natural
 logarithms are used wherever a rate formula says log.
@@ -56,24 +63,44 @@ def _ceil_snapped(y: float) -> int:
     return int(math.ceil(y * (1.0 - 1e-9)))
 
 
-# exp() saturation bound; doubles overflow just past exp(709).
+# exp() saturation bound at both ends: doubles overflow just past e^709.7
+# and turn subnormal, losing precision, just below e^-708.3.
 _LOG_HUGE = 709.0
 
 
 def _exp_saturated(lv: float) -> float:
-    return math.exp(min(lv, _LOG_HUGE))
+    return math.exp(min(max(lv, -_LOG_HUGE), _LOG_HUGE))
 
 
-def _contour_exponents(cfg: ProblemConfig, kind: str) -> tuple[float, float]:
+def _contour(cfg: ProblemConfig, kind: str) -> tuple[float, float, float]:
+    """(e_x, e_y, eta) of the `kind` contour x^e_x * y^e_y = n^eta."""
+    eta1, eta2, _ = theoretical_rate(cfg)
     if kind == "variance":
         mx = max(cfg.alpha - cfg.beta, cfg.p)
-        return (cfg.beta_prime + mx) / cfg.p, (1.0 - cfg.gamma_prime) / cfg.q
+        return (cfg.beta_prime + mx) / cfg.p, (1.0 - cfg.gamma_prime) / cfg.q, eta2
     if kind == "bias":
         return (
             (cfg.beta - cfg.beta_prime) / cfg.p,
             (cfg.gamma_prime - cfg.gamma) / cfg.q,
+            eta1,
         )
     raise ValueError(f"contour kind must be 'bias' or 'variance', got {kind!r}")
+
+
+def _solve(e_known: float, e_other: float, log_level: float, l_known: float) -> float:
+    """The other log coordinate of the contour point e_known*l_known + e_other*l = log_level."""
+    return (log_level - e_known * l_known) / e_other
+
+
+def _corner_lambda(cfg: ProblemConfig, lx: float, floor: float) -> float:
+    """Ridge coefficient of input corner e^lx: max{x^(-1/p), floor}."""
+    return max(_exp_saturated(-lx / cfg.p), floor)
+
+
+def _row_bound(cfg: ProblemConfig, ly: float) -> tuple[int, bool]:
+    """Exclusive row bound ceil(e^ly) cut to d_out + 1, and whether it was cut."""
+    row = _ceil_snapped(_exp_saturated(ly))
+    return min(row, cfg.d_out + 1), row > cfg.d_out
 
 
 def lambda_floor(cfg: ProblemConfig, n: int) -> float:
@@ -107,30 +134,22 @@ class LambdaSchedule:
             raise ValueError("lambdas must be positive")
 
 
-def _learned_row_count(cfg: ProblemConfig, n: int) -> tuple[int, bool]:
-    eta2 = theoretical_rate(cfg)[1]
-    y_raw = _exp_saturated((cfg.q / (1.0 - cfg.gamma_prime)) * eta2 * math.log(n))
-    if y_raw >= cfg.d_out + 1.0:
-        return cfg.d_out, True
-    y_max = _ceil_snapped(y_raw)
-    if y_max > cfg.d_out:
-        return cfg.d_out, True
-    return y_max, False
+def _contour_lambdas(cfg: ProblemConfig, n: int, kind: str) -> LambdaSchedule:
+    """Corner lambdas of the `kind` contour at rows j = 1..y_max.
 
-
-def _contour_lambdas(
-    cfg: ProblemConfig, n: int, kind: str, eta: float, denom: float
-) -> LambdaSchedule:
-    """Lambdas max{(j^(-e_y) * n^eta)^(-1/denom), lambda_floor} for rows j = 1..y_max.
-
-    e_y is the row exponent of the `kind` contour.
+    Row j's input corner solves the contour at y = j; y_max is the row where
+    the variance contour crosses x = 1.
     """
-    y_max, clamped = _learned_row_count(cfg, n)
+    ln_n = math.log(n)
+    ex_var, ey_var, eta2 = _contour(cfg, "variance")
+    row_end, clamped = _row_bound(cfg, _solve(ex_var, ey_var, eta2 * ln_n, 0.0))
+    y_max = min(row_end, cfg.d_out)
+    e_x, e_y, eta = _contour(cfg, kind)
     floor = lambda_floor(cfg, n)
-    row_expo = -_contour_exponents(cfg, kind)[1]
-    expo = -1.0 / denom
-    level = n**eta
-    lams = tuple(max((j**row_expo * level) ** expo, floor) for j in range(1, y_max + 1))
+    lams = tuple(
+        _corner_lambda(cfg, _solve(e_y, e_x, eta * ln_n, math.log(j)), floor)
+        for j in range(1, y_max + 1)
+    )
     return LambdaSchedule(y_max=y_max, lambdas=lams, clamped=clamped)
 
 
@@ -143,9 +162,7 @@ def variance_lambdas(cfg: ProblemConfig, n: int) -> LambdaSchedule:
     for j = 1..y_max with y_max = ceil(n^((q/(1-gamma'))*eta2)) clamped to
     d_out.
     """
-    eta2 = theoretical_rate(cfg)[1]
-    denom = cfg.beta_prime + max(cfg.alpha - cfg.beta, cfg.p)
-    return _contour_lambdas(cfg, n, "variance", eta2, denom)
+    return _contour_lambdas(cfg, n, "variance")
 
 
 def bias_lambdas(cfg: ProblemConfig, n: int) -> LambdaSchedule:
@@ -155,8 +172,7 @@ def bias_lambdas(cfg: ProblemConfig, n: int) -> LambdaSchedule:
         max{ (j^(-(gamma'-gamma)/q) * n^eta1)^(-1/(beta-beta')), lambda_floor }
     with the same learned-row count as variance_lambdas.
     """
-    eta1 = theoretical_rate(cfg)[0]
-    return _contour_lambdas(cfg, n, "bias", eta1, cfg.beta - cfg.beta_prime)
+    return _contour_lambdas(cfg, n, "bias")
 
 
 def contour_points(
@@ -178,7 +194,7 @@ def contour_points(
     Returns:
         List of (x, y) pairs with y solving the contour equation at each x.
     """
-    e_x, e_y = _contour_exponents(cfg, kind)
+    e_x, e_y, _ = _contour(cfg, kind)
     if level_c <= 0.0:
         raise ValueError(f"contour level must be positive, got {level_c}")
     x_min, x_max = x_range
@@ -186,12 +202,12 @@ def contour_points(
         raise ValueError(f"x_range must be positive and ordered, got {x_range}")
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
-    pts = []
+    log_c = math.log(level_c)
     log_min, log_max = math.log(x_min), math.log(x_max)
+    pts = []
     for k in range(samples):
-        x = math.exp(log_min + (log_max - log_min) * k / (samples - 1))
-        y = (level_c / x**e_x) ** (1.0 / e_y)
-        pts.append((x, y))
+        lx = log_min + (log_max - log_min) * k / (samples - 1)
+        pts.append((_exp_saturated(lx), _exp_saturated(_solve(e_x, e_y, log_c, lx))))
     return pts
 
 
@@ -200,8 +216,9 @@ class Level:
     """One staircase level.
 
     Attributes:
-        x: input-frequency corner of the level.
-        y: output-frequency corner (unclamped contour solution).
+        x: input-frequency corner of the level, saturated at e^(+-709).
+        y: output-frequency corner (unclamped contour solution), saturated
+            the same way.
         lam: ridge coefficient of the level, max{x^(-1/p), lambda floor}.
         row_start, row_end: 1-based half-open range of output rows the level
             learns; already clamped to the grid, may be empty.
@@ -219,9 +236,6 @@ class LevelSchedule:
     """The multilevel staircase for one (config, sample count) pair."""
 
     levels: tuple[Level, ...]
-    eta1: float
-    eta2: float
-    u: float
     special_case: bool
     clamped: bool
 
@@ -230,36 +244,28 @@ class LevelSchedule:
         return len(self.levels)
 
 
-def _staircase_xy(cfg: ProblemConfig, n: int) -> tuple[list[tuple[float, float]], tuple[float, float, float], bool]:
-    """Generate the raw (log x_i, log y_i) sequence, uncapped and unclamped.
-
-    The iteration runs in log space: the final level's corner can undershoot
-    (x astronomically small) or its row corner overshoot (y astronomically
-    large) for aggressive exponent combinations, beyond what doubles can
-    represent directly.
-    """
-    eta1, eta2, u = theoretical_rate(cfg)
-    special = abs(u - 1.0) <= U_EQUAL_TOL
-    ex_var, ey_var = _contour_exponents(cfg, "variance")
-    ex_bias, ey_bias = _contour_exponents(cfg, "bias")
-    mx = max(cfg.alpha - cfg.beta, cfg.p)
+def _staircase_xy(cfg: ProblemConfig, n: int) -> tuple[list[tuple[float, float]], bool]:
+    """Generate the raw (log x_i, log y_i) sequence, uncapped and unclamped."""
+    special = abs(theoretical_rate(cfg)[2] - 1.0) <= U_EQUAL_TOL
+    ex_var, ey_var, eta2 = _contour(cfg, "variance")
+    ex_bias, ey_bias, eta1 = _contour(cfg, "bias")
     ln_n = math.log(n)
     ln2 = math.log(2.0)
-    lx = (cfg.p / (cfg.beta_prime + mx)) * eta2 * ln_n - ln2
+    lx = _solve(ey_var, ex_var, eta2 * ln_n, 0.0) - ln2
     pairs: list[tuple[float, float]] = []
     for _ in range(_MAX_LEVELS):
         if special:
-            ly = (eta1 * ln_n - ex_bias * lx) / ey_bias
+            ly = _solve(ex_bias, ey_bias, eta1 * ln_n, lx)
             pairs.append((lx, ly))
             if lx < 0.0:
-                return pairs, (eta1, eta2, u), special
+                return pairs, special
             lx = lx - ln2
         else:
-            ly = (eta2 * ln_n - ex_var * lx) / ey_var
+            ly = _solve(ex_var, ey_var, eta2 * ln_n, lx)
             pairs.append((lx, ly))
             if lx <= ln2:
-                return pairs, (eta1, eta2, u), special
-            lx = (eta1 * ln_n - ey_bias * ly) / ex_bias
+                return pairs, special
+            lx = _solve(ey_bias, ex_bias, eta1 * ln_n, ly)
     raise RuntimeError(
         "staircase failed to terminate; this indicates a broken config"
     )
@@ -268,51 +274,38 @@ def _staircase_xy(cfg: ProblemConfig, n: int) -> tuple[list[tuple[float, float]]
 def multilevel_schedule(cfg: ProblemConfig, n: int) -> LevelSchedule:
     """Build the multilevel staircase schedule for n samples.
 
-    Starting from x_0 = n^((p/(beta'+max{alpha-beta, p})) * eta2) / 2, each
-    level solves the variance contour at level n^eta2 for its row corner y_i
-    and the bias contour at level n^eta1 for the next x_{i+1}; iteration
-    stops at the first x_i <= 2, that level included. When the input and
-    output rates coincide (u = 1) the two contours are the same curve, x
-    halves instead and y_i solves the bias contour at x_i, stopping at the
-    first x_i < 1.
+    Starting from x_0 = n^((p/(beta'+max{alpha-beta, p})) * eta2) / 2, the
+    variance contour's x at row 1 halved, each level solves the variance
+    contour at level n^eta2 for its row corner y_i and the bias contour at
+    level n^eta1 for the next x_{i+1}; iteration stops at the first
+    x_i <= 2, that level included. When the input and output rates coincide
+    (u = 1) the two contours are the same curve, x halves instead and y_i
+    solves the bias contour at x_i, stopping at the first x_i < 1.
 
     Level i learns the 1-based output rows [ceil(y_{i-1}), ceil(y_i)) with
     y_{-1} = 0 (the first level starts at row 1), clamped to the grid; its
     ridge coefficient is max{x_i^(-1/p), lambda_floor}.
     """
     floor = lambda_floor(cfg, n)
-    pairs, (eta1, eta2, u), special = _staircase_xy(cfg, n)
+    pairs, special = _staircase_xy(cfg, n)
     levels = []
     row_start = 1
     clamped = False
     for lx, ly in pairs:
-        if ly >= math.log(cfg.d_out + 1.0):
-            row_end_raw = cfg.d_out + 1
-        else:
-            row_end_raw = _ceil_snapped(math.exp(ly))
-        if row_end_raw > cfg.d_out:
-            clamped = True
-        row_end = min(row_end_raw, cfg.d_out + 1)
+        row_end, cut = _row_bound(cfg, ly)
+        clamped = clamped or cut
         row_end = max(row_end, row_start)
-        lam = max(_exp_saturated(-lx / cfg.p), floor)
         levels.append(
             Level(
                 x=_exp_saturated(lx),
                 y=_exp_saturated(ly),
-                lam=lam,
+                lam=_corner_lambda(cfg, lx, floor),
                 row_start=row_start,
                 row_end=row_end,
             )
         )
         row_start = row_end
-    return LevelSchedule(
-        levels=tuple(levels),
-        eta1=eta1,
-        eta2=eta2,
-        u=u,
-        special_case=special,
-        clamped=clamped,
-    )
+    return LevelSchedule(levels=tuple(levels), special_case=special, clamped=clamped)
 
 
 def level_count_bound(cfg: ProblemConfig, n: int) -> tuple[int, float]:

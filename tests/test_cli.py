@@ -82,7 +82,8 @@ class TestSchedule:
         cfg, _, _, _ = parse_config(obj)
         sched = multilevel_schedule(cfg, 16384)
         assert doc["n"] == 16384
-        assert doc["eta1"] == sched.eta1 and doc["u"] == sched.u
+        eta1, eta2, u = theoretical_rate(cfg)
+        assert (doc["eta1"], doc["eta2"], doc["u"]) == (eta1, eta2, u)
         assert doc["special_case"] == sched.special_case
         assert len(doc["levels"]) == len(sched.levels)
         for got, lv in zip(doc["levels"], sched.levels):
@@ -282,12 +283,20 @@ class TestExitCodes:
         (["rates", "--n-list", "16,32,64"], {"noise": {"sigma": 1e200}}, ("noise.sigma",)),
         (["simulate", "--n", "64"], {"q": 0.005, "d_out": 512}, ("q", "d_out")),
         (["simulate", "--n", "64"], {"p": 0.005, "d_in": 512}, ("p", "d_in")),
+        (["schedule", "--n", "64"], '{"B": 1' + "0" * 5000 + "}", ("JSON", "digits")),
+        (["schedule", "--n", "64"], "[" * 200_000, ("JSON", "recursion")),
     ], ids=["two-sample-counts", "B-400-digit-int", "B-1e200", "noise-sigma-1e200",
-            "q-underflows-at-d_out", "p-underflows-at-d_in"])
+            "q-underflows-at-d_out", "p-underflows-at-d_in", "B-5000-digit-int",
+            "200000-nested-brackets"])
     def test_valid_looking_config_exits_two(self, tmp_path, capsys, argv, overrides, fields):
-        # Each config passes the JSON-shape checks; a rule further in must
-        # still end in exit 2 naming the fields, not in a traceback.
-        path, _ = write_config(tmp_path, **{"d_in": 16, "d_out": 16, **overrides})
+        # Each config passes the JSON-shape checks, or (given as text) is a
+        # file JSON itself cannot read; a rule further in must still end in
+        # exit 2 naming the fields, not in a traceback.
+        if isinstance(overrides, str):
+            path = tmp_path / "cfg.json"
+            path.write_text(overrides)
+        else:
+            path, _ = write_config(tmp_path, **{"d_in": 16, "d_out": 16, **overrides})
         out = tmp_path / "x.csv"
         extra = ["--trials", "1", "--out", str(out)] if argv[0] == "rates" else []
         assert cli_main([*argv, *extra, "--config", str(path)]) == 2
@@ -295,6 +304,24 @@ class TestExitCodes:
         assert all(f in err for f in fields), err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, overrides", [
+        (["simulate", "--n", "4096"], {"beta_prime": 0.895}),
+        (["contours", "--n", "65536"], {"beta_prime": 0.8, "gamma_prime": 0.9}),
+        (["contours", "--n", "65536"], {"q": 0.2, "gamma_prime": 0.99, "beta_prime": 0.8}),
+    ], ids=["bias-lambda-past-double-range", "contour-y-past-double-range",
+            "staircase-x-below-double-range"])
+    def test_extreme_template_config_runs(self, tmp_path, capsys, argv, overrides):
+        # Valid configs whose contour corners lie beyond double range; they
+        # saturate to finite numbers instead of overflowing.
+        template = tmp_path / "template.json"
+        assert cli_main(["gen-config", "--out", str(template)]) == 0
+        path = tmp_path / "extreme.json"
+        path.write_text(json.dumps({**json.loads(template.read_text()), **overrides}))
+        assert cli_main([*argv, "--config", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        assert "Infinity" not in out and "NaN" not in out and "inf" not in out
 
     def test_missing_config_flag(self, capsys):
         assert cli_main(["schedule", "--n", "64"]) == 2

@@ -18,7 +18,6 @@ from opridge import (
     analytic_bias,
     bg_norm,
     bias_lambdas,
-    effective_dimension,
     empirical_covariances,
     estimate_from_covariances,
     fit_rowwise_ridge,
@@ -28,7 +27,6 @@ from opridge import (
     multilevel_schedule,
     operator_from_source,
     population_regularized,
-    prediction_error_metric,
     random_source_operator,
     sample_inputs,
     single_ridge_lambda,
@@ -378,58 +376,3 @@ class TestAnalyticBias:
             oracle = analytic_bias(src, lmap, ind, outd, bp, gp)
             assert oracle == pytest.approx(direct, rel=1e-10), f"trial {trial}"
 
-
-class TestEffectiveDimension:
-    def test_hand_value(self):
-        assert effective_dimension(make_decay(3, 0.5), 1.0) == pytest.approx(
-            0.8, rel=1e-14
-        )
-
-    def test_limits(self):
-        decay = make_decay(10, 0.5)
-        assert effective_dimension(decay, 1e12) <= 1e-10
-        assert effective_dimension(decay, 1e-14) == pytest.approx(10.0, abs=1e-6)
-
-    def test_rejects_nonpositive_lambda(self):
-        with pytest.raises(ValueError):
-            effective_dimension(make_decay(3, 0.5), 0.0)
-
-
-class TestPredictionErrorMetric:
-    def test_perfect_estimate_scores_zero(self):
-        cfg = small_config()
-        _, a0 = random_source_operator(cfg, rng_seed=41)
-        assert prediction_error_metric(a0, a0, cfg, 100, rng_seed=42) == 0.0
-
-    def test_diagonal_error_matches_closed_form(self):
-        cfg = small_config(d_in=4, d_out=4)
-        zero = OperatorMatrix(
-            m=np.zeros((4, 4)), input_decay=cfg.input_decay, output_decay=cfg.output_decay
-        )
-        err_m = np.diag([0.5, -0.3, 0.2, 0.1])
-        a_hat = OperatorMatrix(
-            m=err_m, input_decay=cfg.input_decay, output_decay=cfg.output_decay
-        )
-        n_mc = 200_000
-        got = prediction_error_metric(a_hat, zero, cfg, n_mc, rng_seed=43)
-        mu = cfg.input_decay.values
-        w = cfg.output_decay.values ** (-(1.0 - cfg.gamma_prime))
-        exact = float(np.sum(w[:, None] * mu[None, :] * err_m**2))
-        # Single-coordinate uniform-squared terms have variance 0.8 mu^2 per
-        # sample; three standard errors of the weighted sum.
-        var_terms = w**2 * np.diag(err_m) ** 4 * mu**2 * 0.8
-        se = float(np.sqrt(var_terms.sum() / n_mc))
-        assert abs(got - exact) <= 3.0 * se, f"{got} vs {exact} (se {se})"
-
-    def test_agrees_with_norm_on_population_average(self):
-        cfg = small_config(d_in=6, d_out=6)
-        rng = np.random.default_rng(47)
-        _, a0 = random_source_operator(cfg, rng_seed=48)
-        a_hat = OperatorMatrix(
-            m=a0.m + 0.1 * rng.normal(size=a0.m.shape),
-            input_decay=cfg.input_decay,
-            output_decay=cfg.output_decay,
-        )
-        got = prediction_error_metric(a_hat, a0, cfg, 400_000, rng_seed=49)
-        want = bg_norm(a_hat.difference(a0), 0.0, cfg.gamma_prime) ** 2
-        assert got == pytest.approx(want, rel=0.05)

@@ -126,6 +126,16 @@ class TestBiasLambdas:
         assert all(a > b for a, b in zip(lams, lams[1:]))
         assert lams[-1] < 1e-2
 
+    def test_small_exponent_gap_saturates(self):
+        # beta - beta' = 0.0064 sends the row lambda's exponent -1/(beta-beta')
+        # past double range; the lambda must saturate, not overflow.
+        cfg = ProblemConfig(
+            p=0.5954, q=0.5331, alpha=0.1496, beta=0.3481, beta_prime=0.3417,
+            gamma=0.4786, gamma_prime=0.982, d_in=8, d_out=384,
+        )
+        lams = bias_lambdas(cfg, 4096).lambdas
+        assert lams and all(0.0 < lam < math.inf for lam in lams)
+
 
 class TestContourPoints:
     def test_unit_level_passes_through_one_one(self):
@@ -169,8 +179,9 @@ class TestMultilevelSchedule:
         sched = multilevel_schedule(CFG_A, 2**14)
         assert sched.level_count == 2
         assert not sched.special_case
-        assert sched.eta1 == pytest.approx(4.0 / 7.0, rel=1e-12)
-        assert sched.u == pytest.approx(6.0, rel=1e-12)
+        eta1, _, u = theoretical_rate(CFG_A)
+        assert eta1 == pytest.approx(4.0 / 7.0, rel=1e-12)
+        assert u == pytest.approx(6.0, rel=1e-12)
         lv0, lv1 = sched.levels
         assert lv0.x == pytest.approx(16.0, rel=1e-12)
         assert lv0.y == pytest.approx(64.0, rel=1e-12)
@@ -193,26 +204,28 @@ class TestMultilevelSchedule:
         rng = np.random.default_rng(61)
         for _ in range(20):
             cfg = sample_config_with_contraction(rng, want_expanding=True)
+            u = theoretical_rate(cfg)[2]
             for n in (10**3, 10**4, 10**5, 10**6):
                 sched = multilevel_schedule(cfg, n)
                 scale = float(n) ** (-cfg.p / max(cfg.alpha, cfg.beta + cfg.p))
                 zs = [scale * lv.x for lv in sched.levels]
                 for z_prev, z_next in zip(zs, zs[1:]):
-                    assert z_next == pytest.approx(z_prev**sched.u, rel=1e-9), (
-                        f"u={sched.u} n={n}"
+                    assert z_next == pytest.approx(z_prev**u, rel=1e-9), (
+                        f"u={u} n={n}"
                     )
 
     def test_contracting_branch_recursion_identity(self):
         rng = np.random.default_rng(67)
         for _ in range(20):
             cfg = sample_config_with_contraction(rng, want_expanding=False)
+            u = theoretical_rate(cfg)[2]
             for n in (10**3, 10**4, 10**5, 10**6):
                 sched = multilevel_schedule(cfg, n)
                 xs = [lv.x for lv in sched.levels]
                 assert len(xs) >= 2, "sampler must give at least two levels"
                 for x_prev, x_next in zip(xs, xs[1:]):
-                    assert x_next == pytest.approx(x_prev**sched.u, rel=1e-9), (
-                        f"u={sched.u} n={n}"
+                    assert x_next == pytest.approx(x_prev**u, rel=1e-9), (
+                        f"u={u} n={n}"
                     )
 
     def test_corners_lie_on_their_contours(self):
@@ -321,3 +334,44 @@ class TestLevelCountBound:
         for k in (8, 12, 16, 20):
             count, bound = level_count_bound(CFG_EQUAL_RATES, 2**k)
             assert count <= bound
+
+
+def sample_any_valid_config(rng: np.random.Generator) -> ProblemConfig:
+    """Draw across the whole validated ranges, edges included.
+
+    beta' runs up to 0.999 beta and gamma' to within 0.001 (1 - gamma) of 1,
+    so contour exponents and corners reach far outside double range.
+    """
+    beta = float(rng.uniform(0.01, 0.99))
+    gamma = float(rng.uniform(0.0, 0.99))
+    return ProblemConfig(
+        p=float(rng.uniform(0.01, 0.99)),
+        q=float(rng.uniform(0.01, 0.99)),
+        alpha=float(rng.uniform(0.01, 0.99)),
+        beta=beta,
+        beta_prime=beta * float(rng.uniform(0.001, 0.999)),
+        gamma=gamma,
+        gamma_prime=gamma + (1.0 - gamma) * float(rng.uniform(0.001, 0.999)),
+        c0=float(10.0 ** rng.uniform(-3.0, 3.0)),
+        d_in=int(10.0 ** rng.uniform(0.0, 3.3)),
+        d_out=int(10.0 ** rng.uniform(0.0, 3.3)),
+    )
+
+
+class TestAnyValidConfig:
+    def test_schedules_stay_positive_and_finite(self):
+        rng = np.random.default_rng(83)
+        for _ in range(300):
+            cfg = sample_any_valid_config(rng)
+            n = max(2, int(2.0 ** rng.uniform(1.0, 24.0)))
+            for sched in (variance_lambdas(cfg, n), bias_lambdas(cfg, n)):
+                assert all(0.0 < lam < math.inf for lam in sched.lambdas), (cfg, n)
+            levels = multilevel_schedule(cfg, n).levels
+            assert all(0.0 < lv.x < math.inf for lv in levels), (cfg, n)
+            assert all(0.0 < lv.lam < math.inf for lv in levels), (cfg, n)
+            # The x-range the contours subcommand samples over.
+            x_range = (min(0.5, min(lv.x for lv in levels)), 2.0 * max(lv.x for lv in levels))
+            eta1, eta2, _ = theoretical_rate(cfg)
+            for kind, eta in (("variance", eta2), ("bias", eta1)):
+                for x, y in contour_points(kind, float(n) ** eta, cfg, x_range, 9):
+                    assert 0.0 < x < math.inf and 0.0 < y < math.inf, (cfg, n, kind)
