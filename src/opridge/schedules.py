@@ -10,8 +10,9 @@ Learning all spectral cells under a contour with the matching per-row ridge
 coefficient equalizes that error source across rows. The multilevel staircase
 covers the region under the bias contour at level N^eta1 with rectangles that
 never cross the variance contour at level N^eta2, giving a schedule of
-(x_i, y_i) corners whose x-sequence contracts double-exponentially (u != 1,
-at a pace set by |log u|) or halves (u = 1).
+(x_i, y_i) corners whose x-sequence contracts double-exponentially at a pace
+set by |log u|, or halves where contracting would need more than
+2*log2(N) + 3 levels (u near 1).
 
 Every contour quantity -- a row's lambda, the learned-row count, a staircase
 corner, a sampled contour point -- is solved in log space from one table of
@@ -43,16 +44,6 @@ __all__ = [
     "multilevel_schedule",
     "level_count_bound",
 ]
-
-# Branch tolerance for detecting the equal-rates special case u = 1; the
-# contraction parameter is a float combination of config exponents, so exact
-# equality is meaningless.
-U_EQUAL_TOL = 1e-9
-
-# The staircase provably terminates (contraction for u != 1, halving for
-# u = 1); this cap only guards against a regression turning it into a hang.
-_MAX_LEVELS = 100_000
-
 
 def _ceil_snapped(y: float) -> int:
     """Ceiling with a relative downward snap.
@@ -233,7 +224,10 @@ class Level:
 
 @dataclass(frozen=True)
 class LevelSchedule:
-    """The multilevel staircase for one (config, sample count) pair."""
+    """The multilevel staircase for one (config, sample count) pair.
+
+    special_case: True when the halving branch was taken.
+    """
 
     levels: tuple[Level, ...]
     special_case: bool
@@ -244,31 +238,32 @@ class LevelSchedule:
         return len(self.levels)
 
 
+def _halving_ceiling(n: int) -> float:
+    """Level ceiling 2*log2(n) + 3, which every staircase stays under."""
+    return 2.0 * math.log2(n) + 3.0
+
+
 def _staircase_xy(cfg: ProblemConfig, n: int) -> tuple[list[tuple[float, float]], bool]:
-    """Generate the raw (log x_i, log y_i) sequence, uncapped and unclamped."""
-    special = abs(theoretical_rate(cfg)[2] - 1.0) <= U_EQUAL_TOL
+    """The raw (log x_i, log y_i) corners, unclamped, and whether x halved."""
     ex_var, ey_var, eta2 = _contour(cfg, "variance")
     ex_bias, ey_bias, eta1 = _contour(cfg, "bias")
     ln_n = math.log(n)
     ln2 = math.log(2.0)
-    lx = _solve(ey_var, ex_var, eta2 * ln_n, 0.0) - ln2
-    pairs: list[tuple[float, float]] = []
-    for _ in range(_MAX_LEVELS):
-        if special:
-            ly = _solve(ex_bias, ey_bias, eta1 * ln_n, lx)
-            pairs.append((lx, ly))
-            if lx < 0.0:
-                return pairs, special
-            lx = lx - ln2
-        else:
-            ly = _solve(ex_var, ey_var, eta2 * ln_n, lx)
-            pairs.append((lx, ly))
-            if lx <= ln2:
-                return pairs, special
-            lx = _solve(ey_bias, ex_bias, eta1 * ln_n, ly)
-    raise RuntimeError(
-        "staircase failed to terminate; this indicates a broken config"
-    )
+    lx0 = _solve(ey_var, ex_var, eta2 * ln_n, 0.0) - ln2
+    lx, pairs = lx0, []
+    for _ in range(int(_halving_ceiling(n))):
+        ly = _solve(ex_var, ey_var, eta2 * ln_n, lx)
+        pairs.append((lx, ly))
+        if lx <= ln2:
+            return pairs, False
+        lx = _solve(ey_bias, ex_bias, eta1 * ln_n, ly)
+    # x_0 < n, so halving takes at most log2(n) + 1 levels.
+    lx, pairs = lx0, []
+    while True:
+        pairs.append((lx, _solve(ex_bias, ey_bias, eta1 * ln_n, lx)))
+        if lx < 0.0:
+            return pairs, True
+        lx -= ln2
 
 
 def multilevel_schedule(cfg: ProblemConfig, n: int) -> LevelSchedule:
@@ -278,9 +273,11 @@ def multilevel_schedule(cfg: ProblemConfig, n: int) -> LevelSchedule:
     variance contour's x at row 1 halved, each level solves the variance
     contour at level n^eta2 for its row corner y_i and the bias contour at
     level n^eta1 for the next x_{i+1}; iteration stops at the first
-    x_i <= 2, that level included. When the input and output rates coincide
-    (u = 1) the two contours are the same curve, x halves instead and y_i
-    solves the bias contour at x_i, stopping at the first x_i < 1.
+    x_i <= 2, that level included. log x_i contracts by the factor u per
+    level, so near u = 1 that takes about 1/|u - 1| levels; if it does not
+    stop within 2*log2(n) + 3 levels, x halves from the same x_0 instead
+    (the paper's u = 1 case), y_i solves the bias contour at x_i, and
+    iteration stops at the first x_i < 1, within log2(n) + 1 levels.
 
     Level i learns the 1-based output rows [ceil(y_{i-1}), ceil(y_i)) with
     y_{-1} = 0 (the first level starts at row 1), clamped to the grid; its
@@ -311,15 +308,16 @@ def multilevel_schedule(cfg: ProblemConfig, n: int) -> LevelSchedule:
 def level_count_bound(cfg: ProblemConfig, n: int) -> tuple[int, float]:
     """Realized level count and its reference ceiling.
 
-    The ceiling is 3*log2(log2 n) + 3 in the contracting case (u != 1) and
-    2*log2(n) + 3 in the halving case (u = 1). Each contracting step
-    multiplies log x by u, so the crossing count scales like 1/|log2 u|;
-    the log-log ceiling therefore assumes u at least a constant factor away
-    from 1 (roughly u <= 3/4 or u >= 4/3) and is exceeded inside that band.
+    The ceiling is 3*log2(log2 n) + 3 for the contracting branch and
+    2*log2(n) + 3 for the halving branch; the latter bounds every schedule.
+    Each contracting step multiplies log x by u, so the crossing count
+    scales like 1/|log2 u|; the log-log ceiling therefore assumes u at least
+    a constant factor away from 1 (roughly u <= 3/4 or u >= 4/3) and is
+    exceeded inside that band.
     """
     sched = multilevel_schedule(cfg, n)
     if sched.special_case:
-        bound = 2.0 * math.log2(n) + 3.0
+        bound = _halving_ceiling(n)
     else:
         bound = 3.0 * math.log2(math.log2(n)) + 3.0
     return sched.level_count, bound

@@ -36,7 +36,6 @@ __all__ = [
     "SampleSet",
     "NoiseProfile",
     "derive_seed",
-    "sample_inputs",
     "make_dataset",
     "sample_blocks",
     "ground_truth_seed",
@@ -145,19 +144,6 @@ def _scaled_uniform(
     x = rng.uniform(-SQRT3, SQRT3, size=(rows, scale.size))
     x *= scale[np.newaxis, :]
     return x
-
-
-def sample_inputs(n: int, in_decay: EigenDecay, rng_seed: int) -> np.ndarray:
-    """Draw N input coordinate rows u[k][i] = sqrt(mu_i) * xi.
-
-    xi are i.i.d. uniform on [-sqrt(3), sqrt(3)]: mean zero, unit variance,
-    and bounded, so |u[k][i]| <= sqrt(3 * mu_i) almost surely and the
-    per-coordinate second moments converge to mu_i.
-    """
-    if n < 1:
-        raise ValueError(f"sample count must be >= 1, got {n}")
-    scale = np.sqrt(in_decay.values)
-    return _scaled_uniform(np.random.default_rng(rng_seed), n, scale)
 
 
 def make_dataset(

@@ -4,7 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from opridge import EigenDecay, ProblemConfig
+from opridge import (
+    EigenDecay,
+    NoiseProfile,
+    OperatorMatrix,
+    ProblemConfig,
+    make_decay,
+    sample_blocks,
+)
 
 
 def random_problem_config(rng: np.random.Generator, **overrides) -> ProblemConfig:
@@ -37,3 +44,10 @@ def random_decay(rng: np.random.Generator, dim: int) -> EigenDecay:
     # Enforce strict decrease even under unlucky ties.
     values = base * np.exp(-1e-6 * np.arange(dim))
     return EigenDecay(values=values, exponent=exponent)
+
+
+def drawn_inputs(n: int, in_decay: EigenDecay, rng_seed: int) -> np.ndarray:
+    """The input rows of a dataset with d_out = 1, drawn as one block."""
+    op = OperatorMatrix(np.zeros((1, len(in_decay))), in_decay, make_decay(1, 0.5))
+    ((u, _),) = sample_blocks(op, n, NoiseProfile(sigma=0.0), rng_seed, n)
+    return u

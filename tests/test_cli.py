@@ -309,11 +309,16 @@ class TestExitCodes:
         (["simulate", "--n", "4096"], {"beta_prime": 0.895}),
         (["contours", "--n", "65536"], {"beta_prime": 0.8, "gamma_prime": 0.9}),
         (["contours", "--n", "65536"], {"q": 0.2, "gamma_prime": 0.99, "beta_prime": 0.8}),
+        (["schedule", "--n", "65536"], {"gamma_prime": 4.0 / 7.0 + 1e-6}),
+        (["simulate", "--n", "4096"], {"gamma_prime": 4.0 / 7.0 + 1e-6}),
     ], ids=["bias-lambda-past-double-range", "contour-y-past-double-range",
-            "staircase-x-below-double-range"])
+            "staircase-x-below-double-range", "schedule-u-near-one",
+            "simulate-u-near-one"])
     def test_extreme_template_config_runs(self, tmp_path, capsys, argv, overrides):
         # Valid configs whose contour corners lie beyond double range; they
-        # saturate to finite numbers instead of overflowing.
+        # saturate to finite numbers instead of overflowing. With u within
+        # 1e-5 of 1 the staircase halves instead of contracting for ~1/|u-1|
+        # levels.
         template = tmp_path / "template.json"
         assert cli_main(["gen-config", "--out", str(template)]) == 0
         path = tmp_path / "extreme.json"

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import random_decay, random_problem_config
+from conftest import drawn_inputs, random_decay, random_problem_config
 
 from opridge import (
     EmpiricalCovariances,
@@ -28,7 +28,6 @@ from opridge import (
     operator_from_source,
     population_regularized,
     random_source_operator,
-    sample_inputs,
     single_ridge_lambda,
     variance_lambdas,
 )
@@ -258,7 +257,7 @@ class TestEstimators:
 
     def test_zero_outputs_give_zero_estimate(self):
         cfg = small_config()
-        u = sample_inputs(32, cfg.input_decay, rng_seed=27)
+        u = drawn_inputs(32, cfg.input_decay, rng_seed=27)
         data = SampleSet(u=u, v=np.zeros((32, 8)), seed_used=0)
         est = fit_rowwise_ridge(empirical_covariances(data), LambdaMap.uniform(8, 0.5))
         assert np.all(est == 0.0)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -334,6 +335,38 @@ class TestLevelCountBound:
         for k in (8, 12, 16, 20):
             count, bound = level_count_bound(CFG_EQUAL_RATES, 2**k)
             assert count <= bound
+
+
+def sample_config_near_equal_rates(rng: np.random.Generator) -> ProblemConfig:
+    """Draw a valid config with |u - 1| log-uniform in (1e-9, 1e-2), either side of 1.
+
+    u is linear in (gamma'-gamma)/(1-gamma'), so gamma' is solved for the
+    drawn u.
+    """
+    cfg = random_problem_config(rng)
+    u = 1.0 + float(rng.choice([-1.0, 1.0])) * 10.0 ** float(rng.uniform(-9.0, -2.0))
+    mx = max(cfg.alpha - cfg.beta, cfg.p)
+    r = u * (cfg.beta - cfg.beta_prime) / (cfg.beta_prime + mx)
+    return replace(cfg, gamma_prime=(cfg.gamma + r) / (1.0 + r))
+
+
+class TestNearEqualRates:
+    def test_staircase_stays_within_halving_ceiling(self):
+        # Contracting needs about 1/|u - 1| levels here; the staircase halves
+        # instead and keeps every level and row bracket well formed.
+        rng = np.random.default_rng(89)
+        for _ in range(300):
+            cfg = sample_config_near_equal_rates(rng)
+            n = max(2, int(2.0 ** rng.uniform(1.0, 24.0)))
+            sched = multilevel_schedule(cfg, n)
+            u = theoretical_rate(cfg)[2]
+            assert sched.level_count <= 2.0 * math.log2(n) + 3.0, (u, n)
+            for lv in sched.levels:
+                assert 0.0 < lv.x < math.inf and 0.0 < lv.lam < math.inf, (u, n)
+                assert lv.row_start <= lv.row_end <= cfg.d_out + 1, (u, n)
+            assert sched.levels[0].row_start == 1
+            for prev, nxt in zip(sched.levels, sched.levels[1:]):
+                assert nxt.row_start == prev.row_end, (u, n)
 
 
 def sample_any_valid_config(rng: np.random.Generator) -> ProblemConfig:

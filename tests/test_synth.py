@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import random_problem_config
+from conftest import drawn_inputs, random_problem_config
 
 from opridge import (
     ConfigError,
@@ -23,7 +23,6 @@ from opridge import (
     packing_operator,
     random_source_operator,
     sample_blocks,
-    sample_inputs,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -57,26 +56,26 @@ class TestDeriveSeed:
 class TestSampleInputs:
     def test_coordinates_bounded_by_sqrt3_times_decay(self):
         decay = make_decay(6, 0.5)
-        u = sample_inputs(200, decay, rng_seed=1)
+        u = drawn_inputs(200, decay, rng_seed=1)
         ratio = np.abs(u) / np.sqrt(decay.values)[None, :]
         assert ratio.max() <= 1.7320509, "inputs must obey the uniform bound"
 
     def test_first_coordinate_second_moment_near_one(self):
-        u = sample_inputs(10**5, make_decay(4, 0.5), rng_seed=2)
+        u = drawn_inputs(10**5, make_decay(4, 0.5), rng_seed=2)
         m2 = float(np.mean(u[:, 0] ** 2))
         assert 0.98 <= m2 <= 1.02, f"second moment {m2} strayed from 1"
 
     def test_same_seed_bit_identical(self):
         decay = make_decay(5, 0.4)
-        a = sample_inputs(64, decay, rng_seed=9)
-        b = sample_inputs(64, decay, rng_seed=9)
+        a = drawn_inputs(64, decay, rng_seed=9)
+        b = drawn_inputs(64, decay, rng_seed=9)
         assert np.array_equal(a, b)
 
     def test_embedding_sum_bounded(self):
         # sum_i mu_i^(alpha-1) u_i^2 <= 3 sum_i i^(-alpha/p) for alpha > p.
         p, alpha = 0.3, 0.6
         decay = make_decay(12, p)
-        u = sample_inputs(500, decay, rng_seed=3)
+        u = drawn_inputs(500, decay, rng_seed=3)
         weighted = (u**2) @ (decay.values ** (alpha - 1.0))
         bound = 3.0 * np.sum(np.arange(1, 13, dtype=float) ** (-alpha / p))
         assert weighted.max() <= bound + 1e-12
