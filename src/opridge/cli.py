@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: gen-config, schedule, contours, simulate, rates, oracle-check,
-packing. Everything is driven by a JSON config file (see gen-config for a
-working template); flags override the file where noted. Exit codes: 0 on
-success, 1 when an oracle self-check fails, 2 on configuration errors.
+packing. All but gen-config and oracle-check read a JSON config file (see
+gen-config for a working template); each subcommand takes only the flags it
+reads, and flags override the file where noted. Exit codes: 0 on success, 1
+when an oracle self-check fails, 2 on configuration errors and unknown flags.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .harness import (
     run_convergence,
 )
 from .schedules import contour_points, multilevel_schedule
-from .synth import NoiseProfile, ground_truth_seed
+from .synth import ground_truth_seed
 
 __all__ = ["cli_main", "main"]
 
@@ -49,10 +50,7 @@ def _template_config() -> dict[str, Any]:
         seed=_DEFAULT_TEMPLATE_SEED,
     )
     gt = GroundTruthSpec(kind="random", params={"taper_in": 0.3, "taper_out": 2.0})
-    noise = NoiseProfile(sigma=cfg.sigma)
-    return config_to_dict(
-        cfg, gt, noise, n_list=[2**k for k in range(10, 17)], trials=20
-    )
+    return config_to_dict(cfg, gt, n_list=[2**k for k in range(10, 17)], trials=20)
 
 
 def _sig12(v: float) -> float:
@@ -94,15 +92,6 @@ def _resolve_n(args: argparse.Namespace, extras: dict[str, Any]) -> int:
     return n
 
 
-def _load(args: argparse.Namespace) -> tuple[ProblemConfig, GroundTruthSpec, NoiseProfile, dict[str, Any]]:
-    if not args.config:
-        raise ConfigError("--config is required for this subcommand")
-    cfg, gt, noise, extras = load_config(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    return cfg, gt, noise, extras
-
-
 def _estimator_list(arg: str) -> tuple[str, ...]:
     return ESTIMATOR_NAMES if arg == "all" else (arg,)
 
@@ -113,7 +102,7 @@ def _cmd_gen_config(args: argparse.Namespace) -> int:
 
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
-    cfg, _, _, extras = _load(args)
+    cfg, _, _, extras = load_config(args.config)
     n = _resolve_n(args, extras)
     sched = multilevel_schedule(cfg, n)
     if args.format == "json":
@@ -144,7 +133,7 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
 
 
 def _cmd_contours(args: argparse.Namespace) -> int:
-    cfg, _, _, extras = _load(args)
+    cfg, _, _, extras = load_config(args.config)
     n = _resolve_n(args, extras)
     if args.samples < 2:
         raise ConfigError(f"--samples must be >= 2, got {args.samples}")
@@ -171,7 +160,9 @@ def _cmd_contours(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    cfg, gt, noise, extras = _load(args)
+    cfg, gt, noise, extras = load_config(args.config)
+    if args.seed is not None:
+        cfg = replace(cfg, seed=args.seed)
     n = _resolve_n(args, extras)
     a0 = gt.build(cfg)
     estimators = _estimator_list(args.estimator)
@@ -193,7 +184,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_rates(args: argparse.Namespace) -> int:
-    cfg, gt, noise, extras = _load(args)
+    cfg, gt, _, extras = load_config(args.config)
+    if args.seed is not None:
+        cfg = replace(cfg, seed=args.seed)
     if args.out is None:
         raise ConfigError("rates requires --out for the summary CSV")
     n_list = _parse_n_list(args.n_list) if args.n_list else extras.get("n_list")
@@ -223,7 +216,6 @@ def _cmd_rates(args: argparse.Namespace) -> int:
         trials=trials,
         estimators=_estimator_list(args.estimator),
         ground_truth=gt,
-        noise=noise,
         workers=args.workers,
         **{name: str(p) for name, p in paths.items()},
     )
@@ -238,9 +230,8 @@ def _cmd_rates(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle_check(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else _DEFAULT_TEMPLATE_SEED
     t0 = time.perf_counter()
-    results = oracle_checks(seed)
+    results = oracle_checks(args.seed)
     ok = True
     for name, passed, detail in results:
         ok = ok and passed
@@ -250,7 +241,7 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_packing(args: argparse.Namespace) -> int:
-    cfg, gt, _, _ = _load(args)
+    cfg, gt, _, _ = load_config(args.config)
     if gt.kind == "packing":
         params = dict(gt.params)
     else:
@@ -281,12 +272,16 @@ def _cmd_packing(args: argparse.Namespace) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file")
-    common.add_argument("--out", help="output path (stdout when omitted)")
-    common.add_argument("--seed", type=int, help="override the config seed")
-    common.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="output format (default csv)")
+    def flag(*names: str, **kwargs: Any) -> argparse.ArgumentParser:
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(*names, **kwargs)
+        return parent
+
+    config = flag("--config", required=True, help="JSON config file")
+    out = flag("--out", help="output path (stdout when omitted)")
+    seed = flag("--seed", type=int, help="override the config seed")
+    fmt = flag("--format", choices=("csv", "json"), default="csv",
+               help="output format (default csv)")
 
     parser = argparse.ArgumentParser(
         prog="opridge",
@@ -294,35 +289,37 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("gen-config", parents=[common],
+    sub.add_parser("gen-config", parents=[out],
                    help="write a ready-to-run config template")
 
-    p = sub.add_parser("schedule", parents=[common],
+    p = sub.add_parser("schedule", parents=[config, out, fmt],
                        help="emit the multilevel schedule for one sample count")
     p.add_argument("--n", type=int, help="sample count (default: max of config n_list)")
 
-    p = sub.add_parser("contours", parents=[common],
+    p = sub.add_parser("contours", parents=[config, out, fmt],
                        help="emit bias/variance contour points for one sample count")
     p.add_argument("--n", type=int, help="sample count (default: max of config n_list)")
     p.add_argument("--samples", type=int, default=129, help="points per contour")
 
-    p = sub.add_parser("simulate", parents=[common],
+    p = sub.add_parser("simulate", parents=[config, seed, out],
                        help="one dataset, one fit per estimator, JSON summary")
     p.add_argument("--n", type=int, help="sample count (default: max of config n_list)")
     p.add_argument("--trial", type=int, default=0, help="trial index for the sub-seed")
     p.add_argument("--estimator", choices=ESTIMATOR_NAMES + ("all",), default="all")
 
-    p = sub.add_parser("rates", parents=[common],
+    p = sub.add_parser("rates", parents=[config, seed, out, fmt],
                        help="full convergence sweep: summary CSV, runs CSV, JSON report")
     p.add_argument("--trials", type=int, help="trials per sample count")
     p.add_argument("--n-list", help="comma-separated sample counts")
     p.add_argument("--estimator", choices=ESTIMATOR_NAMES + ("all",), default="all")
     p.add_argument("--workers", type=int, default=1, help="worker processes")
 
-    sub.add_parser("oracle-check", parents=[common],
-                   help="run the closed-form oracle suites; nonzero exit on failure")
+    p = sub.add_parser("oracle-check",
+                       help="run the closed-form oracle suites; nonzero exit on failure")
+    p.add_argument("--seed", type=int, default=_DEFAULT_TEMPLATE_SEED,
+                   help=f"seed of the suites' draws (default {_DEFAULT_TEMPLATE_SEED})")
 
-    sub.add_parser("packing", parents=[common],
+    sub.add_parser("packing", parents=[config, seed, out, fmt],
                    help="emit a packing-family instance on the config grid")
     return parser
 

@@ -58,8 +58,9 @@ class ProblemConfig:
         gamma: output source smoothness, in [0, 1).
         gamma_prime: output error smoothness, in (gamma, 1).
         B: source-norm bound (Frobenius norm of the source coefficients).
-        sigma: noise trace scale; the per-coordinate noise variances sum to
-            at most sigma^2.
+        sigma: noise trace scale, the one noise level; the per-coordinate
+            noise variances sum to at most sigma^2. NoiseProfile checks
+            that sigma^2 is finite.
         c0: regularization floor constant multiplying (N/ln N)^(-1/alpha).
         d_in: input truncation dimension.
         d_out: output truncation dimension.
@@ -162,12 +163,9 @@ class EigenDecay:
 
     Attributes:
         values: the eigenvalues, largest first.
-        exponent: the decay parameter the sequence was built with. For
-            canonical decays from make_decay, values[i] = (i+1)^(-1/exponent).
     """
 
     values: np.ndarray
-    exponent: float
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=np.float64)
@@ -201,7 +199,7 @@ def make_decay(dim: int, exponent: float) -> EigenDecay:
     if not (math.isfinite(exponent) and 0.0 < exponent < 1.0):
         raise ValueError(f"decay exponent must lie in (0, 1), got {exponent!r}")
     idx = np.arange(1, dim + 1, dtype=np.float64)
-    return EigenDecay(values=idx ** (-1.0 / exponent), exponent=float(exponent))
+    return EigenDecay(values=idx ** (-1.0 / exponent))
 
 
 def _config_decay(dim: int, exponent: float, dim_name: str, exp_name: str) -> EigenDecay:

@@ -133,12 +133,9 @@ class GroundTruthSpec:
         try:
             if self.kind == "random":
                 seed = int(p.get("seed", ground_truth_seed(cfg)))
-                _, a0 = random_source_operator(
-                    cfg,
-                    seed,
-                    taper_in=float(p.get("taper_in", 0.75)),
-                    taper_out=float(p.get("taper_out", 0.75)),
-                )
+                # A taper that params leave out takes random_source_operator's default.
+                tapers = {k: float(p[k]) for k in ("taper_in", "taper_out") if k in p}
+                _, a0 = random_source_operator(cfg, seed, **tapers)
                 return a0
             if self.kind == "laplacian":
                 if cfg.d_in != cfg.d_out:
@@ -194,9 +191,8 @@ class GroundTruthSpec:
 class ExperimentPlan:
     """Everything a convergence sweep needs, validated up front.
 
-    noise defaults to NoiseProfile(sigma=cfg.sigma). Output paths are
-    optional; when set, run_convergence writes the corresponding artifacts
-    after the sweep.
+    The noise scale is cfg.sigma. Output paths are optional; when set,
+    run_convergence writes the corresponding artifacts after the sweep.
     """
 
     cfg: ProblemConfig
@@ -204,7 +200,6 @@ class ExperimentPlan:
     trials: int
     estimators: tuple[str, ...] = ESTIMATOR_NAMES
     ground_truth: GroundTruthSpec = field(default_factory=GroundTruthSpec)
-    noise: NoiseProfile | None = None
     workers: int = 1
     out_summary: str | None = None
     out_runs: str | None = None
@@ -230,8 +225,6 @@ class ExperimentPlan:
             raise ConfigError(f"estimators repeat: {self.estimators}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if self.noise is None:
-            object.__setattr__(self, "noise", NoiseProfile(sigma=self.cfg.sigma))
 
 
 @dataclass(frozen=True)
@@ -289,17 +282,6 @@ class RateReport:
     theoretical_eta1: float
     total_seconds: float
 
-    def fit_for(self, estimator: str) -> RateFit:
-        for f in self.fits:
-            if f.estimator == estimator:
-                return f
-        raise KeyError(f"no fit for estimator {estimator!r}")
-
-    def summary_for(self, estimator: str, n: int) -> RateSummary:
-        for s in self.summaries:
-            if s.estimator == estimator and s.n == n:
-                return s
-        raise KeyError(f"no summary for ({estimator!r}, n={n})")
 
 # ---------------------------------------------------------------------------
 # Single cells
@@ -315,6 +297,9 @@ def run_cell(
 ) -> tuple[TrialRecord, ...]:
     """Fit every requested estimator on one freshly drawn dataset.
 
+    noise must be NoiseProfile(sigma=cfg.sigma), as load_config returns it:
+    the config's sigma is the one noise scale.
+
     The cell's covariances are streamed from its dataset's draws (see
     streamed_covariances): the n-row dataset is never held in memory, and
     the one eigendecomposition they carry serves every estimator. Each
@@ -325,7 +310,7 @@ def run_cell(
 
     Raises:
         ConfigError: an error is not finite, because the scales B and
-            noise.sigma are too large for double precision.
+            sigma are too large for double precision.
     """
     t0 = time.perf_counter()
     cov = streamed_covariances(
@@ -340,8 +325,7 @@ def run_cell(
         if not math.isfinite(err):
             raise ConfigError(
                 f"the {name} error at n={n} is {err}: the scales B={cfg.B} and "
-                f"noise.sigma={noise.sigma} (default: sigma) are too large for "
-                "double precision"
+                f"sigma={cfg.sigma} are too large for double precision"
             )
         elapsed = prep + time.perf_counter() - t1
         records.append(TrialRecord(name, int(n), int(trial_index), float(err), elapsed * 1e3))
@@ -408,20 +392,21 @@ def run_convergence(plan: ExperimentPlan) -> RateReport:
     identical for any worker count. Results are assembled in a fixed order
     independent of scheduling.
 
+    Every cell draws its noise with NoiseProfile(sigma=plan.cfg.sigma).
+
     Raises:
-        ConfigError: the ground truth is the zero operator and the noise
-            sigma is 0, so every error is 0 and no rate can be fitted; or a
-            cell's error is not finite (see run_cell).
+        ConfigError: the ground truth is the zero operator and sigma is 0,
+            so every error is 0 and no rate can be fitted; or a cell's error
+            is not finite (see run_cell).
     """
     t0 = time.perf_counter()
     a0 = plan.ground_truth.build(plan.cfg)
-    noise = plan.noise
-    if noise.sigma == 0.0 and not np.any(a0.m):
+    noise = NoiseProfile(sigma=plan.cfg.sigma)
+    if plan.cfg.sigma == 0.0 and not np.any(a0.m):
         raise ConfigError(
             f"the ground truth (B={plan.cfg.B}, ground_truth.kind "
-            f"{plan.ground_truth.kind!r}) is the zero operator and the noise "
-            "sigma (sigma, noise.sigma) is 0: every error would be 0 and no "
-            "rate can be fitted"
+            f"{plan.ground_truth.kind!r}) is the zero operator and sigma is 0: "
+            "every error would be 0 and no rate can be fitted"
         )
     tasks = [(n, t) for n in plan.n_list for t in range(plan.trials)]
 
@@ -489,7 +474,7 @@ def run_convergence(plan: ExperimentPlan) -> RateReport:
 
 
 _SCALAR_FIELDS = tuple(f.name for f in fields(ProblemConfig))
-_OPTIONAL_KEYS = ("ground_truth", "noise", "n_list", "trials")
+_OPTIONAL_KEYS = ("ground_truth", "n_list", "trials")
 
 
 def parse_config(obj: Any) -> tuple[ProblemConfig, GroundTruthSpec, NoiseProfile, dict[str, Any]]:
@@ -499,8 +484,9 @@ def parse_config(obj: Any) -> tuple[ProblemConfig, GroundTruthSpec, NoiseProfile
     builds (ProblemConfig, GroundTruthSpec, NoiseProfile).
 
     Returns:
-        (cfg, ground_truth, noise, extras) where extras carries the
-        optional "n_list" and "trials" entries when present.
+        (cfg, ground_truth, noise, extras) where noise is
+        NoiseProfile(sigma=cfg.sigma) and extras carries the optional
+        "n_list" and "trials" entries when present.
 
     Raises:
         ConfigError: naming the offending field, on any schema violation.
@@ -526,14 +512,7 @@ def parse_config(obj: Any) -> tuple[ProblemConfig, GroundTruthSpec, NoiseProfile
         raise ConfigError(f"field 'ground_truth.params' must be an object, got {params!r}")
     ground_truth = GroundTruthSpec(kind=gt_obj.get("kind", "random"), params=params)
 
-    noise_obj = obj.get("noise", {})
-    if not isinstance(noise_obj, dict):
-        raise ConfigError(f"field 'noise' must be an object, got {noise_obj!r}")
-    unknown = set(noise_obj) - {"sigma", "profile"}
-    if unknown:
-        raise ConfigError(f"unknown noise key(s): {sorted(unknown)}")
-    noise = NoiseProfile(sigma=noise_obj.get("sigma", cfg.sigma),
-                         kind=noise_obj.get("profile", "polynomial"))
+    noise = NoiseProfile(sigma=cfg.sigma)
 
     extras: dict[str, Any] = {}
     if "n_list" in obj:
@@ -569,7 +548,6 @@ def load_config(path: str | Path) -> tuple[ProblemConfig, GroundTruthSpec, Noise
 def config_to_dict(
     cfg: ProblemConfig,
     ground_truth: GroundTruthSpec | None = None,
-    noise: NoiseProfile | None = None,
     n_list: Sequence[int] | None = None,
     trials: int | None = None,
 ) -> dict[str, Any]:
@@ -577,8 +555,6 @@ def config_to_dict(
     out: dict[str, Any] = {name: getattr(cfg, name) for name in _SCALAR_FIELDS}
     if ground_truth is not None:
         out["ground_truth"] = {"kind": ground_truth.kind, "params": dict(ground_truth.params)}
-    if noise is not None:
-        out["noise"] = {"sigma": noise.sigma, "profile": noise.kind}
     if n_list is not None:
         out["n_list"] = [int(n) for n in n_list]
     if trials is not None:

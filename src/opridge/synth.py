@@ -107,28 +107,22 @@ class NoiseProfile:
 
     The Basel normalization makes the variances sum to exactly sigma^2 over
     an infinite output basis, so every truncation keeps the total noise trace
-    at most sigma^2.
+    at most sigma^2. sigma is the config's sigma; its square must be finite.
     """
 
     sigma: float
-    kind: str = "polynomial"
 
     def __post_init__(self) -> None:
-        # Messages name the config fields these come from.
-        if self.kind != "polynomial":
-            raise ConfigError(f"noise.profile must be 'polynomial', got {self.kind!r}")
+        # Messages name the config field sigma comes from.
         sigma = self.sigma
         if isinstance(sigma, bool) or not isinstance(sigma, (int, float)):
-            raise ConfigError(f"noise.sigma (default: sigma) must be a number, got {sigma!r}")
+            raise ConfigError(f"sigma must be a number, got {sigma!r}")
         try:
             ok = sigma >= 0.0 and math.isfinite(float(sigma) ** 2)
         except OverflowError:  # float() of a huge int, or the square
             ok = False
         if not ok:
-            raise ConfigError(
-                "noise.sigma (default: sigma) must be nonnegative with a finite "
-                f"square, got {sigma!r}"
-            )
+            raise ConfigError(f"sigma must be nonnegative with a finite square, got {sigma!r}")
         object.__setattr__(self, "sigma", float(sigma))
 
     def variances(self, d_out: int) -> np.ndarray:
@@ -253,8 +247,8 @@ def laplacian_operator(
     if t < 0 or int(t) != t:
         raise ValueError(f"derivative order t must be a nonnegative integer, got {t}")
     n = np.arange(1, dim + 1, dtype=np.float64)
-    in_decay = EigenDecay(values=n ** (-2.0 * s), exponent=1.0 / (2.0 * s))
-    out_decay = EigenDecay(values=n ** (-2.0 * m), exponent=1.0 / (2.0 * m))
+    in_decay = EigenDecay(values=n ** (-2.0 * s))
+    out_decay = EigenDecay(values=n ** (-2.0 * m))
     d = scale * (math.pi * n) ** (2.0 * t)
     a_diag = (
         d

@@ -38,12 +38,11 @@ def random_problem_config(rng: np.random.Generator, **overrides) -> ProblemConfi
 
 
 def random_decay(rng: np.random.Generator, dim: int) -> EigenDecay:
-    """Strictly decreasing positive values with a plausible exponent tag."""
-    exponent = float(rng.uniform(0.2, 0.8))
+    """Strictly decreasing positive values."""
     base = np.sort(rng.uniform(0.05, 2.0, size=dim))[::-1]
     # Enforce strict decrease even under unlucky ties.
     values = base * np.exp(-1e-6 * np.arange(dim))
-    return EigenDecay(values=values, exponent=exponent)
+    return EigenDecay(values=values)
 
 
 def drawn_inputs(n: int, in_decay: EigenDecay, rng_seed: int) -> np.ndarray:

@@ -282,7 +282,7 @@ def test_06_multilevel_rate_matches_theory_at_scale(convergence_benchmark):
     plan, report = convergence_benchmark
     assert report.total_seconds < 1800.0, \
         f"benchmark took {report.total_seconds:.0f}s, budget 30min"
-    slope = report.fit_for("multilevel").slope
+    (slope,) = [f.slope for f in report.fits if f.estimator == "multilevel"]
     eta1 = report.theoretical_eta1
     assert -eta1 == pytest.approx(-0.5), "template problem must have eta1 = 1/2"
     assert -0.68 <= slope <= -0.32, \
@@ -292,14 +292,15 @@ def test_06_multilevel_rate_matches_theory_at_scale(convergence_benchmark):
 def test_07_multilevel_beats_baseline_and_tracks_variance_contour(convergence_benchmark):
     plan, report = convergence_benchmark
     n_max = plan.n_list[-1]
-    multi = report.summary_for("multilevel", n_max).median_error_sq
-    single = report.summary_for("single", n_max).median_error_sq
+    median = {(s.estimator, s.n): s.median_error_sq for s in report.summaries}
+    multi = median["multilevel", n_max]
+    single = median["single", n_max]
     assert multi <= single, \
         f"at n={n_max} multilevel ({multi:.4e}) must not trail the uniform " \
         f"baseline ({single:.4e})"
     for n in plan.n_list:
-        m = report.summary_for("multilevel", n).median_error_sq
-        v = report.summary_for("variance", n).median_error_sq
+        m = median["multilevel", n]
+        v = median["variance", n]
         assert m <= 4.0 * v, \
             f"at n={n} multilevel ({m:.4e}) exceeds 4x the variance-contour " \
             f"estimator ({v:.4e})"

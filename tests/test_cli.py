@@ -48,6 +48,7 @@ class TestGenConfig:
         out = tmp_path / "template.json"
         assert cli_main(["gen-config", "--out", str(out)]) == 0
         obj = json.loads(out.read_text())
+        assert "noise" not in obj, "sigma is the one noise scale"
         cfg, gt, noise, extras = parse_config(obj)
         assert cfg.d_out == 512 and cfg.seed == 20260819
         assert gt.kind == "random"
@@ -241,7 +242,7 @@ class TestRates:
 class TestExitCodes:
     def test_zero_problem_exits_two_naming_the_fields(self, tmp_path, capsys):
         # Passes validation, but every error would be 0 and no slope exists.
-        path, _ = write_config(tmp_path, B=0.0, sigma=0.0, noise={"sigma": 0.0})
+        path, _ = write_config(tmp_path, B=0.0, sigma=0.0)
         out = tmp_path / "sweep.csv"
         assert cli_main(["rates", "--config", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -266,26 +267,28 @@ class TestExitCodes:
         assert field in err and "Traceback" not in err
         assert not (tmp_path / "x.csv").exists()
 
-    @pytest.mark.parametrize("noise, field, other", [
-        ({"sigma": -1}, "noise.sigma", "noise.profile"),
-        ({"sigma": 0.1, "profile": "white"}, "noise.profile", "noise.sigma"),
-    ])
-    def test_bad_noise_names_its_own_field(self, tmp_path, capsys, noise, field, other):
+    @pytest.mark.parametrize("noise", [
+        {"sigma": 0.1, "profile": "polynomial"},
+        {"sigma": -1},
+        {"sigma": 0.1, "profile": "white"},
+    ], ids=["equal-to-sigma", "bad-sigma", "bad-profile"])
+    def test_noise_block_is_an_unknown_key(self, tmp_path, capsys, noise):
+        # sigma is the one noise scale; a noise block is refused whatever it holds.
         path, _ = write_config(tmp_path, noise=noise)
         assert cli_main(["schedule", "--config", str(path), "--n", "64"]) == 2
         err = capsys.readouterr().err
-        assert field in err and other not in err
+        assert "unknown config key(s): ['noise']" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("argv, overrides, fields", [
         (["rates", "--n-list", "16,32"], {}, ("n_list",)),
         (["schedule", "--n", "64"], {"B": 10**400}, ("B",)),
         (["rates", "--n-list", "16,32,64"], {"B": 1e200}, ("B", "sigma")),
-        (["rates", "--n-list", "16,32,64"], {"noise": {"sigma": 1e200}}, ("noise.sigma",)),
+        (["rates", "--n-list", "16,32,64"], {"sigma": 1e200}, ("config error: sigma must",)),
         (["simulate", "--n", "64"], {"q": 0.005, "d_out": 512}, ("q", "d_out")),
         (["simulate", "--n", "64"], {"p": 0.005, "d_in": 512}, ("p", "d_in")),
         (["schedule", "--n", "64"], '{"B": 1' + "0" * 5000 + "}", ("JSON", "digits")),
         (["schedule", "--n", "64"], "[" * 200_000, ("JSON", "recursion")),
-    ], ids=["two-sample-counts", "B-400-digit-int", "B-1e200", "noise-sigma-1e200",
+    ], ids=["two-sample-counts", "B-400-digit-int", "B-1e200", "sigma-1e200",
             "q-underflows-at-d_out", "p-underflows-at-d_in", "B-5000-digit-int",
             "200000-nested-brackets"])
     def test_valid_looking_config_exits_two(self, tmp_path, capsys, argv, overrides, fields):
@@ -329,8 +332,30 @@ class TestExitCodes:
         assert "Infinity" not in out and "NaN" not in out and "inf" not in out
 
     def test_missing_config_flag(self, capsys):
-        assert cli_main(["schedule", "--n", "64"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["schedule", "--n", "64"])
+        assert exc.value.code == 2
         assert "--config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag", [
+        ("gen-config", "--config"), ("gen-config", "--seed"), ("gen-config", "--format"),
+        ("schedule", "--seed"), ("contours", "--seed"), ("simulate", "--format"),
+        ("oracle-check", "--config"), ("oracle-check", "--out"), ("oracle-check", "--format"),
+    ])
+    def test_flag_the_subcommand_does_not_read_exits_two(self, tmp_path, capsys, command, flag):
+        path, _ = write_config(tmp_path)
+        out = tmp_path / "x.txt"
+        value = {"--config": str(path), "--seed": "5", "--format": "json", "--out": str(out)}
+        argv = [command, flag, value[flag]]
+        if command in ("schedule", "contours", "simulate"):
+            argv += ["--config", str(path), "--n", "64"]
+        if command != "oracle-check":
+            argv += ["--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_nonexistent_config_file(self, tmp_path, capsys):
         assert cli_main(["schedule", "--config", str(tmp_path / "nope.json"),

@@ -35,7 +35,7 @@ class TestMakeDecay:
     def test_values(self, dim, exponent, expected):
         decay = make_decay(dim, exponent)
         np.testing.assert_allclose(decay.values, expected, rtol=1e-15)
-        assert decay.exponent == exponent
+        assert decay.values[-1] == dim ** (-1.0 / exponent)
 
     def test_first_value_is_one_and_strictly_decreasing(self):
         rng = np.random.default_rng(7)
@@ -66,15 +66,15 @@ class TestOperatorFromSource:
     def test_single_entry_weight(self):
         # mu_1 = 0.25, rho_1 = 0.5, beta = gamma = 0.5:
         # 0.25^(-0.25) * 0.5^(0.25) = 2^(0.25).
-        ind = EigenDecay(values=np.array([0.25]), exponent=0.5)
-        outd = EigenDecay(values=np.array([0.5]), exponent=0.5)
+        ind = EigenDecay(values=np.array([0.25]))
+        outd = EigenDecay(values=np.array([0.5]))
         src = SourceCoefficients(a=np.array([[1.0]]), beta=0.5, gamma=0.5)
         op = operator_from_source(src, ind, outd)
         assert op.m[0, 0] == pytest.approx(2.0**0.25, rel=1e-14)
 
     def test_unit_weights_at_beta_gamma_one(self):
-        ind = EigenDecay(values=np.array([1.0]), exponent=0.5)
-        outd = EigenDecay(values=np.array([1.0]), exponent=0.5)
+        ind = EigenDecay(values=np.array([1.0]))
+        outd = EigenDecay(values=np.array([1.0]))
         src = SourceCoefficients(a=np.array([[7.0]]), beta=1.0, gamma=1.0)
         op = operator_from_source(src, ind, outd)
         assert op.m[0, 0] == pytest.approx(7.0, rel=1e-15)
@@ -263,19 +263,19 @@ class TestConfigValidation:
         )
         assert len(cfg.input_decay) == 5
         assert len(cfg.output_decay) == 9
-        assert cfg.input_decay.exponent == 0.5
-        assert cfg.output_decay.exponent == 0.25
+        assert cfg.input_decay.values[1] == 2 ** (-1 / 0.5)
+        assert cfg.output_decay.values[1] == 2 ** (-1 / 0.25)
 
 
 class TestEigenDecayValidation:
     def test_rejects_increasing_values(self):
         with pytest.raises(ValueError):
-            EigenDecay(values=np.array([0.5, 1.0]), exponent=0.5)
+            EigenDecay(values=np.array([0.5, 1.0]))
 
     def test_rejects_nonpositive_values(self):
         with pytest.raises(ValueError):
-            EigenDecay(values=np.array([1.0, 0.0]), exponent=0.5)
+            EigenDecay(values=np.array([1.0, 0.0]))
 
     def test_accepts_custom_strictly_decreasing_values(self):
-        decay = EigenDecay(values=np.array([0.25]), exponent=0.5)
+        decay = EigenDecay(values=np.array([0.25]))
         assert len(decay) == 1

@@ -9,6 +9,7 @@ import pytest
 from conftest import drawn_inputs, random_decay, random_problem_config
 
 from opridge import (
+    EigenDecay,
     EmpiricalCovariances,
     LambdaMap,
     NoiseProfile,
@@ -334,9 +335,8 @@ class TestAnalyticBias:
         # mu_1 = 0.25, rho_1 = 1, lambda = 0.25, beta step 0.8, gamma step
         # 0.8: bias^2 = 0.25 * 0.25^0.8 = 2^(-3.6).
         src = SourceCoefficients(a=np.array([[1.0]]), beta=0.9, gamma=0.1)
-        ind = make_decay(1, 0.5)
-        ind = type(ind)(values=np.array([0.25]), exponent=0.5)
-        outd = type(ind)(values=np.array([1.0]), exponent=0.5)
+        ind = EigenDecay(values=np.array([0.25]))
+        outd = EigenDecay(values=np.array([1.0]))
         got = analytic_bias(src, LambdaMap.uniform(1, 0.25), ind, outd, 0.1, 0.9)
         assert got**2 == pytest.approx(2.0**-3.6, rel=1e-12)
 

@@ -270,8 +270,13 @@ class TestExperimentPlan:
             tiny_plan(workers=0)
 
     def test_noise_defaults_to_config_sigma(self):
-        plan = tiny_plan()
-        assert plan.noise == NoiseProfile(sigma=plan.cfg.sigma)
+        # The sweep's cells draw their noise at the config's sigma.
+        plan = tiny_plan(cfg=small_config(d_in=12, d_out=16, sigma=0.3))
+        a0 = plan.ground_truth.build(plan.cfg)
+        for r in run_convergence(plan).runs:
+            want = trial_record(plan.cfg, a0, r.n, r.trial, r.estimator).error_sq
+            assert r.error_sq == pytest.approx(want, rel=1e-12), \
+                f"sweep and sigma=0.3 cell disagree at ({r.estimator}, {r.n}, {r.trial})"
 
 
 class TestRunConvergence:
@@ -306,7 +311,6 @@ class TestRunConvergence:
     def test_noiseless_medians_non_increasing(self):
         plan = tiny_plan(
             cfg=small_config(d_in=12, d_out=16, sigma=0.0),
-            noise=NoiseProfile(sigma=0.0),
             estimators=("single", "variance", "bias", "multilevel"),
         )
         report = run_convergence(plan)
@@ -347,8 +351,7 @@ class TestRunConvergence:
             "the caller's values must be restored"
 
     def test_zero_problem_rejected_before_any_cell(self):
-        plan = tiny_plan(cfg=small_config(d_in=12, d_out=16, B=0.0, sigma=0.0),
-                         noise=NoiseProfile(sigma=0.0))
+        plan = tiny_plan(cfg=small_config(d_in=12, d_out=16, B=0.0, sigma=0.0))
         with pytest.raises(ConfigError, match="sigma"):
             run_convergence(plan)
         # Noise alone makes every error positive.
@@ -380,11 +383,9 @@ class TestRunConvergence:
 
 class TestConfigIO:
     def full_dict(self) -> dict:
-        cfg = small_config()
         return config_to_dict(
-            cfg,
+            small_config(),
             GroundTruthSpec("random", {"taper_in": 0.3, "taper_out": 2.0}),
-            NoiseProfile(sigma=cfg.sigma),
             n_list=[64, 128, 256],
             trials=4,
         )
@@ -399,7 +400,7 @@ class TestConfigIO:
 
     def test_minimal_config_defaults(self):
         obj = {k: v for k, v in self.full_dict().items()
-               if k not in ("ground_truth", "noise", "n_list", "trials")}
+               if k not in ("ground_truth", "n_list", "trials")}
         cfg, gt, noise, extras = parse_config(obj)
         assert gt.kind == "random" and gt.params == {}
         assert noise.sigma == cfg.sigma
@@ -443,9 +444,10 @@ class TestConfigIO:
             parse_config(obj)
 
     def test_bad_noise_profile_named(self):
+        # sigma is the one noise scale: a noise block is an unknown key.
         obj = self.full_dict()
-        obj["noise"] = {"sigma": 0.1, "profile": "gaussian-white"}
-        with pytest.raises(ConfigError, match="noise.profile"):
+        obj["noise"] = {"sigma": 0.1, "profile": "polynomial"}
+        with pytest.raises(ConfigError, match=r"unknown config key\(s\): \['noise'\]"):
             parse_config(obj)
 
     def test_bad_n_list_named(self):

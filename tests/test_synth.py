@@ -97,7 +97,7 @@ class TestSampleNoise:
                              ids=["negative", "nan", "1e200", "400-digit-int", "bool", "str"])
     def test_bad_sigma_named(self, sigma):
         # 1e200 is finite, but its square, the noise variance, is not.
-        with pytest.raises(ConfigError, match="noise.sigma"):
+        with pytest.raises(ConfigError, match="^sigma must be"):
             NoiseProfile(sigma=sigma)
 
     def test_sigma_stored_as_float(self):
