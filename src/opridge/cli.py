@@ -25,11 +25,12 @@ from .estimators import ESTIMATOR_NAMES
 from .harness import (
     ExperimentPlan,
     GroundTruthSpec,
+    _check_sample_count,
+    _run_cells,
     config_to_dict,
     format_number,
     load_config,
     oracle_checks,
-    run_cell,
     run_convergence,
 )
 from .schedules import contour_points, multilevel_schedule
@@ -86,9 +87,7 @@ def _resolve_n(args: argparse.Namespace, extras: dict[str, Any]) -> int:
         n, source = max(extras["n_list"]), "the maximum of n_list"
     else:
         raise ConfigError("no sample count: pass --n or put n_list in the config")
-    # The regularization floor c0 * (n / ln n)^(-1/alpha) needs n >= 2.
-    if n < 2:
-        raise ConfigError(f"{source} must be >= 2, got {n}")
+    _check_sample_count(n, source)
     return n
 
 
@@ -160,13 +159,14 @@ def _cmd_contours(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    cfg, gt, noise, extras = load_config(args.config)
+    cfg, gt, _, extras = load_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     n = _resolve_n(args, extras)
     a0 = gt.build(cfg)
-    estimators = _estimator_list(args.estimator)
-    records = run_cell(cfg, a0, n, args.trial, estimators, noise)
+    # The one cell runs in a pinned worker, as rates runs it, so its errors
+    # match the rates runs CSV bit for bit.
+    (records,) = _run_cells(cfg, a0, _estimator_list(args.estimator), [(n, args.trial)], 1)
     eta1, eta2, u = theoretical_rate(cfg)
     doc = {
         "n": n,

@@ -10,8 +10,9 @@ and unlearned rows are exactly zero. EmpiricalCovariances keeps one
 eigendecomposition c_kk = Q diag(Lambda) Q.T, made when it is built, and
 every row is solved from it as ((c_lk[j] @ Q) / (Lambda + lambda_j)) @ Q.T,
 so a cell costs one eigh however many distinct coefficients its estimators
-use. Covariances are uncentered and c_kk is symmetrized.
-estimate_from_covariances fits any of the ESTIMATOR_NAMES this way.
+use. Covariances are uncentered and c_kk is symmetrized. The estimators
+differ only in their map: LambdaMap.for_estimator gives the map of each of
+the ESTIMATOR_NAMES, and estimate_from_covariances fits it this way.
 
 streamed_covariances computes the covariances of a simulated cell from
 inputs and noise drawn in fixed-size row blocks, without building the
@@ -34,13 +35,7 @@ from .core import (
     ProblemConfig,
     SourceCoefficients,
 )
-from .schedules import (
-    LambdaSchedule,
-    LevelSchedule,
-    bias_lambdas,
-    multilevel_schedule,
-    variance_lambdas,
-)
+from .schedules import bias_lambdas, multilevel_schedule, variance_lambdas
 from .synth import NoiseProfile, SampleSet, sample_blocks
 
 __all__ = [
@@ -191,28 +186,29 @@ class LambdaMap:
         )
 
     @classmethod
-    def from_lambda_schedule(cls, sched: LambdaSchedule, d_out: int) -> "LambdaMap":
-        """Rows 1..y_max learned with the schedule's per-row coefficients."""
-        if sched.y_max > d_out:
-            raise ValueError(
-                f"schedule learns {sched.y_max} rows but grid has {d_out}"
-            )
-        lams = np.ones(d_out)
-        learned = np.zeros(d_out, dtype=bool)
-        lams[: sched.y_max] = sched.lambdas
-        learned[: sched.y_max] = True
-        return cls(lams=lams, learned=learned)
+    def for_estimator(cls, cfg: ProblemConfig, n: int, estimator: str) -> "LambdaMap":
+        """The rows one of the ESTIMATOR_NAMES learns at n samples, and their lambdas.
 
-    @classmethod
-    def from_level_schedule(cls, sched: LevelSchedule, d_out: int) -> "LambdaMap":
-        """Each level's row bracket learned with that level's coefficient."""
-        lams = np.ones(d_out)
-        learned = np.zeros(d_out, dtype=bool)
-        for level in sched.levels:
-            # Level brackets are 1-based half-open [row_start, row_end).
-            lo, hi = level.row_start - 1, level.row_end - 1
-            lams[lo:hi] = level.lam
-            learned[lo:hi] = True
+        "single" learns every row at single_ridge_lambda; "variance" and
+        "bias" learn rows 1..y_max of their contour schedule at its per-row
+        lambdas; "multilevel" learns each staircase level's rows
+        [row_start, row_end) at that level's lambda.
+        """
+        if estimator == "single":
+            return cls.uniform(cfg.d_out, single_ridge_lambda(cfg, n))
+        lams = np.ones(cfg.d_out)
+        learned = np.zeros(cfg.d_out, dtype=bool)
+        if estimator in ("variance", "bias"):
+            sched = (variance_lambdas if estimator == "variance" else bias_lambdas)(cfg, n)
+            lams[: sched.y_max] = sched.lambdas
+            learned[: sched.y_max] = True
+        elif estimator == "multilevel":
+            for level in multilevel_schedule(cfg, n).levels:
+                # Level brackets are 1-based half-open [row_start, row_end).
+                lams[level.row_start - 1 : level.row_end - 1] = level.lam
+                learned[level.row_start - 1 : level.row_end - 1] = True
+        else:
+            raise ValueError(f"unknown estimator {estimator!r}, expected one of {ESTIMATOR_NAMES}")
         return cls(lams=lams, learned=learned)
 
 
@@ -265,34 +261,20 @@ def estimate_from_covariances(
 ) -> OperatorMatrix:
     """Fit one named estimator from a dataset's covariances.
 
-    Every estimator is the same row-wise ridge; the name only picks the
-    lambda map. The Gram matrices dominate the cost at large n, so callers
-    fitting several estimators on one dataset compute the covariances once
-    and call this for each name. An arbitrary uniform coefficient lam is
+    Every estimator is the same row-wise ridge at the lambda map
+    LambdaMap.for_estimator(cfg, cov.n, estimator). The Gram matrices
+    dominate the cost at large n, so callers fitting several estimators on
+    one dataset compute the covariances once and call this for each name.
+    An arbitrary uniform coefficient lam is
     fit_rowwise_ridge(cov, LambdaMap.uniform(cov.d_out, lam)).
 
     Args:
         cov: empirical covariances of a dataset of cov.n samples.
         cfg: problem configuration supplying schedules and decays.
-        estimator: one of "single" (uniform n^(-1/(beta+p))), "variance" /
-            "bias" (per-row contour schedules), "multilevel" (staircase).
+        estimator: one of ESTIMATOR_NAMES.
     """
-    if estimator == "single":
-        lmap = LambdaMap.uniform(cov.d_out, single_ridge_lambda(cfg, cov.n))
-    elif estimator == "variance":
-        lmap = LambdaMap.from_lambda_schedule(variance_lambdas(cfg, cov.n), cov.d_out)
-    elif estimator == "bias":
-        lmap = LambdaMap.from_lambda_schedule(bias_lambdas(cfg, cov.n), cov.d_out)
-    elif estimator == "multilevel":
-        sched = multilevel_schedule(cfg, cov.n)
-        lmap = LambdaMap.from_level_schedule(sched, cov.d_out)
-    else:
-        raise ValueError(f"unknown estimator {estimator!r}, expected one of {ESTIMATOR_NAMES}")
-    return OperatorMatrix(
-        m=fit_rowwise_ridge(cov, lmap),
-        input_decay=cfg.input_decay,
-        output_decay=cfg.output_decay,
-    )
+    lmap = LambdaMap.for_estimator(cfg, cov.n, estimator)
+    return OperatorMatrix(fit_rowwise_ridge(cov, lmap), cfg.input_decay, cfg.output_decay)
 
 
 def population_regularized(a0: OperatorMatrix, lmap: LambdaMap) -> OperatorMatrix:

@@ -3,10 +3,11 @@
 A convergence experiment is a grid of cells indexed by (sample count n,
 trial). Every cell draws its dataset from a sub-seed derived only from
 (config seed, n, trial), so the numbers are a pure function of the config
-regardless of execution order or worker count. run_convergence always
-executes cells in spawned worker processes -- even with one worker -- so
-the parent interpreter never does cell arithmetic and the output bytes
-cannot depend on how many workers were requested.
+regardless of execution order or worker count. run_convergence, like the
+simulate subcommand, executes cells in spawned worker processes pinned to
+one BLAS thread -- even with one worker -- so the parent interpreter never
+does cell arithmetic and the output bytes depend neither on how many
+workers were requested nor on the caller's BLAS thread variables.
 
 Error is always the squared (beta', gamma')-norm of (estimate - truth),
 summarized across trials by median and interquartile range; the target
@@ -18,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -187,6 +189,19 @@ class GroundTruthSpec:
 # Plans and reports
 
 
+def _check_sample_count(n: int, field: str) -> None:
+    """Refuse a sample count the lambda floor c0 * (n / ln n)^(-1/alpha) cannot take.
+
+    The floor needs n >= 2, and n / ln n runs in doubles, so n must not
+    exceed the largest one, 2^1024 - 2^971.
+    """
+    if n < 2:
+        raise ConfigError(f"{field} must be >= 2, got {n}")
+    if n > sys.float_info.max:
+        raise ConfigError(f"{field} must be at most {sys.float_info.max:.6g}, the largest "
+                          f"double, got a {len(str(n))}-digit count")
+
+
 @dataclass(frozen=True)
 class ExperimentPlan:
     """Everything a convergence sweep needs, validated up front.
@@ -209,10 +224,12 @@ class ExperimentPlan:
         n_list = tuple(int(n) for n in self.n_list)
         object.__setattr__(self, "n_list", n_list)
         object.__setattr__(self, "estimators", tuple(self.estimators))
-        # A rate fit needs 3 points; the floor c0 * (n / ln n)^(-1/alpha), n >= 2.
-        if len(n_list) < 3 or n_list[0] < 2 or any(b <= a for a, b in zip(n_list, n_list[1:])):
+        # A rate fit needs 3 points.
+        if len(n_list) < 3 or any(b <= a for a, b in zip(n_list, n_list[1:])):
             raise ConfigError("n_list must hold at least 3 strictly increasing sample "
-                              f"counts >= 2, got {n_list}")
+                              f"counts, got {n_list}")
+        _check_sample_count(n_list[0], "each n_list entry")
+        _check_sample_count(n_list[-1], "each n_list entry")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if not self.estimators:
@@ -383,16 +400,43 @@ def _pool_cell(task: tuple[int, int]) -> tuple[TrialRecord, ...]:
     return run_cell(cfg, a0, n, trial, estimators, noise)
 
 
+def _run_cells(cfg: ProblemConfig, a0: OperatorMatrix, estimators: Sequence[str],
+               tasks: Sequence[tuple[int, int]], workers: int) -> list[tuple[TrialRecord, ...]]:
+    """run_cell for each (n, trial) task, in spawned workers with one BLAS thread.
+
+    The parent never does cell arithmetic, so an error depends on
+    (cfg, a0, n, trial) alone, not on the worker count or the caller's BLAS
+    thread variables. Results come back in task order. Every cell draws its
+    noise with NoiseProfile(sigma=cfg.sigma).
+    """
+    # Children read BLAS thread env at import; set-before-spawn pins them
+    # without touching the already-initialized parent. Set outright: a
+    # user's export must not change the floating-point environment.
+    saved = {v: os.environ.get(v) for v in _BLAS_THREAD_VARS}
+    os.environ.update({v: "1" for v in _BLAS_THREAD_VARS})
+    try:
+        with ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=get_context("spawn"),
+            initializer=_pool_init,
+            initargs=(cfg, a0, NoiseProfile(sigma=cfg.sigma), tuple(estimators)),
+        ) as pool:
+            return list(pool.map(_pool_cell, tasks, chunksize=1))
+    finally:
+        for v, old in saved.items():
+            if old is None:
+                os.environ.pop(v, None)
+            else:
+                os.environ[v] = old
+
+
 def run_convergence(plan: ExperimentPlan) -> RateReport:
     """Execute the full (estimator, n, trial) grid and fit the rates.
 
-    Cells always run inside spawned worker processes with BLAS threading
-    pinned to one thread, whatever the caller's environment says, so the
-    floating-point environment -- and therefore every error value -- is
-    identical for any worker count. Results are assembled in a fixed order
-    independent of scheduling.
-
-    Every cell draws its noise with NoiseProfile(sigma=plan.cfg.sigma).
+    Cells run through _run_cells: in spawned worker processes with BLAS
+    threading pinned to one thread, whatever the caller's environment says,
+    so every error value is identical for any worker count. Results are
+    assembled in a fixed order independent of scheduling.
 
     Raises:
         ConfigError: the ground truth is the zero operator and sigma is 0,
@@ -401,7 +445,6 @@ def run_convergence(plan: ExperimentPlan) -> RateReport:
     """
     t0 = time.perf_counter()
     a0 = plan.ground_truth.build(plan.cfg)
-    noise = NoiseProfile(sigma=plan.cfg.sigma)
     if plan.cfg.sigma == 0.0 and not np.any(a0.m):
         raise ConfigError(
             f"the ground truth (B={plan.cfg.B}, ground_truth.kind "
@@ -409,28 +452,7 @@ def run_convergence(plan: ExperimentPlan) -> RateReport:
             "every error would be 0 and no rate can be fitted"
         )
     tasks = [(n, t) for n in plan.n_list for t in range(plan.trials)]
-
-    # Children read BLAS thread env at import; set-before-spawn pins them
-    # without touching the already-initialized parent. Set outright: a
-    # user's export must not change the floating-point environment.
-    saved = {v: os.environ.get(v) for v in _BLAS_THREAD_VARS}
-    os.environ.update({v: "1" for v in _BLAS_THREAD_VARS})
-    try:
-        with ProcessPoolExecutor(
-            max_workers=plan.workers,
-            mp_context=get_context("spawn"),
-            initializer=_pool_init,
-            initargs=(plan.cfg, a0, noise, plan.estimators),
-        ) as pool:
-            cell_results = list(pool.map(_pool_cell, tasks, chunksize=1))
-    finally:
-        for v, old in saved.items():
-            if old is None:
-                os.environ.pop(v, None)
-            else:
-                os.environ[v] = old
-
-    by_cell = dict(zip(tasks, cell_results))
+    by_cell = dict(zip(tasks, _run_cells(plan.cfg, a0, plan.estimators, tasks, plan.workers)))
     runs = tuple(
         rec
         for name in plan.estimators

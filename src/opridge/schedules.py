@@ -118,12 +118,6 @@ class LambdaSchedule:
     lambdas: tuple[float, ...]
     clamped: bool
 
-    def __post_init__(self) -> None:
-        if self.y_max != len(self.lambdas):
-            raise ValueError("lambda count must equal y_max")
-        if any(lam <= 0.0 for lam in self.lambdas):
-            raise ValueError("lambdas must be positive")
-
 
 def _contour_lambdas(cfg: ProblemConfig, n: int, kind: str) -> LambdaSchedule:
     """Corner lambdas of the `kind` contour at rows j = 1..y_max.

@@ -79,12 +79,10 @@ class SampleSet:
     Attributes:
         u: N x D_in input coordinates in the input orthonormal basis.
         v: N x D_out output coordinates, v = u @ m.T + noise.
-        seed_used: the seed the dataset was drawn from.
     """
 
     u: np.ndarray
     v: np.ndarray
-    seed_used: int
 
     def __post_init__(self) -> None:
         if self.u.ndim != 2 or self.v.ndim != 2:
@@ -151,7 +149,7 @@ def make_dataset(
     """
     ((u, eps),) = sample_blocks(a0, n, profile, rng_seed, n)
     v = u @ a0.m.T + eps
-    return SampleSet(u=u, v=v, seed_used=rng_seed)
+    return SampleSet(u=u, v=v)
 
 
 def sample_blocks(
@@ -202,7 +200,9 @@ def random_source_operator(
     w_in = np.arange(1, cfg.d_in + 1, dtype=np.float64) ** -taper_in
     w_out = np.arange(1, cfg.d_out + 1, dtype=np.float64) ** -taper_out
     a = signs * w_out[:, np.newaxis] * w_in[np.newaxis, :]
-    norm = float(np.linalg.norm(a))
+    # Not np.linalg.norm: its BLAS dot product rounds differently for each
+    # thread count, and this runs in the caller's process.
+    norm = math.sqrt(float(np.sum(a * a)))
     if cfg.B > 0.0 and norm > 0.0:
         a = a * (cfg.B / norm)
     else:

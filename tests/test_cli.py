@@ -4,11 +4,17 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import opridge
 from opridge import (
+    harness,
     multilevel_schedule,
     packing_operator,
     parse_config,
@@ -239,6 +245,57 @@ class TestRates:
         assert ns == ["32", "64", "128"]
 
 
+@pytest.fixture(scope="module")
+def template_runs_per_blas_threads(tmp_path_factory):
+    """rates and simulate on the template, each in a fresh process whose
+    environment allows 1 and then 2 BLAS threads.
+
+    Returns {threads: (summary CSV bytes, runs CSV text, simulate JSON)}.
+    """
+    work = tmp_path_factory.mktemp("blas")
+    cfg = work / "cfg.json"
+    assert cli_main(["gen-config", "--out", str(cfg)]) == 0
+    src = str(Path(opridge.__file__).resolve().parent.parent)
+    outputs = {}
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        env.update({v: threads for v in harness._BLAS_THREAD_VARS})
+
+        def opridge_cli(*argv):
+            subprocess.run([sys.executable, "-m", "opridge.cli", *argv, "--config", str(cfg)],
+                           env=env, check=True, capture_output=True)
+
+        summary = work / f"sum{threads}.csv"
+        opridge_cli("rates", "--n-list", "1024,4096,16384", "--trials", "1",
+                    "--workers", "1", "--out", str(summary))
+        simulated = work / f"sim{threads}.json"
+        opridge_cli("simulate", "--n", "16384", "--trial", "0", "--out", str(simulated))
+        outputs[threads] = (summary.read_bytes(),
+                            (work / f"sum{threads}_runs.csv").read_text(),
+                            json.loads(simulated.read_text()))
+    return outputs
+
+
+class TestBlasThreadsInTheCallersEnvironment:
+    # Only a host with two or more CPUs runs a second BLAS thread, so on one
+    # CPU these tests cannot fail.
+    def test_rates_summary_bytes_do_not_depend_on_them(self, template_runs_per_blas_threads):
+        one, two = (template_runs_per_blas_threads[t][0] for t in ("1", "2"))
+        assert one == two, "the summary CSV changed with the caller's BLAS threads"
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_simulate_equals_the_rates_cell(self, template_runs_per_blas_threads, threads):
+        _, runs, simulated = template_runs_per_blas_threads[threads]
+        cell = {}
+        for line in runs.splitlines()[1:]:
+            estimator, n, trial, error_sq, _ = line.split(",")
+            if (n, trial) == ("16384", "0"):
+                cell[estimator] = float(error_sq)
+        got = {r["estimator"]: r["error_sq"] for r in simulated["results"]}
+        assert got == cell, "simulate must reproduce the rates cell bit for bit"
+
+
 class TestExitCodes:
     def test_zero_problem_exits_two_naming_the_fields(self, tmp_path, capsys):
         # Passes validation, but every error would be 0 and no slope exists.
@@ -266,6 +323,35 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert field in err and "Traceback" not in err
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("argv, overrides, field", [
+        (["schedule", "--n", str(10**400)], {}, "--n"),
+        (["contours", "--n", str(10**400)], {}, "--n"),
+        (["simulate", "--n", str(2**1024)], {}, "--n"),
+        (["schedule", "--n", str(2**1024 - 1)], {}, "--n"),
+        (["contours"], {"n_list": [64, 128, 2**1024]}, "n_list"),
+        (["simulate"], {"n_list": [64, 128, 2**1024 - 2**970]}, "n_list"),
+        (["rates", "--n-list", f"64,128,{10**400}"], {}, "n_list"),
+        (["rates"], {"n_list": [64, 128, 2**1024]}, "n_list"),
+    ], ids=["schedule-n-1e400", "contours-n-1e400", "simulate-n-2^1024",
+            "schedule-n-2^1024-1", "contours-config-2^1024", "simulate-config-2^1024-2^970",
+            "rates-flag-1e400", "rates-config-2^1024"])
+    def test_sample_counts_past_double_range_exit_two(self, tmp_path, capsys, monkeypatch,
+                                                      argv, overrides, field):
+        # The lambda floor computes n / ln n in doubles, so a count past the
+        # largest double is refused before any cell runs.
+        def no_pool(*args, **kwargs):
+            raise AssertionError("no worker pool may start")
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        path, _ = write_config(tmp_path, **overrides)
+        out = tmp_path / "x.csv"
+        extra = ["--out", str(out)] if argv[0] == "rates" else []
+        assert cli_main([*argv, *extra, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert field in err and "must be at most 1.79769e+308" in err, err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("noise", [
         {"sigma": 0.1, "profile": "polynomial"},

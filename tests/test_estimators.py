@@ -9,6 +9,7 @@ import pytest
 from conftest import drawn_inputs, random_decay, random_problem_config
 
 from opridge import (
+    ESTIMATOR_NAMES,
     EigenDecay,
     EmpiricalCovariances,
     LambdaMap,
@@ -53,21 +54,21 @@ def population_covariances(a0: OperatorMatrix) -> EmpiricalCovariances:
 
 class TestEmpiricalCovariances:
     def test_orthogonal_rows(self):
-        data = SampleSet(u=np.eye(2), v=np.zeros((2, 2)), seed_used=0)
+        data = SampleSet(u=np.eye(2), v=np.zeros((2, 2)))
         cov = empirical_covariances(data)
         np.testing.assert_allclose(cov.c_kk, np.eye(2) / 2.0, rtol=1e-15)
 
     def test_constant_sample(self):
         u = np.ones((5, 1))
         v = 2.0 * np.ones((5, 1))
-        cov = empirical_covariances(SampleSet(u=u, v=v, seed_used=0))
+        cov = empirical_covariances(SampleSet(u=u, v=v))
         assert cov.c_kk[0, 0] == pytest.approx(1.0, rel=1e-15)
         assert cov.c_lk[0, 0] == pytest.approx(2.0, rel=1e-15)
 
     def test_symmetry_exact(self):
         rng = np.random.default_rng(5)
         data = SampleSet(
-            u=rng.normal(size=(40, 7)), v=rng.normal(size=(40, 3)), seed_used=0
+            u=rng.normal(size=(40, 7)), v=rng.normal(size=(40, 3))
         )
         cov = empirical_covariances(data)
         assert np.array_equal(cov.c_kk, cov.c_kk.T), "symmetrization must be exact"
@@ -162,7 +163,7 @@ class TestFitRowwiseRidge:
     def test_unlearned_rows_are_exactly_zero(self):
         rng = np.random.default_rng(9)
         cov = empirical_covariances(
-            SampleSet(u=rng.normal(size=(20, 4)), v=rng.normal(size=(20, 6)), seed_used=0)
+            SampleSet(u=rng.normal(size=(20, 4)), v=rng.normal(size=(20, 6)))
         )
         lmap = LambdaMap(
             lams=np.ones(6), learned=np.array([True, False, True, False, False, True])
@@ -177,7 +178,7 @@ class TestFitRowwiseRidge:
             d_in, d_out = int(rng.integers(2, 20)), int(rng.integers(1, 20))
             u = rng.normal(size=(50, d_in))
             v = rng.normal(size=(50, d_out))
-            cov = empirical_covariances(SampleSet(u=u, v=v, seed_used=0))
+            cov = empirical_covariances(SampleSet(u=u, v=v))
             lams = rng.uniform(0.01, 2.0, size=d_out)
             lmap = LambdaMap(lams=lams, learned=np.ones(d_out, dtype=bool))
             out = fit_rowwise_ridge(cov, lmap)
@@ -230,8 +231,11 @@ class TestEstimators:
         data = make_dataset(a0, 200, NoiseProfile(sigma=cfg.sigma), rng_seed=22)
         cov = empirical_covariances(data)
         est = estimate_from_covariances(cov, cfg, "multilevel")
-        sched = multilevel_schedule(cfg, data.n)
-        want = fit_rowwise_ridge(cov, LambdaMap.from_level_schedule(sched, cfg.d_out))
+        lams, learned = np.ones(cfg.d_out), np.zeros(cfg.d_out, dtype=bool)
+        for level in multilevel_schedule(cfg, data.n).levels:
+            lams[level.row_start - 1 : level.row_end - 1] = level.lam
+            learned[level.row_start - 1 : level.row_end - 1] = True
+        want = fit_rowwise_ridge(cov, LambdaMap(lams=lams, learned=learned))
         assert np.array_equal(est.m, want), "must be the same computation"
 
     def test_contour_estimators_learn_scheduled_rows_only(self):
@@ -259,7 +263,7 @@ class TestEstimators:
     def test_zero_outputs_give_zero_estimate(self):
         cfg = small_config()
         u = drawn_inputs(32, cfg.input_decay, rng_seed=27)
-        data = SampleSet(u=u, v=np.zeros((32, 8)), seed_used=0)
+        data = SampleSet(u=u, v=np.zeros((32, 8)))
         est = fit_rowwise_ridge(empirical_covariances(data), LambdaMap.uniform(8, 0.5))
         assert np.all(est == 0.0)
 
@@ -282,6 +286,29 @@ class TestEstimators:
         cov = population_covariances(random_source_operator(cfg, rng_seed=31)[1])
         with pytest.raises(ValueError, match="lasso"):
             estimate_from_covariances(cov, cfg, "lasso")
+        with pytest.raises(ValueError, match="unknown estimator 'lasso'"):
+            LambdaMap.for_estimator(cfg, 64, "lasso")
+
+    @pytest.mark.parametrize("n", [2, 17, 1024, 65536, 10**6])
+    def test_for_estimator_matches_row_by_row_maps(self, n):
+        # Each estimator's map, written out row by row from its schedule.
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            cfg = random_problem_config(rng, d_out=int(rng.integers(1, 64)))
+            contour = {name: fn(cfg, n) for name, fn in
+                       (("variance", variance_lambdas), ("bias", bias_lambdas))}
+            rows = {
+                "single": {j: single_ridge_lambda(cfg, n) for j in range(cfg.d_out)},
+                **{name: {j: sched.lambdas[j] for j in range(sched.y_max)}
+                   for name, sched in contour.items()},
+                "multilevel": {j: level.lam for level in multilevel_schedule(cfg, n).levels
+                               for j in range(level.row_start - 1, level.row_end - 1)},
+            }
+            assert set(rows) == set(ESTIMATOR_NAMES)
+            for name, want in rows.items():
+                lmap = LambdaMap.for_estimator(cfg, n, name)
+                assert lmap.learned.tolist() == [j in want for j in range(cfg.d_out)], name
+                assert [lmap.lams[j] for j in sorted(want)] == [want[j] for j in sorted(want)], name
 
 
 class TestPopulationRegularized:

@@ -27,7 +27,6 @@ from opridge import (
     ground_truth_seed,
     laplacian_operator,
     load_config,
-    multilevel_schedule,
     oracle_checks,
     packing_operator,
     parse_config,
@@ -187,7 +186,7 @@ class TestRunTrial:
         src, a0 = random_source_operator(cfg, 1234)
         n = 16384
         err_sq = trial_record(cfg, a0, n, 0, "multilevel", NoiseProfile(sigma=0.0)).error_sq
-        lmap = LambdaMap.from_level_schedule(multilevel_schedule(cfg, n), cfg.d_out)
+        lmap = LambdaMap.for_estimator(cfg, n, "multilevel")
         bias = analytic_bias(src, lmap, cfg.input_decay, cfg.output_decay,
                              cfg.beta_prime, cfg.gamma_prime)
         assert err_sq <= bias**2 + 1e-6, \
