@@ -14,9 +14,10 @@ use. Covariances are uncentered and c_kk is symmetrized. The estimators
 differ only in their map: LambdaMap.for_estimator gives the map of each of
 the ESTIMATOR_NAMES, and estimate_from_covariances fits it this way.
 
-streamed_covariances computes the covariances of a simulated cell from
-inputs and noise drawn in fixed-size row blocks, without building the
-dataset; empirical_covariances does the same for a SampleSet in hand.
+streamed_covariances computes the covariances of a simulated trial at
+each of its sample counts in one pass over inputs and noise drawn in
+fixed-size row blocks, without building the dataset;
+empirical_covariances does the same for a SampleSet in hand.
 
 The population oracles (population_regularized, analytic_bias) evaluate the
 infinite-sample limit of the same ridge in closed form; tests pit the solver
@@ -26,6 +27,7 @@ against them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -57,11 +59,13 @@ __all__ = [
 _SYM_TOL = 1e-12
 _EIG_TOL = 1e-12
 
-# Rows per block when streaming a cell's statistics. A constant, never
+# Rows per block when streaming a trial's statistics. A constant, never
 # derived from n or the worker count: the Gram sums then run in an order
 # that depends on n alone, so a cell gives the same bytes in any pool, and
-# the memory a cell needs does not grow with n.
-STREAM_BLOCK_ROWS = 4096
+# the memory a trial needs does not grow with n. A template block
+# (d_in + d_out = 768 columns) is about 6 MB; it stays alive while the
+# estimators fit at an n inside it, so it is kept small.
+STREAM_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -126,23 +130,59 @@ def empirical_covariances(data: SampleSet) -> EmpiricalCovariances:
 
 
 def streamed_covariances(
-    a0: OperatorMatrix, n: int, profile: NoiseProfile, rng_seed: int
-) -> EmpiricalCovariances:
-    """Covariances of make_dataset(a0, n, profile, rng_seed), never built.
+    a0: OperatorMatrix, n_list: Sequence[int], profile: NoiseProfile, rng_seed: int
+) -> Iterator[EmpiricalCovariances]:
+    """Covariances of make_dataset(a0, n, profile, rng_seed) for each n in n_list.
 
-    Draws the dataset's inputs u and noise eps in blocks of
-    STREAM_BLOCK_ROWS rows and accumulates u.T @ u and eps.T @ u. Since
-    v = u @ a0.m.T + eps, the cross matrix is exactly
-    c_lk = a0.m @ c_kk + eps.T @ u / n, so v is never formed and memory
-    stays at one block whatever n is. The result agrees with
-    empirical_covariances(make_dataset(...)) up to rounding.
+    One pass: draws the inputs u and noise eps of the n_list[-1]-row
+    dataset once, in blocks of STREAM_BLOCK_ROWS rows, and accumulates
+    u.T @ u and eps.T @ u over the full blocks. For each n, in ascending
+    order, it yields the covariances of the first n rows, which are the
+    rows of the n-row dataset: the full blocks below n plus the first
+    n mod STREAM_BLOCK_ROWS rows of n's block, added as a separate term.
+    The running full-block sums never include such a term, so the
+    covariances at n are the same bits whatever else n_list holds.
+
+    Since v = u @ a0.m.T + eps, the cross matrix is exactly
+    c_lk = a0.m @ c_kk + eps.T @ u / n, so v is never formed. Memory stays
+    at one block whatever n is; the block in which an n ends stays alive
+    while the consumer works on that n. Each result agrees with
+    empirical_covariances(make_dataset(a0, n, ...)) up to rounding.
+
+    Raises:
+        ValueError: n_list is empty, not strictly increasing, or starts
+            below 1; raised on the call, before any draw.
     """
+    n_list = tuple(int(n) for n in n_list)
+    if not n_list or n_list[0] < 1 or any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise ValueError(f"n_list must be strictly increasing counts >= 1, got {n_list}")
+    return _nested_covariances(a0, n_list, profile, rng_seed)
+
+
+def _nested_covariances(
+    a0: OperatorMatrix, n_list: tuple[int, ...], profile: NoiseProfile, rng_seed: int
+) -> Iterator[EmpiricalCovariances]:
     uu = np.zeros((a0.d_in, a0.d_in))
     eu = np.zeros((a0.d_out, a0.d_in))
-    for u, eps in sample_blocks(a0, n, profile, rng_seed, STREAM_BLOCK_ROWS):
+    pending = list(n_list)
+    start = 0  # rows in uu and eu
+    for u, eps in sample_blocks(a0, n_list[-1], profile, rng_seed, STREAM_BLOCK_ROWS):
+        stop = start + u.shape[0]
+        # n_list[-1] is the last stop: it is the last n taken, after the last block.
+        while pending[0] < stop:
+            rows = pending[0] - start
+            yield _from_sums(a0, uu + u[:rows].T @ u[:rows], eu + eps[:rows].T @ u[:rows],
+                             pending.pop(0))
         uu += u.T @ u
         eu += eps.T @ u
         del u, eps  # free this block before the next one is drawn
+        start = stop
+        if pending[0] == stop:
+            yield _from_sums(a0, uu, eu, pending.pop(0))
+
+
+def _from_sums(a0: OperatorMatrix, uu: np.ndarray, eu: np.ndarray, n: int) -> EmpiricalCovariances:
+    """Covariances of n rows from their sums u.T @ u and eps.T @ u."""
     c_kk = uu / n
     c_kk = (c_kk + c_kk.T) / 2.0
     return EmpiricalCovariances(c_kk=c_kk, c_lk=a0.m @ c_kk + eu / n, n=n)

@@ -1,11 +1,15 @@
 """Experiment orchestration: configs, trial grids, rate fits, persistence.
 
 A convergence experiment is a grid of cells indexed by (sample count n,
-trial). Every cell draws its dataset from a sub-seed derived only from
-(config seed, n, trial), so the numbers are a pure function of the config
-regardless of execution order or worker count. run_convergence, like the
-simulate subcommand, executes cells in spawned worker processes pinned to
-one BLAS thread -- even with one worker -- so the parent interpreter never
+trial). Each trial is one stream of samples, seeded only by (config seed,
+trial), and cell (n, trial) is the stream's first n rows. One pass over
+the stream snapshots the covariances at every n, and the snapshot at n is
+the same bits whatever else n_list holds, so the numbers are a pure
+function of (config, n, trial) regardless of execution order or worker
+count. The errors at different n of one trial are therefore correlated;
+different trials are independent. run_convergence, like the simulate
+subcommand, executes trials in spawned worker processes pinned to one
+BLAS thread -- even with one worker -- so the parent interpreter never
 does cell arithmetic and the output bytes depend neither on how many
 workers were requested nor on the caller's BLAS thread variables.
 
@@ -78,7 +82,7 @@ __all__ = [
     "write_summary_csv",
 ]
 
-# Sub-seed stream tag for trial datasets; tags 1-3 belong to the synth module.
+# Sub-seed stream tag for trial streams; tags 1-3 belong to the synth module.
 _TAG_TRIAL = 0x7
 
 _GROUND_TRUTH_KINDS = ("random", "laplacian", "packing")
@@ -312,40 +316,50 @@ def run_cell(
     estimators: Sequence[str],
     noise: NoiseProfile,
 ) -> tuple[TrialRecord, ...]:
-    """Fit every requested estimator on one freshly drawn dataset.
+    """Fit every requested estimator on the first n rows of one trial's stream.
 
-    noise must be NoiseProfile(sigma=cfg.sigma), as load_config returns it:
-    the config's sigma is the one noise scale.
-
-    The cell's covariances are streamed from its dataset's draws (see
-    streamed_covariances): the n-row dataset is never held in memory, and
-    the one eigendecomposition they carry serves every estimator. Each
-    record's elapsed_ms charges that shared preparation plus the
-    estimator's own solve and norm, so it approximates what fitting that
-    estimator alone would cost, while the whole cell pays the preparation
-    once.
+    The one-n case of the pass a sweep makes over each trial (see
+    _run_trial), so its records equal the sweep's records of cell
+    (n, trial_index) bit for bit. noise must be NoiseProfile(sigma=cfg.sigma),
+    as load_config returns it: the config's sigma is the one noise scale.
 
     Raises:
         ConfigError: an error is not finite, because the scales B and
             sigma are too large for double precision.
     """
-    t0 = time.perf_counter()
-    cov = streamed_covariances(
-        a0, n, noise, derive_seed(cfg.seed, _TAG_TRIAL, n, trial_index)
-    )
-    prep = time.perf_counter() - t0
+    return _run_trial(cfg, a0, (n,), trial_index, estimators, noise)
+
+
+def _run_trial(
+    cfg: ProblemConfig,
+    a0: OperatorMatrix,
+    n_list: Sequence[int],
+    trial_index: int,
+    estimators: Sequence[str],
+    noise: NoiseProfile,
+) -> tuple[TrialRecord, ...]:
+    """Records of every (n, estimator) of one trial, in that order, from one pass.
+
+    The trial's stream is seeded by (cfg.seed, trial_index) alone, and
+    streamed_covariances gives cell n its first n rows, the same bits
+    whatever else n_list holds. The draw and the Gram sums are shared by
+    every n and estimator, so a record's elapsed_ms is that estimator's
+    own solve and norm.
+    """
+    seed = derive_seed(cfg.seed, _TAG_TRIAL, trial_index)
     records = []
-    for name in estimators:
-        t1 = time.perf_counter()
-        a_hat = estimate_from_covariances(cov, cfg, name)
-        err = bg_norm(a_hat.difference(a0), cfg.beta_prime, cfg.gamma_prime) ** 2
-        if not math.isfinite(err):
-            raise ConfigError(
-                f"the {name} error at n={n} is {err}: the scales B={cfg.B} and "
-                f"sigma={cfg.sigma} are too large for double precision"
-            )
-        elapsed = prep + time.perf_counter() - t1
-        records.append(TrialRecord(name, int(n), int(trial_index), float(err), elapsed * 1e3))
+    for cov in streamed_covariances(a0, n_list, noise, seed):
+        for name in estimators:
+            t0 = time.perf_counter()
+            a_hat = estimate_from_covariances(cov, cfg, name)
+            err = bg_norm(a_hat.difference(a0), cfg.beta_prime, cfg.gamma_prime) ** 2
+            elapsed = time.perf_counter() - t0
+            if not math.isfinite(err):
+                raise ConfigError(
+                    f"the {name} error at n={cov.n} is {err}: the scales B={cfg.B} and "
+                    f"sigma={cfg.sigma} are too large for double precision"
+                )
+            records.append(TrialRecord(name, cov.n, int(trial_index), float(err), elapsed * 1e3))
     return tuple(records)
 
 
@@ -390,24 +404,25 @@ _WORKER_STATE: dict[str, Any] = {}
 
 
 def _pool_init(cfg: ProblemConfig, a0: OperatorMatrix, noise: NoiseProfile,
-               estimators: tuple[str, ...]) -> None:
-    _WORKER_STATE["args"] = (cfg, a0, noise, estimators)
+               n_list: tuple[int, ...], estimators: tuple[str, ...]) -> None:
+    _WORKER_STATE["args"] = (cfg, a0, noise, n_list, estimators)
 
 
-def _pool_cell(task: tuple[int, int]) -> tuple[TrialRecord, ...]:
-    n, trial = task
-    cfg, a0, noise, estimators = _WORKER_STATE["args"]
-    return run_cell(cfg, a0, n, trial, estimators, noise)
+def _pool_trial(trial: int) -> tuple[TrialRecord, ...]:
+    cfg, a0, noise, n_list, estimators = _WORKER_STATE["args"]
+    return _run_trial(cfg, a0, n_list, trial, estimators, noise)
 
 
 def _run_cells(cfg: ProblemConfig, a0: OperatorMatrix, estimators: Sequence[str],
-               tasks: Sequence[tuple[int, int]], workers: int) -> list[tuple[TrialRecord, ...]]:
-    """run_cell for each (n, trial) task, in spawned workers with one BLAS thread.
+               n_list: Sequence[int], trials: Sequence[int],
+               workers: int) -> list[tuple[TrialRecord, ...]]:
+    """The records of every cell (n, trial), one pass and one task per trial.
 
-    The parent never does cell arithmetic, so an error depends on
-    (cfg, a0, n, trial) alone, not on the worker count or the caller's BLAS
-    thread variables. Results come back in task order. Every cell draws its
-    noise with NoiseProfile(sigma=cfg.sigma).
+    Each task is _run_trial over n_list, in spawned workers with one BLAS
+    thread; results come back in trial order. The parent never does cell
+    arithmetic, so an error depends on (cfg, a0, n, trial) alone, not on
+    n_list, the worker count or the caller's BLAS thread variables. Every
+    trial draws its noise with NoiseProfile(sigma=cfg.sigma).
     """
     # Children read BLAS thread env at import; set-before-spawn pins them
     # without touching the already-initialized parent. Set outright: a
@@ -419,9 +434,9 @@ def _run_cells(cfg: ProblemConfig, a0: OperatorMatrix, estimators: Sequence[str]
             max_workers=workers,
             mp_context=get_context("spawn"),
             initializer=_pool_init,
-            initargs=(cfg, a0, NoiseProfile(sigma=cfg.sigma), tuple(estimators)),
+            initargs=(cfg, a0, NoiseProfile(sigma=cfg.sigma), tuple(n_list), tuple(estimators)),
         ) as pool:
-            return list(pool.map(_pool_cell, tasks, chunksize=1))
+            return list(pool.map(_pool_trial, trials, chunksize=1))
     finally:
         for v, old in saved.items():
             if old is None:
@@ -433,10 +448,11 @@ def _run_cells(cfg: ProblemConfig, a0: OperatorMatrix, estimators: Sequence[str]
 def run_convergence(plan: ExperimentPlan) -> RateReport:
     """Execute the full (estimator, n, trial) grid and fit the rates.
 
-    Cells run through _run_cells: in spawned worker processes with BLAS
-    threading pinned to one thread, whatever the caller's environment says,
-    so every error value is identical for any worker count. Results are
-    assembled in a fixed order independent of scheduling.
+    Trials run through _run_cells, one pass over n_list each: in spawned
+    worker processes with BLAS threading pinned to one thread, whatever the
+    caller's environment says, so every error value is identical for any
+    worker count. Results are assembled in a fixed order independent of
+    scheduling.
 
     Raises:
         ConfigError: the ground truth is the zero operator and sigma is 0,
@@ -451,15 +467,14 @@ def run_convergence(plan: ExperimentPlan) -> RateReport:
             f"{plan.ground_truth.kind!r}) is the zero operator and sigma is 0: "
             "every error would be 0 and no rate can be fitted"
         )
-    tasks = [(n, t) for n in plan.n_list for t in range(plan.trials)]
-    by_cell = dict(zip(tasks, _run_cells(plan.cfg, a0, plan.estimators, tasks, plan.workers)))
+    trials = _run_cells(plan.cfg, a0, plan.estimators, plan.n_list, range(plan.trials),
+                        plan.workers)
+    by_cell = {(r.estimator, r.n, r.trial): r for records in trials for r in records}
     runs = tuple(
-        rec
+        by_cell[(name, n, t)]
         for name in plan.estimators
         for n in plan.n_list
         for t in range(plan.trials)
-        for rec in by_cell[(n, t)]
-        if rec.estimator == name
     )
 
     summaries = []
@@ -601,7 +616,11 @@ def _write_lines(path: str | Path, lines: Iterable[str]) -> None:
 
 
 def write_runs_csv(report: RateReport, path: str | Path) -> None:
-    """Per-trial rows; wall times make this file non-reproducible."""
+    """Per-trial rows; wall times make this file non-reproducible.
+
+    elapsed_ms is the estimator's own solve and norm. The draw and the Gram
+    sums, which every n and estimator of a trial share, are not in it.
+    """
     lines = [RUNS_HEADER]
     for r in report.runs:
         lines.append(

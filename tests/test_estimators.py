@@ -105,11 +105,11 @@ class TestStreamedCovariances:
         _, a0 = random_source_operator(cfg, rng_seed=51)
         return a0, NoiseProfile(sigma=0.3)
 
-    @pytest.mark.parametrize("n", [100, 2 * STREAM_BLOCK_ROWS + 123])
+    @pytest.mark.parametrize("n", [100, 8 * STREAM_BLOCK_ROWS + 123])
     def test_matches_raw_sample_covariances(self, n):
         # n below one block, and n spanning a partial last block.
         a0, profile = self.problem()
-        got = streamed_covariances(a0, n, profile, rng_seed=52)
+        (got,) = streamed_covariances(a0, (n,), profile, rng_seed=52)
         want = empirical_covariances(make_dataset(a0, n, profile, rng_seed=52))
         assert got.n == want.n == n
         for name in ("c_kk", "c_lk"):
@@ -122,17 +122,41 @@ class TestStreamedCovariances:
         a0, profile = self.problem()
 
         def peak(n: int) -> int:
-            tracemalloc.start()
-            try:
-                streamed_covariances(a0, n, profile, rng_seed=53)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return pass_peak(a0, profile, (n,))
 
         peak(STREAM_BLOCK_ROWS)  # warm-up: first-call allocations
         small, large = peak(2 * STREAM_BLOCK_ROWS), peak(16 * STREAM_BLOCK_ROWS)
         # Whole arrays at 16 blocks would need 8x the memory of 2 blocks.
         assert large <= 1.1 * small, f"peak {large} B at 16 blocks vs {small} B at 2"
+
+    def test_peak_memory_does_not_grow_with_snapshots(self):
+        a0, profile = self.problem()
+        # 7 snapshots inside a block, each with its own partial term, then one
+        # on the last block boundary.
+        n_list = tuple(2 * k * STREAM_BLOCK_ROWS - 300 for k in range(1, 8)) + (
+            16 * STREAM_BLOCK_ROWS,)
+        pass_peak(a0, profile, (STREAM_BLOCK_ROWS,))  # warm-up: first-call allocations
+        small = pass_peak(a0, profile, (2 * STREAM_BLOCK_ROWS,))
+        large = pass_peak(a0, profile, n_list)
+        assert large <= 1.1 * small, \
+            f"peak {large} B over {len(n_list)} snapshots to 16 blocks vs {small} B at 2 blocks"
+
+    @pytest.mark.parametrize("n_list", [(), (0, 8), (300, 300), (1500, 300, 5000)])
+    def test_bad_n_list_rejected_before_any_draw(self, n_list):
+        a0, profile = self.problem()
+        with pytest.raises(ValueError, match="strictly increasing"):
+            streamed_covariances(a0, n_list, profile, rng_seed=54)
+
+
+def pass_peak(a0: OperatorMatrix, profile: NoiseProfile, n_list: tuple[int, ...]) -> int:
+    """tracemalloc peak of one streamed pass whose consumer drops each snapshot."""
+    tracemalloc.start()
+    try:
+        for _ in streamed_covariances(a0, n_list, profile, rng_seed=53):
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestFitRowwiseRidge:

@@ -5,11 +5,13 @@ from __future__ import annotations
 import json
 import math
 import os
+import time
 
 import numpy as np
 import pytest
 
 from opridge import (
+    ESTIMATOR_NAMES,
     ConfigError,
     ExperimentPlan,
     GroundTruthSpec,
@@ -195,8 +197,8 @@ class TestRunTrial:
     def test_huge_lambda_recovers_truth_norm(self):
         cfg = small_config()
         _, a0 = random_source_operator(cfg, ground_truth_seed(cfg))
-        cov = streamed_covariances(a0, 128, NoiseProfile(sigma=cfg.sigma),
-                                   derive_seed(cfg.seed, 0x7, 128, 0))
+        (cov,) = streamed_covariances(a0, (128,), NoiseProfile(sigma=cfg.sigma),
+                                      derive_seed(cfg.seed, 0x7, 0))
         a_hat = OperatorMatrix(fit_rowwise_ridge(cov, LambdaMap.uniform(cfg.d_out, 1e30)),
                                cfg.input_decay, cfg.output_decay)
         err_sq = bg_norm(a_hat.difference(a0), cfg.beta_prime, cfg.gamma_prime) ** 2
@@ -222,12 +224,40 @@ class TestRunCell:
         cfg = small_config()
         _, a0 = random_source_operator(cfg, ground_truth_seed(cfg))
         rec = run_cell(cfg, a0, 256, 2, ("multilevel",), NoiseProfile(sigma=cfg.sigma))[0]
-        cov = streamed_covariances(a0, 256, NoiseProfile(sigma=cfg.sigma),
-                                   derive_seed(cfg.seed, 0x7, 256, 2))
+        (cov,) = streamed_covariances(a0, (256,), NoiseProfile(sigma=cfg.sigma),
+                                      derive_seed(cfg.seed, 0x7, 2))
         a_hat = estimate_from_covariances(cov, cfg, "multilevel")
         want = bg_norm(a_hat.difference(a0), cfg.beta_prime, cfg.gamma_prime) ** 2
         assert rec.error_sq == want, \
             "cell path and standalone estimate must agree bit for bit"
+
+    def test_cell_of_a_nested_pass_equals_the_standalone_cell(self):
+        # With 1024-row blocks: 300 lies below one block, 1500 inside the
+        # second, 1024 on the first boundary, 5000 and 9000 in a short last block.
+        cfg = small_config()
+        _, a0 = random_source_operator(cfg, ground_truth_seed(cfg))
+        noise = NoiseProfile(sigma=cfg.sigma)
+
+        def key(records):
+            return [(r.estimator, r.n, r.trial, r.error_sq) for r in records]
+
+        for n_list in ((300, 1500, 5000), (1500, 9000), (1024, 1500)):
+            nested = key(harness._run_trial(cfg, a0, n_list, 1, ESTIMATOR_NAMES, noise))
+            alone = [rec for n in n_list
+                     for rec in key(run_cell(cfg, a0, n, 1, ESTIMATOR_NAMES, noise))]
+            assert len(nested) == len(n_list) * len(ESTIMATOR_NAMES)
+            assert nested == alone, f"a cell changed in the pass over {n_list}"
+
+    def test_elapsed_is_each_estimators_own_time(self):
+        # The draw and the Gram sums are shared: charging them to every record
+        # would make the records add up to more than the whole cell.
+        cfg = small_config(d_in=64, d_out=64)
+        _, a0 = random_source_operator(cfg, ground_truth_seed(cfg))
+        t0 = time.perf_counter()
+        recs = run_cell(cfg, a0, 20000, 0, ESTIMATOR_NAMES, NoiseProfile(sigma=cfg.sigma))
+        wall_ms = (time.perf_counter() - t0) * 1e3
+        total = sum(r.elapsed_ms for r in recs)
+        assert 0.0 < total <= wall_ms, f"records sum to {total:.3f} ms in a {wall_ms:.3f} ms cell"
 
 
 def tiny_plan(**overrides) -> ExperimentPlan:
