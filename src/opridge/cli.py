@@ -166,7 +166,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     a0 = gt.build(cfg)
     # The one cell runs in a pinned worker, as rates runs it, so its errors
     # match the rates runs CSV bit for bit.
-    (records,) = _run_cells(cfg, a0, _estimator_list(args.estimator), (n,), (args.trial,), 1)
+    (records,), _ = _run_cells(cfg, a0, _estimator_list(args.estimator), (n,), (args.trial,), 1)
     eta1, eta2, u = theoretical_rate(cfg)
     doc = {
         "n": n,
@@ -181,6 +181,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     }
     _emit(json.dumps(doc, indent=2), args.out)
     return 0
+
+
+def _report_progress(done: int, total: int, seconds: float) -> None:
+    sys.stderr.write(f"trial {done}/{total} done, {seconds:.2f} s\n")
 
 
 def _cmd_rates(args: argparse.Namespace) -> int:
@@ -219,7 +223,7 @@ def _cmd_rates(args: argparse.Namespace) -> int:
         workers=args.workers,
         **{name: str(p) for name, p in paths.items()},
     )
-    report = run_convergence(plan)
+    report = run_convergence(plan, _report_progress)
     for fit in report.fits:
         sys.stdout.write(
             f"{fit.estimator}: slope {fit.slope:+.4f} (target {-report.theoretical_eta1:+.4f}, "

@@ -26,8 +26,9 @@ against them.
 
 from __future__ import annotations
 
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from .core import (
     SourceCoefficients,
 )
 from .schedules import bias_lambdas, multilevel_schedule, variance_lambdas
-from .synth import NoiseProfile, SampleSet, sample_blocks
+from .synth import NoiseProfile, SampleSet, _stream_filler
 
 __all__ = [
     "ESTIMATOR_NAMES",
@@ -63,9 +64,13 @@ _EIG_TOL = 1e-12
 # derived from n or the worker count: the Gram sums then run in an order
 # that depends on n alone, so a cell gives the same bytes in any pool, and
 # the memory a trial needs does not grow with n. A template block
-# (d_in + d_out = 768 columns) is about 6 MB; it stays alive while the
-# estimators fit at an n inside it, so it is kept small.
-STREAM_BLOCK_ROWS = 1024
+# (d_in + d_out = 768 columns) is about 3 MB, and two may be alive: the one
+# being summed, which stays alive while the estimators fit at an n inside
+# it, and the next one, being filled.
+STREAM_BLOCK_ROWS = 512
+
+# Name prefix of the thread that fills blocks ahead of the sums.
+_DRAW_THREAD_NAME = "opridge-draw"
 
 
 @dataclass(frozen=True)
@@ -130,7 +135,12 @@ def empirical_covariances(data: SampleSet) -> EmpiricalCovariances:
 
 
 def streamed_covariances(
-    a0: OperatorMatrix, n_list: Sequence[int], profile: NoiseProfile, rng_seed: int
+    a0: OperatorMatrix,
+    n_list: Sequence[int],
+    profile: NoiseProfile,
+    rng_seed: int,
+    *,
+    draw_ahead: bool = False,
 ) -> Iterator[EmpiricalCovariances]:
     """Covariances of make_dataset(a0, n, profile, rng_seed) for each n in n_list.
 
@@ -145,9 +155,16 @@ def streamed_covariances(
 
     Since v = u @ a0.m.T + eps, the cross matrix is exactly
     c_lk = a0.m @ c_kk + eps.T @ u / n, so v is never formed. Memory stays
-    at one block whatever n is; the block in which an n ends stays alive
-    while the consumer works on that n. Each result agrees with
-    empirical_covariances(make_dataset(a0, n, ...)) up to rounding.
+    at two blocks whatever n is: the block being summed, which stays alive
+    while the consumer works on an n inside it, and the next one. Each
+    result agrees with empirical_covariances(make_dataset(a0, n, ...)) up
+    to rounding.
+
+    With draw_ahead, a second thread fills the next block while this one
+    sums the current one; both the RNG fill and BLAS release the GIL. The
+    fill and the sums are the same arithmetic on either path, so the
+    results are the same bits. The thread is joined when the pass ends,
+    is closed, or raises, and an exception of the fill is raised here.
 
     Raises:
         ValueError: n_list is empty, not strictly increasing, or starts
@@ -156,29 +173,70 @@ def streamed_covariances(
     n_list = tuple(int(n) for n in n_list)
     if not n_list or n_list[0] < 1 or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError(f"n_list must be strictly increasing counts >= 1, got {n_list}")
-    return _nested_covariances(a0, n_list, profile, rng_seed)
+    return _nested_covariances(a0, n_list, profile, rng_seed, draw_ahead)
+
+
+class _InlinePool:
+    """A one-thread pool's submit, run at once in the calling thread."""
+
+    def __enter__(self) -> "_InlinePool":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        return None
+
+    def submit(self, fn: Callable[..., None], *args: object) -> Future:
+        done: Future = Future()
+        done.set_result(fn(*args))
+        return done
 
 
 def _nested_covariances(
-    a0: OperatorMatrix, n_list: tuple[int, ...], profile: NoiseProfile, rng_seed: int
+    a0: OperatorMatrix,
+    n_list: tuple[int, ...],
+    profile: NoiseProfile,
+    rng_seed: int,
+    draw_ahead: bool,
 ) -> Iterator[EmpiricalCovariances]:
+    fill = _stream_filler(a0, profile, rng_seed)
     uu = np.zeros((a0.d_in, a0.d_in))
     eu = np.zeros((a0.d_out, a0.d_in))
     pending = list(n_list)
-    start = 0  # rows in uu and eu
-    for u, eps in sample_blocks(a0, n_list[-1], profile, rng_seed, STREAM_BLOCK_ROWS):
-        stop = start + u.shape[0]
-        # n_list[-1] is the last stop: it is the last n taken, after the last block.
-        while pending[0] < stop:
-            rows = pending[0] - start
-            yield _from_sums(a0, uu + u[:rows].T @ u[:rows], eu + eps[:rows].T @ u[:rows],
-                             pending.pop(0))
-        uu += u.T @ u
-        eu += eps.T @ u
-        del u, eps  # free this block before the next one is drawn
-        start = stop
-        if pending[0] == stop:
-            yield _from_sums(a0, uu, eu, pending.pop(0))
+    with (ThreadPoolExecutor(1, thread_name_prefix=_DRAW_THREAD_NAME) if draw_ahead
+          else _InlinePool()) as pool:
+
+        def request(start: int) -> tuple[np.ndarray, np.ndarray, Future] | None:
+            # This thread allocates every block: freed blocks then go back
+            # to its own heap, not to a heap of the draw thread's.
+            rows = min(STREAM_BLOCK_ROWS, n_list[-1] - start)
+            if rows == 0:
+                return None
+            u, eps = np.empty((rows, a0.d_in)), np.empty((rows, a0.d_out))
+            return u, eps, pool.submit(fill, u, eps)
+
+        block = request(0)
+        start = 0  # rows in uu and eu
+        while block is not None:
+            u, eps, filled = block
+            block = None  # u and eps now hold this block alone
+            filled.result()
+            stop = start + u.shape[0]
+            # Ask for the next block now, unless this one ends at a snapshot:
+            # then only once that snapshot's consumer is done, so that no
+            # block is alive while it works.
+            if stop not in pending:
+                block = request(stop)
+            while pending[0] < stop:
+                rows = pending[0] - start
+                yield _from_sums(a0, uu + u[:rows].T @ u[:rows], eu + eps[:rows].T @ u[:rows],
+                                 pending.pop(0))
+            uu += u.T @ u
+            eu += eps.T @ u
+            del u, eps
+            start = stop
+            if pending[0] == stop:
+                yield _from_sums(a0, uu, eu, pending.pop(0))
+                block = request(stop)
 
 
 def _from_sums(a0: OperatorMatrix, uu: np.ndarray, eu: np.ndarray, n: int) -> EmpiricalCovariances:

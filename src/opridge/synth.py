@@ -2,7 +2,9 @@
 
 sample_blocks draws the inputs and noise of a dataset in row blocks, for
 statistics that are accumulated without holding the dataset; make_dataset
-is its one-block case.
+is its one-block case. Every draw goes through one in-place fill of
+buffers the caller allocates, which the streamed pass of the estimators
+module may run on a second thread.
 
 Input coordinates are bounded uniforms scaled by sqrt(mu_i) so the
 almost-sure embedding bound genuinely holds (Gaussians would violate it).
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -129,13 +131,38 @@ class NoiseProfile:
         return (self.sigma**2) * (6.0 / math.pi**2) * j**-2.0
 
 
-def _scaled_uniform(
-    rng: np.random.Generator, rows: int, scale: np.ndarray
-) -> np.ndarray:
-    """rows x len(scale) draws uniform on [-sqrt3, sqrt3], column i times scale[i]."""
-    x = rng.uniform(-SQRT3, SQRT3, size=(rows, scale.size))
-    x *= scale[np.newaxis, :]
-    return x
+def _fill_scaled_uniform(rng: np.random.Generator, out: np.ndarray, scale: np.ndarray) -> None:
+    """Fill out with draws uniform on [-sqrt3, sqrt3], column i times scale[i], in place.
+
+    The same bits as rng.uniform(-SQRT3, SQRT3, out.shape) * scale, which
+    computes low + (high - low) * r with high - low = 2 * SQRT3 exactly,
+    but with no second array of out's size.
+    """
+    rng.random(out=out)
+    out *= 2.0 * SQRT3
+    out += -SQRT3
+    out *= scale
+
+
+def _stream_filler(
+    a0: OperatorMatrix, profile: NoiseProfile, rng_seed: int
+) -> Callable[[np.ndarray, np.ndarray], None]:
+    """fill(u, eps): write the next rows of the (a0, rng_seed) stream into u and eps.
+
+    Each call continues the input and noise streams where the last one
+    stopped, so any split of the rows into buffers gives the same bits.
+    The caller owns the buffers, whichever thread fills them.
+    """
+    u_rng = np.random.default_rng(derive_seed(rng_seed, _TAG_INPUTS))
+    eps_rng = np.random.default_rng(derive_seed(rng_seed, _TAG_NOISE))
+    u_scale = np.sqrt(a0.input_decay.values)
+    eps_scale = np.sqrt(profile.variances(len(a0.output_decay)))
+
+    def fill(u: np.ndarray, eps: np.ndarray) -> None:
+        _fill_scaled_uniform(u_rng, u, u_scale)
+        _fill_scaled_uniform(eps_rng, eps, eps_scale)
+
+    return fill
 
 
 def make_dataset(
@@ -168,14 +195,13 @@ def sample_blocks(
         raise ValueError(f"sample count must be >= 1, got {n}")
     if block_rows < 1:
         raise ValueError(f"block_rows must be >= 1, got {block_rows}")
-    u_rng = np.random.default_rng(derive_seed(rng_seed, _TAG_INPUTS))
-    eps_rng = np.random.default_rng(derive_seed(rng_seed, _TAG_NOISE))
-    u_scale = np.sqrt(a0.input_decay.values)
-    eps_scale = np.sqrt(profile.variances(len(a0.output_decay)))
+    fill = _stream_filler(a0, profile, rng_seed)
     for start in range(0, n, block_rows):
         rows = min(block_rows, n - start)
-        yield (_scaled_uniform(u_rng, rows, u_scale),
-               _scaled_uniform(eps_rng, rows, eps_scale))
+        u, eps = np.empty((rows, a0.d_in)), np.empty((rows, a0.d_out))
+        fill(u, eps)
+        yield u, eps
+        del u, eps  # the consumer may have dropped this block: free it before the next
 
 
 def random_source_operator(

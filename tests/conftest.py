@@ -1,8 +1,11 @@
-"""Shared helpers: random valid configurations for property tests."""
+"""Shared helpers: random valid configurations for property tests, and a thread-leak check."""
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
+import pytest
 
 from opridge import (
     EigenDecay,
@@ -50,3 +53,18 @@ def drawn_inputs(n: int, in_decay: EigenDecay, rng_seed: int) -> np.ndarray:
     op = OperatorMatrix(np.zeros((1, len(in_decay))), in_decay, make_decay(1, 0.5))
     ((u, _),) = sample_blocks(op, n, NoiseProfile(sigma=0.0), rng_seed, n)
     return u
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_running():
+    """Fail a test that ends with more live threads than it started with.
+
+    A sample pass that drew ahead must have joined its draw thread by the
+    time its caller returns, however the pass ended.
+    """
+    before = set(threading.enumerate())
+    yield
+    after = threading.enumerate()
+    if len(after) > len(before):
+        new = sorted(t.name for t in after if t not in before)
+        pytest.fail(f"{len(after) - len(before)} more live thread(s) than at the start: {new}")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -33,7 +34,8 @@ from opridge import (
     single_ridge_lambda,
     variance_lambdas,
 )
-from opridge.estimators import STREAM_BLOCK_ROWS, streamed_covariances
+from opridge import synth
+from opridge.estimators import _DRAW_THREAD_NAME, STREAM_BLOCK_ROWS, streamed_covariances
 from opridge.synth import SampleSet
 
 
@@ -105,7 +107,7 @@ class TestStreamedCovariances:
         _, a0 = random_source_operator(cfg, rng_seed=51)
         return a0, NoiseProfile(sigma=0.3)
 
-    @pytest.mark.parametrize("n", [100, 8 * STREAM_BLOCK_ROWS + 123])
+    @pytest.mark.parametrize("n", [100, 16 * STREAM_BLOCK_ROWS + 123])
     def test_matches_raw_sample_covariances(self, n):
         # n below one block, and n spanning a partial last block.
         a0, profile = self.problem()
@@ -120,14 +122,16 @@ class TestStreamedCovariances:
 
     def test_peak_memory_does_not_grow_with_n(self):
         a0, profile = self.problem()
-
-        def peak(n: int) -> int:
-            return pass_peak(a0, profile, (n,))
-
-        peak(STREAM_BLOCK_ROWS)  # warm-up: first-call allocations
-        small, large = peak(2 * STREAM_BLOCK_ROWS), peak(16 * STREAM_BLOCK_ROWS)
-        # Whole arrays at 16 blocks would need 8x the memory of 2 blocks.
-        assert large <= 1.1 * small, f"peak {large} B at 16 blocks vs {small} B at 2"
+        pass_peak(a0, profile, (STREAM_BLOCK_ROWS,))  # warm-up: first-call allocations
+        small = pass_peak(a0, profile, (2 * STREAM_BLOCK_ROWS,))
+        # Whole arrays at 16 blocks would need 8x the memory of 2 blocks. Both
+        # paths are held to the inline pass: it always holds two blocks and
+        # the fill's ufunc buffer at once, where a pass that draws ahead does
+        # so only when a fill overlaps the sums, as timing decides.
+        for draw_ahead in (False, True):
+            large = pass_peak(a0, profile, (16 * STREAM_BLOCK_ROWS,), draw_ahead)
+            assert large <= 1.1 * small, \
+                f"peak {large} B at 16 blocks vs {small} B at 2 (draw_ahead={draw_ahead})"
 
     def test_peak_memory_does_not_grow_with_snapshots(self):
         a0, profile = self.problem()
@@ -137,9 +141,36 @@ class TestStreamedCovariances:
             16 * STREAM_BLOCK_ROWS,)
         pass_peak(a0, profile, (STREAM_BLOCK_ROWS,))  # warm-up: first-call allocations
         small = pass_peak(a0, profile, (2 * STREAM_BLOCK_ROWS,))
-        large = pass_peak(a0, profile, n_list)
-        assert large <= 1.1 * small, \
-            f"peak {large} B over {len(n_list)} snapshots to 16 blocks vs {small} B at 2 blocks"
+        for draw_ahead in (False, True):  # one reference, as in the test above
+            large = pass_peak(a0, profile, n_list, draw_ahead)
+            assert large <= 1.1 * small, \
+                (f"peak {large} B over {len(n_list)} snapshots to 16 blocks vs {small} B "
+                 f"at 2 blocks (draw_ahead={draw_ahead})")
+
+    def test_closing_the_pass_early_joins_the_draw_thread(self):
+        a0, profile = self.problem()
+        covs = streamed_covariances(a0, (100, 5 * STREAM_BLOCK_ROWS), profile, rng_seed=55,
+                                    draw_ahead=True)
+        assert next(covs).n == 100
+        assert draw_threads(), "the pass must be drawing the next block on its own thread"
+        covs.close()
+        assert not draw_threads(), "closing the pass must join its draw thread"
+
+    def test_a_failed_fill_is_raised_here_and_joins_the_draw_thread(self, monkeypatch):
+        a0, profile = self.problem()
+        filled_on = []
+
+        def failing_fill(rng, out, scale):
+            filled_on.append(threading.current_thread())
+            raise RuntimeError("fill failed")
+
+        monkeypatch.setattr(synth, "_fill_scaled_uniform", failing_fill)
+        with pytest.raises(RuntimeError, match="fill failed"):
+            list(streamed_covariances(a0, (100, 5 * STREAM_BLOCK_ROWS), profile, rng_seed=56,
+                                      draw_ahead=True))
+        assert filled_on and threading.main_thread() not in filled_on, \
+            f"the fill must run on the draw thread, ran on {filled_on}"
+        assert not draw_threads(), "a failed fill must leave no draw thread running"
 
     @pytest.mark.parametrize("n_list", [(), (0, 8), (300, 300), (1500, 300, 5000)])
     def test_bad_n_list_rejected_before_any_draw(self, n_list):
@@ -148,11 +179,17 @@ class TestStreamedCovariances:
             streamed_covariances(a0, n_list, profile, rng_seed=54)
 
 
-def pass_peak(a0: OperatorMatrix, profile: NoiseProfile, n_list: tuple[int, ...]) -> int:
+def draw_threads() -> list[threading.Thread]:
+    """The live threads that fill sample blocks ahead of a pass's sums."""
+    return [t for t in threading.enumerate() if t.name.startswith(_DRAW_THREAD_NAME)]
+
+
+def pass_peak(a0: OperatorMatrix, profile: NoiseProfile, n_list: tuple[int, ...],
+              draw_ahead: bool = False) -> int:
     """tracemalloc peak of one streamed pass whose consumer drops each snapshot."""
     tracemalloc.start()
     try:
-        for _ in streamed_covariances(a0, n_list, profile, rng_seed=53):
+        for _ in streamed_covariances(a0, n_list, profile, rng_seed=53, draw_ahead=draw_ahead):
             pass
         return tracemalloc.get_traced_memory()[1]
     finally:

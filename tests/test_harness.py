@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
 import time
 
 import numpy as np
@@ -37,7 +38,7 @@ from opridge import (
     run_convergence,
 )
 from opridge import harness
-from opridge.estimators import streamed_covariances
+from opridge.estimators import _DRAW_THREAD_NAME, STREAM_BLOCK_ROWS, streamed_covariances
 
 from conftest import random_problem_config
 
@@ -212,6 +213,20 @@ class TestRunTrial:
         assert trial_record(cfg, a0, 64, 0, "multilevel").elapsed_ms > 0.0
 
 
+# With b = STREAM_BLOCK_ROWS: b // 2 lies below one block, 2b + b // 2 inside
+# the third, 2b on a block boundary, and 9b + 100 and 17b + 100 in a short
+# last block.
+_B = STREAM_BLOCK_ROWS
+NESTED_N_LISTS = ((_B // 2, 2 * _B + _B // 2, 9 * _B + 100),
+                  (2 * _B + _B // 2, 17 * _B + 100),
+                  (2 * _B, 2 * _B + _B // 2))
+
+
+def key(records):
+    """The deterministic fields of each record."""
+    return [(r.estimator, r.n, r.trial, r.error_sq) for r in records]
+
+
 class TestRunCell:
     def test_records_follow_requested_order(self):
         cfg = small_config()
@@ -232,21 +247,37 @@ class TestRunCell:
             "cell path and standalone estimate must agree bit for bit"
 
     def test_cell_of_a_nested_pass_equals_the_standalone_cell(self):
-        # With 1024-row blocks: 300 lies below one block, 1500 inside the
-        # second, 1024 on the first boundary, 5000 and 9000 in a short last block.
         cfg = small_config()
         _, a0 = random_source_operator(cfg, ground_truth_seed(cfg))
         noise = NoiseProfile(sigma=cfg.sigma)
-
-        def key(records):
-            return [(r.estimator, r.n, r.trial, r.error_sq) for r in records]
-
-        for n_list in ((300, 1500, 5000), (1500, 9000), (1024, 1500)):
+        for n_list in NESTED_N_LISTS:
             nested = key(harness._run_trial(cfg, a0, n_list, 1, ESTIMATOR_NAMES, noise))
             alone = [rec for n in n_list
                      for rec in key(run_cell(cfg, a0, n, 1, ESTIMATOR_NAMES, noise))]
             assert len(nested) == len(n_list) * len(ESTIMATOR_NAMES)
             assert nested == alone, f"a cell changed in the pass over {n_list}"
+
+    def test_draw_ahead_pass_equals_the_inline_pass(self):
+        cfg = small_config()
+        _, a0 = random_source_operator(cfg, ground_truth_seed(cfg))
+        noise = NoiseProfile(sigma=cfg.sigma)
+        for n_list in NESTED_N_LISTS:
+            inline, ahead = (key(harness._run_trial(cfg, a0, n_list, 1, ESTIMATOR_NAMES, noise,
+                                                    draw_ahead=draw_ahead))
+                             for draw_ahead in (False, True))
+            assert ahead == inline, f"the draw thread changed a record in the pass over {n_list}"
+
+    def test_a_raising_consumer_joins_the_draw_thread(self):
+        # The non-finite error is raised at the first n, while the draw
+        # thread is filling the next block.
+        cfg = small_config(B=1e200)
+        _, a0 = random_source_operator(cfg, ground_truth_seed(cfg))
+        with pytest.raises(ConfigError, match="too large for double precision"), \
+                np.errstate(over="ignore"):
+            harness._run_trial(cfg, a0, (100, 5 * STREAM_BLOCK_ROWS), 0, ESTIMATOR_NAMES,
+                               NoiseProfile(sigma=cfg.sigma), draw_ahead=True)
+        assert not [t for t in threading.enumerate() if t.name.startswith(_DRAW_THREAD_NAME)], \
+            "the draw thread must be joined when the trial raises"
 
     def test_elapsed_is_each_estimators_own_time(self):
         # The draw and the Gram sums are shared: charging them to every record
@@ -258,6 +289,21 @@ class TestRunCell:
         wall_ms = (time.perf_counter() - t0) * 1e3
         total = sum(r.elapsed_ms for r in recs)
         assert 0.0 < total <= wall_ms, f"records sum to {total:.3f} ms in a {wall_ms:.3f} ms cell"
+
+
+class TestDrawsAhead:
+    @pytest.mark.parametrize("workers, trials, cpus, expected", [
+        (1, 1, 2, True),     # rates --workers 1, simulate: a spare core
+        (1, 20, 2, True),
+        (2, 1, 2, True),     # two workers, but one trial runs
+        (2, 20, 2, False),   # two BLAS threads fill both cores
+        (2, 20, 4, True),
+        (3, 20, 4, False),
+        (1, 1, 1, False),
+    ])
+    def test_a_draw_thread_only_beside_every_running_worker(self, workers, trials, cpus,
+                                                              expected):
+        assert harness._draws_ahead(workers, trials, cpus) is expected
 
 
 def tiny_plan(**overrides) -> ExperimentPlan:
