@@ -166,7 +166,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     a0 = gt.build(cfg)
     # The one cell runs in a pinned worker, as rates runs it, so its errors
     # match the rates runs CSV bit for bit.
-    (records,), _ = _run_cells(cfg, a0, _estimator_list(args.estimator), (n,), (args.trial,), 1)
+    (records,) = _run_cells(cfg, a0, _estimator_list(args.estimator), (n,), (args.trial,), 1)
     eta1, eta2, u = theoretical_rate(cfg)
     doc = {
         "n": n,

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -139,8 +139,6 @@ def streamed_covariances(
     n_list: Sequence[int],
     profile: NoiseProfile,
     rng_seed: int,
-    *,
-    draw_ahead: bool = False,
 ) -> Iterator[EmpiricalCovariances]:
     """Covariances of make_dataset(a0, n, profile, rng_seed) for each n in n_list.
 
@@ -160,11 +158,11 @@ def streamed_covariances(
     result agrees with empirical_covariances(make_dataset(a0, n, ...)) up
     to rounding.
 
-    With draw_ahead, a second thread fills the next block while this one
-    sums the current one; both the RNG fill and BLAS release the GIL. The
-    fill and the sums are the same arithmetic on either path, so the
-    results are the same bits. The thread is joined when the pass ends,
-    is closed, or raises, and an exception of the fill is raised here.
+    A second thread fills the next block while this one sums the current
+    one; both the RNG fill and BLAS release the GIL. The fill is the same
+    arithmetic on any thread, so the results are the bits of an inline
+    pass. The thread is joined when the pass ends, is closed, or raises,
+    and an exception of the fill is raised here.
 
     Raises:
         ValueError: n_list is empty, not strictly increasing, or starts
@@ -173,22 +171,7 @@ def streamed_covariances(
     n_list = tuple(int(n) for n in n_list)
     if not n_list or n_list[0] < 1 or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError(f"n_list must be strictly increasing counts >= 1, got {n_list}")
-    return _nested_covariances(a0, n_list, profile, rng_seed, draw_ahead)
-
-
-class _InlinePool:
-    """A one-thread pool's submit, run at once in the calling thread."""
-
-    def __enter__(self) -> "_InlinePool":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        return None
-
-    def submit(self, fn: Callable[..., None], *args: object) -> Future:
-        done: Future = Future()
-        done.set_result(fn(*args))
-        return done
+    return _nested_covariances(a0, n_list, profile, rng_seed)
 
 
 def _nested_covariances(
@@ -196,14 +179,12 @@ def _nested_covariances(
     n_list: tuple[int, ...],
     profile: NoiseProfile,
     rng_seed: int,
-    draw_ahead: bool,
 ) -> Iterator[EmpiricalCovariances]:
     fill = _stream_filler(a0, profile, rng_seed)
     uu = np.zeros((a0.d_in, a0.d_in))
     eu = np.zeros((a0.d_out, a0.d_in))
     pending = list(n_list)
-    with (ThreadPoolExecutor(1, thread_name_prefix=_DRAW_THREAD_NAME) if draw_ahead
-          else _InlinePool()) as pool:
+    with ThreadPoolExecutor(1, thread_name_prefix=_DRAW_THREAD_NAME) as pool:
 
         def request(start: int) -> tuple[np.ndarray, np.ndarray, Future] | None:
             # This thread allocates every block: freed blocks then go back
@@ -232,6 +213,11 @@ def _nested_covariances(
                                  pending.pop(0))
             uu += u.T @ u
             eu += eps.T @ u
+            if block is not None:
+                # Drop this block once the next is filled, not before: the
+                # peak, two blocks and the fill's scratch, then does not hang
+                # on thread timing.
+                block[2].result()
             del u, eps
             start = stop
             if pending[0] == stop:

@@ -11,11 +11,10 @@ different trials are independent. run_convergence, like the simulate
 subcommand, executes trials in spawned worker processes pinned to one
 BLAS thread -- even with one worker -- so the parent interpreter never
 does cell arithmetic and the output bytes depend neither on how many
-workers were requested nor on the caller's BLAS thread variables. When
-the CPUs the process may use leave a core spare for every running
-worker, each worker also fills its next block of samples on a draw
-thread while its BLAS thread sums the current one; the fill is the same
-arithmetic on either thread, so this changes no bytes either.
+workers were requested nor on the caller's BLAS thread variables. Each
+worker also fills its next block of samples on a draw thread while its
+BLAS thread sums the current one; the fill is the same arithmetic on
+either thread, so this changes no bytes either.
 
 Error is always the squared (beta', gamma')-norm of (estimate - truth),
 summarized across trials by median and interquartile range; the target
@@ -299,10 +298,7 @@ class RateReport:
     theoretical_eta1 is the predicted squared-error decay exponent; the
     empirical counterpart of -eta1 is each fit's slope. total_seconds is
     wall time for the whole grid and is the only non-deterministic field
-    besides the per-record timings. draw_ahead says whether the workers
-    filled each next sample block on a draw thread, which depends on the
-    worker count, the trial count and the CPUs the process may use, and
-    changes no other field.
+    besides the per-record timings.
     """
 
     runs: tuple[TrialRecord, ...]
@@ -310,7 +306,6 @@ class RateReport:
     fits: tuple[RateFit, ...]
     theoretical_eta1: float
     total_seconds: float
-    draw_ahead: bool
 
 
 # ---------------------------------------------------------------------------
@@ -346,21 +341,19 @@ def _run_trial(
     trial_index: int,
     estimators: Sequence[str],
     noise: NoiseProfile,
-    *,
-    draw_ahead: bool = False,
 ) -> tuple[TrialRecord, ...]:
     """Records of every (n, estimator) of one trial, in that order, from one pass.
 
     The trial's stream is seeded by (cfg.seed, trial_index) alone, and
     streamed_covariances gives cell n its first n rows, the same bits
-    whatever else n_list holds, with or without draw_ahead. The draw and
-    the Gram sums are shared by every n and estimator, so a record's
-    elapsed_ms is that estimator's own solve and norm.
+    whatever else n_list holds. The draw and the Gram sums are shared by
+    every n and estimator, so a record's elapsed_ms is that estimator's
+    own solve and norm.
     """
     seed = derive_seed(cfg.seed, _TAG_TRIAL, trial_index)
     records = []
     # Closed on any exit, so a raise below joins the draw thread.
-    with closing(streamed_covariances(a0, n_list, noise, seed, draw_ahead=draw_ahead)) as covs:
+    with closing(streamed_covariances(a0, n_list, noise, seed)) as covs:
         for cov in covs:
             for name in estimators:
                 t0 = time.perf_counter()
@@ -418,47 +411,28 @@ _WORKER_STATE: dict[str, Any] = {}
 
 
 def _pool_init(cfg: ProblemConfig, a0: OperatorMatrix, noise: NoiseProfile,
-               n_list: tuple[int, ...], estimators: tuple[str, ...], draw_ahead: bool) -> None:
-    _WORKER_STATE["args"] = (cfg, a0, noise, n_list, estimators, draw_ahead)
+               n_list: tuple[int, ...], estimators: tuple[str, ...]) -> None:
+    _WORKER_STATE["args"] = (cfg, a0, noise, n_list, estimators)
 
 
 def _pool_trial(trial: int) -> tuple[TrialRecord, ...]:
-    cfg, a0, noise, n_list, estimators, draw_ahead = _WORKER_STATE["args"]
-    return _run_trial(cfg, a0, n_list, trial, estimators, noise, draw_ahead=draw_ahead)
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _draws_ahead(workers: int, trials: int, cpus: int) -> bool:
-    """Whether each worker gets a draw thread: only if every running worker has a spare core.
-
-    At most min(workers, trials) workers run at once, each with one BLAS
-    thread; a draw thread beside each needs twice that many CPUs.
-    """
-    return 2 * min(workers, trials) <= cpus
+    cfg, a0, noise, n_list, estimators = _WORKER_STATE["args"]
+    return _run_trial(cfg, a0, n_list, trial, estimators, noise)
 
 
 def _run_cells(cfg: ProblemConfig, a0: OperatorMatrix, estimators: Sequence[str],
                n_list: Sequence[int], trials: Sequence[int], workers: int,
                progress: Callable[[int, int, float], None] | None = None,
-               ) -> tuple[list[tuple[TrialRecord, ...]], bool]:
-    """The records of each trial, one pass and one task per trial, and whether workers drew ahead.
+               ) -> list[tuple[TrialRecord, ...]]:
+    """The records of each trial, one pass and one task per trial.
 
     Each task is _run_trial over n_list, in spawned workers with one BLAS
-    thread, plus a draw thread when _draws_ahead says the CPUs allow it;
-    results come back in trial order, and progress(done, total, seconds)
-    is called as each arrives. The parent never does cell arithmetic, so
-    an error depends on (cfg, a0, n, trial) alone, not on n_list, the
-    worker count, the draw thread or the caller's BLAS thread variables.
-    Every trial draws its noise with NoiseProfile(sigma=cfg.sigma).
+    thread and a draw thread; results come back in trial order, and
+    progress(done, total, seconds) is called as each arrives. The parent
+    never does cell arithmetic, so an error depends on (cfg, a0, n, trial)
+    alone, not on n_list, the worker count or the caller's BLAS thread
+    variables. Every trial draws its noise with NoiseProfile(sigma=cfg.sigma).
     """
-    draw_ahead = _draws_ahead(workers, len(trials), _usable_cpus())
     # Children read BLAS thread env at import; set-before-spawn pins them
     # without touching the already-initialized parent. Set outright: a
     # user's export must not change the floating-point environment.
@@ -469,8 +443,7 @@ def _run_cells(cfg: ProblemConfig, a0: OperatorMatrix, estimators: Sequence[str]
             max_workers=workers,
             mp_context=get_context("spawn"),
             initializer=_pool_init,
-            initargs=(cfg, a0, NoiseProfile(sigma=cfg.sigma), tuple(n_list), tuple(estimators),
-                      draw_ahead),
+            initargs=(cfg, a0, NoiseProfile(sigma=cfg.sigma), tuple(n_list), tuple(estimators)),
         ) as pool:
             t0 = time.perf_counter()
             results = []
@@ -478,7 +451,7 @@ def _run_cells(cfg: ProblemConfig, a0: OperatorMatrix, estimators: Sequence[str]
                 results.append(records)
                 if progress is not None:
                     progress(len(results), len(trials), time.perf_counter() - t0)
-            return results, draw_ahead
+            return results
     finally:
         for v, old in saved.items():
             if old is None:
@@ -513,8 +486,8 @@ def run_convergence(
             f"{plan.ground_truth.kind!r}) is the zero operator and sigma is 0: "
             "every error would be 0 and no rate can be fitted"
         )
-    trials, draw_ahead = _run_cells(plan.cfg, a0, plan.estimators, plan.n_list,
-                                    range(plan.trials), plan.workers, progress)
+    trials = _run_cells(plan.cfg, a0, plan.estimators, plan.n_list, range(plan.trials),
+                        plan.workers, progress)
     by_cell = {(r.estimator, r.n, r.trial): r for records in trials for r in records}
     runs = tuple(
         by_cell[(name, n, t)]
@@ -542,7 +515,6 @@ def run_convergence(
         fits=tuple(fits),
         theoretical_eta1=theoretical_rate(plan.cfg)[0],
         total_seconds=time.perf_counter() - t0,
-        draw_ahead=draw_ahead,
     )
     if plan.out_summary:
         write_summary_csv(report, plan.out_summary)
@@ -705,7 +677,6 @@ def write_report_json(report: RateReport, path: str | Path, cfg: ProblemConfig) 
             for s in report.summaries
         ],
         "total_seconds": report.total_seconds,
-        "draw_ahead": report.draw_ahead,
     }
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 

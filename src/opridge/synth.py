@@ -4,7 +4,7 @@ sample_blocks draws the inputs and noise of a dataset in row blocks, for
 statistics that are accumulated without holding the dataset; make_dataset
 is its one-block case. Every draw goes through one in-place fill of
 buffers the caller allocates, which the streamed pass of the estimators
-module may run on a second thread.
+module runs on a second thread.
 
 Input coordinates are bounded uniforms scaled by sqrt(mu_i) so the
 almost-sure embedding bound genuinely holds (Gaussians would violate it).
@@ -197,11 +197,16 @@ def sample_blocks(
         raise ValueError(f"block_rows must be >= 1, got {block_rows}")
     fill = _stream_filler(a0, profile, rng_seed)
     for start in range(0, n, block_rows):
-        rows = min(block_rows, n - start)
-        u, eps = np.empty((rows, a0.d_in)), np.empty((rows, a0.d_out))
-        fill(u, eps)
-        yield u, eps
-        del u, eps  # the consumer may have dropped this block: free it before the next
+        yield _filled_block(fill, a0, min(block_rows, n - start))
+
+
+def _filled_block(
+    fill: Callable[[np.ndarray, np.ndarray], None], a0: OperatorMatrix, rows: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """New (u, eps) buffers of rows rows, filled by fill."""
+    u, eps = np.empty((rows, a0.d_in)), np.empty((rows, a0.d_out))
+    fill(u, eps)
+    return u, eps
 
 
 def random_source_operator(

@@ -34,7 +34,7 @@ from opridge import (
     single_ridge_lambda,
     variance_lambdas,
 )
-from opridge import synth
+from opridge import estimators, synth
 from opridge.estimators import _DRAW_THREAD_NAME, STREAM_BLOCK_ROWS, streamed_covariances
 from opridge.synth import SampleSet
 
@@ -124,14 +124,9 @@ class TestStreamedCovariances:
         a0, profile = self.problem()
         pass_peak(a0, profile, (STREAM_BLOCK_ROWS,))  # warm-up: first-call allocations
         small = pass_peak(a0, profile, (2 * STREAM_BLOCK_ROWS,))
-        # Whole arrays at 16 blocks would need 8x the memory of 2 blocks. Both
-        # paths are held to the inline pass: it always holds two blocks and
-        # the fill's ufunc buffer at once, where a pass that draws ahead does
-        # so only when a fill overlaps the sums, as timing decides.
-        for draw_ahead in (False, True):
-            large = pass_peak(a0, profile, (16 * STREAM_BLOCK_ROWS,), draw_ahead)
-            assert large <= 1.1 * small, \
-                f"peak {large} B at 16 blocks vs {small} B at 2 (draw_ahead={draw_ahead})"
+        large = pass_peak(a0, profile, (16 * STREAM_BLOCK_ROWS,))
+        # Whole arrays at 16 blocks would need 8x the memory of 2 blocks.
+        assert large <= 1.1 * small, f"peak {large} B at 16 blocks vs {small} B at 2"
 
     def test_peak_memory_does_not_grow_with_snapshots(self):
         a0, profile = self.problem()
@@ -141,16 +136,13 @@ class TestStreamedCovariances:
             16 * STREAM_BLOCK_ROWS,)
         pass_peak(a0, profile, (STREAM_BLOCK_ROWS,))  # warm-up: first-call allocations
         small = pass_peak(a0, profile, (2 * STREAM_BLOCK_ROWS,))
-        for draw_ahead in (False, True):  # one reference, as in the test above
-            large = pass_peak(a0, profile, n_list, draw_ahead)
-            assert large <= 1.1 * small, \
-                (f"peak {large} B over {len(n_list)} snapshots to 16 blocks vs {small} B "
-                 f"at 2 blocks (draw_ahead={draw_ahead})")
+        large = pass_peak(a0, profile, n_list)
+        assert large <= 1.1 * small, \
+            f"peak {large} B over {len(n_list)} snapshots to 16 blocks vs {small} B at 2 blocks"
 
     def test_closing_the_pass_early_joins_the_draw_thread(self):
         a0, profile = self.problem()
-        covs = streamed_covariances(a0, (100, 5 * STREAM_BLOCK_ROWS), profile, rng_seed=55,
-                                    draw_ahead=True)
+        covs = streamed_covariances(a0, (100, 5 * STREAM_BLOCK_ROWS), profile, rng_seed=55)
         assert next(covs).n == 100
         assert draw_threads(), "the pass must be drawing the next block on its own thread"
         covs.close()
@@ -166,11 +158,36 @@ class TestStreamedCovariances:
 
         monkeypatch.setattr(synth, "_fill_scaled_uniform", failing_fill)
         with pytest.raises(RuntimeError, match="fill failed"):
-            list(streamed_covariances(a0, (100, 5 * STREAM_BLOCK_ROWS), profile, rng_seed=56,
-                                      draw_ahead=True))
+            list(streamed_covariances(a0, (100, 5 * STREAM_BLOCK_ROWS), profile, rng_seed=56))
         assert filled_on and threading.main_thread() not in filled_on, \
             f"the fill must run on the draw thread, ran on {filled_on}"
         assert not draw_threads(), "a failed fill must leave no draw thread running"
+
+    def test_the_draw_thread_fills_the_blocks_of_an_inline_draw(self, monkeypatch):
+        # The fill is all the draw thread does, so equal blocks make the pass
+        # the same bits as one that fills each block on the summing thread.
+        a0, profile = self.problem()
+        n = 2 * STREAM_BLOCK_ROWS + 100  # two full blocks and a short last one
+        filled = []
+
+        def recording_filler(*args):
+            fill = synth._stream_filler(*args)
+
+            def record(u, eps):
+                fill(u, eps)
+                filled.append((threading.current_thread(), u.copy(), eps.copy()))
+
+            return record
+
+        monkeypatch.setattr(estimators, "_stream_filler", recording_filler)
+        list(streamed_covariances(a0, (100, n), profile, rng_seed=57))
+        want = list(synth.sample_blocks(a0, n, profile, 57, STREAM_BLOCK_ROWS))
+        assert threading.main_thread() not in [t for t, _, _ in filled], \
+            "every block must be filled on the draw thread"
+        assert len(filled) == len(want) == 3
+        for k, ((_, u, eps), (want_u, want_eps)) in enumerate(zip(filled, want)):
+            assert np.array_equal(u, want_u) and np.array_equal(eps, want_eps), \
+                f"block {k} differs from the inline draw"
 
     @pytest.mark.parametrize("n_list", [(), (0, 8), (300, 300), (1500, 300, 5000)])
     def test_bad_n_list_rejected_before_any_draw(self, n_list):
@@ -184,12 +201,11 @@ def draw_threads() -> list[threading.Thread]:
     return [t for t in threading.enumerate() if t.name.startswith(_DRAW_THREAD_NAME)]
 
 
-def pass_peak(a0: OperatorMatrix, profile: NoiseProfile, n_list: tuple[int, ...],
-              draw_ahead: bool = False) -> int:
+def pass_peak(a0: OperatorMatrix, profile: NoiseProfile, n_list: tuple[int, ...]) -> int:
     """tracemalloc peak of one streamed pass whose consumer drops each snapshot."""
     tracemalloc.start()
     try:
-        for _ in streamed_covariances(a0, n_list, profile, rng_seed=53, draw_ahead=draw_ahead):
+        for _ in streamed_covariances(a0, n_list, profile, rng_seed=53):
             pass
         return tracemalloc.get_traced_memory()[1]
     finally:

@@ -257,16 +257,6 @@ class TestRunCell:
             assert len(nested) == len(n_list) * len(ESTIMATOR_NAMES)
             assert nested == alone, f"a cell changed in the pass over {n_list}"
 
-    def test_draw_ahead_pass_equals_the_inline_pass(self):
-        cfg = small_config()
-        _, a0 = random_source_operator(cfg, ground_truth_seed(cfg))
-        noise = NoiseProfile(sigma=cfg.sigma)
-        for n_list in NESTED_N_LISTS:
-            inline, ahead = (key(harness._run_trial(cfg, a0, n_list, 1, ESTIMATOR_NAMES, noise,
-                                                    draw_ahead=draw_ahead))
-                             for draw_ahead in (False, True))
-            assert ahead == inline, f"the draw thread changed a record in the pass over {n_list}"
-
     def test_a_raising_consumer_joins_the_draw_thread(self):
         # The non-finite error is raised at the first n, while the draw
         # thread is filling the next block.
@@ -275,7 +265,7 @@ class TestRunCell:
         with pytest.raises(ConfigError, match="too large for double precision"), \
                 np.errstate(over="ignore"):
             harness._run_trial(cfg, a0, (100, 5 * STREAM_BLOCK_ROWS), 0, ESTIMATOR_NAMES,
-                               NoiseProfile(sigma=cfg.sigma), draw_ahead=True)
+                               NoiseProfile(sigma=cfg.sigma))
         assert not [t for t in threading.enumerate() if t.name.startswith(_DRAW_THREAD_NAME)], \
             "the draw thread must be joined when the trial raises"
 
@@ -289,21 +279,6 @@ class TestRunCell:
         wall_ms = (time.perf_counter() - t0) * 1e3
         total = sum(r.elapsed_ms for r in recs)
         assert 0.0 < total <= wall_ms, f"records sum to {total:.3f} ms in a {wall_ms:.3f} ms cell"
-
-
-class TestDrawsAhead:
-    @pytest.mark.parametrize("workers, trials, cpus, expected", [
-        (1, 1, 2, True),     # rates --workers 1, simulate: a spare core
-        (1, 20, 2, True),
-        (2, 1, 2, True),     # two workers, but one trial runs
-        (2, 20, 2, False),   # two BLAS threads fill both cores
-        (2, 20, 4, True),
-        (3, 20, 4, False),
-        (1, 1, 1, False),
-    ])
-    def test_a_draw_thread_only_beside_every_running_worker(self, workers, trials, cpus,
-                                                              expected):
-        assert harness._draws_ahead(workers, trials, cpus) is expected
 
 
 def tiny_plan(**overrides) -> ExperimentPlan:
