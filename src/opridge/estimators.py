@@ -10,7 +10,10 @@ and unlearned rows are exactly zero. EmpiricalCovariances keeps one
 eigendecomposition c_kk = Q diag(Lambda) Q.T, made when it is built, and
 every row is solved from it as ((c_lk[j] @ Q) / (Lambda + lambda_j)) @ Q.T,
 so a cell costs one eigh however many distinct coefficients its estimators
-use. Covariances are uncentered and c_kk is symmetrized. The estimators
+use. One private solver, _learned_rows, computes the learned rows alone:
+fit_rowwise_ridge scatters them into zeros, and a trial pass scores them
+without building the rest of the estimate (see harness._run_trial).
+Covariances are uncentered and c_kk is symmetrized. The estimators
 differ only in their map: LambdaMap.for_estimator gives the map of each of
 the ESTIMATOR_NAMES, and estimate_from_covariances fits it this way.
 
@@ -66,7 +69,8 @@ _EIG_TOL = 1e-12
 # the memory a trial needs does not grow with n. A template block
 # (d_in + d_out = 768 columns) is about 3 MB, and two may be alive: the one
 # being summed, which stays alive while the estimators fit at an n inside
-# it, and the next one, being filled.
+# it, and the next one, being filled. At an n on a block boundary only the
+# next one is alive while the estimators fit.
 STREAM_BLOCK_ROWS = 512
 
 # Name prefix of the thread that fills blocks ahead of the sums.
@@ -159,10 +163,12 @@ def streamed_covariances(
     to rounding.
 
     A second thread fills the next block while this one sums the current
-    one; both the RNG fill and BLAS release the GIL. The fill is the same
-    arithmetic on any thread, so the results are the bits of an inline
-    pass. The thread is joined when the pass ends, is closed, or raises,
-    and an exception of the fill is raised here.
+    one, or while the consumer works on an n that ends a block: that
+    block's successor is asked for before the n is yielded, and is then
+    the only block alive. Both the RNG fill and BLAS release the GIL. The
+    fill is the same arithmetic on any thread, so the results are the bits
+    of an inline pass. The thread is joined when the pass ends, is closed,
+    or raises, and an exception of the fill is raised here.
 
     Raises:
         ValueError: n_list is empty, not strictly increasing, or starts
@@ -203,8 +209,8 @@ def _nested_covariances(
             filled.result()
             stop = start + u.shape[0]
             # Ask for the next block now, unless this one ends at a snapshot:
-            # then only once that snapshot's consumer is done, so that no
-            # block is alive while it works.
+            # then once this block is dropped, before that snapshot is
+            # yielded, so the next fill runs while its consumer works.
             if stop not in pending:
                 block = request(stop)
             while pending[0] < stop:
@@ -221,8 +227,8 @@ def _nested_covariances(
             del u, eps
             start = stop
             if pending[0] == stop:
-                yield _from_sums(a0, uu, eu, pending.pop(0))
                 block = request(stop)
+                yield _from_sums(a0, uu, eu, pending.pop(0))
 
 
 def _from_sums(a0: OperatorMatrix, uu: np.ndarray, eu: np.ndarray, n: int) -> EmpiricalCovariances:
@@ -299,6 +305,9 @@ class LambdaMap:
 def fit_rowwise_ridge(cov: EmpiricalCovariances, lmap: LambdaMap) -> np.ndarray:
     """Solve the per-row ridge systems from the eigendecomposition of c_kk.
 
+    Zeros with the learned rows of _learned_rows scattered in, so every
+    row equals the one a learned-rows-only caller gets, bit for bit.
+
     Args:
         cov: empirical (or population) covariances.
         lmap: per-row coefficients; must cover cov.d_out rows.
@@ -312,11 +321,29 @@ def fit_rowwise_ridge(cov: EmpiricalCovariances, lmap: LambdaMap) -> np.ndarray:
         numpy.linalg.LinAlgError: some c_kk + lambda_j I is not positive
             definite, which signals an indefinite c_kk.
     """
+    rows, a_rows = _learned_rows(cov, lmap)
+    a_hat = np.zeros_like(cov.c_lk)
+    a_hat[rows] = a_rows
+    return a_hat
+
+
+def _learned_rows(
+    cov: EmpiricalCovariances, lmap: LambdaMap
+) -> tuple[slice | np.ndarray, np.ndarray]:
+    """(rows, a_rows): the learned rows of the ridge estimate and their values.
+
+    a_rows[k] is row rows[k] of fit_rowwise_ridge(cov, lmap), solved as
+    ((c_lk[j] @ Q) / (Lambda + lambda_j)) @ Q.T. rows is slice(0, k) when
+    the learned rows are the leading k, as in every map of
+    LambdaMap.for_estimator, so c_lk[rows] is a view; any other mask gives
+    an index array. Raises as fit_rowwise_ridge does.
+    """
     if lmap.d_out != cov.d_out:
         raise ValueError(
             f"lambda map covers {lmap.d_out} rows, covariances have {cov.d_out}"
         )
-    rows = np.flatnonzero(lmap.learned)
+    k = int(np.count_nonzero(lmap.learned))
+    rows = slice(0, k) if lmap.learned[:k].all() else np.flatnonzero(lmap.learned)
     lams = lmap.lams[rows]
     if np.any(lams + cov.eigvals[0] <= 0.0):
         raise np.linalg.LinAlgError(
@@ -324,10 +351,9 @@ def fit_rowwise_ridge(cov: EmpiricalCovariances, lmap: LambdaMap) -> np.ndarray:
             f"{cov.eigvals[0]:.3e}, min lambda {lams.min():.3e}"
         )
     q = cov.eigvecs
-    a_hat = np.zeros_like(cov.c_lk)
-    denom = cov.eigvals[np.newaxis, :] + lams[:, np.newaxis]
-    a_hat[rows] = ((cov.c_lk[rows] @ q) / denom) @ q.T
-    return a_hat
+    a_rows = cov.c_lk[rows] @ q
+    a_rows /= cov.eigvals + lams[:, np.newaxis]
+    return rows, a_rows @ q.T
 
 
 def single_ridge_lambda(cfg: ProblemConfig, n: int) -> float:

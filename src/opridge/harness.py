@@ -43,6 +43,8 @@ from .core import (
     OperatorMatrix,
     ProblemConfig,
     SourceCoefficients,
+    _norm_weights,
+    _row_terms,
     bg_norm,
     bg_norm_via_embedding,
     make_decay,
@@ -52,8 +54,8 @@ from .estimators import (
     ESTIMATOR_NAMES,
     EmpiricalCovariances,
     LambdaMap,
+    _learned_rows,
     analytic_bias,
-    estimate_from_covariances,
     fit_rowwise_ridge,
     population_regularized,
     streamed_covariances,
@@ -348,17 +350,29 @@ def _run_trial(
     streamed_covariances gives cell n its first n rows, the same bits
     whatever else n_list holds. The draw and the Gram sums are shared by
     every n and estimator, so a record's elapsed_ms is that estimator's
-    own solve and norm.
+    own lambda map, learned-row solve and score.
+
+    Only the learned rows are solved and scored. The error of an unlearned
+    row is -a0[j], so its term of the norm is a0's term, computed once per
+    pass; the row terms are then the vector bg_norm would sum, and
+    error_sq equals bg_norm(estimate_from_covariances(cov, cfg, name)
+    .difference(a0), beta', gamma') ** 2 bit for bit.
     """
     seed = derive_seed(cfg.seed, _TAG_TRIAL, trial_index)
+    # The weights of the estimate's decays, as difference() keeps them.
+    mu_w, rho_w = _norm_weights(cfg.input_decay, cfg.output_decay,
+                                cfg.beta_prime, cfg.gamma_prime)
+    a0_terms = _row_terms(a0.m, mu_w)
     records = []
     # Closed on any exit, so a raise below joins the draw thread.
     with closing(streamed_covariances(a0, n_list, noise, seed)) as covs:
         for cov in covs:
             for name in estimators:
                 t0 = time.perf_counter()
-                a_hat = estimate_from_covariances(cov, cfg, name)
-                err = bg_norm(a_hat.difference(a0), cfg.beta_prime, cfg.gamma_prime) ** 2
+                rows, a_rows = _learned_rows(cov, LambdaMap.for_estimator(cfg, cov.n, name))
+                terms = a0_terms.copy()
+                terms[rows] = _row_terms(a_rows - a0.m[rows], mu_w)
+                err = math.sqrt(float(terms @ rho_w)) ** 2  # bg_norm(...) ** 2
                 elapsed = time.perf_counter() - t0
                 if not math.isfinite(err):
                     raise ConfigError(
@@ -637,8 +651,9 @@ def _write_lines(path: str | Path, lines: Iterable[str]) -> None:
 def write_runs_csv(report: RateReport, path: str | Path) -> None:
     """Per-trial rows; wall times make this file non-reproducible.
 
-    elapsed_ms is the estimator's own solve and norm. The draw and the Gram
-    sums, which every n and estimator of a trial share, are not in it.
+    elapsed_ms is the estimator's own lambda map, learned-row solve and
+    score. The draw, the Gram sums and each snapshot's eigh, which every
+    estimator of a trial shares, are not in it.
     """
     lines = [RUNS_HEADER]
     for r in report.runs:

@@ -107,6 +107,7 @@ def convergence_benchmark():
         trials=20,
         estimators=("single", "variance", "multilevel"),
         ground_truth=GroundTruthSpec("random", {"taper_in": 0.3, "taper_out": 2.0}),
+        workers=2,  # the errors do not depend on the pool size (test 09)
     )
     return plan, run_convergence(plan)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import threading
 import tracemalloc
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -189,6 +190,30 @@ class TestStreamedCovariances:
             assert np.array_equal(u, want_u) and np.array_equal(eps, want_eps), \
                 f"block {k} differs from the inline draw"
 
+    def test_the_next_fill_runs_while_a_block_boundary_snapshot_is_consumed(self, monkeypatch):
+        # Each n ends a block; the fill of the next one must start before the
+        # consumer of n returns.
+        a0, profile = self.problem()
+        n_list = (STREAM_BLOCK_ROWS, 2 * STREAM_BLOCK_ROWS, 3 * STREAM_BLOCK_ROWS)
+        started = [threading.Event() for _ in n_list]  # started[k]: block k's fill began
+
+        def signalling_filler(*args):
+            fill = synth._stream_filler(*args)
+            blocks = iter(started)
+
+            def signal(u, eps):
+                next(blocks).set()
+                fill(u, eps)
+
+            return signal
+
+        monkeypatch.setattr(estimators, "_stream_filler", signalling_filler)
+        with closing(streamed_covariances(a0, n_list, profile, rng_seed=58)) as covs:
+            for k, cov in enumerate(covs):
+                if cov.n < n_list[-1]:
+                    assert started[k + 1].wait(timeout=10.0), \
+                        f"block {k + 1} was not being filled while n={cov.n} was consumed"
+
     @pytest.mark.parametrize("n_list", [(), (0, 8), (300, 300), (1500, 300, 5000)])
     def test_bad_n_list_rejected_before_any_draw(self, n_list):
         a0, profile = self.problem()
@@ -274,6 +299,31 @@ class TestFitRowwiseRidge:
         lmap = LambdaMap(lams=np.array([1.0, 1e-14]), learned=np.array([True, False]))
         assert fit_rowwise_ridge(cov, lmap)[0, 0] == pytest.approx(0.5, rel=1e-14), \
             "an unlearned row's lambda must not be checked"
+
+    @pytest.mark.parametrize("mask", ["non-prefix", "empty", "full", "leading"])
+    def test_learned_rows_match_the_full_fit_and_a_per_row_solve(self, mask):
+        rng = np.random.default_rng(17)
+        d_in, d_out = 6, 9
+        g = rng.normal(size=(d_in, d_in))
+        cov = EmpiricalCovariances(c_kk=g @ g.T + 0.1 * np.eye(d_in),
+                                   c_lk=rng.normal(size=(d_out, d_in)), n=1)
+        learned = {"non-prefix": np.arange(d_out) % 3 != 1,
+                   "empty": np.zeros(d_out, dtype=bool),
+                   "full": np.ones(d_out, dtype=bool),
+                   "leading": np.arange(d_out) < 4}[mask]
+        lmap = LambdaMap(lams=rng.uniform(0.01, 2.0, size=d_out), learned=learned)
+        rows, a_rows = estimators._learned_rows(cov, lmap)
+        assert isinstance(rows, slice) == (mask != "non-prefix"), \
+            "a leading block of rows must come back as a slice"
+        index = np.arange(d_out)[rows]
+        assert np.array_equal(index, np.flatnonzero(learned))
+        full = fit_rowwise_ridge(cov, lmap)
+        assert np.array_equal(full[index], a_rows), "the full fit must scatter these rows"
+        assert np.all(np.delete(full, index, axis=0) == 0.0)
+        for k, j in enumerate(index):
+            want = np.linalg.solve(cov.c_kk + lmap.lams[j] * np.eye(d_in), cov.c_lk[j])
+            err = np.abs(a_rows[k] - want).max() / np.abs(want).max()
+            assert err <= 1e-10, f"row {j} off by {err:.3e} relative"
 
     def test_row_count_mismatch_rejected(self):
         cov = EmpiricalCovariances(

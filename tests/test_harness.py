@@ -246,6 +246,23 @@ class TestRunCell:
         assert rec.error_sq == want, \
             "cell path and standalone estimate must agree bit for bit"
 
+    @pytest.mark.parametrize("n", [100, STREAM_BLOCK_ROWS, 700, 2 * STREAM_BLOCK_ROWS, 1600])
+    def test_learned_rows_score_equals_the_standalone_norm_bitwise(self, n):
+        # n below one block, on a block boundary and inside a block. At the
+        # template's exponents variance, bias and multilevel leave rows
+        # unlearned, so the cell scores those rows by a0's own terms.
+        cfg = small_config(alpha=0.4, beta=0.9, beta_prime=0.1, gamma=0.0, gamma_prime=0.5,
+                           d_in=32, d_out=64)
+        _, a0 = random_source_operator(cfg, ground_truth_seed(cfg))
+        noise = NoiseProfile(sigma=cfg.sigma)
+        assert not LambdaMap.for_estimator(cfg, n, "multilevel").learned.all()
+        recs = run_cell(cfg, a0, n, 3, ESTIMATOR_NAMES, noise)
+        (cov,) = streamed_covariances(a0, (n,), noise, derive_seed(cfg.seed, 0x7, 3))
+        for rec in recs:
+            a_hat = estimate_from_covariances(cov, cfg, rec.estimator)
+            want = bg_norm(a_hat.difference(a0), cfg.beta_prime, cfg.gamma_prime) ** 2
+            assert rec.error_sq == want, f"{rec.estimator} at n={n}: {rec.error_sq!r} != {want!r}"
+
     def test_cell_of_a_nested_pass_equals_the_standalone_cell(self):
         cfg = small_config()
         _, a0 = random_source_operator(cfg, ground_truth_seed(cfg))
