@@ -25,6 +25,7 @@ from .estimators import ESTIMATOR_NAMES
 from .harness import (
     ExperimentPlan,
     GroundTruthSpec,
+    _check_memory,
     _check_sample_count,
     _run_cells,
     config_to_dict,
@@ -163,6 +164,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     n = _resolve_n(args, extras)
+    _check_memory(cfg, 1)
     a0 = gt.build(cfg)
     # The one cell runs in a pinned worker, as rates runs it, so its errors
     # match the rates runs CSV bit for bit.

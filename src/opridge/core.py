@@ -320,7 +320,7 @@ def bg_norm(op: OperatorMatrix, b: float, g: float) -> float:
     this recovers the Frobenius norm of the source coefficients.
     """
     mu_w, rho_w = _norm_weights(op.input_decay, op.output_decay, b, g)
-    return math.sqrt(float(_row_terms(op.m, mu_w) @ rho_w))
+    return math.sqrt(float(_row_terms(np.array(op.m, order="C"), mu_w) @ rho_w))
 
 
 def _norm_weights(
@@ -331,15 +331,17 @@ def _norm_weights(
 
 
 def _row_terms(m: np.ndarray, mu_w: np.ndarray) -> np.ndarray:
-    """sum_i mu_w[i] * m[j][i]^2 for each row j of m.
+    """sum_i mu_w[i] * m[j][i]^2 for each row j of m, overwriting m.
 
-    Row j's term is the same bits whichever other rows m holds, since each
-    row is summed alone along a contiguous axis, so a caller may compute
-    the terms of some rows and reuse others.
+    m must be C-ordered: its weighted squares are formed in place, so the
+    terms need no array of m's size. Row j's term is the same bits
+    whichever other rows m holds, since each row is summed alone along a
+    contiguous axis, so a caller may compute the terms of some rows and
+    reuse others.
     """
-    sq = np.square(m, order="C")
-    sq *= mu_w
-    return sq.sum(axis=1)
+    np.square(m, out=m)
+    m *= mu_w
+    return m.sum(axis=1)
 
 
 def bg_norm_via_embedding(op: OperatorMatrix, b: float, g: float) -> float:

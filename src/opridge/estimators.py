@@ -20,7 +20,10 @@ the ESTIMATOR_NAMES, and estimate_from_covariances fits it this way.
 streamed_covariances computes the covariances of a simulated trial at
 each of its sample counts in one pass over inputs and noise drawn in
 fixed-size row blocks, without building the dataset;
-empirical_covariances does the same for a SampleSet in hand.
+empirical_covariances does the same for a SampleSet in hand. A pass holds
+two blocks, the running sums u.T @ u and eps.T @ u, and either one Gram
+product or the arrays of the one snapshot and one estimator its consumer
+is working on; _pass_peak_bytes is the most of these at once.
 
 The population oracles (population_regularized, analytic_bias) evaluate the
 infinite-sample limit of the same ridge in closed form; tests pit the solver
@@ -67,14 +70,38 @@ _EIG_TOL = 1e-12
 # derived from n or the worker count: the Gram sums then run in an order
 # that depends on n alone, so a cell gives the same bytes in any pool, and
 # the memory a trial needs does not grow with n. A template block
-# (d_in + d_out = 768 columns) is about 3 MB, and two may be alive: the one
+# (d_in + d_out = 768 columns) is 3 MiB, and two may be alive: the one
 # being summed, which stays alive while the estimators fit at an n inside
 # it, and the next one, being filled. At an n on a block boundary only the
-# next one is alive while the estimators fit.
+# next one is alive while the estimators fit. _pass_peak_bytes counts the
+# rest of a pass's working set.
 STREAM_BLOCK_ROWS = 512
 
 # Name prefix of the thread that fills blocks ahead of the sums.
 _DRAW_THREAD_NAME = "opridge-draw"
+
+
+def _pass_peak_bytes(d_in: int, d_out: int) -> int:
+    """The most bytes of arrays a trial pass holds at once, besides its a0.
+
+    With a = d_in^2 and b = d_out * d_in doubles, a pass (harness._run_trial
+    over streamed_covariances) holds, at every moment:
+      - two blocks of STREAM_BLOCK_ROWS rows and the running sums u.T @ u
+        and eps.T @ u (a + b);
+      - while it sums a block, one Gram product (b);
+      - while it builds a snapshot, the partial sums of an n inside a
+        block (a + b), c_kk and c_lk (a + b), and one more array: a
+        temporary of either size or the eigenvectors (max(a, b));
+      - while it fits, the snapshot's c_kk, c_lk and eigenvectors
+        (2a + b) and one estimator's learned rows and their product with
+        the eigenvectors (2b).
+    The largest of these is 2a + 2b + max(a, b), on top of the blocks and
+    sums. tests/test_harness.py pins a pass's traced peak to this, up to
+    small buffers that do not grow with the dimensions.
+    """
+    a, b = d_in * d_in, d_out * d_in
+    blocks = 2 * STREAM_BLOCK_ROWS * (d_in + d_out)
+    return 8 * (blocks + (a + b) + 2 * a + 2 * b + max(a, b))
 
 
 @dataclass(frozen=True)
@@ -109,7 +136,9 @@ class EmpiricalCovariances:
             raise ValueError(f"sample count must be >= 1, got {self.n}")
         if not (np.all(np.isfinite(c_kk)) and np.all(np.isfinite(c_lk))):
             raise ValueError("covariances must be finite")
-        asym = float(np.max(np.abs(c_kk - c_kk.T), initial=0.0))
+        diff = c_kk - c_kk.T
+        asym = float(np.max(np.abs(diff, out=diff), initial=0.0))
+        del diff  # not alive through eigh
         if asym > _SYM_TOL:
             raise ValueError(f"c_kk asymmetric by {asym:.3e}")
         eigvals, eigvecs = np.linalg.eigh(c_kk)
@@ -156,11 +185,13 @@ def streamed_covariances(
     covariances at n are the same bits whatever else n_list holds.
 
     Since v = u @ a0.m.T + eps, the cross matrix is exactly
-    c_lk = a0.m @ c_kk + eps.T @ u / n, so v is never formed. Memory stays
-    at two blocks whatever n is: the block being summed, which stays alive
-    while the consumer works on an n inside it, and the next one. Each
-    result agrees with empirical_covariances(make_dataset(a0, n, ...)) up
-    to rounding.
+    c_lk = a0.m @ c_kk + eps.T @ u / n, so v is never formed. Memory does
+    not grow with n: two blocks, the block being summed, which stays alive
+    while the consumer works on an n inside it, and the next one; the two
+    running sums; and one Gram product or the arrays of one snapshot (see
+    _pass_peak_bytes). The pass keeps no reference to a yielded snapshot,
+    so a consumer that drops it holds one at a time. Each result agrees
+    with empirical_covariances(make_dataset(a0, n, ...)) up to rounding.
 
     A second thread fills the next block while this one sums the current
     one, or while the consumer works on an n that ends a block: that
@@ -192,50 +223,78 @@ def _nested_covariances(
     pending = list(n_list)
     with ThreadPoolExecutor(1, thread_name_prefix=_DRAW_THREAD_NAME) as pool:
 
-        def request(start: int) -> tuple[np.ndarray, np.ndarray, Future] | None:
-            # This thread allocates every block: freed blocks then go back
-            # to its own heap, not to a heap of the draw thread's.
+        def request(
+            start: int, spare: tuple[np.ndarray, np.ndarray] | None
+        ) -> tuple[np.ndarray, np.ndarray, Future] | None:
+            # The next block goes into the buffers of a summed block when
+            # there is one. Freeing a block and allocating the next would
+            # let the allocator hand the pages back to the system and fault
+            # them in again, which costs more than the fill. This thread
+            # allocates every buffer, so a freed one goes back to its heap.
             rows = min(STREAM_BLOCK_ROWS, n_list[-1] - start)
             if rows == 0:
                 return None
-            u, eps = np.empty((rows, a0.d_in)), np.empty((rows, a0.d_out))
+            if spare is None:
+                u, eps = np.empty((rows, a0.d_in)), np.empty((rows, a0.d_out))
+            else:  # a summed block is a full one, so it has the rows
+                u, eps = spare[0][:rows], spare[1][:rows]
             return u, eps, pool.submit(fill, u, eps)
 
-        block = request(0)
+        block = request(0, None)
+        spare = None  # the buffers of the last block summed
         start = 0  # rows in uu and eu
         while block is not None:
             u, eps, filled = block
-            block = None  # u and eps now hold this block alone
             filled.result()
             stop = start + u.shape[0]
             # Ask for the next block now, unless this one ends at a snapshot:
-            # then once this block is dropped, before that snapshot is
-            # yielded, so the next fill runs while its consumer works.
+            # then in this block's buffers, before that snapshot is yielded,
+            # so the next fill runs while its consumer works on one block.
             if stop not in pending:
-                block = request(stop)
+                block, spare = request(stop, spare), None
             while pending[0] < stop:
-                rows = pending[0] - start
-                yield _from_sums(a0, uu + u[:rows].T @ u[:rows], eu + eps[:rows].T @ u[:rows],
+                yield _from_sums(a0, *_partial_sums(u, eps, pending[0] - start, uu, eu),
                                  pending.pop(0))
             uu += u.T @ u
             eu += eps.T @ u
-            if block is not None:
-                # Drop this block once the next is filled, not before: the
-                # peak, two blocks and the fill's scratch, then does not hang
-                # on thread timing.
-                block[2].result()
-            del u, eps
+            # At a snapshot this drops the block before this one, which no
+            # request took, so that only one block is alive while it fits.
+            spare = u, eps
             start = stop
             if pending[0] == stop:
-                block = request(stop)
+                block, spare = request(stop, spare), None
                 yield _from_sums(a0, uu, eu, pending.pop(0))
 
 
+def _partial_sums(
+    u: np.ndarray, eps: np.ndarray, rows: int, uu: np.ndarray, eu: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """uu and eu plus the sums of the first rows rows of the block (u, eps).
+
+    Each sum is formed in the array of its block term, which is the one new
+    array it needs; addition commutes, so these are the bits of uu + term.
+    Returned, not bound in the pass, so they die with their snapshot's build.
+    """
+    part_uu = u[:rows].T @ u[:rows]
+    part_uu += uu
+    part_eu = eps[:rows].T @ u[:rows]
+    part_eu += eu
+    return part_uu, part_eu
+
+
 def _from_sums(a0: OperatorMatrix, uu: np.ndarray, eu: np.ndarray, n: int) -> EmpiricalCovariances:
-    """Covariances of n rows from their sums u.T @ u and eps.T @ u."""
+    """Covariances of n rows from their sums u.T @ u and eps.T @ u.
+
+    c_kk and c_lk are each formed in place after their first array, so
+    building them needs one temporary of each size; addition commutes, so
+    these are the bits of (c + c.T) / 2 and a0.m @ c_kk + eu / n.
+    """
     c_kk = uu / n
-    c_kk = (c_kk + c_kk.T) / 2.0
-    return EmpiricalCovariances(c_kk=c_kk, c_lk=a0.m @ c_kk + eu / n, n=n)
+    c_kk = c_kk + c_kk.T
+    c_kk /= 2.0
+    c_lk = a0.m @ c_kk
+    c_lk += eu / n
+    return EmpiricalCovariances(c_kk=c_kk, c_lk=c_lk, n=n)
 
 
 @dataclass(frozen=True)
@@ -336,7 +395,8 @@ def _learned_rows(
     ((c_lk[j] @ Q) / (Lambda + lambda_j)) @ Q.T. rows is slice(0, k) when
     the learned rows are the leading k, as in every map of
     LambdaMap.for_estimator, so c_lk[rows] is a view; any other mask gives
-    an index array. Raises as fit_rowwise_ridge does.
+    an index array. a_rows is a new C-ordered array, which the caller may
+    overwrite. Raises as fit_rowwise_ridge does.
     """
     if lmap.d_out != cov.d_out:
         raise ValueError(

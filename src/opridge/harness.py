@@ -55,6 +55,7 @@ from .estimators import (
     EmpiricalCovariances,
     LambdaMap,
     _learned_rows,
+    _pass_peak_bytes,
     analytic_bias,
     fit_rowwise_ridge,
     population_regularized,
@@ -357,31 +358,50 @@ def _run_trial(
     pass; the row terms are then the vector bg_norm would sum, and
     error_sq equals bg_norm(estimate_from_covariances(cov, cfg, name)
     .difference(a0), beta', gamma') ** 2 bit for bit.
+
+    Besides a0, the pass holds at most two blocks of samples, the running
+    sums u.T @ u and eps.T @ u, and either one Gram product or the arrays
+    of one snapshot and one estimator: each snapshot is dropped before the
+    stream is asked for the next, and each estimator's arrays before the
+    next estimator starts (estimators._pass_peak_bytes).
     """
     seed = derive_seed(cfg.seed, _TAG_TRIAL, trial_index)
     # The weights of the estimate's decays, as difference() keeps them.
     mu_w, rho_w = _norm_weights(cfg.input_decay, cfg.output_decay,
                                 cfg.beta_prime, cfg.gamma_prime)
-    a0_terms = _row_terms(a0.m, mu_w)
+    a0_terms = _row_terms(np.array(a0.m, order="C"), mu_w)
     records = []
     # Closed on any exit, so a raise below joins the draw thread.
     with closing(streamed_covariances(a0, n_list, noise, seed)) as covs:
         for cov in covs:
             for name in estimators:
                 t0 = time.perf_counter()
-                rows, a_rows = _learned_rows(cov, LambdaMap.for_estimator(cfg, cov.n, name))
-                terms = a0_terms.copy()
-                terms[rows] = _row_terms(a_rows - a0.m[rows], mu_w)
-                err = math.sqrt(float(terms @ rho_w)) ** 2  # bg_norm(...) ** 2
+                err = _error_sq(cov, LambdaMap.for_estimator(cfg, cov.n, name), a0, a0_terms,
+                                mu_w, rho_w)
                 elapsed = time.perf_counter() - t0
                 if not math.isfinite(err):
                     raise ConfigError(
                         f"the {name} error at n={cov.n} is {err}: the scales B={cfg.B} and "
                         f"sigma={cfg.sigma} are too large for double precision"
                     )
-                records.append(
-                    TrialRecord(name, cov.n, int(trial_index), float(err), elapsed * 1e3))
+                records.append(TrialRecord(name, cov.n, int(trial_index), err, elapsed * 1e3))
+            # The loop would hold this snapshot while the stream sums the next.
+            del cov
     return tuple(records)
+
+
+def _error_sq(cov: EmpiricalCovariances, lmap: LambdaMap, a0: OperatorMatrix,
+              a0_terms: np.ndarray, mu_w: np.ndarray, rho_w: np.ndarray) -> float:
+    """bg_norm(estimate - a0) ** 2 from the learned rows alone.
+
+    The difference, its squares and their weights are formed in the array
+    _learned_rows returns, and every array here is freed on return.
+    """
+    rows, err = _learned_rows(cov, lmap)
+    err -= a0.m[rows]
+    terms = a0_terms.copy()
+    terms[rows] = _row_terms(err, mu_w)
+    return math.sqrt(float(terms @ rho_w)) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +454,39 @@ def _pool_trial(trial: int) -> tuple[TrialRecord, ...]:
     return _run_trial(cfg, a0, n_list, trial, estimators, noise)
 
 
+def _pool_size(workers: int, trials: int) -> int:
+    """Worker processes a sweep starts: workers, but no more than trials or usable CPUs."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # the platform cannot pin a process to CPUs
+        cpus = os.cpu_count() or 1
+    return min(workers, trials, cpus)
+
+
+def _physical_memory() -> int:
+    """Bytes of physical memory, the budget of a sweep's worker arrays."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _check_memory(cfg: ProblemConfig, workers: int) -> None:
+    """Refuse dimensions whose arrays, in workers processes, exceed physical memory.
+
+    A worker holds its copy of a0 and the arrays of its trial pass
+    (estimators._pass_peak_bytes). Called before the ground truth is built,
+    so a refused config allocates nothing.
+
+    Raises:
+        ConfigError: naming d_in and d_out.
+    """
+    need = workers * (8 * cfg.d_out * cfg.d_in + _pass_peak_bytes(cfg.d_in, cfg.d_out))
+    have = _physical_memory()
+    if need > have:
+        raise ConfigError(
+            f"d_in={cfg.d_in} and d_out={cfg.d_out} need {need / 2**30:.4g} GiB of arrays in "
+            f"{workers} worker(s), more than the {have / 2**30:.4g} GiB of physical memory"
+        )
+
+
 def _run_cells(cfg: ProblemConfig, a0: OperatorMatrix, estimators: Sequence[str],
                n_list: Sequence[int], trials: Sequence[int], workers: int,
                progress: Callable[[int, int, float], None] | None = None,
@@ -446,7 +499,13 @@ def _run_cells(cfg: ProblemConfig, a0: OperatorMatrix, estimators: Sequence[str]
     never does cell arithmetic, so an error depends on (cfg, a0, n, trial)
     alone, not on n_list, the worker count or the caller's BLAS thread
     variables. Every trial draws its noise with NoiseProfile(sigma=cfg.sigma).
+    The pool starts _pool_size(workers, len(trials)) processes, and says so
+    on stderr when that is fewer than workers.
     """
+    size = _pool_size(workers, len(trials))
+    if size < workers:
+        sys.stderr.write(f"starting {size} of {workers} workers: at most one per trial "
+                         "and per usable CPU\n")
     # Children read BLAS thread env at import; set-before-spawn pins them
     # without touching the already-initialized parent. Set outright: a
     # user's export must not change the floating-point environment.
@@ -454,7 +513,7 @@ def _run_cells(cfg: ProblemConfig, a0: OperatorMatrix, estimators: Sequence[str]
     os.environ.update({v: "1" for v in _BLAS_THREAD_VARS})
     try:
         with ProcessPoolExecutor(
-            max_workers=workers,
+            max_workers=size,
             mp_context=get_context("spawn"),
             initializer=_pool_init,
             initargs=(cfg, a0, NoiseProfile(sigma=cfg.sigma), tuple(n_list), tuple(estimators)),
@@ -488,11 +547,13 @@ def run_convergence(
     started.
 
     Raises:
-        ConfigError: the ground truth is the zero operator and sigma is 0,
-            so every error is 0 and no rate can be fitted; or a cell's error
-            is not finite (see run_cell).
+        ConfigError: d_in and d_out ask for more memory than the machine
+            has (see _check_memory); the ground truth is the zero operator
+            and sigma is 0, so every error is 0 and no rate can be fitted;
+            or a cell's error is not finite (see run_cell).
     """
     t0 = time.perf_counter()
+    _check_memory(plan.cfg, _pool_size(plan.workers, plan.trials))
     a0 = plan.ground_truth.build(plan.cfg)
     if plan.cfg.sigma == 0.0 and not np.any(a0.m):
         raise ConfigError(

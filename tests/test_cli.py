@@ -362,6 +362,43 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--n", "16"],
+        ["rates", "--n-list", "16,32,64"],
+    ], ids=["simulate", "rates"])
+    @pytest.mark.parametrize("dims, budget", [
+        ({"d_in": 10**7, "d_out": 10**7}, None),
+        ({"d_in": 16, "d_out": 16}, 1),
+    ], ids=["10^7-dims", "1-byte-budget"])
+    def test_arrays_past_physical_memory_exit_two(self, tmp_path, capsys, monkeypatch,
+                                                  argv, dims, budget):
+        # d_in = d_out = 10^7 needs petabytes of arrays against the real
+        # budget; both are refused before any array of that size is made.
+        def no_build(*args):
+            raise AssertionError("the ground truth must not be built")
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("no worker pool may start")
+
+        monkeypatch.setattr(harness.GroundTruthSpec, "build", no_build)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        if budget is not None:
+            monkeypatch.setattr(harness, "_physical_memory", lambda: budget)
+        path, _ = write_config(tmp_path, **dims)
+        out = tmp_path / "x.csv"
+        extra = ["--out", str(out)] if argv[0] == "rates" else []
+        assert cli_main([*argv, *extra, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"d_in={dims['d_in']} and d_out={dims['d_out']}" in err, err
+        assert "physical memory" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["schedule", "--n", "64"], ["contours", "--n", "64"]])
+    def test_commands_without_matrices_run_at_any_dimension(self, tmp_path, capsys, argv):
+        path, _ = write_config(tmp_path, d_in=10**7, d_out=10**7)
+        assert cli_main([*argv, "--config", str(path)]) == 0
+        assert capsys.readouterr().out
+
     @pytest.mark.parametrize("noise", [
         {"sigma": 0.1, "profile": "polynomial"},
         {"sigma": -1},

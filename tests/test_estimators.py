@@ -230,7 +230,9 @@ def pass_peak(a0: OperatorMatrix, profile: NoiseProfile, n_list: tuple[int, ...]
     """tracemalloc peak of one streamed pass whose consumer drops each snapshot."""
     tracemalloc.start()
     try:
-        for _ in streamed_covariances(a0, n_list, profile, rng_seed=53):
+        covs = streamed_covariances(a0, n_list, profile, rng_seed=53)
+        # Unlike a for loop's name, next's result is dropped before the pass resumes.
+        while next(covs, None) is not None:
             pass
         return tracemalloc.get_traced_memory()[1]
     finally:

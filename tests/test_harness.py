@@ -7,6 +7,7 @@ import math
 import os
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,7 +39,12 @@ from opridge import (
     run_convergence,
 )
 from opridge import harness
-from opridge.estimators import _DRAW_THREAD_NAME, STREAM_BLOCK_ROWS, streamed_covariances
+from opridge.estimators import (
+    _DRAW_THREAD_NAME,
+    STREAM_BLOCK_ROWS,
+    _pass_peak_bytes,
+    streamed_covariances,
+)
 
 from conftest import random_problem_config
 
@@ -298,6 +304,53 @@ class TestRunCell:
         assert 0.0 < total <= wall_ms, f"records sum to {total:.3f} ms in a {wall_ms:.3f} ms cell"
 
 
+def pass_peak(cfg: ProblemConfig, n_list: tuple[int, ...]) -> int:
+    """tracemalloc peak of one _run_trial pass over n_list, above its live heap."""
+    _, a0 = random_source_operator(cfg, ground_truth_seed(cfg))
+    noise = NoiseProfile(sigma=cfg.sigma)
+    harness._run_trial(cfg, a0, (_B,), 0, ESTIMATOR_NAMES, noise)  # first-call allocations
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        harness._run_trial(cfg, a0, n_list, 0, ESTIMATOR_NAMES, noise)
+        return tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+
+
+# numpy's iteration buffer for a fill's broadcast scaling, up to 8192 doubles,
+# which the draw thread may hold while the sums run; and an allowance of the
+# same size for a pass's small arrays and objects (lambda maps, row terms,
+# records), which do not grow with the dimensions.
+_FILL_BUFFER = 64 * 1024
+_SMALL = 64 * 1024
+
+
+class TestPassMemory:
+    def test_summing_holds_two_blocks_the_sums_and_one_product(self):
+        # At these sizes the blocks dominate, and with every n on a block
+        # boundary the fits hold only the next block, so the peak comes
+        # while one block is summed and the next is filled. A snapshot or
+        # estimator array still alive then would show above the bound.
+        d_in, d_out = 64, 128
+        blocks = 2 * _B * (d_in + d_out)
+        sums = d_in * d_in + d_out * d_in  # u.T @ u and eps.T @ u
+        product = d_out * d_in  # eps.T @ u of one block
+        bound = 8 * (blocks + sums + product) + _FILL_BUFFER + _SMALL
+        peak = pass_peak(small_config(d_in=d_in, d_out=d_out), (2 * _B, 4 * _B, 8 * _B))
+        assert peak <= bound, f"a pass peaked at {peak} B, {peak - bound} B over its {bound} B"
+
+    def test_pass_peak_bytes_is_the_peak_of_a_pass(self):
+        # Here the d^2 arrays outweigh the blocks, and an n inside a block
+        # keeps both blocks alive while its snapshot is built and fitted.
+        # Within the slack on either side, the formula is the peak itself.
+        d_in = d_out = 512
+        want = _pass_peak_bytes(d_in, d_out)
+        peak = pass_peak(small_config(d_in=d_in, d_out=d_out), (_B + 300, 3 * _B))
+        assert abs(peak - want) <= 2 * (_FILL_BUFFER + _SMALL), \
+            f"a pass peaked at {peak} B, _pass_peak_bytes says {want} B"
+
+
 def tiny_plan(**overrides) -> ExperimentPlan:
     base = dict(
         cfg=small_config(d_in=12, d_out=16),
@@ -344,6 +397,65 @@ class TestExperimentPlan:
             want = trial_record(plan.cfg, a0, r.n, r.trial, r.estimator).error_sq
             assert r.error_sq == pytest.approx(want, rel=1e-12), \
                 f"sweep and sigma=0.3 cell disagree at ({r.estimator}, {r.n}, {r.trial})"
+
+
+class InProcessPool:
+    """Stands in for ProcessPoolExecutor: records the pool size it is asked
+    for in `sizes` and runs each trial in this process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, *, max_workers, initializer, initargs, **_):
+        self.sizes.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
+
+
+class TestPoolAndMemory:
+    @pytest.fixture(autouse=True)
+    def in_process_pool_on_three_cpus(self, monkeypatch):
+        monkeypatch.setattr(InProcessPool, "sizes", [])
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+
+    @pytest.mark.parametrize("workers, trials, size", [
+        (8, 2, 2), (8, 5, 3), (2, 5, 2), (3, 3, 3),
+    ], ids=["by-trials", "by-cpus", "as-asked", "all-equal"])
+    def test_pool_is_clamped_to_trials_and_usable_cpus(self, capsys, workers, trials, size):
+        report = run_convergence(tiny_plan(workers=workers, trials=trials))
+        assert InProcessPool.sizes == [size]
+        err = capsys.readouterr().err
+        if size < workers:
+            assert f"starting {size} of {workers} workers" in err, err
+        else:
+            assert "workers" not in err, err
+        assert len(report.runs) == 2 * 3 * trials
+
+    def test_memory_past_the_budget_is_refused_before_the_ground_truth(self, monkeypatch):
+        # Each worker holds a0 and one pass; the budget fits two workers.
+        plan = tiny_plan(workers=8, trials=2)
+        d_in, d_out = plan.cfg.d_in, plan.cfg.d_out
+        worker = 8 * d_out * d_in + _pass_peak_bytes(d_in, d_out)
+        monkeypatch.setattr(harness, "_physical_memory", lambda: 2 * worker)
+        run_convergence(plan)  # eight workers asked for, two started
+        assert InProcessPool.sizes == [2]
+
+        def no_build(*args):
+            raise AssertionError("the ground truth must not be built")
+
+        monkeypatch.setattr(GroundTruthSpec, "build", no_build)
+        monkeypatch.setattr(harness, "_physical_memory", lambda: 2 * worker - 1)
+        with pytest.raises(ConfigError, match=f"d_in={d_in} and d_out={d_out} need"):
+            run_convergence(plan)
+        assert InProcessPool.sizes == [2], "no pool may start"
 
 
 class TestRunConvergence:
