@@ -200,19 +200,16 @@ def _cmd_rates(args: argparse.Namespace) -> int:
         raise ConfigError("no sample counts: pass --n-list or put n_list in the config")
     trials = args.trials if args.trials is not None else extras.get("trials", 10)
     out = Path(args.out)
-    if args.format == "json":
-        paths = {"out_report": out}
-    else:
-        paths = {
-            "out_summary": out,
-            "out_runs": out.with_name(out.stem + "_runs" + out.suffix),
-            "out_report": out.with_suffix(".json"),
-        }
+    paths = {
+        "out_summary": out,
+        "out_runs": out.with_name(out.stem + "_runs" + out.suffix),
+        "out_report": out.with_suffix(".json"),
+    }
     written = [p.resolve() for p in paths.values()]
     if len(set(written)) < len(written):
         raise ConfigError(
             f"--out {args.out} makes two output files share a path; "
-            "in csv format the report goes to the .json sibling of --out"
+            "the report goes to the .json sibling of --out"
         )
     if Path(args.config).resolve() in written:
         raise ConfigError(f"--out {args.out} would overwrite the config file {args.config}")
@@ -313,7 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trial", type=int, default=0, help="trial index for the sub-seed")
     p.add_argument("--estimator", choices=ESTIMATOR_NAMES + ("all",), default="all")
 
-    p = sub.add_parser("rates", parents=[config, seed, out, fmt],
+    p = sub.add_parser("rates", parents=[config, seed, out],
                        help="full convergence sweep: summary CSV, runs CSV, JSON report")
     p.add_argument("--trials", type=int, help="trials per sample count")
     p.add_argument("--n-list", help="comma-separated sample counts")

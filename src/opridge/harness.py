@@ -327,14 +327,17 @@ def run_cell(
 
     The one-n case of the pass a sweep makes over each trial (see
     _run_trial), so its records equal the sweep's records of cell
-    (n, trial_index) bit for bit. noise must be NoiseProfile(sigma=cfg.sigma),
-    as load_config returns it: the config's sigma is the one noise scale.
+    (n, trial_index) bit for bit. The config's sigma is the one noise
+    scale: noise is NoiseProfile(sigma=cfg.sigma), as load_config returns it.
 
     Raises:
+        ValueError: noise.sigma is not cfg.sigma; raised before any draw.
         ConfigError: an error is not finite, because the scales B and
             sigma are too large for double precision.
     """
-    return _run_trial(cfg, a0, (n,), trial_index, estimators, noise)
+    if noise.sigma != cfg.sigma:
+        raise ValueError(f"noise.sigma={noise.sigma} is not the config's sigma={cfg.sigma}")
+    return _run_trial(cfg, a0, (n,), trial_index, estimators)
 
 
 def _run_trial(
@@ -343,15 +346,15 @@ def _run_trial(
     n_list: Sequence[int],
     trial_index: int,
     estimators: Sequence[str],
-    noise: NoiseProfile,
 ) -> tuple[TrialRecord, ...]:
     """Records of every (n, estimator) of one trial, in that order, from one pass.
 
-    The trial's stream is seeded by (cfg.seed, trial_index) alone, and
-    streamed_covariances gives cell n its first n rows, the same bits
-    whatever else n_list holds. The draw and the Gram sums are shared by
-    every n and estimator, so a record's elapsed_ms is that estimator's
-    own lambda map, learned-row solve and score.
+    The trial's stream is seeded by (cfg.seed, trial_index) alone and
+    draws its noise at cfg.sigma, the one noise scale. streamed_covariances
+    gives cell n its first n rows, the same bits whatever else n_list
+    holds. The draw and the Gram sums are shared by every n and estimator,
+    so a record's elapsed_ms is that estimator's own lambda map,
+    learned-row solve and score.
 
     Only the learned rows are solved and scored. The error of an unlearned
     row is -a0[j], so its term of the norm is a0's term, computed once per
@@ -372,7 +375,8 @@ def _run_trial(
     a0_terms = _row_terms(np.array(a0.m, order="C"), mu_w)
     records = []
     # Closed on any exit, so a raise below joins the draw thread.
-    with closing(streamed_covariances(a0, n_list, noise, seed)) as covs:
+    with closing(streamed_covariances(a0, n_list, NoiseProfile(sigma=cfg.sigma),
+                                      seed)) as covs:
         for cov in covs:
             for name in estimators:
                 t0 = time.perf_counter()
@@ -444,14 +448,14 @@ def fit_rate(points: Sequence[tuple[float, float]]) -> tuple[float, float, float
 _WORKER_STATE: dict[str, Any] = {}
 
 
-def _pool_init(cfg: ProblemConfig, a0: OperatorMatrix, noise: NoiseProfile,
-               n_list: tuple[int, ...], estimators: tuple[str, ...]) -> None:
-    _WORKER_STATE["args"] = (cfg, a0, noise, n_list, estimators)
+def _pool_init(cfg: ProblemConfig, a0: OperatorMatrix, n_list: tuple[int, ...],
+               estimators: tuple[str, ...]) -> None:
+    _WORKER_STATE["args"] = (cfg, a0, n_list, estimators)
 
 
 def _pool_trial(trial: int) -> tuple[TrialRecord, ...]:
-    cfg, a0, noise, n_list, estimators = _WORKER_STATE["args"]
-    return _run_trial(cfg, a0, n_list, trial, estimators, noise)
+    cfg, a0, n_list, estimators = _WORKER_STATE["args"]
+    return _run_trial(cfg, a0, n_list, trial, estimators)
 
 
 def _pool_size(workers: int, trials: int) -> int:
@@ -498,9 +502,8 @@ def _run_cells(cfg: ProblemConfig, a0: OperatorMatrix, estimators: Sequence[str]
     progress(done, total, seconds) is called as each arrives. The parent
     never does cell arithmetic, so an error depends on (cfg, a0, n, trial)
     alone, not on n_list, the worker count or the caller's BLAS thread
-    variables. Every trial draws its noise with NoiseProfile(sigma=cfg.sigma).
-    The pool starts _pool_size(workers, len(trials)) processes, and says so
-    on stderr when that is fewer than workers.
+    variables. The pool starts _pool_size(workers, len(trials)) processes,
+    and says so on stderr when that is fewer than workers.
     """
     size = _pool_size(workers, len(trials))
     if size < workers:
@@ -516,7 +519,7 @@ def _run_cells(cfg: ProblemConfig, a0: OperatorMatrix, estimators: Sequence[str]
             max_workers=size,
             mp_context=get_context("spawn"),
             initializer=_pool_init,
-            initargs=(cfg, a0, NoiseProfile(sigma=cfg.sigma), tuple(n_list), tuple(estimators)),
+            initargs=(cfg, a0, tuple(n_list), tuple(estimators)),
         ) as pool:
             t0 = time.perf_counter()
             results = []

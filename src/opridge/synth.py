@@ -1,10 +1,10 @@
 """Synthetic data generation: datasets v = A0 u + eps and ground truths.
 
-sample_blocks draws the inputs and noise of a dataset in row blocks, for
-statistics that are accumulated without holding the dataset; make_dataset
-is its one-block case. Every draw goes through one in-place fill of
-buffers the caller allocates, which the streamed pass of the estimators
-module runs on a second thread.
+A dataset's inputs and noise are one stream per seed, written by an
+in-place fill of buffers the caller allocates. make_dataset is one fill of
+n rows; the streamed pass of the estimators module splits the same stream
+into row blocks, filled on a second thread, and any split gives the same
+bits.
 
 Input coordinates are bounded uniforms scaled by sqrt(mu_i) so the
 almost-sure embedding bound genuinely holds (Gaussians would violate it).
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -39,7 +39,6 @@ __all__ = [
     "NoiseProfile",
     "derive_seed",
     "make_dataset",
-    "sample_blocks",
     "ground_truth_seed",
     "random_source_operator",
     "laplacian_operator",
@@ -170,43 +169,20 @@ def make_dataset(
 ) -> SampleSet:
     """Draw a dataset from the model v = A0 u + eps.
 
-    u and eps are the one block of sample_blocks(a0, n, profile, rng_seed,
-    n), drawn from decorrelated sub-streams of rng_seed, so the noiseless
-    part of a dataset is unchanged when sigma changes.
-    """
-    ((u, eps),) = sample_blocks(a0, n, profile, rng_seed, n)
-    v = u @ a0.m.T + eps
-    return SampleSet(u=u, v=v)
+    u and eps are the first n rows of the (a0, rng_seed) stream, filled in
+    one call; the inputs and noise come from decorrelated sub-streams of
+    rng_seed, so the noiseless part of a dataset is unchanged when sigma
+    changes.
 
-
-def sample_blocks(
-    a0: OperatorMatrix, n: int, profile: NoiseProfile, rng_seed: int, block_rows: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield the inputs and noise of the dataset of (a0, n, rng_seed) in row blocks.
-
-    Each block is (u rows, eps rows) with block_rows rows; the last one may
-    be shorter. A Generator fills a chunked uniform draw with the same
-    values as one large draw, so the stacked blocks are the same bits for
-    any block_rows, and equal make_dataset's u and noise. The generator
-    keeps no reference to a block it has yielded, so a consumer that drops
-    each block holds one at a time.
+    Raises:
+        ValueError: n < 1.
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
-    if block_rows < 1:
-        raise ValueError(f"block_rows must be >= 1, got {block_rows}")
-    fill = _stream_filler(a0, profile, rng_seed)
-    for start in range(0, n, block_rows):
-        yield _filled_block(fill, a0, min(block_rows, n - start))
-
-
-def _filled_block(
-    fill: Callable[[np.ndarray, np.ndarray], None], a0: OperatorMatrix, rows: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """New (u, eps) buffers of rows rows, filled by fill."""
-    u, eps = np.empty((rows, a0.d_in)), np.empty((rows, a0.d_out))
-    fill(u, eps)
-    return u, eps
+    u, eps = np.empty((n, a0.d_in)), np.empty((n, a0.d_out))
+    _stream_filler(a0, profile, rng_seed)(u, eps)
+    v = u @ a0.m.T + eps
+    return SampleSet(u=u, v=v)
 
 
 def random_source_operator(

@@ -12,9 +12,10 @@ from opridge import (
     NoiseProfile,
     OperatorMatrix,
     ProblemConfig,
+    make_dataset,
     make_decay,
-    sample_blocks,
 )
+from opridge.estimators import _DRAW_THREAD_NAME
 
 
 def random_problem_config(rng: np.random.Generator, **overrides) -> ProblemConfig:
@@ -49,10 +50,14 @@ def random_decay(rng: np.random.Generator, dim: int) -> EigenDecay:
 
 
 def drawn_inputs(n: int, in_decay: EigenDecay, rng_seed: int) -> np.ndarray:
-    """The input rows of a dataset with d_out = 1, drawn as one block."""
+    """The input rows of a dataset with d_out = 1."""
     op = OperatorMatrix(np.zeros((1, len(in_decay))), in_decay, make_decay(1, 0.5))
-    ((u, _),) = sample_blocks(op, n, NoiseProfile(sigma=0.0), rng_seed, n)
-    return u
+    return make_dataset(op, n, NoiseProfile(sigma=0.0), rng_seed).u
+
+
+def draw_threads() -> list[threading.Thread]:
+    """The live threads that fill sample blocks ahead of a pass's sums."""
+    return [t for t in threading.enumerate() if t.name.startswith(_DRAW_THREAD_NAME)]
 
 
 @pytest.fixture(autouse=True)

@@ -201,14 +201,6 @@ class TestRates:
         assert all(line.endswith(" s") for line in lines)
         assert "trial" not in captured.out, "stdout keeps only the fit lines"
 
-    def test_json_format_writes_only_the_report(self, tmp_path):
-        out = self.run(tmp_path, "report.json", "--format", "json",
-                       "--estimator", "multilevel")
-        doc = json.loads(out.read_text())
-        assert set(doc["fits"]) == {"multilevel"}
-        assert not (tmp_path / "report.csv").exists()
-        assert not (tmp_path / "report_runs.json").exists()
-
     def test_summary_is_byte_stable(self, tmp_path, capsys):
         # Same plan, fresh process pools, different worker counts: the
         # summary CSV must not change by a single byte.
@@ -234,7 +226,7 @@ class TestRates:
         assert not (tmp_path / "c2.csv").exists()
 
     def test_colliding_outputs_are_refused(self, tmp_path, capsys):
-        # In csv format the report goes to out.with_suffix(".json").
+        # The report goes to out.with_suffix(".json").
         path, _ = write_config(tmp_path)
         before = path.read_bytes()
         out = tmp_path / "r.json"
@@ -472,6 +464,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, flag", [
         ("gen-config", "--config"), ("gen-config", "--seed"), ("gen-config", "--format"),
         ("schedule", "--seed"), ("contours", "--seed"), ("simulate", "--format"),
+        ("rates", "--format"),
         ("oracle-check", "--config"), ("oracle-check", "--out"), ("oracle-check", "--format"),
     ])
     def test_flag_the_subcommand_does_not_read_exits_two(self, tmp_path, capsys, command, flag):
@@ -481,6 +474,8 @@ class TestExitCodes:
         argv = [command, flag, value[flag]]
         if command in ("schedule", "contours", "simulate"):
             argv += ["--config", str(path), "--n", "64"]
+        if command == "rates":
+            argv += ["--config", str(path)]
         if command != "oracle-check":
             argv += ["--out", str(out)]
         with pytest.raises(SystemExit) as exc:

@@ -8,7 +8,7 @@ from contextlib import closing
 
 import numpy as np
 import pytest
-from conftest import drawn_inputs, random_decay, random_problem_config
+from conftest import draw_threads, drawn_inputs, random_decay, random_problem_config
 
 from opridge import (
     ESTIMATOR_NAMES,
@@ -36,7 +36,7 @@ from opridge import (
     variance_lambdas,
 )
 from opridge import estimators, synth
-from opridge.estimators import _DRAW_THREAD_NAME, STREAM_BLOCK_ROWS, streamed_covariances
+from opridge.estimators import STREAM_BLOCK_ROWS, streamed_covariances
 from opridge.synth import SampleSet
 
 
@@ -182,11 +182,13 @@ class TestStreamedCovariances:
 
         monkeypatch.setattr(estimators, "_stream_filler", recording_filler)
         list(streamed_covariances(a0, (100, n), profile, rng_seed=57))
-        want = list(synth.sample_blocks(a0, n, profile, 57, STREAM_BLOCK_ROWS))
         assert threading.main_thread() not in [t for t, _, _ in filled], \
             "every block must be filled on the draw thread"
-        assert len(filled) == len(want) == 3
-        for k, ((_, u, eps), (want_u, want_eps)) in enumerate(zip(filled, want)):
+        assert [u.shape[0] for _, u, _ in filled] == [STREAM_BLOCK_ROWS, STREAM_BLOCK_ROWS, 100]
+        inline = synth._stream_filler(a0, profile, 57)
+        for k, (_, u, eps) in enumerate(filled):
+            want_u, want_eps = np.empty_like(u), np.empty_like(eps)
+            inline(want_u, want_eps)
             assert np.array_equal(u, want_u) and np.array_equal(eps, want_eps), \
                 f"block {k} differs from the inline draw"
 
@@ -219,11 +221,6 @@ class TestStreamedCovariances:
         a0, profile = self.problem()
         with pytest.raises(ValueError, match="strictly increasing"):
             streamed_covariances(a0, n_list, profile, rng_seed=54)
-
-
-def draw_threads() -> list[threading.Thread]:
-    """The live threads that fill sample blocks ahead of a pass's sums."""
-    return [t for t in threading.enumerate() if t.name.startswith(_DRAW_THREAD_NAME)]
 
 
 def pass_peak(a0: OperatorMatrix, profile: NoiseProfile, n_list: tuple[int, ...]) -> int:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import threading
 import time
 import tracemalloc
 
@@ -38,15 +37,14 @@ from opridge import (
     run_cell,
     run_convergence,
 )
-from opridge import harness
+from opridge import harness, synth
 from opridge.estimators import (
-    _DRAW_THREAD_NAME,
     STREAM_BLOCK_ROWS,
     _pass_peak_bytes,
     streamed_covariances,
 )
 
-from conftest import random_problem_config
+from conftest import draw_threads, random_problem_config
 
 
 def small_config(**overrides) -> ProblemConfig:
@@ -164,10 +162,9 @@ class TestGroundTruthSpec:
             GroundTruthSpec("laplacian", {"taper_in": 0.5})
 
 
-def trial_record(cfg, a0, n, trial_index, estimator, noise=None):
+def trial_record(cfg, a0, n, trial_index, estimator):
     """The record of one estimator on the dataset of cell (n, trial_index)."""
-    noise = NoiseProfile(sigma=cfg.sigma) if noise is None else noise
-    (rec,) = run_cell(cfg, a0, n, trial_index, (estimator,), noise)
+    (rec,) = run_cell(cfg, a0, n, trial_index, (estimator,), NoiseProfile(sigma=cfg.sigma))
     return rec
 
 
@@ -194,7 +191,7 @@ class TestRunTrial:
         cfg = small_config(sigma=0.0, d_in=8, d_out=32, seed=99)
         src, a0 = random_source_operator(cfg, 1234)
         n = 16384
-        err_sq = trial_record(cfg, a0, n, 0, "multilevel", NoiseProfile(sigma=0.0)).error_sq
+        err_sq = trial_record(cfg, a0, n, 0, "multilevel").error_sq
         lmap = LambdaMap.for_estimator(cfg, n, "multilevel")
         bias = analytic_bias(src, lmap, cfg.input_decay, cfg.output_decay,
                              cfg.beta_prime, cfg.gamma_prime)
@@ -274,7 +271,7 @@ class TestRunCell:
         _, a0 = random_source_operator(cfg, ground_truth_seed(cfg))
         noise = NoiseProfile(sigma=cfg.sigma)
         for n_list in NESTED_N_LISTS:
-            nested = key(harness._run_trial(cfg, a0, n_list, 1, ESTIMATOR_NAMES, noise))
+            nested = key(harness._run_trial(cfg, a0, n_list, 1, ESTIMATOR_NAMES))
             alone = [rec for n in n_list
                      for rec in key(run_cell(cfg, a0, n, 1, ESTIMATOR_NAMES, noise))]
             assert len(nested) == len(n_list) * len(ESTIMATOR_NAMES)
@@ -287,10 +284,18 @@ class TestRunCell:
         _, a0 = random_source_operator(cfg, ground_truth_seed(cfg))
         with pytest.raises(ConfigError, match="too large for double precision"), \
                 np.errstate(over="ignore"):
-            harness._run_trial(cfg, a0, (100, 5 * STREAM_BLOCK_ROWS), 0, ESTIMATOR_NAMES,
-                               NoiseProfile(sigma=cfg.sigma))
-        assert not [t for t in threading.enumerate() if t.name.startswith(_DRAW_THREAD_NAME)], \
-            "the draw thread must be joined when the trial raises"
+            harness._run_trial(cfg, a0, (100, 5 * STREAM_BLOCK_ROWS), 0, ESTIMATOR_NAMES)
+        assert not draw_threads(), "the draw thread must be joined when the trial raises"
+
+    def test_a_noise_scale_other_than_the_configs_is_refused_before_any_draw(self, monkeypatch):
+        cfg = small_config()
+        _, a0 = random_source_operator(cfg, ground_truth_seed(cfg))
+        fills = []
+        monkeypatch.setattr(synth, "_fill_scaled_uniform", lambda *args: fills.append(args))
+        with pytest.raises(ValueError, match=r"noise\.sigma=0\.2 .* sigma=0\.1"):
+            run_cell(cfg, a0, 128, 0, ESTIMATOR_NAMES, NoiseProfile(sigma=2 * cfg.sigma))
+        assert not fills, "nothing may be drawn"
+        assert not draw_threads(), "no draw thread may be started"
 
     def test_elapsed_is_each_estimators_own_time(self):
         # The draw and the Gram sums are shared: charging them to every record
@@ -307,12 +312,11 @@ class TestRunCell:
 def pass_peak(cfg: ProblemConfig, n_list: tuple[int, ...]) -> int:
     """tracemalloc peak of one _run_trial pass over n_list, above its live heap."""
     _, a0 = random_source_operator(cfg, ground_truth_seed(cfg))
-    noise = NoiseProfile(sigma=cfg.sigma)
-    harness._run_trial(cfg, a0, (_B,), 0, ESTIMATOR_NAMES, noise)  # first-call allocations
+    harness._run_trial(cfg, a0, (_B,), 0, ESTIMATOR_NAMES)  # first-call allocations
     tracemalloc.start()
     try:
         live = tracemalloc.get_traced_memory()[0]
-        harness._run_trial(cfg, a0, n_list, 0, ESTIMATOR_NAMES, noise)
+        harness._run_trial(cfg, a0, n_list, 0, ESTIMATOR_NAMES)
         return tracemalloc.get_traced_memory()[1] - live
     finally:
         tracemalloc.stop()

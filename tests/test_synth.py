@@ -22,8 +22,8 @@ from opridge import (
     operator_from_source,
     packing_operator,
     random_source_operator,
-    sample_blocks,
 )
+from opridge.synth import _stream_filler
 
 SQRT3 = math.sqrt(3.0)
 
@@ -82,9 +82,10 @@ class TestSampleInputs:
 
 
 def drawn_noise(n: int, d_out: int, profile: NoiseProfile, rng_seed: int) -> np.ndarray:
-    """The noise rows of a dataset with d_in = 2, drawn as one block."""
+    """The noise rows of a dataset with d_in = 2, filled inline."""
     op = OperatorMatrix(np.zeros((d_out, 2)), make_decay(2, 0.5), make_decay(d_out, 0.5))
-    ((_, eps),) = sample_blocks(op, n, profile, rng_seed, n)
+    eps = np.empty((n, d_out))
+    _stream_filler(op, profile, rng_seed)(np.empty((n, 2)), eps)
     return eps
 
 
@@ -162,27 +163,29 @@ class TestMakeDataset:
         assert np.array_equal(d1.u, d2.u) and np.array_equal(d1.v, d2.v)
         assert not np.array_equal(d1.v, d3.v)
 
+    def test_rejects_zero_samples(self):
+        cfg = small_config()
+        _, a0 = random_source_operator(cfg, rng_seed=1)
+        with pytest.raises(ValueError, match="sample count must be >= 1"):
+            make_dataset(a0, 0, NoiseProfile(sigma=0.1), rng_seed=9)
 
-class TestSampleBlocks:
-    def test_blocks_stack_to_the_dataset_bit_for_bit(self):
+
+class TestStreamFiller:
+    def test_fills_stack_to_the_dataset_bit_for_bit(self):
+        # Any split of the stream gives the same bits; the streamed pass
+        # relies on it to match make_dataset.
         cfg = small_config(d_in=5, d_out=7)
         _, a0 = random_source_operator(cfg, rng_seed=1)
         profile = NoiseProfile(sigma=0.3)
         data = make_dataset(a0, 23, profile, rng_seed=9)
-        blocks = list(sample_blocks(a0, 23, profile, 9, block_rows=5))
-        assert [u.shape[0] for u, _ in blocks] == [5, 5, 5, 5, 3]
+        fill = _stream_filler(a0, profile, 9)
+        blocks = [(np.empty((rows, 5)), np.empty((rows, 7))) for rows in (5, 5, 5, 5, 3)]
+        for u, eps in blocks:
+            fill(u, eps)
         u = np.vstack([b[0] for b in blocks])
         eps = np.vstack([b[1] for b in blocks])
         assert np.array_equal(u, data.u), "chunked input draws must equal one draw"
         assert np.array_equal(u @ a0.m.T + eps, data.v), "chunked noise draws must equal one draw"
-
-    def test_rejects_empty_sizes(self):
-        cfg = small_config()
-        _, a0 = random_source_operator(cfg, rng_seed=1)
-        with pytest.raises(ValueError):
-            next(sample_blocks(a0, 0, NoiseProfile(sigma=0.1), 9, block_rows=4))
-        with pytest.raises(ValueError):
-            next(sample_blocks(a0, 8, NoiseProfile(sigma=0.1), 9, block_rows=0))
 
 
 class TestRandomSourceOperator:
