@@ -262,7 +262,8 @@ class OperatorMatrix:
                 f"operator shape {m.shape} does not match decays "
                 f"({len(self.output_decay)}, {len(self.input_decay)})"
             )
-        if not np.all(np.isfinite(m)):
+        # min and max carry any nan or inf, without an array of flags as large as m.
+        if not (math.isfinite(float(m.min())) and math.isfinite(float(m.max()))):
             raise ValueError("operator matrix entries must be finite")
 
     @property

@@ -27,6 +27,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
@@ -300,8 +301,10 @@ class RateReport:
 
     theoretical_eta1 is the predicted squared-error decay exponent; the
     empirical counterpart of -eta1 is each fit's slope. total_seconds is
-    wall time for the whole grid and is the only non-deterministic field
-    besides the per-record timings.
+    wall time for the whole grid, and worker_start_seconds the part of it
+    from the pool's creation until the last worker that ran a trial had
+    finished its start-up; with the per-record timings, they are the only
+    non-deterministic fields.
     """
 
     runs: tuple[TrialRecord, ...]
@@ -309,6 +312,7 @@ class RateReport:
     fits: tuple[RateFit, ...]
     theoretical_eta1: float
     total_seconds: float
+    worker_start_seconds: float
 
 
 # ---------------------------------------------------------------------------
@@ -448,14 +452,27 @@ def fit_rate(points: Sequence[tuple[float, float]]) -> tuple[float, float, float
 _WORKER_STATE: dict[str, Any] = {}
 
 
-def _pool_init(cfg: ProblemConfig, a0: OperatorMatrix, n_list: tuple[int, ...],
+def _pool_init(cfg: ProblemConfig, a0_path: str, n_list: tuple[int, ...],
                estimators: tuple[str, ...]) -> None:
+    """Keep a worker's sweep state, with a0 loaded from the .npy file at a0_path.
+
+    The parent built a0 once, without BLAS, on cfg's decays (_run_cells
+    checks them), and saved its exact bits and memory order at a0_path;
+    it is rebuilt here from those bits and cfg's decays. The path, not a0,
+    is in the spawn arguments, so they stay a few hundred bytes at any
+    d_in and d_out and the parent starts every worker at once. Also keeps
+    the wall-clock time at which this worker became ready, which
+    _pool_trial returns with each trial's records.
+    """
+    a0 = OperatorMatrix(np.load(a0_path, allow_pickle=False),
+                        cfg.input_decay, cfg.output_decay)
     _WORKER_STATE["args"] = (cfg, a0, n_list, estimators)
+    _WORKER_STATE["ready"] = time.time()
 
 
-def _pool_trial(trial: int) -> tuple[TrialRecord, ...]:
+def _pool_trial(trial: int) -> tuple[float, tuple[TrialRecord, ...]]:
     cfg, a0, n_list, estimators = _WORKER_STATE["args"]
-    return _run_trial(cfg, a0, n_list, trial, estimators)
+    return _WORKER_STATE["ready"], _run_trial(cfg, a0, n_list, trial, estimators)
 
 
 def _pool_size(workers: int, trials: int) -> int:
@@ -472,30 +489,42 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+# GroundTruthSpec.build peaks at this many a0-sized arrays: the "random"
+# kind holds its signs, its coefficients and their rescaled copy, and the
+# weighted operator (tracemalloc; pinned by a tier-1 test).
+_BUILD_PEAK_ARRAYS = 4
+
+
 def _check_memory(cfg: ProblemConfig, workers: int) -> None:
-    """Refuse dimensions whose arrays, in workers processes, exceed physical memory.
+    """Refuse dimensions whose arrays, with workers processes, exceed physical memory.
 
     A worker holds its copy of a0 and the arrays of its trial pass
-    (estimators._pass_peak_bytes). Called before the ground truth is built,
-    so a refused config allocates nothing.
+    (estimators._pass_peak_bytes). The parent adds the peak of building a0
+    and the .npy file it hands a0 to the workers in, which is memory when
+    TMPDIR is a tmpfs. The build ends before the pool starts, so the sum is
+    an upper bound. Called before the ground truth is built, so a refused
+    config allocates nothing.
 
     Raises:
         ConfigError: naming d_in and d_out.
     """
-    need = workers * (8 * cfg.d_out * cfg.d_in + _pass_peak_bytes(cfg.d_in, cfg.d_out))
+    a0_bytes = 8 * cfg.d_out * cfg.d_in
+    parent = (_BUILD_PEAK_ARRAYS + 1) * a0_bytes
+    need = workers * (a0_bytes + _pass_peak_bytes(cfg.d_in, cfg.d_out)) + parent
     have = _physical_memory()
     if need > have:
         raise ConfigError(
             f"d_in={cfg.d_in} and d_out={cfg.d_out} need {need / 2**30:.4g} GiB of arrays in "
-            f"{workers} worker(s), more than the {have / 2**30:.4g} GiB of physical memory"
+            f"{workers} worker(s) and their parent, more than the {have / 2**30:.4g} GiB of "
+            "physical memory"
         )
 
 
 def _run_cells(cfg: ProblemConfig, a0: OperatorMatrix, estimators: Sequence[str],
                n_list: Sequence[int], trials: Sequence[int], workers: int,
                progress: Callable[[int, int, float], None] | None = None,
-               ) -> list[tuple[TrialRecord, ...]]:
-    """The records of each trial, one pass and one task per trial.
+               ) -> tuple[list[tuple[TrialRecord, ...]], float]:
+    """The records of each trial, one pass and one task per trial, and the workers' start-up time.
 
     Each task is _run_trial over n_list, in spawned workers with one BLAS
     thread and a draw thread; results come back in trial order, and
@@ -504,7 +533,24 @@ def _run_cells(cfg: ProblemConfig, a0: OperatorMatrix, estimators: Sequence[str]
     alone, not on n_list, the worker count or the caller's BLAS thread
     variables. The pool starts _pool_size(workers, len(trials)) processes,
     and says so on stderr when that is fewer than workers.
+
+    The caller builds a0 once, without BLAS, and this hands its exact bits
+    and memory order to the workers in a .npy file, in a temporary
+    directory (prefix "opridge-", under TMPDIR) that is removed however the
+    sweep ends; each worker rebuilds a0 on cfg's decays (_pool_init). a0 is
+    not pickled into the spawn arguments: a worker reads those only after
+    importing this module, so a payload larger than a pipe holds would make
+    the worker starts run one after another.
+
+    The second value is the wall-clock seconds from the pool's creation
+    until the last worker that ran a trial had finished _pool_init.
+
+    Raises:
+        ValueError: a0's decays are not cfg's.
     """
+    if not (np.array_equal(a0.input_decay.values, cfg.input_decay.values)
+            and np.array_equal(a0.output_decay.values, cfg.output_decay.values)):
+        raise ValueError("a0's decays are not the config's, on which the workers rebuild it")
     size = _pool_size(workers, len(trials))
     if size < workers:
         sys.stderr.write(f"starting {size} of {workers} workers: at most one per trial "
@@ -515,19 +561,24 @@ def _run_cells(cfg: ProblemConfig, a0: OperatorMatrix, estimators: Sequence[str]
     saved = {v: os.environ.get(v) for v in _BLAS_THREAD_VARS}
     os.environ.update({v: "1" for v in _BLAS_THREAD_VARS})
     try:
-        with ProcessPoolExecutor(
-            max_workers=size,
-            mp_context=get_context("spawn"),
-            initializer=_pool_init,
-            initargs=(cfg, a0, tuple(n_list), tuple(estimators)),
-        ) as pool:
-            t0 = time.perf_counter()
-            results = []
-            for records in pool.map(_pool_trial, trials, chunksize=1):
-                results.append(records)
-                if progress is not None:
-                    progress(len(results), len(trials), time.perf_counter() - t0)
-            return results
+        with tempfile.TemporaryDirectory(prefix="opridge-") as tmp:
+            a0_path = os.path.join(tmp, "a0.npy")
+            np.save(a0_path, a0.m, allow_pickle=False)
+            created = time.time()
+            with ProcessPoolExecutor(
+                max_workers=size,
+                mp_context=get_context("spawn"),
+                initializer=_pool_init,
+                initargs=(cfg, a0_path, tuple(n_list), tuple(estimators)),
+            ) as pool:
+                t0 = time.perf_counter()
+                results, ready = [], []
+                for started, records in pool.map(_pool_trial, trials, chunksize=1):
+                    ready.append(started)
+                    results.append(records)
+                    if progress is not None:
+                        progress(len(results), len(trials), time.perf_counter() - t0)
+            return results, max(ready) - created
     finally:
         for v, old in saved.items():
             if old is None:
@@ -564,8 +615,8 @@ def run_convergence(
             f"{plan.ground_truth.kind!r}) is the zero operator and sigma is 0: "
             "every error would be 0 and no rate can be fitted"
         )
-    trials = _run_cells(plan.cfg, a0, plan.estimators, plan.n_list, range(plan.trials),
-                        plan.workers, progress)
+    trials, worker_start = _run_cells(plan.cfg, a0, plan.estimators, plan.n_list,
+                                      range(plan.trials), plan.workers, progress)
     by_cell = {(r.estimator, r.n, r.trial): r for records in trials for r in records}
     runs = tuple(
         by_cell[(name, n, t)]
@@ -593,6 +644,7 @@ def run_convergence(
         fits=tuple(fits),
         theoretical_eta1=theoretical_rate(plan.cfg)[0],
         total_seconds=time.perf_counter() - t0,
+        worker_start_seconds=worker_start,
     )
     if plan.out_summary:
         write_summary_csv(report, plan.out_summary)
@@ -756,6 +808,7 @@ def write_report_json(report: RateReport, path: str | Path, cfg: ProblemConfig) 
             for s in report.summaries
         ],
         "total_seconds": report.total_seconds,
+        "worker_start_seconds": report.worker_start_seconds,
     }
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 

@@ -1,8 +1,10 @@
-"""Shared helpers: random valid configurations for property tests, and a thread-leak check."""
+"""Shared helpers: random valid configurations for property tests, and thread and temp-dir leak checks."""
 
 from __future__ import annotations
 
+import tempfile
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,3 +75,18 @@ def no_thread_left_running():
     if len(after) > len(before):
         new = sorted(t.name for t in after if t not in before)
         pytest.fail(f"{len(after) - len(before)} more live thread(s) than at the start: {new}")
+
+
+@pytest.fixture(autouse=True)
+def no_temp_dir_left_behind():
+    """Fail a test that leaves a new opridge-* entry in the temporary directory.
+
+    A sweep hands its ground truth to the workers in such a directory,
+    which it must remove however it ended.
+    """
+    tmp = Path(tempfile.gettempdir())
+    before = set(tmp.glob("opridge-*"))
+    yield
+    new = sorted(str(p) for p in set(tmp.glob("opridge-*")) - before)
+    if new:
+        pytest.fail(f"temporary entries left behind: {new}")

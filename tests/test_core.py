@@ -279,3 +279,18 @@ class TestEigenDecayValidation:
     def test_accepts_custom_strictly_decreasing_values(self):
         decay = EigenDecay(values=np.array([0.25]))
         assert len(decay) == 1
+
+
+class TestOperatorMatrixValidation:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (2, 1)])
+    def test_rejects_a_non_finite_entry(self, bad, where):
+        m = np.ones((3, 2))
+        m[where] = bad
+        with pytest.raises(ValueError, match="finite"):
+            OperatorMatrix(m, make_decay(2, 0.5), make_decay(3, 0.5))
+
+    def test_accepts_entries_whose_sum_overflows(self):
+        m = np.full((3, 2), 1e308)
+        m[1, 1] = -1e308
+        assert OperatorMatrix(m, make_decay(2, 0.5), make_decay(3, 0.5)).m is m

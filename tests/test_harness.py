@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import pickle
+import tempfile
 import time
 import tracemalloc
 
@@ -444,11 +446,15 @@ class TestPoolAndMemory:
         assert len(report.runs) == 2 * 3 * trials
 
     def test_memory_past_the_budget_is_refused_before_the_ground_truth(self, monkeypatch):
-        # Each worker holds a0 and one pass; the budget fits two workers.
+        # Each worker holds a0 and one pass, and the parent the peak of
+        # building a0 and the file it hands a0 over in; the budget fits two
+        # workers and the parent.
         plan = tiny_plan(workers=8, trials=2)
         d_in, d_out = plan.cfg.d_in, plan.cfg.d_out
-        worker = 8 * d_out * d_in + _pass_peak_bytes(d_in, d_out)
-        monkeypatch.setattr(harness, "_physical_memory", lambda: 2 * worker)
+        a0_bytes = 8 * d_out * d_in
+        parent = harness._BUILD_PEAK_ARRAYS * a0_bytes + a0_bytes
+        budget = 2 * (a0_bytes + _pass_peak_bytes(d_in, d_out)) + parent
+        monkeypatch.setattr(harness, "_physical_memory", lambda: budget)
         run_convergence(plan)  # eight workers asked for, two started
         assert InProcessPool.sizes == [2]
 
@@ -456,10 +462,125 @@ class TestPoolAndMemory:
             raise AssertionError("the ground truth must not be built")
 
         monkeypatch.setattr(GroundTruthSpec, "build", no_build)
-        monkeypatch.setattr(harness, "_physical_memory", lambda: 2 * worker - 1)
+        monkeypatch.setattr(harness, "_physical_memory", lambda: budget - 1)
         with pytest.raises(ConfigError, match=f"d_in={d_in} and d_out={d_out} need"):
             run_convergence(plan)
         assert InProcessPool.sizes == [2], "no pool may start"
+
+
+def build_peak(spec: GroundTruthSpec, cfg: ProblemConfig) -> int:
+    """tracemalloc peak of one GroundTruthSpec.build, above its live heap."""
+    spec.build(cfg)  # first-call allocations
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        spec.build(cfg)
+        return tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+
+
+class TestBuildMemory:
+    """The parent's build of a0, which _check_memory counts as _BUILD_PEAK_ARRAYS a0s."""
+
+    D = 512
+
+    def counted(self) -> int:
+        return harness._BUILD_PEAK_ARRAYS * 8 * self.D * self.D
+
+    def test_the_random_kind_peaks_at_the_counted_arrays(self):
+        peak = build_peak(GroundTruthSpec("random", {}), small_config(d_in=self.D, d_out=self.D))
+        assert abs(peak - self.counted()) <= 2 * _SMALL, \
+            f"a random build peaked at {peak} B, _check_memory counts {self.counted()} B"
+
+    @pytest.mark.parametrize("spec", [
+        GroundTruthSpec("laplacian", {"t": 1}),
+        GroundTruthSpec("packing", {"m1": 8, "K": 4, "eps": 0.1}),
+    ], ids=["laplacian", "packing"])
+    def test_no_other_kind_peaks_higher(self, spec):
+        peak = build_peak(spec, small_config(d_in=self.D, d_out=self.D))
+        assert peak <= self.counted() + 2 * _SMALL, \
+            f"a {spec.kind} build peaked at {peak} B, _check_memory counts {self.counted()} B"
+
+
+class StopAtSpawn(Exception):
+    """Raised by a stand-in pool in place of starting any worker."""
+
+
+class TestGroundTruthHandoff:
+    """a0 reaches the workers as a .npy file, not through the spawn pipe."""
+
+    @pytest.fixture
+    def made_dirs(self, monkeypatch) -> list[str]:
+        """The temporary directories made while the test runs."""
+        made = []
+
+        class Recording(tempfile.TemporaryDirectory):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self.name)
+
+        monkeypatch.setattr(tempfile, "TemporaryDirectory", Recording)
+        return made
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_the_worker_gets_the_parents_bits_and_memory_order(self, monkeypatch, order):
+        monkeypatch.setattr(InProcessPool, "sizes", [])
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        cfg = small_config(d_in=12, d_out=16)
+        built = GroundTruthSpec().build(cfg)
+        a0 = OperatorMatrix(np.array(built.m, order=order), built.input_decay,
+                            built.output_decay)
+        harness._run_cells(cfg, a0, ("single",), (64,), (0,), 1)
+        got = harness._WORKER_STATE["args"][1]
+        assert np.array_equal(got.m, a0.m), "the worker's a0 must be the parent's bits"
+        assert got.m.flags.c_contiguous == a0.m.flags.c_contiguous, \
+            f"the worker's a0 must keep the parent's {order} order"
+        assert np.array_equal(got.input_decay.values, a0.input_decay.values)
+        assert np.array_equal(got.output_decay.values, a0.output_decay.values)
+
+    def test_an_operator_off_the_configs_decays_is_refused(self):
+        cfg = small_config(d_in=12, d_out=16)
+        other = GroundTruthSpec().build(small_config(d_in=12, d_out=16, p=0.6))
+        with pytest.raises(ValueError, match="decays"):
+            harness._run_cells(cfg, other, ("single",), (64,), (0,), 1)
+
+    def test_no_directory_is_left_after_a_sweep(self, made_dirs):
+        run_convergence(tiny_plan())
+        assert len(made_dirs) == 1, f"one directory per sweep, got {made_dirs}"
+        assert os.path.basename(made_dirs[0]).startswith("opridge-")
+        assert os.path.dirname(made_dirs[0]) == tempfile.gettempdir()
+        assert not os.path.exists(made_dirs[0]), f"{made_dirs[0]} left after the sweep"
+
+    def test_no_directory_is_left_after_a_sweep_that_raises(self, made_dirs):
+        # B=1e200 makes an error non-finite, which a worker raises.
+        plan = tiny_plan(cfg=small_config(d_in=12, d_out=16, B=1e200))
+        with pytest.raises(ConfigError, match="too large for double precision"):
+            run_convergence(plan)
+        assert len(made_dirs) == 1, f"one directory per sweep, got {made_dirs}"
+        assert not os.path.exists(made_dirs[0]), f"{made_dirs[0]} left after the raise"
+
+    def test_the_spawn_payload_fits_a_pipe_at_any_dimension(self, monkeypatch):
+        # A worker reads its start-up arguments only after its imports, so
+        # a payload past the 64 KiB a pipe holds would keep the parent from
+        # starting the next worker until then. The stand-in a0 has the
+        # config's shape and decays but no memory of its own.
+        d = 4096
+        cfg = small_config(d_in=d, d_out=d)
+        a0 = OperatorMatrix(np.broadcast_to(0.0, (d, d)), cfg.input_decay, cfg.output_decay)
+        payloads = []
+
+        def capture(*, initargs, **_):
+            payloads.append(pickle.dumps(initargs))
+            raise StopAtSpawn
+
+        monkeypatch.setattr(np, "save", lambda *args, **kwargs: None)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", capture)
+        with pytest.raises(StopAtSpawn):
+            harness._run_cells(cfg, a0, ESTIMATOR_NAMES, (2**10, 2**20), range(2), 2)
+        (payload,) = payloads
+        assert len(payload) < 64 * 1024, \
+            f"the spawn payload is {len(payload)} B at d_in=d_out={d}"
 
 
 class TestRunConvergence:
@@ -562,6 +683,14 @@ class TestRunConvergence:
         doc = json.loads((tmp_path / "report.json").read_text())
         assert set(doc["fits"]) == {"single", "multilevel"}
         assert doc["slope_target"] == -doc["theoretical_eta1"]
+
+    def test_report_gives_the_workers_start_up_time(self, tmp_path):
+        plan = tiny_plan(workers=2, out_report=str(tmp_path / "report.json"))
+        report = run_convergence(plan)
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert doc["worker_start_seconds"] == report.worker_start_seconds
+        assert 0.0 < doc["worker_start_seconds"] < doc["total_seconds"], \
+            f"worker start {doc['worker_start_seconds']} s of {doc['total_seconds']} s in all"
 
 
 class TestConfigIO:
