@@ -1,17 +1,17 @@
 """Row-wise ridge estimators over spectral coordinates, plus analytic oracles.
 
 All estimators share one computational core: given empirical covariances
-(c_kk, c_lk) and an assignment of a ridge coefficient to each learned output
-row, row j of the estimate solves
+(c_kk, c_lk) and a ridge coefficient lambda_j for each of the leading k
+output rows an estimator learns, row j < k of the estimate solves
 
     a_hat[j] @ (c_kk + lambda_j I) = c_lk[j]
 
-and unlearned rows are exactly zero. EmpiricalCovariances keeps one
+and rows k..d_out-1 are exactly zero. EmpiricalCovariances keeps one
 eigendecomposition c_kk = Q diag(Lambda) Q.T, made when it is built, and
 every row is solved from it as ((c_lk[j] @ Q) / (Lambda + lambda_j)) @ Q.T,
 so a cell costs one eigh however many distinct coefficients its estimators
-use. One private solver, _learned_rows, computes the learned rows alone:
-fit_rowwise_ridge scatters them into zeros, and a trial pass scores them
+use. One private solver, _learned_rows, computes the k learned rows alone:
+fit_rowwise_ridge stacks them on zeros, and a trial pass scores them
 without building the rest of the estimate (see harness._run_trial).
 Covariances are uncentered and c_kk is symmetrized. The estimators
 differ only in their map: LambdaMap.for_estimator gives the map of each of
@@ -299,40 +299,35 @@ def _from_sums(a0: OperatorMatrix, uu: np.ndarray, eu: np.ndarray, n: int) -> Em
 
 @dataclass(frozen=True)
 class LambdaMap:
-    """Assignment of a ridge coefficient to each learned output row.
+    """Ridge coefficients of the leading output rows an estimator learns.
 
     Attributes:
-        lams: shape (d_out,); lams[j] is the coefficient of 0-based row j,
-            meaningful only where learned[j] is True.
-        learned: boolean mask of rows the estimator fits; unlearned rows of
-            any estimate are exactly zero.
+        lams: shape (k,); lams[j] is the coefficient of 0-based row j, each
+            positive and finite. Rows k..d_out-1 are not learned, and those
+            rows of any estimate are exactly zero.
+        d_out: number of output rows the map covers, at least k.
     """
 
     lams: np.ndarray
-    learned: np.ndarray
+    d_out: int
 
     def __post_init__(self) -> None:
         lams = np.asarray(self.lams, dtype=np.float64)
-        learned = np.asarray(self.learned, dtype=bool)
-        if lams.ndim != 1 or learned.shape != lams.shape:
-            raise ValueError("lams and learned must be 1-d of equal length")
-        active = lams[learned]
-        if active.size and (not np.all(np.isfinite(active)) or np.any(active <= 0.0)):
+        if lams.ndim != 1 or lams.shape[0] > self.d_out:
+            raise ValueError(f"lams must be 1-d, at most d_out={self.d_out} long, got {lams.shape}")
+        if not np.all(np.isfinite(lams)) or np.any(lams <= 0.0):
             raise ValueError("learned rows must have positive finite lambdas")
         object.__setattr__(self, "lams", lams)
-        object.__setattr__(self, "learned", learned)
 
     @property
-    def d_out(self) -> int:
+    def k(self) -> int:
+        """Number of learned rows."""
         return self.lams.shape[0]
 
     @classmethod
     def uniform(cls, d_out: int, lam: float) -> "LambdaMap":
         """Every row learned with the same coefficient."""
-        return cls(
-            lams=np.full(d_out, float(lam)),
-            learned=np.ones(d_out, dtype=bool),
-        )
+        return cls(lams=np.full(d_out, float(lam)), d_out=d_out)
 
     @classmethod
     def for_estimator(cls, cfg: ProblemConfig, n: int, estimator: str) -> "LambdaMap":
@@ -345,27 +340,22 @@ class LambdaMap:
         """
         if estimator == "single":
             return cls.uniform(cfg.d_out, single_ridge_lambda(cfg, n))
-        lams = np.ones(cfg.d_out)
-        learned = np.zeros(cfg.d_out, dtype=bool)
         if estimator in ("variance", "bias"):
             sched = (variance_lambdas if estimator == "variance" else bias_lambdas)(cfg, n)
-            lams[: sched.y_max] = sched.lambdas
-            learned[: sched.y_max] = True
-        elif estimator == "multilevel":
-            for level in multilevel_schedule(cfg, n).levels:
-                # Level brackets are 1-based half-open [row_start, row_end).
-                lams[level.row_start - 1 : level.row_end - 1] = level.lam
-                learned[level.row_start - 1 : level.row_end - 1] = True
-        else:
-            raise ValueError(f"unknown estimator {estimator!r}, expected one of {ESTIMATOR_NAMES}")
-        return cls(lams=lams, learned=learned)
+            return cls(lams=sched.lambdas, d_out=cfg.d_out)
+        if estimator == "multilevel":
+            # Contiguous 1-based half-open brackets [row_start, row_end) from row 1.
+            levels = multilevel_schedule(cfg, n).levels
+            widths = [lv.row_end - lv.row_start for lv in levels]
+            return cls(lams=np.repeat([lv.lam for lv in levels], widths), d_out=cfg.d_out)
+        raise ValueError(f"unknown estimator {estimator!r}, expected one of {ESTIMATOR_NAMES}")
 
 
 def fit_rowwise_ridge(cov: EmpiricalCovariances, lmap: LambdaMap) -> np.ndarray:
     """Solve the per-row ridge systems from the eigendecomposition of c_kk.
 
-    Zeros with the learned rows of _learned_rows scattered in, so every
-    row equals the one a learned-rows-only caller gets, bit for bit.
+    The rows of _learned_rows stacked on zeros, so every row equals the
+    one a learned-rows-only caller gets, bit for bit.
 
     Args:
         cov: empirical (or population) covariances.
@@ -380,40 +370,31 @@ def fit_rowwise_ridge(cov: EmpiricalCovariances, lmap: LambdaMap) -> np.ndarray:
         numpy.linalg.LinAlgError: some c_kk + lambda_j I is not positive
             definite, which signals an indefinite c_kk.
     """
-    rows, a_rows = _learned_rows(cov, lmap)
     a_hat = np.zeros_like(cov.c_lk)
-    a_hat[rows] = a_rows
+    a_hat[: lmap.k] = _learned_rows(cov, lmap)
     return a_hat
 
 
-def _learned_rows(
-    cov: EmpiricalCovariances, lmap: LambdaMap
-) -> tuple[slice | np.ndarray, np.ndarray]:
-    """(rows, a_rows): the learned rows of the ridge estimate and their values.
+def _learned_rows(cov: EmpiricalCovariances, lmap: LambdaMap) -> np.ndarray:
+    """The learned rows 0..lmap.k-1 of the ridge estimate, shape (k, d_in).
 
-    a_rows[k] is row rows[k] of fit_rowwise_ridge(cov, lmap), solved as
-    ((c_lk[j] @ Q) / (Lambda + lambda_j)) @ Q.T. rows is slice(0, k) when
-    the learned rows are the leading k, as in every map of
-    LambdaMap.for_estimator, so c_lk[rows] is a view; any other mask gives
-    an index array. a_rows is a new C-ordered array, which the caller may
-    overwrite. Raises as fit_rowwise_ridge does.
+    Row j is row j of fit_rowwise_ridge(cov, lmap), solved as
+    ((c_lk[j] @ Q) / (Lambda + lambda_j)) @ Q.T, in a new C-ordered array
+    the caller may overwrite. Raises as fit_rowwise_ridge does.
     """
     if lmap.d_out != cov.d_out:
         raise ValueError(
             f"lambda map covers {lmap.d_out} rows, covariances have {cov.d_out}"
         )
-    k = int(np.count_nonzero(lmap.learned))
-    rows = slice(0, k) if lmap.learned[:k].all() else np.flatnonzero(lmap.learned)
-    lams = lmap.lams[rows]
-    if np.any(lams + cov.eigvals[0] <= 0.0):
+    if np.any(lmap.lams + cov.eigvals[0] <= 0.0):
         raise np.linalg.LinAlgError(
             f"c_kk + lambda I is not positive definite: min eigenvalue "
-            f"{cov.eigvals[0]:.3e}, min lambda {lams.min():.3e}"
+            f"{cov.eigvals[0]:.3e}, min lambda {lmap.lams.min():.3e}"
         )
     q = cov.eigvecs
-    a_rows = cov.c_lk[rows] @ q
-    a_rows /= cov.eigvals + lams[:, np.newaxis]
-    return rows, a_rows @ q.T
+    a_rows = cov.c_lk[: lmap.k] @ q
+    a_rows /= cov.eigvals + lmap.lams[:, np.newaxis]
+    return a_rows @ q.T
 
 
 def single_ridge_lambda(cfg: ProblemConfig, n: int) -> float:
@@ -459,10 +440,8 @@ def population_regularized(a0: OperatorMatrix, lmap: LambdaMap) -> OperatorMatri
         )
     mu = a0.input_decay.values
     shrink = np.zeros((a0.d_out, a0.d_in))
-    rows = np.nonzero(lmap.learned)[0]
-    if rows.size:
-        lam_col = lmap.lams[rows, None]
-        shrink[rows] = mu[None, :] / (mu[None, :] + lam_col)
+    lam_col = lmap.lams[:, None]
+    shrink[: lmap.k] = mu[None, :] / (mu[None, :] + lam_col)
     return OperatorMatrix(
         m=a0.m * shrink,
         input_decay=a0.input_decay,
@@ -498,10 +477,8 @@ def analytic_bias(
     mu = in_decay.values
     rho = out_decay.values
     ratio = np.ones((a.shape[0], a.shape[1]))
-    rows = np.nonzero(lmap.learned)[0]
-    if rows.size:
-        lam_col = lmap.lams[rows, None]
-        ratio[rows] = lam_col / (mu[None, :] + lam_col)
+    lam_col = lmap.lams[:, None]
+    ratio[: lmap.k] = lam_col / (mu[None, :] + lam_col)
     w_in = mu ** (src.beta - beta_prime)
     w_out = rho ** (gamma_prime - src.gamma)
     total = np.einsum("ji,i,j->", (ratio * a) ** 2, w_in, w_out)

@@ -170,18 +170,15 @@ class GroundTruthSpec:
                     gamma=cfg.gamma,
                 )
                 return OperatorMatrix(op.m, cfg.input_decay, cfg.output_decay)
-            m1 = int(p["m1"])
-            k = int(p["K"])
             omega = p.get("omega")
-            if omega is None:
-                rng = np.random.default_rng(int(p.get("seed", ground_truth_seed(cfg))))
-                omega = rng.integers(0, 2, size=(m1, k)).astype(np.float64)
+            if omega is None:  # packing_operator draws it once the block fits the grid
+                omega = np.random.default_rng(int(p.get("seed", ground_truth_seed(cfg))))
             return packing_operator(
-                m1=m1,
+                m1=int(p["m1"]),
                 m2=int(p.get("m2", 0)),
-                K=k,
+                K=int(p["K"]),
                 eps=float(p["eps"]),
-                omega=np.asarray(omega, dtype=np.float64),
+                omega=omega,
                 in_decay=cfg.input_decay,
                 out_decay=cfg.output_decay,
                 beta_prime=cfg.beta_prime,
@@ -193,7 +190,7 @@ class GroundTruthSpec:
             ) from exc
         except ConfigError:  # names a config field, not a ground-truth parameter
             raise
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # int() of an infinite float
             raise ConfigError(f"ground_truth.params invalid: {exc}") from exc
 
 
@@ -360,11 +357,11 @@ def _run_trial(
     so a record's elapsed_ms is that estimator's own lambda map,
     learned-row solve and score.
 
-    Only the learned rows are solved and scored. The error of an unlearned
-    row is -a0[j], so its term of the norm is a0's term, computed once per
-    pass; the row terms are then the vector bg_norm would sum, and
-    error_sq equals bg_norm(estimate_from_covariances(cov, cfg, name)
-    .difference(a0), beta', gamma') ** 2 bit for bit.
+    Only the learned rows 0..k-1 are solved and scored. The error of an
+    unlearned row j >= k is -a0[j], so its term of the norm is a0's term,
+    computed once per pass; the row terms are then the vector bg_norm
+    would sum, and error_sq equals bg_norm(estimate_from_covariances(cov,
+    cfg, name).difference(a0), beta', gamma') ** 2 bit for bit.
 
     Besides a0, the pass holds at most two blocks of samples, the running
     sums u.T @ u and eps.T @ u, and either one Gram product or the arrays
@@ -405,10 +402,10 @@ def _error_sq(cov: EmpiricalCovariances, lmap: LambdaMap, a0: OperatorMatrix,
     The difference, its squares and their weights are formed in the array
     _learned_rows returns, and every array here is freed on return.
     """
-    rows, err = _learned_rows(cov, lmap)
-    err -= a0.m[rows]
+    err = _learned_rows(cov, lmap)
+    err -= a0.m[: lmap.k]
     terms = a0_terms.copy()
-    terms[rows] = _row_terms(err, mu_w)
+    terms[: lmap.k] = _row_terms(err, mu_w)
     return math.sqrt(float(terms @ rho_w)) ** 2
 
 
@@ -832,9 +829,8 @@ def _random_small_instance(rng: np.random.Generator) -> tuple[
     src = SourceCoefficients(
         a=rng.standard_normal((d_out, d_in)), beta=beta, gamma=gamma
     )
-    lams = 10.0 ** rng.uniform(-6.0, 0.0, size=d_out)
-    learned = rng.random(d_out) < 0.8
-    lmap = LambdaMap(lams=lams, learned=learned)
+    k = int(rng.integers(0, d_out + 1))  # empty and full maps included
+    lmap = LambdaMap(lams=10.0 ** rng.uniform(-6.0, 0.0, size=k), d_out=d_out)
     return src, in_decay, out_decay, lmap, beta_prime, gamma_prime
 
 

@@ -106,17 +106,19 @@ class LambdaSchedule:
     """Per-row ridge coefficients for one contour estimator.
 
     Attributes:
-        y_max: number of learned output rows; rows with 0-based index >=
-            y_max are not learned.
-        lambdas: tuple of length y_max, lambdas[j-1] is the coefficient of
-            1-based row j; positive and nondecreasing in j.
+        lambdas: lambdas[j-1] is the coefficient of 1-based row j of the
+            y_max learned rows; positive and nondecreasing in j.
         clamped: True when the contour's learned-row count exceeded d_out and
             was cut to it.
     """
 
-    y_max: int
     lambdas: tuple[float, ...]
     clamped: bool
+
+    @property
+    def y_max(self) -> int:
+        """Number of learned output rows; rows with 0-based index >= y_max are not learned."""
+        return len(self.lambdas)
 
 
 def _contour_lambdas(cfg: ProblemConfig, n: int, kind: str) -> LambdaSchedule:
@@ -135,7 +137,7 @@ def _contour_lambdas(cfg: ProblemConfig, n: int, kind: str) -> LambdaSchedule:
         _corner_lambda(cfg, _solve(e_y, e_x, eta * ln_n, math.log(j)), floor)
         for j in range(1, y_max + 1)
     )
-    return LambdaSchedule(y_max=y_max, lambdas=lams, clamped=clamped)
+    return LambdaSchedule(lambdas=lams, clamped=clamped)
 
 
 def variance_lambdas(cfg: ProblemConfig, n: int) -> LambdaSchedule:

@@ -273,7 +273,7 @@ def packing_operator(
     m2: int,
     K: int,
     eps: float,
-    omega: np.ndarray,
+    omega: np.ndarray | np.random.Generator,
     in_decay: EigenDecay,
     out_decay: EigenDecay,
     beta_prime: float,
@@ -296,7 +296,8 @@ def packing_operator(
         m2: output row offset, >= 0; the block occupies rows m2+1..m2+K.
         K: output block height.
         eps: separation scale, > 0.
-        omega: m1 x K matrix with entries in {0, 1}.
+        omega: m1 x K matrix with entries in {0, 1}, or a Generator to draw
+            one from uniformly, which it does only once the block fits.
         in_decay, out_decay: eigenvalue decays fixing the grid.
         beta_prime, gamma_prime: the norm exponents the family is built for.
 
@@ -305,18 +306,20 @@ def packing_operator(
     """
     if m1 < 1 or K < 1 or m2 < 0:
         raise ValueError(f"block sizes must satisfy m1>=1, K>=1, m2>=0, got {(m1, m2, K)}")
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    omega = np.asarray(omega, dtype=np.float64)
-    if omega.shape != (m1, K):
-        raise ValueError(f"omega shape {omega.shape} must be (m1, K)=({m1}, {K})")
-    if not np.all(np.isin(omega, (0.0, 1.0))):
-        raise ValueError("omega entries must be 0 or 1")
     d_in, d_out = len(in_decay), len(out_decay)
     if 2 * m1 > d_in:
         raise ValueError(f"input block 2*m1={2 * m1} exceeds d_in={d_in}")
     if m2 + K > d_out:
         raise ValueError(f"output block m2+K={m2 + K} exceeds d_out={d_out}")
+    if eps <= 0.0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    if isinstance(omega, np.random.Generator):
+        omega = omega.integers(0, 2, size=(m1, K))
+    omega = np.asarray(omega, dtype=np.float64)
+    if omega.shape != (m1, K):
+        raise ValueError(f"omega shape {omega.shape} must be (m1, K)=({m1}, {K})")
+    if not np.all(np.isin(omega, (0.0, 1.0))):
+        raise ValueError("omega entries must be 0 or 1")
     c = math.sqrt(32.0 * eps / (m1 * K))
     mu_w = in_decay.values[m1 : 2 * m1] ** ((beta_prime - 1.0) / 2.0)
     rho_w = out_decay.values[m2 : m2 + K] ** ((1.0 - gamma_prime) / 2.0)

@@ -37,6 +37,10 @@ def write_config(tmp_path, name="cfg.json", **overrides):
     return path, obj
 
 
+# A block far off any grid here, whose m1 x K omega would take 7.28 TiB to draw.
+HUGE_PACKING = {"kind": "packing", "params": {"m1": 10**6, "K": 10**6, "eps": 0.01}}
+
+
 def write_staircase_config(tmp_path):
     # Bias-limited geometry whose schedule at n = 2^14 has clean corners.
     obj = {
@@ -412,9 +416,16 @@ class TestExitCodes:
         (["simulate", "--n", "64"], {"p": 0.005, "d_in": 512}, ("p", "d_in")),
         (["schedule", "--n", "64"], '{"B": 1' + "0" * 5000 + "}", ("JSON", "digits")),
         (["schedule", "--n", "64"], "[" * 200_000, ("JSON", "recursion")),
+        *((argv, {"ground_truth": HUGE_PACKING}, ("m1", "d_in"))
+          for argv in (["packing"], ["rates", "--n-list", "16,32,64"], ["simulate", "--n", "64"])),
+        (["packing"], {"ground_truth": {"kind": "packing",
+                                        "params": {"m1": math.inf, "K": 1, "eps": 0.01}}},
+         ("ground_truth.params", "infinity")),
     ], ids=["two-sample-counts", "B-400-digit-int", "B-1e200", "sigma-1e200",
             "q-underflows-at-d_out", "p-underflows-at-d_in", "B-5000-digit-int",
-            "200000-nested-brackets"])
+            "200000-nested-brackets", "packing-block-off-the-grid-packing",
+            "packing-block-off-the-grid-rates", "packing-block-off-the-grid-simulate",
+            "packing-m1-infinite"])
     def test_valid_looking_config_exits_two(self, tmp_path, capsys, argv, overrides, fields):
         # Each config passes the JSON-shape checks, or (given as text) is a
         # file JSON itself cannot read; a rule further in must still end in

@@ -266,12 +266,9 @@ class TestFitRowwiseRidge:
         cov = empirical_covariances(
             SampleSet(u=rng.normal(size=(20, 4)), v=rng.normal(size=(20, 6)))
         )
-        lmap = LambdaMap(
-            lams=np.ones(6), learned=np.array([True, False, True, False, False, True])
-        )
-        out = fit_rowwise_ridge(cov, lmap)
-        assert np.all(out[[1, 3, 4]] == 0.0)
-        assert np.all(out[[0, 2, 5]] != 0.0)
+        out = fit_rowwise_ridge(cov, LambdaMap(lams=np.ones(3), d_out=6))
+        assert np.all(out[3:] == 0.0)
+        assert np.all(out[:3] != 0.0)
 
     def test_solver_residual(self):
         rng = np.random.default_rng(11)
@@ -281,8 +278,7 @@ class TestFitRowwiseRidge:
             v = rng.normal(size=(50, d_out))
             cov = empirical_covariances(SampleSet(u=u, v=v))
             lams = rng.uniform(0.01, 2.0, size=d_out)
-            lmap = LambdaMap(lams=lams, learned=np.ones(d_out, dtype=bool))
-            out = fit_rowwise_ridge(cov, lmap)
+            out = fit_rowwise_ridge(cov, LambdaMap(lams=lams, d_out=d_out))
             for j in range(d_out):
                 lhs = out[j] @ (cov.c_kk + lams[j] * np.eye(d_in))
                 resid = np.linalg.norm(lhs - cov.c_lk[j]) / np.linalg.norm(cov.c_lk[j])
@@ -295,33 +291,27 @@ class TestFitRowwiseRidge:
         )
         with pytest.raises(np.linalg.LinAlgError):
             fit_rowwise_ridge(cov, LambdaMap.uniform(2, 1e-13))
-        lmap = LambdaMap(lams=np.array([1.0, 1e-14]), learned=np.array([True, False]))
+        lmap = LambdaMap(lams=np.array([1.0]), d_out=2)
         assert fit_rowwise_ridge(cov, lmap)[0, 0] == pytest.approx(0.5, rel=1e-14), \
-            "an unlearned row's lambda must not be checked"
+            "a map that learns row 0 alone must not be refused"
 
-    @pytest.mark.parametrize("mask", ["non-prefix", "empty", "full", "leading"])
-    def test_learned_rows_match_the_full_fit_and_a_per_row_solve(self, mask):
+    @pytest.mark.parametrize("rows", ["empty", "full", "leading"])
+    def test_learned_rows_match_the_full_fit_and_a_per_row_solve(self, rows):
         rng = np.random.default_rng(17)
         d_in, d_out = 6, 9
         g = rng.normal(size=(d_in, d_in))
         cov = EmpiricalCovariances(c_kk=g @ g.T + 0.1 * np.eye(d_in),
                                    c_lk=rng.normal(size=(d_out, d_in)), n=1)
-        learned = {"non-prefix": np.arange(d_out) % 3 != 1,
-                   "empty": np.zeros(d_out, dtype=bool),
-                   "full": np.ones(d_out, dtype=bool),
-                   "leading": np.arange(d_out) < 4}[mask]
-        lmap = LambdaMap(lams=rng.uniform(0.01, 2.0, size=d_out), learned=learned)
-        rows, a_rows = estimators._learned_rows(cov, lmap)
-        assert isinstance(rows, slice) == (mask != "non-prefix"), \
-            "a leading block of rows must come back as a slice"
-        index = np.arange(d_out)[rows]
-        assert np.array_equal(index, np.flatnonzero(learned))
+        k = {"empty": 0, "full": d_out, "leading": 4}[rows]
+        lmap = LambdaMap(lams=rng.uniform(0.01, 2.0, size=k), d_out=d_out)
+        a_rows = estimators._learned_rows(cov, lmap)
+        assert a_rows.shape == (k, d_in)
         full = fit_rowwise_ridge(cov, lmap)
-        assert np.array_equal(full[index], a_rows), "the full fit must scatter these rows"
-        assert np.all(np.delete(full, index, axis=0) == 0.0)
-        for k, j in enumerate(index):
+        assert np.array_equal(full[:k], a_rows), "the full fit must hold these rows"
+        assert np.all(full[k:] == 0.0)
+        for j in range(k):
             want = np.linalg.solve(cov.c_kk + lmap.lams[j] * np.eye(d_in), cov.c_lk[j])
-            err = np.abs(a_rows[k] - want).max() / np.abs(want).max()
+            err = np.abs(a_rows[j] - want).max() / np.abs(want).max()
             assert err <= 1e-10, f"row {j} off by {err:.3e} relative"
 
     def test_row_count_mismatch_rejected(self):
@@ -340,9 +330,8 @@ class TestFitRowwiseRidge:
                 input_decay=random_decay(rng, d_in),
                 output_decay=random_decay(rng, d_out),
             )
-            lams = rng.uniform(1e-4, 10.0, size=d_out)
-            learned = rng.uniform(size=d_out) < 0.8
-            lmap = LambdaMap(lams=lams, learned=learned)
+            lams = rng.uniform(1e-4, 10.0, size=int(rng.integers(0, d_out + 1)))
+            lmap = LambdaMap(lams=lams, d_out=d_out)
             got = fit_rowwise_ridge(population_covariances(a0), lmap)
             want = population_regularized(a0, lmap).m
             err = np.abs(got - want).max()
@@ -357,11 +346,9 @@ class TestEstimators:
         data = make_dataset(a0, 200, NoiseProfile(sigma=cfg.sigma), rng_seed=22)
         cov = empirical_covariances(data)
         est = estimate_from_covariances(cov, cfg, "multilevel")
-        lams, learned = np.ones(cfg.d_out), np.zeros(cfg.d_out, dtype=bool)
-        for level in multilevel_schedule(cfg, data.n).levels:
-            lams[level.row_start - 1 : level.row_end - 1] = level.lam
-            learned[level.row_start - 1 : level.row_end - 1] = True
-        want = fit_rowwise_ridge(cov, LambdaMap(lams=lams, learned=learned))
+        lams = [level.lam for level in multilevel_schedule(cfg, data.n).levels
+                for _ in range(level.row_start, level.row_end)]
+        want = fit_rowwise_ridge(cov, LambdaMap(lams=lams, d_out=cfg.d_out))
         assert np.array_equal(est.m, want), "must be the same computation"
 
     def test_contour_estimators_learn_scheduled_rows_only(self):
@@ -415,6 +402,13 @@ class TestEstimators:
         with pytest.raises(ValueError, match="unknown estimator 'lasso'"):
             LambdaMap.for_estimator(cfg, 64, "lasso")
 
+    @pytest.mark.parametrize("lams, d_out", [
+        ([1.0, 1.0], 1), ([1.0, 0.0], 2), ([np.inf], 1), ([[1.0]], 1),
+    ], ids=["more-rows-than-d_out", "zero-lambda", "infinite-lambda", "not-1-d"])
+    def test_a_map_refuses_what_no_ridge_can_learn(self, lams, d_out):
+        with pytest.raises(ValueError):
+            LambdaMap(lams=lams, d_out=d_out)
+
     @pytest.mark.parametrize("n", [2, 17, 1024, 65536, 10**6])
     def test_for_estimator_matches_row_by_row_maps(self, n):
         # Each estimator's map, written out row by row from its schedule.
@@ -433,8 +427,8 @@ class TestEstimators:
             assert set(rows) == set(ESTIMATOR_NAMES)
             for name, want in rows.items():
                 lmap = LambdaMap.for_estimator(cfg, n, name)
-                assert lmap.learned.tolist() == [j in want for j in range(cfg.d_out)], name
-                assert [lmap.lams[j] for j in sorted(want)] == [want[j] for j in sorted(want)], name
+                assert sorted(want) == list(range(lmap.k)), name
+                assert lmap.lams.tolist() == [want[j] for j in range(lmap.k)], name
 
 
 class TestPopulationRegularized:
@@ -443,8 +437,7 @@ class TestPopulationRegularized:
         a0 = OperatorMatrix(
             m=np.ones((2, 3)), input_decay=decay, output_decay=make_decay(2, 0.5)
         )
-        lmap = LambdaMap(lams=np.array([decay.values[1], 1.0]),
-                         learned=np.array([True, False]))
+        lmap = LambdaMap(lams=np.array([decay.values[1]]), d_out=2)
         out = population_regularized(a0, lmap)
         assert out.m[0, 1] == pytest.approx(0.5, rel=1e-14)
         assert np.all(out.m[1] == 0.0)
@@ -455,8 +448,7 @@ class TestPopulationRegularized:
             input_decay=make_decay(3, 0.5),
             output_decay=make_decay(2, 0.5),
         )
-        lmap = LambdaMap(lams=np.full(2, 1e-300), learned=np.ones(2, dtype=bool))
-        out = population_regularized(a0, lmap)
+        out = population_regularized(a0, LambdaMap.uniform(2, 1e-300))
         np.testing.assert_allclose(out.m, a0.m, rtol=1e-12)
 
     def test_huge_lambda_kills_rows(self):
@@ -477,9 +469,8 @@ class TestPopulationRegularized:
             output_decay=random_decay(rng, 6),
         )
         lams = rng.uniform(0.1, 1.0, size=6)
-        learned = np.ones(6, dtype=bool)
-        small = population_regularized(a0, LambdaMap(lams=lams, learned=learned))
-        big = population_regularized(a0, LambdaMap(lams=4.0 * lams, learned=learned))
+        small = population_regularized(a0, LambdaMap(lams=lams, d_out=6))
+        big = population_regularized(a0, LambdaMap(lams=4.0 * lams, d_out=6))
         assert np.all(np.abs(big.m) <= np.abs(small.m) + 1e-15)
 
 
@@ -496,15 +487,15 @@ class TestAnalyticBias:
     def test_zero_lambda_zero_bias(self):
         rng = np.random.default_rng(33)
         src = SourceCoefficients(a=rng.normal(size=(4, 3)), beta=0.6, gamma=0.1)
-        lmap = LambdaMap(lams=np.full(4, 1e-300), learned=np.ones(4, dtype=bool))
-        got = analytic_bias(src, lmap, make_decay(3, 0.5), make_decay(4, 0.5), 0.3, 0.7)
+        got = analytic_bias(src, LambdaMap.uniform(4, 1e-300), make_decay(3, 0.5),
+                            make_decay(4, 0.5), 0.3, 0.7)
         assert got <= 1e-290
 
     def test_nothing_learned_gives_full_norm(self):
         rng = np.random.default_rng(35)
         src = SourceCoefficients(a=rng.normal(size=(4, 3)), beta=0.6, gamma=0.1)
         ind, outd = make_decay(3, 0.5), make_decay(4, 0.5)
-        lmap = LambdaMap(lams=np.ones(4), learned=np.zeros(4, dtype=bool))
+        lmap = LambdaMap(lams=np.empty(0), d_out=4)
         a0 = operator_from_source(src, ind, outd)
         got = analytic_bias(src, lmap, ind, outd, 0.3, 0.7)
         assert got == pytest.approx(bg_norm(a0, 0.3, 0.7), rel=1e-12)
@@ -520,10 +511,8 @@ class TestAnalyticBias:
             src = SourceCoefficients(a=rng.normal(size=(d_out, d_in)), beta=beta, gamma=gamma)
             ind, outd = random_decay(rng, d_in), random_decay(rng, d_out)
             a0 = operator_from_source(src, ind, outd)
-            lmap = LambdaMap(
-                lams=rng.uniform(1e-3, 5.0, size=d_out),
-                learned=rng.uniform(size=d_out) < 0.7,
-            )
+            lmap = LambdaMap(lams=rng.uniform(1e-3, 5.0, size=int(rng.integers(0, d_out + 1))),
+                             d_out=d_out)
             direct = bg_norm(population_regularized(a0, lmap).difference(a0), bp, gp)
             oracle = analytic_bias(src, lmap, ind, outd, bp, gp)
             assert oracle == pytest.approx(direct, rel=1e-10), f"trial {trial}"

@@ -149,6 +149,10 @@ class TestGroundTruthSpec:
         spec = GroundTruthSpec("packing", {"m1": 2, "m2": 0, "K": 4, "eps": 0.5})
         assert np.array_equal(spec.build(cfg).m, spec.build(cfg).m), \
             "omega drawn from the derived seed must be reproducible"
+        omega = np.random.default_rng(ground_truth_seed(cfg)).integers(0, 2, size=(2, 4))
+        want = packing_operator(2, 0, 4, 0.5, omega, cfg.input_decay, cfg.output_decay,
+                                cfg.beta_prime, cfg.gamma_prime)
+        assert np.array_equal(spec.build(cfg).m, want.m), "omega is the seed's first draw"
 
     def test_packing_kind_missing_key(self):
         cfg = small_config()
@@ -260,7 +264,7 @@ class TestRunCell:
                            d_in=32, d_out=64)
         _, a0 = random_source_operator(cfg, ground_truth_seed(cfg))
         noise = NoiseProfile(sigma=cfg.sigma)
-        assert not LambdaMap.for_estimator(cfg, n, "multilevel").learned.all()
+        assert LambdaMap.for_estimator(cfg, n, "multilevel").k < cfg.d_out
         recs = run_cell(cfg, a0, n, 3, ESTIMATOR_NAMES, noise)
         (cov,) = streamed_covariances(a0, (n,), noise, derive_seed(cfg.seed, 0x7, 3))
         for rec in recs:

@@ -10,6 +10,8 @@ import pytest
 from conftest import random_problem_config
 
 from opridge import (
+    ESTIMATOR_NAMES,
+    LambdaMap,
     ProblemConfig,
     bias_lambdas,
     contour_points,
@@ -397,11 +399,18 @@ class TestAnyValidConfig:
         for _ in range(300):
             cfg = sample_any_valid_config(rng)
             n = max(2, int(2.0 ** rng.uniform(1.0, 24.0)))
-            for sched in (variance_lambdas(cfg, n), bias_lambdas(cfg, n)):
+            contour = {"variance": variance_lambdas(cfg, n), "bias": bias_lambdas(cfg, n)}
+            for sched in contour.values():
                 assert all(0.0 < lam < math.inf for lam in sched.lambdas), (cfg, n)
             levels = multilevel_schedule(cfg, n).levels
             assert all(0.0 < lv.x < math.inf for lv in levels), (cfg, n)
             assert all(0.0 < lv.lam < math.inf for lv in levels), (cfg, n)
+            # Each estimator's map holds the leading rows its schedule learns.
+            learned = {"single": cfg.d_out, "multilevel": levels[-1].row_end - 1,
+                       **{name: sched.y_max for name, sched in contour.items()}}
+            for name in ESTIMATOR_NAMES:
+                k = LambdaMap.for_estimator(cfg, n, name).k
+                assert k == learned[name] <= cfg.d_out, (cfg, n, name)
             # The x-range the contours subcommand samples over.
             x_range = (min(0.5, min(lv.x for lv in levels)), 2.0 * max(lv.x for lv in levels))
             eta1, eta2, _ = theoretical_rate(cfg)
