@@ -20,10 +20,10 @@ the ESTIMATOR_NAMES, and estimate_from_covariances fits it this way.
 streamed_covariances computes the covariances of a simulated trial at
 each of its sample counts in one pass over inputs and noise drawn in
 fixed-size row blocks, without building the dataset;
-empirical_covariances does the same for a SampleSet in hand. A pass holds
-two blocks, the running sums u.T @ u and eps.T @ u, and either one Gram
-product or the arrays of the one snapshot and one estimator its consumer
-is working on; _pass_peak_bytes is the most of these at once.
+empirical_covariances does the same for a dataset (u, v) in hand. A pass
+holds two blocks, the running sums u.T @ u and eps.T @ u, and either one
+Gram product or the arrays of the one snapshot and one estimator its
+consumer is working on; _pass_peak_bytes is the most of these at once.
 
 The population oracles (population_regularized, analytic_bias) evaluate the
 infinite-sample limit of the same ridge in closed form; tests pit the solver
@@ -45,7 +45,7 @@ from .core import (
     SourceCoefficients,
 )
 from .schedules import bias_lambdas, multilevel_schedule, variance_lambdas
-from .synth import NoiseProfile, SampleSet, _stream_filler
+from .synth import NoiseProfile, _stream_filler
 
 __all__ = [
     "ESTIMATOR_NAMES",
@@ -158,12 +158,16 @@ class EmpiricalCovariances:
         return self.c_lk.shape[0]
 
 
-def empirical_covariances(data: SampleSet) -> EmpiricalCovariances:
-    """Compute uncentered covariances c_kk = u.T@u/n, c_lk = v.T@u/n."""
-    n = data.n
-    c_kk = data.u.T @ data.u / n
+def empirical_covariances(data: tuple[np.ndarray, np.ndarray]) -> EmpiricalCovariances:
+    """Uncentered covariances c_kk = u.T@u/n, c_lk = v.T@u/n of make_dataset's (u, v).
+
+    The products refuse unequal row counts, and EmpiricalCovariances checks the rest.
+    """
+    u, v = data
+    n = u.shape[0]
+    c_kk = u.T @ u / n
     c_kk = (c_kk + c_kk.T) / 2.0
-    c_lk = data.v.T @ data.u / n
+    c_lk = v.T @ u / n
     return EmpiricalCovariances(c_kk=c_kk, c_lk=c_lk, n=n)
 
 

@@ -453,13 +453,13 @@ def _pool_init(cfg: ProblemConfig, a0_path: str, n_list: tuple[int, ...],
                estimators: tuple[str, ...]) -> None:
     """Keep a worker's sweep state, with a0 loaded from the .npy file at a0_path.
 
-    The parent built a0 once, without BLAS, on cfg's decays (_run_cells
-    checks them), and saved its exact bits and memory order at a0_path;
-    it is rebuilt here from those bits and cfg's decays. The path, not a0,
-    is in the spawn arguments, so they stay a few hundred bytes at any
-    d_in and d_out and the parent starts every worker at once. Also keeps
-    the wall-clock time at which this worker became ready, which
-    _pool_trial returns with each trial's records.
+    The parent built a0 once, without BLAS, on cfg's decays (_run_cells),
+    and saved its exact bits and memory order at a0_path; it is rebuilt
+    here from those bits and cfg's decays. The path, not a0, is in the
+    spawn arguments, so they stay a few hundred bytes at any d_in and
+    d_out and the parent starts every worker at once. Also keeps the
+    wall-clock time at which this worker became ready, which _pool_trial
+    returns with each trial's records.
     """
     a0 = OperatorMatrix(np.load(a0_path, allow_pickle=False),
                         cfg.input_decay, cfg.output_decay)
@@ -495,29 +495,31 @@ _BUILD_PEAK_ARRAYS = 4
 def _check_memory(cfg: ProblemConfig, workers: int) -> None:
     """Refuse dimensions whose arrays, with workers processes, exceed physical memory.
 
-    A worker holds its copy of a0 and the arrays of its trial pass
-    (estimators._pass_peak_bytes). The parent adds the peak of building a0
-    and the .npy file it hands a0 to the workers in, which is memory when
-    TMPDIR is a tmpfs. The build ends before the pool starts, so the sum is
-    an upper bound. Called before the ground truth is built, so a refused
-    config allocates nothing.
+    The parent peaks at building a0. With workers > 0 (0 is a command that
+    starts none) it also writes the .npy file it hands a0 to the workers
+    in, which is memory when TMPDIR is a tmpfs, and each worker holds its
+    copy of a0 and the arrays of its trial pass (estimators._pass_peak_bytes).
+    The build ends before the pool starts, so the sum is an upper bound.
+    Called before a0 is built, so a refused config allocates nothing.
 
     Raises:
         ConfigError: naming d_in and d_out.
     """
     a0_bytes = 8 * cfg.d_out * cfg.d_in
-    parent = (_BUILD_PEAK_ARRAYS + 1) * a0_bytes
-    need = workers * (a0_bytes + _pass_peak_bytes(cfg.d_in, cfg.d_out)) + parent
+    need = _BUILD_PEAK_ARRAYS * a0_bytes
+    holders = "to build the ground truth"
+    if workers:
+        need += a0_bytes + workers * (a0_bytes + _pass_peak_bytes(cfg.d_in, cfg.d_out))
+        holders = f"in {workers} worker(s) and their parent"
     have = _physical_memory()
     if need > have:
         raise ConfigError(
-            f"d_in={cfg.d_in} and d_out={cfg.d_out} need {need / 2**30:.4g} GiB of arrays in "
-            f"{workers} worker(s) and their parent, more than the {have / 2**30:.4g} GiB of "
-            "physical memory"
+            f"d_in={cfg.d_in} and d_out={cfg.d_out} need {need / 2**30:.4g} GiB of arrays "
+            f"{holders}, more than the {have / 2**30:.4g} GiB of physical memory"
         )
 
 
-def _run_cells(cfg: ProblemConfig, a0: OperatorMatrix, estimators: Sequence[str],
+def _run_cells(cfg: ProblemConfig, ground_truth: GroundTruthSpec, estimators: Sequence[str],
                n_list: Sequence[int], trials: Sequence[int], workers: int,
                progress: Callable[[int, int, float], None] | None = None,
                ) -> tuple[list[tuple[TrialRecord, ...]], float]:
@@ -526,29 +528,30 @@ def _run_cells(cfg: ProblemConfig, a0: OperatorMatrix, estimators: Sequence[str]
     Each task is _run_trial over n_list, in spawned workers with one BLAS
     thread and a draw thread; results come back in trial order, and
     progress(done, total, seconds) is called as each arrives. The parent
-    never does cell arithmetic, so an error depends on (cfg, a0, n, trial)
-    alone, not on n_list, the worker count or the caller's BLAS thread
-    variables. The pool starts _pool_size(workers, len(trials)) processes,
-    and says so on stderr when that is fewer than workers.
+    never does cell arithmetic, so an error depends on (cfg, ground truth,
+    n, trial) alone, not on n_list, the worker count or the caller's BLAS
+    thread variables. The pool starts _pool_size(workers, len(trials))
+    processes, and says so on stderr when that is fewer than workers.
 
-    The caller builds a0 once, without BLAS, and this hands its exact bits
-    and memory order to the workers in a .npy file, in a temporary
-    directory (prefix "opridge-", under TMPDIR) that is removed however the
-    sweep ends; each worker rebuilds a0 on cfg's decays (_pool_init). a0 is
-    not pickled into the spawn arguments: a worker reads those only after
-    importing this module, so a payload larger than a pipe holds would make
-    the worker starts run one after another.
+    Before the pool starts, this checks that its arrays fit in memory
+    (_check_memory) and builds a0 on cfg, once and without BLAS. It hands
+    a0's exact bits and memory order to the workers in a .npy file, in a
+    temporary directory (prefix "opridge-", under TMPDIR) that is removed
+    however the sweep ends; each worker rebuilds a0 on cfg's decays
+    (_pool_init). a0 is not pickled into the spawn arguments: a worker
+    reads those only after importing this module, so a payload larger
+    than a pipe holds would make the worker starts run one after another.
 
     The second value is the wall-clock seconds from the pool's creation
     until the last worker that ran a trial had finished _pool_init.
 
     Raises:
-        ValueError: a0's decays are not cfg's.
+        ConfigError: the arrays exceed physical memory, the ground truth
+            cannot be built on cfg, or a cell's error is not finite.
     """
-    if not (np.array_equal(a0.input_decay.values, cfg.input_decay.values)
-            and np.array_equal(a0.output_decay.values, cfg.output_decay.values)):
-        raise ValueError("a0's decays are not the config's, on which the workers rebuild it")
     size = _pool_size(workers, len(trials))
+    _check_memory(cfg, size)
+    a0 = ground_truth.build(cfg)
     if size < workers:
         sys.stderr.write(f"starting {size} of {workers} workers: at most one per trial "
                          "and per usable CPU\n")
@@ -595,25 +598,18 @@ def run_convergence(
     worker count. Results are assembled in a fixed order independent of
     scheduling. progress(done, total, seconds), if given, is called as
     each trial finishes, in trial order, with the seconds since the trials
-    started.
+    started. Output files are written only once every rate is fitted.
 
     Raises:
         ConfigError: d_in and d_out ask for more memory than the machine
-            has (see _check_memory); the ground truth is the zero operator
-            and sigma is 0, so every error is 0 and no rate can be fitted;
-            or a cell's error is not finite (see run_cell).
+            has (see _check_memory); a cell's error is not finite (see
+            run_cell); or a median error is 0, so no rate can be fitted:
+            the ground truth is the zero operator and sigma is 0, or they
+            are so small that every error underflows.
     """
     t0 = time.perf_counter()
-    _check_memory(plan.cfg, _pool_size(plan.workers, plan.trials))
-    a0 = plan.ground_truth.build(plan.cfg)
-    if plan.cfg.sigma == 0.0 and not np.any(a0.m):
-        raise ConfigError(
-            f"the ground truth (B={plan.cfg.B}, ground_truth.kind "
-            f"{plan.ground_truth.kind!r}) is the zero operator and sigma is 0: "
-            "every error would be 0 and no rate can be fitted"
-        )
-    trials, worker_start = _run_cells(plan.cfg, a0, plan.estimators, plan.n_list,
-                                      range(plan.trials), plan.workers, progress)
+    trials, worker_start = _run_cells(plan.cfg, plan.ground_truth, plan.estimators,
+                                      plan.n_list, range(plan.trials), plan.workers, progress)
     by_cell = {(r.estimator, r.n, r.trial): r for records in trials for r in records}
     runs = tuple(
         by_cell[(name, n, t)]
@@ -632,7 +628,13 @@ def run_convergence(
     fits = []
     for name in plan.estimators:
         pts = [(s.n, s.median_error_sq) for s in summaries if s.estimator == name]
-        slope, intercept, r_sq = fit_rate(pts)
+        try:
+            slope, intercept, r_sq = fit_rate(pts)
+        except ValueError as exc:  # a median error is 0
+            raise ConfigError(
+                f"no {name} rate can be fitted ({exc}): with B={plan.cfg.B}, sigma="
+                f"{plan.cfg.sigma} and ground_truth.kind {plan.ground_truth.kind!r}, "
+                "the errors are 0 in double precision") from None
         fits.append(RateFit(name, slope, intercept, r_sq))
 
     report = RateReport(

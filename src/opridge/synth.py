@@ -2,9 +2,9 @@
 
 A dataset's inputs and noise are one stream per seed, written by an
 in-place fill of buffers the caller allocates. make_dataset is one fill of
-n rows; the streamed pass of the estimators module splits the same stream
-into row blocks, filled on a second thread, and any split gives the same
-bits.
+n rows, returned as the plain arrays (u, v); the streamed pass of the
+estimators module splits the same stream into row blocks, filled on a
+second thread, and any split gives the same bits.
 
 Input coordinates are bounded uniforms scaled by sqrt(mu_i) so the
 almost-sure embedding bound genuinely holds (Gaussians would violate it).
@@ -35,7 +35,6 @@ from .core import (
 )
 
 __all__ = [
-    "SampleSet",
     "NoiseProfile",
     "derive_seed",
     "make_dataset",
@@ -71,33 +70,6 @@ def derive_seed(seed: int, *parts: int) -> int:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         h = z ^ (z >> 31)
     return h
-
-
-@dataclass(frozen=True)
-class SampleSet:
-    """A drawn dataset of N input/output coordinate rows.
-
-    Attributes:
-        u: N x D_in input coordinates in the input orthonormal basis.
-        v: N x D_out output coordinates, v = u @ m.T + noise.
-    """
-
-    u: np.ndarray
-    v: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.u.ndim != 2 or self.v.ndim != 2:
-            raise ValueError("sample matrices must be 2-d")
-        if self.u.shape[0] != self.v.shape[0]:
-            raise ValueError(
-                f"row counts differ: u has {self.u.shape[0]}, v has {self.v.shape[0]}"
-            )
-        if not (np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.v))):
-            raise ValueError("sample matrices must be finite")
-
-    @property
-    def n(self) -> int:
-        return int(self.u.shape[0])
 
 
 @dataclass(frozen=True)
@@ -166,13 +138,13 @@ def _stream_filler(
 
 def make_dataset(
     a0: OperatorMatrix, n: int, profile: NoiseProfile, rng_seed: int
-) -> SampleSet:
-    """Draw a dataset from the model v = A0 u + eps.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw a dataset (u, v) from the model v = A0 u + eps.
 
-    u and eps are the first n rows of the (a0, rng_seed) stream, filled in
-    one call; the inputs and noise come from decorrelated sub-streams of
-    rng_seed, so the noiseless part of a dataset is unchanged when sigma
-    changes.
+    u (n x d_in) and eps (n x d_out) are the first n rows of the
+    (a0, rng_seed) stream, filled in one call; the inputs and noise come
+    from decorrelated sub-streams of rng_seed, so the noiseless part of a
+    dataset is unchanged when sigma changes.
 
     Raises:
         ValueError: n < 1.
@@ -181,8 +153,7 @@ def make_dataset(
         raise ValueError(f"sample count must be >= 1, got {n}")
     u, eps = np.empty((n, a0.d_in)), np.empty((n, a0.d_out))
     _stream_filler(a0, profile, rng_seed)(u, eps)
-    v = u @ a0.m.T + eps
-    return SampleSet(u=u, v=v)
+    return u, u @ a0.m.T + eps
 
 
 def random_source_operator(
@@ -201,6 +172,9 @@ def random_source_operator(
 
     Returns:
         (source coefficients, operator in orthonormal coordinates).
+
+    Raises:
+        ConfigError: an operator coordinate overflows, naming B, p and beta.
     """
     rng = np.random.default_rng(rng_seed)
     signs = rng.integers(0, 2, size=(cfg.d_out, cfg.d_in)) * 2.0 - 1.0
@@ -215,7 +189,13 @@ def random_source_operator(
     else:
         a = np.zeros_like(a)
     src = SourceCoefficients(a=a, beta=cfg.beta, gamma=cfg.gamma)
-    return src, operator_from_source(src, cfg.input_decay, cfg.output_decay)
+    decays = cfg.input_decay, cfg.output_decay  # each raises its own ConfigError
+    try:  # a has norm B, so only the weights mu_i^((beta-1)/2) can overflow
+        with np.errstate(over="ignore"):  # OperatorMatrix refuses it
+            return src, operator_from_source(src, *decays)
+    except ValueError:
+        raise ConfigError(f"B={cfg.B} with p={cfg.p} and beta={cfg.beta} puts ground-truth "
+                          "coordinates past double precision: lower B or raise p or beta") from None
 
 
 def laplacian_operator(

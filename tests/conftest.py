@@ -54,7 +54,7 @@ def random_decay(rng: np.random.Generator, dim: int) -> EigenDecay:
 def drawn_inputs(n: int, in_decay: EigenDecay, rng_seed: int) -> np.ndarray:
     """The input rows of a dataset with d_out = 1."""
     op = OperatorMatrix(np.zeros((1, len(in_decay))), in_decay, make_decay(1, 0.5))
-    return make_dataset(op, n, NoiseProfile(sigma=0.0), rng_seed).u
+    return make_dataset(op, n, NoiseProfile(sigma=0.0), rng_seed)[0]
 
 
 def draw_threads() -> list[threading.Thread]:

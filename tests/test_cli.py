@@ -14,6 +14,7 @@ import pytest
 
 import opridge
 from opridge import (
+    cli,
     harness,
     multilevel_schedule,
     packing_operator,
@@ -361,7 +362,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["simulate", "--n", "16"],
         ["rates", "--n-list", "16,32,64"],
-    ], ids=["simulate", "rates"])
+        ["packing"],
+    ], ids=["simulate", "rates", "packing"])
     @pytest.mark.parametrize("dims, budget", [
         ({"d_in": 10**7, "d_out": 10**7}, None),
         ({"d_in": 16, "d_out": 16}, 1),
@@ -388,6 +390,18 @@ class TestExitCodes:
         assert f"d_in={dims['d_in']} and d_out={dims['d_out']}" in err, err
         assert "physical memory" in err and "Traceback" not in err
         assert not out.exists()
+
+    def test_contour_samples_past_the_cap_exit_two(self, tmp_path, capsys, monkeypatch):
+        def no_contour(*args):
+            raise AssertionError("no contour may be drawn")
+
+        monkeypatch.setattr(cli, "contour_points", no_contour)
+        path, _ = write_config(tmp_path)
+        samples = str(cli._MAX_CONTOUR_SAMPLES + 1)
+        assert cli_main(["contours", "--config", str(path), "--n", "64",
+                         "--samples", samples]) == 2
+        err = capsys.readouterr().err
+        assert "--samples" in err and samples in err and "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [["schedule", "--n", "64"], ["contours", "--n", "64"]])
     def test_commands_without_matrices_run_at_any_dimension(self, tmp_path, capsys, argv):
@@ -421,11 +435,19 @@ class TestExitCodes:
         (["packing"], {"ground_truth": {"kind": "packing",
                                         "params": {"m1": math.inf, "K": 1, "eps": 0.01}}},
          ("ground_truth.params", "infinity")),
+        # The weights mu_i^((beta-1)/2) carry B past double range at d_in = 256.
+        (["rates", "--n-list", "16,32,64"],
+         {"p": 0.1, "beta": 0.05, "beta_prime": 0.01, "B": 1e300, "d_in": 256},
+         ("B=1e+300", "p=0.1", "beta=0.05")),
+        # Every error underflows to 0, so no rate can be fitted.
+        (["rates", "--n-list", "16,32,64"], {"B": 1e-200, "sigma": 0.0}, ("B=", "sigma=")),
+        (["rates", "--n-list", "16,32,64"], {"B": 0.0, "sigma": 1e-200}, ("B=", "sigma=")),
     ], ids=["two-sample-counts", "B-400-digit-int", "B-1e200", "sigma-1e200",
             "q-underflows-at-d_out", "p-underflows-at-d_in", "B-5000-digit-int",
             "200000-nested-brackets", "packing-block-off-the-grid-packing",
             "packing-block-off-the-grid-rates", "packing-block-off-the-grid-simulate",
-            "packing-m1-infinite"])
+            "packing-m1-infinite", "B-1e300-overflows-the-operator",
+            "B-1e-200-sigma-0-underflows", "B-0-sigma-1e-200-underflows"])
     def test_valid_looking_config_exits_two(self, tmp_path, capsys, argv, overrides, fields):
         # Each config passes the JSON-shape checks, or (given as text) is a
         # file JSON itself cannot read; a rule further in must still end in

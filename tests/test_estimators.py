@@ -37,7 +37,6 @@ from opridge import (
 )
 from opridge import estimators, synth
 from opridge.estimators import STREAM_BLOCK_ROWS, streamed_covariances
-from opridge.synth import SampleSet
 
 
 def small_config(**overrides) -> ProblemConfig:
@@ -57,23 +56,19 @@ def population_covariances(a0: OperatorMatrix) -> EmpiricalCovariances:
 
 class TestEmpiricalCovariances:
     def test_orthogonal_rows(self):
-        data = SampleSet(u=np.eye(2), v=np.zeros((2, 2)))
-        cov = empirical_covariances(data)
+        cov = empirical_covariances((np.eye(2), np.zeros((2, 2))))
         np.testing.assert_allclose(cov.c_kk, np.eye(2) / 2.0, rtol=1e-15)
 
     def test_constant_sample(self):
         u = np.ones((5, 1))
         v = 2.0 * np.ones((5, 1))
-        cov = empirical_covariances(SampleSet(u=u, v=v))
+        cov = empirical_covariances((u, v))
         assert cov.c_kk[0, 0] == pytest.approx(1.0, rel=1e-15)
         assert cov.c_lk[0, 0] == pytest.approx(2.0, rel=1e-15)
 
     def test_symmetry_exact(self):
         rng = np.random.default_rng(5)
-        data = SampleSet(
-            u=rng.normal(size=(40, 7)), v=rng.normal(size=(40, 3))
-        )
-        cov = empirical_covariances(data)
+        cov = empirical_covariances((rng.normal(size=(40, 7)), rng.normal(size=(40, 3))))
         assert np.array_equal(cov.c_kk, cov.c_kk.T), "symmetrization must be exact"
 
     def test_rejects_indefinite_matrix(self):
@@ -263,9 +258,7 @@ class TestFitRowwiseRidge:
 
     def test_unlearned_rows_are_exactly_zero(self):
         rng = np.random.default_rng(9)
-        cov = empirical_covariances(
-            SampleSet(u=rng.normal(size=(20, 4)), v=rng.normal(size=(20, 6)))
-        )
+        cov = empirical_covariances((rng.normal(size=(20, 4)), rng.normal(size=(20, 6))))
         out = fit_rowwise_ridge(cov, LambdaMap(lams=np.ones(3), d_out=6))
         assert np.all(out[3:] == 0.0)
         assert np.all(out[:3] != 0.0)
@@ -276,7 +269,7 @@ class TestFitRowwiseRidge:
             d_in, d_out = int(rng.integers(2, 20)), int(rng.integers(1, 20))
             u = rng.normal(size=(50, d_in))
             v = rng.normal(size=(50, d_out))
-            cov = empirical_covariances(SampleSet(u=u, v=v))
+            cov = empirical_covariances((u, v))
             lams = rng.uniform(0.01, 2.0, size=d_out)
             out = fit_rowwise_ridge(cov, LambdaMap(lams=lams, d_out=d_out))
             for j in range(d_out):
@@ -343,10 +336,10 @@ class TestEstimators:
     def test_multilevel_equals_grouped_ridge_bitwise(self):
         cfg = small_config(d_in=16, d_out=16)
         _, a0 = random_source_operator(cfg, rng_seed=21)
-        data = make_dataset(a0, 200, NoiseProfile(sigma=cfg.sigma), rng_seed=22)
-        cov = empirical_covariances(data)
+        cov = empirical_covariances(
+            make_dataset(a0, 200, NoiseProfile(sigma=cfg.sigma), rng_seed=22))
         est = estimate_from_covariances(cov, cfg, "multilevel")
-        lams = [level.lam for level in multilevel_schedule(cfg, data.n).levels
+        lams = [level.lam for level in multilevel_schedule(cfg, cov.n).levels
                 for _ in range(level.row_start, level.row_end)]
         want = fit_rowwise_ridge(cov, LambdaMap(lams=lams, d_out=cfg.d_out))
         assert np.array_equal(est.m, want), "must be the same computation"
@@ -354,20 +347,20 @@ class TestEstimators:
     def test_contour_estimators_learn_scheduled_rows_only(self):
         cfg = small_config(d_in=8, d_out=8)
         _, a0 = random_source_operator(cfg, rng_seed=23)
-        data = make_dataset(a0, 64, NoiseProfile(sigma=cfg.sigma), rng_seed=24)
-        cov = empirical_covariances(data)
+        cov = empirical_covariances(
+            make_dataset(a0, 64, NoiseProfile(sigma=cfg.sigma), rng_seed=24))
         for name, sched_fn in (("variance", variance_lambdas), ("bias", bias_lambdas)):
             est = estimate_from_covariances(cov, cfg, name)
-            y_max = sched_fn(cfg, data.n).y_max
+            y_max = sched_fn(cfg, cov.n).y_max
             assert np.all(est.m[y_max:] == 0.0)
             assert np.all(np.any(est.m[:y_max] != 0.0, axis=1))
 
     def test_noiseless_recovery_with_tiny_lambda(self):
         cfg = small_config(d_in=8, d_out=8, sigma=0.0)
         _, a0 = random_source_operator(cfg, rng_seed=25)
-        data = make_dataset(a0, 4096, NoiseProfile(sigma=0.0), rng_seed=26)
-        lmap = LambdaMap.uniform(cfg.d_out, lambda_floor(cfg, data.n))
-        est = OperatorMatrix(fit_rowwise_ridge(empirical_covariances(data), lmap),
+        cov = empirical_covariances(make_dataset(a0, 4096, NoiseProfile(sigma=0.0), rng_seed=26))
+        lmap = LambdaMap.uniform(cfg.d_out, lambda_floor(cfg, cov.n))
+        est = OperatorMatrix(fit_rowwise_ridge(cov, lmap),
                              cfg.input_decay, cfg.output_decay)
         err = bg_norm(est.difference(a0), cfg.beta_prime, cfg.gamma_prime)
         scale = bg_norm(a0, cfg.beta_prime, cfg.gamma_prime)
@@ -376,8 +369,8 @@ class TestEstimators:
     def test_zero_outputs_give_zero_estimate(self):
         cfg = small_config()
         u = drawn_inputs(32, cfg.input_decay, rng_seed=27)
-        data = SampleSet(u=u, v=np.zeros((32, 8)))
-        est = fit_rowwise_ridge(empirical_covariances(data), LambdaMap.uniform(8, 0.5))
+        est = fit_rowwise_ridge(empirical_covariances((u, np.zeros((32, 8)))),
+                                LambdaMap.uniform(8, 0.5))
         assert np.all(est == 0.0)
 
     def test_default_single_lambda_rule(self):
@@ -386,8 +379,7 @@ class TestEstimators:
             1024.0 ** (-1.0 / 1.1), rel=1e-14
         )
         _, a0 = random_source_operator(cfg, rng_seed=29)
-        data = make_dataset(a0, 100, NoiseProfile(sigma=0.1), rng_seed=30)
-        cov = empirical_covariances(data)
+        cov = empirical_covariances(make_dataset(a0, 100, NoiseProfile(sigma=0.1), rng_seed=30))
         default = estimate_from_covariances(cov, cfg, "single")
         explicit = fit_rowwise_ridge(
             cov, LambdaMap.uniform(cfg.d_out, single_ridge_lambda(cfg, 100))

@@ -1,10 +1,12 @@
-"""The package export list is the union of its modules' own lists, and it
-has every name the benchmark imports."""
+"""The package export list is the union of its modules' own lists, it
+has every name the benchmark imports, and the benchmark runs."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import opridge
@@ -53,3 +55,16 @@ def test_every_name_the_benchmark_imports_resolves():
                     missing.append(f"{path.name}: from {node.module} import {alias.name}")
     assert checked, f"no opridge import found under {PERFBENCH}"
     assert not missing, f"perfbench imports names the package lacks: {missing}"
+
+
+def test_the_benchmark_runs_end_to_end(tmp_path):
+    # Its smoke run of one tiny workload, which also checks the fits against
+    # a reference ridge on make_dataset's samples, in a fresh interpreter:
+    # run.py pins the BLAS threads before numpy loads.
+    test = f"{PERFBENCH / 'test_smoke.py'}::test_end_to_end_run"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "--basetemp", str(tmp_path / "smoke"), test],
+        cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, f"{test} failed:\n{proc.stdout}\n{proc.stderr}"

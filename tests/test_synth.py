@@ -128,9 +128,9 @@ class TestMakeDataset:
         op = OperatorMatrix(
             m=np.zeros((8, 8)), input_decay=cfg.input_decay, output_decay=cfg.output_decay
         )
-        data = make_dataset(op, 16, NoiseProfile(sigma=0.0), rng_seed=6)
-        assert np.all(data.v == 0.0)
-        assert data.n == 16
+        u, v = make_dataset(op, 16, NoiseProfile(sigma=0.0), rng_seed=6)
+        assert np.all(v == 0.0)
+        assert u.shape == (16, 8) and v.shape == (16, 8)
 
     def test_noiseless_outputs_follow_operator(self):
         cfg = small_config()
@@ -140,17 +140,16 @@ class TestMakeDataset:
             input_decay=cfg.input_decay,
             output_decay=cfg.output_decay,
         )
-        data = make_dataset(op, 32, NoiseProfile(sigma=0.0), rng_seed=7)
-        want = data.u @ op.m.T
-        np.testing.assert_allclose(data.v, want, rtol=1e-14)
+        u, v = make_dataset(op, 32, NoiseProfile(sigma=0.0), rng_seed=7)
+        np.testing.assert_allclose(v, u @ op.m.T, rtol=1e-14)
 
     def test_identity_operator_reproduces_inputs(self):
         cfg = small_config()
         op = OperatorMatrix(
             m=np.eye(8), input_decay=cfg.input_decay, output_decay=cfg.output_decay
         )
-        data = make_dataset(op, 16, NoiseProfile(sigma=0.0), rng_seed=8)
-        np.testing.assert_allclose(data.v, data.u, rtol=1e-14)
+        u, v = make_dataset(op, 16, NoiseProfile(sigma=0.0), rng_seed=8)
+        np.testing.assert_allclose(v, u, rtol=1e-14)
 
     def test_determinism_and_seed_decorrelation(self):
         cfg = small_config()
@@ -160,8 +159,8 @@ class TestMakeDataset:
         d1 = make_dataset(op, 16, NoiseProfile(sigma=0.5), rng_seed=11)
         d2 = make_dataset(op, 16, NoiseProfile(sigma=0.5), rng_seed=11)
         d3 = make_dataset(op, 16, NoiseProfile(sigma=0.5), rng_seed=12)
-        assert np.array_equal(d1.u, d2.u) and np.array_equal(d1.v, d2.v)
-        assert not np.array_equal(d1.v, d3.v)
+        assert np.array_equal(d1[0], d2[0]) and np.array_equal(d1[1], d2[1])
+        assert not np.array_equal(d1[1], d3[1])
 
     def test_rejects_zero_samples(self):
         cfg = small_config()
@@ -177,15 +176,15 @@ class TestStreamFiller:
         cfg = small_config(d_in=5, d_out=7)
         _, a0 = random_source_operator(cfg, rng_seed=1)
         profile = NoiseProfile(sigma=0.3)
-        data = make_dataset(a0, 23, profile, rng_seed=9)
+        want_u, want_v = make_dataset(a0, 23, profile, rng_seed=9)
         fill = _stream_filler(a0, profile, 9)
         blocks = [(np.empty((rows, 5)), np.empty((rows, 7))) for rows in (5, 5, 5, 5, 3)]
         for u, eps in blocks:
             fill(u, eps)
         u = np.vstack([b[0] for b in blocks])
         eps = np.vstack([b[1] for b in blocks])
-        assert np.array_equal(u, data.u), "chunked input draws must equal one draw"
-        assert np.array_equal(u @ a0.m.T + eps, data.v), "chunked noise draws must equal one draw"
+        assert np.array_equal(u, want_u), "chunked input draws must equal one draw"
+        assert np.array_equal(u @ a0.m.T + eps, want_v), "chunked noise draws must equal one draw"
 
 
 class TestRandomSourceOperator:
