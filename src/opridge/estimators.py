@@ -18,12 +18,12 @@ differ only in their map: LambdaMap.for_estimator gives the map of each of
 the ESTIMATOR_NAMES, and estimate_from_covariances fits it this way.
 
 streamed_covariances computes the covariances of a simulated trial at
-each of its sample counts in one pass over inputs and noise drawn in
-fixed-size row blocks, without building the dataset;
-empirical_covariances does the same for a dataset (u, v) in hand. A pass
-holds two blocks, the running sums u.T @ u and eps.T @ u, and either one
-Gram product or the arrays of the one snapshot and one estimator its
-consumer is working on; _pass_peak_bytes is the most of these at once.
+each of its sample counts in one pass that sums u.T @ u over input blocks
+and draws each snapshot's noise term from its eigendecomposition, without
+building the dataset; empirical_covariances does it for a dataset (u, v)
+in hand. A pass holds two blocks, the running sum, and either one Gram
+product or the arrays of the one snapshot and one estimator its consumer
+is working on; _pass_peak_bytes is the most of these at once.
 
 The population oracles (population_regularized, analytic_bias) evaluate the
 infinite-sample limit of the same ridge in closed form; tests pit the solver
@@ -45,7 +45,7 @@ from .core import (
     SourceCoefficients,
 )
 from .schedules import bias_lambdas, multilevel_schedule, variance_lambdas
-from .synth import NoiseProfile, _stream_filler
+from .synth import NoiseProfile, _noise_cross_moment, _stream_filler
 
 __all__ = [
     "ESTIMATOR_NAMES",
@@ -69,12 +69,12 @@ _EIG_TOL = 1e-12
 # Rows per block when streaming a trial's statistics. A constant, never
 # derived from n or the worker count: the Gram sums then run in an order
 # that depends on n alone, so a cell gives the same bytes in any pool, and
-# the memory a trial needs does not grow with n. A template block
-# (d_in + d_out = 768 columns) is 3 MiB, and two may be alive: the one
-# being summed, which stays alive while the estimators fit at an n inside
-# it, and the next one, being filled. At an n on a block boundary only the
-# next one is alive while the estimators fit. _pass_peak_bytes counts the
-# rest of a pass's working set.
+# the memory a trial needs does not grow with n. A template block (d_in =
+# 256 columns) is 1 MiB, and two may be alive: the one being summed, which
+# stays alive while the estimators fit at an n inside it, and the next one,
+# being filled. At an n on a block boundary only the next one is alive
+# while the estimators fit. _pass_peak_bytes counts the rest of a pass's
+# working set.
 STREAM_BLOCK_ROWS = 512
 
 # Name prefix of the thread that fills blocks ahead of the sums.
@@ -85,23 +85,19 @@ def _pass_peak_bytes(d_in: int, d_out: int) -> int:
     """The most bytes of arrays a trial pass holds at once, besides its a0.
 
     With a = d_in^2 and b = d_out * d_in doubles, a pass (harness._run_trial
-    over streamed_covariances) holds, at every moment:
-      - two blocks of STREAM_BLOCK_ROWS rows and the running sums u.T @ u
-        and eps.T @ u (a + b);
-      - while it sums a block, one Gram product (b);
-      - while it builds a snapshot, the partial sums of an n inside a
-        block (a + b), c_kk and c_lk (a + b), and one more array: a
-        temporary of either size or the eigenvectors (max(a, b));
-      - while it fits, the snapshot's c_kk, c_lk and eigenvectors
-        (2a + b) and one estimator's learned rows and their product with
-        the eigenvectors (2b).
-    The largest of these is 2a + 2b + max(a, b), on top of the blocks and
-    sums. tests/test_harness.py pins a pass's traced peak to this, up to
-    small buffers that do not grow with the dimensions.
+    over streamed_covariances) holds two blocks of STREAM_BLOCK_ROWS rows
+    of u and the running sum u.T @ u (a) at every moment, and:
+      - while it sums a block, one Gram product (a);
+      - while it builds a snapshot, the partial sum of an n inside a block
+        (a), c_kk, c_lk and the eigenvectors (2a + b), and the noise draw Z
+        and its product with the eigenvectors (2b);
+      - while it fits, c_kk, c_lk and the eigenvectors (2a + b) and one
+        estimator's learned rows and their product with them (2b).
+    The largest is 3a + 3b. tests/test_harness.py pins a pass's traced peak
+    to this, up to small buffers that do not grow with the dimensions.
     """
     a, b = d_in * d_in, d_out * d_in
-    blocks = 2 * STREAM_BLOCK_ROWS * (d_in + d_out)
-    return 8 * (blocks + (a + b) + 2 * a + 2 * b + max(a, b))
+    return 8 * (2 * STREAM_BLOCK_ROWS * d_in + a + 3 * a + 3 * b)
 
 
 @dataclass(frozen=True)
@@ -177,25 +173,29 @@ def streamed_covariances(
     profile: NoiseProfile,
     rng_seed: int,
 ) -> Iterator[EmpiricalCovariances]:
-    """Covariances of make_dataset(a0, n, profile, rng_seed) for each n in n_list.
+    """Covariances of n rows of the (a0, profile, rng_seed) model for each n in n_list.
 
-    One pass: draws the inputs u and noise eps of the n_list[-1]-row
-    dataset once, in blocks of STREAM_BLOCK_ROWS rows, and accumulates
-    u.T @ u and eps.T @ u over the full blocks. For each n, in ascending
-    order, it yields the covariances of the first n rows, which are the
-    rows of the n-row dataset: the full blocks below n plus the first
+    One pass: draws the inputs u of the n_list[-1]-row dataset once, in
+    blocks of STREAM_BLOCK_ROWS rows, and accumulates u.T @ u over the full
+    blocks. For each n, in ascending order, it yields the covariances of
+    the first n rows: the full blocks below n plus the first
     n mod STREAM_BLOCK_ROWS rows of n's block, added as a separate term.
-    The running full-block sums never include such a term, so the
-    covariances at n are the same bits whatever else n_list holds.
+    The running full-block sum never includes such a term, so c_kk at n is
+    the same bits whatever else n_list holds.
 
-    Since v = u @ a0.m.T + eps, the cross matrix is exactly
-    c_lk = a0.m @ c_kk + eps.T @ u / n, so v is never formed. Memory does
-    not grow with n: two blocks, the block being summed, which stays alive
-    while the consumer works on an n inside it, and the next one; the two
-    running sums; and one Gram product or the arrays of one snapshot (see
-    _pass_peak_bytes). The pass keeps no reference to a yielded snapshot,
-    so a consumer that drops it holds one at a time. Each result agrees
-    with empirical_covariances(make_dataset(a0, n, ...)) up to rounding.
+    Since v = u @ a0.m.T + eps, c_lk = a0.m @ c_kk + eps.T @ u / n. Given
+    u, the last term's law is fixed by c_kk, so each snapshot draws it from
+    the eigendecomposition of c_kk it makes anyway, on a sub-stream keyed
+    by (rng_seed, n) (synth._noise_cross_moment): neither eps nor v is
+    formed, and snapshots at different n share their inputs but not their
+    noise. Against empirical_covariances(make_dataset(a0, n, ...)), c_kk
+    agrees up to rounding and c_lk in law.
+
+    Memory does not grow with n: two blocks, the block being summed, which
+    stays alive while the consumer works on an n inside it, and the next
+    one; the running sum; and one Gram product or the arrays of one
+    snapshot (see _pass_peak_bytes). The pass keeps no reference to a
+    yielded snapshot, so a consumer that drops it holds one at a time.
 
     A second thread fills the next block while this one sums the current
     one, or while the consumer works on an n that ends a block: that
@@ -221,16 +221,14 @@ def _nested_covariances(
     profile: NoiseProfile,
     rng_seed: int,
 ) -> Iterator[EmpiricalCovariances]:
-    fill = _stream_filler(a0, profile, rng_seed)
+    fill = _stream_filler(a0, rng_seed)
+    noise_sd = np.sqrt(profile.variances(a0.d_out))
     uu = np.zeros((a0.d_in, a0.d_in))
-    eu = np.zeros((a0.d_out, a0.d_in))
     pending = list(n_list)
     with ThreadPoolExecutor(1, thread_name_prefix=_DRAW_THREAD_NAME) as pool:
 
-        def request(
-            start: int, spare: tuple[np.ndarray, np.ndarray] | None
-        ) -> tuple[np.ndarray, np.ndarray, Future] | None:
-            # The next block goes into the buffers of a summed block when
+        def request(start: int, spare: np.ndarray | None) -> tuple[np.ndarray, Future] | None:
+            # The next block goes into the buffer of a summed block when
             # there is one. Freeing a block and allocating the next would
             # let the allocator hand the pages back to the system and fault
             # them in again, which costs more than the fill. This thread
@@ -238,67 +236,51 @@ def _nested_covariances(
             rows = min(STREAM_BLOCK_ROWS, n_list[-1] - start)
             if rows == 0:
                 return None
-            if spare is None:
-                u, eps = np.empty((rows, a0.d_in)), np.empty((rows, a0.d_out))
-            else:  # a summed block is a full one, so it has the rows
-                u, eps = spare[0][:rows], spare[1][:rows]
-            return u, eps, pool.submit(fill, u, eps)
+            # A summed block is a full one, so it has the rows.
+            u = np.empty((rows, a0.d_in)) if spare is None else spare[:rows]
+            return u, pool.submit(fill, u)
 
         block = request(0, None)
-        spare = None  # the buffers of the last block summed
-        start = 0  # rows in uu and eu
+        spare = None  # the buffer of the last block summed
+        start = 0  # rows in uu
         while block is not None:
-            u, eps, filled = block
+            u, filled = block
             filled.result()
             stop = start + u.shape[0]
             # Ask for the next block now, unless this one ends at a snapshot:
-            # then in this block's buffers, before that snapshot is yielded,
+            # then in this block's buffer, before that snapshot is yielded,
             # so the next fill runs while its consumer works on one block.
             if stop not in pending:
                 block, spare = request(stop, spare), None
             while pending[0] < stop:
-                yield _from_sums(a0, *_partial_sums(u, eps, pending[0] - start, uu, eu),
-                                 pending.pop(0))
+                part = u[: pending[0] - start]
+                yield _from_sums(a0, part.T @ part + uu, pending.pop(0), noise_sd, rng_seed)
             uu += u.T @ u
-            eu += eps.T @ u
             # At a snapshot this drops the block before this one, which no
             # request took, so that only one block is alive while it fits.
-            spare = u, eps
+            spare = u
             start = stop
             if pending[0] == stop:
                 block, spare = request(stop, spare), None
-                yield _from_sums(a0, uu, eu, pending.pop(0))
+                yield _from_sums(a0, uu, pending.pop(0), noise_sd, rng_seed)
 
 
-def _partial_sums(
-    u: np.ndarray, eps: np.ndarray, rows: int, uu: np.ndarray, eu: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """uu and eu plus the sums of the first rows rows of the block (u, eps).
+def _from_sums(a0: OperatorMatrix, uu: np.ndarray, n: int, noise_sd: np.ndarray,
+               rng_seed: int) -> EmpiricalCovariances:
+    """Covariances of n rows from their sum u.T @ u, with the noise term drawn.
 
-    Each sum is formed in the array of its block term, which is the one new
-    array it needs; addition commutes, so these are the bits of uu + term.
-    Returned, not bound in the pass, so they die with their snapshot's build.
-    """
-    part_uu = u[:rows].T @ u[:rows]
-    part_uu += uu
-    part_eu = eps[:rows].T @ u[:rows]
-    part_eu += eu
-    return part_uu, part_eu
-
-
-def _from_sums(a0: OperatorMatrix, uu: np.ndarray, eu: np.ndarray, n: int) -> EmpiricalCovariances:
-    """Covariances of n rows from their sums u.T @ u and eps.T @ u.
-
-    c_kk and c_lk are each formed in place after their first array, so
-    building them needs one temporary of each size; addition commutes, so
-    these are the bits of (c + c.T) / 2 and a0.m @ c_kk + eu / n.
+    c_kk is (c + c.T) / 2, formed in place after its first array. c_lk is
+    a0.m @ c_kk plus a draw from the eigendecomposition EmpiricalCovariances makes.
     """
     c_kk = uu / n
     c_kk = c_kk + c_kk.T
     c_kk /= 2.0
-    c_lk = a0.m @ c_kk
-    c_lk += eu / n
-    return EmpiricalCovariances(c_kk=c_kk, c_lk=c_lk, n=n)
+    cov = EmpiricalCovariances(c_kk=c_kk, c_lk=a0.m @ c_kk, n=n)
+    c_lk = cov.c_lk  # the noiseless part, which the draw is added to in place
+    c_lk += _noise_cross_moment(noise_sd, cov.eigvals, cov.eigvecs, n, rng_seed)
+    if not np.all(np.isfinite(c_lk)):
+        raise ValueError("covariances must be finite")
+    return cov
 
 
 @dataclass(frozen=True)

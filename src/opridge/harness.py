@@ -1,12 +1,13 @@
 """Experiment orchestration: configs, trial grids, rate fits, persistence.
 
 A convergence experiment is a grid of cells indexed by (sample count n,
-trial). Each trial is one stream of samples, seeded only by (config seed,
-trial), and cell (n, trial) is the stream's first n rows. One pass over
-the stream snapshots the covariances at every n, and the snapshot at n is
-the same bits whatever else n_list holds, so the numbers are a pure
-function of (config, n, trial) regardless of execution order or worker
-count. The errors at different n of one trial are therefore correlated;
+trial). Each trial is one stream of inputs, seeded only by (config seed,
+trial), and cell (n, trial) takes the stream's first n rows and a noise
+term drawn for (trial, n) alone. One pass over the stream snapshots the
+covariances at every n, and the snapshot at n is the same bits whatever
+else n_list holds, so the numbers are a pure function of (config, n,
+trial) regardless of execution order or worker count. The errors at
+different n of one trial share their inputs, so they are correlated;
 different trials are independent. run_convergence, like the simulate
 subcommand, executes trials in spawned worker processes pinned to one
 BLAS thread -- even with one worker -- so the parent interpreter never
@@ -352,9 +353,9 @@ def _run_trial(
 
     The trial's stream is seeded by (cfg.seed, trial_index) alone and
     draws its noise at cfg.sigma, the one noise scale. streamed_covariances
-    gives cell n its first n rows, the same bits whatever else n_list
-    holds. The draw and the Gram sums are shared by every n and estimator,
-    so a record's elapsed_ms is that estimator's own lambda map,
+    gives cell n its first n rows and its own noise draw, the same bits
+    whatever else n_list holds. The draws, the Gram sum and each eigh are
+    shared, so a record's elapsed_ms is that estimator's own lambda map,
     learned-row solve and score.
 
     Only the learned rows 0..k-1 are solved and scored. The error of an
@@ -363,11 +364,11 @@ def _run_trial(
     would sum, and error_sq equals bg_norm(estimate_from_covariances(cov,
     cfg, name).difference(a0), beta', gamma') ** 2 bit for bit.
 
-    Besides a0, the pass holds at most two blocks of samples, the running
-    sums u.T @ u and eps.T @ u, and either one Gram product or the arrays
-    of one snapshot and one estimator: each snapshot is dropped before the
-    stream is asked for the next, and each estimator's arrays before the
-    next estimator starts (estimators._pass_peak_bytes).
+    Besides a0, the pass holds at most two blocks of inputs, the running
+    sum u.T @ u, and either one Gram product or the arrays of one snapshot
+    and one estimator: each snapshot is dropped before the stream is asked
+    for the next, and each estimator's arrays before the next estimator
+    starts (estimators._pass_peak_bytes).
     """
     seed = derive_seed(cfg.seed, _TAG_TRIAL, trial_index)
     # The weights of the estimate's decays, as difference() keeps them.
@@ -491,31 +492,37 @@ def _physical_memory() -> int:
 # weighted operator (tracemalloc; pinned by a tier-1 test).
 _BUILD_PEAK_ARRAYS = 4
 
+# Resident bytes of one idle interpreter: a spawned worker with opridge and numpy
+# imported held 32.1-32.2 MiB (Linux x86-64, CPython 3.11, numpy 2.4, OpenBLAS 0.3.31).
+_INTERPRETER_BYTES = 33 * 2**20
+
 
 def _check_memory(cfg: ProblemConfig, workers: int) -> None:
-    """Refuse dimensions whose arrays, with workers processes, exceed physical memory.
+    """Refuse dimensions whose processes, with workers workers, exceed physical memory.
 
-    The parent peaks at building a0. With workers > 0 (0 is a command that
-    starts none) it also writes the .npy file it hands a0 to the workers
-    in, which is memory when TMPDIR is a tmpfs, and each worker holds its
-    copy of a0 and the arrays of its trial pass (estimators._pass_peak_bytes).
-    The build ends before the pool starts, so the sum is an upper bound.
-    Called before a0 is built, so a refused config allocates nothing.
+    Each interpreter, parent and workers alike, counts _INTERPRETER_BYTES.
+    The parent's arrays peak at building a0. With workers > 0 (0 is a
+    command that starts none) it also writes the .npy file it hands a0 to
+    the workers in, which is memory when TMPDIR is a tmpfs, and each worker
+    holds a0 and the arrays of its pass (estimators._pass_peak_bytes). The
+    build ends before the pool starts, so the sum is an upper bound. Called
+    before a0 is built, so a refused config allocates nothing.
 
     Raises:
         ConfigError: naming d_in and d_out.
     """
     a0_bytes = 8 * cfg.d_out * cfg.d_in
-    need = _BUILD_PEAK_ARRAYS * a0_bytes
+    arrays = _BUILD_PEAK_ARRAYS * a0_bytes
     holders = "to build the ground truth"
     if workers:
-        need += a0_bytes + workers * (a0_bytes + _pass_peak_bytes(cfg.d_in, cfg.d_out))
+        arrays += a0_bytes + workers * (a0_bytes + _pass_peak_bytes(cfg.d_in, cfg.d_out))
         holders = f"in {workers} worker(s) and their parent"
     have = _physical_memory()
-    if need > have:
+    if arrays + (1 + workers) * _INTERPRETER_BYTES > have:
         raise ConfigError(
-            f"d_in={cfg.d_in} and d_out={cfg.d_out} need {need / 2**30:.4g} GiB of arrays "
-            f"{holders}, more than the {have / 2**30:.4g} GiB of physical memory"
+            f"d_in={cfg.d_in} and d_out={cfg.d_out} need {arrays / 2**30:.4g} GiB of arrays "
+            f"{holders}, besides {1 + workers} interpreter(s) of {_INTERPRETER_BYTES >> 20} "
+            f"MiB: more than the {have / 2**30:.4g} GiB of physical memory"
         )
 
 

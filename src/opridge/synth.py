@@ -1,15 +1,17 @@
 """Synthetic data generation: datasets v = A0 u + eps and ground truths.
 
-A dataset's inputs and noise are one stream per seed, written by an
-in-place fill of buffers the caller allocates. make_dataset is one fill of
-n rows, returned as the plain arrays (u, v); the streamed pass of the
-estimators module splits the same stream into row blocks, filled on a
-second thread, and any split gives the same bits.
+A dataset's inputs are one stream per seed, written by an in-place fill
+of buffers the caller allocates; the streamed pass of the estimators
+module splits that stream into row blocks, filled on a second thread, and
+any split gives the same bits. The noise reaches an estimate only through
+eps.T @ u, so the pass draws that statistic of each cell, given its inputs
+(_noise_cross_moment); make_dataset draws noise rows of the same law.
 
 Input coordinates are bounded uniforms scaled by sqrt(mu_i) so the
 almost-sure embedding bound genuinely holds (Gaussians would violate it).
-Noise coordinates follow the Basel-normalized law sigma_j^2 =
-sigma^2 * (6/pi^2) * j^(-2), whose infinite sum is exactly sigma^2.
+Noise coordinates are independent Gaussians N(0, sigma_j^2) with the
+Basel-normalized law sigma_j^2 = sigma^2 * (6/pi^2) * j^(-2), whose
+infinite sum is exactly sigma^2.
 
 All draws are reproducible: every generator takes an explicit 64-bit seed,
 and independent sub-streams are derived with derive_seed, a fixed
@@ -115,25 +117,33 @@ def _fill_scaled_uniform(rng: np.random.Generator, out: np.ndarray, scale: np.nd
     out *= scale
 
 
-def _stream_filler(
-    a0: OperatorMatrix, profile: NoiseProfile, rng_seed: int
-) -> Callable[[np.ndarray, np.ndarray], None]:
-    """fill(u, eps): write the next rows of the (a0, rng_seed) stream into u and eps.
+def _stream_filler(a0: OperatorMatrix, rng_seed: int) -> Callable[[np.ndarray], None]:
+    """fill(u): write the next rows of the (a0, rng_seed) input stream into u.
 
-    Each call continues the input and noise streams where the last one
-    stopped, so any split of the rows into buffers gives the same bits.
-    The caller owns the buffers, whichever thread fills them.
+    Each call continues the stream where the last one stopped, so any split
+    of the rows into buffers gives the same bits. The caller owns the
+    buffers, whichever thread fills them.
     """
-    u_rng = np.random.default_rng(derive_seed(rng_seed, _TAG_INPUTS))
-    eps_rng = np.random.default_rng(derive_seed(rng_seed, _TAG_NOISE))
-    u_scale = np.sqrt(a0.input_decay.values)
-    eps_scale = np.sqrt(profile.variances(len(a0.output_decay)))
+    rng = np.random.default_rng(derive_seed(rng_seed, _TAG_INPUTS))
+    scale = np.sqrt(a0.input_decay.values)
+    return lambda u: _fill_scaled_uniform(rng, u, scale)
 
-    def fill(u: np.ndarray, eps: np.ndarray) -> None:
-        _fill_scaled_uniform(u_rng, u, u_scale)
-        _fill_scaled_uniform(eps_rng, eps, eps_scale)
 
-    return fill
+def _noise_cross_moment(noise_sd: np.ndarray, eigvals: np.ndarray, eigvecs: np.ndarray,
+                        n: int, rng_seed: int) -> np.ndarray:
+    """A draw of eps.T @ u / n given n rows u with c_kk = eigvecs @ diag(eigvals) @ eigvecs.T.
+
+    Given u, row j is N(0, sigma_j^2 c_kk / n) for make_dataset's noise, independent of
+    the others: the law of diag(noise_sd) Z diag(sqrt(max(L, 0) / n)) V.T over the
+    r = min(n, d_in) largest eigenpairs (L, V), as c_kk has rank at most n. Z is standard
+    normal from the sub-stream (rng_seed, noise, n), so the draw depends on the cell alone.
+    """
+    r = min(n, len(eigvals))
+    rng = np.random.default_rng(derive_seed(rng_seed, _TAG_NOISE, n))
+    z = rng.standard_normal((len(noise_sd), r))
+    z *= np.sqrt(np.maximum(eigvals[-r:], 0.0) / n)
+    z *= noise_sd[:, np.newaxis]
+    return z @ eigvecs[:, -r:].T
 
 
 def make_dataset(
@@ -141,18 +151,19 @@ def make_dataset(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw a dataset (u, v) from the model v = A0 u + eps.
 
-    u (n x d_in) and eps (n x d_out) are the first n rows of the
-    (a0, rng_seed) stream, filled in one call; the inputs and noise come
-    from decorrelated sub-streams of rng_seed, so the noiseless part of a
-    dataset is unchanged when sigma changes.
+    u (n x d_in) is the first n rows of the (a0, rng_seed) input stream and
+    eps (n x d_out) has rows N(0, diag(sigma_j^2)) from the noise sub-stream,
+    so u does not change with sigma. The streamed pass's noise has this law.
 
     Raises:
         ValueError: n < 1.
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
-    u, eps = np.empty((n, a0.d_in)), np.empty((n, a0.d_out))
-    _stream_filler(a0, profile, rng_seed)(u, eps)
+    u = np.empty((n, a0.d_in))
+    _stream_filler(a0, rng_seed)(u)
+    eps = np.random.default_rng(derive_seed(rng_seed, _TAG_NOISE)).standard_normal((n, a0.d_out))
+    eps *= np.sqrt(profile.variances(a0.d_out))
     return u, u @ a0.m.T + eps
 
 

@@ -391,6 +391,30 @@ class TestExitCodes:
         assert "physical memory" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--n", "16"],
+        ["rates", "--n-list", "16,32,64"],
+        ["packing"],
+    ], ids=["simulate", "rates", "packing"])
+    def test_interpreters_past_physical_memory_exit_two(self, tmp_path, capsys, monkeypatch,
+                                                        argv):
+        # The arrays of d_in = d_out = 16 take well under 1 MiB, so a budget
+        # of one interpreter holds them; it cannot hold the interpreters as
+        # well, since every command runs at least one process besides them.
+        def no_build(*args):
+            raise AssertionError("the ground truth must not be built")
+
+        monkeypatch.setattr(harness.GroundTruthSpec, "build", no_build)
+        monkeypatch.setattr(harness, "_physical_memory", lambda: harness._INTERPRETER_BYTES)
+        path, _ = write_config(tmp_path, d_in=16, d_out=16)
+        out = tmp_path / "x.csv"
+        extra = ["--out", str(out)] if argv[0] == "rates" else []
+        assert cli_main([*argv, *extra, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "d_in=16 and d_out=16" in err and "interpreter(s)" in err, err
+        assert "physical memory" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_contour_samples_past_the_cap_exit_two(self, tmp_path, capsys, monkeypatch):
         def no_contour(*args):
             raise AssertionError("no contour may be drawn")

@@ -35,7 +35,7 @@ from opridge import (
     single_ridge_lambda,
     variance_lambdas,
 )
-from opridge import estimators, synth
+from opridge import estimators, harness, synth
 from opridge.estimators import STREAM_BLOCK_ROWS, streamed_covariances
 
 
@@ -105,16 +105,24 @@ class TestStreamedCovariances:
 
     @pytest.mark.parametrize("n", [100, 16 * STREAM_BLOCK_ROWS + 123])
     def test_matches_raw_sample_covariances(self, n):
-        # n below one block, and n spanning a partial last block.
+        # n below one block, and n spanning a partial last block. c_kk is
+        # the raw inputs' to rounding. The noise terms of the pass and of
+        # the raw samples are different draws of one law: given u, row j is
+        # N(0, sigma_j^2 c_kk / n), so each whitened term is chi-square with
+        # d_in * d_out = 96 degrees of freedom (mean 96, sd 13.9).
         a0, profile = self.problem()
         (got,) = streamed_covariances(a0, (n,), profile, rng_seed=52)
         want = empirical_covariances(make_dataset(a0, n, profile, rng_seed=52))
         assert got.n == want.n == n
-        for name in ("c_kk", "c_lk"):
-            a, b = getattr(got, name), getattr(want, name)
-            rel = np.abs(a - b).max() / np.abs(b).max()
-            assert rel <= 1e-12, f"{name} differs by {rel:.3e} relative at n={n}"
+        rel = np.abs(got.c_kk - want.c_kk).max() / np.abs(want.c_kk).max()
+        assert rel <= 1e-12, f"c_kk differs by {rel:.3e} relative at n={n}"
         assert np.array_equal(got.c_kk, got.c_kk.T), "symmetrization must be exact"
+        dof = a0.d_in * a0.d_out
+        for cov in (got, want):
+            noise = (cov.c_lk - a0.m @ cov.c_kk) / np.sqrt(profile.variances(a0.d_out))[:, None]
+            chi2 = n * float(np.sum(noise * np.linalg.solve(cov.c_kk, noise.T).T))
+            assert abs(chi2 - dof) <= 6.0 * np.sqrt(2.0 * dof), \
+                f"whitened noise term {chi2:.1f} is far from chi-square({dof}) at n={n}"
 
     def test_peak_memory_does_not_grow_with_n(self):
         a0, profile = self.problem()
@@ -169,23 +177,22 @@ class TestStreamedCovariances:
         def recording_filler(*args):
             fill = synth._stream_filler(*args)
 
-            def record(u, eps):
-                fill(u, eps)
-                filled.append((threading.current_thread(), u.copy(), eps.copy()))
+            def record(u):
+                fill(u)
+                filled.append((threading.current_thread(), u.copy()))
 
             return record
 
         monkeypatch.setattr(estimators, "_stream_filler", recording_filler)
         list(streamed_covariances(a0, (100, n), profile, rng_seed=57))
-        assert threading.main_thread() not in [t for t, _, _ in filled], \
+        assert threading.main_thread() not in [t for t, _ in filled], \
             "every block must be filled on the draw thread"
-        assert [u.shape[0] for _, u, _ in filled] == [STREAM_BLOCK_ROWS, STREAM_BLOCK_ROWS, 100]
-        inline = synth._stream_filler(a0, profile, 57)
-        for k, (_, u, eps) in enumerate(filled):
-            want_u, want_eps = np.empty_like(u), np.empty_like(eps)
-            inline(want_u, want_eps)
-            assert np.array_equal(u, want_u) and np.array_equal(eps, want_eps), \
-                f"block {k} differs from the inline draw"
+        assert [u.shape[0] for _, u in filled] == [STREAM_BLOCK_ROWS, STREAM_BLOCK_ROWS, 100]
+        inline = synth._stream_filler(a0, 57)
+        for k, (_, u) in enumerate(filled):
+            want_u = np.empty_like(u)
+            inline(want_u)
+            assert np.array_equal(u, want_u), f"block {k} differs from the inline draw"
 
     def test_the_next_fill_runs_while_a_block_boundary_snapshot_is_consumed(self, monkeypatch):
         # Each n ends a block; the fill of the next one must start before the
@@ -198,9 +205,9 @@ class TestStreamedCovariances:
             fill = synth._stream_filler(*args)
             blocks = iter(started)
 
-            def signal(u, eps):
+            def signal(u):
                 next(blocks).set()
-                fill(u, eps)
+                fill(u)
 
             return signal
 
@@ -216,6 +223,86 @@ class TestStreamedCovariances:
         a0, profile = self.problem()
         with pytest.raises(ValueError, match="strictly increasing"):
             streamed_covariances(a0, n_list, profile, rng_seed=54)
+
+
+class TestNoiseStatistic:
+    """The noise term n * (c_lk - a0 c_kk) a snapshot draws from its c_kk."""
+
+    def test_rows_have_the_conditional_law_of_the_sample_noise_term(self):
+        # One fixed c_kk with eigenvalues spread over two decades, 8000
+        # sub-stream draws. Row j must be N(0, S) with S = sigma_j^2 n c_kk:
+        # each entry of its sample covariance, over sqrt(S_ii S_kk), then
+        # has a standard error of at most sqrt(2 / 8000) = 0.016.
+        d_in, d_out, n, draws = 4, 3, 50, 8000
+        a0 = OperatorMatrix(np.random.default_rng(61).normal(size=(d_out, d_in)),
+                            make_decay(d_in, 0.5), make_decay(d_out, 0.5))
+        profile = NoiseProfile(sigma=0.8)
+        noise_sd = np.sqrt(profile.variances(d_out))
+        u = np.random.default_rng(62).normal(size=(n, d_in)) * [2.0, 1.0, 0.5, 0.25]
+        uu = u.T @ u
+        rows = np.empty((draws, d_out, d_in))
+        for k in range(draws):
+            cov = estimators._from_sums(a0, uu, n, noise_sd, rng_seed=k)
+            rows[k] = n * (cov.c_lk - a0.m @ cov.c_kk)
+        for j in range(d_out):
+            target = noise_sd[j] ** 2 * n * cov.c_kk
+            got = rows[:, j].T @ rows[:, j] / draws
+            sd = np.sqrt(np.diag(target))
+            worst = np.abs((got - target) / np.outer(sd, sd)).max()
+            assert worst <= 0.1, f"row {j} covariance off by {worst:.3f} of its scale"
+
+    def test_fewer_rows_than_inputs_keeps_the_noise_in_the_range_of_c_kk(self):
+        # With n < d_in, c_kk has rank n; eps.T @ u lies in the span of the
+        # rows of u, so the drawn term must have no part in c_kk's null space.
+        cfg = small_config(d_in=16, d_out=12)
+        _, a0 = random_source_operator(cfg, rng_seed=63)
+        (cov,) = streamed_covariances(a0, (5,), NoiseProfile(sigma=0.3), rng_seed=64)
+        noise = cov.c_lk - a0.m @ cov.c_kk
+        null = cov.eigvecs[:, cov.eigvals <= 1e-12 * cov.eigvals[-1]]
+        assert null.shape[1] == cfg.d_in - 5
+        leak = np.abs(noise @ null).max() / np.abs(noise).max()
+        assert leak <= 1e-12, f"{leak:.3e} of the noise lies in the null space of c_kk"
+        for name in ESTIMATOR_NAMES:
+            a_hat = estimate_from_covariances(cov, cfg, name)
+            err = bg_norm(a_hat.difference(a0), cfg.beta_prime, cfg.gamma_prime)
+            assert np.isfinite(err), f"{name} error {err} at n=5 < d_in=16"
+
+    def test_snapshots_of_one_pass_draw_independent_noise(self):
+        # Cells at different n share their inputs, not their noise: the
+        # standard normals behind the two draws, recovered by whitening, are
+        # uncorrelated (96 entries each, a standard error of about 0.1).
+        cfg = small_config(d_in=8, d_out=12)
+        _, a0 = random_source_operator(cfg, rng_seed=68)
+        profile = NoiseProfile(sigma=0.3)
+        sd = np.sqrt(profile.variances(cfg.d_out))[:, None]
+        z = [((cov.c_lk - a0.m @ cov.c_kk) / sd) @ cov.eigvecs * np.sqrt(cov.n / cov.eigvals)
+             for cov in streamed_covariances(a0, (600, 1200), profile, rng_seed=69)]
+        corr = np.corrcoef(z[0].ravel(), z[1].ravel())[0, 1]
+        assert abs(corr) <= 0.5, f"the noise draws at n=600 and n=1200 correlate by {corr:.3f}"
+
+    @pytest.mark.parametrize("n_list", [(100,), (STREAM_BLOCK_ROWS, 2 * STREAM_BLOCK_ROWS + 7)])
+    def test_zero_sigma_gives_the_noiseless_cross_matrix_exactly(self, n_list):
+        cfg = small_config(d_in=8, d_out=12)
+        _, a0 = random_source_operator(cfg, rng_seed=65)
+        for cov in streamed_covariances(a0, n_list, NoiseProfile(sigma=0.0), rng_seed=66):
+            assert np.array_equal(cov.c_lk, a0.m @ cov.c_kk), f"noise added at n={cov.n}"
+
+    def test_one_eigendecomposition_per_snapshot(self, monkeypatch):
+        # The noise draw reuses the eigh every snapshot makes for its solves.
+        cfg = small_config(d_in=8, d_out=12)
+        _, a0 = random_source_operator(cfg, rng_seed=67)
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a):
+            calls.append(a.shape)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        n_list = (100, STREAM_BLOCK_ROWS, 3 * STREAM_BLOCK_ROWS + 5)
+        records = harness._run_trial(cfg, a0, n_list, 0, ESTIMATOR_NAMES)
+        assert len(records) == len(n_list) * len(ESTIMATOR_NAMES)
+        assert calls == [(8, 8)] * len(n_list)
 
 
 def pass_peak(a0: OperatorMatrix, profile: NoiseProfile, n_list: tuple[int, ...]) -> int:

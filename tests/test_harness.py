@@ -342,10 +342,10 @@ class TestPassMemory:
         # boundary the fits hold only the next block, so the peak comes
         # while one block is summed and the next is filled. A snapshot or
         # estimator array still alive then would show above the bound.
-        d_in, d_out = 64, 128
-        blocks = 2 * _B * (d_in + d_out)
-        sums = d_in * d_in + d_out * d_in  # u.T @ u and eps.T @ u
-        product = d_out * d_in  # eps.T @ u of one block
+        d_in, d_out = 64, 64
+        blocks = 2 * _B * d_in  # inputs only: no noise row is drawn
+        sums = d_in * d_in  # u.T @ u
+        product = d_in * d_in  # u.T @ u of one block
         bound = 8 * (blocks + sums + product) + _FILL_BUFFER + _SMALL
         peak = pass_peak(small_config(d_in=d_in, d_out=d_out), (2 * _B, 4 * _B, 8 * _B))
         assert peak <= bound, f"a pass peaked at {peak} B, {peak - bound} B over its {bound} B"
@@ -450,14 +450,15 @@ class TestPoolAndMemory:
         assert len(report.runs) == 2 * 3 * trials
 
     def test_memory_past_the_budget_is_refused_before_the_ground_truth(self, monkeypatch):
-        # Each worker holds a0 and one pass, and the parent the peak of
-        # building a0 and the file it hands a0 over in; the budget fits two
-        # workers and the parent.
+        # Each worker holds an interpreter, a0 and one pass, and the parent
+        # an interpreter, the peak of building a0 and the file it hands a0
+        # over in; the budget fits two workers and the parent.
         plan = tiny_plan(workers=8, trials=2)
         d_in, d_out = plan.cfg.d_in, plan.cfg.d_out
         a0_bytes = 8 * d_out * d_in
-        parent = harness._BUILD_PEAK_ARRAYS * a0_bytes + a0_bytes
-        budget = 2 * (a0_bytes + _pass_peak_bytes(d_in, d_out)) + parent
+        parent = harness._INTERPRETER_BYTES + harness._BUILD_PEAK_ARRAYS * a0_bytes + a0_bytes
+        worker = harness._INTERPRETER_BYTES + a0_bytes + _pass_peak_bytes(d_in, d_out)
+        budget = 2 * worker + parent
         monkeypatch.setattr(harness, "_physical_memory", lambda: budget)
         run_convergence(plan)  # eight workers asked for, two started
         assert InProcessPool.sizes == [2]

@@ -23,9 +23,8 @@ from opridge import (
     packing_operator,
     random_source_operator,
 )
+from opridge.estimators import streamed_covariances
 from opridge.synth import _stream_filler
-
-SQRT3 = math.sqrt(3.0)
 
 
 def small_config(**overrides) -> ProblemConfig:
@@ -82,17 +81,19 @@ class TestSampleInputs:
 
 
 def drawn_noise(n: int, d_out: int, profile: NoiseProfile, rng_seed: int) -> np.ndarray:
-    """The noise rows of a dataset with d_in = 2, filled inline."""
+    """The noise term eps.T @ u / n a pass draws at n, shape (d_out, 2), with d_in = 2.
+
+    With a zero operator the snapshot's c_lk is that term alone.
+    """
     op = OperatorMatrix(np.zeros((d_out, 2)), make_decay(2, 0.5), make_decay(d_out, 0.5))
-    eps = np.empty((n, d_out))
-    _stream_filler(op, profile, rng_seed)(np.empty((n, 2)), eps)
-    return eps
+    (cov,) = streamed_covariances(op, (n,), profile, rng_seed)
+    return cov.c_lk
 
 
 class TestSampleNoise:
     def test_zero_sigma_gives_zero_matrix(self):
         eps = drawn_noise(32, 4, NoiseProfile(sigma=0.0), rng_seed=4)
-        assert eps.shape == (32, 4) and np.all(eps == 0.0)
+        assert eps.shape == (4, 2) and np.all(eps == 0.0)
 
     @pytest.mark.parametrize("sigma", [-0.1, math.nan, 1e200, 10**400, True, "0.1"],
                              ids=["negative", "nan", "1e200", "400-digit-int", "bool", "str"])
@@ -115,11 +116,23 @@ class TestSampleNoise:
         for d in (1, 5, 1000):
             assert profile.variances(d).sum() <= 0.7**2 + 1e-15
 
-    def test_noise_bounded_by_sqrt3_sigma_j(self):
+    def test_dataset_noise_has_gaussian_moments(self):
+        # With a zero operator v is the noise: each coordinate j must be
+        # N(0, sigma_j^2), independent of the others. A bounded uniform law
+        # of the same variance has kurtosis 1.8, not 3. At this n the
+        # standard errors are 0.0035 (mean, correlation), 0.005 (variance
+        # ratio) and 0.017 (kurtosis).
+        n, d_out = 80_000, 6
         profile = NoiseProfile(sigma=2.0)
-        eps = drawn_noise(300, 6, profile, rng_seed=5)
-        sd = np.sqrt(profile.variances(6))
-        assert (np.abs(eps) <= SQRT3 * sd[None, :] + 1e-15).all()
+        op = OperatorMatrix(np.zeros((d_out, 3)), make_decay(3, 0.5), make_decay(d_out, 0.5))
+        _, eps = make_dataset(op, n, profile, rng_seed=5)
+        z = eps / np.sqrt(profile.variances(d_out))
+        assert np.abs(z.mean(axis=0)).max() <= 0.03
+        assert np.abs(z.var(axis=0) - 1.0).max() <= 0.04
+        corr = np.corrcoef(z, rowvar=False) - np.eye(d_out)
+        assert np.abs(corr).max() <= 0.03
+        kurtosis = (z**4).mean(axis=0) / z.var(axis=0) ** 2
+        assert np.abs(kurtosis - 3.0).max() <= 0.1, f"kurtosis {kurtosis} is not Gaussian"
 
 
 class TestMakeDataset:
@@ -171,20 +184,16 @@ class TestMakeDataset:
 
 class TestStreamFiller:
     def test_fills_stack_to_the_dataset_bit_for_bit(self):
-        # Any split of the stream gives the same bits; the streamed pass
-        # relies on it to match make_dataset.
+        # Any split of the input stream gives the same bits; the streamed
+        # pass relies on it for c_kk to match make_dataset's inputs.
         cfg = small_config(d_in=5, d_out=7)
         _, a0 = random_source_operator(cfg, rng_seed=1)
-        profile = NoiseProfile(sigma=0.3)
-        want_u, want_v = make_dataset(a0, 23, profile, rng_seed=9)
-        fill = _stream_filler(a0, profile, 9)
-        blocks = [(np.empty((rows, 5)), np.empty((rows, 7))) for rows in (5, 5, 5, 5, 3)]
-        for u, eps in blocks:
-            fill(u, eps)
-        u = np.vstack([b[0] for b in blocks])
-        eps = np.vstack([b[1] for b in blocks])
-        assert np.array_equal(u, want_u), "chunked input draws must equal one draw"
-        assert np.array_equal(u @ a0.m.T + eps, want_v), "chunked noise draws must equal one draw"
+        want_u, _ = make_dataset(a0, 23, NoiseProfile(sigma=0.3), rng_seed=9)
+        fill = _stream_filler(a0, 9)
+        blocks = [np.empty((rows, 5)) for rows in (5, 5, 5, 5, 3)]
+        for u in blocks:
+            fill(u)
+        assert np.array_equal(np.vstack(blocks), want_u), "chunked input draws must equal one draw"
 
 
 class TestRandomSourceOperator:
