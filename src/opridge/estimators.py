@@ -21,7 +21,7 @@ streamed_covariances computes the covariances of a simulated trial at
 each of its sample counts in one pass that sums u.T @ u over input blocks
 and draws each snapshot's noise term from its eigendecomposition, without
 building the dataset; empirical_covariances does it for a dataset (u, v)
-in hand. A pass holds two blocks, the running sum, and either one Gram
+in hand. A pass holds one block, the running sum, and either one Gram
 product or the arrays of the one snapshot and one estimator its consumer
 is working on; _pass_peak_bytes is the most of these at once.
 
@@ -32,7 +32,6 @@ against them.
 
 from __future__ import annotations
 
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -70,22 +69,17 @@ _EIG_TOL = 1e-12
 # derived from n or the worker count: the Gram sums then run in an order
 # that depends on n alone, so a cell gives the same bytes in any pool, and
 # the memory a trial needs does not grow with n. A template block (d_in =
-# 256 columns) is 1 MiB, and two may be alive: the one being summed, which
-# stays alive while the estimators fit at an n inside it, and the next one,
-# being filled. At an n on a block boundary only the next one is alive
-# while the estimators fit. _pass_peak_bytes counts the rest of a pass's
-# working set.
+# 256 columns) is 1 MiB, and a pass fills every block into one buffer of
+# that size, alive from its start to its end. _pass_peak_bytes counts the
+# rest of a pass's working set.
 STREAM_BLOCK_ROWS = 512
-
-# Name prefix of the thread that fills blocks ahead of the sums.
-_DRAW_THREAD_NAME = "opridge-draw"
 
 
 def _pass_peak_bytes(d_in: int, d_out: int) -> int:
     """The most bytes of arrays a trial pass holds at once, besides its a0.
 
     With a = d_in^2 and b = d_out * d_in doubles, a pass (harness._run_trial
-    over streamed_covariances) holds two blocks of STREAM_BLOCK_ROWS rows
+    over streamed_covariances) holds one block of STREAM_BLOCK_ROWS rows
     of u and the running sum u.T @ u (a) at every moment, and:
       - while it sums a block, one Gram product (a);
       - while it builds a snapshot, the partial sum of an n inside a block
@@ -97,7 +91,7 @@ def _pass_peak_bytes(d_in: int, d_out: int) -> int:
     to this, up to small buffers that do not grow with the dimensions.
     """
     a, b = d_in * d_in, d_out * d_in
-    return 8 * (2 * STREAM_BLOCK_ROWS * d_in + a + 3 * a + 3 * b)
+    return 8 * (STREAM_BLOCK_ROWS * d_in + a + 3 * a + 3 * b)
 
 
 @dataclass(frozen=True)
@@ -191,19 +185,11 @@ def streamed_covariances(
     noise. Against empirical_covariances(make_dataset(a0, n, ...)), c_kk
     agrees up to rounding and c_lk in law.
 
-    Memory does not grow with n: two blocks, the block being summed, which
-    stays alive while the consumer works on an n inside it, and the next
-    one; the running sum; and one Gram product or the arrays of one
-    snapshot (see _pass_peak_bytes). The pass keeps no reference to a
-    yielded snapshot, so a consumer that drops it holds one at a time.
-
-    A second thread fills the next block while this one sums the current
-    one, or while the consumer works on an n that ends a block: that
-    block's successor is asked for before the n is yielded, and is then
-    the only block alive. Both the RNG fill and BLAS release the GIL. The
-    fill is the same arithmetic on any thread, so the results are the bits
-    of an inline pass. The thread is joined when the pass ends, is closed,
-    or raises, and an exception of the fill is raised here.
+    Memory does not grow with n: one buffer of STREAM_BLOCK_ROWS rows,
+    which each block is filled into on the calling thread; the running
+    sum; and one Gram product or the arrays of one snapshot (see
+    _pass_peak_bytes). The pass keeps no reference to a yielded snapshot,
+    so a consumer that drops it holds one at a time.
 
     Raises:
         ValueError: n_list is empty, not strictly increasing, or starts
@@ -224,45 +210,21 @@ def _nested_covariances(
     fill = _stream_filler(a0, rng_seed)
     noise_sd = np.sqrt(profile.variances(a0.d_out))
     uu = np.zeros((a0.d_in, a0.d_in))
+    # Every block is filled into a leading slice of this one buffer: freeing
+    # a block and allocating the next would let the allocator hand the pages
+    # back to the system and fault them in again, which costs more than the fill.
+    buf = np.empty((min(STREAM_BLOCK_ROWS, n_list[-1]), a0.d_in))
     pending = list(n_list)
-    with ThreadPoolExecutor(1, thread_name_prefix=_DRAW_THREAD_NAME) as pool:
-
-        def request(start: int, spare: np.ndarray | None) -> tuple[np.ndarray, Future] | None:
-            # The next block goes into the buffer of a summed block when
-            # there is one. Freeing a block and allocating the next would
-            # let the allocator hand the pages back to the system and fault
-            # them in again, which costs more than the fill. This thread
-            # allocates every buffer, so a freed one goes back to its heap.
-            rows = min(STREAM_BLOCK_ROWS, n_list[-1] - start)
-            if rows == 0:
-                return None
-            # A summed block is a full one, so it has the rows.
-            u = np.empty((rows, a0.d_in)) if spare is None else spare[:rows]
-            return u, pool.submit(fill, u)
-
-        block = request(0, None)
-        spare = None  # the buffer of the last block summed
-        start = 0  # rows in uu
-        while block is not None:
-            u, filled = block
-            filled.result()
-            stop = start + u.shape[0]
-            # Ask for the next block now, unless this one ends at a snapshot:
-            # then in this block's buffer, before that snapshot is yielded,
-            # so the next fill runs while its consumer works on one block.
-            if stop not in pending:
-                block, spare = request(stop, spare), None
-            while pending[0] < stop:
-                part = u[: pending[0] - start]
-                yield _from_sums(a0, part.T @ part + uu, pending.pop(0), noise_sd, rng_seed)
-            uu += u.T @ u
-            # At a snapshot this drops the block before this one, which no
-            # request took, so that only one block is alive while it fits.
-            spare = u
-            start = stop
-            if pending[0] == stop:
-                block, spare = request(stop, spare), None
-                yield _from_sums(a0, uu, pending.pop(0), noise_sd, rng_seed)
+    for start in range(0, n_list[-1], STREAM_BLOCK_ROWS):
+        u = buf[: min(STREAM_BLOCK_ROWS, n_list[-1] - start)]
+        fill(u)
+        stop = start + u.shape[0]
+        while pending[0] < stop:
+            part = u[: pending[0] - start]
+            yield _from_sums(a0, part.T @ part + uu, pending.pop(0), noise_sd, rng_seed)
+        uu += u.T @ u
+        if pending[0] == stop:
+            yield _from_sums(a0, uu, pending.pop(0), noise_sd, rng_seed)
 
 
 def _from_sums(a0: OperatorMatrix, uu: np.ndarray, n: int, noise_sd: np.ndarray,

@@ -12,10 +12,7 @@ different trials are independent. run_convergence, like the simulate
 subcommand, executes trials in spawned worker processes pinned to one
 BLAS thread -- even with one worker -- so the parent interpreter never
 does cell arithmetic and the output bytes depend neither on how many
-workers were requested nor on the caller's BLAS thread variables. Each
-worker also fills its next block of samples on a draw thread while its
-BLAS thread sums the current one; the fill is the same arithmetic on
-either thread, so this changes no bytes either.
+workers were requested nor on the caller's BLAS thread variables.
 
 Error is always the squared (beta', gamma')-norm of (estimate - truth),
 summarized across trials by median and interquartile range; the target
@@ -31,7 +28,6 @@ import sys
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import closing
 from dataclasses import dataclass, field, fields
 from multiprocessing import get_context
 from pathlib import Path
@@ -47,6 +43,7 @@ from .core import (
     SourceCoefficients,
     _norm_weights,
     _row_terms,
+    _scalar,
     bg_norm,
     bg_norm_via_embedding,
     make_decay,
@@ -119,7 +116,10 @@ class GroundTruthSpec:
     either an explicit 0/1 omega matrix or a seed to draw one).
 
     Parameters are validated on construction so that a bad config fails at
-    load time, not in the middle of a sweep.
+    load time, not in the middle of a sweep: each number param is stored
+    as a finite float, or as an int where an integral float such as 4.0 is
+    accepted, and any other value raises a ConfigError naming
+    ground_truth.params.<key>.
     """
 
     kind: str = "random"
@@ -141,15 +141,19 @@ class GroundTruthSpec:
                 f"ground_truth.params for kind {self.kind!r} has unknown "
                 f"key(s) {sorted(unknown)}; allowed: {sorted(allowed)}"
             )
+        integers = ("seed", "m1", "m2", "K", "t")  # every param but omega is a number
+        object.__setattr__(self, "params", {
+            k: v if k == "omega" else _scalar(f"ground_truth.params.{k}", v, k in integers)
+            for k, v in self.params.items()})
 
     def build(self, cfg: ProblemConfig) -> OperatorMatrix:
         """Materialize the operator on the config's frequency grid."""
-        p = dict(self.params)
+        p = self.params
         try:
             if self.kind == "random":
-                seed = int(p.get("seed", ground_truth_seed(cfg)))
+                seed = p.get("seed", ground_truth_seed(cfg))
                 # A taper that params leave out takes random_source_operator's default.
-                tapers = {k: float(p[k]) for k in ("taper_in", "taper_out") if k in p}
+                tapers = {k: p[k] for k in ("taper_in", "taper_out") if k in p}
                 _, a0 = random_source_operator(cfg, seed, **tapers)
                 return a0
             if self.kind == "laplacian":
@@ -164,21 +168,21 @@ class GroundTruthSpec:
                 _, op, _ = laplacian_operator(
                     s=1.0 / (2.0 * cfg.p),
                     m=1.0 / (2.0 * cfg.q),
-                    t=int(p.get("t", 1)),
+                    t=p.get("t", 1),
                     dim=cfg.d_in,
-                    scale=float(p.get("scale", 1.0)),
+                    scale=p.get("scale", 1.0),
                     beta=cfg.beta,
                     gamma=cfg.gamma,
                 )
                 return OperatorMatrix(op.m, cfg.input_decay, cfg.output_decay)
             omega = p.get("omega")
             if omega is None:  # packing_operator draws it once the block fits the grid
-                omega = np.random.default_rng(int(p.get("seed", ground_truth_seed(cfg))))
+                omega = np.random.default_rng(p.get("seed", ground_truth_seed(cfg)))
             return packing_operator(
-                m1=int(p["m1"]),
-                m2=int(p.get("m2", 0)),
-                K=int(p["K"]),
-                eps=float(p["eps"]),
+                m1=p["m1"],
+                m2=p.get("m2", 0),
+                K=p["K"],
+                eps=p["eps"],
                 omega=omega,
                 in_decay=cfg.input_decay,
                 out_decay=cfg.output_decay,
@@ -191,7 +195,7 @@ class GroundTruthSpec:
             ) from exc
         except ConfigError:  # names a config field, not a ground-truth parameter
             raise
-        except (TypeError, ValueError, OverflowError) as exc:  # int() of an infinite float
+        except (TypeError, ValueError, OverflowError) as exc:  # a value the builder refuses
             raise ConfigError(f"ground_truth.params invalid: {exc}") from exc
 
 
@@ -364,11 +368,11 @@ def _run_trial(
     would sum, and error_sq equals bg_norm(estimate_from_covariances(cov,
     cfg, name).difference(a0), beta', gamma') ** 2 bit for bit.
 
-    Besides a0, the pass holds at most two blocks of inputs, the running
-    sum u.T @ u, and either one Gram product or the arrays of one snapshot
-    and one estimator: each snapshot is dropped before the stream is asked
-    for the next, and each estimator's arrays before the next estimator
-    starts (estimators._pass_peak_bytes).
+    Besides a0, the pass holds one block of inputs, the running sum
+    u.T @ u, and either one Gram product or the arrays of one snapshot and
+    one estimator: each snapshot is dropped before the stream is asked for
+    the next, and each estimator's arrays before the next estimator starts
+    (estimators._pass_peak_bytes).
     """
     seed = derive_seed(cfg.seed, _TAG_TRIAL, trial_index)
     # The weights of the estimate's decays, as difference() keeps them.
@@ -376,23 +380,20 @@ def _run_trial(
                                 cfg.beta_prime, cfg.gamma_prime)
     a0_terms = _row_terms(np.array(a0.m, order="C"), mu_w)
     records = []
-    # Closed on any exit, so a raise below joins the draw thread.
-    with closing(streamed_covariances(a0, n_list, NoiseProfile(sigma=cfg.sigma),
-                                      seed)) as covs:
-        for cov in covs:
-            for name in estimators:
-                t0 = time.perf_counter()
-                err = _error_sq(cov, LambdaMap.for_estimator(cfg, cov.n, name), a0, a0_terms,
-                                mu_w, rho_w)
-                elapsed = time.perf_counter() - t0
-                if not math.isfinite(err):
-                    raise ConfigError(
-                        f"the {name} error at n={cov.n} is {err}: the scales B={cfg.B} and "
-                        f"sigma={cfg.sigma} are too large for double precision"
-                    )
-                records.append(TrialRecord(name, cov.n, int(trial_index), err, elapsed * 1e3))
-            # The loop would hold this snapshot while the stream sums the next.
-            del cov
+    for cov in streamed_covariances(a0, n_list, NoiseProfile(sigma=cfg.sigma), seed):
+        for name in estimators:
+            t0 = time.perf_counter()
+            err = _error_sq(cov, LambdaMap.for_estimator(cfg, cov.n, name), a0, a0_terms,
+                            mu_w, rho_w)
+            elapsed = time.perf_counter() - t0
+            if not math.isfinite(err):
+                raise ConfigError(
+                    f"the {name} error at n={cov.n} is {err}: the scales B={cfg.B} and "
+                    f"sigma={cfg.sigma} are too large for double precision"
+                )
+            records.append(TrialRecord(name, cov.n, int(trial_index), err, elapsed * 1e3))
+        # The loop would hold this snapshot while the stream sums the next.
+        del cov
     return tuple(records)
 
 
@@ -533,8 +534,8 @@ def _run_cells(cfg: ProblemConfig, ground_truth: GroundTruthSpec, estimators: Se
     """The records of each trial, one pass and one task per trial, and the workers' start-up time.
 
     Each task is _run_trial over n_list, in spawned workers with one BLAS
-    thread and a draw thread; results come back in trial order, and
-    progress(done, total, seconds) is called as each arrives. The parent
+    thread; results come back in trial order, and progress(done, total,
+    seconds) is called as each arrives. The parent
     never does cell arithmetic, so an error depends on (cfg, ground truth,
     n, trial) alone, not on n_list, the worker count or the caller's BLAS
     thread variables. The pool starts _pool_size(workers, len(trials))

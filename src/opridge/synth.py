@@ -2,10 +2,11 @@
 
 A dataset's inputs are one stream per seed, written by an in-place fill
 of buffers the caller allocates; the streamed pass of the estimators
-module splits that stream into row blocks, filled on a second thread, and
-any split gives the same bits. The noise reaches an estimate only through
-eps.T @ u, so the pass draws that statistic of each cell, given its inputs
-(_noise_cross_moment); make_dataset draws noise rows of the same law.
+module splits that stream into row blocks, each filled into one reused
+buffer, and any split gives the same bits. The noise reaches an estimate
+only through eps.T @ u, so the pass draws that statistic of each cell,
+given its inputs (_noise_cross_moment); make_dataset draws noise rows of
+the same law.
 
 Input coordinates are bounded uniforms scaled by sqrt(mu_i) so the
 almost-sure embedding bound genuinely holds (Gaussians would violate it).
@@ -122,7 +123,7 @@ def _stream_filler(a0: OperatorMatrix, rng_seed: int) -> Callable[[np.ndarray], 
 
     Each call continues the stream where the last one stopped, so any split
     of the rows into buffers gives the same bits. The caller owns the
-    buffers, whichever thread fills them.
+    buffers.
     """
     rng = np.random.default_rng(derive_seed(rng_seed, _TAG_INPUTS))
     scale = np.sqrt(a0.input_decay.values)

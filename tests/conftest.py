@@ -17,7 +17,6 @@ from opridge import (
     make_dataset,
     make_decay,
 )
-from opridge.estimators import _DRAW_THREAD_NAME
 
 
 def random_problem_config(rng: np.random.Generator, **overrides) -> ProblemConfig:
@@ -57,17 +56,12 @@ def drawn_inputs(n: int, in_decay: EigenDecay, rng_seed: int) -> np.ndarray:
     return make_dataset(op, n, NoiseProfile(sigma=0.0), rng_seed)[0]
 
 
-def draw_threads() -> list[threading.Thread]:
-    """The live threads that fill sample blocks ahead of a pass's sums."""
-    return [t for t in threading.enumerate() if t.name.startswith(_DRAW_THREAD_NAME)]
-
-
 @pytest.fixture(autouse=True)
 def no_thread_left_running():
     """Fail a test that ends with more live threads than it started with.
 
-    A sample pass that drew ahead must have joined its draw thread by the
-    time its caller returns, however the pass ended.
+    A sweep's process pool runs a thread that manages its workers, which
+    must be joined by the time the sweep returns, however it ended.
     """
     before = set(threading.enumerate())
     yield

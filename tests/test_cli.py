@@ -458,7 +458,14 @@ class TestExitCodes:
           for argv in (["packing"], ["rates", "--n-list", "16,32,64"], ["simulate", "--n", "64"])),
         (["packing"], {"ground_truth": {"kind": "packing",
                                         "params": {"m1": math.inf, "K": 1, "eps": 0.01}}},
-         ("ground_truth.params", "infinity")),
+         ("ground_truth.params.m1", "integer, got inf")),
+        # A NaN taper would build the zero operator, and 2.5 rows would build 2.
+        (["simulate", "--n", "64"], {"ground_truth": {"kind": "random",
+                                                      "params": {"taper_out": math.nan}}},
+         ("ground_truth.params.taper_out", "finite")),
+        (["simulate", "--n", "64"], {"ground_truth": {"kind": "packing",
+                                                      "params": {"m1": 2.5, "K": 4, "eps": 0.01}}},
+         ("ground_truth.params.m1", "integer, got 2.5")),
         # The weights mu_i^((beta-1)/2) carry B past double range at d_in = 256.
         (["rates", "--n-list", "16,32,64"],
          {"p": 0.1, "beta": 0.05, "beta_prime": 0.01, "B": 1e300, "d_in": 256},
@@ -470,7 +477,8 @@ class TestExitCodes:
             "q-underflows-at-d_out", "p-underflows-at-d_in", "B-5000-digit-int",
             "200000-nested-brackets", "packing-block-off-the-grid-packing",
             "packing-block-off-the-grid-rates", "packing-block-off-the-grid-simulate",
-            "packing-m1-infinite", "B-1e300-overflows-the-operator",
+            "packing-m1-infinite", "random-taper-nan", "packing-m1-not-integral",
+            "B-1e300-overflows-the-operator",
             "B-1e-200-sigma-0-underflows", "B-0-sigma-1e-200-underflows"])
     def test_valid_looking_config_exits_two(self, tmp_path, capsys, argv, overrides, fields):
         # Each config passes the JSON-shape checks, or (given as text) is a

@@ -4,11 +4,10 @@ from __future__ import annotations
 
 import threading
 import tracemalloc
-from contextlib import closing
 
 import numpy as np
 import pytest
-from conftest import draw_threads, drawn_inputs, random_decay, random_problem_config
+from conftest import drawn_inputs, random_decay, random_problem_config
 
 from opridge import (
     ESTIMATOR_NAMES,
@@ -144,34 +143,20 @@ class TestStreamedCovariances:
         assert large <= 1.1 * small, \
             f"peak {large} B over {len(n_list)} snapshots to 16 blocks vs {small} B at 2 blocks"
 
-    def test_closing_the_pass_early_joins_the_draw_thread(self):
+    def test_a_failed_fill_is_raised_from_the_pass(self, monkeypatch):
         a0, profile = self.problem()
-        covs = streamed_covariances(a0, (100, 5 * STREAM_BLOCK_ROWS), profile, rng_seed=55)
-        assert next(covs).n == 100
-        assert draw_threads(), "the pass must be drawing the next block on its own thread"
-        covs.close()
-        assert not draw_threads(), "closing the pass must join its draw thread"
-
-    def test_a_failed_fill_is_raised_here_and_joins_the_draw_thread(self, monkeypatch):
-        a0, profile = self.problem()
-        filled_on = []
 
         def failing_fill(rng, out, scale):
-            filled_on.append(threading.current_thread())
             raise RuntimeError("fill failed")
 
         monkeypatch.setattr(synth, "_fill_scaled_uniform", failing_fill)
         with pytest.raises(RuntimeError, match="fill failed"):
             list(streamed_covariances(a0, (100, 5 * STREAM_BLOCK_ROWS), profile, rng_seed=56))
-        assert filled_on and threading.main_thread() not in filled_on, \
-            f"the fill must run on the draw thread, ran on {filled_on}"
-        assert not draw_threads(), "a failed fill must leave no draw thread running"
 
-    def test_the_draw_thread_fills_the_blocks_of_an_inline_draw(self, monkeypatch):
-        # The fill is all the draw thread does, so equal blocks make the pass
-        # the same bits as one that fills each block on the summing thread.
+    def test_every_block_is_filled_on_the_calling_thread(self, monkeypatch):
         a0, profile = self.problem()
         n = 2 * STREAM_BLOCK_ROWS + 100  # two full blocks and a short last one
+        threads = threading.active_count()
         filled = []
 
         def recording_filler(*args):
@@ -179,44 +164,23 @@ class TestStreamedCovariances:
 
             def record(u):
                 fill(u)
-                filled.append((threading.current_thread(), u.copy()))
+                filled.append((threading.current_thread(), threading.active_count(), u.copy()))
 
             return record
 
         monkeypatch.setattr(estimators, "_stream_filler", recording_filler)
-        list(streamed_covariances(a0, (100, n), profile, rng_seed=57))
-        assert threading.main_thread() not in [t for t, _ in filled], \
-            "every block must be filled on the draw thread"
-        assert [u.shape[0] for _, u in filled] == [STREAM_BLOCK_ROWS, STREAM_BLOCK_ROWS, 100]
+        for cov in streamed_covariances(a0, (100, n), profile, rng_seed=57):
+            assert threading.active_count() == threads, f"a thread was started by n={cov.n}"
+        assert [t for t, _, _ in filled] == [threading.current_thread()] * len(filled), \
+            "every block must be filled on the thread that consumes the pass"
+        assert [count for _, count, _ in filled] == [threads] * len(filled), \
+            "a fill must run with no thread started"
+        assert [u.shape[0] for _, _, u in filled] == [STREAM_BLOCK_ROWS, STREAM_BLOCK_ROWS, 100]
         inline = synth._stream_filler(a0, 57)
-        for k, (_, u) in enumerate(filled):
+        for k, (_, _, u) in enumerate(filled):
             want_u = np.empty_like(u)
             inline(want_u)
-            assert np.array_equal(u, want_u), f"block {k} differs from the inline draw"
-
-    def test_the_next_fill_runs_while_a_block_boundary_snapshot_is_consumed(self, monkeypatch):
-        # Each n ends a block; the fill of the next one must start before the
-        # consumer of n returns.
-        a0, profile = self.problem()
-        n_list = (STREAM_BLOCK_ROWS, 2 * STREAM_BLOCK_ROWS, 3 * STREAM_BLOCK_ROWS)
-        started = [threading.Event() for _ in n_list]  # started[k]: block k's fill began
-
-        def signalling_filler(*args):
-            fill = synth._stream_filler(*args)
-            blocks = iter(started)
-
-            def signal(u):
-                next(blocks).set()
-                fill(u)
-
-            return signal
-
-        monkeypatch.setattr(estimators, "_stream_filler", signalling_filler)
-        with closing(streamed_covariances(a0, n_list, profile, rng_seed=58)) as covs:
-            for k, cov in enumerate(covs):
-                if cov.n < n_list[-1]:
-                    assert started[k + 1].wait(timeout=10.0), \
-                        f"block {k + 1} was not being filled while n={cov.n} was consumed"
+            assert np.array_equal(u, want_u), f"block {k} is not the stream's next rows"
 
     @pytest.mark.parametrize("n_list", [(), (0, 8), (300, 300), (1500, 300, 5000)])
     def test_bad_n_list_rejected_before_any_draw(self, n_list):

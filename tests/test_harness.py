@@ -46,7 +46,7 @@ from opridge.estimators import (
     streamed_covariances,
 )
 
-from conftest import draw_threads, random_problem_config
+from conftest import random_problem_config
 
 
 def small_config(**overrides) -> ProblemConfig:
@@ -167,6 +167,39 @@ class TestGroundTruthSpec:
         with pytest.raises(ConfigError, match="taper"):
             GroundTruthSpec("laplacian", {"taper_in": 0.5})
 
+    @pytest.mark.parametrize("kind, params, key", [
+        ("random", {"taper_in": math.nan}, "taper_in"),
+        ("random", {"taper_out": math.nan}, "taper_out"),
+        ("random", {"taper_in": math.inf}, "taper_in"),
+        ("random", {"seed": 5.5}, "seed"),
+        ("laplacian", {"t": 1.5}, "t"),
+        ("laplacian", {"scale": math.inf}, "scale"),
+        ("packing", {"m1": 2.5, "K": 4, "eps": 0.5}, "m1"),
+        ("packing", {"m1": 2, "m2": 0.5, "K": 4, "eps": 0.5}, "m2"),
+        ("packing", {"m1": 2, "K": 4.5, "eps": 0.5}, "K"),
+        ("packing", {"m1": 2, "K": 4, "eps": math.nan}, "eps"),
+        ("packing", {"m1": 2, "K": 4, "eps": 0.5, "seed": "7"}, "seed"),
+    ])
+    def test_a_param_not_usable_as_written_is_refused_at_load(self, kind, params, key):
+        # A NaN taper once built the zero operator, and int() truncated 2.5 to 2.
+        obj = config_to_dict(small_config(), GroundTruthSpec(kind, {}))
+        obj["ground_truth"]["params"] = params
+        with pytest.raises(ConfigError, match=rf"^ground_truth\.params\.{key} must be"):
+            parse_config(obj)
+
+    @pytest.mark.parametrize("kind, params, as_ints", [
+        ("random", {"seed": 5.0}, {"seed": 5}),
+        ("laplacian", {"t": 2.0}, {"t": 2}),
+        ("packing", {"m1": 2.0, "m2": 1.0, "K": 4.0, "eps": 0.5, "seed": 7.0},
+         {"m1": 2, "m2": 1, "K": 4, "eps": 0.5, "seed": 7}),
+    ])
+    def test_integral_floats_build_as_their_ints(self, kind, params, as_ints):
+        cfg = small_config(d_in=12, d_out=12)
+        obj = config_to_dict(cfg, GroundTruthSpec(kind, params))
+        _, spec, _, _ = parse_config(obj)
+        assert spec.params == as_ints
+        assert np.array_equal(spec.build(cfg).m, GroundTruthSpec(kind, as_ints).build(cfg).m)
+
 
 def trial_record(cfg, a0, n, trial_index, estimator):
     """The record of one estimator on the dataset of cell (n, trial_index)."""
@@ -283,16 +316,6 @@ class TestRunCell:
             assert len(nested) == len(n_list) * len(ESTIMATOR_NAMES)
             assert nested == alone, f"a cell changed in the pass over {n_list}"
 
-    def test_a_raising_consumer_joins_the_draw_thread(self):
-        # The non-finite error is raised at the first n, while the draw
-        # thread is filling the next block.
-        cfg = small_config(B=1e200)
-        _, a0 = random_source_operator(cfg, ground_truth_seed(cfg))
-        with pytest.raises(ConfigError, match="too large for double precision"), \
-                np.errstate(over="ignore"):
-            harness._run_trial(cfg, a0, (100, 5 * STREAM_BLOCK_ROWS), 0, ESTIMATOR_NAMES)
-        assert not draw_threads(), "the draw thread must be joined when the trial raises"
-
     def test_a_noise_scale_other_than_the_configs_is_refused_before_any_draw(self, monkeypatch):
         cfg = small_config()
         _, a0 = random_source_operator(cfg, ground_truth_seed(cfg))
@@ -301,7 +324,6 @@ class TestRunCell:
         with pytest.raises(ValueError, match=r"noise\.sigma=0\.2 .* sigma=0\.1"):
             run_cell(cfg, a0, 128, 0, ESTIMATOR_NAMES, NoiseProfile(sigma=2 * cfg.sigma))
         assert not fills, "nothing may be drawn"
-        assert not draw_threads(), "no draw thread may be started"
 
     def test_elapsed_is_each_estimators_own_time(self):
         # The draw and the Gram sums are shared: charging them to every record
@@ -329,31 +351,34 @@ def pass_peak(cfg: ProblemConfig, n_list: tuple[int, ...]) -> int:
 
 
 # numpy's iteration buffer for a fill's broadcast scaling, up to 8192 doubles,
-# which the draw thread may hold while the sums run; and an allowance of the
-# same size for a pass's small arrays and objects (lambda maps, row terms,
-# records), which do not grow with the dimensions.
+# which a fill holds beside its block; and an allowance of the same size for a
+# pass's small arrays and objects (lambda maps, row terms, records), which do
+# not grow with the dimensions.
 _FILL_BUFFER = 64 * 1024
 _SMALL = 64 * 1024
 
 
 class TestPassMemory:
-    def test_summing_holds_two_blocks_the_sums_and_one_product(self):
-        # At these sizes the blocks dominate, and with every n on a block
-        # boundary the fits hold only the next block, so the peak comes
-        # while one block is summed and the next is filled. A snapshot or
-        # estimator array still alive then would show above the bound.
-        d_in, d_out = 64, 64
-        blocks = 2 * _B * d_in  # inputs only: no noise row is drawn
+    def test_a_pass_holds_one_block_the_sums_and_one_snapshot(self):
+        # At these sizes the block outweighs every other array, so a second
+        # block alive at any moment would show 256 KiB above the bound. With
+        # every n on a block boundary no partial sum is formed, and besides
+        # the block and the sums a pass holds one snapshot with one
+        # estimator's arrays, which outweigh the one Gram product of a sum.
+        d_in, d_out = 64, 16
+        block = _B * d_in  # inputs only: no noise row is drawn
         sums = d_in * d_in  # u.T @ u
-        product = d_in * d_in  # u.T @ u of one block
-        bound = 8 * (blocks + sums + product) + _FILL_BUFFER + _SMALL
+        # c_kk, the eigenvectors and c_lk, and two d_out x d_in arrays: the
+        # noise draw and its product, or learned rows and their product.
+        snapshot = 2 * d_in * d_in + 3 * d_out * d_in
+        bound = 8 * (block + sums + snapshot) + _FILL_BUFFER + _SMALL
         peak = pass_peak(small_config(d_in=d_in, d_out=d_out), (2 * _B, 4 * _B, 8 * _B))
         assert peak <= bound, f"a pass peaked at {peak} B, {peak - bound} B over its {bound} B"
 
     def test_pass_peak_bytes_is_the_peak_of_a_pass(self):
-        # Here the d^2 arrays outweigh the blocks, and an n inside a block
-        # keeps both blocks alive while its snapshot is built and fitted.
-        # Within the slack on either side, the formula is the peak itself.
+        # Here the d^2 arrays outweigh the block, and an n inside a block
+        # adds its partial sum while its snapshot is built. Within the slack
+        # on either side, the formula is the peak itself.
         d_in = d_out = 512
         want = _pass_peak_bytes(d_in, d_out)
         peak = pass_peak(small_config(d_in=d_in, d_out=d_out), (_B + 300, 3 * _B))
