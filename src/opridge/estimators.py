@@ -6,24 +6,28 @@ output rows an estimator learns, row j < k of the estimate solves
 
     a_hat[j] @ (c_kk + lambda_j I) = c_lk[j]
 
-and rows k..d_out-1 are exactly zero. EmpiricalCovariances keeps one
-eigendecomposition c_kk = Q diag(Lambda) Q.T, made when it is built, and
-every row is solved from it as ((c_lk[j] @ Q) / (Lambda + lambda_j)) @ Q.T,
-so a cell costs one eigh however many distinct coefficients its estimators
-use. One private solver, _learned_rows, computes the k learned rows alone:
-fit_rowwise_ridge stacks them on zeros, and a trial pass scores them
-without building the rest of the estimate (see harness._run_trial).
-Covariances are uncentered and c_kk is symmetrized. The estimators
-differ only in their map: LambdaMap.for_estimator gives the map of each of
-the ESTIMATOR_NAMES, and estimate_from_covariances fits it this way.
+and rows k..d_out-1 are exactly zero. Every such ridge is a spectral
+filter of c_kk = Q diag(Lambda) Q.T, so EmpiricalCovariances keeps one
+eigendecomposition, made when it is built, and the cross moment in its
+basis, c_lq = c_lk @ Q. Row j is (c_lq[j] / (Lambda + lambda_j)) @ Q.T:
+one private solver, _learned_rows, computes the k learned rows alone
+with one product, fit_rowwise_ridge stacks them on zeros, and a trial
+pass scores them without building the rest of the estimate (see
+harness._run_trial). A cell thus costs one eigh however many distinct
+coefficients its estimators use. Covariances are uncentered and c_kk is
+symmetrized. The estimators differ only in their map:
+LambdaMap.for_estimator gives the map of each of the ESTIMATOR_NAMES, and
+estimate_from_covariances fits it this way.
 
 streamed_covariances computes the covariances of a simulated trial at
 each of its sample counts in one pass that sums u.T @ u over input blocks
-and draws each snapshot's noise term from its eigendecomposition, without
-building the dataset; empirical_covariances does it for a dataset (u, v)
-in hand. A pass holds one block, the running sum, and either one Gram
-product or the arrays of the one snapshot and one estimator its consumer
-is working on; _pass_peak_bytes is the most of these at once.
+and builds each snapshot's c_lq in the eigenbasis, a0.m @ Q scaled by
+Lambda plus the noise term drawn in those coordinates, without building
+the dataset, c_lk or the draw in input coordinates; empirical_covariances
+does it for a dataset (u, v) in hand. A pass holds one block, the running
+sum, and either one Gram product or the arrays of the one snapshot and
+one estimator its consumer is working on; _pass_peak_bytes is the most of
+these at once.
 
 The population oracles (population_regularized, analytic_bias) evaluate the
 infinite-sample limit of the same ridge in closed form; tests pit the solver
@@ -32,7 +36,9 @@ against them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -83,61 +89,84 @@ def _pass_peak_bytes(d_in: int, d_out: int) -> int:
     of u and the running sum u.T @ u (a) at every moment, and:
       - while it sums a block, one Gram product (a);
       - while it builds a snapshot, the partial sum of an n inside a block
-        (a), c_kk, c_lk and the eigenvectors (2a + b), and the noise draw Z
-        and its product with the eigenvectors (2b);
-      - while it fits, c_kk, c_lk and the eigenvectors (2a + b) and one
-        estimator's learned rows and their product with them (2b).
-    The largest is 3a + 3b. tests/test_harness.py pins a pass's traced peak
-    to this, up to small buffers that do not grow with the dimensions.
+        (a), c_kk and the eigenvectors (2a), the cross moment in the
+        eigenbasis (b) and the noise draw Z (b);
+      - while it fits, c_kk, the eigenvectors and the cross moment (2a + b),
+        and one estimator's table of scaled rows and their back-rotation (2b).
+    The largest is 2a + 2b + max(a, b). tests/test_harness.py pins a pass's
+    traced peak to this, up to small buffers that do not grow with the
+    dimensions.
     """
     a, b = d_in * d_in, d_out * d_in
-    return 8 * (STREAM_BLOCK_ROWS * d_in + a + 3 * a + 3 * b)
+    return 8 * (STREAM_BLOCK_ROWS * d_in + a + 2 * a + 2 * b + max(a, b))
 
 
-@dataclass(frozen=True)
+def _finite(x: np.ndarray) -> bool:
+    """Whether every entry of x is finite, with no array of flags as large as x."""
+    return x.size == 0 or math.isfinite(float(x.min())) and math.isfinite(float(x.max()))
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class EmpiricalCovariances:
-    """Uncentered second moments of one sample set.
+    """Uncentered second moments of one sample set, in the eigenbasis of c_kk.
+
+    EmpiricalCovariances(c_kk, c_lk, n) checks both moments, decomposes
+    c_kk = eigvecs @ diag(eigvals) @ eigvecs.T once, and keeps the cross
+    moment in those coordinates, c_lq = c_lk @ eigvecs, which is all a
+    solve reads. A trial pass builds c_lq directly (_from_sums), and c_lk
+    is formed only when it is read.
 
     Attributes:
         c_kk: input Gram matrix u.T @ u / n, symmetric PSD, shape
             (d_in, d_in).
-        c_lk: cross matrix v.T @ u / n, shape (d_out, d_in).
         n: number of samples the moments were computed from.
-        eigvals, eigvecs: c_kk = eigvecs @ diag(eigvals) @ eigvecs.T,
-            eigenvalues ascending; computed on construction.
+        eigvals, eigvecs: eigenvalues ascending, and orthonormal columns.
+        c_lq: the cross moment v.T @ u @ eigvecs / n, shape (d_out, d_in).
     """
 
     c_kk: np.ndarray
-    c_lk: np.ndarray
     n: int
-    eigvals: np.ndarray = field(init=False, repr=False, compare=False)
-    eigvecs: np.ndarray = field(init=False, repr=False, compare=False)
+    eigvals: np.ndarray = field(repr=False)
+    eigvecs: np.ndarray = field(repr=False)
+    c_lq: np.ndarray = field(repr=False)
 
-    def __post_init__(self) -> None:
-        c_kk = np.asarray(self.c_kk, dtype=np.float64)
-        c_lk = np.asarray(self.c_lk, dtype=np.float64)
+    def __init__(self, c_kk: np.ndarray, c_lk: np.ndarray, n: int) -> None:
+        c_kk = np.asarray(c_kk, dtype=np.float64)
+        c_lk = np.asarray(c_lk, dtype=np.float64)
         if c_kk.ndim != 2 or c_kk.shape[0] != c_kk.shape[1]:
             raise ValueError(f"c_kk must be square, got shape {c_kk.shape}")
         if c_lk.ndim != 2 or c_lk.shape[1] != c_kk.shape[0]:
             raise ValueError(
                 f"c_lk shape {c_lk.shape} does not match c_kk {c_kk.shape}"
             )
-        if self.n < 1:
-            raise ValueError(f"sample count must be >= 1, got {self.n}")
-        if not (np.all(np.isfinite(c_kk)) and np.all(np.isfinite(c_lk))):
+        if not (_finite(c_kk) and _finite(c_lk)):
             raise ValueError("covariances must be finite")
         diff = c_kk - c_kk.T
         asym = float(np.max(np.abs(diff, out=diff), initial=0.0))
         del diff  # not alive through eigh
         if asym > _SYM_TOL:
             raise ValueError(f"c_kk asymmetric by {asym:.3e}")
+        self._decompose(c_kk, n)
+        object.__setattr__(self, "c_lq", c_lk @ self.eigvecs)
+
+    def _decompose(self, c_kk: np.ndarray, n: int) -> None:
+        """Check n and that c_kk, finite and symmetric, is PSD; keep both and its eigh."""
+        if n < 1:
+            raise ValueError(f"sample count must be >= 1, got {n}")
         eigvals, eigvecs = np.linalg.eigh(c_kk)
         if eigvals[0] < -_EIG_TOL:
             raise ValueError(f"c_kk indefinite, min eigenvalue {eigvals[0]:.3e}")
-        object.__setattr__(self, "c_kk", c_kk)
-        object.__setattr__(self, "c_lk", c_lk)
-        object.__setattr__(self, "eigvals", eigvals)
-        object.__setattr__(self, "eigvecs", eigvecs)
+        for name, value in (("c_kk", c_kk), ("n", n), ("eigvals", eigvals),
+                            ("eigvecs", eigvecs)):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def c_lk(self) -> np.ndarray:
+        """The cross matrix v.T @ u / n in input coordinates, c_lq @ eigvecs.T.
+
+        Formed on the first read and kept; the solver never reads it.
+        """
+        return self.c_lq @ self.eigvecs.T
 
     @property
     def d_in(self) -> int:
@@ -145,7 +174,7 @@ class EmpiricalCovariances:
 
     @property
     def d_out(self) -> int:
-        return self.c_lk.shape[0]
+        return self.c_lq.shape[0]
 
 
 def empirical_covariances(data: tuple[np.ndarray, np.ndarray]) -> EmpiricalCovariances:
@@ -231,17 +260,24 @@ def _from_sums(a0: OperatorMatrix, uu: np.ndarray, n: int, noise_sd: np.ndarray,
                rng_seed: int) -> EmpiricalCovariances:
     """Covariances of n rows from their sum u.T @ u, with the noise term drawn.
 
-    c_kk is (c + c.T) / 2, formed in place after its first array. c_lk is
-    a0.m @ c_kk plus a draw from the eigendecomposition EmpiricalCovariances makes.
+    c_kk is (c + c.T) / 2, formed in place after its first array, so it is
+    exactly symmetric, and finite as a sum of bounded inputs. In its
+    eigenbasis, c_lk = a0.m @ c_kk + eps.T @ u / n is (a0.m @ Q) diag(Lambda)
+    plus the noise draw of synth._noise_cross_moment in its last r columns;
+    neither c_lk nor the draw in input coordinates is formed.
     """
     c_kk = uu / n
     c_kk = c_kk + c_kk.T
     c_kk /= 2.0
-    cov = EmpiricalCovariances(c_kk=c_kk, c_lk=a0.m @ c_kk, n=n)
-    c_lk = cov.c_lk  # the noiseless part, which the draw is added to in place
-    c_lk += _noise_cross_moment(noise_sd, cov.eigvals, cov.eigvecs, n, rng_seed)
-    if not np.all(np.isfinite(c_lk)):
+    cov = object.__new__(EmpiricalCovariances)
+    cov._decompose(c_kk, n)
+    c_lq = a0.m @ cov.eigvecs
+    c_lq *= cov.eigvals
+    noise = _noise_cross_moment(noise_sd, cov.eigvals, n, rng_seed)
+    c_lq[:, cov.d_in - noise.shape[1]:] += noise
+    if not _finite(c_lq):
         raise ValueError("covariances must be finite")
+    object.__setattr__(cov, "c_lq", c_lq)
     return cov
 
 
@@ -318,7 +354,7 @@ def fit_rowwise_ridge(cov: EmpiricalCovariances, lmap: LambdaMap) -> np.ndarray:
         numpy.linalg.LinAlgError: some c_kk + lambda_j I is not positive
             definite, which signals an indefinite c_kk.
     """
-    a_hat = np.zeros_like(cov.c_lk)
+    a_hat = np.zeros((cov.d_out, cov.d_in))
     a_hat[: lmap.k] = _learned_rows(cov, lmap)
     return a_hat
 
@@ -327,22 +363,23 @@ def _learned_rows(cov: EmpiricalCovariances, lmap: LambdaMap) -> np.ndarray:
     """The learned rows 0..lmap.k-1 of the ridge estimate, shape (k, d_in).
 
     Row j is row j of fit_rowwise_ridge(cov, lmap), solved as
-    ((c_lk[j] @ Q) / (Lambda + lambda_j)) @ Q.T, in a new C-ordered array
-    the caller may overwrite. Raises as fit_rowwise_ridge does.
+    (c_lq[j] / (Lambda + lambda_j)) @ Q.T: the table Lambda + lambda_j is
+    built once and divided into in place, so the rows cost one product. The
+    result is a new C-ordered array the caller may overwrite. Raises as
+    fit_rowwise_ridge does.
     """
     if lmap.d_out != cov.d_out:
         raise ValueError(
             f"lambda map covers {lmap.d_out} rows, covariances have {cov.d_out}"
         )
-    if np.any(lmap.lams + cov.eigvals[0] <= 0.0):
+    rows = np.add.outer(lmap.lams, cov.eigvals)
+    if np.any(rows[:, 0] <= 0.0):  # lambda_j plus the smallest eigenvalue
         raise np.linalg.LinAlgError(
             f"c_kk + lambda I is not positive definite: min eigenvalue "
             f"{cov.eigvals[0]:.3e}, min lambda {lmap.lams.min():.3e}"
         )
-    q = cov.eigvecs
-    a_rows = cov.c_lk[: lmap.k] @ q
-    a_rows /= cov.eigvals + lmap.lams[:, np.newaxis]
-    return a_rows @ q.T
+    np.divide(cov.c_lq[: lmap.k], rows, out=rows)
+    return rows @ cov.eigvecs.T
 
 
 def single_ridge_lambda(cfg: ProblemConfig, n: int) -> float:

@@ -12,7 +12,9 @@ different trials are independent. run_convergence, like the simulate
 subcommand, executes trials in spawned worker processes pinned to one
 BLAS thread -- even with one worker -- so the parent interpreter never
 does cell arithmetic and the output bytes depend neither on how many
-workers were requested nor on the caller's BLAS thread variables.
+workers were requested nor on the caller's BLAS thread variables. A
+worker builds the lambda map of each (n, estimator) once, for all its
+trials; only the solves and scores run per snapshot.
 
 Error is always the squared (beta', gamma')-norm of (estimate - truth),
 summarized across trials by median and interquartile range; the target
@@ -142,9 +144,12 @@ class GroundTruthSpec:
                 f"key(s) {sorted(unknown)}; allowed: {sorted(allowed)}"
             )
         integers = ("seed", "m1", "m2", "K", "t")  # every param but omega is a number
-        object.__setattr__(self, "params", {
-            k: v if k == "omega" else _scalar(f"ground_truth.params.{k}", v, k in integers)
-            for k, v in self.params.items()})
+        params = {k: v if k == "omega" else _scalar(f"ground_truth.params.{k}", v, k in integers)
+                  for k, v in self.params.items()}
+        if params.get("seed", 0) < 0:  # numpy seeds its generators with nonnegative integers
+            raise ConfigError(f"ground_truth.params.seed must be a nonnegative integer, "
+                              f"got {params['seed']}")
+        object.__setattr__(self, "params", params)
 
     def build(self, cfg: ProblemConfig) -> OperatorMatrix:
         """Materialize the operator on the config's frequency grid."""
@@ -352,14 +357,17 @@ def _run_trial(
     n_list: Sequence[int],
     trial_index: int,
     estimators: Sequence[str],
+    lmaps: Mapping[tuple[int, str], LambdaMap] | None = None,
 ) -> tuple[TrialRecord, ...]:
     """Records of every (n, estimator) of one trial, in that order, from one pass.
 
     The trial's stream is seeded by (cfg.seed, trial_index) alone and
     draws its noise at cfg.sigma, the one noise scale. streamed_covariances
     gives cell n its first n rows and its own noise draw, the same bits
-    whatever else n_list holds. The draws, the Gram sum and each eigh are
-    shared, so a record's elapsed_ms is that estimator's own lambda map,
+    whatever else n_list holds. lmaps holds each (n, estimator)'s
+    LambdaMap.for_estimator (_lambda_maps), built here when not given: a
+    worker builds them once for all its trials. The draws, the Gram sum and
+    each eigh are shared, so a record's elapsed_ms is that estimator's own
     learned-row solve and score.
 
     Only the learned rows 0..k-1 are solved and scored. The error of an
@@ -374,6 +382,8 @@ def _run_trial(
     the next, and each estimator's arrays before the next estimator starts
     (estimators._pass_peak_bytes).
     """
+    if lmaps is None:
+        lmaps = _lambda_maps(cfg, n_list, estimators)
     seed = derive_seed(cfg.seed, _TAG_TRIAL, trial_index)
     # The weights of the estimate's decays, as difference() keeps them.
     mu_w, rho_w = _norm_weights(cfg.input_decay, cfg.output_decay,
@@ -383,8 +393,7 @@ def _run_trial(
     for cov in streamed_covariances(a0, n_list, NoiseProfile(sigma=cfg.sigma), seed):
         for name in estimators:
             t0 = time.perf_counter()
-            err = _error_sq(cov, LambdaMap.for_estimator(cfg, cov.n, name), a0, a0_terms,
-                            mu_w, rho_w)
+            err = _error_sq(cov, lmaps[cov.n, name], a0, a0_terms, mu_w, rho_w)
             elapsed = time.perf_counter() - t0
             if not math.isfinite(err):
                 raise ConfigError(
@@ -395,6 +404,13 @@ def _run_trial(
         # The loop would hold this snapshot while the stream sums the next.
         del cov
     return tuple(records)
+
+
+def _lambda_maps(cfg: ProblemConfig, n_list: Sequence[int],
+                 estimators: Sequence[str]) -> dict[tuple[int, str], LambdaMap]:
+    """LambdaMap.for_estimator of every (n, estimator) a trial pass scores."""
+    return {(n, name): LambdaMap.for_estimator(cfg, n, name)
+            for n in n_list for name in estimators}
 
 
 def _error_sq(cov: EmpiricalCovariances, lmap: LambdaMap, a0: OperatorMatrix,
@@ -459,19 +475,21 @@ def _pool_init(cfg: ProblemConfig, a0_path: str, n_list: tuple[int, ...],
     and saved its exact bits and memory order at a0_path; it is rebuilt
     here from those bits and cfg's decays. The path, not a0, is in the
     spawn arguments, so they stay a few hundred bytes at any d_in and
-    d_out and the parent starts every worker at once. Also keeps the
-    wall-clock time at which this worker became ready, which _pool_trial
-    returns with each trial's records.
+    d_out and the parent starts every worker at once. Also builds the
+    lambda map of each (n, estimator) once for all the worker's trials,
+    and keeps the wall-clock time at which this worker became ready, which
+    _pool_trial returns with each trial's records.
     """
     a0 = OperatorMatrix(np.load(a0_path, allow_pickle=False),
                         cfg.input_decay, cfg.output_decay)
-    _WORKER_STATE["args"] = (cfg, a0, n_list, estimators)
+    _WORKER_STATE["args"] = (cfg, a0, n_list, estimators,
+                             _lambda_maps(cfg, n_list, estimators))
     _WORKER_STATE["ready"] = time.time()
 
 
 def _pool_trial(trial: int) -> tuple[float, tuple[TrialRecord, ...]]:
-    cfg, a0, n_list, estimators = _WORKER_STATE["args"]
-    return _WORKER_STATE["ready"], _run_trial(cfg, a0, n_list, trial, estimators)
+    cfg, a0, n_list, estimators, lmaps = _WORKER_STATE["args"]
+    return _WORKER_STATE["ready"], _run_trial(cfg, a0, n_list, trial, estimators, lmaps)
 
 
 def _pool_size(workers: int, trials: int) -> int:
@@ -774,9 +792,10 @@ def _write_lines(path: str | Path, lines: Iterable[str]) -> None:
 def write_runs_csv(report: RateReport, path: str | Path) -> None:
     """Per-trial rows; wall times make this file non-reproducible.
 
-    elapsed_ms is the estimator's own lambda map, learned-row solve and
-    score. The draw, the Gram sums and each snapshot's eigh, which every
-    estimator of a trial shares, are not in it.
+    elapsed_ms is the estimator's own learned-row solve and score. Its
+    lambda map, built once per worker, is not in it, nor are the draw, the
+    Gram sums and each snapshot's eigh, which every estimator of a trial
+    shares.
     """
     lines = [RUNS_HEADER]
     for r in report.runs:

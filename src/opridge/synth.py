@@ -5,8 +5,8 @@ of buffers the caller allocates; the streamed pass of the estimators
 module splits that stream into row blocks, each filled into one reused
 buffer, and any split gives the same bits. The noise reaches an estimate
 only through eps.T @ u, so the pass draws that statistic of each cell,
-given its inputs (_noise_cross_moment); make_dataset draws noise rows of
-the same law.
+given its inputs, directly in the eigenbasis of the cell's c_kk
+(_noise_cross_moment); make_dataset draws noise rows of the same law.
 
 Input coordinates are bounded uniforms scaled by sqrt(mu_i) so the
 almost-sure embedding bound genuinely holds (Gaussians would violate it).
@@ -130,21 +130,24 @@ def _stream_filler(a0: OperatorMatrix, rng_seed: int) -> Callable[[np.ndarray], 
     return lambda u: _fill_scaled_uniform(rng, u, scale)
 
 
-def _noise_cross_moment(noise_sd: np.ndarray, eigvals: np.ndarray, eigvecs: np.ndarray,
-                        n: int, rng_seed: int) -> np.ndarray:
-    """A draw of eps.T @ u / n given n rows u with c_kk = eigvecs @ diag(eigvals) @ eigvecs.T.
+def _noise_cross_moment(noise_sd: np.ndarray, eigvals: np.ndarray, n: int,
+                        rng_seed: int) -> np.ndarray:
+    """A draw of eps.T @ u @ Q / n given n rows u with c_kk = Q @ diag(eigvals) @ Q.T.
 
-    Given u, row j is N(0, sigma_j^2 c_kk / n) for make_dataset's noise, independent of
-    the others: the law of diag(noise_sd) Z diag(sqrt(max(L, 0) / n)) V.T over the
-    r = min(n, d_in) largest eigenpairs (L, V), as c_kk has rank at most n. Z is standard
-    normal from the sub-stream (rng_seed, noise, n), so the draw depends on the cell alone.
+    Given u, row j of eps.T @ u / n is N(0, sigma_j^2 c_kk / n) for make_dataset's noise,
+    independent of the others, so in the eigenbasis Q it is independent normals of
+    variance sigma_j^2 max(L_i, 0) / n. The draw is diag(noise_sd) Z diag(sqrt(max(L, 0)
+    / n)) over the r = min(n, d_in) largest eigenvalues L, as c_kk has rank at most n:
+    shape (d_out, r), the last r columns of the statistic; the others are zero. Z is
+    standard normal from the sub-stream (rng_seed, noise, n), so the draw depends on
+    the cell alone.
     """
     r = min(n, len(eigvals))
     rng = np.random.default_rng(derive_seed(rng_seed, _TAG_NOISE, n))
     z = rng.standard_normal((len(noise_sd), r))
     z *= np.sqrt(np.maximum(eigvals[-r:], 0.0) / n)
     z *= noise_sd[:, np.newaxis]
-    return z @ eigvecs[:, -r:].T
+    return z
 
 
 def make_dataset(
@@ -186,16 +189,28 @@ def random_source_operator(
         (source coefficients, operator in orthonormal coordinates).
 
     Raises:
-        ConfigError: an operator coordinate overflows, naming B, p and beta.
+        ConfigError: the coefficients overflow before the rescaling, naming
+            ground_truth.params.taper_in or taper_out; or an operator
+            coordinate overflows, naming B, p and beta.
     """
     rng = np.random.default_rng(rng_seed)
     signs = rng.integers(0, 2, size=(cfg.d_out, cfg.d_in)) * 2.0 - 1.0
-    w_in = np.arange(1, cfg.d_in + 1, dtype=np.float64) ** -taper_in
-    w_out = np.arange(1, cfg.d_out + 1, dtype=np.float64) ** -taper_out
-    a = signs * w_out[:, np.newaxis] * w_in[np.newaxis, :]
-    # Not np.linalg.norm: its BLAS dot product rounds differently for each
-    # thread count, and this runs in the caller's process.
-    norm = math.sqrt(float(np.sum(a * a)))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused by name
+        w_in = np.arange(1, cfg.d_in + 1, dtype=np.float64) ** -taper_in
+        w_out = np.arange(1, cfg.d_out + 1, dtype=np.float64) ** -taper_out
+        a = signs * w_out[:, np.newaxis] * w_in[np.newaxis, :]
+        # Not np.linalg.norm: its BLAS dot product rounds differently for each
+        # thread count, and this runs in the caller's process.
+        norm = math.sqrt(float(np.sum(a * a)))
+        if not math.isfinite(norm):
+            # The sum of squares is sum(w_in^2) * sum(w_out^2): a taper whose
+            # own sum overflows is named alone, else both are.
+            tapers = {"taper_in": (taper_in, w_in), "taper_out": (taper_out, w_out)}
+            bad = [k for k, (_, w) in tapers.items() if not math.isfinite(float(np.sum(w * w)))]
+            named = " and ".join(f"ground_truth.params.{k}={tapers[k][0]}"
+                                 for k in bad or tapers)
+            raise ConfigError(f"the coefficients i^-taper_in * j^-taper_out overflow at "
+                              f"d_in={cfg.d_in}, d_out={cfg.d_out} with {named}: raise it")
     if cfg.B > 0.0 and norm > 0.0:
         a = a * (cfg.B / norm)
     else:

@@ -497,6 +497,25 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("ground_truth, key", [
+        ({"kind": "random", "params": {"seed": -1}}, "seed"),
+        ({"kind": "packing", "params": {"m1": 2, "K": 4, "eps": 0.01, "seed": -1}}, "seed"),
+        ({"kind": "random", "params": {"taper_in": -400}}, "taper_in"),
+        ({"kind": "random", "params": {"taper_out": -400}}, "taper_out"),
+    ], ids=["random-seed", "packing-seed", "taper_in", "taper_out"])
+    def test_a_ground_truth_param_numpy_cannot_take_is_named(self, tmp_path, ground_truth, key):
+        # numpy refuses a negative seed, and the taper's power overflows; the
+        # refusal names the key, and a fresh process shows all stderr gets.
+        path, _ = write_config(tmp_path, d_in=8, d_out=8, ground_truth=ground_truth)
+        src = str(Path(opridge.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        proc = subprocess.run([sys.executable, "-m", "opridge.cli", "simulate", "--n", "64",
+                               "--config", str(path)], env=env, capture_output=True, text=True)
+        assert proc.returncode == 2, proc.stderr
+        assert f"ground_truth.params.{key}" in proc.stderr, proc.stderr
+        assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
+
     @pytest.mark.parametrize("argv, overrides", [
         (["simulate", "--n", "4096"], {"beta_prime": 0.895}),
         (["contours", "--n", "65536"], {"beta_prime": 0.8, "gamma_prime": 0.9}),

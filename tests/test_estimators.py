@@ -248,8 +248,11 @@ class TestNoiseStatistic:
     def test_zero_sigma_gives_the_noiseless_cross_matrix_exactly(self, n_list):
         cfg = small_config(d_in=8, d_out=12)
         _, a0 = random_source_operator(cfg, rng_seed=65)
+        # The pass keeps c_lk in the eigenbasis of c_kk: c_lk Q = (a0.m Q) diag(Lambda).
         for cov in streamed_covariances(a0, n_list, NoiseProfile(sigma=0.0), rng_seed=66):
-            assert np.array_equal(cov.c_lk, a0.m @ cov.c_kk), f"noise added at n={cov.n}"
+            want = a0.m @ cov.eigvecs
+            want *= cov.eigvals
+            assert np.array_equal(cov.c_lq, want), f"noise added at n={cov.n}"
 
     def test_one_eigendecomposition_per_snapshot(self, monkeypatch):
         # The noise draw reuses the eigh every snapshot makes for its solves.

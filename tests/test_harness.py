@@ -9,6 +9,7 @@ import pickle
 import tempfile
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -179,6 +180,8 @@ class TestGroundTruthSpec:
         ("packing", {"m1": 2, "K": 4.5, "eps": 0.5}, "K"),
         ("packing", {"m1": 2, "K": 4, "eps": math.nan}, "eps"),
         ("packing", {"m1": 2, "K": 4, "eps": 0.5, "seed": "7"}, "seed"),
+        ("random", {"seed": -1}, "seed"),
+        ("packing", {"m1": 2, "K": 4, "eps": 0.5, "seed": -1}, "seed"),
     ])
     def test_a_param_not_usable_as_written_is_refused_at_load(self, kind, params, key):
         # A NaN taper once built the zero operator, and int() truncated 2.5 to 2.
@@ -186,6 +189,25 @@ class TestGroundTruthSpec:
         obj["ground_truth"]["params"] = params
         with pytest.raises(ConfigError, match=rf"^ground_truth\.params\.{key} must be"):
             parse_config(obj)
+
+    @pytest.mark.parametrize("params, named", [
+        ({"taper_in": -400}, ("taper_in",)),
+        ({"taper_out": -400}, ("taper_out",)),
+        ({"taper_in": -1e300, "taper_out": 1e300}, ("taper_in",)),
+        ({"taper_in": -200, "taper_out": -200}, ("taper_in", "taper_out")),
+    ], ids=["taper_in", "taper_out", "taper_in-with-a-vanishing-taper_out", "both"])
+    def test_a_taper_whose_coefficients_overflow_is_named_without_a_warning(self, params,
+                                                                          named):
+        # At d_in = d_out = 8, i^400 overflows; 8^200 does not, but the
+        # product of the two weights does.
+        spec = GroundTruthSpec("random", params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            with pytest.raises(ConfigError, match="overflow") as exc:
+                spec.build(small_config(d_in=8, d_out=8))
+        message = str(exc.value)
+        got = {k for k in ("taper_in", "taper_out") if f"ground_truth.params.{k}=" in message}
+        assert got == set(named), message
 
     @pytest.mark.parametrize("kind, params, as_ints", [
         ("random", {"seed": 5.0}, {"seed": 5}),
@@ -336,6 +358,74 @@ class TestRunCell:
         total = sum(r.elapsed_ms for r in recs)
         assert 0.0 < total <= wall_ms, f"records sum to {total:.3f} ms in a {wall_ms:.3f} ms cell"
 
+    def test_a_worker_builds_each_lambda_map_once_for_all_its_trials(self, monkeypatch):
+        monkeypatch.setattr(InProcessPool, "sizes", [])
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        cfg = small_config()
+        n_list = (64, 700, 1600)
+        calls = []
+        for_estimator = LambdaMap.for_estimator.__func__
+
+        def counting(cls, cfg, n, estimator):
+            calls.append((n, estimator))
+            return for_estimator(cls, cfg, n, estimator)
+
+        monkeypatch.setattr(LambdaMap, "for_estimator", classmethod(counting))
+        results, _ = harness._run_cells(cfg, GroundTruthSpec(), ESTIMATOR_NAMES, n_list,
+                                        range(3), 1)
+        assert InProcessPool.sizes == [1]
+        assert sorted(calls) == sorted((n, e) for n in n_list for e in ESTIMATOR_NAMES), \
+            "one worker running three trials must build each (n, estimator) map once"
+        # run_cell builds its own maps, and scores the cell to the same bits.
+        a0 = GroundTruthSpec().build(cfg)
+        noise = NoiseProfile(sigma=cfg.sigma)
+        for trial, records in enumerate(results):
+            alone = [rec for n in n_list
+                     for rec in key(run_cell(cfg, a0, n, trial, ESTIMATOR_NAMES, noise))]
+            assert key(records) == alone, f"trial {trial} differs from its cells run alone"
+
+
+class TestIndependentRoute:
+    """Each record's error against a ridge solved in input coordinates."""
+
+    # The two routes round differently: the largest relative gap over the
+    # cases below measured 1.8e-15.
+    TOL = 1e-12
+
+    @pytest.mark.parametrize("n", [5, 100, 700])
+    def test_errors_match_a_solve_of_the_rebuilt_cross_matrix(self, n):
+        # n = 5 lies below d_in = 8, so c_kk has rank 5 and the noise spans
+        # its 5 largest eigenpairs; 100 lies in the first block, 700 inside
+        # the second. sigma = 1 makes the noise a visible share of each error.
+        cfg = small_config(sigma=1.0)
+        _, a0 = random_source_operator(cfg, ground_truth_seed(cfg))
+        trial = 2
+        records = harness._run_trial(cfg, a0, (n,), trial, ESTIMATOR_NAMES)
+        seed = derive_seed(cfg.seed, 0x7, trial)
+        noise = NoiseProfile(sigma=cfg.sigma)
+        (cov,) = streamed_covariances(a0, (n,), noise, seed)
+        # c_lk = a0 c_kk + diag(sigma_j) Z diag(sqrt(L / n)) V.T over the r
+        # largest eigenpairs (L, V) of the snapshot's c_kk, with Z redrawn
+        # from the cell's own sub-stream.
+        r = min(n, cfg.d_in)
+        z = np.random.default_rng(derive_seed(seed, synth._TAG_NOISE, n)).standard_normal(
+            (cfg.d_out, r))
+        sd = np.sqrt(noise.variances(cfg.d_out))
+        scale = np.sqrt(np.maximum(cov.eigvals[-r:], 0.0) / n)
+        c_lk = a0.m @ cov.c_kk + (sd[:, None] * z * scale) @ cov.eigvecs[:, -r:].T
+        eye = np.eye(cfg.d_in)
+        for rec in records:
+            lams = LambdaMap.for_estimator(cfg, n, rec.estimator).lams
+            a_hat = np.zeros_like(a0.m)
+            for lam in np.unique(lams):
+                rows = np.flatnonzero(lams == lam)
+                a_hat[rows] = np.linalg.solve(cov.c_kk + lam * eye, c_lk[rows].T).T
+            err = OperatorMatrix(a_hat - a0.m, cfg.input_decay, cfg.output_decay)
+            want = bg_norm(err, cfg.beta_prime, cfg.gamma_prime) ** 2
+            rel = abs(rec.error_sq - want) / want
+            assert rel <= self.TOL, \
+                f"{rec.estimator} at n={n}: {rec.error_sq} vs {want} ({rel:.2e})"
+
 
 def pass_peak(cfg: ProblemConfig, n_list: tuple[int, ...]) -> int:
     """tracemalloc peak of one _run_trial pass over n_list, above its live heap."""
@@ -368,8 +458,9 @@ class TestPassMemory:
         d_in, d_out = 64, 16
         block = _B * d_in  # inputs only: no noise row is drawn
         sums = d_in * d_in  # u.T @ u
-        # c_kk, the eigenvectors and c_lk, and two d_out x d_in arrays: the
-        # noise draw and its product, or learned rows and their product.
+        # c_kk, the eigenvectors and the cross moment in their basis, and two
+        # d_out x d_in arrays: an estimator's scaled rows and their
+        # back-rotation (the noise draw, while a snapshot is built, is one).
         snapshot = 2 * d_in * d_in + 3 * d_out * d_in
         bound = 8 * (block + sums + snapshot) + _FILL_BUFFER + _SMALL
         peak = pass_peak(small_config(d_in=d_in, d_out=d_out), (2 * _B, 4 * _B, 8 * _B))
@@ -380,6 +471,18 @@ class TestPassMemory:
         # adds its partial sum while its snapshot is built. Within the slack
         # on either side, the formula is the peak itself.
         d_in = d_out = 512
+        want = _pass_peak_bytes(d_in, d_out)
+        peak = pass_peak(small_config(d_in=d_in, d_out=d_out), (_B + 300, 3 * _B))
+        assert abs(peak - want) <= 2 * (_FILL_BUFFER + _SMALL), \
+            f"a pass peaked at {peak} B, _pass_peak_bytes says {want} B"
+
+    @pytest.mark.parametrize("d_in, d_out", [(512, 128), (256, 1024)],
+                             ids=["snapshot-sets-the-peak", "fit-sets-the-peak"])
+    def test_pass_peak_bytes_is_the_peak_when_one_dimension_dominates(self, d_in, d_out):
+        # With d_in^2 > d_out * d_in, building a snapshot holds the most (the
+        # partial sum, c_kk and the eigenvectors, the cross moment and the
+        # noise draw); with the reverse, a fit does (c_kk, the eigenvectors,
+        # the cross moment and an estimator's two row arrays).
         want = _pass_peak_bytes(d_in, d_out)
         peak = pass_peak(small_config(d_in=d_in, d_out=d_out), (_B + 300, 3 * _B))
         assert abs(peak - want) <= 2 * (_FILL_BUFFER + _SMALL), \
