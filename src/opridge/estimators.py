@@ -49,7 +49,7 @@ from .core import (
     ProblemConfig,
     SourceCoefficients,
 )
-from .schedules import bias_lambdas, multilevel_schedule, variance_lambdas
+from .schedules import _LOG_HUGE, bias_lambdas, multilevel_schedule, variance_lambdas
 from .synth import NoiseProfile, _noise_cross_moment, _stream_filler
 
 __all__ = [
@@ -120,7 +120,7 @@ class EmpiricalCovariances:
         c_kk: input Gram matrix u.T @ u / n, symmetric PSD, shape
             (d_in, d_in).
         n: number of samples the moments were computed from.
-        eigvals, eigvecs: eigenvalues ascending, and orthonormal columns.
+        eigvals, eigvecs: eigenvalues ascending, clamped at 0; orthonormal columns.
         c_lq: the cross moment v.T @ u @ eigvecs / n, shape (d_out, d_in).
     """
 
@@ -150,12 +150,17 @@ class EmpiricalCovariances:
         object.__setattr__(self, "c_lq", c_lk @ self.eigvecs)
 
     def _decompose(self, c_kk: np.ndarray, n: int) -> None:
-        """Check n and that c_kk, finite and symmetric, is PSD; keep both and its eigh."""
+        """Check n and that c_kk, finite and symmetric, is PSD; keep both and its eigh.
+
+        Eigenvalues are clamped at 0: one below c_kk's rounding error can come
+        out slightly negative, and Lambda + lambda_j must stay positive.
+        """
         if n < 1:
             raise ValueError(f"sample count must be >= 1, got {n}")
         eigvals, eigvecs = np.linalg.eigh(c_kk)
         if eigvals[0] < -_EIG_TOL:
             raise ValueError(f"c_kk indefinite, min eigenvalue {eigvals[0]:.3e}")
+        np.maximum(eigvals, 0.0, out=eigvals)
         for name, value in (("c_kk", c_kk), ("n", n), ("eigvals", eigvals),
                             ("eigvecs", eigvecs)):
             object.__setattr__(self, name, value)
@@ -351,8 +356,6 @@ def fit_rowwise_ridge(cov: EmpiricalCovariances, lmap: LambdaMap) -> np.ndarray:
 
     Raises:
         ValueError: dimension mismatch.
-        numpy.linalg.LinAlgError: some c_kk + lambda_j I is not positive
-            definite, which signals an indefinite c_kk.
     """
     a_hat = np.zeros((cov.d_out, cov.d_in))
     a_hat[: lmap.k] = _learned_rows(cov, lmap)
@@ -373,20 +376,15 @@ def _learned_rows(cov: EmpiricalCovariances, lmap: LambdaMap) -> np.ndarray:
             f"lambda map covers {lmap.d_out} rows, covariances have {cov.d_out}"
         )
     rows = np.add.outer(lmap.lams, cov.eigvals)
-    if np.any(rows[:, 0] <= 0.0):  # lambda_j plus the smallest eigenvalue
-        raise np.linalg.LinAlgError(
-            f"c_kk + lambda I is not positive definite: min eigenvalue "
-            f"{cov.eigvals[0]:.3e}, min lambda {lmap.lams.min():.3e}"
-        )
     np.divide(cov.c_lq[: lmap.k], rows, out=rows)
     return rows @ cov.eigvecs.T
 
 
 def single_ridge_lambda(cfg: ProblemConfig, n: int) -> float:
-    """Baseline uniform coefficient n^(-1/(beta+p))."""
+    """Baseline uniform coefficient n^(-1/(beta+p)), floored at e^-709 as the schedules' are."""
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
-    return float(n) ** (-1.0 / (cfg.beta + cfg.p))
+    return max(float(n) ** (-1.0 / (cfg.beta + cfg.p)), math.exp(-_LOG_HUGE))
 
 
 ESTIMATOR_NAMES = ("single", "variance", "bias", "multilevel")

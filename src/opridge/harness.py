@@ -27,7 +27,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -55,6 +54,7 @@ from .estimators import (
     ESTIMATOR_NAMES,
     EmpiricalCovariances,
     LambdaMap,
+    _finite,
     _learned_rows,
     _pass_peak_bytes,
     analytic_bias,
@@ -169,16 +169,17 @@ class GroundTruthSpec:
                     )
                 # Smoothness orders are pinned by the config decays
                 # (mu_i = i^(-1/p) means s = 1/(2p)), so only the symbol
-                # is free here.
-                _, op, _ = laplacian_operator(
-                    s=1.0 / (2.0 * cfg.p),
-                    m=1.0 / (2.0 * cfg.q),
-                    t=p.get("t", 1),
-                    dim=cfg.d_in,
-                    scale=p.get("scale", 1.0),
-                    beta=cfg.beta,
-                    gamma=cfg.gamma,
-                )
+                # is free here. A coefficient past double range is refused as inf.
+                with np.errstate(over="ignore"):
+                    _, op, _ = laplacian_operator(
+                        s=1.0 / (2.0 * cfg.p),
+                        m=1.0 / (2.0 * cfg.q),
+                        t=p.get("t", 1),
+                        dim=cfg.d_in,
+                        scale=p.get("scale", 1.0),
+                        beta=cfg.beta,
+                        gamma=cfg.gamma,
+                    )
                 return OperatorMatrix(op.m, cfg.input_decay, cfg.output_decay)
             omega = p.get("omega")
             if omega is None:  # packing_operator draws it once the block fits the grid
@@ -386,9 +387,13 @@ def _run_trial(
         lmaps = _lambda_maps(cfg, n_list, estimators)
     seed = derive_seed(cfg.seed, _TAG_TRIAL, trial_index)
     # The weights of the estimate's decays, as difference() keeps them.
-    mu_w, rho_w = _norm_weights(cfg.input_decay, cfg.output_decay,
-                                cfg.beta_prime, cfg.gamma_prime)
-    a0_terms = _row_terms(np.array(a0.m, order="C"), mu_w)
+    with np.errstate(over="ignore"):  # a weight or error past double range is refused below
+        mu_w, rho_w = _norm_weights(cfg.input_decay, cfg.output_decay,
+                                    cfg.beta_prime, cfg.gamma_prime)
+        a0_terms = _row_terms(np.array(a0.m, order="C"), mu_w)
+    if not _finite(rho_w):  # mu_w's powers are positive, so at most 1
+        raise ConfigError(f"q={cfg.q} with d_out={cfg.d_out} and gamma_prime={cfg.gamma_prime} "
+                          "give norm weights rho_j^-(1-gamma_prime) past double precision")
     records = []
     for cov in streamed_covariances(a0, n_list, NoiseProfile(sigma=cfg.sigma), seed):
         for name in estimators:
@@ -418,13 +423,14 @@ def _error_sq(cov: EmpiricalCovariances, lmap: LambdaMap, a0: OperatorMatrix,
     """bg_norm(estimate - a0) ** 2 from the learned rows alone.
 
     The difference, its squares and their weights are formed in the array
-    _learned_rows returns, and every array here is freed on return.
+    _learned_rows returns and freed on return; the caller refuses an overflow.
     """
-    err = _learned_rows(cov, lmap)
-    err -= a0.m[: lmap.k]
-    terms = a0_terms.copy()
-    terms[: lmap.k] = _row_terms(err, mu_w)
-    return math.sqrt(float(terms @ rho_w)) ** 2
+    with np.errstate(over="ignore"):
+        err = _learned_rows(cov, lmap)
+        err -= a0.m[: lmap.k]
+        terms = a0_terms.copy()
+        terms[: lmap.k] = _row_terms(err, mu_w)
+        return math.sqrt(float(terms @ rho_w)) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -467,23 +473,21 @@ def fit_rate(points: Sequence[tuple[float, float]]) -> tuple[float, float, float
 _WORKER_STATE: dict[str, Any] = {}
 
 
-def _pool_init(cfg: ProblemConfig, a0_path: str, n_list: tuple[int, ...],
-               estimators: tuple[str, ...]) -> None:
-    """Keep a worker's sweep state, with a0 loaded from the .npy file at a0_path.
+def _sweep_state(cfg: ProblemConfig, ground_truth: GroundTruthSpec, n_list: Sequence[int],
+                 estimators: Sequence[str]) -> tuple[OperatorMatrix, dict]:
+    """a0 and the lambda map of each (n, estimator): what a trial pass reads besides cfg.
 
-    The parent built a0 once, without BLAS, on cfg's decays (_run_cells),
-    and saved its exact bits and memory order at a0_path; it is rebuilt
-    here from those bits and cfg's decays. The path, not a0, is in the
-    spawn arguments, so they stay a few hundred bytes at any d_in and
-    d_out and the parent starts every worker at once. Also builds the
-    lambda map of each (n, estimator) once for all the worker's trials,
-    and keeps the wall-clock time at which this worker became ready, which
-    _pool_trial returns with each trial's records.
+    Built without BLAS, so the same bits in every process: the parent builds
+    them as the check before the pool starts, and each worker for all its trials.
     """
-    a0 = OperatorMatrix(np.load(a0_path, allow_pickle=False),
-                        cfg.input_decay, cfg.output_decay)
-    _WORKER_STATE["args"] = (cfg, a0, n_list, estimators,
-                             _lambda_maps(cfg, n_list, estimators))
+    return ground_truth.build(cfg), _lambda_maps(cfg, n_list, estimators)
+
+
+def _pool_init(cfg: ProblemConfig, ground_truth: GroundTruthSpec, n_list: tuple[int, ...],
+               estimators: tuple[str, ...]) -> None:
+    """Keep a worker's _sweep_state, and the wall-clock time it was ready, for _pool_trial."""
+    a0, lmaps = _sweep_state(cfg, ground_truth, n_list, estimators)
+    _WORKER_STATE["args"] = (cfg, a0, n_list, estimators, lmaps)
     _WORKER_STATE["ready"] = time.time()
 
 
@@ -521,11 +525,11 @@ def _check_memory(cfg: ProblemConfig, workers: int) -> None:
 
     Each interpreter, parent and workers alike, counts _INTERPRETER_BYTES.
     The parent's arrays peak at building a0. With workers > 0 (0 is a
-    command that starts none) it also writes the .npy file it hands a0 to
-    the workers in, which is memory when TMPDIR is a tmpfs, and each worker
-    holds a0 and the arrays of its pass (estimators._pass_peak_bytes). The
-    build ends before the pool starts, so the sum is an upper bound. Called
-    before a0 is built, so a refused config allocates nothing.
+    command that starts none), each worker holds a0 and the arrays of its
+    pass (estimators._pass_peak_bytes), which also cover its own build of
+    a0. The parent's build ends before the pool starts, so the sum is an
+    upper bound. Called before a0 is built, so a refused config allocates
+    nothing.
 
     Raises:
         ConfigError: naming d_in and d_out.
@@ -534,7 +538,7 @@ def _check_memory(cfg: ProblemConfig, workers: int) -> None:
     arrays = _BUILD_PEAK_ARRAYS * a0_bytes
     holders = "to build the ground truth"
     if workers:
-        arrays += a0_bytes + workers * (a0_bytes + _pass_peak_bytes(cfg.d_in, cfg.d_out))
+        arrays += workers * (a0_bytes + _pass_peak_bytes(cfg.d_in, cfg.d_out))
         holders = f"in {workers} worker(s) and their parent"
     have = _physical_memory()
     if arrays + (1 + workers) * _INTERPRETER_BYTES > have:
@@ -560,13 +564,11 @@ def _run_cells(cfg: ProblemConfig, ground_truth: GroundTruthSpec, estimators: Se
     processes, and says so on stderr when that is fewer than workers.
 
     Before the pool starts, this checks that its arrays fit in memory
-    (_check_memory) and builds a0 on cfg, once and without BLAS. It hands
-    a0's exact bits and memory order to the workers in a .npy file, in a
-    temporary directory (prefix "opridge-", under TMPDIR) that is removed
-    however the sweep ends; each worker rebuilds a0 on cfg's decays
-    (_pool_init). a0 is not pickled into the spawn arguments: a worker
-    reads those only after importing this module, so a payload larger
-    than a pipe holds would make the worker starts run one after another.
+    (_check_memory) and builds the sweep state once and drops it
+    (_sweep_state), so what cannot be built is refused before any worker
+    exists. The spawn arguments hold cfg and the ground-truth spec, not a0:
+    a worker reads them only after importing this module, so a payload
+    larger than a pipe holds would make the worker starts run one after another.
 
     The second value is the wall-clock seconds from the pool's creation
     until the last worker that ran a trial had finished _pool_init.
@@ -577,7 +579,7 @@ def _run_cells(cfg: ProblemConfig, ground_truth: GroundTruthSpec, estimators: Se
     """
     size = _pool_size(workers, len(trials))
     _check_memory(cfg, size)
-    a0 = ground_truth.build(cfg)
+    _sweep_state(cfg, ground_truth, n_list, estimators)
     if size < workers:
         sys.stderr.write(f"starting {size} of {workers} workers: at most one per trial "
                          "and per usable CPU\n")
@@ -587,24 +589,21 @@ def _run_cells(cfg: ProblemConfig, ground_truth: GroundTruthSpec, estimators: Se
     saved = {v: os.environ.get(v) for v in _BLAS_THREAD_VARS}
     os.environ.update({v: "1" for v in _BLAS_THREAD_VARS})
     try:
-        with tempfile.TemporaryDirectory(prefix="opridge-") as tmp:
-            a0_path = os.path.join(tmp, "a0.npy")
-            np.save(a0_path, a0.m, allow_pickle=False)
-            created = time.time()
-            with ProcessPoolExecutor(
-                max_workers=size,
-                mp_context=get_context("spawn"),
-                initializer=_pool_init,
-                initargs=(cfg, a0_path, tuple(n_list), tuple(estimators)),
-            ) as pool:
-                t0 = time.perf_counter()
-                results, ready = [], []
-                for started, records in pool.map(_pool_trial, trials, chunksize=1):
-                    ready.append(started)
-                    results.append(records)
-                    if progress is not None:
-                        progress(len(results), len(trials), time.perf_counter() - t0)
-            return results, max(ready) - created
+        created = time.time()
+        with ProcessPoolExecutor(
+            max_workers=size,
+            mp_context=get_context("spawn"),
+            initializer=_pool_init,
+            initargs=(cfg, ground_truth, tuple(n_list), tuple(estimators)),
+        ) as pool:
+            t0 = time.perf_counter()
+            results, ready = [], []
+            for started, records in pool.map(_pool_trial, trials, chunksize=1):
+                ready.append(started)
+                results.append(records)
+                if progress is not None:
+                    progress(len(results), len(trials), time.perf_counter() - t0)
+        return results, max(ready) - created
     finally:
         for v, old in saved.items():
             if old is None:

@@ -136,16 +136,17 @@ def _noise_cross_moment(noise_sd: np.ndarray, eigvals: np.ndarray, n: int,
 
     Given u, row j of eps.T @ u / n is N(0, sigma_j^2 c_kk / n) for make_dataset's noise,
     independent of the others, so in the eigenbasis Q it is independent normals of
-    variance sigma_j^2 max(L_i, 0) / n. The draw is diag(noise_sd) Z diag(sqrt(max(L, 0)
-    / n)) over the r = min(n, d_in) largest eigenvalues L, as c_kk has rank at most n:
-    shape (d_out, r), the last r columns of the statistic; the others are zero. Z is
+    variance sigma_j^2 L_i / n. The draw is diag(noise_sd) Z diag(sqrt(L / n)) over the
+    r = min(n, d_in) largest eigenvalues L (c_kk has rank at most n), which
+    EmpiricalCovariances has clamped at 0: shape (d_out, r), the last r columns of the
+    statistic; the others are zero. Z is
     standard normal from the sub-stream (rng_seed, noise, n), so the draw depends on
     the cell alone.
     """
     r = min(n, len(eigvals))
     rng = np.random.default_rng(derive_seed(rng_seed, _TAG_NOISE, n))
     z = rng.standard_normal((len(noise_sd), r))
-    z *= np.sqrt(np.maximum(eigvals[-r:], 0.0) / n)
+    z *= np.sqrt(eigvals[-r:] / n)
     z *= noise_sd[:, np.newaxis]
     return z
 

@@ -1,10 +1,9 @@
-"""Shared helpers: random valid configurations for property tests, and thread and temp-dir leak checks."""
+"""Shared helpers: random valid configurations for property and fuzz tests, and a thread leak check."""
 
 from __future__ import annotations
 
-import tempfile
 import threading
-from pathlib import Path
+from typing import Any
 
 import numpy as np
 import pytest
@@ -42,6 +41,69 @@ def random_problem_config(rng: np.random.Generator, **overrides) -> ProblemConfi
     return ProblemConfig(**fields)
 
 
+def _near_either_end(rng: np.random.Generator, lo: float, hi: float) -> float:
+    """A point of the open interval (lo, hi): uniform, or within 1e-15 of lo or of hi."""
+    end = int(rng.integers(3))
+    if end == 0:
+        return float(rng.uniform(lo, hi))
+    gap = (hi - lo) * 10.0 ** float(rng.uniform(-15.0, 0.0))
+    x = lo + gap if end == 1 else hi - gap
+    return float(np.clip(x, np.nextafter(lo, hi), np.nextafter(hi, lo)))  # not an end by rounding
+
+
+def _scale(rng: np.random.Generator) -> float:
+    """0, or log-uniform over 1e-300 to 1e300."""
+    return 0.0 if rng.random() < 0.1 else 10.0 ** float(rng.uniform(-300.0, 300.0))
+
+
+def random_valid_config(rng: np.random.Generator) -> dict[str, Any]:
+    """Draw a config file's object whose every field lies in its allowed range.
+
+    Each open interval is approached to within 1e-15 of either end, B and
+    sigma are 0 or log-uniform over 1e+-300, c0 log-uniform there, d_in and
+    d_out are 1 to 8, and the ground truth is any of the three kinds. The
+    config may still be refused as a whole (a decay that underflows, a
+    packing block off the grid), which must then be a ConfigError.
+    """
+    d_in, d_out = (int(d) for d in rng.integers(1, 9, size=2))
+    beta = _near_either_end(rng, 0.0, 1.0)  # beta = 0 would leave beta_prime no room
+    gamma = 0.0 if rng.random() < 0.1 else _near_either_end(rng, 0.0, 1.0)
+    kind = ("random", "laplacian", "packing")[int(rng.integers(3))]
+    if kind == "laplacian" and rng.random() < 0.8:  # the kind needs a square grid
+        d_out = d_in
+    if kind == "random":
+        params = {k: float(rng.uniform(-5.0, 5.0)) for k in ("taper_in", "taper_out")
+                  if rng.random() < 0.8}
+    elif kind == "laplacian":
+        params = {"t": int(rng.integers(0, 4)), "scale": float(rng.uniform(-2.0, 2.0))}
+    else:
+        m1, m2, k = int(rng.integers(1, 5)), int(rng.integers(0, 4)), int(rng.integers(1, 9))
+        params = {"m1": m1, "m2": m2, "K": k, "eps": 10.0 ** float(rng.uniform(-6.0, 0.0))}
+        if rng.random() < 0.5:
+            params["omega"] = rng.integers(0, 2, size=(m1, k)).tolist()
+        else:
+            params["seed"] = int(rng.integers(0, 2**32))
+    n_list = sorted(rng.choice([2, 3, 5, 7, 511, 512, 513, 1000],
+                               size=int(rng.integers(1, 4)), replace=False).tolist())
+    return {
+        "p": _near_either_end(rng, 0.0, 1.0),
+        "q": _near_either_end(rng, 0.0, 1.0),
+        "alpha": _near_either_end(rng, 0.0, 1.0),
+        "beta": beta,
+        "beta_prime": _near_either_end(rng, 0.0, beta),
+        "gamma": gamma,
+        "gamma_prime": _near_either_end(rng, gamma, 1.0),
+        "B": _scale(rng),
+        "sigma": _scale(rng),
+        "c0": 10.0 ** float(rng.uniform(-300.0, 300.0)),
+        "d_in": d_in,
+        "d_out": d_out,
+        "seed": int(rng.integers(0, 2**32)),
+        "ground_truth": {"kind": kind, "params": params},
+        "n_list": n_list,
+    }
+
+
 def random_decay(rng: np.random.Generator, dim: int) -> EigenDecay:
     """Strictly decreasing positive values."""
     base = np.sort(rng.uniform(0.05, 2.0, size=dim))[::-1]
@@ -69,18 +131,3 @@ def no_thread_left_running():
     if len(after) > len(before):
         new = sorted(t.name for t in after if t not in before)
         pytest.fail(f"{len(after) - len(before)} more live thread(s) than at the start: {new}")
-
-
-@pytest.fixture(autouse=True)
-def no_temp_dir_left_behind():
-    """Fail a test that leaves a new opridge-* entry in the temporary directory.
-
-    A sweep hands its ground truth to the workers in such a directory,
-    which it must remove however it ended.
-    """
-    tmp = Path(tempfile.gettempdir())
-    before = set(tmp.glob("opridge-*"))
-    yield
-    new = sorted(str(p) for p in set(tmp.glob("opridge-*")) - before)
-    if new:
-        pytest.fail(f"temporary entries left behind: {new}")

@@ -516,6 +516,37 @@ class TestExitCodes:
         assert f"ground_truth.params.{key}" in proc.stderr, proc.stderr
         assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
 
+    @pytest.mark.parametrize("n, overrides, code", [
+        (511, {"d_in": 3, "d_out": 8, "p": 0.00977290932835192, "q": 0.8450705793958181,
+               "alpha": 0.5971451506578692, "beta": 0.02662502981274038,
+               "beta_prime": 0.017554802861683396, "gamma": 0.2683515117259533,
+               "gamma_prime": 0.32941085716747265, "c0": 3.8642930250202996e-208,
+               "seed": 199413720}, 0),
+        (512, {"d_in": 8, "d_out": 8, "p": 0.005, "beta": 0.001, "beta_prime": 0.0005}, 0),
+        (512, {"d_in": 8, "d_out": 8, "B": 1e200}, 2),
+    ], ids=["eigenvalue-below-rounding", "single-lambda-below-double-range",
+            "error-past-double-range"])
+    def test_a_sampled_config_runs_or_exits_2_in_a_worker(self, tmp_path, n, overrides, code):
+        # Configs the valid-domain fuzz found: a rounding-negative eigenvalue
+        # of c_kk beside a tiny lambda, a single-ridge lambda that underflowed
+        # to 0 in the worker that built it, and an error whose scoring
+        # overflowed with a numpy warning before the refusal.
+        template = tmp_path / "template.json"
+        assert cli_main(["gen-config", "--out", str(template)]) == 0
+        path = tmp_path / "sampled.json"
+        path.write_text(json.dumps({**json.loads(template.read_text()), **overrides}))
+        src = str(Path(opridge.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        proc = subprocess.run([sys.executable, "-m", "opridge.cli", "simulate", "--n", str(n),
+                               "--config", str(path)], env=env, capture_output=True, text=True)
+        assert proc.returncode == code, proc.stderr
+        if code == 0:
+            assert proc.stderr == "", proc.stderr
+        else:
+            lines = proc.stderr.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("config error: "), proc.stderr
+
     @pytest.mark.parametrize("argv, overrides", [
         (["simulate", "--n", "4096"], {"beta_prime": 0.895}),
         (["contours", "--n", "65536"], {"beta_prime": 0.8, "gamma_prime": 0.9}),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import threading
 import tracemalloc
 
@@ -331,13 +332,15 @@ class TestFitRowwiseRidge:
                 resid = np.linalg.norm(lhs - cov.c_lk[j]) / np.linalg.norm(cov.c_lk[j])
                 assert resid <= 1e-10, f"row {j} residual {resid}"
 
-    def test_not_positive_definite_raises_linalg_error(self):
-        # c_kk passes the PSD tolerance, but c_kk + lambda I is singular.
+    def test_a_rounding_negative_eigenvalue_gives_finite_rows(self):
+        # c_kk passes the PSD tolerance, and its negative eigenvalue would
+        # make c_kk + lambda I singular; it is clamped at 0 instead.
         cov = EmpiricalCovariances(
             c_kk=np.diag([1.0, -1e-13]), c_lk=np.ones((2, 2)), n=1
         )
-        with pytest.raises(np.linalg.LinAlgError):
-            fit_rowwise_ridge(cov, LambdaMap.uniform(2, 1e-13))
+        assert cov.eigvals[0] == 0.0, f"eigenvalues {cov.eigvals} must be clamped at 0"
+        rows = fit_rowwise_ridge(cov, LambdaMap.uniform(2, 1e-13))
+        assert np.all(np.isfinite(rows)), f"rows {rows} must be finite"
         lmap = LambdaMap(lams=np.array([1.0]), d_out=2)
         assert fit_rowwise_ridge(cov, lmap)[0, 0] == pytest.approx(0.5, rel=1e-14), \
             "a map that learns row 0 alone must not be refused"
@@ -432,6 +435,9 @@ class TestEstimators:
         assert single_ridge_lambda(cfg, 1024) == pytest.approx(
             1024.0 ** (-1.0 / 1.1), rel=1e-14
         )
+        # 512^(-1/0.006) underflows to 0; the rule saturates as the schedules do.
+        tiny = small_config(p=0.005, beta=0.001, beta_prime=0.0005)
+        assert single_ridge_lambda(tiny, 512) == math.exp(-709.0)
         _, a0 = random_source_operator(cfg, rng_seed=29)
         cov = empirical_covariances(make_dataset(a0, 100, NoiseProfile(sigma=0.1), rng_seed=30))
         default = estimate_from_covariances(cov, cfg, "single")

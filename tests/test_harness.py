@@ -6,7 +6,6 @@ import json
 import math
 import os
 import pickle
-import tempfile
 import time
 import tracemalloc
 import warnings
@@ -47,7 +46,7 @@ from opridge.estimators import (
     streamed_covariances,
 )
 
-from conftest import random_problem_config
+from conftest import random_problem_config, random_valid_config
 
 
 def small_config(**overrides) -> ProblemConfig:
@@ -374,8 +373,9 @@ class TestRunCell:
         results, _ = harness._run_cells(cfg, GroundTruthSpec(), ESTIMATOR_NAMES, n_list,
                                         range(3), 1)
         assert InProcessPool.sizes == [1]
-        assert sorted(calls) == sorted((n, e) for n in n_list for e in ESTIMATOR_NAMES), \
-            "one worker running three trials must build each (n, estimator) map once"
+        assert sorted(calls) == sorted(2 * [(n, e) for n in n_list for e in ESTIMATOR_NAMES]), \
+            "the parent's check and one worker running three trials must each build " \
+            "each (n, estimator) map once"
         # run_cell builds its own maps, and scores the cell to the same bits.
         a0 = GroundTruthSpec().build(cfg)
         noise = NoiseProfile(sigma=cfg.sigma)
@@ -579,12 +579,12 @@ class TestPoolAndMemory:
 
     def test_memory_past_the_budget_is_refused_before_the_ground_truth(self, monkeypatch):
         # Each worker holds an interpreter, a0 and one pass, and the parent
-        # an interpreter, the peak of building a0 and the file it hands a0
-        # over in; the budget fits two workers and the parent.
+        # an interpreter and the peak of building a0; the budget fits two
+        # workers and the parent.
         plan = tiny_plan(workers=8, trials=2)
         d_in, d_out = plan.cfg.d_in, plan.cfg.d_out
         a0_bytes = 8 * d_out * d_in
-        parent = harness._INTERPRETER_BYTES + harness._BUILD_PEAK_ARRAYS * a0_bytes + a0_bytes
+        parent = harness._INTERPRETER_BYTES + harness._BUILD_PEAK_ARRAYS * a0_bytes
         worker = harness._INTERPRETER_BYTES + a0_bytes + _pass_peak_bytes(d_in, d_out)
         budget = 2 * worker + parent
         monkeypatch.setattr(harness, "_physical_memory", lambda: budget)
@@ -614,7 +614,7 @@ def build_peak(spec: GroundTruthSpec, cfg: ProblemConfig) -> int:
 
 
 class TestBuildMemory:
-    """The parent's build of a0, which _check_memory counts as _BUILD_PEAK_ARRAYS a0s."""
+    """A build of a0, which _check_memory counts as _BUILD_PEAK_ARRAYS a0s in the parent."""
 
     D = 512
 
@@ -635,58 +635,59 @@ class TestBuildMemory:
         assert peak <= self.counted() + 2 * _SMALL, \
             f"a {spec.kind} build peaked at {peak} B, _check_memory counts {self.counted()} B"
 
+    @pytest.mark.parametrize("d_in, d_out", [
+        (1, 1), (1, 4096), (4096, 1), (3, 8), (256, 512), (512, 256), (2048, 2048),
+    ])
+    def test_a_workers_counted_arrays_cover_its_own_build(self, d_in, d_out):
+        # A worker builds a0 before its first pass, and _check_memory counts
+        # it a0 and a pass. With a = d_in^2 and b = d_out * d_in doubles, a0
+        # is b and the pass at least 2b + max(a, b), and 3b + max(a, b) >= 4b:
+        # they cover a build of _BUILD_PEAK_ARRAYS = 4 a0s.
+        a0_bytes = 8 * d_out * d_in
+        assert a0_bytes + _pass_peak_bytes(d_in, d_out) >= \
+            harness._BUILD_PEAK_ARRAYS * a0_bytes
+
 
 class StopAtSpawn(Exception):
     """Raised by a stand-in pool in place of starting any worker."""
 
 
-class TestGroundTruthHandoff:
-    """a0 reaches the workers as a .npy file, not through the spawn pipe."""
+class TestWorkerState:
+    """Each worker builds a0 and its lambda maps from the spawn arguments,
+    after the parent has built them as the check (_sweep_state)."""
 
-    @pytest.fixture
-    def made_dirs(self, monkeypatch) -> list[str]:
-        """The temporary directories made while the test runs."""
-        made = []
+    @pytest.mark.parametrize("cfg, spec", [
+        (small_config(), GroundTruthSpec("random", {"taper_in": 0.5, "taper_out": 1.0})),
+        (small_config(d_in=8, d_out=8), GroundTruthSpec("laplacian", {"t": 2})),
+        (small_config(), GroundTruthSpec("packing", {"m1": 2, "K": 3, "eps": 0.1, "seed": 5})),
+    ], ids=["random", "laplacian", "packing"])
+    def test_a_spawned_worker_scores_the_parents_ground_truth(self, cfg, spec):
+        n_list = (64, 700)
+        results, _ = harness._run_cells(cfg, spec, ESTIMATOR_NAMES, n_list, range(2), 1)
+        a0 = spec.build(cfg)
+        noise = NoiseProfile(sigma=cfg.sigma)
+        for trial, records in enumerate(results):
+            alone = [rec for n in n_list
+                     for rec in key(run_cell(cfg, a0, n, trial, ESTIMATOR_NAMES, noise))]
+            assert key(records) == alone, \
+                f"trial {trial} of a spawned worker differs from its cells run here"
 
-        class Recording(tempfile.TemporaryDirectory):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                made.append(self.name)
+    @pytest.mark.parametrize("refusal", ["build", "lambda map"])
+    def test_a_refusal_is_raised_before_any_pool(self, monkeypatch, refusal):
+        def no_pool(**_):
+            raise StopAtSpawn
 
-        monkeypatch.setattr(tempfile, "TemporaryDirectory", Recording)
-        return made
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        if refusal == "build":  # laplacian needs a square grid
+            cfg, spec, error = small_config(), GroundTruthSpec("laplacian"), ConfigError
+        else:
+            def refused(cls, cfg, n, estimator):
+                raise ValueError("learned rows must have positive finite lambdas")
 
-    @pytest.mark.parametrize("order", ["C", "F"])
-    def test_the_worker_gets_the_parents_bits_and_memory_order(self, monkeypatch, order):
-        monkeypatch.setattr(InProcessPool, "sizes", [])
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
-        cfg = small_config(d_in=12, d_out=16)
-        built = GroundTruthSpec().build(cfg)
-        a0 = OperatorMatrix(np.array(built.m, order=order), built.input_decay,
-                            built.output_decay)
-        monkeypatch.setattr(GroundTruthSpec, "build", lambda self, cfg: a0)
-        harness._run_cells(cfg, GroundTruthSpec(), ("single",), (64,), (0,), 1)
-        got = harness._WORKER_STATE["args"][1]
-        assert np.array_equal(got.m, a0.m), "the worker's a0 must be the parent's bits"
-        assert got.m.flags.c_contiguous == a0.m.flags.c_contiguous, \
-            f"the worker's a0 must keep the parent's {order} order"
-        assert np.array_equal(got.input_decay.values, a0.input_decay.values)
-        assert np.array_equal(got.output_decay.values, a0.output_decay.values)
-
-    def test_no_directory_is_left_after_a_sweep(self, made_dirs):
-        run_convergence(tiny_plan())
-        assert len(made_dirs) == 1, f"one directory per sweep, got {made_dirs}"
-        assert os.path.basename(made_dirs[0]).startswith("opridge-")
-        assert os.path.dirname(made_dirs[0]) == tempfile.gettempdir()
-        assert not os.path.exists(made_dirs[0]), f"{made_dirs[0]} left after the sweep"
-
-    def test_no_directory_is_left_after_a_sweep_that_raises(self, made_dirs):
-        # B=1e200 makes an error non-finite, which a worker raises.
-        plan = tiny_plan(cfg=small_config(d_in=12, d_out=16, B=1e200))
-        with pytest.raises(ConfigError, match="too large for double precision"):
-            run_convergence(plan)
-        assert len(made_dirs) == 1, f"one directory per sweep, got {made_dirs}"
-        assert not os.path.exists(made_dirs[0]), f"{made_dirs[0]} left after the raise"
+            monkeypatch.setattr(LambdaMap, "for_estimator", classmethod(refused))
+            cfg, spec, error = small_config(), GroundTruthSpec(), ValueError
+        with pytest.raises(error):
+            harness._run_cells(cfg, spec, ESTIMATOR_NAMES, (64, 128), range(2), 2)
 
     def test_the_spawn_payload_fits_a_pipe_at_any_dimension(self, monkeypatch):
         # A worker reads its start-up arguments only after its imports, so
@@ -705,7 +706,6 @@ class TestGroundTruthHandoff:
             payloads.append(pickle.dumps(initargs))
             raise StopAtSpawn
 
-        monkeypatch.setattr(np, "save", lambda *args, **kwargs: None)
         monkeypatch.setattr(harness, "ProcessPoolExecutor", capture)
         with pytest.raises(StopAtSpawn):
             harness._run_cells(cfg, GroundTruthSpec(), ESTIMATOR_NAMES, (2**10, 2**20),
@@ -950,3 +950,27 @@ class TestSampledConfigs:
             report = run_convergence(plan)
             assert all(s.median_error_sq > 0.0 for s in report.summaries)
             assert all(math.isfinite(f.slope) for f in report.fits)
+
+    def test_every_valid_config_runs_or_is_refused_by_name(self):
+        # Each case builds the sweep state and runs one trial pass with
+        # numpy warnings as errors; the only other way out is a ConfigError.
+        rng = np.random.default_rng(11)
+        outcomes = {"ran": 0, "refused": 0}
+        for case in range(3000):
+            obj = random_valid_config(rng)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    cfg, spec, _, _ = parse_config(obj)
+                    a0, lmaps = harness._sweep_state(cfg, spec, obj["n_list"], ESTIMATOR_NAMES)
+                    records = harness._run_trial(cfg, a0, obj["n_list"], case % 4,
+                                                 ESTIMATOR_NAMES, lmaps)
+                except ConfigError:
+                    outcomes["refused"] += 1
+                    continue
+                except Exception as exc:
+                    pytest.fail(f"case {case} raised {exc!r}; config {obj}")
+            assert all(math.isfinite(r.error_sq) for r in records), f"case {case}: {obj}"
+            outcomes["ran"] += 1
+        # Both outcomes are common, so the sampler reaches past validation.
+        assert min(outcomes.values()) >= 300, outcomes
