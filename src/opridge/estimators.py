@@ -10,11 +10,12 @@ and rows k..d_out-1 are exactly zero. Every such ridge is a spectral
 filter of c_kk = Q diag(Lambda) Q.T, so EmpiricalCovariances keeps one
 eigendecomposition, made when it is built, and the cross moment in its
 basis, c_lq = c_lk @ Q. Row j is (c_lq[j] / (Lambda + lambda_j)) @ Q.T:
-one private solver, _learned_rows, computes the k learned rows alone
-with one product, fit_rowwise_ridge stacks them on zeros, and a trial
-pass scores them without building the rest of the estimate (see
-harness._run_trial). A cell thus costs one eigh however many distinct
-coefficients its estimators use. Covariances are uncentered and c_kk is
+one private solver, _learned_rows, computes the k learned rows alone,
+_ROW_CHUNK rows and one product at a time; fit_rowwise_ridge stacks them
+on zeros, and a trial pass scores each chunk and drops it before the
+next, without building the rest of the estimate (see harness._run_trial).
+A cell thus costs one eigh however many distinct coefficients its
+estimators use. Covariances are uncentered and c_kk is
 symmetrized. The estimators differ only in their map:
 LambdaMap.for_estimator gives the map of each of the ESTIMATOR_NAMES, and
 estimate_from_covariances fits it this way.
@@ -25,9 +26,10 @@ and builds each snapshot's c_lq in the eigenbasis, a0.m @ Q scaled by
 Lambda plus the noise term drawn in those coordinates, without building
 the dataset, c_lk or the draw in input coordinates; empirical_covariances
 does it for a dataset (u, v) in hand. A pass holds one block, the running
-sum, and either one Gram product or the arrays of the one snapshot and
-one estimator its consumer is working on; _pass_peak_bytes is the most of
-these at once.
+sum, and either one Gram product or the arrays of the one snapshot its
+consumer is working on, with one chunk of its noise draw or of one
+estimator's rows; _pass_peak_bytes is the most of these at once. Only the
+cross moment c_lq grows with d_out.
 
 The population oracles (population_regularized, analytic_bias) evaluate the
 infinite-sample limit of the same ridge in closed form; tests pit the solver
@@ -80,25 +82,39 @@ _EIG_TOL = 1e-12
 # rest of a pass's working set.
 STREAM_BLOCK_ROWS = 512
 
+# Output rows per chunk when a snapshot draws its noise term and when an
+# estimator solves its learned rows, so that the cross moment is the one
+# array of a pass that grows with d_out. A constant, like STREAM_BLOCK_ROWS,
+# never derived from n, the pool or the estimator: the chunk a learned row
+# falls in, and with it the row's bits, depend on its index and k alone.
+_ROW_CHUNK = 64
+
 
 def _pass_peak_bytes(d_in: int, d_out: int) -> int:
     """The most bytes of arrays a trial pass holds at once, besides its a0.
 
-    With a = d_in^2 and b = d_out * d_in doubles, a pass (harness._run_trial
-    over streamed_covariances) holds one block of STREAM_BLOCK_ROWS rows
-    of u and the running sum u.T @ u (a) at every moment, and:
+    With a = d_in^2, b = d_out * d_in and c = min(_ROW_CHUNK, d_out) * d_in
+    doubles, a pass (harness._run_trial over streamed_covariances) holds one
+    block of STREAM_BLOCK_ROWS rows of u and the running sum u.T @ u (a) at
+    every moment, and:
       - while it sums a block, one Gram product (a);
-      - while it builds a snapshot, the partial sum of an n inside a block
-        (a), c_kk and the eigenvectors (2a), the cross moment in the
-        eigenbasis (b) and the noise draw Z (b);
+      - while it forms c_kk, the sum of its n rows, scaled and symmetrized
+        in place (a), and the copy of its transpose that numpy makes to add
+        it in place (a);
+      - while it builds the rest of a snapshot, c_kk and the eigenvectors
+        (2a), the cross moment in the eigenbasis (b) and one chunk of the
+        noise draw Z (at most c);
       - while it fits, c_kk, the eigenvectors and the cross moment (2a + b),
-        and one estimator's table of scaled rows and their back-rotation (2b).
-    The largest is 2a + 2b + max(a, b). tests/test_harness.py pins a pass's
-    traced peak to this, up to small buffers that do not grow with the
-    dimensions.
+        and one chunk of an estimator's scaled rows and their back-rotation
+        (2c).
+    The largest is 2a + b + 2c. tests/test_harness.py pins a pass's traced
+    peak to this, up to small arrays: the d_out-long row terms and lambda
+    maps of a pass, and one numpy iteration buffer of at most 8192 doubles,
+    which a broadcast operation holds while it runs (the fill's column
+    scaling, a chunk's table, _row_terms' weighting).
     """
-    a, b = d_in * d_in, d_out * d_in
-    return 8 * (STREAM_BLOCK_ROWS * d_in + a + 2 * a + 2 * b + max(a, b))
+    a, b, c = d_in * d_in, d_out * d_in, min(_ROW_CHUNK, d_out) * d_in
+    return 8 * (STREAM_BLOCK_ROWS * d_in + a + 2 * a + b + 2 * c)
 
 
 def _finite(x: np.ndarray) -> bool:
@@ -254,32 +270,39 @@ def _nested_covariances(
         fill(u)
         stop = start + u.shape[0]
         while pending[0] < stop:
-            part = u[: pending[0] - start]
-            yield _from_sums(a0, part.T @ part + uu, pending.pop(0), noise_sd, rng_seed)
+            n = pending.pop(0)
+            yield _from_sums(a0, uu, n, noise_sd, rng_seed, part=u[: n - start])
         uu += u.T @ u
         if pending[0] == stop:
             yield _from_sums(a0, uu, pending.pop(0), noise_sd, rng_seed)
 
 
 def _from_sums(a0: OperatorMatrix, uu: np.ndarray, n: int, noise_sd: np.ndarray,
-               rng_seed: int) -> EmpiricalCovariances:
+               rng_seed: int, part: np.ndarray | None = None) -> EmpiricalCovariances:
     """Covariances of n rows from their sum u.T @ u, with the noise term drawn.
 
-    c_kk is (c + c.T) / 2, formed in place after its first array, so it is
-    exactly symmetric, and finite as a sum of bounded inputs. In its
+    The sum is uu, plus part.T @ part when the last rows, part, are given.
+    c_kk is (c + c.T) / 2 for c = the sum / n, all formed in one new array:
+    it is exactly symmetric, and finite as a sum of bounded inputs. In its
     eigenbasis, c_lk = a0.m @ c_kk + eps.T @ u / n is (a0.m @ Q) diag(Lambda)
-    plus the noise draw of synth._noise_cross_moment in its last r columns;
-    neither c_lk nor the draw in input coordinates is formed.
+    plus the noise draw of synth._noise_cross_moment in its last r columns,
+    added _ROW_CHUNK rows at a time; neither c_lk nor the draw in input
+    coordinates is formed.
     """
-    c_kk = uu / n
-    c_kk = c_kk + c_kk.T
+    if part is None:
+        c_kk = uu / n
+    else:
+        c_kk = part.T @ part
+        c_kk += uu
+        c_kk /= n
+    np.add(c_kk, c_kk.T, out=c_kk)  # numpy reads the transpose from a copy
     c_kk /= 2.0
     cov = object.__new__(EmpiricalCovariances)
     cov._decompose(c_kk, n)
     c_lq = a0.m @ cov.eigvecs
     c_lq *= cov.eigvals
-    noise = _noise_cross_moment(noise_sd, cov.eigvals, n, rng_seed)
-    c_lq[:, cov.d_in - noise.shape[1]:] += noise
+    for rows, z in _noise_cross_moment(noise_sd, cov.eigvals, n, rng_seed, _ROW_CHUNK):
+        c_lq[rows, cov.d_in - z.shape[1]:] += z
     if not _finite(c_lq):
         raise ValueError("covariances must be finite")
     object.__setattr__(cov, "c_lq", c_lq)
@@ -358,26 +381,38 @@ def fit_rowwise_ridge(cov: EmpiricalCovariances, lmap: LambdaMap) -> np.ndarray:
         ValueError: dimension mismatch.
     """
     a_hat = np.zeros((cov.d_out, cov.d_in))
-    a_hat[: lmap.k] = _learned_rows(cov, lmap)
+    for rows, a in _learned_rows(cov, lmap):
+        a_hat[rows] = a
     return a_hat
 
 
-def _learned_rows(cov: EmpiricalCovariances, lmap: LambdaMap) -> np.ndarray:
-    """The learned rows 0..lmap.k-1 of the ridge estimate, shape (k, d_in).
+def _learned_rows(cov: EmpiricalCovariances,
+                  lmap: LambdaMap) -> Iterator[tuple[slice, np.ndarray]]:
+    """The learned rows 0..lmap.k-1 of the ridge estimate, _ROW_CHUNK at a time.
 
-    Row j is row j of fit_rowwise_ridge(cov, lmap), solved as
-    (c_lq[j] / (Lambda + lambda_j)) @ Q.T: the table Lambda + lambda_j is
-    built once and divided into in place, so the rows cost one product. The
-    result is a new C-ordered array the caller may overwrite. Raises as
-    fit_rowwise_ridge does.
+    Yields (rows, a) in row order: a is rows `rows` of fit_rowwise_ridge(cov,
+    lmap), shape (len, d_in). Row j is solved as (c_lq[j] / (Lambda +
+    lambda_j)) @ Q.T: a chunk's table Lambda + lambda_j is divided into in
+    place, so its rows cost one product. The table and the product are two
+    buffers of min(_ROW_CHUNK, k) rows, reused for every chunk, so a is
+    C-ordered and the caller may overwrite it, but must be done with it
+    before asking for the next. Raises as fit_rowwise_ridge does.
     """
     if lmap.d_out != cov.d_out:
         raise ValueError(
             f"lambda map covers {lmap.d_out} rows, covariances have {cov.d_out}"
         )
-    rows = np.add.outer(lmap.lams, cov.eigvals)
-    np.divide(cov.c_lq[: lmap.k], rows, out=rows)
-    return rows @ cov.eigvecs.T
+    k = lmap.k
+    table = np.empty((min(_ROW_CHUNK, k), cov.d_in))
+    out = np.empty_like(table)
+    for start in range(0, k, _ROW_CHUNK):
+        rows = slice(start, min(start + _ROW_CHUNK, k))
+        t, a = table[: rows.stop - start], out[: rows.stop - start]
+        np.copyto(t, cov.eigvals)  # not np.add.outer, which buffers both operands
+        t += lmap.lams[rows, np.newaxis]
+        np.divide(cov.c_lq[rows], t, out=t)
+        np.matmul(t, cov.eigvecs.T, out=a)
+        yield rows, a
 
 
 def single_ridge_lambda(cfg: ProblemConfig, n: int) -> float:

@@ -169,18 +169,27 @@ class GroundTruthSpec:
                     )
                 # Smoothness orders are pinned by the config decays
                 # (mu_i = i^(-1/p) means s = 1/(2p)), so only the symbol
-                # is free here. A coefficient past double range is refused as inf.
-                with np.errstate(over="ignore"):
-                    _, op, _ = laplacian_operator(
-                        s=1.0 / (2.0 * cfg.p),
-                        m=1.0 / (2.0 * cfg.q),
-                        t=p.get("t", 1),
-                        dim=cfg.d_in,
-                        scale=p.get("scale", 1.0),
-                        beta=cfg.beta,
-                        gamma=cfg.gamma,
-                    )
-                return OperatorMatrix(op.m, cfg.input_decay, cfg.output_decay)
+                # is free here. Each decay raises its own ConfigError first.
+                decays = cfg.input_decay, cfg.output_decay
+                t, scale = p.get("t", 1), p.get("scale", 1.0)
+                try:
+                    with np.errstate(over="ignore", invalid="ignore"):  # refused by name
+                        _, op, _ = laplacian_operator(
+                            s=1.0 / (2.0 * cfg.p),
+                            m=1.0 / (2.0 * cfg.q),
+                            t=t,
+                            dim=cfg.d_in,
+                            scale=scale,
+                            beta=cfg.beta,
+                            gamma=cfg.gamma,
+                        )
+                except OverflowError:
+                    raise ConfigError(
+                        f"q={cfg.q} and p={cfg.p} at d_in={cfg.d_in} with ground_truth.params."
+                        f"t={t} and ground_truth.params.scale={scale} put the laplacian "
+                        "coefficients d_n mu_n^(-beta/2) rho_n^(-(2-gamma)/2) past double "
+                        "precision: raise q or p, or lower t or scale") from None
+                return OperatorMatrix(op.m, *decays)
             omega = p.get("omega")
             if omega is None:  # packing_operator draws it once the block fits the grid
                 omega = np.random.default_rng(p.get("seed", ground_truth_seed(cfg)))
@@ -379,9 +388,9 @@ def _run_trial(
 
     Besides a0, the pass holds one block of inputs, the running sum
     u.T @ u, and either one Gram product or the arrays of one snapshot and
-    one estimator: each snapshot is dropped before the stream is asked for
-    the next, and each estimator's arrays before the next estimator starts
-    (estimators._pass_peak_bytes).
+    one chunk of one estimator's rows: each snapshot is dropped before the
+    stream is asked for the next, and _error_sq scores each chunk of rows
+    before the next is solved (estimators._pass_peak_bytes).
     """
     if lmaps is None:
         lmaps = _lambda_maps(cfg, n_list, estimators)
@@ -422,14 +431,16 @@ def _error_sq(cov: EmpiricalCovariances, lmap: LambdaMap, a0: OperatorMatrix,
               a0_terms: np.ndarray, mu_w: np.ndarray, rho_w: np.ndarray) -> float:
     """bg_norm(estimate - a0) ** 2 from the learned rows alone.
 
-    The difference, its squares and their weights are formed in the array
-    _learned_rows returns and freed on return; the caller refuses an overflow.
+    Each chunk of rows _learned_rows yields is scored in its own buffer
+    before the next is solved: the difference, its squares and their
+    weights are formed there, and only the row terms are kept. The caller
+    refuses an overflow.
     """
     with np.errstate(over="ignore"):
-        err = _learned_rows(cov, lmap)
-        err -= a0.m[: lmap.k]
         terms = a0_terms.copy()
-        terms[: lmap.k] = _row_terms(err, mu_w)
+        for rows, err in _learned_rows(cov, lmap):
+            err -= a0.m[rows]
+            terms[rows] = _row_terms(err, mu_w)
         return math.sqrt(float(terms @ rho_w)) ** 2
 
 
@@ -525,11 +536,12 @@ def _check_memory(cfg: ProblemConfig, workers: int) -> None:
 
     Each interpreter, parent and workers alike, counts _INTERPRETER_BYTES.
     The parent's arrays peak at building a0. With workers > 0 (0 is a
-    command that starts none), each worker holds a0 and the arrays of its
-    pass (estimators._pass_peak_bytes), which also cover its own build of
-    a0. The parent's build ends before the pool starts, so the sum is an
-    upper bound. Called before a0 is built, so a refused config allocates
-    nothing.
+    command that starts none), each worker counts the larger of its own
+    build of a0 and a0 with the arrays of one pass
+    (estimators._pass_peak_bytes): when d_out is much larger than d_in, a
+    pass's arrays and a0 come to less than the four a0s of a build. The
+    parent's build ends before the pool starts, so the sum is an upper
+    bound. Called before a0 is built, so a refused config allocates nothing.
 
     Raises:
         ConfigError: naming d_in and d_out.
@@ -538,7 +550,9 @@ def _check_memory(cfg: ProblemConfig, workers: int) -> None:
     arrays = _BUILD_PEAK_ARRAYS * a0_bytes
     holders = "to build the ground truth"
     if workers:
-        arrays += workers * (a0_bytes + _pass_peak_bytes(cfg.d_in, cfg.d_out))
+        worker = max(_BUILD_PEAK_ARRAYS * a0_bytes,
+                     a0_bytes + _pass_peak_bytes(cfg.d_in, cfg.d_out))
+        arrays += workers * worker
         holders = f"in {workers} worker(s) and their parent"
     have = _physical_memory()
     if arrays + (1 + workers) * _INTERPRETER_BYTES > have:

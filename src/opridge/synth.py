@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -130,8 +130,8 @@ def _stream_filler(a0: OperatorMatrix, rng_seed: int) -> Callable[[np.ndarray], 
     return lambda u: _fill_scaled_uniform(rng, u, scale)
 
 
-def _noise_cross_moment(noise_sd: np.ndarray, eigvals: np.ndarray, n: int,
-                        rng_seed: int) -> np.ndarray:
+def _noise_cross_moment(noise_sd: np.ndarray, eigvals: np.ndarray, n: int, rng_seed: int,
+                        chunk: int) -> Iterator[tuple[slice, np.ndarray]]:
     """A draw of eps.T @ u @ Q / n given n rows u with c_kk = Q @ diag(eigvals) @ Q.T.
 
     Given u, row j of eps.T @ u / n is N(0, sigma_j^2 c_kk / n) for make_dataset's noise,
@@ -142,13 +142,23 @@ def _noise_cross_moment(noise_sd: np.ndarray, eigvals: np.ndarray, n: int,
     statistic; the others are zero. Z is
     standard normal from the sub-stream (rng_seed, noise, n), so the draw depends on
     the cell alone.
+
+    Yields (rows, z): z is rows `rows` of the draw, at most chunk of them, in
+    row order. Each chunk is drawn from the one generator into one buffer of
+    min(chunk, d_out) x r doubles, so the chunks are the bits of a one-shot
+    draw whatever chunk is, and the caller must use each before the next.
     """
-    r = min(n, len(eigvals))
+    d_out, r = len(noise_sd), min(n, len(eigvals))
     rng = np.random.default_rng(derive_seed(rng_seed, _TAG_NOISE, n))
-    z = rng.standard_normal((len(noise_sd), r))
-    z *= np.sqrt(eigvals[-r:] / n)
-    z *= noise_sd[:, np.newaxis]
-    return z
+    scale = np.sqrt(eigvals[-r:] / n)
+    buf = np.empty((min(chunk, d_out), r))
+    for start in range(0, d_out, chunk):
+        rows = slice(start, min(start + chunk, d_out))
+        z = buf[: rows.stop - start]
+        rng.standard_normal(out=z)
+        z *= scale
+        z *= noise_sd[rows, np.newaxis]
+        yield rows, z
 
 
 def make_dataset(
@@ -254,6 +264,10 @@ def laplacian_operator(
         (source coefficients, operator, finite_source) where finite_source
         reports whether the infinite-basis source norm would converge,
         decided by the closed-form condition (1-gamma)*m < (1-beta)*s - 1/2.
+
+    Raises:
+        OverflowError: a source coefficient or an operator entry is past
+            double range.
     """
     if s <= 0.0 or m <= 0.0:
         raise ValueError(f"smoothness orders must be positive, got s={s}, m={m}")
@@ -270,8 +284,11 @@ def laplacian_operator(
         * in_decay.values ** (-beta / 2.0)
         * out_decay.values ** (-(2.0 - gamma) / 2.0)
     )
-    src = SourceCoefficients(a=np.diag(a_diag), beta=beta, gamma=gamma)
-    op = operator_from_source(src, in_decay, out_decay)
+    try:  # the shapes match, so only a coefficient past double range is refused
+        src = SourceCoefficients(a=np.diag(a_diag), beta=beta, gamma=gamma)
+        op = operator_from_source(src, in_decay, out_decay)
+    except ValueError as exc:
+        raise OverflowError(f"{exc} at dim={dim}") from None
     finite_source = (1.0 - gamma) * m < (1.0 - beta) * s - 0.5
     return src, op, finite_source
 

@@ -470,6 +470,16 @@ class TestExitCodes:
         (["rates", "--n-list", "16,32,64"],
          {"p": 0.1, "beta": 0.05, "beta_prime": 0.01, "B": 1e300, "d_in": 256},
          ("B=1e+300", "p=0.1", "beta=0.05")),
+        # rho_5^-1 = 5^(1/q) puts the laplacian source coefficients past double range.
+        (["simulate", "--n", "64"],
+         {"q": 0.0022, "gamma": 0.0, "d_in": 5, "d_out": 5,
+          "ground_truth": {"kind": "laplacian", "params": {"t": 1}}},
+         ("q=0.0022", "p=0.5", "d_in=5", "ground_truth.params.t=1",
+          "ground_truth.params.scale=1.0")),
+        # rho_5 = 5^(-1/q) underflows to 0, which the config's own decay refuses.
+        (["simulate", "--n", "64"],
+         {"q": 0.001, "d_in": 5, "d_out": 5,
+          "ground_truth": {"kind": "laplacian", "params": {"t": 1}}}, ("q=0.001", "d_out=5")),
         # Every error underflows to 0, so no rate can be fitted.
         (["rates", "--n-list", "16,32,64"], {"B": 1e-200, "sigma": 0.0}, ("B=", "sigma=")),
         (["rates", "--n-list", "16,32,64"], {"B": 0.0, "sigma": 1e-200}, ("B=", "sigma=")),
@@ -478,7 +488,8 @@ class TestExitCodes:
             "200000-nested-brackets", "packing-block-off-the-grid-packing",
             "packing-block-off-the-grid-rates", "packing-block-off-the-grid-simulate",
             "packing-m1-infinite", "random-taper-nan", "packing-m1-not-integral",
-            "B-1e300-overflows-the-operator",
+            "B-1e300-overflows-the-operator", "laplacian-coefficients-overflow",
+            "laplacian-decay-underflows",
             "B-1e-200-sigma-0-underflows", "B-0-sigma-1e-200-underflows"])
     def test_valid_looking_config_exits_two(self, tmp_path, capsys, argv, overrides, fields):
         # Each config passes the JSON-shape checks, or (given as text) is a

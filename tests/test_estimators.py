@@ -345,16 +345,23 @@ class TestFitRowwiseRidge:
         assert fit_rowwise_ridge(cov, lmap)[0, 0] == pytest.approx(0.5, rel=1e-14), \
             "a map that learns row 0 alone must not be refused"
 
-    @pytest.mark.parametrize("rows", ["empty", "full", "leading"])
+    @pytest.mark.parametrize("rows", ["empty", "full", "leading", "chunks"])
     def test_learned_rows_match_the_full_fit_and_a_per_row_solve(self, rows):
+        # "chunks" learns two full chunks of rows and a last one of one row.
         rng = np.random.default_rng(17)
-        d_in, d_out = 6, 9
+        chunk = estimators._ROW_CHUNK
+        d_in, d_out = 6, (2 * chunk + 1 if rows == "chunks" else 9)
         g = rng.normal(size=(d_in, d_in))
         cov = EmpiricalCovariances(c_kk=g @ g.T + 0.1 * np.eye(d_in),
                                    c_lk=rng.normal(size=(d_out, d_in)), n=1)
-        k = {"empty": 0, "full": d_out, "leading": 4}[rows]
+        k = {"empty": 0, "full": d_out, "leading": 4, "chunks": d_out}[rows]
         lmap = LambdaMap(lams=rng.uniform(0.01, 2.0, size=k), d_out=d_out)
-        a_rows = estimators._learned_rows(cov, lmap)
+        # Each chunk is copied: the solver reuses its buffer for the next.
+        chunks = [(s, a.copy()) for s, a in estimators._learned_rows(cov, lmap)]
+        starts = list(range(0, k, chunk))
+        assert [(s.start, s.stop) for s, _ in chunks] == \
+            [(j, min(j + chunk, k)) for j in starts], "chunks must tile rows 0..k-1 in order"
+        a_rows = np.concatenate([a for _, a in chunks]) if chunks else np.empty((0, d_in))
         assert a_rows.shape == (k, d_in)
         full = fit_rowwise_ridge(cov, lmap)
         assert np.array_equal(full[:k], a_rows), "the full fit must hold these rows"

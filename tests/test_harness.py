@@ -39,7 +39,7 @@ from opridge import (
     run_cell,
     run_convergence,
 )
-from opridge import harness, synth
+from opridge import estimators, harness, synth
 from opridge.estimators import (
     STREAM_BLOCK_ROWS,
     _pass_peak_bytes,
@@ -208,6 +208,22 @@ class TestGroundTruthSpec:
         got = {k for k in ("taper_in", "taper_out") if f"ground_truth.params.{k}=" in message}
         assert got == set(named), message
 
+    @pytest.mark.parametrize("q, params", [(0.0022, {"t": 1}), (0.5, {"scale": 1e308})],
+                             ids=["small-q", "large-scale"])
+    def test_a_laplacian_whose_coefficients_overflow_is_named_without_a_warning(self, q,
+                                                                               params):
+        # At d = 5 and gamma = 0, rho_5^-1 = 5^(1/q) is past double range for
+        # q = 0.0022; scale = 1e308 takes d_5 = scale * (5 pi)^2 past it.
+        cfg = small_config(q=q, gamma=0.0, d_in=5, d_out=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            with pytest.raises(ConfigError, match="past double precision") as exc:
+                GroundTruthSpec("laplacian", params).build(cfg)
+        message = str(exc.value)
+        for named in (f"q={q}", "p=0.5", "d_in=5", "ground_truth.params.t=",
+                      "ground_truth.params.scale="):
+            assert named in message, message
+
     @pytest.mark.parametrize("kind, params, as_ints", [
         ("random", {"seed": 5.0}, {"seed": 5}),
         ("laplacian", {"t": 2.0}, {"t": 2}),
@@ -280,6 +296,7 @@ class TestRunTrial:
 # the third, 2b on a block boundary, and 9b + 100 and 17b + 100 in a short
 # last block.
 _B = STREAM_BLOCK_ROWS
+_CHUNK = estimators._ROW_CHUNK
 NESTED_N_LISTS = ((_B // 2, 2 * _B + _B // 2, 9 * _B + 100),
                   (2 * _B + _B // 2, 17 * _B + 100),
                   (2 * _B, 2 * _B + _B // 2))
@@ -325,6 +342,37 @@ class TestRunCell:
             a_hat = estimate_from_covariances(cov, cfg, rec.estimator)
             want = bg_norm(a_hat.difference(a0), cfg.beta_prime, cfg.gamma_prime) ** 2
             assert rec.error_sq == want, f"{rec.estimator} at n={n}: {rec.error_sq!r} != {want!r}"
+
+    @pytest.mark.parametrize("d_in, d_out, n", [
+        (16, 2 * _CHUNK + 22, 700),
+        (16, _CHUNK + 1, 300),
+        (96, 2 * _CHUNK + 22, 50),
+        (16, 3 * _CHUNK + 8, 2 * _B + 300),
+    ], ids=["d_out-not-a-multiple-of-the-chunk", "one-row-last-chunk", "n-below-d_in",
+            "n-inside-a-block"])
+    def test_a_chunked_cell_equals_the_standalone_norm_and_a_one_shot_draw(self, d_in, d_out,
+                                                                          n):
+        # d_out spans several row chunks of the solves and the noise draw.
+        cfg = small_config(alpha=0.4, beta=0.9, beta_prime=0.1, gamma=0.0, gamma_prime=0.5,
+                           d_in=d_in, d_out=d_out)
+        _, a0 = random_source_operator(cfg, ground_truth_seed(cfg))
+        noise = NoiseProfile(sigma=cfg.sigma)
+        seed = derive_seed(cfg.seed, 0x7, 3)
+        recs = run_cell(cfg, a0, n, 3, ESTIMATOR_NAMES, noise)
+        (cov,) = streamed_covariances(a0, (n,), noise, seed)
+        for rec in recs:
+            a_hat = estimate_from_covariances(cov, cfg, rec.estimator)
+            want = bg_norm(a_hat.difference(a0), cfg.beta_prime, cfg.gamma_prime) ** 2
+            assert rec.error_sq == want, f"{rec.estimator} at n={n}: {rec.error_sq!r} != {want!r}"
+        # The pass adds its draw chunk by chunk; one chunk of d_out rows is
+        # the draw made at once.
+        noise_sd = np.sqrt(noise.variances(d_out))
+        (rows, draw), = synth._noise_cross_moment(noise_sd, cov.eigvals, n, seed, chunk=d_out)
+        assert (rows.start, rows.stop) == (0, d_out) and draw.shape == (d_out, min(n, d_in))
+        want = a0.m @ cov.eigvecs
+        want *= cov.eigvals
+        want[:, d_in - draw.shape[1]:] += draw
+        assert np.array_equal(cov.c_lq, want), "the chunked draw must be the one-shot draw"
 
     def test_cell_of_a_nested_pass_equals_the_standalone_cell(self):
         cfg = small_config()
@@ -451,38 +499,41 @@ _SMALL = 64 * 1024
 class TestPassMemory:
     def test_a_pass_holds_one_block_the_sums_and_one_snapshot(self):
         # At these sizes the block outweighs every other array, so a second
-        # block alive at any moment would show 256 KiB above the bound. With
-        # every n on a block boundary no partial sum is formed, and besides
-        # the block and the sums a pass holds one snapshot with one
-        # estimator's arrays, which outweigh the one Gram product of a sum.
-        d_in, d_out = 64, 16
+        # block alive at any moment would show 256 KiB above the bound, and
+        # a d_out x d_in array in place of a chunk's (the table of all of an
+        # estimator's rows) 96 KiB. Besides the block and the sums, a pass
+        # holds one snapshot with one chunk of one estimator's rows, which
+        # outweigh the one Gram product of a sum.
+        d_in, d_out = 64, 4 * _CHUNK
         block = _B * d_in  # inputs only: no noise row is drawn
         sums = d_in * d_in  # u.T @ u
         # c_kk, the eigenvectors and the cross moment in their basis, and two
-        # d_out x d_in arrays: an estimator's scaled rows and their
-        # back-rotation (the noise draw, while a snapshot is built, is one).
-        snapshot = 2 * d_in * d_in + 3 * d_out * d_in
+        # chunk x d_in arrays: a chunk's scaled rows and their back-rotation
+        # (a chunk of the noise draw, while a snapshot is built, is one).
+        snapshot = 2 * d_in * d_in + d_out * d_in + 2 * _CHUNK * d_in
         bound = 8 * (block + sums + snapshot) + _FILL_BUFFER + _SMALL
         peak = pass_peak(small_config(d_in=d_in, d_out=d_out), (2 * _B, 4 * _B, 8 * _B))
         assert peak <= bound, f"a pass peaked at {peak} B, {peak - bound} B over its {bound} B"
 
-    def test_pass_peak_bytes_is_the_peak_of_a_pass(self):
-        # Here the d^2 arrays outweigh the block, and an n inside a block
-        # adds its partial sum while its snapshot is built. Within the slack
-        # on either side, the formula is the peak itself.
-        d_in = d_out = 512
+    @pytest.mark.parametrize("d_in, d_out", [(512, 512), (256, 512)],
+                             ids=["square", "template"])
+    def test_pass_peak_bytes_is_the_peak_of_a_pass(self, d_in, d_out):
+        # Here the d^2 arrays outweigh the block or match it, and n_list
+        # holds an n inside a block and one on a block boundary. Within the
+        # slack on either side, the formula is the peak itself.
         want = _pass_peak_bytes(d_in, d_out)
         peak = pass_peak(small_config(d_in=d_in, d_out=d_out), (_B + 300, 3 * _B))
         assert abs(peak - want) <= 2 * (_FILL_BUFFER + _SMALL), \
             f"a pass peaked at {peak} B, _pass_peak_bytes says {want} B"
 
     @pytest.mark.parametrize("d_in, d_out", [(512, 128), (256, 1024)],
-                             ids=["snapshot-sets-the-peak", "fit-sets-the-peak"])
+                             ids=["d_in-dominates", "d_out-dominates"])
     def test_pass_peak_bytes_is_the_peak_when_one_dimension_dominates(self, d_in, d_out):
-        # With d_in^2 > d_out * d_in, building a snapshot holds the most (the
-        # partial sum, c_kk and the eigenvectors, the cross moment and the
-        # noise draw); with the reverse, a fit does (c_kk, the eigenvectors,
-        # the cross moment and an estimator's two row arrays).
+        # Either way a fit holds the most: the sums, c_kk, the eigenvectors,
+        # the cross moment and two chunks of rows. Forming c_kk holds three
+        # d_in^2 arrays too (the sums, c_kk and the copy of its transpose),
+        # but nothing else; with d_out * d_in > d_in^2, the cross moment is
+        # the largest array of a pass.
         want = _pass_peak_bytes(d_in, d_out)
         peak = pass_peak(small_config(d_in=d_in, d_out=d_out), (_B + 300, 3 * _B))
         assert abs(peak - want) <= 2 * (_FILL_BUFFER + _SMALL), \
@@ -578,14 +629,15 @@ class TestPoolAndMemory:
         assert len(report.runs) == 2 * 3 * trials
 
     def test_memory_past_the_budget_is_refused_before_the_ground_truth(self, monkeypatch):
-        # Each worker holds an interpreter, a0 and one pass, and the parent
-        # an interpreter and the peak of building a0; the budget fits two
-        # workers and the parent.
+        # Each worker holds an interpreter and the larger of its build of a0
+        # and a0 with one pass, and the parent an interpreter and the peak of
+        # building a0; the budget fits two workers and the parent.
         plan = tiny_plan(workers=8, trials=2)
         d_in, d_out = plan.cfg.d_in, plan.cfg.d_out
         a0_bytes = 8 * d_out * d_in
-        parent = harness._INTERPRETER_BYTES + harness._BUILD_PEAK_ARRAYS * a0_bytes
-        worker = harness._INTERPRETER_BYTES + a0_bytes + _pass_peak_bytes(d_in, d_out)
+        build = harness._BUILD_PEAK_ARRAYS * a0_bytes
+        parent = harness._INTERPRETER_BYTES + build
+        worker = harness._INTERPRETER_BYTES + max(build, a0_bytes + _pass_peak_bytes(d_in, d_out))
         budget = 2 * worker + parent
         monkeypatch.setattr(harness, "_physical_memory", lambda: budget)
         run_convergence(plan)  # eight workers asked for, two started
@@ -638,14 +690,32 @@ class TestBuildMemory:
     @pytest.mark.parametrize("d_in, d_out", [
         (1, 1), (1, 4096), (4096, 1), (3, 8), (256, 512), (512, 256), (2048, 2048),
     ])
-    def test_a_workers_counted_arrays_cover_its_own_build(self, d_in, d_out):
-        # A worker builds a0 before its first pass, and _check_memory counts
-        # it a0 and a pass. With a = d_in^2 and b = d_out * d_in doubles, a0
-        # is b and the pass at least 2b + max(a, b), and 3b + max(a, b) >= 4b:
-        # they cover a build of _BUILD_PEAK_ARRAYS = 4 a0s.
+    def test_a_workers_counted_arrays_cover_its_own_build(self, monkeypatch, d_in, d_out):
+        # A worker builds a0 before its first pass. What _check_memory counts
+        # for one worker is the least memory that lets it start one worker,
+        # less the least that lets it start none and one interpreter. That
+        # must cover the build (_BUILD_PEAK_ARRAYS = 4 a0s) and a0 with a
+        # pass. At (1, 4096) a0 and a pass come to about 2.2 a0s.
+        cfg = small_config(d_in=d_in, d_out=d_out)
+
+        def least_budget(workers):
+            lo, hi = 0, 2**62  # _check_memory refuses lo and accepts hi
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                monkeypatch.setattr(harness, "_physical_memory", lambda: mid)
+                try:
+                    harness._check_memory(cfg, workers)
+                    hi = mid
+                except ConfigError:
+                    lo = mid
+            return hi
+
+        counted = least_budget(1) - least_budget(0) - harness._INTERPRETER_BYTES
         a0_bytes = 8 * d_out * d_in
-        assert a0_bytes + _pass_peak_bytes(d_in, d_out) >= \
-            harness._BUILD_PEAK_ARRAYS * a0_bytes
+        assert counted >= harness._BUILD_PEAK_ARRAYS * a0_bytes, \
+            f"a worker counts {counted} B, its build takes {harness._BUILD_PEAK_ARRAYS} a0s"
+        assert counted >= a0_bytes + _pass_peak_bytes(d_in, d_out), \
+            f"a worker counts {counted} B, less than a0 and a pass"
 
 
 class StopAtSpawn(Exception):
