@@ -203,20 +203,6 @@ def _cmd_rates(args: argparse.Namespace) -> int:
     if not n_list:
         raise ConfigError("no sample counts: pass --n-list or put n_list in the config")
     trials = args.trials if args.trials is not None else extras.get("trials", 10)
-    out = Path(args.out)
-    paths = {
-        "out_summary": out,
-        "out_runs": out.with_name(out.stem + "_runs" + out.suffix),
-        "out_report": out.with_suffix(".json"),
-    }
-    written = [p.resolve() for p in paths.values()]
-    if len(set(written)) < len(written):
-        raise ConfigError(
-            f"--out {args.out} makes two output files share a path; "
-            "the report goes to the .json sibling of --out"
-        )
-    if Path(args.config).resolve() in written:
-        raise ConfigError(f"--out {args.out} would overwrite the config file {args.config}")
     plan = ExperimentPlan(
         cfg=cfg,
         n_list=tuple(n_list),
@@ -224,8 +210,10 @@ def _cmd_rates(args: argparse.Namespace) -> int:
         estimators=_estimator_list(args.estimator),
         ground_truth=gt,
         workers=args.workers,
-        **{name: str(p) for name, p in paths.items()},
+        out=args.out,
     )
+    if Path(args.config).resolve() in [p.resolve() for p in plan.outputs()]:
+        raise ConfigError(f"--out {args.out} would overwrite the config file {args.config}")
     report = run_convergence(plan, _report_progress)
     for fit in report.fits:
         sys.stdout.write(

@@ -15,8 +15,8 @@ _ROW_CHUNK rows and one product at a time; fit_rowwise_ridge stacks them
 on zeros, and a trial pass scores each chunk and drops it before the
 next, without building the rest of the estimate (see harness._run_trial).
 A cell thus costs one eigh however many distinct coefficients its
-estimators use. Covariances are uncentered and c_kk is
-symmetrized. The estimators differ only in their map:
+estimators use. Covariances are uncentered and c_kk is exactly
+symmetric. The estimators differ only in their map:
 LambdaMap.for_estimator gives the map of each of the ESTIMATOR_NAMES, and
 estimate_from_covariances fits it this way.
 
@@ -25,11 +25,8 @@ each of its sample counts in one pass that sums u.T @ u over input blocks
 and builds each snapshot's c_lq in the eigenbasis, a0.m @ Q scaled by
 Lambda plus the noise term drawn in those coordinates, without building
 the dataset, c_lk or the draw in input coordinates; empirical_covariances
-does it for a dataset (u, v) in hand. A pass holds one block, the running
-sum, and either one Gram product or the arrays of the one snapshot its
-consumer is working on, with one chunk of its noise draw or of one
-estimator's rows; _pass_peak_bytes is the most of these at once. Only the
-cross moment c_lq grows with d_out.
+does it for a dataset (u, v) in hand. _pass_peak_bytes counts the arrays
+a pass holds at once; only the cross moment c_lq grows with d_out.
 
 The population oracles (population_regularized, analytic_bias) evaluate the
 infinite-sample limit of the same ridge in closed form; tests pit the solver
@@ -89,6 +86,11 @@ STREAM_BLOCK_ROWS = 512
 # falls in, and with it the row's bits, depend on its index and k alone.
 _ROW_CHUNK = 64
 
+# d_in^2 arrays np.linalg.eigh mallocs outside numpy's allocator, unseen by
+# tracemalloc: a Fortran-order copy of its input and LAPACK dsyevd's work
+# array of 1 + 6 d_in + 2 d_in^2 doubles.
+_EIGH_UNTRACED = 3
+
 
 def _pass_peak_bytes(d_in: int, d_out: int) -> int:
     """The most bytes of arrays a trial pass holds at once, besides its a0.
@@ -97,24 +99,23 @@ def _pass_peak_bytes(d_in: int, d_out: int) -> int:
     doubles, a pass (harness._run_trial over streamed_covariances) holds one
     block of STREAM_BLOCK_ROWS rows of u and the running sum u.T @ u (a) at
     every moment, and:
-      - while it sums a block, one Gram product (a);
-      - while it forms c_kk, the sum of its n rows, scaled and symmetrized
-        in place (a), and the copy of its transpose that numpy makes to add
-        it in place (a);
-      - while it builds the rest of a snapshot, c_kk and the eigenvectors
-        (2a), the cross moment in the eigenbasis (b) and one chunk of the
-        noise draw Z (at most c);
-      - while it fits, c_kk, the eigenvectors and the cross moment (2a + b),
-        and one chunk of an estimator's scaled rows and their back-rotation
-        (2c).
-    The largest is 2a + b + 2c. tests/test_harness.py pins a pass's traced
-    peak to this, up to small arrays: the d_out-long row terms and lambda
-    maps of a pass, and one numpy iteration buffer of at most 8192 doubles,
-    which a broadcast operation holds while it runs (the fill's column
-    scaling, a chunk's table, _row_terms' weighting).
+      - while it sums a block or forms c_kk, one more d_in^2 array (a);
+      - while eigh decomposes c_kk, c_kk and the eigenvectors (2a), and
+        _EIGH_UNTRACED more d_in^2 arrays;
+      - while it builds the rest of a snapshot and fits, c_kk, the
+        eigenvectors and the cross moment in the eigenbasis (2a + b), and
+        one chunk of the noise draw Z (at most c) or of an estimator's
+        scaled rows and their back-rotation (2c).
+    The largest is 5a (the eigh) or 2a + b + 2c (the fits). tests/
+    test_harness.py pins a pass's resident growth to this, within the
+    allocator's slack, and its traced peak with _EIGH_UNTRACED = 0, up to
+    small arrays: the d_out-long row terms and lambda maps of a pass, and
+    one numpy iteration buffer of at most 8192 doubles, which a broadcast
+    operation holds while it runs (the fill's column scaling, a chunk's
+    table, _row_terms' weighting).
     """
     a, b, c = d_in * d_in, d_out * d_in, min(_ROW_CHUNK, d_out) * d_in
-    return 8 * (STREAM_BLOCK_ROWS * d_in + a + 2 * a + b + 2 * c)
+    return 8 * (STREAM_BLOCK_ROWS * d_in + a + max((2 + _EIGH_UNTRACED) * a, 2 * a + b + 2 * c))
 
 
 def _finite(x: np.ndarray) -> bool:
@@ -281,9 +282,10 @@ def _from_sums(a0: OperatorMatrix, uu: np.ndarray, n: int, noise_sd: np.ndarray,
                rng_seed: int, part: np.ndarray | None = None) -> EmpiricalCovariances:
     """Covariances of n rows from their sum u.T @ u, with the noise term drawn.
 
-    The sum is uu, plus part.T @ part when the last rows, part, are given.
-    c_kk is (c + c.T) / 2 for c = the sum / n, all formed in one new array:
-    it is exactly symmetric, and finite as a sum of bounded inputs. In its
+    The sum is uu, plus part.T @ part when the last rows, part, are given,
+    and c_kk is the sum / n, formed in one new array. numpy computes each
+    u.T @ u of a C-contiguous block as a symmetric rank-k update, so c_kk
+    is exactly symmetric, and finite as a sum of bounded inputs. In its
     eigenbasis, c_lk = a0.m @ c_kk + eps.T @ u / n is (a0.m @ Q) diag(Lambda)
     plus the noise draw of synth._noise_cross_moment in its last r columns,
     added _ROW_CHUNK rows at a time; neither c_lk nor the draw in input
@@ -295,8 +297,6 @@ def _from_sums(a0: OperatorMatrix, uu: np.ndarray, n: int, noise_sd: np.ndarray,
         c_kk = part.T @ part
         c_kk += uu
         c_kk /= n
-    np.add(c_kk, c_kk.T, out=c_kk)  # numpy reads the transpose from a copy
-    c_kk /= 2.0
     cov = object.__new__(EmpiricalCovariances)
     cov._decompose(c_kk, n)
     c_lq = a0.m @ cov.eigvecs

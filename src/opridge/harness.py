@@ -13,8 +13,8 @@ subcommand, executes trials in spawned worker processes pinned to one
 BLAS thread -- even with one worker -- so the parent interpreter never
 does cell arithmetic and the output bytes depend neither on how many
 workers were requested nor on the caller's BLAS thread variables. A
-worker builds the lambda map of each (n, estimator) once, for all its
-trials; only the solves and scores run per snapshot.
+worker builds what its passes read besides their streams once, for all
+its trials (_pass_state); only the solves and scores run per snapshot.
 
 Error is always the squared (beta', gamma')-norm of (estimate - truth),
 summarized across trials by median and interquartile range; the target
@@ -235,8 +235,9 @@ def _check_sample_count(n: int, field: str) -> None:
 class ExperimentPlan:
     """Everything a convergence sweep needs, validated up front.
 
-    The noise scale is cfg.sigma. Output paths are optional; when set,
-    run_convergence writes the corresponding artifacts after the sweep.
+    The noise scale is cfg.sigma. When out is set, run_convergence writes
+    the summary CSV there, the runs CSV to its _runs sibling and the JSON
+    report to its .json sibling (outputs), once the sweep is done.
     """
 
     cfg: ProblemConfig
@@ -245,9 +246,7 @@ class ExperimentPlan:
     estimators: tuple[str, ...] = ESTIMATOR_NAMES
     ground_truth: GroundTruthSpec = field(default_factory=GroundTruthSpec)
     workers: int = 1
-    out_summary: str | None = None
-    out_runs: str | None = None
-    out_report: str | None = None
+    out: str | None = None
 
     def __post_init__(self) -> None:
         n_list = tuple(int(n) for n in self.n_list)
@@ -271,6 +270,17 @@ class ExperimentPlan:
             raise ConfigError(f"estimators repeat: {self.estimators}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        written = [p.resolve() for p in self.outputs()]
+        if len(set(written)) < len(written):
+            raise ConfigError(f"--out {self.out} makes two output files share a path; "
+                              "the report goes to the .json sibling of --out")
+
+    def outputs(self) -> tuple[Path, ...]:
+        """The summary CSV, runs CSV and JSON report paths; none when out is None."""
+        if self.out is None:
+            return ()
+        out = Path(self.out)
+        return out, out.with_name(out.stem + "_runs" + out.suffix), out.with_suffix(".json")
 
 
 @dataclass(frozen=True)
@@ -353,61 +363,78 @@ def run_cell(
 
     Raises:
         ValueError: noise.sigma is not cfg.sigma; raised before any draw.
-        ConfigError: an error is not finite, because the scales B and
-            sigma are too large for double precision.
+        ConfigError: _pass_state refuses cfg, or an error is not finite,
+            because the scales B and sigma are too large for double precision.
     """
     if noise.sigma != cfg.sigma:
         raise ValueError(f"noise.sigma={noise.sigma} is not the config's sigma={cfg.sigma}")
-    return _run_trial(cfg, a0, (n,), trial_index, estimators)
+    return _run_trial(_pass_state(cfg, a0, (n,), estimators), trial_index)
 
 
-def _run_trial(
-    cfg: ProblemConfig,
-    a0: OperatorMatrix,
-    n_list: Sequence[int],
-    trial_index: int,
-    estimators: Sequence[str],
-    lmaps: Mapping[tuple[int, str], LambdaMap] | None = None,
-) -> tuple[TrialRecord, ...]:
-    """Records of every (n, estimator) of one trial, in that order, from one pass.
+@dataclass(frozen=True)
+class _PassState:
+    """What a trial pass reads besides its own stream; built by _pass_state."""
 
-    The trial's stream is seeded by (cfg.seed, trial_index) alone and
-    draws its noise at cfg.sigma, the one noise scale. streamed_covariances
-    gives cell n its first n rows and its own noise draw, the same bits
-    whatever else n_list holds. lmaps holds each (n, estimator)'s
-    LambdaMap.for_estimator (_lambda_maps), built here when not given: a
-    worker builds them once for all its trials. The draws, the Gram sum and
-    each eigh are shared, so a record's elapsed_ms is that estimator's own
-    learned-row solve and score.
+    cfg: ProblemConfig
+    a0: OperatorMatrix
+    n_list: tuple[int, ...]
+    estimators: tuple[str, ...]
+    lmaps: dict[tuple[int, str], LambdaMap]
+    noise: NoiseProfile
+    mu_w: np.ndarray
+    rho_w: np.ndarray
+    a0_terms: np.ndarray
 
-    Only the learned rows 0..k-1 are solved and scored. The error of an
-    unlearned row j >= k is -a0[j], so its term of the norm is a0's term,
-    computed once per pass; the row terms are then the vector bg_norm
-    would sum, and error_sq equals bg_norm(estimate_from_covariances(cov,
-    cfg, name).difference(a0), beta', gamma') ** 2 bit for bit.
 
-    Besides a0, the pass holds one block of inputs, the running sum
-    u.T @ u, and either one Gram product or the arrays of one snapshot and
-    one chunk of one estimator's rows: each snapshot is dropped before the
-    stream is asked for the next, and _error_sq scores each chunk of rows
-    before the next is solved (estimators._pass_peak_bytes).
+def _pass_state(cfg: ProblemConfig, a0: OperatorMatrix, n_list: Sequence[int],
+                estimators: Sequence[str]) -> _PassState:
+    """What a trial pass over n_list reads that its trial does not change.
+
+    The LambdaMap.for_estimator of each (n, estimator), the noise law at
+    cfg.sigma, the norm's weights (mu_i^(1-beta'), rho_j^-(1-gamma')) and
+    a0's row terms. Built without BLAS, so the same bits in every process:
+    run_cell builds it for its cell, a sweep's parent as its check before
+    the pool starts, and each worker once for all its trials.
+
+    Raises:
+        ConfigError: a norm weight or sigma's square is past double precision.
+        ValueError: an unknown estimator.
     """
-    if lmaps is None:
-        lmaps = _lambda_maps(cfg, n_list, estimators)
-    seed = derive_seed(cfg.seed, _TAG_TRIAL, trial_index)
-    # The weights of the estimate's decays, as difference() keeps them.
-    with np.errstate(over="ignore"):  # a weight or error past double range is refused below
+    lmaps = {(n, name): LambdaMap.for_estimator(cfg, n, name)
+             for n in n_list for name in estimators}
+    with np.errstate(over="ignore"):  # refused below, or an a0 term as the cell's error
         mu_w, rho_w = _norm_weights(cfg.input_decay, cfg.output_decay,
                                     cfg.beta_prime, cfg.gamma_prime)
         a0_terms = _row_terms(np.array(a0.m, order="C"), mu_w)
     if not _finite(rho_w):  # mu_w's powers are positive, so at most 1
         raise ConfigError(f"q={cfg.q} with d_out={cfg.d_out} and gamma_prime={cfg.gamma_prime} "
                           "give norm weights rho_j^-(1-gamma_prime) past double precision")
+    return _PassState(cfg, a0, tuple(n_list), tuple(estimators), lmaps,
+                      NoiseProfile(sigma=cfg.sigma), mu_w, rho_w, a0_terms)
+
+
+def _run_trial(state: _PassState, trial_index: int) -> tuple[TrialRecord, ...]:
+    """Records of every (n, estimator) of one trial, in that order, from one pass.
+
+    The pass only seeds, streams, solves and scores; all else it reads is
+    in state (_pass_state), and its arrays are estimators._pass_peak_bytes.
+    The stream is seeded by (cfg.seed, trial_index) alone, and cell n gets
+    its first n rows and its own noise draw, the same bits whatever else
+    n_list holds. A record's elapsed_ms is that estimator's own learned-row
+    solve and score: the draws, the Gram sum and each eigh are shared.
+
+    Only the learned rows 0..k-1 are solved and scored. An unlearned row
+    j >= k has error -a0[j], so its term of the norm is a0's; error_sq is
+    then bg_norm(estimate_from_covariances(cov, cfg, name).difference(a0),
+    beta', gamma') ** 2 bit for bit.
+    """
+    cfg = state.cfg
+    seed = derive_seed(cfg.seed, _TAG_TRIAL, trial_index)
     records = []
-    for cov in streamed_covariances(a0, n_list, NoiseProfile(sigma=cfg.sigma), seed):
-        for name in estimators:
+    for cov in streamed_covariances(state.a0, state.n_list, state.noise, seed):
+        for name in state.estimators:
             t0 = time.perf_counter()
-            err = _error_sq(cov, lmaps[cov.n, name], a0, a0_terms, mu_w, rho_w)
+            err = _error_sq(cov, state.lmaps[cov.n, name], state)
             elapsed = time.perf_counter() - t0
             if not math.isfinite(err):
                 raise ConfigError(
@@ -420,15 +447,7 @@ def _run_trial(
     return tuple(records)
 
 
-def _lambda_maps(cfg: ProblemConfig, n_list: Sequence[int],
-                 estimators: Sequence[str]) -> dict[tuple[int, str], LambdaMap]:
-    """LambdaMap.for_estimator of every (n, estimator) a trial pass scores."""
-    return {(n, name): LambdaMap.for_estimator(cfg, n, name)
-            for n in n_list for name in estimators}
-
-
-def _error_sq(cov: EmpiricalCovariances, lmap: LambdaMap, a0: OperatorMatrix,
-              a0_terms: np.ndarray, mu_w: np.ndarray, rho_w: np.ndarray) -> float:
+def _error_sq(cov: EmpiricalCovariances, lmap: LambdaMap, state: _PassState) -> float:
     """bg_norm(estimate - a0) ** 2 from the learned rows alone.
 
     Each chunk of rows _learned_rows yields is scored in its own buffer
@@ -437,11 +456,11 @@ def _error_sq(cov: EmpiricalCovariances, lmap: LambdaMap, a0: OperatorMatrix,
     refuses an overflow.
     """
     with np.errstate(over="ignore"):
-        terms = a0_terms.copy()
+        terms = state.a0_terms.copy()
         for rows, err in _learned_rows(cov, lmap):
-            err -= a0.m[rows]
-            terms[rows] = _row_terms(err, mu_w)
-        return math.sqrt(float(terms @ rho_w)) ** 2
+            err -= state.a0.m[rows]
+            terms[rows] = _row_terms(err, state.mu_w)
+        return math.sqrt(float(terms @ state.rho_w)) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -484,27 +503,15 @@ def fit_rate(points: Sequence[tuple[float, float]]) -> tuple[float, float, float
 _WORKER_STATE: dict[str, Any] = {}
 
 
-def _sweep_state(cfg: ProblemConfig, ground_truth: GroundTruthSpec, n_list: Sequence[int],
-                 estimators: Sequence[str]) -> tuple[OperatorMatrix, dict]:
-    """a0 and the lambda map of each (n, estimator): what a trial pass reads besides cfg.
-
-    Built without BLAS, so the same bits in every process: the parent builds
-    them as the check before the pool starts, and each worker for all its trials.
-    """
-    return ground_truth.build(cfg), _lambda_maps(cfg, n_list, estimators)
-
-
 def _pool_init(cfg: ProblemConfig, ground_truth: GroundTruthSpec, n_list: tuple[int, ...],
                estimators: tuple[str, ...]) -> None:
-    """Keep a worker's _sweep_state, and the wall-clock time it was ready, for _pool_trial."""
-    a0, lmaps = _sweep_state(cfg, ground_truth, n_list, estimators)
-    _WORKER_STATE["args"] = (cfg, a0, n_list, estimators, lmaps)
+    """Keep a worker's _pass_state, for all its trials, and the time it was ready."""
+    _WORKER_STATE["state"] = _pass_state(cfg, ground_truth.build(cfg), n_list, estimators)
     _WORKER_STATE["ready"] = time.time()
 
 
 def _pool_trial(trial: int) -> tuple[float, tuple[TrialRecord, ...]]:
-    cfg, a0, n_list, estimators, lmaps = _WORKER_STATE["args"]
-    return _WORKER_STATE["ready"], _run_trial(cfg, a0, n_list, trial, estimators, lmaps)
+    return _WORKER_STATE["ready"], _run_trial(_WORKER_STATE["state"], trial)
 
 
 def _pool_size(workers: int, trials: int) -> int:
@@ -571,29 +578,30 @@ def _run_cells(cfg: ProblemConfig, ground_truth: GroundTruthSpec, estimators: Se
 
     Each task is _run_trial over n_list, in spawned workers with one BLAS
     thread; results come back in trial order, and progress(done, total,
-    seconds) is called as each arrives. The parent
-    never does cell arithmetic, so an error depends on (cfg, ground truth,
-    n, trial) alone, not on n_list, the worker count or the caller's BLAS
-    thread variables. The pool starts _pool_size(workers, len(trials))
-    processes, and says so on stderr when that is fewer than workers.
+    seconds) is called as each arrives. The parent never does cell
+    arithmetic, so an error depends on (cfg, ground truth, n, trial) alone,
+    not on n_list, the worker count or the caller's BLAS thread variables.
+    The pool starts _pool_size(workers, len(trials)) processes, and says so
+    on stderr when that is fewer than workers.
 
     Before the pool starts, this checks that its arrays fit in memory
-    (_check_memory) and builds the sweep state once and drops it
-    (_sweep_state), so what cannot be built is refused before any worker
-    exists. The spawn arguments hold cfg and the ground-truth spec, not a0:
-    a worker reads them only after importing this module, so a payload
-    larger than a pipe holds would make the worker starts run one after another.
+    (_check_memory), then builds a0 and the _pass_state once and drops
+    them, so every refusal that depends only on the config is raised before
+    any worker exists. The spawn arguments hold cfg and the ground-truth
+    spec, not a0: a worker reads them only after importing this module, so
+    a payload larger than a pipe holds would make the worker starts run one
+    after another.
 
     The second value is the wall-clock seconds from the pool's creation
     until the last worker that ran a trial had finished _pool_init.
 
     Raises:
-        ConfigError: the arrays exceed physical memory, the ground truth
-            cannot be built on cfg, or a cell's error is not finite.
+        ConfigError: the arrays exceed physical memory, the ground truth or
+            the pass state cannot be built on cfg, or a cell's error is not finite.
     """
     size = _pool_size(workers, len(trials))
     _check_memory(cfg, size)
-    _sweep_state(cfg, ground_truth, n_list, estimators)
+    _pass_state(cfg, ground_truth.build(cfg), n_list, estimators)
     if size < workers:
         sys.stderr.write(f"starting {size} of {workers} workers: at most one per trial "
                          "and per usable CPU\n")
@@ -640,8 +648,8 @@ def run_convergence(
     started. Output files are written only once every rate is fitted.
 
     Raises:
-        ConfigError: d_in and d_out ask for more memory than the machine
-            has (see _check_memory); a cell's error is not finite (see
+        ConfigError: _run_cells refuses cfg before its pool starts (memory,
+            ground truth or pass state); a cell's error is not finite (see
             run_cell); or a median error is 0, so no rate can be fitted:
             the ground truth is the zero operator and sigma is 0, or they
             are so small that every error underflows.
@@ -684,12 +692,11 @@ def run_convergence(
         total_seconds=time.perf_counter() - t0,
         worker_start_seconds=worker_start,
     )
-    if plan.out_summary:
-        write_summary_csv(report, plan.out_summary)
-    if plan.out_runs:
-        write_runs_csv(report, plan.out_runs)
-    if plan.out_report:
-        write_report_json(report, plan.out_report, cfg=plan.cfg)
+    if plan.out is not None:
+        summary, runs_csv, report_json = plan.outputs()
+        write_summary_csv(report, summary)
+        write_runs_csv(report, runs_csv)
+        write_report_json(report, report_json, cfg=plan.cfg)
     return report
 
 

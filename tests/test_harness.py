@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
 import pickle
+import re
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -238,6 +243,11 @@ class TestGroundTruthSpec:
         assert np.array_equal(spec.build(cfg).m, GroundTruthSpec(kind, as_ints).build(cfg).m)
 
 
+def run_pass(cfg, a0, n_list, trial_index):
+    """The records of one trial pass over n_list with every estimator."""
+    return harness._run_trial(harness._pass_state(cfg, a0, n_list, ESTIMATOR_NAMES), trial_index)
+
+
 def trial_record(cfg, a0, n, trial_index, estimator):
     """The record of one estimator on the dataset of cell (n, trial_index)."""
     (rec,) = run_cell(cfg, a0, n, trial_index, (estimator,), NoiseProfile(sigma=cfg.sigma))
@@ -379,7 +389,7 @@ class TestRunCell:
         _, a0 = random_source_operator(cfg, ground_truth_seed(cfg))
         noise = NoiseProfile(sigma=cfg.sigma)
         for n_list in NESTED_N_LISTS:
-            nested = key(harness._run_trial(cfg, a0, n_list, 1, ESTIMATOR_NAMES))
+            nested = key(run_pass(cfg, a0, n_list, 1))
             alone = [rec for n in n_list
                      for rec in key(run_cell(cfg, a0, n, 1, ESTIMATOR_NAMES, noise))]
             assert len(nested) == len(n_list) * len(ESTIMATOR_NAMES)
@@ -448,7 +458,7 @@ class TestIndependentRoute:
         cfg = small_config(sigma=1.0)
         _, a0 = random_source_operator(cfg, ground_truth_seed(cfg))
         trial = 2
-        records = harness._run_trial(cfg, a0, (n,), trial, ESTIMATOR_NAMES)
+        records = run_pass(cfg, a0, (n,), trial)
         seed = derive_seed(cfg.seed, 0x7, trial)
         noise = NoiseProfile(sigma=cfg.sigma)
         (cov,) = streamed_covariances(a0, (n,), noise, seed)
@@ -478,11 +488,12 @@ class TestIndependentRoute:
 def pass_peak(cfg: ProblemConfig, n_list: tuple[int, ...]) -> int:
     """tracemalloc peak of one _run_trial pass over n_list, above its live heap."""
     _, a0 = random_source_operator(cfg, ground_truth_seed(cfg))
-    harness._run_trial(cfg, a0, (_B,), 0, ESTIMATOR_NAMES)  # first-call allocations
+    run_pass(cfg, a0, (_B,), 0)  # first-call allocations
+    state = harness._pass_state(cfg, a0, n_list, ESTIMATOR_NAMES)
     tracemalloc.start()
     try:
         live = tracemalloc.get_traced_memory()[0]
-        harness._run_trial(cfg, a0, n_list, 0, ESTIMATOR_NAMES)
+        harness._run_trial(state, 0)
         return tracemalloc.get_traced_memory()[1] - live
     finally:
         tracemalloc.stop()
@@ -517,10 +528,12 @@ class TestPassMemory:
 
     @pytest.mark.parametrize("d_in, d_out", [(512, 512), (256, 512)],
                              ids=["square", "template"])
-    def test_pass_peak_bytes_is_the_peak_of_a_pass(self, d_in, d_out):
+    def test_pass_peak_bytes_is_the_peak_of_a_pass(self, monkeypatch, d_in, d_out):
         # Here the d^2 arrays outweigh the block or match it, and n_list
         # holds an n inside a block and one on a block boundary. Within the
-        # slack on either side, the formula is the peak itself.
+        # slack on either side, the formula is the peak itself, once it
+        # leaves out the arrays of eigh that tracemalloc cannot see.
+        monkeypatch.setattr(estimators, "_EIGH_UNTRACED", 0)
         want = _pass_peak_bytes(d_in, d_out)
         peak = pass_peak(small_config(d_in=d_in, d_out=d_out), (_B + 300, 3 * _B))
         assert abs(peak - want) <= 2 * (_FILL_BUFFER + _SMALL), \
@@ -528,16 +541,57 @@ class TestPassMemory:
 
     @pytest.mark.parametrize("d_in, d_out", [(512, 128), (256, 1024)],
                              ids=["d_in-dominates", "d_out-dominates"])
-    def test_pass_peak_bytes_is_the_peak_when_one_dimension_dominates(self, d_in, d_out):
-        # Either way a fit holds the most: the sums, c_kk, the eigenvectors,
-        # the cross moment and two chunks of rows. Forming c_kk holds three
-        # d_in^2 arrays too (the sums, c_kk and the copy of its transpose),
-        # but nothing else; with d_out * d_in > d_in^2, the cross moment is
-        # the largest array of a pass.
+    def test_pass_peak_bytes_is_the_peak_when_one_dimension_dominates(self, monkeypatch,
+                                                                      d_in, d_out):
+        # Either way a fit holds the most that tracemalloc sees: the sums,
+        # c_kk, the eigenvectors, the cross moment and two chunks of rows.
+        # With d_out * d_in > d_in^2, the cross moment is the largest array
+        # of a pass.
+        monkeypatch.setattr(estimators, "_EIGH_UNTRACED", 0)
         want = _pass_peak_bytes(d_in, d_out)
         peak = pass_peak(small_config(d_in=d_in, d_out=d_out), (_B + 300, 3 * _B))
         assert abs(peak - want) <= 2 * (_FILL_BUFFER + _SMALL), \
             f"a pass peaked at {peak} B, _pass_peak_bytes says {want} B"
+
+    # One pass in a fresh interpreter: its resident growth over the state it
+    # starts from, as [high-water mark before, resident size, high-water
+    # mark after] in bytes.
+    RSS_SCRIPT = """
+import json, os, resource
+from opridge import ESTIMATOR_NAMES, GroundTruthSpec, ProblemConfig, harness
+cfg = ProblemConfig(**json.loads(os.environ["PASS_CONFIG"]))
+state = harness._pass_state(cfg, GroundTruthSpec().build(cfg), (512,), ESTIMATOR_NAMES)
+high = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+with open("/proc/self/statm") as f:
+    now = int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+harness._run_trial(state, 0)
+print(json.dumps([high, now, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024]))
+"""
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+    def test_pass_peak_bytes_covers_the_resident_growth_of_a_pass(self):
+        # eigh's copy of c_kk and LAPACK's work array are malloc'd where
+        # tracemalloc cannot see them; the resident size of a process does.
+        # At d_in = d_out = 1024 they are 24 MiB of the eigh's 52, and the
+        # fits hold 37. A fixed mmap threshold maps every array above
+        # 128 KiB on allocation and unmaps it on free, so the resident size
+        # follows the live arrays, not the heap's history. The rest of the
+        # growth (OpenBLAS's buffer pages, eigh's integer work, small
+        # objects) measured 2.5-5.4 MiB over six shapes; the slack allows 8.
+        cfg = small_config(d_in=1024, d_out=1024)
+        env = {**os.environ, "PASS_CONFIG": json.dumps(dataclasses.asdict(cfg)),
+               "MALLOC_MMAP_THRESHOLD_": "131072",
+               **{v: "1" for v in harness._BLAS_THREAD_VARS}}
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(harness.__file__).resolve().parents[1]),
+             *filter(None, [os.environ.get("PYTHONPATH")])])
+        proc = subprocess.run([sys.executable, "-c", self.RSS_SCRIPT], env=env,
+                              capture_output=True, text=True, check=True)
+        high, now, peak = json.loads(proc.stdout)
+        assert peak > high, "the pass must set the process's high-water mark"
+        want = _pass_peak_bytes(cfg.d_in, cfg.d_out)
+        assert want <= peak - now <= want + 8 * 2**20, \
+            f"a pass grew the resident size by {peak - now} B, _pass_peak_bytes says {want} B"
 
 
 def tiny_plan(**overrides) -> ExperimentPlan:
@@ -577,6 +631,14 @@ class TestExperimentPlan:
     def test_workers_must_be_positive(self):
         with pytest.raises(ConfigError, match="workers"):
             tiny_plan(workers=0)
+
+    def test_outputs_are_the_out_path_and_its_siblings(self, tmp_path):
+        plan = tiny_plan(out=str(tmp_path / "r.csv"))
+        assert plan.outputs() == (tmp_path / "r.csv", tmp_path / "r_runs.csv", tmp_path / "r.json")
+        assert tiny_plan().outputs() == ()
+        # The report of r.json would overwrite the summary.
+        with pytest.raises(ConfigError, match="share a path"):
+            tiny_plan(out=str(tmp_path / "r.json"))
 
     def test_noise_defaults_to_config_sigma(self):
         # The sweep's cells draw their noise at the config's sigma.
@@ -723,8 +785,8 @@ class StopAtSpawn(Exception):
 
 
 class TestWorkerState:
-    """Each worker builds a0 and its lambda maps from the spawn arguments,
-    after the parent has built them as the check (_sweep_state)."""
+    """Each worker builds a0 and its pass state from the spawn arguments,
+    after the parent has built them as the check (_pass_state)."""
 
     @pytest.mark.parametrize("cfg, spec", [
         (small_config(), GroundTruthSpec("random", {"taper_in": 0.5, "taper_out": 1.0})),
@@ -742,21 +804,28 @@ class TestWorkerState:
             assert key(records) == alone, \
                 f"trial {trial} of a spawned worker differs from its cells run here"
 
-    @pytest.mark.parametrize("refusal", ["build", "lambda map"])
+    @pytest.mark.parametrize("refusal", ["build", "lambda map", "norm weights",
+                                         "sigma squared"])
     def test_a_refusal_is_raised_before_any_pool(self, monkeypatch, refusal):
         def no_pool(**_):
             raise StopAtSpawn
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        cfg, spec, error, match = small_config(), GroundTruthSpec(), ConfigError, None
         if refusal == "build":  # laplacian needs a square grid
-            cfg, spec, error = small_config(), GroundTruthSpec("laplacian"), ConfigError
+            spec = GroundTruthSpec("laplacian")
+        elif refusal == "norm weights":  # rho_8^-(1-gamma') = 8^(0.99/q) is past double range
+            cfg = small_config(q=0.002867, gamma=0.0, gamma_prime=0.01, d_in=4, d_out=8)
+            match = "norm weights"
+        elif refusal == "sigma squared":
+            cfg, match = small_config(sigma=1e200), "finite square"
         else:
             def refused(cls, cfg, n, estimator):
                 raise ValueError("learned rows must have positive finite lambdas")
 
             monkeypatch.setattr(LambdaMap, "for_estimator", classmethod(refused))
-            cfg, spec, error = small_config(), GroundTruthSpec(), ValueError
-        with pytest.raises(error):
+            error = ValueError
+        with pytest.raises(error, match=match):
             harness._run_cells(cfg, spec, ESTIMATOR_NAMES, (64, 128), range(2), 2)
 
     def test_the_spawn_payload_fits_a_pipe_at_any_dimension(self, monkeypatch):
@@ -870,24 +939,20 @@ class TestRunConvergence:
             tiny_plan(n_list=(64, 128))
 
     def test_writes_requested_artifacts(self, tmp_path):
-        plan = tiny_plan(
-            out_summary=str(tmp_path / "summary.csv"),
-            out_runs=str(tmp_path / "runs.csv"),
-            out_report=str(tmp_path / "report.json"),
-        )
+        plan = tiny_plan(out=str(tmp_path / "summary.csv"))
         run_convergence(plan)
         summary = (tmp_path / "summary.csv").read_text().splitlines()
-        runs = (tmp_path / "runs.csv").read_text().splitlines()
+        runs = (tmp_path / "summary_runs.csv").read_text().splitlines()
         assert summary[0] == "estimator,n,median_error_sq,iqr_low,iqr_high"
         assert runs[0] == "estimator,n,trial,error_sq,elapsed_ms"
         assert len(summary) == 1 + 2 * 3
         assert len(runs) == 1 + 2 * 3 * 2
-        doc = json.loads((tmp_path / "report.json").read_text())
+        doc = json.loads((tmp_path / "summary.json").read_text())
         assert set(doc["fits"]) == {"single", "multilevel"}
         assert doc["slope_target"] == -doc["theoretical_eta1"]
 
     def test_report_gives_the_workers_start_up_time(self, tmp_path):
-        plan = tiny_plan(workers=2, out_report=str(tmp_path / "report.json"))
+        plan = tiny_plan(workers=2, out=str(tmp_path / "report.csv"))
         report = run_convergence(plan)
         doc = json.loads((tmp_path / "report.json").read_text())
         assert doc["worker_start_seconds"] == report.worker_start_seconds
@@ -1022,8 +1087,10 @@ class TestSampledConfigs:
             assert all(math.isfinite(f.slope) for f in report.fits)
 
     def test_every_valid_config_runs_or_is_refused_by_name(self):
-        # Each case builds the sweep state and runs one trial pass with
-        # numpy warnings as errors; the only other way out is a ConfigError.
+        # Each case builds the pass state and runs one trial pass with numpy
+        # warnings as errors; the only other way out is a ConfigError. Every
+        # refusal that depends on the config alone comes from the state, so
+        # a pass over a state that was built can refuse only a cell's error.
         rng = np.random.default_rng(11)
         outcomes = {"ran": 0, "refused": 0}
         for case in range(3000):
@@ -1032,10 +1099,18 @@ class TestSampledConfigs:
                 warnings.simplefilter("error")
                 try:
                     cfg, spec, _, _ = parse_config(obj)
-                    a0, lmaps = harness._sweep_state(cfg, spec, obj["n_list"], ESTIMATOR_NAMES)
-                    records = harness._run_trial(cfg, a0, obj["n_list"], case % 4,
-                                                 ESTIMATOR_NAMES, lmaps)
+                    state = harness._pass_state(cfg, spec.build(cfg), obj["n_list"],
+                                                ESTIMATOR_NAMES)
                 except ConfigError:
+                    outcomes["refused"] += 1
+                    continue
+                except Exception as exc:
+                    pytest.fail(f"case {case} raised {exc!r}; config {obj}")
+                try:
+                    records = harness._run_trial(state, case % 4)
+                except ConfigError as exc:
+                    assert re.match(r"the \w+ error at n=\d+ is ", str(exc)), \
+                        f"case {case} refused {exc} in the pass; config {obj}"
                     outcomes["refused"] += 1
                     continue
                 except Exception as exc:
