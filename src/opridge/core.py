@@ -307,7 +307,8 @@ def operator_from_source(
         )
     col_w = in_decay.values ** ((src.beta - 1.0) / 2.0)
     row_w = out_decay.values ** ((1.0 - src.gamma) / 2.0)
-    m = src.a * col_w[np.newaxis, :] * row_w[:, np.newaxis]
+    m = src.a * col_w[np.newaxis, :]
+    m *= row_w[:, np.newaxis]  # in place: the same bits, and no third array of a's size
     return OperatorMatrix(m, in_decay, out_decay)
 
 

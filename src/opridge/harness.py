@@ -15,6 +15,11 @@ does cell arithmetic and the output bytes depend neither on how many
 workers were requested nor on the caller's BLAS thread variables. A
 worker builds what its passes read besides their streams once, for all
 its trials (_pass_state); only the solves and scores run per snapshot.
+A worker costs little beyond its passes: it builds a0 with in-place
+scaling (two a0-sized arrays at the peak), starts with fixed glibc heap
+thresholds (_WORKER_ENV) so that its passes reuse resident pages instead
+of faulting in new ones, and freezes the garbage collector's view of its
+state once built, which shortens its exit.
 
 Error is always the squared (beta', gamma')-norm of (estimate - truth),
 summarized across trials by median and interquartile range; the target
@@ -23,16 +28,18 @@ rates are high-probability statements, so medians, not means.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from multiprocessing import get_context
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -51,6 +58,7 @@ from .core import (
     theoretical_rate,
 )
 from .estimators import (
+    _ROW_CHUNK,
     ESTIMATOR_NAMES,
     EmpiricalCovariances,
     LambdaMap,
@@ -98,6 +106,21 @@ _GROUND_TRUTH_KINDS = ("random", "laplacian", "packing")
 # Environment variables that set a BLAS library's thread count.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                      "OMP_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+# glibc's malloc reads these when a worker starts. A fixed mmap threshold
+# puts every array below it on the heap, whatever the heap's history, and
+# the trim threshold (twice it, glibc's own pairing when it moves the mmap
+# threshold itself) keeps that much free heap resident. So eigh's workspace
+# and each snapshot's arrays reuse the pages of the last ones: on the
+# template, a trial pass after the first takes no minor page fault. With a
+# 4 MiB trim threshold the pass's freed arrays (4.3 MiB) are trimmed at its
+# end and fault in again, about 1,100 faults a pass. Other allocators
+# ignore both variables.
+_WORKER_MMAP_BYTES = 4 * 2**20
+_WORKER_TRIM_BYTES = 8 * 2**20
+_WORKER_ENV = {**{v: "1" for v in _BLAS_THREAD_VARS},
+               "MALLOC_MMAP_THRESHOLD_": str(_WORKER_MMAP_BYTES),
+               "MALLOC_TRIM_THRESHOLD_": str(_WORKER_TRIM_BYTES)}
 
 RUNS_HEADER = "estimator,n,trial,error_sq,elapsed_ms"
 SUMMARY_HEADER = "estimator,n,median_error_sq,iqr_low,iqr_high"
@@ -394,7 +417,9 @@ def _pass_state(cfg: ProblemConfig, a0: OperatorMatrix, n_list: Sequence[int],
     cfg.sigma, the norm's weights (mu_i^(1-beta'), rho_j^-(1-gamma')) and
     a0's row terms. Built without BLAS, so the same bits in every process:
     run_cell builds it for its cell, a sweep's parent as its check before
-    the pool starts, and each worker once for all its trials.
+    the pool starts, and each worker once for all its trials. The row terms
+    are formed _ROW_CHUNK rows at a time in one buffer, not in a copy of
+    a0; each row's term has the same bits either way (see _row_terms).
 
     Raises:
         ConfigError: a norm weight or sigma's square is past double precision.
@@ -405,7 +430,13 @@ def _pass_state(cfg: ProblemConfig, a0: OperatorMatrix, n_list: Sequence[int],
     with np.errstate(over="ignore"):  # refused below, or an a0 term as the cell's error
         mu_w, rho_w = _norm_weights(cfg.input_decay, cfg.output_decay,
                                     cfg.beta_prime, cfg.gamma_prime)
-        a0_terms = _row_terms(np.array(a0.m, order="C"), mu_w)
+        a0_terms = np.empty(a0.d_out)
+        buf = np.empty((min(_ROW_CHUNK, a0.d_out), a0.d_in))
+        for start in range(0, a0.d_out, _ROW_CHUNK):
+            rows = slice(start, min(start + _ROW_CHUNK, a0.d_out))
+            chunk = buf[: rows.stop - start]
+            np.copyto(chunk, a0.m[rows])
+            a0_terms[rows] = _row_terms(chunk, mu_w)
     if not _finite(rho_w):  # mu_w's powers are positive, so at most 1
         raise ConfigError(f"q={cfg.q} with d_out={cfg.d_out} and gamma_prime={cfg.gamma_prime} "
                           "give norm weights rho_j^-(1-gamma_prime) past double precision")
@@ -505,9 +536,15 @@ _WORKER_STATE: dict[str, Any] = {}
 
 def _pool_init(cfg: ProblemConfig, ground_truth: GroundTruthSpec, n_list: tuple[int, ...],
                estimators: tuple[str, ...]) -> None:
-    """Keep a worker's _pass_state, for all its trials, and the time it was ready."""
+    """Keep a worker's _pass_state, for all its trials, and the time it was ready.
+
+    Then freeze the garbage collector's view of every object alive: the
+    modules and the state live until the worker exits, so no collection,
+    the one at exit included, needs to traverse them again.
+    """
     _WORKER_STATE["state"] = _pass_state(cfg, ground_truth.build(cfg), n_list, estimators)
     _WORKER_STATE["ready"] = time.time()
+    gc.freeze()
 
 
 def _pool_trial(trial: int) -> tuple[float, tuple[TrialRecord, ...]]:
@@ -529,13 +566,15 @@ def _physical_memory() -> int:
 
 
 # GroundTruthSpec.build peaks at this many a0-sized arrays: the "random"
-# kind holds its signs, its coefficients and their rescaled copy, and the
-# weighted operator (tracemalloc; pinned by a tier-1 test).
-_BUILD_PEAK_ARRAYS = 4
+# and "laplacian" kinds hold their source coefficients and the weighted
+# operator, each scaled in place (tracemalloc; pinned by a tier-1 test).
+_BUILD_PEAK_ARRAYS = 2
 
-# Resident bytes of one idle interpreter: a spawned worker with opridge and numpy
-# imported held 32.1-32.2 MiB (Linux x86-64, CPython 3.11, numpy 2.4, OpenBLAS 0.3.31).
-_INTERPRETER_BYTES = 33 * 2**20
+# Resident bytes of one idle interpreter: a spawned worker, after _pool_init
+# on the gen-config template, held 39.9-40.0 MiB, 38.9-39.0 less its arrays
+# (Linux x86-64, CPython 3.11, numpy 2.4, OpenBLAS 0.3.31; pinned by a
+# tier-1 test).
+_INTERPRETER_BYTES = 40 * 2**20
 
 
 def _check_memory(cfg: ProblemConfig, workers: int) -> None:
@@ -543,10 +582,11 @@ def _check_memory(cfg: ProblemConfig, workers: int) -> None:
 
     Each interpreter, parent and workers alike, counts _INTERPRETER_BYTES.
     The parent's arrays peak at building a0. With workers > 0 (0 is a
-    command that starts none), each worker counts the larger of its own
+    command that starts none), each worker counts the free heap its trim
+    threshold lets it keep (_WORKER_TRIM_BYTES) and the larger of its own
     build of a0 and a0 with the arrays of one pass
     (estimators._pass_peak_bytes): when d_out is much larger than d_in, a
-    pass's arrays and a0 come to less than the four a0s of a build. The
+    pass's arrays and a0 come to less than the two a0s of a build. The
     parent's build ends before the pool starts, so the sum is an upper
     bound. Called before a0 is built, so a refused config allocates nothing.
 
@@ -557,8 +597,8 @@ def _check_memory(cfg: ProblemConfig, workers: int) -> None:
     arrays = _BUILD_PEAK_ARRAYS * a0_bytes
     holders = "to build the ground truth"
     if workers:
-        worker = max(_BUILD_PEAK_ARRAYS * a0_bytes,
-                     a0_bytes + _pass_peak_bytes(cfg.d_in, cfg.d_out))
+        worker = _WORKER_TRIM_BYTES + max(_BUILD_PEAK_ARRAYS * a0_bytes,
+                                          a0_bytes + _pass_peak_bytes(cfg.d_in, cfg.d_out))
         arrays += workers * worker
         holders = f"in {workers} worker(s) and their parent"
     have = _physical_memory()
@@ -577,8 +617,9 @@ def _run_cells(cfg: ProblemConfig, ground_truth: GroundTruthSpec, estimators: Se
     """The records of each trial, one pass and one task per trial, and the workers' start-up time.
 
     Each task is _run_trial over n_list, in spawned workers with one BLAS
-    thread; results come back in trial order, and progress(done, total,
-    seconds) is called as each arrives. The parent never does cell
+    thread and fixed heap thresholds (_worker_environment); results come
+    back in trial order, and progress(done, total, seconds) is called as
+    each arrives. The parent never does cell
     arithmetic, so an error depends on (cfg, ground truth, n, trial) alone,
     not on n_list, the worker count or the caller's BLAS thread variables.
     The pool starts _pool_size(workers, len(trials)) processes, and says so
@@ -605,12 +646,7 @@ def _run_cells(cfg: ProblemConfig, ground_truth: GroundTruthSpec, estimators: Se
     if size < workers:
         sys.stderr.write(f"starting {size} of {workers} workers: at most one per trial "
                          "and per usable CPU\n")
-    # Children read BLAS thread env at import; set-before-spawn pins them
-    # without touching the already-initialized parent. Set outright: a
-    # user's export must not change the floating-point environment.
-    saved = {v: os.environ.get(v) for v in _BLAS_THREAD_VARS}
-    os.environ.update({v: "1" for v in _BLAS_THREAD_VARS})
-    try:
+    with _worker_environment():
         created = time.time()
         with ProcessPoolExecutor(
             max_workers=size,
@@ -625,7 +661,23 @@ def _run_cells(cfg: ProblemConfig, ground_truth: GroundTruthSpec, estimators: Se
                 results.append(records)
                 if progress is not None:
                     progress(len(results), len(trials), time.perf_counter() - t0)
-        return results, max(ready) - created
+    return results, max(ready) - created
+
+
+@contextmanager
+def _worker_environment() -> Iterator[None]:
+    """Set _WORKER_ENV in os.environ while processes are spawned, then restore the caller's.
+
+    A spawned process reads the BLAS thread count at import and the malloc
+    settings at its first allocation, so setting them before the spawn pins
+    them without touching the already-initialized parent. They are set
+    outright: a user's export must change neither the floating-point
+    environment nor a worker's heap.
+    """
+    saved = {v: os.environ.get(v) for v in _WORKER_ENV}
+    os.environ.update(_WORKER_ENV)
+    try:
+        yield
     finally:
         for v, old in saved.items():
             if old is None:

@@ -205,11 +205,15 @@ def random_source_operator(
             coordinate overflows, naming B, p and beta.
     """
     rng = np.random.default_rng(rng_seed)
-    signs = rng.integers(0, 2, size=(cfg.d_out, cfg.d_in)) * 2.0 - 1.0
+    # Scaled in place, in the order the formula reads, so a is the same bits
+    # as signs * w_out * w_in and the build never holds more than two a0s.
+    a = rng.integers(0, 2, size=(cfg.d_out, cfg.d_in)) * 2.0
+    a -= 1.0
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused by name
         w_in = np.arange(1, cfg.d_in + 1, dtype=np.float64) ** -taper_in
         w_out = np.arange(1, cfg.d_out + 1, dtype=np.float64) ** -taper_out
-        a = signs * w_out[:, np.newaxis] * w_in[np.newaxis, :]
+        a *= w_out[:, np.newaxis]
+        a *= w_in[np.newaxis, :]
         # Not np.linalg.norm: its BLAS dot product rounds differently for each
         # thread count, and this runs in the caller's process.
         norm = math.sqrt(float(np.sum(a * a)))
@@ -223,9 +227,9 @@ def random_source_operator(
             raise ConfigError(f"the coefficients i^-taper_in * j^-taper_out overflow at "
                               f"d_in={cfg.d_in}, d_out={cfg.d_out} with {named}: raise it")
     if cfg.B > 0.0 and norm > 0.0:
-        a = a * (cfg.B / norm)
+        a *= cfg.B / norm
     else:
-        a = np.zeros_like(a)
+        a.fill(0.0)
     src = SourceCoefficients(a=a, beta=cfg.beta, gamma=cfg.gamma)
     decays = cfg.input_decay, cfg.output_decay  # each raises its own ConfigError
     try:  # a has norm B, so only the weights mu_i^((beta-1)/2) can overflow
