@@ -139,6 +139,11 @@ def _validate_config(cfg: ProblemConfig) -> None:
         raise ConfigError(f"seed must be an integer in [0, 2^64), got {cfg.seed}")
 
 
+def _finite(x: np.ndarray) -> bool:
+    """Whether every entry of x is finite, with no array of flags as large as x."""
+    return x.size == 0 or math.isfinite(float(x.min())) and math.isfinite(float(x.max()))
+
+
 def _scalar(name: str, value: object, integer: bool) -> float | int:
     """A config number as float, or as int when `integer`, naming the field."""
     # bool is an int subclass; a config saying "beta": true is a mistake.
@@ -235,10 +240,6 @@ class SourceCoefficients:
         if not np.all(np.isfinite(a)):
             raise ValueError("source coefficients must be finite")
 
-    @property
-    def frobenius_norm(self) -> float:
-        return float(np.linalg.norm(self.a))
-
 
 @dataclass(frozen=True)
 class OperatorMatrix:
@@ -262,8 +263,7 @@ class OperatorMatrix:
                 f"operator shape {m.shape} does not match decays "
                 f"({len(self.output_decay)}, {len(self.input_decay)})"
             )
-        # min and max carry any nan or inf, without an array of flags as large as m.
-        if not (math.isfinite(float(m.min())) and math.isfinite(float(m.max()))):
+        if not _finite(m):
             raise ValueError("operator matrix entries must be finite")
 
     @property

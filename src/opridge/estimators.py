@@ -47,6 +47,7 @@ from .core import (
     OperatorMatrix,
     ProblemConfig,
     SourceCoefficients,
+    _finite,
 )
 from .schedules import _LOG_HUGE, bias_lambdas, multilevel_schedule, variance_lambdas
 from .synth import NoiseProfile, _noise_cross_moment, _stream_filler
@@ -96,7 +97,7 @@ def _pass_peak_bytes(d_in: int, d_out: int) -> int:
     """The most bytes of arrays a trial pass holds at once, besides its a0.
 
     With a = d_in^2, b = d_out * d_in and c = min(_ROW_CHUNK, d_out) * d_in
-    doubles, a pass (harness._run_trial over streamed_covariances) holds one
+    doubles, a pass (harness._run_trial over _nested_covariances) holds one
     block of STREAM_BLOCK_ROWS rows of u and the running sum u.T @ u (a) at
     every moment, and:
       - while it sums a block or forms c_kk, one more d_in^2 array (a);
@@ -116,11 +117,6 @@ def _pass_peak_bytes(d_in: int, d_out: int) -> int:
     """
     a, b, c = d_in * d_in, d_out * d_in, min(_ROW_CHUNK, d_out) * d_in
     return 8 * (STREAM_BLOCK_ROWS * d_in + a + max((2 + _EIGH_UNTRACED) * a, 2 * a + b + 2 * c))
-
-
-def _finite(x: np.ndarray) -> bool:
-    """Whether every entry of x is finite, with no array of flags as large as x."""
-    return x.size == 0 or math.isfinite(float(x.min())) and math.isfinite(float(x.max()))
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -244,12 +240,20 @@ def streamed_covariances(
 
     Raises:
         ValueError: n_list is empty, not strictly increasing, or starts
-            below 1; raised on the call, before any draw.
+            below 1; raised on the call, before any draw. Or a snapshot's
+            cross moment is not finite; raised in its place.
     """
     n_list = tuple(int(n) for n in n_list)
     if not n_list or n_list[0] < 1 or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError(f"n_list must be strictly increasing counts >= 1, got {n_list}")
-    return _nested_covariances(a0, n_list, profile, rng_seed)
+    return _finite_snapshots(_nested_covariances(a0, n_list, profile, rng_seed))
+
+
+def _finite_snapshots(stream: Iterator[EmpiricalCovariances]) -> Iterator[EmpiricalCovariances]:
+    for cov in stream:
+        if not _finite(cov.c_lq):
+            raise ValueError("covariances must be finite")
+        yield cov
 
 
 def _nested_covariances(
@@ -289,7 +293,9 @@ def _from_sums(a0: OperatorMatrix, uu: np.ndarray, n: int, noise_sd: np.ndarray,
     eigenbasis, c_lk = a0.m @ c_kk + eps.T @ u / n is (a0.m @ Q) diag(Lambda)
     plus the noise draw of synth._noise_cross_moment in its last r columns,
     added _ROW_CHUNK rows at a time; neither c_lk nor the draw in input
-    coordinates is formed.
+    coordinates is formed. c_lq is not checked: an a0 or noise scale past
+    double precision leaves it with an inf or nan, which
+    streamed_covariances and harness._run_trial refuse.
     """
     if part is None:
         c_kk = uu / n
@@ -299,12 +305,11 @@ def _from_sums(a0: OperatorMatrix, uu: np.ndarray, n: int, noise_sd: np.ndarray,
         c_kk /= n
     cov = object.__new__(EmpiricalCovariances)
     cov._decompose(c_kk, n)
-    c_lq = a0.m @ cov.eigvecs
-    c_lq *= cov.eigvals
-    for rows, z in _noise_cross_moment(noise_sd, cov.eigvals, n, rng_seed, _ROW_CHUNK):
-        c_lq[rows, cov.d_in - z.shape[1]:] += z
-    if not _finite(c_lq):
-        raise ValueError("covariances must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):  # the consumer refuses it
+        c_lq = a0.m @ cov.eigvecs
+        c_lq *= cov.eigvals
+        for rows, z in _noise_cross_moment(noise_sd, cov.eigvals, n, rng_seed, _ROW_CHUNK):
+            c_lq[rows, cov.d_in - z.shape[1]:] += z
     object.__setattr__(cov, "c_lq", c_lq)
     return cov
 

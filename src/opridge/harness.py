@@ -49,12 +49,14 @@ from .core import (
     OperatorMatrix,
     ProblemConfig,
     SourceCoefficients,
+    _finite,
     _norm_weights,
     _row_terms,
     _scalar,
     bg_norm,
     bg_norm_via_embedding,
     make_decay,
+    operator_from_source,
     theoretical_rate,
 )
 from .estimators import (
@@ -62,13 +64,12 @@ from .estimators import (
     ESTIMATOR_NAMES,
     EmpiricalCovariances,
     LambdaMap,
-    _finite,
     _learned_rows,
+    _nested_covariances,
     _pass_peak_bytes,
     analytic_bias,
     fit_rowwise_ridge,
     population_regularized,
-    streamed_covariances,
 )
 from .synth import (
     NoiseProfile,
@@ -452,7 +453,10 @@ def _run_trial(state: _PassState, trial_index: int) -> tuple[TrialRecord, ...]:
     The stream is seeded by (cfg.seed, trial_index) alone, and cell n gets
     its first n rows and its own noise draw, the same bits whatever else
     n_list holds. A record's elapsed_ms is that estimator's own learned-row
-    solve and score: the draws, the Gram sum and each eigh are shared.
+    solve and score: the draws, the Gram sum and each eigh are shared. A
+    snapshot whose cross moment is not finite has no error: each of its
+    records would be nan, and the first is refused by name like any other
+    non-finite error.
 
     Only the learned rows 0..k-1 are solved and scored. An unlearned row
     j >= k has error -a0[j], so its term of the norm is a0's; error_sq is
@@ -462,10 +466,11 @@ def _run_trial(state: _PassState, trial_index: int) -> tuple[TrialRecord, ...]:
     cfg = state.cfg
     seed = derive_seed(cfg.seed, _TAG_TRIAL, trial_index)
     records = []
-    for cov in streamed_covariances(state.a0, state.n_list, state.noise, seed):
+    for cov in _nested_covariances(state.a0, state.n_list, state.noise, seed):
+        finite = _finite(cov.c_lq)
         for name in state.estimators:
             t0 = time.perf_counter()
-            err = _error_sq(cov, state.lmaps[cov.n, name], state)
+            err = _error_sq(cov, state.lmaps[cov.n, name], state) if finite else math.nan
             elapsed = time.perf_counter() - t0
             if not math.isfinite(err):
                 raise ConfigError(
@@ -912,8 +917,9 @@ def write_report_json(report: RateReport, path: str | Path, cfg: ProblemConfig) 
 
 
 # ---------------------------------------------------------------------------
-# Analytic self-checks (shared by the CLI oracle-check subcommand and the
-# acceptance suite)
+# Closed-form oracle suites. Each suite is one row of _ORACLE_SUITES: the CLI
+# oracle-check subcommand runs every row (oracle_checks), and the acceptance
+# suite runs the same rows on seeds of its own.
 
 
 def _random_small_instance(rng: np.random.Generator) -> tuple[
@@ -935,82 +941,103 @@ def _random_small_instance(rng: np.random.Generator) -> tuple[
     return src, in_decay, out_decay, lmap, beta_prime, gamma_prime
 
 
+def _bias_instance(rng: np.random.Generator) -> tuple[float, float]:
+    """analytic_bias against the norm of the population ridge's deviation from a0."""
+    src, in_d, out_d, lmap, bp, gp = _random_small_instance(rng)
+    a0 = operator_from_source(src, in_d, out_d)
+    direct = bg_norm(population_regularized(a0, lmap).difference(a0), bp, gp)
+    return analytic_bias(src, lmap, in_d, out_d, bp, gp), direct
+
+
+def _population_ridge_instance(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The row-wise solve on the population moments diag(mu) and a0 diag(mu)
+    against the population ridge (all zeros for an empty map)."""
+    src, in_d, out_d, lmap, _, _ = _random_small_instance(rng)
+    a0 = operator_from_source(src, in_d, out_d)
+    cov = EmpiricalCovariances(
+        c_kk=np.diag(in_d.values), c_lk=a0.m * in_d.values[np.newaxis, :], n=1
+    )
+    return fit_rowwise_ridge(cov, lmap), population_regularized(a0, lmap).m
+
+
+def _norm_instance(rng: np.random.Generator) -> tuple[float, float]:
+    """bg_norm against the embedding-based evaluation of the same norm."""
+    d_in = int(rng.integers(2, 33))
+    d_out = int(rng.integers(2, 33))
+    op = OperatorMatrix(
+        rng.standard_normal((d_out, d_in)),
+        make_decay(d_in, float(rng.uniform(0.2, 0.9))),
+        make_decay(d_out, float(rng.uniform(0.2, 0.9))),
+    )
+    b = float(rng.uniform(0.0, 1.0))
+    g = float(rng.uniform(0.0, 1.0))
+    return bg_norm(op, b, g), bg_norm_via_embedding(op, b, g)
+
+
+def _packing_instance(rng: np.random.Generator) -> tuple[float, float]:
+    """The squared distance of two packing operators against 32 eps / (m1 k) ||om1 - om2||^2."""
+    m1 = int(rng.integers(1, 9))
+    k = int(rng.integers(1, 9))
+    m2 = int(rng.integers(0, 5))
+    d_in = 2 * m1 + int(rng.integers(0, 4))
+    d_out = m2 + k + int(rng.integers(0, 4))
+    in_d = make_decay(d_in, float(rng.uniform(0.2, 0.9)))
+    out_d = make_decay(d_out, float(rng.uniform(0.2, 0.9)))
+    bp = float(rng.uniform(0.05, 0.9))
+    gp = float(rng.uniform(0.05, 0.97))
+    eps = float(10.0 ** rng.uniform(-4.0, 0.0))
+    om1 = rng.integers(0, 2, size=(m1, k)).astype(np.float64)
+    om2 = rng.integers(0, 2, size=(m1, k)).astype(np.float64)
+    a = packing_operator(m1, m2, k, eps, om1, in_d, out_d, bp, gp)
+    b = packing_operator(m1, m2, k, eps, om2, in_d, out_d, bp, gp)
+    want = (32.0 * eps / (m1 * k)) * float(np.sum((om1 - om2) ** 2))
+    return bg_norm(a.difference(b), bp, gp) ** 2, want
+
+
+@dataclass(frozen=True)
+class _OracleSuite:
+    """One closed-form check: count instances, each drawn as (got, want) by draw(rng).
+
+    tag keys the suite's stream in oracle_checks (derive_seed(seed, tag)),
+    and tol bounds its worst relative deviation there.
+    """
+
+    name: str
+    tag: int
+    count: int
+    tol: float
+    draw: Callable[[np.random.Generator], tuple[Any, Any]]
+
+    def worst(self, rng: np.random.Generator) -> float:
+        """The largest max|got - want| / max|want| over count instances from rng.
+
+        A want of all zeros is scaled by 1e-300, so its got must be zero too.
+        """
+        worst = 0.0
+        for _ in range(self.count):
+            got, want = self.draw(rng)
+            scale = max(float(np.max(np.abs(want))), 1e-300)
+            worst = max(worst, float(np.max(np.abs(np.subtract(got, want)))) / scale)
+        return worst
+
+
+_ORACLE_SUITES = (
+    _OracleSuite("bias-oracle", 0xA, 50, 1e-10, _bias_instance),
+    _OracleSuite("population-ridge", 0xB, 20, 1e-10, _population_ridge_instance),
+    _OracleSuite("norm-equivalence", 0xC, 100, 1e-12, _norm_instance),
+    _OracleSuite("packing-separation", 0xD, 50, 1e-12, _packing_instance),
+)
+
+
 def oracle_checks(seed: int = 20260819) -> list[tuple[str, bool, str]]:
     """Run every closed-form oracle suite and report (name, passed, detail).
 
-    Suites: analytic regularization bias vs direct norm of the population
-    ridge's deviation (50 instances, 1e-10 relative); the row-wise solver
-    on population covariances vs the closed-form population ridge (20
-    instances, 1e-10); weighted-norm equality with the embedding-based
-    evaluation (100 instances, 1e-12); packing-family separation identity
-    (50 pairs, 1e-12).
+    The suites are the rows of _ORACLE_SUITES, in order; each draws its
+    instances from its own stream, derive_seed(seed, tag), and passes when
+    its worst relative deviation is within its tolerance.
     """
-    from .core import operator_from_source  # local to avoid a wide import list above
-
-    results: list[tuple[str, bool, str]] = []
-    rng = np.random.default_rng(derive_seed(seed, 0xA))
-    worst = 0.0
-    for _ in range(50):
-        src, in_d, out_d, lmap, bp, gp = _random_small_instance(rng)
-        a0 = operator_from_source(src, in_d, out_d)
-        direct = bg_norm(population_regularized(a0, lmap).difference(a0), bp, gp)
-        closed = analytic_bias(src, lmap, in_d, out_d, bp, gp)
-        worst = max(worst, abs(closed - direct) / max(direct, 1e-300))
-    results.append(("bias-oracle", worst <= 1e-10, f"max relative deviation {worst:.3e}"))
-
-    rng = np.random.default_rng(derive_seed(seed, 0xB))
-    worst = 0.0
-    for _ in range(20):
-        src, in_d, out_d, lmap, _, _ = _random_small_instance(rng)
-        a0 = operator_from_source(src, in_d, out_d)
-        cov = EmpiricalCovariances(
-            c_kk=np.diag(in_d.values), c_lk=a0.m * in_d.values[np.newaxis, :], n=1
-        )
-        solved = fit_rowwise_ridge(cov, lmap)
-        target = population_regularized(a0, lmap).m
-        scale = max(float(np.max(np.abs(target))), 1e-300)
-        worst = max(worst, float(np.max(np.abs(solved - target))) / scale)
-    results.append(("population-ridge", worst <= 1e-10, f"max relative deviation {worst:.3e}"))
-
-    rng = np.random.default_rng(derive_seed(seed, 0xC))
-    worst = 0.0
-    for _ in range(100):
-        d_in = int(rng.integers(2, 33))
-        d_out = int(rng.integers(2, 33))
-        op = OperatorMatrix(
-            rng.standard_normal((d_out, d_in)),
-            make_decay(d_in, float(rng.uniform(0.2, 0.9))),
-            make_decay(d_out, float(rng.uniform(0.2, 0.9))),
-        )
-        b = float(rng.uniform(0.0, 1.0))
-        g = float(rng.uniform(0.0, 1.0))
-        direct = bg_norm(op, b, g)
-        emb = bg_norm_via_embedding(op, b, g)
-        worst = max(worst, abs(direct - emb) / max(direct, 1e-300))
-    results.append(("norm-equivalence", worst <= 1e-12, f"max relative deviation {worst:.3e}"))
-
-    rng = np.random.default_rng(derive_seed(seed, 0xD))
-    worst = 0.0
-    for _ in range(50):
-        m1 = int(rng.integers(1, 9))
-        k = int(rng.integers(1, 9))
-        m2 = int(rng.integers(0, 5))
-        d_in = 2 * m1 + int(rng.integers(0, 4))
-        d_out = m2 + k + int(rng.integers(0, 4))
-        in_d = make_decay(d_in, float(rng.uniform(0.2, 0.9)))
-        out_d = make_decay(d_out, float(rng.uniform(0.2, 0.9)))
-        bp = float(rng.uniform(0.05, 0.9))
-        gp = float(rng.uniform(0.05, 0.97))
-        eps = float(10.0 ** rng.uniform(-4.0, 0.0))
-        om1 = rng.integers(0, 2, size=(m1, k)).astype(np.float64)
-        om2 = rng.integers(0, 2, size=(m1, k)).astype(np.float64)
-        a = packing_operator(m1, m2, k, eps, om1, in_d, out_d, bp, gp)
-        b_ = packing_operator(m1, m2, k, eps, om2, in_d, out_d, bp, gp)
-        lhs = bg_norm(a.difference(b_), bp, gp) ** 2
-        rhs = (32.0 * eps / (m1 * k)) * float(np.sum((om1 - om2) ** 2))
-        if rhs == 0.0:
-            worst = max(worst, abs(lhs))
-        else:
-            worst = max(worst, abs(lhs - rhs) / rhs)
-    results.append(("packing-separation", worst <= 1e-12, f"max relative deviation {worst:.3e}"))
+    results = []
+    for suite in _ORACLE_SUITES:
+        worst = suite.worst(np.random.default_rng(derive_seed(seed, suite.tag)))
+        results.append((suite.name, worst <= suite.tol, f"max relative deviation {worst:.3e}"))
     return results

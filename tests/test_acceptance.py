@@ -1,63 +1,41 @@
 """End-to-end guarantees, one test and one pass/fail line per promise.
 
-Every numbered test carries its own tolerance and wall-clock budget. The
-only long entry is the convergence benchmark (test 06/07), which runs the
-shipped template problem once at full size and is shared by both tests.
+Every numbered test carries its own tolerance and wall-clock budget. Tests
+01, 02, 03 and 08 run the oracle-check suites (harness._ORACLE_SUITES) on
+seeds of their own, and one unnumbered test checks that together they run
+every suite once. The only long entry is the convergence benchmark (test
+06/07), which runs the shipped template problem once at full size and is
+shared by both tests.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import math
+import re
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from opridge import (
-    EmpiricalCovariances,
     ExperimentPlan,
-    GroundTruthSpec,
-    LambdaMap,
     ProblemConfig,
-    SourceCoefficients,
-    analytic_bias,
-    bg_norm,
-    bg_norm_via_embedding,
-    fit_rowwise_ridge,
+    harness,
     lambda_floor,
-    make_decay,
     multilevel_schedule,
-    operator_from_source,
-    packing_operator,
-    population_regularized,
+    parse_config,
     run_convergence,
     theoretical_rate,
 )
-from opridge.cli import cli_main
+from opridge.cli import _template_config, cli_main
 
 from conftest import random_problem_config
 
 N_GRID = (10**3, 10**4, 10**5, 10**6)
-
-
-def draw_norm_instance(rng: np.random.Generator):
-    """Random source, decays, and lambdas of the leading k rows, k in [0, d_out]."""
-    d_in = int(rng.integers(2, 65))
-    d_out = int(rng.integers(2, 65))
-    in_decay = make_decay(d_in, float(rng.uniform(0.2, 0.9)))
-    out_decay = make_decay(d_out, float(rng.uniform(0.2, 0.9)))
-    beta = float(rng.uniform(0.2, 0.9))
-    gamma = float(rng.uniform(0.0, 0.6))
-    src = SourceCoefficients(
-        a=rng.standard_normal((d_out, d_in)), beta=beta, gamma=gamma
-    )
-    k = int(rng.integers(0, d_out + 1))
-    lmap = LambdaMap(lams=10.0 ** rng.uniform(-6.0, 0.0, size=k), d_out=d_out)
-    beta_prime = float(rng.uniform(0.05, 0.9)) * beta
-    gamma_prime = float(rng.uniform(gamma + 0.05, 0.97))
-    return src, in_decay, out_decay, lmap, beta_prime, gamma_prime
 
 
 def schedule_in_double_range(cfg: ProblemConfig, n_grid=N_GRID) -> bool:
@@ -93,83 +71,53 @@ def staircase_geometries():
 
 @pytest.fixture(scope="module")
 def convergence_benchmark():
-    """One full-size sweep of the shipped template problem, reused by 06/07."""
-    cfg = ProblemConfig(
-        p=0.5, q=0.5, alpha=0.4, beta=0.9, beta_prime=0.1, gamma=0.0,
-        gamma_prime=0.5, B=1.0, sigma=0.1, c0=1.0, d_in=256, d_out=512,
-        seed=20260819,
-    )
+    """One full-size sweep of the gen-config template problem, reused by 06/07."""
+    cfg, ground_truth, _, extras = parse_config(_template_config())
     plan = ExperimentPlan(
         cfg=cfg,
-        n_list=tuple(2**k for k in range(10, 17)),
-        trials=20,
+        n_list=tuple(extras["n_list"]),
+        trials=extras["trials"],
         estimators=("single", "variance", "multilevel"),
-        ground_truth=GroundTruthSpec("random", {"taper_in": 0.3, "taper_out": 2.0}),
+        ground_truth=ground_truth,
         workers=2,  # the errors do not depend on the pool size (test 09)
     )
     return plan, run_convergence(plan)
 
 
-def test_01_closed_form_bias_matches_population_deviation():
+def check_oracle_suite(name: str, seed: int, tol: float, budget_s: float) -> None:
+    """Run the oracle-check suite called name on this guarantee's own seed."""
+    (suite,) = [s for s in harness._ORACLE_SUITES if s.name == name]
     t0 = time.perf_counter()
-    rng = np.random.default_rng(101)
-    worst = 0.0
-    for _ in range(50):
-        src, in_d, out_d, lmap, bp, gp = draw_norm_instance(rng)
-        a0 = operator_from_source(src, in_d, out_d)
-        direct = bg_norm(population_regularized(a0, lmap).difference(a0), bp, gp)
-        closed = analytic_bias(src, lmap, in_d, out_d, bp, gp)
-        worst = max(worst, abs(closed - direct) / direct)
+    worst = suite.worst(np.random.default_rng(seed))
     elapsed = time.perf_counter() - t0
-    assert worst <= 1e-10, f"closed-form bias off by {worst:.3e} relative"
-    assert elapsed < 5.0, f"bias oracle took {elapsed:.2f}s, budget 5s"
+    assert worst <= tol, f"{name}: max relative deviation {worst:.3e}, tolerance {tol:g}"
+    assert elapsed < budget_s, f"{name} took {elapsed:.2f}s, budget {budget_s:g}s"
+
+
+def test_numbered_guarantees_run_every_oracle_suite_once():
+    # A suite added to oracle-check without its guarantee, or the reverse, fails here.
+    tree = ast.parse(Path(__file__).read_text())
+    run = [call.args[0].value
+           for fn in tree.body
+           if isinstance(fn, ast.FunctionDef) and re.match(r"test_\d\d_", fn.name)
+           for call in ast.walk(fn)
+           if isinstance(call, ast.Call) and getattr(call.func, "id", "") == "check_oracle_suite"]
+    assert sorted(run) == sorted(s.name for s in harness._ORACLE_SUITES)
+
+
+def test_01_closed_form_bias_matches_population_deviation():
+    check_oracle_suite("bias-oracle", seed=101, tol=1e-10, budget_s=5.0)
+
 
 
 def test_02_ridge_solver_recovers_population_shrinkage():
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(202)
-    worst = 0.0
-    for _ in range(20):
-        src, in_d, out_d, lmap, _, _ = draw_norm_instance(rng)
-        a0 = operator_from_source(src, in_d, out_d)
-        # Population moments: diagonal input Gram, cross matrix A0 diag(mu).
-        cov = EmpiricalCovariances(
-            c_kk=np.diag(in_d.values), c_lk=a0.m * in_d.values[np.newaxis, :], n=1
-        )
-        solved = fit_rowwise_ridge(cov, lmap)
-        target = population_regularized(a0, lmap).m
-        # An empty map's target is all zeros, and so must be its solve.
-        scale = max(float(np.max(np.abs(target))), 1e-300)
-        worst = max(worst, float(np.max(np.abs(solved - target))) / scale)
-    elapsed = time.perf_counter() - t0
-    assert worst <= 1e-10, f"solver deviates from population shrinkage by {worst:.3e}"
-    assert elapsed < 5.0, f"population solve took {elapsed:.2f}s, budget 5s"
+    check_oracle_suite("population-ridge", seed=202, tol=1e-10, budget_s=5.0)
+
 
 
 def test_03_weighted_norm_equals_embedding_norm():
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(303)
-    worst = 0.0
-    for _ in range(100):
-        d_in = int(rng.integers(2, 33))
-        d_out = int(rng.integers(2, 33))
-        op = operator_from_source(
-            SourceCoefficients(
-                a=rng.standard_normal((d_out, d_in)),
-                beta=float(rng.uniform(0.2, 0.9)),
-                gamma=float(rng.uniform(0.0, 0.6)),
-            ),
-            make_decay(d_in, float(rng.uniform(0.2, 0.9))),
-            make_decay(d_out, float(rng.uniform(0.2, 0.9))),
-        )
-        b = float(rng.uniform(0.0, 1.0))
-        g = float(rng.uniform(0.0, 1.0))
-        direct = bg_norm(op, b, g)
-        emb = bg_norm_via_embedding(op, b, g)
-        worst = max(worst, abs(direct - emb) / direct)
-    elapsed = time.perf_counter() - t0
-    assert worst <= 1e-12, f"norm evaluations disagree by {worst:.3e} relative"
-    assert elapsed < 1.0, f"norm comparison took {elapsed:.2f}s, budget 1s"
+    check_oracle_suite("norm-equivalence", seed=303, tol=1e-12, budget_s=1.0)
+
 
 
 def check_staircase_identities(cfg: ProblemConfig, n: int, tol: float) -> None:
@@ -305,28 +253,8 @@ def test_07_multilevel_beats_baseline_and_tracks_variance_contour(convergence_be
 
 
 def test_08_packing_instances_separated_in_weighted_norm():
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(808)
-    worst = 0.0
-    for _ in range(50):
-        m1 = int(rng.integers(1, 9))
-        k = int(rng.integers(1, 9))
-        m2 = int(rng.integers(0, 5))
-        in_d = make_decay(2 * m1 + int(rng.integers(0, 4)), float(rng.uniform(0.2, 0.9)))
-        out_d = make_decay(m2 + k + int(rng.integers(0, 4)), float(rng.uniform(0.2, 0.9)))
-        bp = float(rng.uniform(0.05, 0.9))
-        gp = float(rng.uniform(0.05, 0.97))
-        eps = float(10.0 ** rng.uniform(-4.0, 0.0))
-        om1 = rng.integers(0, 2, size=(m1, k)).astype(np.float64)
-        om2 = rng.integers(0, 2, size=(m1, k)).astype(np.float64)
-        a = packing_operator(m1, m2, k, eps, om1, in_d, out_d, bp, gp)
-        b = packing_operator(m1, m2, k, eps, om2, in_d, out_d, bp, gp)
-        got = bg_norm(a.difference(b), bp, gp) ** 2
-        want = (32.0 * eps / (m1 * k)) * float(np.sum((om1 - om2) ** 2))
-        worst = max(worst, abs(got - want) / want if want else abs(got))
-    elapsed = time.perf_counter() - t0
-    assert worst <= 1e-12, f"separation identity off by {worst:.3e} relative"
-    assert elapsed < 1.0, f"separation audit took {elapsed:.2f}s, budget 1s"
+    check_oracle_suite("packing-separation", seed=808, tol=1e-12, budget_s=1.0)
+
 
 
 def test_09_rates_csv_byte_identical_across_invocations_and_pools(tmp_path, capsys):

@@ -1279,6 +1279,39 @@ class TestOracleChecks:
                 f"oracle suites must pass for any seed, failed at {seed}"
 
 
+# B near the top of double range: at n=2, c_kk has zero eigenvalues and a0 @ Q
+# overflows, so the snapshot's cross moment holds inf * 0 = nan.
+OVERFLOW_CONFIG = {
+    "p": 0.05, "q": 0.5, "alpha": 0.5, "beta": 0.01, "beta_prime": 0.005, "gamma": 0.0,
+    "gamma_prime": 0.5, "B": 7.575e299, "sigma": 0.1, "c0": 1.0, "d_in": 8, "d_out": 8,
+    "seed": 0, "ground_truth": {"kind": "random", "params": {"taper_in": -3.0, "taper_out": 0.0}},
+    "n_list": [2, 7, 513], "trials": 2,
+}
+
+
+def _pass_outcome(obj: dict, trial: int) -> str:
+    """"ran" or "refused": the config object's pass state and one trial pass.
+
+    numpy warnings are errors, and the only other way out is a ConfigError.
+    Every refusal that depends on the config alone comes from the state, so
+    a pass over a state that was built can refuse only a cell's error.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            cfg, spec, _, _ = parse_config(obj)
+            state = harness._pass_state(cfg, spec.build(cfg), obj["n_list"], ESTIMATOR_NAMES)
+        except ConfigError:
+            return "refused"
+        try:
+            records = harness._run_trial(state, trial)
+        except ConfigError as exc:
+            assert re.match(r"the \w+ error at n=\d+ is ", str(exc)), f"refused {exc} in the pass"
+            return "refused"
+    assert all(math.isfinite(r.error_sq) for r in records)
+    return "ran"
+
+
 class TestSampledConfigs:
     def test_random_configs_run_end_to_end(self):
         # Smoke the whole pipeline over a few sampled problem geometries.
@@ -1294,35 +1327,28 @@ class TestSampledConfigs:
             assert all(math.isfinite(f.slope) for f in report.fits)
 
     def test_every_valid_config_runs_or_is_refused_by_name(self):
-        # Each case builds the pass state and runs one trial pass with numpy
-        # warnings as errors; the only other way out is a ConfigError. Every
-        # refusal that depends on the config alone comes from the state, so
-        # a pass over a state that was built can refuse only a cell's error.
         rng = np.random.default_rng(11)
         outcomes = {"ran": 0, "refused": 0}
         for case in range(3000):
             obj = random_valid_config(rng)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                try:
-                    cfg, spec, _, _ = parse_config(obj)
-                    state = harness._pass_state(cfg, spec.build(cfg), obj["n_list"],
-                                                ESTIMATOR_NAMES)
-                except ConfigError:
-                    outcomes["refused"] += 1
-                    continue
-                except Exception as exc:
-                    pytest.fail(f"case {case} raised {exc!r}; config {obj}")
-                try:
-                    records = harness._run_trial(state, case % 4)
-                except ConfigError as exc:
-                    assert re.match(r"the \w+ error at n=\d+ is ", str(exc)), \
-                        f"case {case} refused {exc} in the pass; config {obj}"
-                    outcomes["refused"] += 1
-                    continue
-                except Exception as exc:
-                    pytest.fail(f"case {case} raised {exc!r}; config {obj}")
-            assert all(math.isfinite(r.error_sq) for r in records), f"case {case}: {obj}"
-            outcomes["ran"] += 1
+            try:
+                outcomes[_pass_outcome(obj, case % 4)] += 1
+            except Exception as exc:
+                pytest.fail(f"case {case} raised {exc!r}; config {obj}")
         # Both outcomes are common, so the sampler reaches past validation.
         assert min(outcomes.values()) >= 300, outcomes
+
+    def test_an_overflowing_snapshot_is_refused_by_name(self, tmp_path):
+        assert _pass_outcome(OVERFLOW_CONFIG, 0) == "refused"
+        path = tmp_path / "ovf.json"
+        path.write_text(json.dumps(OVERFLOW_CONFIG))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(harness.__file__).resolve().parents[1]),
+             *filter(None, [os.environ.get("PYTHONPATH")])])}
+        proc = subprocess.run([sys.executable, "-m", "opridge.cli", "rates", "--config", str(path),
+                               "--out", str(tmp_path / "summary.csv")],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("config error: the single error at n=2 is nan: "
+                                      "the scales B=7.575e+299 and sigma=0.1"), proc.stderr
+        assert "Warning" not in proc.stderr, proc.stderr
