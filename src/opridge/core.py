@@ -177,7 +177,7 @@ class EigenDecay:
         object.__setattr__(self, "values", values)
         if values.ndim != 1 or values.size < 1:
             raise ValueError("EigenDecay values must be a nonempty 1-d vector")
-        if not np.all(np.isfinite(values)) or np.any(values <= 0.0):
+        if not _finite(values) or np.any(values <= 0.0):
             raise ValueError("EigenDecay values must be finite and positive")
         if np.any(np.diff(values) >= 0.0):
             raise ValueError("EigenDecay values must be strictly decreasing")
@@ -237,7 +237,7 @@ class SourceCoefficients:
         object.__setattr__(self, "a", a)
         if a.ndim != 2:
             raise ValueError("source coefficients must be a 2-d matrix")
-        if not np.all(np.isfinite(a)):
+        if not _finite(a):
             raise ValueError("source coefficients must be finite")
 
 

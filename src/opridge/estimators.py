@@ -76,8 +76,9 @@ _EIG_TOL = 1e-12
 # that depends on n alone, so a cell gives the same bytes in any pool, and
 # the memory a trial needs does not grow with n. A template block (d_in =
 # 256 columns) is 1 MiB, and a pass fills every block into one buffer of
-# that size, alive from its start to its end. _pass_peak_bytes counts the
-# rest of a pass's working set.
+# that size, alive until a snapshot at the end of a block, which does not
+# need it (see _nested_covariances). _pass_peak_bytes counts the rest of a
+# pass's working set.
 STREAM_BLOCK_ROWS = 512
 
 # Output rows per chunk when a snapshot draws its noise term and when an
@@ -97,9 +98,9 @@ def _pass_peak_bytes(d_in: int, d_out: int) -> int:
     """The most bytes of arrays a trial pass holds at once, besides its a0.
 
     With a = d_in^2, b = d_out * d_in and c = min(_ROW_CHUNK, d_out) * d_in
-    doubles, a pass (harness._run_trial over _nested_covariances) holds one
-    block of STREAM_BLOCK_ROWS rows of u and the running sum u.T @ u (a) at
-    every moment, and:
+    doubles, a pass (harness._run_trial over _nested_covariances) holds the
+    running sum u.T @ u (a) at every moment, one block of STREAM_BLOCK_ROWS
+    rows of u at every moment but a snapshot at an n that ends a block, and:
       - while it sums a block or forms c_kk, one more d_in^2 array (a);
       - while eigh decomposes c_kk, c_kk and the eigenvectors (2a), and
         _EIGH_UNTRACED more d_in^2 arrays;
@@ -107,7 +108,11 @@ def _pass_peak_bytes(d_in: int, d_out: int) -> int:
         eigenvectors and the cross moment in the eigenbasis (2a + b), and
         one chunk of the noise draw Z (at most c) or of an estimator's
         scaled rows and their back-rotation (2c).
-    The largest is 5a (the eigh) or 2a + b + 2c (the fits). tests/
+    The largest is 5a (the eigh) or 2a + b + 2c (the fits), held beside
+    the block by a snapshot at an n inside a block: the worst case, which
+    is counted whatever the n_list. A pass whose every n ends a block holds
+    the block and 2a while it sums, or the running sum and one snapshot,
+    never the block and a snapshot at once. tests/
     test_harness.py pins a pass's resident growth to this, within the
     allocator's slack, and its traced peak with _EIGH_UNTRACED = 0, up to
     small arrays: the d_out-long row terms and lambda maps of a pass, and
@@ -235,8 +240,12 @@ def streamed_covariances(
     Memory does not grow with n: one buffer of STREAM_BLOCK_ROWS rows,
     which each block is filled into on the calling thread; the running
     sum; and one Gram product or the arrays of one snapshot (see
-    _pass_peak_bytes). The pass keeps no reference to a yielded snapshot,
-    so a consumer that drops it holds one at a time.
+    _pass_peak_bytes). A snapshot at an n inside a block is yielded while
+    the buffer is alive, since the rest of the block is summed after it;
+    before a snapshot at an n that ends a block, the buffer is freed, and
+    the next block's is allocated once the consumer asks for the next
+    snapshot. The pass keeps no reference to a yielded snapshot, so a
+    consumer that drops it holds one at a time.
 
     Raises:
         ValueError: n_list is empty, not strictly increasing, or starts
@@ -254,6 +263,7 @@ def _finite_snapshots(stream: Iterator[EmpiricalCovariances]) -> Iterator[Empiri
         if not _finite(cov.c_lq):
             raise ValueError("covariances must be finite")
         yield cov
+        del cov  # not held while the stream sums the next block
 
 
 def _nested_covariances(
@@ -265,12 +275,15 @@ def _nested_covariances(
     fill = _stream_filler(a0, rng_seed)
     noise_sd = np.sqrt(profile.variances(a0.d_out))
     uu = np.zeros((a0.d_in, a0.d_in))
-    # Every block is filled into a leading slice of this one buffer: freeing
-    # a block and allocating the next would let the allocator hand the pages
-    # back to the system and fault them in again, which costs more than the fill.
-    buf = np.empty((min(STREAM_BLOCK_ROWS, n_list[-1]), a0.d_in))
+    # Every block is filled into a leading slice of one buffer, kept from
+    # block to block. A snapshot at the end of a block needs none of it, so
+    # the buffer is freed before that snapshot and allocated again after it;
+    # below the workers' mmap threshold the heap hands back the same pages.
+    buf = None
     pending = list(n_list)
     for start in range(0, n_list[-1], STREAM_BLOCK_ROWS):
+        if buf is None:
+            buf = np.empty((min(STREAM_BLOCK_ROWS, n_list[-1]), a0.d_in))
         u = buf[: min(STREAM_BLOCK_ROWS, n_list[-1] - start)]
         fill(u)
         stop = start + u.shape[0]
@@ -279,6 +292,7 @@ def _nested_covariances(
             yield _from_sums(a0, uu, n, noise_sd, rng_seed, part=u[: n - start])
         uu += u.T @ u
         if pending[0] == stop:
+            u = buf = None  # summed into uu
             yield _from_sums(a0, uu, pending.pop(0), noise_sd, rng_seed)
 
 
@@ -332,7 +346,7 @@ class LambdaMap:
         lams = np.asarray(self.lams, dtype=np.float64)
         if lams.ndim != 1 or lams.shape[0] > self.d_out:
             raise ValueError(f"lams must be 1-d, at most d_out={self.d_out} long, got {lams.shape}")
-        if not np.all(np.isfinite(lams)) or np.any(lams <= 0.0):
+        if not _finite(lams) or np.any(lams <= 0.0):
             raise ValueError("learned rows must have positive finite lambdas")
         object.__setattr__(self, "lams", lams)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -276,9 +277,32 @@ class TestEigenDecayValidation:
         with pytest.raises(ValueError):
             EigenDecay(values=np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_values(self, bad):
+        with pytest.raises(ValueError, match="EigenDecay values must be finite and positive"):
+            EigenDecay(values=np.array([bad, 1.0]))
+
     def test_accepts_custom_strictly_decreasing_values(self):
         decay = EigenDecay(values=np.array([0.25]))
         assert len(decay) == 1
+
+
+class TestSourceCoefficientsValidation:
+    def test_the_finiteness_check_holds_no_array_as_large_as_a(self):
+        # A 512 x 256 a, the template's; np.isfinite would build a flag
+        # array of a.size bytes beside it.
+        a = np.ones((512, 256))
+        tracemalloc.start()
+        try:
+            SourceCoefficients(a=a, beta=0.5, gamma=0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < a.size, f"checking a traced {peak} B, a has {a.size} entries"
+        for bad in (math.nan, math.inf, -math.inf):
+            a[300, 7] = bad
+            with pytest.raises(ValueError, match="source coefficients must be finite"):
+                SourceCoefficients(a=a, beta=0.5, gamma=0.5)
 
 
 class TestOperatorMatrixValidation:

@@ -462,8 +462,8 @@ class TestEstimators:
             LambdaMap.for_estimator(cfg, 64, "lasso")
 
     @pytest.mark.parametrize("lams, d_out", [
-        ([1.0, 1.0], 1), ([1.0, 0.0], 2), ([np.inf], 1), ([[1.0]], 1),
-    ], ids=["more-rows-than-d_out", "zero-lambda", "infinite-lambda", "not-1-d"])
+        ([1.0, 1.0], 1), ([1.0, 0.0], 2), ([np.inf], 1), ([1.0, np.nan], 2), ([[1.0]], 1),
+    ], ids=["more-rows-than-d_out", "zero-lambda", "infinite-lambda", "nan-lambda", "not-1-d"])
     def test_a_map_refuses_what_no_ridge_can_learn(self, lams, d_out):
         with pytest.raises(ValueError):
             LambdaMap(lams=lams, d_out=d_out)

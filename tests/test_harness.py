@@ -519,23 +519,56 @@ _SMALL = 64 * 1024
 
 
 class TestPassMemory:
+    # At these sizes the block outweighs every other array, so a second
+    # block alive at any moment would show 256 KiB above a bound, and a
+    # d_out x d_in array in place of a chunk's (the table of all of an
+    # estimator's rows) 96 KiB.
+    D_IN, D_OUT = 64, 4 * _CHUNK
+    BLOCK = _B * D_IN  # inputs only: no noise row is drawn
+    SUMS = D_IN * D_IN  # u.T @ u
+    # c_kk, the eigenvectors and the cross moment in their basis, and two
+    # chunk x d_in arrays: a chunk's scaled rows and their back-rotation
+    # (a chunk of the noise draw, while a snapshot is built, is one).
+    SNAPSHOT = 2 * D_IN * D_IN + D_OUT * D_IN + 2 * _CHUNK * D_IN
+    # A pass whose every n ends a block holds the block and two sums (a Gram
+    # product added to the running one), or the sums and one snapshot,
+    # never the block and a snapshot at once.
+    BLOCK_ENDS_BOUND = 8 * max(BLOCK + 2 * SUMS, SUMS + SNAPSHOT) + _FILL_BUFFER + _SMALL
+
     def test_a_pass_holds_one_block_the_sums_and_one_snapshot(self):
-        # At these sizes the block outweighs every other array, so a second
-        # block alive at any moment would show 256 KiB above the bound, and
-        # a d_out x d_in array in place of a chunk's (the table of all of an
-        # estimator's rows) 96 KiB. Besides the block and the sums, a pass
-        # holds one snapshot with one chunk of one estimator's rows, which
-        # outweigh the one Gram product of a sum.
-        d_in, d_out = 64, 4 * _CHUNK
-        block = _B * d_in  # inputs only: no noise row is drawn
-        sums = d_in * d_in  # u.T @ u
-        # c_kk, the eigenvectors and the cross moment in their basis, and two
-        # chunk x d_in arrays: a chunk's scaled rows and their back-rotation
-        # (a chunk of the noise draw, while a snapshot is built, is one).
-        snapshot = 2 * d_in * d_in + d_out * d_in + 2 * _CHUNK * d_in
-        bound = 8 * (block + sums + snapshot) + _FILL_BUFFER + _SMALL
-        peak = pass_peak(small_config(d_in=d_in, d_out=d_out), (2 * _B, 4 * _B, 8 * _B))
+        # A snapshot at an n inside a block holds the block: besides it and
+        # the sums, one snapshot with one chunk of one estimator's rows,
+        # which outweigh the one Gram product of a sum.
+        bound = 8 * (self.BLOCK + self.SUMS + self.SNAPSHOT) + _FILL_BUFFER + _SMALL
+        peak = pass_peak(small_config(d_in=self.D_IN, d_out=self.D_OUT),
+                         (2 * _B, 4 * _B + 300, 8 * _B))
         assert peak <= bound, f"a pass peaked at {peak} B, {peak - bound} B over its {bound} B"
+
+    def test_a_snapshot_at_the_end_of_a_block_holds_no_block(self):
+        # The block is in the running sum before such a snapshot.
+        bound = self.BLOCK_ENDS_BOUND
+        peak = pass_peak(small_config(d_in=self.D_IN, d_out=self.D_OUT),
+                         (2 * _B, 4 * _B, 8 * _B))
+        assert peak <= bound, f"a pass peaked at {peak} B, {peak - bound} B over its {bound} B"
+
+    def test_streamed_covariances_keeps_no_snapshot_its_consumer_dropped(self):
+        # The same pass through the library's stream, whose consumer drops
+        # each snapshot before it asks for the next: within the same bound.
+        bound = self.BLOCK_ENDS_BOUND
+        cfg = small_config(d_in=self.D_IN, d_out=self.D_OUT)
+        _, a0 = random_source_operator(cfg, ground_truth_seed(cfg))
+        noise = NoiseProfile(sigma=cfg.sigma)
+        list(streamed_covariances(a0, (_B,), noise, rng_seed=5))  # first-call allocations
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            stream = streamed_covariances(a0, (2 * _B, 4 * _B, 8 * _B), noise, rng_seed=5)
+            for cov in stream:
+                del cov
+            peak = tracemalloc.get_traced_memory()[1] - live
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, f"a stream peaked at {peak} B, {peak - bound} B over its {bound} B"
 
     @pytest.mark.parametrize("d_in, d_out", [(512, 512), (256, 512)],
                              ids=["square", "template"])
@@ -566,12 +599,13 @@ class TestPassMemory:
 
     # One pass in a fresh interpreter: its resident growth over the state it
     # starts from, as [high-water mark before, resident size, high-water
-    # mark after] in bytes.
+    # mark after] in bytes. Its first n lies inside a block, so its snapshot
+    # holds the block, the worst case _pass_peak_bytes counts.
     RSS_SCRIPT = """
 import json, os, resource
 from opridge import ESTIMATOR_NAMES, GroundTruthSpec, ProblemConfig, harness
 cfg = ProblemConfig(**json.loads(os.environ["PASS_CONFIG"]))
-state = harness._pass_state(cfg, GroundTruthSpec().build(cfg), (512,), ESTIMATOR_NAMES)
+state = harness._pass_state(cfg, GroundTruthSpec().build(cfg), (300, 512), ESTIMATOR_NAMES)
 high = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
 with open("/proc/self/statm") as f:
     now = int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
@@ -588,7 +622,8 @@ print(json.dumps([high, now, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss 
         # 128 KiB on allocation and unmaps it on free, so the resident size
         # follows the live arrays, not the heap's history. The rest of the
         # growth (OpenBLAS's buffer pages, eigh's integer work, small
-        # objects) measured 2.5-5.4 MiB over six shapes; the slack allows 8.
+        # objects) measured 0.0-2.4 MiB over six shapes, 1.4-1.5 MiB at this
+        # one; the slack allows 8.
         cfg = small_config(d_in=1024, d_out=1024)
         env = {**os.environ, "PASS_CONFIG": json.dumps(dataclasses.asdict(cfg)),
                "MALLOC_MMAP_THRESHOLD_": "131072",
@@ -1020,17 +1055,20 @@ class TestWorkerProcess:
 
     N_LIST = (256, 512, 1024, 2048, 4096)
 
-    FAULT_SCRIPT = f"""
+    FAULT_SCRIPT = """
 import resource
 from opridge import ESTIMATOR_NAMES, harness
 from opridge.cli import _template_config
 cfg, spec, _, _ = harness.parse_config(_template_config())
-state = harness._pass_state(cfg, spec.build(cfg), {N_LIST}, ESTIMATOR_NAMES)
+state = harness._pass_state(cfg, spec.build(cfg), {n_list}, ESTIMATOR_NAMES)
 harness._run_trial(state, 0)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 harness._run_trial(state, 1)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
+
+    def second_pass_faults(self, n_list: tuple[int, ...]) -> int:
+        return int(_worker_env_subprocess(self.FAULT_SCRIPT.format(n_list=n_list)))
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                         reason="the heap variables are glibc's")
@@ -1038,7 +1076,16 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
         # Without the heap variables this pass took 3,065 minor faults, 1,950
         # of them inside eigh; with a 4 MiB trim threshold, 1,092. It takes
         # none with the workers' thresholds.
-        faults = int(_worker_env_subprocess(self.FAULT_SCRIPT))
+        faults = self.second_pass_faults(self.N_LIST)
+        assert faults < 500, f"a second trial pass took {faults} minor page faults"
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the heap variables are glibc's")
+    def test_a_block_freed_at_each_snapshot_comes_back_from_the_same_pages(self):
+        # Every n of this grid ends a block, so the block is freed before
+        # each snapshot and allocated again after it, below the workers'
+        # mmap threshold: from the heap pages it was freed to.
+        faults = self.second_pass_faults(tuple(2**k for k in range(9, 14)))
         assert faults < 500, f"a second trial pass took {faults} minor page faults"
 
     # A spawned worker's status after _pool_init and after one pass, in bytes,
