@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -76,9 +76,8 @@ _EIG_TOL = 1e-12
 # that depends on n alone, so a cell gives the same bytes in any pool, and
 # the memory a trial needs does not grow with n. A template block (d_in =
 # 256 columns) is 1 MiB, and a pass fills every block into one buffer of
-# that size, alive until a snapshot at the end of a block, which does not
-# need it (see _nested_covariances). _pass_peak_bytes counts the rest of a
-# pass's working set.
+# that size, which no snapshot holds (see _nested_covariances).
+# _pass_peak_bytes counts a pass's working set.
 STREAM_BLOCK_ROWS = 512
 
 # Output rows per chunk when a snapshot draws its noise term and when an
@@ -99,21 +98,19 @@ def _pass_peak_bytes(d_in: int, d_out: int) -> int:
 
     With a = d_in^2, b = d_out * d_in and c = min(_ROW_CHUNK, d_out) * d_in
     doubles, a pass (harness._run_trial over _nested_covariances) holds the
-    running sum u.T @ u (a) at every moment, one block of STREAM_BLOCK_ROWS
-    rows of u at every moment but a snapshot at an n that ends a block, and:
-      - while it sums a block or forms c_kk, one more d_in^2 array (a);
+    running sum u.T @ u (a) at every moment, and one of:
+      - while it sums a block, or the rows a snapshot inside a block draws
+        ahead, those rows (at most one block of STREAM_BLOCK_ROWS rows of
+        u) and their Gram product (a);
       - while eigh decomposes c_kk, c_kk and the eigenvectors (2a), and
         _EIGH_UNTRACED more d_in^2 arrays;
       - while it builds the rest of a snapshot and fits, c_kk, the
         eigenvectors and the cross moment in the eigenbasis (2a + b), and
         one chunk of the noise draw Z (at most c) or of an estimator's
         scaled rows and their back-rotation (2c).
-    The largest is 5a (the eigh) or 2a + b + 2c (the fits), held beside
-    the block by a snapshot at an n inside a block: the worst case, which
-    is counted whatever the n_list. A pass whose every n ends a block holds
-    the block and 2a while it sums, or the running sum and one snapshot,
-    never the block and a snapshot at once. tests/
-    test_harness.py pins a pass's resident growth to this, within the
+    No snapshot holds a block, whatever the n_list: the largest phase is a
+    block's sum, 5a (the eigh) or 2a + b + 2c (the fits).
+    tests/test_harness.py pins a pass's resident growth to this, within the
     allocator's slack, and its traced peak with _EIGH_UNTRACED = 0, up to
     small arrays: the d_out-long row terms and lambda maps of a pass, and
     one numpy iteration buffer of at most 8192 doubles, which a broadcast
@@ -121,7 +118,8 @@ def _pass_peak_bytes(d_in: int, d_out: int) -> int:
     table, _row_terms' weighting).
     """
     a, b, c = d_in * d_in, d_out * d_in, min(_ROW_CHUNK, d_out) * d_in
-    return 8 * (STREAM_BLOCK_ROWS * d_in + a + max((2 + _EIGH_UNTRACED) * a, 2 * a + b + 2 * c))
+    return 8 * (a + max(STREAM_BLOCK_ROWS * d_in + a, (2 + _EIGH_UNTRACED) * a,
+                        2 * a + b + 2 * c))
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -240,12 +238,14 @@ def streamed_covariances(
     Memory does not grow with n: one buffer of STREAM_BLOCK_ROWS rows,
     which each block is filled into on the calling thread; the running
     sum; and one Gram product or the arrays of one snapshot (see
-    _pass_peak_bytes). A snapshot at an n inside a block is yielded while
-    the buffer is alive, since the rest of the block is summed after it;
-    before a snapshot at an n that ends a block, the buffer is freed, and
-    the next block's is allocated once the consumer asks for the next
-    snapshot. The pass keeps no reference to a yielded snapshot, so a
-    consumer that drops it holds one at a time.
+    _pass_peak_bytes). No snapshot is yielded while the buffer is alive.
+    A snapshot at an n inside a block draws the block's first rows ahead
+    of the stream, into an array of their own, and keeps only their Gram
+    product; the block is filled from the stream, the same bits, and
+    summed after it. A snapshot at an n that ends a block follows the
+    block's sum. The buffer is allocated again once the consumer asks for
+    the next snapshot. The pass keeps no reference to a yielded snapshot,
+    so a consumer that drops it holds one at a time.
 
     Raises:
         ValueError: n_list is empty, not strictly increasing, or starts
@@ -276,32 +276,43 @@ def _nested_covariances(
     noise_sd = np.sqrt(profile.variances(a0.d_out))
     uu = np.zeros((a0.d_in, a0.d_in))
     # Every block is filled into a leading slice of one buffer, kept from
-    # block to block. A snapshot at the end of a block needs none of it, so
-    # the buffer is freed before that snapshot and allocated again after it;
-    # below the workers' mmap threshold the heap hands back the same pages.
+    # block to block and freed only around a snapshot, which needs none of
+    # it: a snapshot at an n inside a block draws that block's first rows
+    # ahead of the stream and keeps only their Gram product, and one at the
+    # end of a block comes after the block's sum. Below the workers' mmap
+    # threshold the heap hands back the same pages.
     buf = None
     pending = list(n_list)
     for start in range(0, n_list[-1], STREAM_BLOCK_ROWS):
-        if buf is None:
-            buf = np.empty((min(STREAM_BLOCK_ROWS, n_list[-1]), a0.d_in))
-        u = buf[: min(STREAM_BLOCK_ROWS, n_list[-1] - start)]
-        fill(u)
-        stop = start + u.shape[0]
+        stop = min(start + STREAM_BLOCK_ROWS, n_list[-1])
         while pending[0] < stop:
             n = pending.pop(0)
-            yield _from_sums(a0, uu, n, noise_sd, rng_seed, part=u[: n - start])
+            u = buf = None  # no snapshot holds the block
+            yield _from_sums(a0, uu, n, noise_sd, rng_seed, _gram_ahead(fill, n - start, a0.d_in))
+        if buf is None:
+            buf = np.empty((min(STREAM_BLOCK_ROWS, n_list[-1]), a0.d_in))
+        u = buf[: stop - start]
+        fill(u)
         uu += u.T @ u
         if pending[0] == stop:
             u = buf = None  # summed into uu
             yield _from_sums(a0, uu, pending.pop(0), noise_sd, rng_seed)
 
 
+def _gram_ahead(fill: Callable[..., None], rows: int, d_in: int) -> np.ndarray:
+    """part.T @ part of the stream's next rows, drawn ahead: the stream does not move."""
+    part = np.empty((rows, d_in))
+    fill(part, ahead=True)
+    return part.T @ part
+
+
 def _from_sums(a0: OperatorMatrix, uu: np.ndarray, n: int, noise_sd: np.ndarray,
-               rng_seed: int, part: np.ndarray | None = None) -> EmpiricalCovariances:
+               rng_seed: int, part_uu: np.ndarray | None = None) -> EmpiricalCovariances:
     """Covariances of n rows from their sum u.T @ u, with the noise term drawn.
 
-    The sum is uu, plus part.T @ part when the last rows, part, are given,
-    and c_kk is the sum / n, formed in one new array. numpy computes each
+    The sum is uu, plus part_uu, the product part.T @ part of the last rows,
+    when it is given, and c_kk is the sum / n: formed in part_uu, which the
+    snapshot then owns, or else in one new array. numpy computes each
     u.T @ u of a C-contiguous block as a symmetric rank-k update, so c_kk
     is exactly symmetric, and finite as a sum of bounded inputs. In its
     eigenbasis, c_lk = a0.m @ c_kk + eps.T @ u / n is (a0.m @ Q) diag(Lambda)
@@ -311,10 +322,10 @@ def _from_sums(a0: OperatorMatrix, uu: np.ndarray, n: int, noise_sd: np.ndarray,
     double precision leaves it with an inf or nan, which
     streamed_covariances and harness._run_trial refuse.
     """
-    if part is None:
+    if part_uu is None:
         c_kk = uu / n
     else:
-        c_kk = part.T @ part
+        c_kk = part_uu
         c_kk += uu
         c_kk /= n
     cov = object.__new__(EmpiricalCovariances)

@@ -3,7 +3,8 @@
 A dataset's inputs are one stream per seed, written by an in-place fill
 of buffers the caller allocates; the streamed pass of the estimators
 module splits that stream into row blocks, each filled into one reused
-buffer, and any split gives the same bits. The noise reaches an estimate
+buffer, and any split gives the same bits, as do rows drawn ahead of the
+stream without moving it. The noise reaches an estimate
 only through eps.T @ u, so the pass draws that statistic of each cell,
 given its inputs, directly in the eigenbasis of the cell's c_kk
 (_noise_cross_moment); make_dataset draws noise rows of the same law.
@@ -22,6 +23,7 @@ must not be used for this).
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -118,16 +120,22 @@ def _fill_scaled_uniform(rng: np.random.Generator, out: np.ndarray, scale: np.nd
     out *= scale
 
 
-def _stream_filler(a0: OperatorMatrix, rng_seed: int) -> Callable[[np.ndarray], None]:
-    """fill(u): write the next rows of the (a0, rng_seed) input stream into u.
+def _stream_filler(a0: OperatorMatrix, rng_seed: int) -> Callable[..., None]:
+    """fill(u, ahead=False): write the next rows of the (a0, rng_seed) input stream into u.
 
-    Each call continues the stream where the last one stopped, so any split
-    of the rows into buffers gives the same bits. The caller owns the
-    buffers.
+    A call continues the stream where the last fill stopped, so any split
+    of the rows into buffers gives the same bits. With ahead=True it draws
+    from a copy of the generator and leaves the stream where it was: u
+    gets the rows the next fill starts with, bit for bit. The caller owns
+    the buffers.
     """
     rng = np.random.default_rng(derive_seed(rng_seed, _TAG_INPUTS))
     scale = np.sqrt(a0.input_decay.values)
-    return lambda u: _fill_scaled_uniform(rng, u, scale)
+
+    def fill(u: np.ndarray, ahead: bool = False) -> None:
+        _fill_scaled_uniform(copy.deepcopy(rng) if ahead else rng, u, scale)
+
+    return fill
 
 
 def _noise_cross_moment(noise_sd: np.ndarray, eigvals: np.ndarray, n: int, rng_seed: int,

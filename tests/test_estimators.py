@@ -163,25 +163,28 @@ class TestStreamedCovariances:
         def recording_filler(*args):
             fill = synth._stream_filler(*args)
 
-            def record(u):
-                fill(u)
-                filled.append((threading.current_thread(), threading.active_count(), u.copy()))
+            def record(u, ahead=False):
+                fill(u, ahead=ahead)
+                filled.append((threading.current_thread(), threading.active_count(),
+                               ahead, u.copy()))
 
             return record
 
         monkeypatch.setattr(estimators, "_stream_filler", recording_filler)
         for cov in streamed_covariances(a0, (100, n), profile, rng_seed=57):
             assert threading.active_count() == threads, f"a thread was started by n={cov.n}"
-        assert [t for t, _, _ in filled] == [threading.current_thread()] * len(filled), \
-            "every block must be filled on the thread that consumes the pass"
-        assert [count for _, count, _ in filled] == [threads] * len(filled), \
-            "a fill must run with no thread started"
-        assert [u.shape[0] for _, _, u in filled] == [STREAM_BLOCK_ROWS, STREAM_BLOCK_ROWS, 100]
+        assert [t for t, *_ in filled] == [threading.current_thread()] * len(filled), \
+            "every block and every look-ahead must be drawn on the thread that consumes the pass"
+        assert [count for _, count, *_ in filled] == [threads] * len(filled), \
+            "a draw must run with no thread started"
+        # The snapshot at 100 draws its rows ahead of the first block.
+        assert [(ahead, u.shape[0]) for *_, ahead, u in filled] == [
+            (True, 100), (False, STREAM_BLOCK_ROWS), (False, STREAM_BLOCK_ROWS), (False, 100)]
         inline = synth._stream_filler(a0, 57)
-        for k, (_, _, u) in enumerate(filled):
+        for k, (*_, ahead, u) in enumerate(filled):
             want_u = np.empty_like(u)
-            inline(want_u)
-            assert np.array_equal(u, want_u), f"block {k} is not the stream's next rows"
+            inline(want_u, ahead=ahead)
+            assert np.array_equal(u, want_u), f"draw {k} is not the stream's next rows"
 
     @pytest.mark.parametrize("n_list", [(), (0, 8), (300, 300), (1500, 300, 5000)])
     def test_bad_n_list_rejected_before_any_draw(self, n_list):

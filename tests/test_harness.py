@@ -530,16 +530,15 @@ class TestPassMemory:
     # chunk x d_in arrays: a chunk's scaled rows and their back-rotation
     # (a chunk of the noise draw, while a snapshot is built, is one).
     SNAPSHOT = 2 * D_IN * D_IN + D_OUT * D_IN + 2 * _CHUNK * D_IN
-    # A pass whose every n ends a block holds the block and two sums (a Gram
-    # product added to the running one), or the sums and one snapshot,
-    # never the block and a snapshot at once.
+    # A pass holds the block (or the rows a snapshot draws ahead) and two
+    # sums (a Gram product added to the running one), or the sums and one
+    # snapshot, never the block and a snapshot at once.
     BLOCK_ENDS_BOUND = 8 * max(BLOCK + 2 * SUMS, SUMS + SNAPSHOT) + _FILL_BUFFER + _SMALL
 
-    def test_a_pass_holds_one_block_the_sums_and_one_snapshot(self):
-        # A snapshot at an n inside a block holds the block: besides it and
-        # the sums, one snapshot with one chunk of one estimator's rows,
-        # which outweigh the one Gram product of a sum.
-        bound = 8 * (self.BLOCK + self.SUMS + self.SNAPSHOT) + _FILL_BUFFER + _SMALL
+    def test_a_snapshot_inside_a_block_holds_no_block(self):
+        # Its rows of the block are drawn ahead and dropped once their Gram
+        # product is formed; the block is filled and summed after it.
+        bound = self.BLOCK_ENDS_BOUND
         peak = pass_peak(small_config(d_in=self.D_IN, d_out=self.D_OUT),
                          (2 * _B, 4 * _B + 300, 8 * _B))
         assert peak <= bound, f"a pass peaked at {peak} B, {peak - bound} B over its {bound} B"
@@ -551,8 +550,10 @@ class TestPassMemory:
                          (2 * _B, 4 * _B, 8 * _B))
         assert peak <= bound, f"a pass peaked at {peak} B, {peak - bound} B over its {bound} B"
 
-    def test_streamed_covariances_keeps_no_snapshot_its_consumer_dropped(self):
-        # The same pass through the library's stream, whose consumer drops
+    @pytest.mark.parametrize("n_list", [(2 * _B, 4 * _B, 8 * _B), (2 * _B, 4 * _B + 300, 8 * _B)],
+                             ids=["block-ends", "inside-a-block"])
+    def test_streamed_covariances_keeps_no_snapshot_its_consumer_dropped(self, n_list):
+        # The same passes through the library's stream, whose consumer drops
         # each snapshot before it asks for the next: within the same bound.
         bound = self.BLOCK_ENDS_BOUND
         cfg = small_config(d_in=self.D_IN, d_out=self.D_OUT)
@@ -562,7 +563,7 @@ class TestPassMemory:
         tracemalloc.start()
         try:
             live = tracemalloc.get_traced_memory()[0]
-            stream = streamed_covariances(a0, (2 * _B, 4 * _B, 8 * _B), noise, rng_seed=5)
+            stream = streamed_covariances(a0, n_list, noise, rng_seed=5)
             for cov in stream:
                 del cov
             peak = tracemalloc.get_traced_memory()[1] - live
@@ -599,8 +600,9 @@ class TestPassMemory:
 
     # One pass in a fresh interpreter: its resident growth over the state it
     # starts from, as [high-water mark before, resident size, high-water
-    # mark after] in bytes. Its first n lies inside a block, so its snapshot
-    # holds the block, the worst case _pass_peak_bytes counts.
+    # mark after] in bytes. Its first n lies inside a block, so it draws
+    # that block's first rows ahead; its peak, an eigh or a fit, holds no
+    # block.
     RSS_SCRIPT = """
 import json, os, resource
 from opridge import ESTIMATOR_NAMES, GroundTruthSpec, ProblemConfig, harness

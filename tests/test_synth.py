@@ -195,6 +195,33 @@ class TestStreamFiller:
             fill(u)
         assert np.array_equal(np.vstack(blocks), want_u), "chunked input draws must equal one draw"
 
+    @pytest.mark.parametrize("rows", [1, 4, 5])
+    def test_a_look_ahead_is_the_next_fills_first_rows(self, rows):
+        cfg = small_config(d_in=5, d_out=7)
+        _, a0 = random_source_operator(cfg, rng_seed=1)
+        fill = _stream_filler(a0, 9)
+        fill(np.empty((3, 5)))
+        ahead = np.empty((rows, 5))
+        fill(ahead, ahead=True)
+        u = np.empty((5, 5))
+        fill(u)
+        assert ahead.tobytes() == u[:rows].tobytes(), "a look-ahead must not move the stream"
+
+    def test_look_aheads_and_fills_stack_to_the_dataset_bit_for_bit(self):
+        # The streamed pass's order: rows drawn ahead of a block, then the block.
+        cfg = small_config(d_in=5, d_out=7)
+        _, a0 = random_source_operator(cfg, rng_seed=1)
+        want_u, _ = make_dataset(a0, 23, NoiseProfile(sigma=0.3), rng_seed=9)
+        fill = _stream_filler(a0, 9)
+        blocks = []
+        for rows, ahead in ((5, 3), (5, 0), (5, 5), (8, 2)):
+            for k in range(1, ahead + 1):
+                fill(np.empty((k, 5)), ahead=True)
+            blocks.append(np.empty((rows, 5)))
+            fill(blocks[-1])
+        assert np.array_equal(np.vstack(blocks), want_u), \
+            "look-ahead draws must leave the fills equal to one draw"
+
 
 class TestRandomSourceOperator:
     def test_norm_equals_bound_at_source_exponents(self):
