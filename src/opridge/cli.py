@@ -16,7 +16,7 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .harness import (
     GroundTruthSpec,
     _check_memory,
     _check_sample_count,
+    _csv,
     _run_cells,
     config_to_dict,
     format_number,
@@ -76,6 +77,23 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text if text.endswith("\n") else text + "\n")
 
 
+def _print_table(args: argparse.Namespace, doc: dict[str, Any], key: str,
+                 header: Sequence[str], rows: Sequence[Sequence[Any]],
+                 number: Callable[[Any], str] = format_number) -> int:
+    # The CSV prints each row through number; --format json sets doc[key] to
+    # the same rows, keyed by the header, at full precision.
+    if args.format == "json":
+        doc[key] = [dict(zip(header, row)) for row in rows]
+        _emit(json.dumps(doc, indent=2), args.out)
+    else:
+        _emit(_csv(header, rows, number), args.out)
+    return 0
+
+
+def _sig12_number(v: float) -> str:
+    return format_number(_sig12(v))
+
+
 def _parse_n_list(raw: str) -> list[int]:
     try:
         values = [int(part) for part in raw.split(",") if part.strip()]
@@ -97,6 +115,13 @@ def _resolve_n(args: argparse.Namespace, extras: dict[str, Any]) -> int:
     return n
 
 
+def _check_seed_range(value: int, flag: str) -> None:
+    # derive_seed reads its seed and labels modulo 2^64, so a value outside
+    # that range would alias one inside it.
+    if not 0 <= value < 2**64:
+        raise ConfigError(f"{flag} must be an integer in [0, 2^64), got {value}")
+
+
 def _estimator_list(arg: str) -> tuple[str, ...]:
     return ESTIMATOR_NAMES if arg == "all" else (arg,)
 
@@ -110,31 +135,13 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
     cfg, _, _, extras = load_config(args.config)
     n = _resolve_n(args, extras)
     sched = multilevel_schedule(cfg, n)
-    if args.format == "json":
-        eta1, eta2, u = theoretical_rate(cfg)
-        doc = {
-            "n": n,
-            "eta1": eta1,
-            "eta2": eta2,
-            "u": u,
-            "special_case": sched.special_case,
-            "clamped": sched.clamped,
-            "levels": [
-                {"level": i, "x": lv.x, "y": lv.y, "lambda": lv.lam,
-                 "row_start": lv.row_start, "row_end": lv.row_end}
-                for i, lv in enumerate(sched.levels)
-            ],
-        }
-        _emit(json.dumps(doc, indent=2), args.out)
-        return 0
-    lines = ["level,x,y,lambda,row_start,row_end"]
-    for i, lv in enumerate(sched.levels):
-        lines.append(
-            f"{i},{format_number(_sig12(lv.x))},{format_number(_sig12(lv.y))},"
-            f"{format_number(_sig12(lv.lam))},{lv.row_start},{lv.row_end}"
-        )
-    _emit("\n".join(lines), args.out)
-    return 0
+    eta1, eta2, u = theoretical_rate(cfg)
+    doc = {"n": n, "eta1": eta1, "eta2": eta2, "u": u,
+           "special_case": sched.special_case, "clamped": sched.clamped}
+    rows = [(i, lv.x, lv.y, lv.lam, lv.row_start, lv.row_end)
+            for i, lv in enumerate(sched.levels)]
+    return _print_table(args, doc, "levels", ("level", "x", "y", "lambda", "row_start", "row_end"),
+                        rows, _sig12_number)
 
 
 def _cmd_contours(args: argparse.Namespace) -> int:
@@ -147,22 +154,10 @@ def _cmd_contours(args: argparse.Namespace) -> int:
     sched = multilevel_schedule(cfg, n)
     x_hi = 2.0 * max(lv.x for lv in sched.levels)
     x_lo = min(0.5, min(lv.x for lv in sched.levels))
-    rows: list[tuple[str, float, float]] = []
-    for kind, level_c in (("variance", float(n) ** eta2), ("bias", float(n) ** eta1)):
-        for x, y in contour_points(kind, level_c, cfg, (x_lo, x_hi), args.samples):
-            rows.append((kind, x, y))
-    if args.format == "json":
-        doc = {
-            "n": n,
-            "points": [{"kind": k, "x": x, "y": y} for k, x, y in rows],
-        }
-        _emit(json.dumps(doc, indent=2), args.out)
-        return 0
-    lines = ["kind,x,y"]
-    for k, x, y in rows:
-        lines.append(f"{k},{format_number(_sig12(x))},{format_number(_sig12(y))}")
-    _emit("\n".join(lines), args.out)
-    return 0
+    rows = [(kind, x, y)
+            for kind, level_c in (("variance", float(n) ** eta2), ("bias", float(n) ** eta1))
+            for x, y in contour_points(kind, level_c, cfg, (x_lo, x_hi), args.samples)]
+    return _print_table(args, {"n": n}, "points", ("kind", "x", "y"), rows, _sig12_number)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -170,6 +165,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     n = _resolve_n(args, extras)
+    _check_seed_range(args.trial, "--trial")
     # The one cell runs in a pinned worker, as rates runs it, so its errors
     # match the rates runs CSV bit for bit.
     (records,), _ = _run_cells(cfg, gt, _estimator_list(args.estimator), (n,), (args.trial,), 1)
@@ -225,6 +221,7 @@ def _cmd_rates(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle_check(args: argparse.Namespace) -> int:
+    _check_seed_range(args.seed, "--seed")
     t0 = time.perf_counter()
     results = oracle_checks(args.seed)
     ok = True
@@ -242,29 +239,16 @@ def _cmd_packing(args: argparse.Namespace) -> int:
     else:
         # Small default block fitting any grid with d_in >= 8, d_out >= 8.
         params = {"m1": 4, "m2": 0, "K": 8, "eps": 0.01}
-    if args.seed is not None:
+    if args.seed is not None:  # the flag's pattern replaces the config's
+        params.pop("omega", None)
         params["seed"] = args.seed
-    params.setdefault("seed", ground_truth_seed(cfg))
+    elif "omega" not in params:
+        params.setdefault("seed", ground_truth_seed(cfg))
     spec = GroundTruthSpec(kind="packing", params=params)
     _check_memory(cfg, 0)  # packing builds the operator here and starts no worker
     op = spec.build(cfg)
-    rows, cols = np.nonzero(op.m)
-    if args.format == "json":
-        doc = {
-            "params": {k: (v if not isinstance(v, np.ndarray) else np.asarray(v).tolist())
-                       for k, v in params.items()},
-            "entries": [
-                {"row": int(j) + 1, "col": int(i) + 1, "value": float(op.m[j, i])}
-                for j, i in zip(rows, cols)
-            ],
-        }
-        _emit(json.dumps(doc, indent=2), args.out)
-        return 0
-    lines = ["row,col,value"]
-    for j, i in zip(rows, cols):
-        lines.append(f"{int(j) + 1},{int(i) + 1},{format_number(float(op.m[j, i]))}")
-    _emit("\n".join(lines), args.out)
-    return 0
+    rows = [(int(j) + 1, int(i) + 1, float(op.m[j, i])) for j, i in zip(*np.nonzero(op.m))]
+    return _print_table(args, {"params": params}, "entries", ("row", "col", "value"), rows)
 
 
 def _build_parser() -> argparse.ArgumentParser:

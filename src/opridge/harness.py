@@ -36,7 +36,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from multiprocessing import get_context
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
@@ -123,9 +123,6 @@ _WORKER_ENV = {**{v: "1" for v in _BLAS_THREAD_VARS},
                "MALLOC_MMAP_THRESHOLD_": str(_WORKER_MMAP_BYTES),
                "MALLOC_TRIM_THRESHOLD_": str(_WORKER_TRIM_BYTES)}
 
-RUNS_HEADER = "estimator,n,trial,error_sq,elapsed_ms"
-SUMMARY_HEADER = "estimator,n,median_error_sq,iqr_low,iqr_high"
-
 
 # ---------------------------------------------------------------------------
 # Ground truth construction
@@ -167,6 +164,9 @@ class GroundTruthSpec:
                 f"ground_truth.params for kind {self.kind!r} has unknown "
                 f"key(s) {sorted(unknown)}; allowed: {sorted(allowed)}"
             )
+        if "omega" in self.params and "seed" in self.params:
+            raise ConfigError("ground_truth.params.omega and ground_truth.params.seed both "
+                              "given: the seed only draws an omega, so give one of them")
         integers = ("seed", "m1", "m2", "K", "t")  # every param but omega is a number
         params = {k: v if k == "omega" else _scalar(f"ground_truth.params.{k}", v, k in integers)
                   for k, v in self.params.items()}
@@ -862,8 +862,13 @@ def format_number(v: float | int) -> str:
     return repr(f)
 
 
-def _write_lines(path: str | Path, lines: Iterable[str]) -> None:
-    Path(path).write_text("\n".join(lines) + "\n")
+def _csv(header: Sequence[str], rows: Iterable[Iterable[Any]],
+         number: Callable[[Any], str] = format_number) -> str:
+    """CSV text: the header line, then one line per row, strings as they
+    are and numbers through number."""
+    lines = [",".join(header)]
+    lines += [",".join(v if isinstance(v, str) else number(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def write_runs_csv(report: RateReport, path: str | Path) -> None:
@@ -874,24 +879,14 @@ def write_runs_csv(report: RateReport, path: str | Path) -> None:
     Gram sums and each snapshot's eigh, which every estimator of a trial
     shares.
     """
-    lines = [RUNS_HEADER]
-    for r in report.runs:
-        lines.append(
-            f"{r.estimator},{r.n},{r.trial},{format_number(r.error_sq)},"
-            f"{format_number(round(r.elapsed_ms, 3))}"
-        )
-    _write_lines(path, lines)
+    rows = ({**vars(r), "elapsed_ms": round(r.elapsed_ms, 3)}.values() for r in report.runs)
+    Path(path).write_text(_csv([f.name for f in fields(TrialRecord)], rows))
 
 
 def write_summary_csv(report: RateReport, path: str | Path) -> None:
     """Median/IQR rows; byte-reproducible for a given config and seed."""
-    lines = [SUMMARY_HEADER]
-    for s in report.summaries:
-        lines.append(
-            f"{s.estimator},{s.n},{format_number(s.median_error_sq)},"
-            f"{format_number(s.iqr_low)},{format_number(s.iqr_high)}"
-        )
-    _write_lines(path, lines)
+    rows = (vars(s).values() for s in report.summaries)
+    Path(path).write_text(_csv([f.name for f in fields(RateSummary)], rows))
 
 
 def write_report_json(report: RateReport, path: str | Path, cfg: ProblemConfig) -> None:
@@ -905,11 +900,7 @@ def write_report_json(report: RateReport, path: str | Path, cfg: ProblemConfig) 
             f.estimator: {"slope": f.slope, "intercept": f.intercept, "r_squared": f.r_squared}
             for f in report.fits
         },
-        "summaries": [
-            {"estimator": s.estimator, "n": s.n, "median_error_sq": s.median_error_sq,
-             "iqr_low": s.iqr_low, "iqr_high": s.iqr_high}
-            for s in report.summaries
-        ],
+        "summaries": [asdict(s) for s in report.summaries],
         "total_seconds": report.total_seconds,
         "worker_start_seconds": report.worker_start_seconds,
     }

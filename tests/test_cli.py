@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import os
@@ -37,6 +38,12 @@ def write_config(tmp_path, name="cfg.json", **overrides):
     path.write_text(json.dumps(obj))
     return path, obj
 
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# A 2 x 2 packing block with an explicit sign pattern.
+OMEGA_PACKING = {"kind": "packing",
+                 "params": {"m1": 2, "m2": 0, "K": 2, "eps": 0.01, "omega": [[1, 0], [0, 1]]}}
 
 # A block far off any grid here, whose m1 x K omega would take 7.28 TiB to draw.
 HUGE_PACKING = {"kind": "packing", "params": {"m1": 10**6, "K": 10**6, "eps": 0.01}}
@@ -146,6 +153,60 @@ class TestContours:
                 f"{kind} point ({x}, {y}) misses its contour: {got} vs {level}"
             seen[kind] += 1
         assert seen == {"variance": 17, "bias": 17}
+
+
+class TestFormats:
+    @pytest.mark.parametrize("argv, key, number", [
+        (["schedule", "--n", "16384"], "levels", lambda v: harness.format_number(cli._sig12(v))),
+        (["contours", "--n", "1024", "--samples", "9"], "points",
+         lambda v: harness.format_number(cli._sig12(v))),
+        (["packing"], "entries", harness.format_number),
+    ], ids=["schedule", "contours", "packing"])
+    def test_json_rows_print_as_the_csv_rows(self, tmp_path, capsys, argv, key, number):
+        # Each JSON row, keyed by the CSV header in order, prints as the
+        # matching CSV line once its numbers go through the CSV's formatter.
+        path, _ = write_staircase_config(tmp_path)
+        assert cli_main([*argv, "--config", str(path)]) == 0
+        header, *lines = capsys.readouterr().out.splitlines()
+        assert cli_main([*argv, "--config", str(path), "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)[key]
+        assert len(rows) == len(lines) > 0
+        for row, line in zip(rows, lines):
+            assert ",".join(row) == header
+            assert ",".join(v if isinstance(v, str) else number(v) for v in row.values()) == line
+
+
+def readme_flag_table() -> dict[str, dict[str, bool]]:
+    """The README "Command line" table as {subcommand: {flag: required}}."""
+    section = README.read_text().split("## Command line", 1)[1]
+    lines = section[section.index("\n|"):].strip().splitlines()
+    table_lines = lines[:next(i for i, line in enumerate(lines) if not line.startswith("|"))]
+
+    def cells(line):
+        return [c.strip() for c in line.strip().strip("|").split("|")]
+
+    columns = [c.strip("`") for c in cells(table_lines[0])]
+    assert columns[0] == "subcommand" and columns[-1] == "own flags", columns
+    table = {}
+    for line in table_lines[2:]:
+        name, *marks, own = cells(line)
+        flags = {flag: mark == "required"
+                 for flag, mark in zip(columns[1:-1], marks, strict=True) if mark}
+        assert all(mark in ("", "yes", "required") for mark in marks), line
+        flags.update({f.strip().strip("`"): False for f in own.split(",") if f.strip()})
+        table[name.strip("`")] = flags
+    return table
+
+
+def test_readme_flag_table_matches_the_parser():
+    (subparsers,) = [a for a in cli._build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    parsed = {
+        name: {opt: action.required for action in sub._actions
+               for opt in action.option_strings if opt.startswith("--") and opt != "--help"}
+        for name, sub in subparsers.choices.items()
+    }
+    assert readme_flag_table() == parsed
 
 
 class TestSimulate:
@@ -581,6 +642,27 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert "Infinity" not in out and "NaN" not in out and "inf" not in out
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["simulate", "--n", "64", "--trial", "-1"], "--trial"),
+        (["simulate", "--n", "64", "--trial", str(2**64)], "--trial"),
+        (["oracle-check", "--seed", "-5"], "--seed"),
+        (["oracle-check", "--seed", str(2**64)], "--seed"),
+    ], ids=["trial-negative", "trial-2^64", "oracle-seed-negative", "oracle-seed-2^64"])
+    def test_seed_labels_outside_64_bits_exit_two(self, tmp_path, capsys, monkeypatch,
+                                                  argv, flag):
+        # derive_seed reads its inputs modulo 2^64, so these would alias
+        # values inside the range instead of failing.
+        def no_run(*args, **kwargs):
+            raise AssertionError("nothing may run")
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_run)
+        monkeypatch.setattr(cli, "oracle_checks", no_run)
+        path, _ = write_config(tmp_path)
+        config = ["--config", str(path)] if argv[0] == "simulate" else []
+        assert cli_main([*argv, *config]) == 2
+        err = capsys.readouterr().err
+        assert f"{flag} must be an integer in [0, 2^64)" in err and "Traceback" not in err
+
     def test_missing_config_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli_main(["schedule", "--n", "64"])
@@ -689,6 +771,30 @@ class TestPacking:
         assert got == {
             (int(j) + 1, int(i) + 1): want.m[j, i] for j, i in zip(rows, cols)
         }, "CSV must list exactly the nonzero block, 1-based"
+
+    def test_seed_flag_replaces_the_config_omega(self, tmp_path, capsys):
+        path, obj = write_config(tmp_path, ground_truth=OMEGA_PACKING)
+        cfg, _, _, _ = parse_config(obj)
+        for seed in (1, 2):
+            assert cli_main(["packing", "--config", str(path), "--seed", str(seed),
+                             "--format", "json"]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert "omega" not in doc["params"] and doc["params"]["seed"] == seed
+            want = packing_operator(2, 0, 2, 0.01, np.random.default_rng(seed),
+                                    cfg.input_decay, cfg.output_decay,
+                                    cfg.beta_prime, cfg.gamma_prime)
+            rows, cols = np.nonzero(want.m)
+            assert [(e["row"], e["col"], e["value"]) for e in doc["entries"]] == [
+                (int(j) + 1, int(i) + 1, want.m[j, i]) for j, i in zip(rows, cols)
+            ], f"--seed {seed} must draw the sign pattern, not keep the config's omega"
+
+    def test_config_with_omega_and_seed_exits_two(self, tmp_path, capsys):
+        both = {"kind": "packing", "params": {**OMEGA_PACKING["params"], "seed": 3}}
+        path, _ = write_config(tmp_path, ground_truth=both)
+        assert cli_main(["packing", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "ground_truth.params.omega" in err and "ground_truth.params.seed" in err, err
+        assert "Traceback" not in err
 
     def test_default_block_on_plain_config(self, tmp_path, capsys):
         path, _ = write_config(tmp_path)

@@ -170,6 +170,12 @@ class TestGroundTruthSpec:
                                 cfg.beta_prime, cfg.gamma_prime)
         assert np.array_equal(spec.build(cfg).m, want.m), "omega is the seed's first draw"
 
+    def test_packing_kind_refuses_omega_with_seed(self):
+        # A seed only draws an omega, so next to an explicit one it would be ignored.
+        with pytest.raises(ConfigError, match=r"params\.omega and ground_truth\.params\.seed"):
+            GroundTruthSpec("packing", {"m1": 2, "K": 2, "eps": 0.01,
+                                        "omega": [[1, 0], [0, 1]], "seed": 3})
+
     def test_packing_kind_missing_key(self):
         cfg = small_config()
         with pytest.raises(ConfigError, match="eps"):
