@@ -71,10 +71,14 @@ def _sig12(v: float) -> float:
 
 
 def _emit(text: str, out: str | None) -> None:
+    text = text if text.endswith("\n") else text + "\n"
     if out is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-    else:
-        Path(out).write_text(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"--out {out!r} cannot be written: {exc.strerror}") from None
 
 
 def _print_table(args: argparse.Namespace, doc: dict[str, Any], key: str,
@@ -195,7 +199,7 @@ def _cmd_rates(args: argparse.Namespace) -> int:
         cfg = replace(cfg, seed=args.seed)
     if args.out is None:
         raise ConfigError("rates requires --out for the summary CSV")
-    n_list = _parse_n_list(args.n_list) if args.n_list else extras.get("n_list")
+    n_list = _parse_n_list(args.n_list) if args.n_list is not None else extras.get("n_list")
     if not n_list:
         raise ConfigError("no sample counts: pass --n-list or put n_list in the config")
     trials = args.trials if args.trials is not None else extras.get("trials", 10)

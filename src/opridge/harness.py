@@ -18,8 +18,9 @@ its trials (_pass_state); only the solves and scores run per snapshot.
 A worker costs little beyond its passes: it builds a0 with in-place
 scaling (two a0-sized arrays at the peak), starts with fixed glibc heap
 thresholds (_WORKER_ENV) so that its passes reuse resident pages instead
-of faulting in new ones, and freezes the garbage collector's view of its
-state once built, which shortens its exit.
+of faulting in new ones, keeps OpenSSL's libcrypto unmapped (numpy.random
+loads it only to seed from OS entropy), and freezes the garbage
+collector's view of its state once built, which shortens its exit.
 
 Error is always the squared (beta', gamma')-norm of (estimate - truth),
 summarized across trials by median and interquartile range; the target
@@ -261,7 +262,9 @@ class ExperimentPlan:
 
     The noise scale is cfg.sigma. When out is set, run_convergence writes
     the summary CSV there, the runs CSV to its _runs sibling and the JSON
-    report to its .json sibling (outputs), once the sweep is done.
+    report to its .json sibling (outputs), once the sweep is done. An out
+    that names no file, or any of whose three paths is a directory or lies
+    outside one, is refused here.
     """
 
     cfg: ProblemConfig
@@ -294,6 +297,15 @@ class ExperimentPlan:
             raise ConfigError(f"estimators repeat: {self.estimators}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        # Refused here, before any worker exists, not when the sweep is done.
+        if self.out is not None and not Path(self.out).name:
+            raise ConfigError(f"--out {self.out!r} names no file")
+        for path in self.outputs():
+            if path.is_dir():
+                raise ConfigError(f"--out {self.out!r} would write {path}, which is a directory")
+            if not path.parent.is_dir():
+                raise ConfigError(f"--out {self.out!r} would write {path}, but {path.parent} "
+                                  "is not a directory")
         written = [p.resolve() for p in self.outputs()]
         if len(set(written)) < len(written):
             raise ConfigError(f"--out {self.out} makes two output files share a path; "
@@ -543,10 +555,17 @@ def _pool_init(cfg: ProblemConfig, ground_truth: GroundTruthSpec, n_list: tuple[
                estimators: tuple[str, ...]) -> None:
     """Keep a worker's _pass_state, for all its trials, and the time it was ready.
 
-    Then freeze the garbage collector's view of every object alive: the
-    modules and the state live until the worker exits, so no collection,
-    the one at exit included, needs to traverse them again.
+    First mark OpenSSL's _hashlib absent, so that the build's import of
+    numpy.random maps no libcrypto (3.4 MiB resident). Last, freeze the
+    garbage collector's view of every object alive: the modules and the
+    state live until the worker exits, so no collection, the one at exit
+    included, needs to traverse them again.
     """
+    # numpy.random imports secrets, whose hashlib and hmac then fall back to
+    # CPython's built-in digests. numpy uses them only to seed from OS
+    # entropy, and every stream here is seeded by derive_seed. setdefault
+    # keeps a _hashlib already loaded.
+    sys.modules.setdefault("_hashlib", None)
     _WORKER_STATE["state"] = _pass_state(cfg, ground_truth.build(cfg), n_list, estimators)
     _WORKER_STATE["ready"] = time.time()
     gc.freeze()
@@ -575,11 +594,13 @@ def _physical_memory() -> int:
 # operator, each scaled in place (tracemalloc; pinned by a tier-1 test).
 _BUILD_PEAK_ARRAYS = 2
 
-# Resident bytes of one idle interpreter: a spawned worker, after _pool_init
-# on the gen-config template, held 39.9-40.0 MiB, 38.9-39.0 less its arrays
-# (Linux x86-64, CPython 3.11, numpy 2.4, OpenBLAS 0.3.31; pinned by a
-# tier-1 test).
-_INTERPRETER_BYTES = 40 * 2**20
+# Resident bytes of one idle interpreter, the larger of two measured on the
+# gen-config template (Linux x86-64, CPython 3.11, numpy 2.4, OpenBLAS
+# 0.3.31), rounded up: a spawned worker after _pool_init held 36.7-37.0 MiB,
+# 35.7-36.0 less a0 (pinned by a tier-1 test); the CLI parent after its
+# pre-pool check held 38.3 MiB, about 37.3 less a0, since its build maps
+# the libcrypto that _pool_init keeps out of a worker.
+_INTERPRETER_BYTES = 38 * 2**20
 
 
 def _check_memory(cfg: ProblemConfig, workers: int) -> None:

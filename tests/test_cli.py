@@ -45,6 +45,10 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 OMEGA_PACKING = {"kind": "packing",
                  "params": {"m1": 2, "m2": 0, "K": 2, "eps": 0.01, "omega": [[1, 0], [0, 1]]}}
 
+# --out values no command can write to, relative to a directory that holds
+# a directory d: an existing directory, a missing one, and two that name no file.
+UNWRITABLE_OUTS = ("d/", "nodir/x.csv", "", ".")
+
 # A block far off any grid here, whose m1 x K omega would take 7.28 TiB to draw.
 HUGE_PACKING = {"kind": "packing", "params": {"m1": 10**6, "K": 10**6, "eps": 0.01}}
 
@@ -476,6 +480,33 @@ class TestExitCodes:
         assert "physical memory" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, out", [
+        *((["rates", "--trials", "2", "--n-list", "1024,2048,4096"], out)
+          for out in (*UNWRITABLE_OUTS, "jsondir/x.csv")),
+        *((argv, out) for argv in (["gen-config"], ["schedule", "--n", "64"],
+                                   ["simulate", "--n", "64"])
+          for out in UNWRITABLE_OUTS),
+    ], ids=lambda v: v[0] if isinstance(v, list) else v or "empty")
+    def test_an_out_that_cannot_be_written_exits_two(self, tmp_path, capsys, monkeypatch,
+                                                     argv, out):
+        # rates refuses it in its plan, before any cell runs, and also when
+        # its .json sibling (jsondir/x.json) is a directory; the others name
+        # --out when the write fails.
+        def no_cells(*args, **kwargs):
+            raise AssertionError("rates must refuse --out before any cell runs")
+
+        monkeypatch.setattr(harness, "_run_cells", no_cells)
+        monkeypatch.chdir(tmp_path)
+        path, _ = write_config(tmp_path)
+        (tmp_path / "d").mkdir()
+        (tmp_path / "jsondir" / "x.json").mkdir(parents=True)
+        before = sorted(tmp_path.rglob("*"))
+        config = [] if argv[0] == "gen-config" else ["--config", str(path)]
+        assert cli_main([*argv, *config, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "--out" in err and "Traceback" not in err, err
+        assert sorted(tmp_path.rglob("*")) == before, "nothing may be written"
+
     def test_contour_samples_past_the_cap_exit_two(self, tmp_path, capsys, monkeypatch):
         def no_contour(*args):
             raise AssertionError("no contour may be drawn")
@@ -508,6 +539,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv, overrides, fields", [
         (["rates", "--n-list", "16,32"], {}, ("n_list",)),
+        (["rates", "--n-list", ""], {}, ("--n-list is empty",)),
+        (["rates", "--n-list", ","], {}, ("--n-list is empty",)),
         (["schedule", "--n", "64"], {"B": 10**400}, ("B",)),
         (["rates", "--n-list", "16,32,64"], {"B": 1e200}, ("B", "sigma")),
         (["rates", "--n-list", "16,32,64"], {"sigma": 1e200}, ("config error: sigma must",)),
@@ -544,7 +577,8 @@ class TestExitCodes:
         # Every error underflows to 0, so no rate can be fitted.
         (["rates", "--n-list", "16,32,64"], {"B": 1e-200, "sigma": 0.0}, ("B=", "sigma=")),
         (["rates", "--n-list", "16,32,64"], {"B": 0.0, "sigma": 1e-200}, ("B=", "sigma=")),
-    ], ids=["two-sample-counts", "B-400-digit-int", "B-1e200", "sigma-1e200",
+    ], ids=["two-sample-counts", "n-list-empty", "n-list-comma", "B-400-digit-int", "B-1e200",
+            "sigma-1e200",
             "q-underflows-at-d_out", "p-underflows-at-d_in", "B-5000-digit-int",
             "200000-nested-brackets", "packing-block-off-the-grid-packing",
             "packing-block-off-the-grid-rates", "packing-block-off-the-grid-simulate",

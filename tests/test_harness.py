@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import hashlib
 import json
 import math
 import os
@@ -1041,9 +1042,17 @@ class TestWorkerEnvironment:
 
     def test_a_worker_freezes_the_collector_once_its_state_is_built(self):
         assert gc.get_freeze_count() == 0
+        modules = dict(sys.modules)
         harness._pool_init(small_config(), GroundTruthSpec(), (64, 128), ESTIMATOR_NAMES)
         try:
             assert gc.get_freeze_count() > 0, "_pool_init must end with gc.freeze()"
+            # Its _hashlib mark is for a fresh worker: this process loaded
+            # _hashlib with this module's hashlib, and keeps it. The build
+            # may import numpy.random, but may not mark any module absent.
+            assert all(sys.modules.get(k) is m for k, m in modules.items()), \
+                "_pool_init must leave a caller's modules as they are"
+            absent = [k for k, m in sys.modules.items() if m is None and k not in modules]
+            assert absent == [], f"_pool_init marked {absent} absent"
         finally:
             harness._WORKER_STATE.clear()
 
@@ -1097,7 +1106,10 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
         assert faults < 500, f"a second trial pass took {faults} minor page faults"
 
     # A spawned worker's status after _pool_init and after one pass, in bytes,
-    # and the trim threshold it sees.
+    # the trim threshold it sees, the lines of its maps that name OpenSSL, and
+    # its sha256 of DIGEST_INPUT. The hash runs in the worker through eval,
+    # since a function defined in a -c script cannot be pickled to it.
+    DIGEST_INPUT = b"opridge"
     WORKER_SCRIPT = f"""
 import json, os
 from concurrent.futures import ProcessPoolExecutor
@@ -1117,17 +1129,28 @@ with harness._worker_environment(), ProcessPoolExecutor(
     pid = pool.submit(os.getpid).result()
     idle = status(pid)
     pool.submit(harness._pool_trial, 0).result()
-    print(json.dumps([idle, status(pid), pool.submit(os.getenv, "MALLOC_TRIM_THRESHOLD_").result()]))
+    after = status(pid)
+    trim = pool.submit(os.getenv, "MALLOC_TRIM_THRESHOLD_").result()
+    digest = pool.submit(eval, "__import__('hashlib').sha256({DIGEST_INPUT!r}).hexdigest()").result()
+    with open(f"/proc/{{pid}}/maps") as f:
+        openssl = [line for line in f if "libcrypto" in line or "_hashlib" in line]
+    print(json.dumps([idle, after, trim, openssl, digest]))
 """
 
+    @pytest.fixture(scope="class")
+    def worker(self):
+        """The WORKER_SCRIPT's values, from one spawned worker for all the tests that read them."""
+        return json.loads(_worker_env_subprocess(self.WORKER_SCRIPT))
+
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/<pid>/status")
-    def test_what_check_memory_counts_for_a_worker_covers_it(self):
+    def test_what_check_memory_counts_for_a_worker_covers_it(self, worker):
         # An idle worker, less its arrays (a0; its pass state is a few KiB),
-        # measured 38.9-39.0 MiB; _INTERPRETER_BYTES is that rounded up, and
-        # the lower bound keeps it from drifting far above the measurement.
+        # measured 35.7-36.0 MiB, and the CLI parent at its pre-pool check
+        # about 37.3 MiB; _INTERPRETER_BYTES is the larger rounded up, and
+        # the lower bound keeps it from drifting far above the worker.
         # After a pass it keeps its freed heap up to the trim threshold:
-        # 6.1 MiB more resident in all, 1.8 MiB of it LAPACK's code pages.
-        idle, after, trim = json.loads(_worker_env_subprocess(self.WORKER_SCRIPT))
+        # 5.1 MiB more resident in all, 1.8 MiB of it LAPACK's code pages.
+        idle, after, trim, _, _ = worker
         assert trim == str(harness._WORKER_TRIM_BYTES), "the worker must see the heap variables"
         cfg, _, _, _ = parse_config(_template_config())
         a0_bytes = 8 * cfg.d_in * cfg.d_out
@@ -1145,6 +1168,16 @@ with harness._worker_environment(), ProcessPoolExecutor(
         assert after["VmHWM"] <= counted, \
             f"a worker peaked at {after['VmHWM'] / 2**20:.2f} MiB, " \
             f"_check_memory counts {counted / 2**20:.2f} MiB"
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/<pid>/maps")
+    def test_a_worker_maps_no_openssl(self, worker):
+        # numpy.random would map libcrypto (3.4 MiB resident) through
+        # hashlib's _hashlib; _pool_init marks _hashlib absent, and hashlib
+        # falls back to CPython's built-in digests, which agree with OpenSSL's.
+        _, _, _, openssl, digest = worker
+        assert openssl == [], f"a worker maps OpenSSL after its pass: {openssl}"
+        assert digest == hashlib.sha256(self.DIGEST_INPUT).hexdigest(), \
+            "the worker's hashlib must still hash"
 
 
 class TestRunConvergence:
