@@ -12,15 +12,18 @@ different trials are independent. run_convergence, like the simulate
 subcommand, executes trials in spawned worker processes pinned to one
 BLAS thread -- even with one worker -- so the parent interpreter never
 does cell arithmetic and the output bytes depend neither on how many
-workers were requested nor on the caller's BLAS thread variables. A
-worker builds what its passes read besides their streams once, for all
-its trials (_pass_state); only the solves and scores run per snapshot.
-A worker costs little beyond its passes: it builds a0 with in-place
-scaling (two a0-sized arrays at the peak), starts with fixed glibc heap
-thresholds (_WORKER_ENV) so that its passes reuse resident pages instead
-of faulting in new ones, keeps OpenSSL's libcrypto unmapped (numpy.random
-loads it only to seed from OS entropy), and freezes the garbage
-collector's view of its state once built, which shortens its exit.
+workers were requested nor on the caller's BLAS thread variables. Only
+the workers build the ground truth and what their passes read besides
+their streams, each once for all its trials (_pass_state); only the
+solves and scores run per snapshot. A refusal of that build comes back
+from the pool by name, so the parent neither builds a0 nor imports
+numpy.random. A worker costs little beyond its passes: it builds a0 with
+in-place scaling (two a0-sized arrays at the peak), starts with fixed
+glibc heap thresholds (_WORKER_ENV) so that its passes reuse resident
+pages instead of faulting in new ones, keeps OpenSSL's libcrypto
+unmapped (numpy.random loads it only to seed from OS entropy), and
+freezes the garbage collector's view of its state once built, which
+shortens its exit.
 
 Error is always the squared (beta', gamma')-norm of (estimate - truth),
 summarized across trials by median and interquartile range; the target
@@ -429,10 +432,10 @@ def _pass_state(cfg: ProblemConfig, a0: OperatorMatrix, n_list: Sequence[int],
     The LambdaMap.for_estimator of each (n, estimator), the noise law at
     cfg.sigma, the norm's weights (mu_i^(1-beta'), rho_j^-(1-gamma')) and
     a0's row terms. Built without BLAS, so the same bits in every process:
-    run_cell builds it for its cell, a sweep's parent as its check before
-    the pool starts, and each worker once for all its trials. The row terms
-    are formed _ROW_CHUNK rows at a time in one buffer, not in a copy of
-    a0; each row's term has the same bits either way (see _row_terms).
+    run_cell builds it for its cell, and each of a sweep's workers once for
+    all its trials. The row terms are formed _ROW_CHUNK rows at a time in
+    one buffer, not in a copy of a0; each row's term has the same bits
+    either way (see _row_terms).
 
     Raises:
         ConfigError: a norm weight or sigma's square is past double precision.
@@ -555,24 +558,39 @@ def _pool_init(cfg: ProblemConfig, ground_truth: GroundTruthSpec, n_list: tuple[
                estimators: tuple[str, ...]) -> None:
     """Keep a worker's _pass_state, for all its trials, and the time it was ready.
 
-    First mark OpenSSL's _hashlib absent, so that the build's import of
-    numpy.random maps no libcrypto (3.4 MiB resident). Last, freeze the
-    garbage collector's view of every object alive: the modules and the
-    state live until the worker exits, so no collection, the one at exit
-    included, needs to traverse them again.
+    The state slot holds one outcome: the pass state, or the exception its
+    build raised, which _pool_trial raises so that the refusal reaches the
+    caller by name and the pool does not break. Either way it replaces the
+    last run's, so a refused run leaves nothing to a later one in the same
+    process. First mark OpenSSL's _hashlib absent, so that the build's
+    import of numpy.random maps no libcrypto (3.4 MiB resident). Last,
+    freeze the garbage collector's view of every object alive: the modules
+    and the state live until the worker exits, so no collection, the one at
+    exit included, needs to traverse them again.
     """
     # numpy.random imports secrets, whose hashlib and hmac then fall back to
     # CPython's built-in digests. numpy uses them only to seed from OS
     # entropy, and every stream here is seeded by derive_seed. setdefault
     # keeps a _hashlib already loaded.
     sys.modules.setdefault("_hashlib", None)
-    _WORKER_STATE["state"] = _pass_state(cfg, ground_truth.build(cfg), n_list, estimators)
+    try:
+        _WORKER_STATE["state"] = _pass_state(cfg, ground_truth.build(cfg), n_list, estimators)
+    except Exception as exc:  # a refusal, raised by each of this worker's trials
+        _WORKER_STATE["state"] = exc
     _WORKER_STATE["ready"] = time.time()
     gc.freeze()
 
 
 def _pool_trial(trial: int) -> tuple[float, tuple[TrialRecord, ...]]:
-    return _WORKER_STATE["ready"], _run_trial(_WORKER_STATE["state"], trial)
+    """The time this worker was ready and the records of one trial pass.
+
+    Raises:
+        Exception: the one _pool_init kept, when the worker's build was refused.
+    """
+    state = _WORKER_STATE["state"]
+    if isinstance(state, Exception):
+        raise state
+    return _WORKER_STATE["ready"], _run_trial(state, trial)
 
 
 def _pool_size(workers: int, trials: int) -> int:
@@ -597,9 +615,9 @@ _BUILD_PEAK_ARRAYS = 2
 # Resident bytes of one idle interpreter, the larger of two measured on the
 # gen-config template (Linux x86-64, CPython 3.11, numpy 2.4, OpenBLAS
 # 0.3.31), rounded up: a spawned worker after _pool_init held 36.7-37.0 MiB,
-# 35.7-36.0 less a0 (pinned by a tier-1 test); the CLI parent after its
-# pre-pool check held 38.3 MiB, about 37.3 less a0, since its build maps
-# the libcrypto that _pool_init keeps out of a worker.
+# 35.7-36.0 less a0 (pinned by a tier-1 test); the CLI parent of a rates
+# sweep, which builds no a0, held 31.4 MiB as its pool started and 34.2 MiB
+# at the sweep's end.
 _INTERPRETER_BYTES = 38 * 2**20
 
 
@@ -607,26 +625,25 @@ def _check_memory(cfg: ProblemConfig, workers: int) -> None:
     """Refuse dimensions whose processes, with workers workers, exceed physical memory.
 
     Each interpreter, parent and workers alike, counts _INTERPRETER_BYTES.
-    The parent's arrays peak at building a0. With workers > 0 (0 is a
-    command that starts none), each worker counts the free heap its trim
-    threshold lets it keep (_WORKER_TRIM_BYTES) and the larger of its own
-    build of a0 and a0 with the arrays of one pass
+    With workers > 0 only the workers hold arrays: each counts the free
+    heap its trim threshold lets it keep (_WORKER_TRIM_BYTES) and the
+    larger of its own build of a0 and a0 with the arrays of one pass
     (estimators._pass_peak_bytes): when d_out is much larger than d_in, a
-    pass's arrays and a0 come to less than the two a0s of a build. The
-    parent's build ends before the pool starts, so the sum is an upper
-    bound. Called before a0 is built, so a refused config allocates nothing.
+    pass's arrays and a0 come to less than the two a0s of a build. With
+    workers == 0 (packing, which starts none) the parent counts its own
+    build of a0. Called before a0 is built, so a refused config allocates
+    nothing.
 
     Raises:
         ConfigError: naming d_in and d_out.
     """
     a0_bytes = 8 * cfg.d_out * cfg.d_in
-    arrays = _BUILD_PEAK_ARRAYS * a0_bytes
-    holders = "to build the ground truth"
     if workers:
         worker = _WORKER_TRIM_BYTES + max(_BUILD_PEAK_ARRAYS * a0_bytes,
                                           a0_bytes + _pass_peak_bytes(cfg.d_in, cfg.d_out))
-        arrays += workers * worker
-        holders = f"in {workers} worker(s) and their parent"
+        arrays, holders = workers * worker, f"in {workers} worker(s)"
+    else:
+        arrays, holders = _BUILD_PEAK_ARRAYS * a0_bytes, "to build the ground truth"
     have = _physical_memory()
     if arrays + (1 + workers) * _INTERPRETER_BYTES > have:
         raise ConfigError(
@@ -651,24 +668,25 @@ def _run_cells(cfg: ProblemConfig, ground_truth: GroundTruthSpec, estimators: Se
     The pool starts _pool_size(workers, len(trials)) processes, and says so
     on stderr when that is fewer than workers.
 
-    Before the pool starts, this checks that its arrays fit in memory
-    (_check_memory), then builds a0 and the _pass_state once and drops
-    them, so every refusal that depends only on the config is raised before
-    any worker exists. The spawn arguments hold cfg and the ground-truth
-    spec, not a0: a worker reads them only after importing this module, so
-    a payload larger than a pipe holds would make the worker starts run one
-    after another.
+    Before the pool starts, this checks that its processes fit in memory
+    (_check_memory). The parent builds neither a0 nor the _pass_state:
+    each worker builds them in _pool_init, and a refusal of that build comes
+    back from pool.map as the exception the build raised. The spawn
+    arguments hold cfg and the ground-truth spec, not a0: a worker reads
+    them only after importing this module, so a payload larger than a pipe
+    holds would make the worker starts run one after another.
 
     The second value is the wall-clock seconds from the pool's creation
     until the last worker that ran a trial had finished _pool_init.
 
     Raises:
-        ConfigError: the arrays exceed physical memory, the ground truth or
-            the pass state cannot be built on cfg, or a cell's error is not finite.
+        ConfigError: the processes exceed physical memory (before the pool
+            starts), or, from a worker, the ground truth or the pass state
+            cannot be built on cfg or a cell's error is not finite.
+        ValueError: from a worker, _pass_state refuses an estimator.
     """
     size = _pool_size(workers, len(trials))
     _check_memory(cfg, size)
-    _pass_state(cfg, ground_truth.build(cfg), n_list, estimators)
     if size < workers:
         sys.stderr.write(f"starting {size} of {workers} workers: at most one per trial "
                          "and per usable CPU\n")
@@ -726,9 +744,10 @@ def run_convergence(
     started. Output files are written only once every rate is fitted.
 
     Raises:
-        ConfigError: _run_cells refuses cfg before its pool starts (memory,
-            ground truth or pass state); a cell's error is not finite (see
-            run_cell); or a median error is 0, so no rate can be fitted:
+        ConfigError: _run_cells refuses cfg: before its pool starts
+            (memory), or from a worker (ground truth, pass state, or a
+            cell's error that is not finite, see run_cell); or a median
+            error is 0, so no rate can be fitted:
             the ground truth is the zero operator and sigma is 0, or they
             are so small that every error underflows.
     """

@@ -39,6 +39,13 @@ def write_config(tmp_path, name="cfg.json", **overrides):
     return path, obj
 
 
+def fresh_env() -> dict[str, str]:
+    """The environment of a fresh interpreter that imports this checkout's opridge."""
+    src = str(Path(opridge.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 # A 2 x 2 packing block with an explicit sign pattern.
@@ -326,11 +333,9 @@ def template_runs_per_blas_threads(tmp_path_factory):
     work = tmp_path_factory.mktemp("blas")
     cfg = work / "cfg.json"
     assert cli_main(["gen-config", "--out", str(cfg)]) == 0
-    src = str(Path(opridge.__file__).resolve().parent.parent)
     outputs = {}
     for threads in ("1", "2"):
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        env = fresh_env()
         env.update({v: threads for v in harness._BLAS_THREAD_VARS})
 
         def opridge_cli(*argv):
@@ -365,6 +370,56 @@ class TestBlasThreadsInTheCallersEnvironment:
                 cell[estimator] = float(error_sq)
         got = {r["estimator"]: r["error_sq"] for r in simulated["results"]}
         assert got == cell, "simulate must reproduce the rates cell bit for bit"
+
+
+class TestCallingProcess:
+    """A sweep's calling process, each test in a fresh interpreter. Only the
+    workers build the ground truth, so the caller never imports numpy.random
+    (which maps OpenSSL's libcrypto), and a refused build reaches it by name
+    from the pool."""
+
+    CALLER_SCRIPT = """
+import json, sys
+from opridge.cli import cli_main
+code = cli_main(sys.argv[1:])
+with open("/proc/self/maps") as f:
+    openssl = [line for line in f if "libcrypto" in line]
+print(json.dumps([code, "numpy.random" in sys.modules, openssl]))
+"""
+
+    @staticmethod
+    def template(tmp_path, **overrides) -> Path:
+        path = tmp_path / "template.json"
+        assert cli_main(["gen-config", "--out", str(path)]) == 0
+        path.write_text(json.dumps({**json.loads(path.read_text()), **overrides}))
+        return path
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
+    def test_a_sweeps_caller_loads_no_numpy_random(self, tmp_path):
+        argv = ["rates", "--config", str(self.template(tmp_path)), "--n-list", "64,128,256",
+                "--trials", "1", "--workers", "1", "--out", str(tmp_path / "r.csv")]
+        proc = subprocess.run([sys.executable, "-c", self.CALLER_SCRIPT, *argv],
+                              env=fresh_env(), capture_output=True, text=True, check=True)
+        code, numpy_random, openssl = json.loads(proc.stdout.splitlines()[-1])
+        assert code == 0, proc.stderr
+        assert not numpy_random, "the caller of a sweep imported numpy.random"
+        assert openssl == [], f"the caller of a sweep maps OpenSSL: {openssl}"
+
+    def test_a_refused_build_exits_two_through_spawned_workers(self, tmp_path):
+        # laplacian needs d_in == d_out, and the template is 256 x 512; each
+        # worker refuses its build, and the caller prints one line.
+        path = self.template(tmp_path, ground_truth={"kind": "laplacian", "params": {}})
+        out = tmp_path / "r.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "opridge.cli", "rates", "--config", str(path),
+             "--n-list", "64,128,256", "--trials", "2", "--workers", "2", "--out", str(out)],
+            env=fresh_env(), capture_output=True, text=True)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("config error: ") and "square grid" in proc.stderr, \
+            proc.stderr
+        assert "Traceback" not in proc.stderr and "Exception in initializer" not in proc.stderr, \
+            proc.stderr
+        assert not out.exists()
 
 
 class TestExitCodes:
@@ -613,9 +668,7 @@ class TestExitCodes:
         # numpy refuses a negative seed, and the taper's power overflows; the
         # refusal names the key, and a fresh process shows all stderr gets.
         path, _ = write_config(tmp_path, d_in=8, d_out=8, ground_truth=ground_truth)
-        src = str(Path(opridge.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        env = fresh_env()
         proc = subprocess.run([sys.executable, "-m", "opridge.cli", "simulate", "--n", "64",
                                "--config", str(path)], env=env, capture_output=True, text=True)
         assert proc.returncode == 2, proc.stderr
@@ -641,9 +694,7 @@ class TestExitCodes:
         assert cli_main(["gen-config", "--out", str(template)]) == 0
         path = tmp_path / "sampled.json"
         path.write_text(json.dumps({**json.loads(template.read_text()), **overrides}))
-        src = str(Path(opridge.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        env = fresh_env()
         proc = subprocess.run([sys.executable, "-m", "opridge.cli", "simulate", "--n", str(n),
                                "--config", str(path)], env=env, capture_output=True, text=True)
         assert proc.returncode == code, proc.stderr

@@ -449,9 +449,9 @@ class TestRunCell:
         results, _ = harness._run_cells(cfg, GroundTruthSpec(), ESTIMATOR_NAMES, n_list,
                                         range(3), 1)
         assert InProcessPool.sizes == [1]
-        assert sorted(calls) == sorted(2 * [(n, e) for n in n_list for e in ESTIMATOR_NAMES]), \
-            "the parent's check and one worker running three trials must each build " \
-            "each (n, estimator) map once"
+        assert sorted(calls) == sorted((n, e) for n in n_list for e in ESTIMATOR_NAMES), \
+            "one worker running three trials must build each (n, estimator) map once, " \
+            "and the parent none"
         # run_cell builds its own maps, and scores the cell to the same bits.
         a0 = GroundTruthSpec().build(cfg)
         noise = NoiseProfile(sigma=cfg.sigma)
@@ -786,14 +786,14 @@ class TestPoolAndMemory:
 
     def test_memory_past_the_budget_is_refused_before_the_ground_truth(self, monkeypatch):
         # Each worker holds an interpreter, the free heap its trim threshold
-        # keeps, and the larger of its build of a0 and a0 with one pass, and
-        # the parent an interpreter and the peak of building a0; the budget
-        # fits two workers and the parent.
+        # keeps, and the larger of its build of a0 and a0 with one pass; the
+        # parent builds nothing and is one interpreter. The budget fits two
+        # workers and the parent.
         plan = tiny_plan(workers=8, trials=2)
         d_in, d_out = plan.cfg.d_in, plan.cfg.d_out
         a0_bytes = 8 * d_out * d_in
         build = harness._BUILD_PEAK_ARRAYS * a0_bytes
-        parent = harness._INTERPRETER_BYTES + build
+        parent = harness._INTERPRETER_BYTES
         worker = (harness._INTERPRETER_BYTES + harness._WORKER_TRIM_BYTES
                   + max(build, a0_bytes + _pass_peak_bytes(d_in, d_out)))
         budget = 2 * worker + parent
@@ -809,6 +809,25 @@ class TestPoolAndMemory:
         with pytest.raises(ConfigError, match=f"d_in={d_in} and d_out={d_out} need"):
             run_convergence(plan)
         assert InProcessPool.sizes == [2], "no pool may start"
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("d_in, d_out", [(12, 16), (1, 4096)])
+    def test_the_budget_of_the_workers_and_one_parent_is_exact(self, monkeypatch, workers,
+                                                                d_in, d_out):
+        # The parent builds no a0, so with workers it counts one interpreter
+        # and no arrays: exactly that much memory is accepted, a byte less
+        # is refused.
+        cfg = small_config(d_in=d_in, d_out=d_out)
+        a0_bytes = 8 * d_out * d_in
+        worker = harness._WORKER_TRIM_BYTES + max(harness._BUILD_PEAK_ARRAYS * a0_bytes,
+                                                  a0_bytes + _pass_peak_bytes(d_in, d_out))
+        budget = workers * worker + (1 + workers) * harness._INTERPRETER_BYTES
+        monkeypatch.setattr(harness, "_physical_memory", lambda: budget)
+        harness._check_memory(cfg, workers)
+        monkeypatch.setattr(harness, "_physical_memory", lambda: budget - 1)
+        with pytest.raises(ConfigError, match=f"in {workers} worker\\(s\\), besides "
+                                              f"{1 + workers} interpreter"):
+            harness._check_memory(cfg, workers)
 
 
 def build_peak(spec: GroundTruthSpec, cfg: ProblemConfig) -> int:
@@ -826,7 +845,7 @@ def build_peak(spec: GroundTruthSpec, cfg: ProblemConfig) -> int:
 class TestBuildMemory:
     """A build of a0 peaks at two a0s: the source coefficients and the
     operator, each scaled in place. _check_memory counts _BUILD_PEAK_ARRAYS
-    a0s for it in the parent and in each worker."""
+    a0s for it in each worker, or in the parent when it starts none."""
 
     D = 512
     A0 = 8 * D * D
@@ -896,10 +915,10 @@ class TestBuildMemory:
     def test_a_workers_counted_arrays_cover_its_own_build(self, monkeypatch, d_in, d_out):
         # A worker builds a0 before its first pass. What _check_memory counts
         # for one worker is the least memory that lets it start one worker,
-        # less the least that lets it start none and one interpreter. That
-        # must cover the build (_BUILD_PEAK_ARRAYS = 2 a0s) and a0 with a
-        # pass. At (1, 4096) a0 and a pass come to about 2.2 a0s, more than
-        # the build.
+        # less two interpreters: its own and the parent's, which builds
+        # nothing. That must cover the build (_BUILD_PEAK_ARRAYS = 2 a0s)
+        # and a0 with a pass. At (1, 4096) a0 and a pass come to about 2.2
+        # a0s, more than the build.
         cfg = small_config(d_in=d_in, d_out=d_out)
 
         def least_budget(workers):
@@ -914,7 +933,7 @@ class TestBuildMemory:
                     lo = mid
             return hi
 
-        counted = least_budget(1) - least_budget(0) - harness._INTERPRETER_BYTES
+        counted = least_budget(1) - 2 * harness._INTERPRETER_BYTES
         a0_bytes = 8 * d_out * d_in
         assert counted >= harness._BUILD_PEAK_ARRAYS * a0_bytes, \
             f"a worker counts {counted} B, its build takes {harness._BUILD_PEAK_ARRAYS} a0s"
@@ -927,8 +946,8 @@ class StopAtSpawn(Exception):
 
 
 class TestWorkerState:
-    """Each worker builds a0 and its pass state from the spawn arguments,
-    after the parent has built them as the check (_pass_state)."""
+    """Each worker builds a0 and its pass state from the spawn arguments;
+    the parent builds neither, and a refused build comes back from the pool."""
 
     @pytest.mark.parametrize("cfg, spec", [
         (small_config(), GroundTruthSpec("random", {"taper_in": 0.5, "taper_out": 1.0})),
@@ -948,11 +967,11 @@ class TestWorkerState:
 
     @pytest.mark.parametrize("refusal", ["build", "lambda map", "norm weights",
                                          "sigma squared"])
-    def test_a_refusal_is_raised_before_any_pool(self, monkeypatch, refusal):
-        def no_pool(**_):
-            raise StopAtSpawn
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    def test_a_refusal_comes_back_by_name_from_the_pool(self, monkeypatch, refusal):
+        # The worker's init keeps the refusal and its trials raise it, so
+        # pool.map gives the caller the exception the build raised.
+        monkeypatch.setattr(InProcessPool, "sizes", [])
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
         cfg, spec, error, match = small_config(), GroundTruthSpec(), ConfigError, None
         if refusal == "build":  # laplacian needs a square grid
             spec = GroundTruthSpec("laplacian")
@@ -969,6 +988,24 @@ class TestWorkerState:
             error = ValueError
         with pytest.raises(error, match=match):
             harness._run_cells(cfg, spec, ESTIMATOR_NAMES, (64, 128), range(2), 2)
+        assert len(InProcessPool.sizes) == 1, "the pool must be created once"
+
+    def test_a_refused_run_leaves_nothing_to_the_next(self, monkeypatch):
+        # In one process, a run whose init is refused and then a good run:
+        # the good run's init replaces the kept refusal.
+        monkeypatch.setattr(InProcessPool, "sizes", [])
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        cfg, n_list = small_config(), (64, 128)
+        with pytest.raises(ConfigError, match="square grid"):
+            harness._run_cells(cfg, GroundTruthSpec("laplacian"), ESTIMATOR_NAMES, n_list,
+                               range(2), 1)
+        results, _ = harness._run_cells(cfg, GroundTruthSpec(), ESTIMATOR_NAMES, n_list,
+                                        range(2), 1)
+        assert InProcessPool.sizes == [1, 1]
+        state = harness._pass_state(cfg, GroundTruthSpec().build(cfg), n_list, ESTIMATOR_NAMES)
+        for trial, records in enumerate(results):
+            assert key(records) == key(harness._run_trial(state, trial)), \
+                f"trial {trial} of the good run differs from its pass run here"
 
     def test_the_spawn_payload_fits_a_pipe_at_any_dimension(self, monkeypatch):
         # A worker reads its start-up arguments only after its imports, so
@@ -1024,12 +1061,12 @@ class TestWorkerEnvironment:
             f"workers must start with one BLAS thread and the fixed heap thresholds " \
             f"whatever the caller exports: {InProcessPool.envs}"
 
-    @pytest.mark.parametrize("refusal", [None, "in a worker", "before the pool"])
+    @pytest.mark.parametrize("refusal", [None, "in a worker", "in a worker's init"])
     def test_the_callers_environment_is_restored(self, monkeypatch, refusal):
         plan = tiny_plan()
         if refusal == "in a worker":
             monkeypatch.setattr(InProcessPool, "refuse", True)
-        elif refusal == "before the pool":  # laplacian needs a square grid
+        elif refusal == "in a worker's init":  # laplacian needs a square grid
             plan = tiny_plan(ground_truth=GroundTruthSpec("laplacian"))
         before = self.callers()
         if refusal is None:
@@ -1037,7 +1074,7 @@ class TestWorkerEnvironment:
         else:
             with pytest.raises(ConfigError):
                 run_convergence(plan)
-        assert len(InProcessPool.envs) == (refusal != "before the pool")
+        assert len(InProcessPool.envs) == 1, "every run must reach the pool"
         assert self.callers() == before, "the caller's values must be restored"
 
     def test_a_worker_freezes_the_collector_once_its_state_is_built(self):
@@ -1145,9 +1182,10 @@ with harness._worker_environment(), ProcessPoolExecutor(
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/<pid>/status")
     def test_what_check_memory_counts_for_a_worker_covers_it(self, worker):
         # An idle worker, less its arrays (a0; its pass state is a few KiB),
-        # measured 35.7-36.0 MiB, and the CLI parent at its pre-pool check
-        # about 37.3 MiB; _INTERPRETER_BYTES is the larger rounded up, and
-        # the lower bound keeps it from drifting far above the worker.
+        # measured 35.7-36.0 MiB, and the CLI parent, which builds no a0,
+        # 31.4 MiB as its pool started; _INTERPRETER_BYTES is the larger
+        # rounded up, and the lower bound keeps it from drifting far above
+        # the worker.
         # After a pass it keeps its freed heap up to the trim threshold:
         # 5.1 MiB more resident in all, 1.8 MiB of it LAPACK's code pages.
         idle, after, trim, _, _ = worker
