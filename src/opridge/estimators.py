@@ -20,13 +20,15 @@ symmetric. The estimators differ only in their map:
 LambdaMap.for_estimator gives the map of each of the ESTIMATOR_NAMES, and
 estimate_from_covariances fits it this way.
 
-streamed_covariances computes the covariances of a simulated trial at
-each of its sample counts in one pass that sums u.T @ u over input blocks
-and builds each snapshot's c_lq in the eigenbasis, a0.m @ Q scaled by
-Lambda plus the noise term drawn in those coordinates, without building
-the dataset, c_lk or the draw in input coordinates; empirical_covariances
-does it for a dataset (u, v) in hand. _pass_peak_bytes counts the arrays
-a pass holds at once; only the cross moment c_lq grows with d_out.
+A trial pass (_nested_covariances, run by harness._run_trial alone)
+computes the covariances of a simulated trial at each of its sample
+counts in one pass that sums u.T @ u over input blocks and builds each
+snapshot's c_lq in the eigenbasis, a0.m @ Q scaled by Lambda plus the
+noise term drawn in those coordinates, without building the dataset, c_lk
+or the draw in input coordinates; _run_trial is the one place that
+refuses a snapshot whose c_lq is not finite. empirical_covariances does
+it for a dataset (u, v) in hand. _pass_peak_bytes counts the arrays a
+pass holds at once; only the cross moment c_lq grows with d_out.
 
 The population oracles (population_regularized, analytic_bias) evaluate the
 infinite-sample limit of the same ridge in closed form; tests pit the solver
@@ -38,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -57,7 +59,6 @@ __all__ = [
     "EmpiricalCovariances",
     "LambdaMap",
     "empirical_covariances",
-    "streamed_covariances",
     "STREAM_BLOCK_ROWS",
     "fit_rowwise_ridge",
     "estimate_from_covariances",
@@ -211,16 +212,18 @@ def empirical_covariances(data: tuple[np.ndarray, np.ndarray]) -> EmpiricalCovar
     return EmpiricalCovariances(c_kk=c_kk, c_lk=c_lk, n=n)
 
 
-def streamed_covariances(
+def _nested_covariances(
     a0: OperatorMatrix,
-    n_list: Sequence[int],
+    n_list: tuple[int, ...],
     profile: NoiseProfile,
     rng_seed: int,
 ) -> Iterator[EmpiricalCovariances]:
     """Covariances of n rows of the (a0, profile, rng_seed) model for each n in n_list.
 
-    One pass: draws the inputs u of the n_list[-1]-row dataset once, in
-    blocks of STREAM_BLOCK_ROWS rows, and accumulates u.T @ u over the full
+    n_list must be strictly increasing counts >= 1: harness.ExperimentPlan
+    checks a sweep's, and _pass_state's lambda maps refuse any n < 2. One
+    pass: draws the inputs u of the n_list[-1]-row dataset once, in blocks
+    of STREAM_BLOCK_ROWS rows, and accumulates u.T @ u over the full
     blocks. For each n, in ascending order, it yields the covariances of
     the first n rows: the full blocks below n plus the first
     n mod STREAM_BLOCK_ROWS rows of n's block, added as a separate term.
@@ -236,51 +239,22 @@ def streamed_covariances(
     agrees up to rounding and c_lk in law.
 
     Memory does not grow with n: one buffer of STREAM_BLOCK_ROWS rows,
-    which each block is filled into on the calling thread; the running
-    sum; and one Gram product or the arrays of one snapshot (see
-    _pass_peak_bytes). No snapshot is yielded while the buffer is alive.
-    A snapshot at an n inside a block draws the block's first rows ahead
-    of the stream, into an array of their own, and keeps only their Gram
+    kept from block to block, which each block is filled into on the
+    calling thread; the running sum; and one Gram product or the arrays of
+    one snapshot (_pass_peak_bytes). No snapshot holds the buffer. A
+    snapshot at an n inside a block draws the block's first rows ahead of
+    the stream, into an array of their own, and keeps only their Gram
     product; the block is filled from the stream, the same bits, and
     summed after it. A snapshot at an n that ends a block follows the
     block's sum. The buffer is allocated again once the consumer asks for
-    the next snapshot. The pass keeps no reference to a yielded snapshot,
-    so a consumer that drops it holds one at a time.
-
-    Raises:
-        ValueError: n_list is empty, not strictly increasing, or starts
-            below 1; raised on the call, before any draw. Or a snapshot's
-            cross moment is not finite; raised in its place.
+    the next snapshot; below the workers' mmap threshold the heap hands
+    back the same pages. The pass keeps no reference to a yielded
+    snapshot, so a consumer that drops it holds one at a time. A
+    snapshot's c_lq is not checked (see _from_sums).
     """
-    n_list = tuple(int(n) for n in n_list)
-    if not n_list or n_list[0] < 1 or any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ValueError(f"n_list must be strictly increasing counts >= 1, got {n_list}")
-    return _finite_snapshots(_nested_covariances(a0, n_list, profile, rng_seed))
-
-
-def _finite_snapshots(stream: Iterator[EmpiricalCovariances]) -> Iterator[EmpiricalCovariances]:
-    for cov in stream:
-        if not _finite(cov.c_lq):
-            raise ValueError("covariances must be finite")
-        yield cov
-        del cov  # not held while the stream sums the next block
-
-
-def _nested_covariances(
-    a0: OperatorMatrix,
-    n_list: tuple[int, ...],
-    profile: NoiseProfile,
-    rng_seed: int,
-) -> Iterator[EmpiricalCovariances]:
     fill = _stream_filler(a0, rng_seed)
     noise_sd = np.sqrt(profile.variances(a0.d_out))
     uu = np.zeros((a0.d_in, a0.d_in))
-    # Every block is filled into a leading slice of one buffer, kept from
-    # block to block and freed only around a snapshot, which needs none of
-    # it: a snapshot at an n inside a block draws that block's first rows
-    # ahead of the stream and keeps only their Gram product, and one at the
-    # end of a block comes after the block's sum. Below the workers' mmap
-    # threshold the heap hands back the same pages.
     buf = None
     pending = list(n_list)
     for start in range(0, n_list[-1], STREAM_BLOCK_ROWS):
@@ -319,8 +293,8 @@ def _from_sums(a0: OperatorMatrix, uu: np.ndarray, n: int, noise_sd: np.ndarray,
     plus the noise draw of synth._noise_cross_moment in its last r columns,
     added _ROW_CHUNK rows at a time; neither c_lk nor the draw in input
     coordinates is formed. c_lq is not checked: an a0 or noise scale past
-    double precision leaves it with an inf or nan, which
-    streamed_covariances and harness._run_trial refuse.
+    double precision leaves it with an inf or nan, which harness._run_trial
+    refuses.
     """
     if part_uu is None:
         c_kk = uu / n

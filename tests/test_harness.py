@@ -52,8 +52,8 @@ from opridge.cli import _template_config
 from opridge.core import _row_terms
 from opridge.estimators import (
     STREAM_BLOCK_ROWS,
+    _nested_covariances,
     _pass_peak_bytes,
-    streamed_covariances,
 )
 
 from conftest import random_problem_config, random_valid_config
@@ -305,8 +305,8 @@ class TestRunTrial:
     def test_huge_lambda_recovers_truth_norm(self):
         cfg = small_config()
         _, a0 = random_source_operator(cfg, ground_truth_seed(cfg))
-        (cov,) = streamed_covariances(a0, (128,), NoiseProfile(sigma=cfg.sigma),
-                                      derive_seed(cfg.seed, 0x7, 0))
+        (cov,) = _nested_covariances(a0, (128,), NoiseProfile(sigma=cfg.sigma),
+                                     derive_seed(cfg.seed, 0x7, 0))
         a_hat = OperatorMatrix(fit_rowwise_ridge(cov, LambdaMap.uniform(cfg.d_out, 1e30)),
                                cfg.input_decay, cfg.output_decay)
         err_sq = bg_norm(a_hat.difference(a0), cfg.beta_prime, cfg.gamma_prime) ** 2
@@ -347,8 +347,8 @@ class TestRunCell:
         cfg = small_config()
         _, a0 = random_source_operator(cfg, ground_truth_seed(cfg))
         rec = run_cell(cfg, a0, 256, 2, ("multilevel",), NoiseProfile(sigma=cfg.sigma))[0]
-        (cov,) = streamed_covariances(a0, (256,), NoiseProfile(sigma=cfg.sigma),
-                                      derive_seed(cfg.seed, 0x7, 2))
+        (cov,) = _nested_covariances(a0, (256,), NoiseProfile(sigma=cfg.sigma),
+                                     derive_seed(cfg.seed, 0x7, 2))
         a_hat = estimate_from_covariances(cov, cfg, "multilevel")
         want = bg_norm(a_hat.difference(a0), cfg.beta_prime, cfg.gamma_prime) ** 2
         assert rec.error_sq == want, \
@@ -365,7 +365,7 @@ class TestRunCell:
         noise = NoiseProfile(sigma=cfg.sigma)
         assert LambdaMap.for_estimator(cfg, n, "multilevel").k < cfg.d_out
         recs = run_cell(cfg, a0, n, 3, ESTIMATOR_NAMES, noise)
-        (cov,) = streamed_covariances(a0, (n,), noise, derive_seed(cfg.seed, 0x7, 3))
+        (cov,) = _nested_covariances(a0, (n,), noise, derive_seed(cfg.seed, 0x7, 3))
         for rec in recs:
             a_hat = estimate_from_covariances(cov, cfg, rec.estimator)
             want = bg_norm(a_hat.difference(a0), cfg.beta_prime, cfg.gamma_prime) ** 2
@@ -387,7 +387,7 @@ class TestRunCell:
         noise = NoiseProfile(sigma=cfg.sigma)
         seed = derive_seed(cfg.seed, 0x7, 3)
         recs = run_cell(cfg, a0, n, 3, ESTIMATOR_NAMES, noise)
-        (cov,) = streamed_covariances(a0, (n,), noise, seed)
+        (cov,) = _nested_covariances(a0, (n,), noise, seed)
         for rec in recs:
             a_hat = estimate_from_covariances(cov, cfg, rec.estimator)
             want = bg_norm(a_hat.difference(a0), cfg.beta_prime, cfg.gamma_prime) ** 2
@@ -479,7 +479,7 @@ class TestIndependentRoute:
         records = run_pass(cfg, a0, (n,), trial)
         seed = derive_seed(cfg.seed, 0x7, trial)
         noise = NoiseProfile(sigma=cfg.sigma)
-        (cov,) = streamed_covariances(a0, (n,), noise, seed)
+        (cov,) = _nested_covariances(a0, (n,), noise, seed)
         # c_lk = a0 c_kk + diag(sigma_j) Z diag(sqrt(L / n)) V.T over the r
         # largest eigenpairs (L, V) of the snapshot's c_kk, with Z redrawn
         # from the cell's own sub-stream.
@@ -559,18 +559,18 @@ class TestPassMemory:
 
     @pytest.mark.parametrize("n_list", [(2 * _B, 4 * _B, 8 * _B), (2 * _B, 4 * _B + 300, 8 * _B)],
                              ids=["block-ends", "inside-a-block"])
-    def test_streamed_covariances_keeps_no_snapshot_its_consumer_dropped(self, n_list):
-        # The same passes through the library's stream, whose consumer drops
-        # each snapshot before it asks for the next: within the same bound.
+    def test_a_pass_keeps_no_snapshot_its_consumer_dropped(self, n_list):
+        # The same passes with no solve, whose consumer drops each snapshot
+        # before it asks for the next: within the same bound.
         bound = self.BLOCK_ENDS_BOUND
         cfg = small_config(d_in=self.D_IN, d_out=self.D_OUT)
         _, a0 = random_source_operator(cfg, ground_truth_seed(cfg))
         noise = NoiseProfile(sigma=cfg.sigma)
-        list(streamed_covariances(a0, (_B,), noise, rng_seed=5))  # first-call allocations
+        list(_nested_covariances(a0, (_B,), noise, rng_seed=5))  # first-call allocations
         tracemalloc.start()
         try:
             live = tracemalloc.get_traced_memory()[0]
-            stream = streamed_covariances(a0, n_list, noise, rng_seed=5)
+            stream = _nested_covariances(a0, n_list, noise, rng_seed=5)
             for cov in stream:
                 del cov
             peak = tracemalloc.get_traced_memory()[1] - live
@@ -691,8 +691,10 @@ def tiny_plan(**overrides) -> ExperimentPlan:
 
 class TestExperimentPlan:
     def test_n_list_must_increase(self):
-        with pytest.raises(ConfigError, match="increasing"):
-            tiny_plan(n_list=(64, 64, 128))
+        # A repeat, a decrease, and no counts at all.
+        for n_list in ((64, 64, 128), (1500, 300, 5000), ()):
+            with pytest.raises(ConfigError, match="n_list .*increasing"):
+                tiny_plan(n_list=n_list)
 
     def test_n_list_needs_two_samples(self):
         # The regularization floor is undefined at n = 1.

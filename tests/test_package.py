@@ -1,19 +1,25 @@
 """The package export list is the union of its modules' own lists, it
-has every name the benchmark imports, and the benchmark runs."""
+has every name the benchmark imports, the benchmark runs, and README's
+library example runs."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import opridge
 from opridge import core, estimators, harness, schedules, synth
+from opridge.cli import _template_config
 
 MODULES = (core, estimators, harness, schedules, synth)
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_exports_are_the_modules_lists_once_each():
@@ -68,3 +74,17 @@ def test_the_benchmark_runs_end_to_end(tmp_path):
         cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, f"{test} failed:\n{proc.stdout}\n{proc.stderr}"
+
+
+def test_the_readme_library_example_runs():
+    # The python block of README's "Library" section, on the gen-config
+    # template with the names it leaves to the reader bound.
+    section = README.read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    (code,) = re.findall(r"```python\n(.*?)```", section, flags=re.S)
+    cfg, ground_truth, _, _ = opridge.parse_config(_template_config())
+    names = {name: getattr(opridge, name) for name in opridge.__all__}
+    names.update(cfg=cfg, a0=ground_truth.build(cfg), n=512, seed=0)
+    exec(compile(code, str(README), "exec"), names)
+    a_hat = names["a_hat"]
+    assert isinstance(a_hat, opridge.OperatorMatrix), f"a_hat is a {type(a_hat).__name__}"
+    assert np.all(np.isfinite(a_hat.m)), "the example's estimate is not finite"

@@ -23,7 +23,7 @@ from opridge import (
     packing_operator,
     random_source_operator,
 )
-from opridge.estimators import streamed_covariances
+from opridge.estimators import _nested_covariances
 from opridge.synth import _stream_filler
 
 
@@ -86,7 +86,7 @@ def drawn_noise(n: int, d_out: int, profile: NoiseProfile, rng_seed: int) -> np.
     With a zero operator the snapshot's c_lk is that term alone.
     """
     op = OperatorMatrix(np.zeros((d_out, 2)), make_decay(2, 0.5), make_decay(d_out, 0.5))
-    (cov,) = streamed_covariances(op, (n,), profile, rng_seed)
+    (cov,) = _nested_covariances(op, (n,), profile, rng_seed)
     return cov.c_lk
 
 
