@@ -690,16 +690,17 @@ def tiny_plan(**overrides) -> ExperimentPlan:
 
 
 class TestExperimentPlan:
-    def test_n_list_must_increase(self):
-        # A repeat, a decrease, and no counts at all.
-        for n_list in ((64, 64, 128), (1500, 300, 5000), ()):
-            with pytest.raises(ConfigError, match="n_list .*increasing"):
-                tiny_plan(n_list=n_list)
+    @pytest.mark.parametrize("n_list", [(64, 64, 128), (1500, 300, 5000), ()],
+                             ids=["repeat", "decrease", "empty"])
+    def test_n_list_must_increase(self, n_list):
+        with pytest.raises(ConfigError, match="n_list .*increasing"):
+            tiny_plan(n_list=n_list)
 
-    def test_n_list_needs_two_samples(self):
+    @pytest.mark.parametrize("n_list", [(1, 2, 4), (0, 8)], ids=["one", "zero"])
+    def test_n_list_needs_two_samples(self, n_list):
         # The regularization floor is undefined at n = 1.
         with pytest.raises(ConfigError, match="n_list"):
-            tiny_plan(n_list=(1, 2, 4))
+            tiny_plan(n_list=n_list)
 
     def test_trials_must_be_positive(self):
         with pytest.raises(ConfigError, match="trials"):
