@@ -27,6 +27,7 @@ __all__ = [
     "ConfigError",
     "ProblemConfig",
     "EigenDecay",
+    "NoiseProfile",
     "SourceCoefficients",
     "OperatorMatrix",
     "make_decay",
@@ -58,9 +59,9 @@ class ProblemConfig:
         gamma: output source smoothness, in [0, 1).
         gamma_prime: output error smoothness, in (gamma, 1).
         B: source-norm bound (Frobenius norm of the source coefficients).
-        sigma: noise trace scale, the one noise level; the per-coordinate
-            noise variances sum to at most sigma^2. NoiseProfile checks
-            that sigma^2 is finite.
+        sigma: noise trace scale, the one noise level, >= 0 with a finite
+            square; the per-coordinate variances of noise sum to at most
+            sigma^2.
         c0: regularization floor constant multiplying (N/ln N)^(-1/alpha).
         d_in: input truncation dimension.
         d_out: output truncation dimension.
@@ -92,6 +93,10 @@ class ProblemConfig:
     @property
     def output_decay(self) -> "EigenDecay":
         return _config_decay(self.d_out, self.q, "d_out", "q")
+
+    @property
+    def noise(self) -> "NoiseProfile":
+        return NoiseProfile(self.sigma)
 
 
 def _validate_config(cfg: ProblemConfig) -> None:
@@ -127,8 +132,7 @@ def _validate_config(cfg: ProblemConfig) -> None:
         )
     if cfg.B < 0.0:
         raise ConfigError(f"B must be nonnegative, got {cfg.B}")
-    if cfg.sigma < 0.0:
-        raise ConfigError(f"sigma must be nonnegative, got {cfg.sigma}")
+    NoiseProfile(cfg.sigma)  # sigma's one rule
     if cfg.c0 <= 0.0:
         raise ConfigError(f"c0 must be positive, got {cfg.c0}")
     if cfg.d_in < 1:
@@ -184,6 +188,30 @@ class EigenDecay:
 
     def __len__(self) -> int:
         return int(self.values.size)
+
+
+@dataclass(frozen=True)
+class NoiseProfile:
+    """Per-coordinate noise variance law sigma_j^2 = sigma^2*(6/pi^2)*j^(-2).
+
+    The Basel normalization makes the variances sum to exactly sigma^2 over
+    an infinite output basis, so every truncation keeps the total noise trace
+    at most sigma^2. This is sigma's one rule, which ProblemConfig applies:
+    sigma is a float >= 0 whose square is finite.
+    """
+
+    sigma: float
+
+    def __post_init__(self) -> None:
+        sigma = _scalar("sigma", self.sigma, False)
+        if not (sigma >= 0.0 and math.isfinite(sigma * sigma)):
+            raise ConfigError(f"sigma must be nonnegative with a finite square, got {sigma!r}")
+        object.__setattr__(self, "sigma", sigma)
+
+    def variances(self, d_out: int) -> np.ndarray:
+        """Truncated per-coordinate variances sigma_j^2 for j = 1..d_out."""
+        j = np.arange(1, d_out + 1, dtype=np.float64)
+        return (self.sigma**2) * (6.0 / math.pi**2) * j**-2.0
 
 
 def make_decay(dim: int, exponent: float) -> EigenDecay:

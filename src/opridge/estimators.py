@@ -46,13 +46,14 @@ import numpy as np
 
 from .core import (
     EigenDecay,
+    NoiseProfile,
     OperatorMatrix,
     ProblemConfig,
     SourceCoefficients,
     _finite,
 )
 from .schedules import _LOG_HUGE, bias_lambdas, multilevel_schedule, variance_lambdas
-from .synth import NoiseProfile, _noise_cross_moment, _stream_filler
+from .synth import _noise_cross_moment, _stream_filler
 
 __all__ = [
     "ESTIMATOR_NAMES",

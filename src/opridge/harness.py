@@ -50,6 +50,7 @@ import numpy as np
 from .core import (
     ConfigError,
     EigenDecay,
+    NoiseProfile,
     OperatorMatrix,
     ProblemConfig,
     SourceCoefficients,
@@ -76,7 +77,6 @@ from .estimators import (
     population_regularized,
 )
 from .synth import (
-    NoiseProfile,
     derive_seed,
     ground_truth_seed,
     laplacian_operator,
@@ -106,7 +106,12 @@ __all__ = [
 # Sub-seed stream tag for trial streams; tags 1-3 belong to the synth module.
 _TAG_TRIAL = 0x7
 
-_GROUND_TRUTH_KINDS = ("random", "laplacian", "packing")
+# Each ground-truth kind and the params it allows, in the order refusals list them.
+_GROUND_TRUTH_PARAMS = {
+    "random": {"taper_in", "taper_out", "seed"},
+    "laplacian": {"t", "scale"},
+    "packing": {"m1", "m2", "K", "eps", "omega", "seed"},
+}
 
 # Environment variables that set a BLAS library's thread count.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -153,15 +158,10 @@ class GroundTruthSpec:
     params: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.kind not in _GROUND_TRUTH_KINDS:
-            raise ConfigError(
-                f"ground_truth.kind must be one of {_GROUND_TRUTH_KINDS}, got {self.kind!r}"
-            )
-        allowed = {
-            "random": {"taper_in", "taper_out", "seed"},
-            "laplacian": {"t", "scale"},
-            "packing": {"m1", "m2", "K", "eps", "omega", "seed"},
-        }[self.kind]
+        if self.kind not in _GROUND_TRUTH_PARAMS:
+            raise ConfigError(f"ground_truth.kind must be one of {tuple(_GROUND_TRUTH_PARAMS)}, "
+                              f"got {self.kind!r}")
+        allowed = _GROUND_TRUTH_PARAMS[self.kind]
         unknown = set(self.params) - allowed
         if unknown:
             raise ConfigError(
@@ -263,11 +263,12 @@ def _check_sample_count(n: int, field: str) -> None:
 class ExperimentPlan:
     """Everything a convergence sweep needs, validated up front.
 
-    The noise scale is cfg.sigma. When out is set, run_convergence writes
-    the summary CSV there, the runs CSV to its _runs sibling and the JSON
-    report to its .json sibling (outputs), once the sweep is done. An out
-    that names no file, or any of whose three paths is a directory or lies
-    outside one, is refused here.
+    The noise scale is cfg.sigma. n_list entries, trials and workers are
+    ints, where an integral float such as 64.0 is accepted. When out is
+    set, run_convergence writes the summary CSV there, the runs CSV to its
+    _runs sibling and the JSON report to its .json sibling (outputs), once
+    the sweep is done. An out that names no file, or any of whose three
+    paths is a directory or lies outside one, is refused here.
     """
 
     cfg: ProblemConfig
@@ -279,9 +280,11 @@ class ExperimentPlan:
     out: str | None = None
 
     def __post_init__(self) -> None:
-        n_list = tuple(int(n) for n in self.n_list)
+        n_list = tuple(_scalar("each n_list entry", n, True) for n in self.n_list)
         object.__setattr__(self, "n_list", n_list)
         object.__setattr__(self, "estimators", tuple(self.estimators))
+        for name in ("trials", "workers"):
+            object.__setattr__(self, name, _scalar(name, getattr(self, name), True))
         # A rate fit needs 3 points.
         if len(n_list) < 3 or any(b <= a for a, b in zip(n_list, n_list[1:])):
             raise ConfigError("n_list must hold at least 3 strictly increasing sample "
@@ -396,9 +399,10 @@ def run_cell(
     """Fit every requested estimator on the first n rows of one trial's stream.
 
     The one-n case of the pass a sweep makes over each trial (see
-    _run_trial), so its records equal the sweep's records of cell
-    (n, trial_index) bit for bit. The config's sigma is the one noise
-    scale: noise is NoiseProfile(sigma=cfg.sigma), as load_config returns it.
+    _run_trial), in the calling process: when it runs BLAS on one thread,
+    as a sweep's workers do, its records equal the sweep's records of cell
+    (n, trial_index) bit for bit; with more, their last digits differ.
+    noise is cfg.noise, as load_config returns it.
 
     Raises:
         ValueError: noise.sigma is not cfg.sigma; raised before any draw.
@@ -419,7 +423,6 @@ class _PassState:
     n_list: tuple[int, ...]
     estimators: tuple[str, ...]
     lmaps: dict[tuple[int, str], LambdaMap]
-    noise: NoiseProfile
     mu_w: np.ndarray
     rho_w: np.ndarray
     a0_terms: np.ndarray
@@ -429,16 +432,16 @@ def _pass_state(cfg: ProblemConfig, a0: OperatorMatrix, n_list: Sequence[int],
                 estimators: Sequence[str]) -> _PassState:
     """What a trial pass over n_list reads that its trial does not change.
 
-    The LambdaMap.for_estimator of each (n, estimator), the noise law at
-    cfg.sigma, the norm's weights (mu_i^(1-beta'), rho_j^-(1-gamma')) and
-    a0's row terms. Built without BLAS, so the same bits in every process:
+    The LambdaMap.for_estimator of each (n, estimator), the norm's weights
+    (mu_i^(1-beta'), rho_j^-(1-gamma')) and a0's row terms; the noise law
+    is cfg.noise. Built without BLAS, so the same bits in every process:
     run_cell builds it for its cell, and each of a sweep's workers once for
     all its trials. The row terms are formed _ROW_CHUNK rows at a time in
     one buffer, not in a copy of a0; each row's term has the same bits
     either way (see _row_terms).
 
     Raises:
-        ConfigError: a norm weight or sigma's square is past double precision.
+        ConfigError: a norm weight is past double precision.
         ValueError: an unknown estimator.
     """
     lmaps = {(n, name): LambdaMap.for_estimator(cfg, n, name)
@@ -456,8 +459,7 @@ def _pass_state(cfg: ProblemConfig, a0: OperatorMatrix, n_list: Sequence[int],
     if not _finite(rho_w):  # mu_w's powers are positive, so at most 1
         raise ConfigError(f"q={cfg.q} with d_out={cfg.d_out} and gamma_prime={cfg.gamma_prime} "
                           "give norm weights rho_j^-(1-gamma_prime) past double precision")
-    return _PassState(cfg, a0, tuple(n_list), tuple(estimators), lmaps,
-                      NoiseProfile(sigma=cfg.sigma), mu_w, rho_w, a0_terms)
+    return _PassState(cfg, a0, tuple(n_list), tuple(estimators), lmaps, mu_w, rho_w, a0_terms)
 
 
 def _run_trial(state: _PassState, trial_index: int) -> tuple[TrialRecord, ...]:
@@ -481,7 +483,7 @@ def _run_trial(state: _PassState, trial_index: int) -> tuple[TrialRecord, ...]:
     cfg = state.cfg
     seed = derive_seed(cfg.seed, _TAG_TRIAL, trial_index)
     records = []
-    for cov in _nested_covariances(state.a0, state.n_list, state.noise, seed):
+    for cov in _nested_covariances(state.a0, state.n_list, cfg.noise, seed):
         finite = _finite(cov.c_lq)
         for name in state.estimators:
             t0 = time.perf_counter()
@@ -809,11 +811,11 @@ def parse_config(obj: Any) -> tuple[ProblemConfig, GroundTruthSpec, NoiseProfile
     """Validate a decoded config object.
 
     Checks the JSON shape here; each value is checked by the type it
-    builds (ProblemConfig, GroundTruthSpec, NoiseProfile).
+    builds (ProblemConfig, GroundTruthSpec).
 
     Returns:
-        (cfg, ground_truth, noise, extras) where noise is
-        NoiseProfile(sigma=cfg.sigma) and extras carries the optional
+        (cfg, ground_truth, noise, extras) where noise is cfg.noise and
+        extras carries the optional
         "n_list" and "trials" entries when present.
 
     Raises:
@@ -840,8 +842,6 @@ def parse_config(obj: Any) -> tuple[ProblemConfig, GroundTruthSpec, NoiseProfile
         raise ConfigError(f"field 'ground_truth.params' must be an object, got {params!r}")
     ground_truth = GroundTruthSpec(kind=gt_obj.get("kind", "random"), params=params)
 
-    noise = NoiseProfile(sigma=cfg.sigma)
-
     extras: dict[str, Any] = {}
     if "n_list" in obj:
         n_list = obj["n_list"]
@@ -854,7 +854,7 @@ def parse_config(obj: Any) -> tuple[ProblemConfig, GroundTruthSpec, NoiseProfile
         if isinstance(trials, bool) or not isinstance(trials, int):
             raise ConfigError(f"field 'trials' must be an integer, got {trials!r}")
         extras["trials"] = int(trials)
-    return cfg, ground_truth, noise, extras
+    return cfg, ground_truth, cfg.noise, extras
 
 
 def load_config(path: str | Path) -> tuple[ProblemConfig, GroundTruthSpec, NoiseProfile, dict[str, Any]]:

@@ -12,8 +12,8 @@ given its inputs, directly in the eigenbasis of the cell's c_kk
 Input coordinates are bounded uniforms scaled by sqrt(mu_i) so the
 almost-sure embedding bound genuinely holds (Gaussians would violate it).
 Noise coordinates are independent Gaussians N(0, sigma_j^2) with the
-Basel-normalized law sigma_j^2 = sigma^2 * (6/pi^2) * j^(-2), whose
-infinite sum is exactly sigma^2.
+Basel-normalized law sigma_j^2 = sigma^2 * (6/pi^2) * j^(-2) of a
+config's noise (core.NoiseProfile), whose infinite sum is exactly sigma^2.
 
 All draws are reproducible: every generator takes an explicit 64-bit seed,
 and independent sub-streams are derived with derive_seed, a fixed
@@ -25,14 +25,14 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
 
-from .core import (
+from .core import (  # perfbench also imports NoiseProfile from here
     ConfigError,
     EigenDecay,
+    NoiseProfile,
     OperatorMatrix,
     ProblemConfig,
     SourceCoefficients,
@@ -40,7 +40,6 @@ from .core import (
 )
 
 __all__ = [
-    "NoiseProfile",
     "derive_seed",
     "make_dataset",
     "ground_truth_seed",
@@ -75,36 +74,6 @@ def derive_seed(seed: int, *parts: int) -> int:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         h = z ^ (z >> 31)
     return h
-
-
-@dataclass(frozen=True)
-class NoiseProfile:
-    """Per-coordinate noise variance law sigma_j^2 = sigma^2*(6/pi^2)*j^(-2).
-
-    The Basel normalization makes the variances sum to exactly sigma^2 over
-    an infinite output basis, so every truncation keeps the total noise trace
-    at most sigma^2. sigma is the config's sigma; its square must be finite.
-    """
-
-    sigma: float
-
-    def __post_init__(self) -> None:
-        # Messages name the config field sigma comes from.
-        sigma = self.sigma
-        if isinstance(sigma, bool) or not isinstance(sigma, (int, float)):
-            raise ConfigError(f"sigma must be a number, got {sigma!r}")
-        try:
-            ok = sigma >= 0.0 and math.isfinite(float(sigma) ** 2)
-        except OverflowError:  # float() of a huge int, or the square
-            ok = False
-        if not ok:
-            raise ConfigError(f"sigma must be nonnegative with a finite square, got {sigma!r}")
-        object.__setattr__(self, "sigma", float(sigma))
-
-    def variances(self, d_out: int) -> np.ndarray:
-        """Truncated per-coordinate variances sigma_j^2 for j = 1..d_out."""
-        j = np.arange(1, d_out + 1, dtype=np.float64)
-        return (self.sigma**2) * (6.0 / math.pi**2) * j**-2.0
 
 
 def _fill_scaled_uniform(rng: np.random.Generator, out: np.ndarray, scale: np.ndarray) -> None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -12,6 +13,7 @@ from conftest import random_decay, random_problem_config
 from opridge import (
     ConfigError,
     EigenDecay,
+    NoiseProfile,
     OperatorMatrix,
     ProblemConfig,
     SourceCoefficients,
@@ -215,6 +217,7 @@ class TestConfigValidation:
             ("gamma_prime", 1.0),
             ("B", -1.0),
             ("sigma", -0.5),
+            ("sigma", 1e200),
             ("c0", 0.0),
             ("d_in", 0),
             ("d_out", -4),
@@ -238,6 +241,16 @@ class TestConfigValidation:
                **fields}
         with pytest.raises(ConfigError, match=field):
             parse_config(obj)
+
+    def test_sigma_has_one_rule_the_noise_profiles(self):
+        # 1e200 is finite, but its square, the noise variance, is not.
+        cfg = ProblemConfig(
+            p=0.5, q=0.5, alpha=0.5, beta=0.6, beta_prime=0.3, gamma=0.1, gamma_prime=0.7,
+            sigma=0.3,
+        )
+        assert cfg.noise == NoiseProfile(cfg.sigma)
+        with pytest.raises(ConfigError, match="^sigma must be nonnegative with a finite square"):
+            dataclasses.replace(cfg, sigma=1e200)
 
     def test_beta_prime_must_be_below_beta(self):
         with pytest.raises(ConfigError, match="beta_prime"):

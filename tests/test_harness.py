@@ -702,9 +702,10 @@ class TestExperimentPlan:
         with pytest.raises(ConfigError, match="n_list"):
             tiny_plan(n_list=n_list)
 
-    def test_trials_must_be_positive(self):
+    @pytest.mark.parametrize("trials", [0, 2.5, True], ids=["zero", "fraction", "bool"])
+    def test_trials_must_be_positive(self, trials):
         with pytest.raises(ConfigError, match="trials"):
-            tiny_plan(trials=0)
+            tiny_plan(trials=trials)
 
     def test_unknown_estimator_rejected(self):
         with pytest.raises(ConfigError, match="lasso"):
@@ -714,9 +715,20 @@ class TestExperimentPlan:
         with pytest.raises(ConfigError, match="repeat"):
             tiny_plan(estimators=("single", "single"))
 
-    def test_workers_must_be_positive(self):
+    @pytest.mark.parametrize("workers", [0, 1.5], ids=["zero", "fraction"])
+    def test_workers_must_be_positive(self, workers):
         with pytest.raises(ConfigError, match="workers"):
-            tiny_plan(workers=0)
+            tiny_plan(workers=workers)
+
+    @pytest.mark.parametrize("entry", [64.5, "64"], ids=["fraction", "string"])
+    def test_each_n_list_entry_must_be_an_integer(self, entry):
+        with pytest.raises(ConfigError, match="n_list"):
+            tiny_plan(n_list=(entry, 128, 256))
+
+    def test_integral_float_counts_are_stored_as_ints(self):
+        plan = tiny_plan(n_list=(64.0, 128, 256.0), trials=2.0, workers=1.0)
+        assert plan.n_list == (64, 128, 256) and plan.trials == 2 and plan.workers == 1
+        assert all(type(v) is int for v in (*plan.n_list, plan.trials, plan.workers))
 
     def test_outputs_are_the_out_path_and_its_siblings(self, tmp_path):
         plan = tiny_plan(out=str(tmp_path / "r.csv"))
@@ -968,8 +980,25 @@ class TestWorkerState:
             assert key(records) == alone, \
                 f"trial {trial} of a spawned worker differs from its cells run here"
 
-    @pytest.mark.parametrize("refusal", ["build", "lambda map", "norm weights",
-                                         "sigma squared"])
+    RUN_CELL_SCRIPT = (
+        "from opridge import ESTIMATOR_NAMES, parse_config, run_cell\n"
+        "from opridge.cli import _template_config\n"
+        "cfg, spec, noise, _ = parse_config(_template_config())\n"
+        "for r in run_cell(cfg, spec.build(cfg), {n}, 0, ESTIMATOR_NAMES, noise):\n"
+        "    print(r.estimator, r.error_sq.hex())\n"
+    )
+
+    def test_run_cell_on_one_blas_thread_matches_a_spawned_worker(self):
+        # run_cell computes in the calling process, so it gives the sweep's
+        # bits only where that process, like a worker, runs BLAS on one thread.
+        cfg, spec, _, _ = parse_config(_template_config())
+        n = 2048
+        alone = _worker_env_subprocess(self.RUN_CELL_SCRIPT.format(n=n)).split("\n")[:-1]
+        (records,), _ = harness._run_cells(cfg, spec, ESTIMATOR_NAMES, (n,), range(1), 1)
+        assert alone == [f"{r.estimator} {r.error_sq.hex()}" for r in records], \
+            "run_cell on one BLAS thread differs from the spawned worker's cell"
+
+    @pytest.mark.parametrize("refusal", ["build", "lambda map", "norm weights"])
     def test_a_refusal_comes_back_by_name_from_the_pool(self, monkeypatch, refusal):
         # The worker's init keeps the refusal and its trials raise it, so
         # pool.map gives the caller the exception the build raised.
@@ -981,8 +1010,6 @@ class TestWorkerState:
         elif refusal == "norm weights":  # rho_8^-(1-gamma') = 8^(0.99/q) is past double range
             cfg = small_config(q=0.002867, gamma=0.0, gamma_prime=0.01, d_in=4, d_out=8)
             match = "norm weights"
-        elif refusal == "sigma squared":
-            cfg, match = small_config(sigma=1e200), "finite square"
         else:
             def refused(cls, cfg, n, estimator):
                 raise ValueError("learned rows must have positive finite lambdas")
