@@ -20,7 +20,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .core import ConfigError, ProblemConfig, theoretical_rate
+from .core import ConfigError, ProblemConfig, _check_seed_label, theoretical_rate
 from .estimators import ESTIMATOR_NAMES
 from .harness import (
     ExperimentPlan,
@@ -119,13 +119,6 @@ def _resolve_n(args: argparse.Namespace, extras: dict[str, Any]) -> int:
     return n
 
 
-def _check_seed_range(value: int, flag: str) -> None:
-    # derive_seed reads its seed and labels modulo 2^64, so a value outside
-    # that range would alias one inside it.
-    if not 0 <= value < 2**64:
-        raise ConfigError(f"{flag} must be an integer in [0, 2^64), got {value}")
-
-
 def _estimator_list(arg: str) -> tuple[str, ...]:
     return ESTIMATOR_NAMES if arg == "all" else (arg,)
 
@@ -169,7 +162,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     n = _resolve_n(args, extras)
-    _check_seed_range(args.trial, "--trial")
+    _check_seed_label(args.trial, "--trial")
     # The one cell runs in a pinned worker, as rates runs it, so its errors
     # match the rates runs CSV bit for bit.
     (records,), _ = _run_cells(cfg, gt, _estimator_list(args.estimator), (n,), (args.trial,), 1)
@@ -225,7 +218,7 @@ def _cmd_rates(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle_check(args: argparse.Namespace) -> int:
-    _check_seed_range(args.seed, "--seed")
+    _check_seed_label(args.seed, "--seed")
     t0 = time.perf_counter()
     results = oracle_checks(args.seed)
     ok = True

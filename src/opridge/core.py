@@ -139,8 +139,13 @@ def _validate_config(cfg: ProblemConfig) -> None:
         raise ConfigError(f"d_in must be an integer >= 1, got {cfg.d_in}")
     if cfg.d_out < 1:
         raise ConfigError(f"d_out must be an integer >= 1, got {cfg.d_out}")
-    if not 0 <= cfg.seed < 2 ** 64:
-        raise ConfigError(f"seed must be an integer in [0, 2^64), got {cfg.seed}")
+    _check_seed_label(cfg.seed, "seed")
+
+
+def _check_seed_label(value: int, name: str) -> None:
+    # derive_seed reads seeds and labels modulo 2^64, so one outside would alias one inside.
+    if not 0 <= value < 2**64:
+        raise ConfigError(f"{name} must be an integer in [0, 2^64), got {value}")
 
 
 def _finite(x: np.ndarray) -> bool:

@@ -106,11 +106,11 @@ __all__ = [
 # Sub-seed stream tag for trial streams; tags 1-3 belong to the synth module.
 _TAG_TRIAL = 0x7
 
-# Each ground-truth kind and the params it allows, in the order refusals list them.
+# Each ground-truth kind: the params it requires, then every param it allows.
 _GROUND_TRUTH_PARAMS = {
-    "random": {"taper_in", "taper_out", "seed"},
-    "laplacian": {"t", "scale"},
-    "packing": {"m1", "m2", "K", "eps", "omega", "seed"},
+    "random": ((), {"taper_in", "taper_out", "seed"}),
+    "laplacian": ((), {"t", "scale"}),
+    "packing": (("m1", "K", "eps"), {"m1", "m2", "K", "eps", "omega", "seed"}),
 }
 
 # Environment variables that set a BLAS library's thread count.
@@ -148,9 +148,10 @@ class GroundTruthSpec:
     either an explicit 0/1 omega matrix or a seed to draw one).
 
     Parameters are validated on construction so that a bad config fails at
-    load time, not in the middle of a sweep: each number param is stored
-    as a finite float, or as an int where an integral float such as 4.0 is
-    accepted, and any other value raises a ConfigError naming
+    load time, not in the middle of a sweep: packing needs m1, K and eps,
+    omega is a matrix, not null, and each number param is stored as a
+    finite float, or as an int where an integral float such as 4.0 is
+    accepted; any other value raises a ConfigError naming
     ground_truth.params.<key>.
     """
 
@@ -158,16 +159,22 @@ class GroundTruthSpec:
     params: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.kind not in _GROUND_TRUTH_PARAMS:
+        if not isinstance(self.kind, str) or self.kind not in _GROUND_TRUTH_PARAMS:
             raise ConfigError(f"ground_truth.kind must be one of {tuple(_GROUND_TRUTH_PARAMS)}, "
                               f"got {self.kind!r}")
-        allowed = _GROUND_TRUTH_PARAMS[self.kind]
+        required, allowed = _GROUND_TRUTH_PARAMS[self.kind]
         unknown = set(self.params) - allowed
         if unknown:
             raise ConfigError(
                 f"ground_truth.params for kind {self.kind!r} has unknown "
                 f"key(s) {sorted(unknown)}; allowed: {sorted(allowed)}"
             )
+        for key in required:
+            if key not in self.params:
+                raise ConfigError(f"ground_truth.params for kind {self.kind!r} is missing "
+                                  f"key {key!r}")
+        if "omega" in self.params and self.params["omega"] is None:  # null is not "draw one"
+            raise ConfigError("ground_truth.params.omega must be a 0/1 matrix, got None")
         if "omega" in self.params and "seed" in self.params:
             raise ConfigError("ground_truth.params.omega and ground_truth.params.seed both "
                               "given: the seed only draws an omega, so give one of them")
@@ -221,21 +228,15 @@ class GroundTruthSpec:
             omega = p.get("omega")
             if omega is None:  # packing_operator draws it once the block fits the grid
                 omega = np.random.default_rng(p.get("seed", ground_truth_seed(cfg)))
-            return packing_operator(
-                m1=p["m1"],
-                m2=p.get("m2", 0),
-                K=p["K"],
-                eps=p["eps"],
-                omega=omega,
-                in_decay=cfg.input_decay,
-                out_decay=cfg.output_decay,
-                beta_prime=cfg.beta_prime,
-                gamma_prime=cfg.gamma_prime,
-            )
-        except KeyError as exc:
-            raise ConfigError(
-                f"ground_truth.params for kind {self.kind!r} is missing key {exc.args[0]!r}"
-            ) from exc
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):  # refused by name
+                    return packing_operator(p["m1"], p.get("m2", 0), p["K"], p["eps"], omega,
+                                            cfg.input_decay, cfg.output_decay,
+                                            cfg.beta_prime, cfg.gamma_prime)
+            except OverflowError:
+                raise ConfigError(f"ground_truth.params.eps={p['eps']} puts the packing block "
+                                  "sqrt(32*eps/(m1*K)) * weights past double range: lower eps"
+                                  ) from None
         except ConfigError:  # names a config field, not a ground-truth parameter
             raise
         except (TypeError, ValueError, OverflowError) as exc:  # a value the builder refuses
@@ -811,12 +812,14 @@ def parse_config(obj: Any) -> tuple[ProblemConfig, GroundTruthSpec, NoiseProfile
     """Validate a decoded config object.
 
     Checks the JSON shape here; each value is checked by the type it
-    builds (ProblemConfig, GroundTruthSpec).
+    builds (ProblemConfig, GroundTruthSpec). The n_list entries and trials
+    are converted to ints by the rule ExperimentPlan applies, which also
+    checks their ranges.
 
     Returns:
         (cfg, ground_truth, noise, extras) where noise is cfg.noise and
-        extras carries the optional
-        "n_list" and "trials" entries when present.
+        extras carries the optional "n_list" and "trials" entries when
+        present.
 
     Raises:
         ConfigError: naming the offending field, on any schema violation.
@@ -844,16 +847,11 @@ def parse_config(obj: Any) -> tuple[ProblemConfig, GroundTruthSpec, NoiseProfile
 
     extras: dict[str, Any] = {}
     if "n_list" in obj:
-        n_list = obj["n_list"]
-        if (not isinstance(n_list, list) or not n_list
-                or any(isinstance(n, bool) or not isinstance(n, int) for n in n_list)):
-            raise ConfigError(f"field 'n_list' must be a list of integers, got {n_list!r}")
-        extras["n_list"] = [int(n) for n in n_list]
+        if not isinstance(obj["n_list"], list) or not obj["n_list"]:
+            raise ConfigError(f"field 'n_list' must be a nonempty array, got {obj['n_list']!r}")
+        extras["n_list"] = [_scalar("each n_list entry", n, True) for n in obj["n_list"]]
     if "trials" in obj:
-        trials = obj["trials"]
-        if isinstance(trials, bool) or not isinstance(trials, int):
-            raise ConfigError(f"field 'trials' must be an integer, got {trials!r}")
-        extras["trials"] = int(trials)
+        extras["trials"] = _scalar("trials", obj["trials"], True)
     return cfg, ground_truth, cfg.noise, extras
 
 

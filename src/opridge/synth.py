@@ -309,6 +309,7 @@ def packing_operator(
 
     Raises:
         ValueError: if the block does not fit the grid or omega is invalid.
+        OverflowError: a block entry is past double range (eps too large).
     """
     if m1 < 1 or K < 1 or m2 < 0:
         raise ValueError(f"block sizes must satisfy m1>=1, K>=1, m2>=0, got {(m1, m2, K)}")
@@ -331,7 +332,10 @@ def packing_operator(
     rho_w = out_decay.values[m2 : m2 + K] ** ((1.0 - gamma_prime) / 2.0)
     mat = np.zeros((d_out, d_in))
     mat[m2 : m2 + K, m1 : 2 * m1] = c * omega.T * rho_w[:, np.newaxis] * mu_w[np.newaxis, :]
-    return OperatorMatrix(mat, in_decay, out_decay)
+    try:  # the shapes match, so only an entry past double range is refused
+        return OperatorMatrix(mat, in_decay, out_decay)
+    except ValueError as exc:
+        raise OverflowError(f"{exc} at eps={eps}") from None
 
 
 def ground_truth_seed(cfg: ProblemConfig) -> int:

@@ -121,8 +121,11 @@ class TestSchedule:
             assert got["x"] == lv.x and got["y"] == lv.y and got["lambda"] == lv.lam
             assert (got["row_start"], got["row_end"]) == (lv.row_start, lv.row_end)
 
-    def test_n_defaults_to_config_maximum(self, tmp_path, capsys):
-        path, obj = write_config(tmp_path)
+    @pytest.mark.parametrize("overrides", [{}, {"trials": 4.0}, {"n_list": [64.0, 128.0, 256.0]}],
+                             ids=["ints", "trials-4.0", "n_list-floats"])
+    def test_n_defaults_to_config_maximum(self, tmp_path, capsys, overrides):
+        # Integral floats count as the integers, as in every other count field.
+        path, obj = write_config(tmp_path, **overrides)
         assert cli_main(["schedule", "--config", str(path)]) == 0
         csv_default = capsys.readouterr().out
         assert cli_main(["schedule", "--config", str(path), "--n", "256"]) == 0
@@ -663,10 +666,12 @@ class TestExitCodes:
         ({"kind": "packing", "params": {"m1": 2, "K": 4, "eps": 0.01, "seed": -1}}, "seed"),
         ({"kind": "random", "params": {"taper_in": -400}}, "taper_in"),
         ({"kind": "random", "params": {"taper_out": -400}}, "taper_out"),
-    ], ids=["random-seed", "packing-seed", "taper_in", "taper_out"])
+        ({"kind": "packing", "params": {"m1": 4, "K": 8, "eps": 1e308}}, "eps"),
+    ], ids=["random-seed", "packing-seed", "taper_in", "taper_out", "packing-eps"])
     def test_a_ground_truth_param_numpy_cannot_take_is_named(self, tmp_path, ground_truth, key):
-        # numpy refuses a negative seed, and the taper's power overflows; the
-        # refusal names the key, and a fresh process shows all stderr gets.
+        # numpy refuses a negative seed, and the taper's power and the
+        # packing block's scale overflow; the refusal names the key, and a
+        # fresh process shows all stderr gets.
         path, _ = write_config(tmp_path, d_in=8, d_out=8, ground_truth=ground_truth)
         env = fresh_env()
         proc = subprocess.run([sys.executable, "-m", "opridge.cli", "simulate", "--n", "64",
@@ -789,10 +794,42 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "config error" in err and "JSON" in err
 
-    def test_bad_field_value_names_the_field(self, tmp_path, capsys):
-        path, _ = write_config(tmp_path, beta=True)
+    @pytest.mark.parametrize("overrides, field", [
+        ({"beta": True}, "beta"),
+        *(({"trials": trials}, "trials") for trials in (2.5, True, "4")),
+        *(({"n_list": n_list}, "n_list") for n_list in (["64", 128, 256], [], "64")),
+        ({"ground_truth": {"kind": "packing", "params": {"m1": 2, "K": 4}}}, "'eps'"),
+        ({"ground_truth": {"kind": ["random"]}}, "ground_truth.kind"),
+        ({"ground_truth": {"kind": "packing", "params": {"m1": 2, "K": 4, "eps": 0.01,
+                                                         "omega": None}}},
+         "ground_truth.params.omega"),
+    ], ids=["beta-true", "trials-2.5", "trials-true", "trials-string", "n_list-string-entry",
+            "n_list-empty", "n_list-string", "packing-without-eps", "kind-list", "omega-null"])
+    def test_bad_field_value_names_the_field(self, tmp_path, capsys, overrides, field):
+        # schedule reads neither trials nor the ground truth: every command
+        # that loads the config refuses them.
+        path, _ = write_config(tmp_path, **overrides)
         assert cli_main(["schedule", "--config", str(path), "--n", "64"]) == 2
-        assert "beta" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert field in err and err.startswith("config error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("ground_truth", [
+        {"kind": "packing", "params": {"m1": 2, "K": 4}},
+        {"kind": "packing", "params": {"m1": 2, "K": 4, "eps": 0.01, "omega": None}},
+        {"kind": ["random"]},
+    ], ids=["packing-without-eps", "omega-null", "kind-list"])
+    def test_a_ground_truth_its_spec_refuses_stops_rates_before_any_worker(
+            self, tmp_path, capsys, monkeypatch, ground_truth):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("no worker pool may start")
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        path, _ = write_config(tmp_path, ground_truth=ground_truth)
+        out = tmp_path / "x.csv"
+        assert cli_main(["rates", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ground_truth") and err.count("\n") == 1, err
+        assert not out.exists()
 
     def test_out_of_range_field_names_the_field(self, tmp_path, capsys):
         path, _ = write_config(tmp_path, alpha=1.5)

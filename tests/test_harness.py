@@ -182,9 +182,29 @@ class TestGroundTruthSpec:
         with pytest.raises(ConfigError, match="eps"):
             GroundTruthSpec("packing", {"m1": 2, "K": 4}).build(cfg)
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigError, match="kind"):
-            GroundTruthSpec("fourier", {})
+    @pytest.mark.parametrize("key", ["m1", "K", "eps"])
+    def test_packing_kind_missing_key_is_refused_when_the_spec_is_built(self, key):
+        # Refused by the spec itself, so before any worker would build the operator.
+        params = {k: v for k, v in {"m1": 2, "K": 4, "eps": 0.5}.items() if k != key}
+        with pytest.raises(ConfigError, match=rf"kind 'packing' is missing key '{key}'"):
+            GroundTruthSpec("packing", params)
+
+    @pytest.mark.parametrize("eps", [1e308, 4e306], ids=["scale-infinite", "entry-overflows"])
+    def test_a_packing_eps_past_double_range_is_named_without_a_warning(self, eps):
+        # 1e308 makes the scale sqrt(32 eps/(m1 K)) infinite. 4e306 keeps it
+        # at 1.4e153, but at p = 0.00385 the weight mu_16^((beta'-1)/2) is
+        # 4e155, so their product is past double range.
+        cfg = small_config(p=0.00385, beta=0.01, beta_prime=0.005, d_in=16, d_out=16)
+        spec = GroundTruthSpec("packing", {"m1": 8, "K": 8, "eps": eps})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            with pytest.raises(ConfigError, match=r"^ground_truth\.params\.eps="):
+                spec.build(cfg)
+
+    @pytest.mark.parametrize("kind", ["fourier", ["random"], {"random": 1}, None, 3])
+    def test_unknown_kind_rejected(self, kind):
+        with pytest.raises(ConfigError, match="^ground_truth.kind must be one of"):
+            GroundTruthSpec(kind, {})
 
     def test_unknown_param_rejected(self):
         with pytest.raises(ConfigError, match="taper"):
@@ -204,11 +224,13 @@ class TestGroundTruthSpec:
         ("packing", {"m1": 2, "K": 4, "eps": 0.5, "seed": "7"}, "seed"),
         ("random", {"seed": -1}, "seed"),
         ("packing", {"m1": 2, "K": 4, "eps": 0.5, "seed": -1}, "seed"),
+        ("packing", {"m1": 2, "K": 4, "eps": 0.5, "omega": None}, "omega"),
     ])
     def test_a_param_not_usable_as_written_is_refused_at_load(self, kind, params, key):
-        # A NaN taper once built the zero operator, and int() truncated 2.5 to 2.
-        obj = config_to_dict(small_config(), GroundTruthSpec(kind, {}))
-        obj["ground_truth"]["params"] = params
+        # A NaN taper once built the zero operator, and int() truncated 2.5 to
+        # 2. A null omega was drawn by build but counted as given beside a seed.
+        obj = config_to_dict(small_config())
+        obj["ground_truth"] = {"kind": kind, "params": params}
         with pytest.raises(ConfigError, match=rf"^ground_truth\.params\.{key} must be"):
             parse_config(obj)
 
@@ -1368,10 +1390,12 @@ class TestConfigIO:
 
     def test_integral_floats_load_as_their_types(self):
         obj = self.full_dict()
-        obj.update(d_in=8.0, seed=424242.0, B=1)
-        cfg, _, _, _ = parse_config(obj)
+        obj.update(d_in=8.0, seed=424242.0, B=1, n_list=[64.0, 128.0, 256.0], trials=4.0)
+        cfg, _, _, extras = parse_config(obj)
         assert cfg == small_config() == small_config(d_in=8.0, seed=424242.0, B=1)
         assert type(cfg.d_in) is int and type(cfg.seed) is int and type(cfg.B) is float
+        assert extras == {"n_list": [64, 128, 256], "trials": 4}
+        assert all(type(v) is int for v in (*extras["n_list"], extras["trials"]))
 
     def test_fractional_dimension_rejected(self):
         obj = self.full_dict()
@@ -1392,10 +1416,19 @@ class TestConfigIO:
         with pytest.raises(ConfigError, match=r"unknown config key\(s\): \['noise'\]"):
             parse_config(obj)
 
-    def test_bad_n_list_named(self):
+    @pytest.mark.parametrize("n_list", [[64, "128"], ["64", 128, 256], [64, 128.5, 256],
+                                        [True, 128, 256], [], "64", 64, None])
+    def test_bad_n_list_named(self, n_list):
         obj = self.full_dict()
-        obj["n_list"] = [64, "128"]
+        obj["n_list"] = n_list
         with pytest.raises(ConfigError, match="n_list"):
+            parse_config(obj)
+
+    @pytest.mark.parametrize("trials", [2.5, True, "4", None, [4]])
+    def test_bad_trials_named(self, trials):
+        obj = self.full_dict()
+        obj["trials"] = trials
+        with pytest.raises(ConfigError, match="^trials must be"):
             parse_config(obj)
 
     def test_not_an_object_rejected(self):
@@ -1418,6 +1451,55 @@ class TestConfigIO:
         path.write_text('{"p": 0.5,,}')
         with pytest.raises(ConfigError, match="JSON"):
             load_config(path)
+
+
+# JSON values of every shape, each wrong for some config field.
+MALFORMED_VALUES = (None, True, "x", [], {}, 2.5, -1, 0, 1e308, 2**70)
+
+# Valid params of each ground-truth kind on a 16 x 16 grid.
+KIND_PARAMS = {"random": {"taper_in": 0.3, "taper_out": 2.0}, "laplacian": {},
+               "packing": {"m1": 4, "K": 8, "eps": 0.01}}
+
+
+def malformed_configs():
+    """(field, value, config): the gen-config template on a 16 x 16 grid
+    with value in field, for every top-level key, the ground truth's kind
+    and params objects, and every param of each kind."""
+    base = {**_template_config(), "d_in": 16, "d_out": 16}
+    for value in MALFORMED_VALUES:
+        for key in base:
+            yield key, value, {**base, key: value}
+        for kind, params in KIND_PARAMS.items():
+            gt = {"kind": kind, "params": params}
+            for key in ("kind", "params"):
+                yield f"ground_truth.{key}", value, {**base, "ground_truth": {**gt, key: value}}
+            for key in sorted(harness._GROUND_TRUTH_PARAMS[kind][1]):
+                gt_obj = {"kind": kind, "params": {**params, key: value}}
+                yield f"{kind} ground_truth.params.{key}", value, {**base, "ground_truth": gt_obj}
+
+
+class TestMalformedConfigValues:
+    def test_a_malformed_value_in_any_field_loads_or_is_refused(self):
+        # Loading checks every value, and building the ground truth refuses
+        # what only the grid can decide; neither ends in another exception
+        # or in a numpy warning. No worker starts.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            for field, value, obj in malformed_configs():
+                try:
+                    cfg, spec, _, _ = parse_config(obj)
+                except ConfigError:
+                    continue
+                except Exception as exc:
+                    pytest.fail(f"parse_config, {field}={value!r}: {type(exc).__name__}: {exc}")
+                # No field gives null a meaning; one that loads is read as absent.
+                assert value is not None, f"{field}=null loads"
+                try:
+                    spec.build(cfg)
+                except ConfigError:
+                    pass
+                except Exception as exc:
+                    pytest.fail(f"build, {field}={value!r}: {type(exc).__name__}: {exc}")
 
 
 class TestOracleChecks:
