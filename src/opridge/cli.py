@@ -28,6 +28,7 @@ from .harness import (
     _check_memory,
     _check_sample_count,
     _csv,
+    _outputs,
     _run_cells,
     config_to_dict,
     format_number,
@@ -119,6 +120,16 @@ def _resolve_n(args: argparse.Namespace, extras: dict[str, Any]) -> int:
     return n
 
 
+def _load(args: argparse.Namespace) -> tuple[Any, ...]:
+    """load_config(args.config), once no file the command writes (for rates, three) is it."""
+    out = args.out and Path(args.out)
+    if out and out.name:  # a nameless --out is refused where it is written
+        written = _outputs(args.out) if args.command == "rates" else (out,)
+        if Path(args.config).resolve() in [p.resolve() for p in written]:
+            raise ConfigError(f"--out {args.out} would overwrite the config file {args.config}")
+    return load_config(args.config)
+
+
 def _estimator_list(arg: str) -> tuple[str, ...]:
     return ESTIMATOR_NAMES if arg == "all" else (arg,)
 
@@ -129,7 +140,7 @@ def _cmd_gen_config(args: argparse.Namespace) -> int:
 
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
-    cfg, _, _, extras = load_config(args.config)
+    cfg, _, _, extras = _load(args)
     n = _resolve_n(args, extras)
     sched = multilevel_schedule(cfg, n)
     eta1, eta2, u = theoretical_rate(cfg)
@@ -142,7 +153,7 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
 
 
 def _cmd_contours(args: argparse.Namespace) -> int:
-    cfg, _, _, extras = load_config(args.config)
+    cfg, _, _, extras = _load(args)
     n = _resolve_n(args, extras)
     if not 2 <= args.samples <= _MAX_CONTOUR_SAMPLES:
         raise ConfigError(f"--samples must be from 2 to {_MAX_CONTOUR_SAMPLES}, "
@@ -158,7 +169,7 @@ def _cmd_contours(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    cfg, gt, _, extras = load_config(args.config)
+    cfg, gt, _, extras = _load(args)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     n = _resolve_n(args, extras)
@@ -187,7 +198,7 @@ def _report_progress(done: int, total: int, seconds: float) -> None:
 
 
 def _cmd_rates(args: argparse.Namespace) -> int:
-    cfg, gt, _, extras = load_config(args.config)
+    cfg, gt, _, extras = _load(args)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     if args.out is None:
@@ -205,8 +216,6 @@ def _cmd_rates(args: argparse.Namespace) -> int:
         workers=args.workers,
         out=args.out,
     )
-    if Path(args.config).resolve() in [p.resolve() for p in plan.outputs()]:
-        raise ConfigError(f"--out {args.out} would overwrite the config file {args.config}")
     report = run_convergence(plan, _report_progress)
     for fit in report.fits:
         sys.stdout.write(
@@ -230,7 +239,7 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_packing(args: argparse.Namespace) -> int:
-    cfg, gt, _, _ = load_config(args.config)
+    cfg, gt, _, _ = _load(args)
     if gt.kind == "packing":
         params = dict(gt.params)
     else:

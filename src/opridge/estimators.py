@@ -1,4 +1,4 @@
-"""Row-wise ridge estimators over spectral coordinates, plus analytic oracles.
+"""Row-wise ridge estimators over spectral coordinates, the trial pass, and analytic oracles.
 
 All estimators share one computational core: given empirical covariances
 (c_kk, c_lk) and a ridge coefficient lambda_j for each of the leading k
@@ -13,22 +13,22 @@ basis, c_lq = c_lk @ Q. Row j is (c_lq[j] / (Lambda + lambda_j)) @ Q.T:
 one private solver, _learned_rows, computes the k learned rows alone,
 _ROW_CHUNK rows and one product at a time; fit_rowwise_ridge stacks them
 on zeros, and a trial pass scores each chunk and drops it before the
-next, without building the rest of the estimate (see harness._run_trial).
+next, without building the rest of the estimate (_error_sq).
 A cell thus costs one eigh however many distinct coefficients its
 estimators use. Covariances are uncentered and c_kk is exactly
 symmetric. The estimators differ only in their map:
 LambdaMap.for_estimator gives the map of each of the ESTIMATOR_NAMES, and
 estimate_from_covariances fits it this way.
 
-A trial pass (_nested_covariances, run by harness._run_trial alone)
-computes the covariances of a simulated trial at each of its sample
-counts in one pass that sums u.T @ u over input blocks and builds each
-snapshot's c_lq in the eigenbasis, a0.m @ Q scaled by Lambda plus the
-noise term drawn in those coordinates, without building the dataset, c_lk
-or the draw in input coordinates; _run_trial is the one place that
-refuses a snapshot whose c_lq is not finite. empirical_covariances does
-it for a dataset (u, v) in hand. _pass_peak_bytes counts the arrays a
-pass holds at once; only the cross moment c_lq grows with d_out.
+A trial pass (_run_trial) scores every estimator at each sample count of
+a simulated trial, reading what _pass_state builds once per process and
+the covariances _nested_covariances computes at every count in one pass:
+it sums u.T @ u over input blocks and builds each snapshot's c_lq in the
+eigenbasis, a0.m @ Q scaled by Lambda plus the noise term drawn in those
+coordinates, without building the dataset, c_lk or the draw in input
+coordinates. empirical_covariances computes them for a dataset (u, v) in
+hand. _pass_peak_bytes counts the arrays a pass holds at once; only the
+cross moment c_lq grows with d_out.
 
 The population oracles (population_regularized, analytic_bias) evaluate the
 infinite-sample limit of the same ridge in closed form; tests pit the solver
@@ -38,27 +38,32 @@ against them.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .core import (
+    ConfigError,
     EigenDecay,
     NoiseProfile,
     OperatorMatrix,
     ProblemConfig,
     SourceCoefficients,
     _finite,
+    _norm_weights,
+    _row_terms,
 )
 from .schedules import _LOG_HUGE, bias_lambdas, multilevel_schedule, variance_lambdas
-from .synth import _noise_cross_moment, _stream_filler
+from .synth import _noise_cross_moment, _stream_filler, derive_seed
 
 __all__ = [
     "ESTIMATOR_NAMES",
     "EmpiricalCovariances",
     "LambdaMap",
+    "TrialRecord",
     "empirical_covariances",
     "STREAM_BLOCK_ROWS",
     "fit_rowwise_ridge",
@@ -89,6 +94,9 @@ STREAM_BLOCK_ROWS = 512
 # falls in, and with it the row's bits, depend on its index and k alone.
 _ROW_CHUNK = 64
 
+# Sub-seed stream tag for trial streams; tags 1-3 belong to the synth module.
+_TAG_TRIAL = 0x7
+
 # d_in^2 arrays np.linalg.eigh mallocs outside numpy's allocator, unseen by
 # tracemalloc: a Fortran-order copy of its input and LAPACK dsyevd's work
 # array of 1 + 6 d_in + 2 d_in^2 doubles.
@@ -99,7 +107,7 @@ def _pass_peak_bytes(d_in: int, d_out: int) -> int:
     """The most bytes of arrays a trial pass holds at once, besides its a0.
 
     With a = d_in^2, b = d_out * d_in and c = min(_ROW_CHUNK, d_out) * d_in
-    doubles, a pass (harness._run_trial over _nested_covariances) holds the
+    doubles, a pass (_run_trial over _nested_covariances) holds the
     running sum u.T @ u (a) at every moment, and one of:
       - while it sums a block, or the rows a snapshot inside a block draws
         ahead, those rows (at most one block of STREAM_BLOCK_ROWS rows of
@@ -221,13 +229,13 @@ def _nested_covariances(
 ) -> Iterator[EmpiricalCovariances]:
     """Covariances of n rows of the (a0, profile, rng_seed) model for each n in n_list.
 
-    n_list must be strictly increasing counts >= 1: harness.ExperimentPlan
-    checks a sweep's, and _pass_state's lambda maps refuse any n < 2. One
-    pass: draws the inputs u of the n_list[-1]-row dataset once, in blocks
-    of STREAM_BLOCK_ROWS rows, and accumulates u.T @ u over the full
-    blocks. For each n, in ascending order, it yields the covariances of
-    the first n rows: the full blocks below n plus the first
-    n mod STREAM_BLOCK_ROWS rows of n's block, added as a separate term.
+    n_list must be strictly increasing counts >= 1: _pass_state's lambda
+    maps refuse any n < 2. One pass: draws the inputs u of the
+    n_list[-1]-row dataset once, in blocks of STREAM_BLOCK_ROWS rows, and
+    accumulates u.T @ u over the full blocks. For each n, in ascending
+    order, it yields the covariances of the first n rows: the full blocks
+    below n plus the first n mod STREAM_BLOCK_ROWS rows of n's block,
+    added as a separate term.
     The running full-block sum never includes such a term, so c_kk at n is
     the same bits whatever else n_list holds.
 
@@ -294,8 +302,7 @@ def _from_sums(a0: OperatorMatrix, uu: np.ndarray, n: int, noise_sd: np.ndarray,
     plus the noise draw of synth._noise_cross_moment in its last r columns,
     added _ROW_CHUNK rows at a time; neither c_lk nor the draw in input
     coordinates is formed. c_lq is not checked: an a0 or noise scale past
-    double precision leaves it with an inf or nan, which harness._run_trial
-    refuses.
+    double precision leaves it with an inf or nan, which _run_trial refuses.
     """
     if part_uu is None:
         c_kk = uu / n
@@ -418,6 +425,119 @@ def _learned_rows(cov: EmpiricalCovariances,
         np.divide(cov.c_lq[rows], t, out=t)
         np.matmul(t, cov.eigvecs.T, out=a)
         yield rows, a
+
+
+@dataclass(frozen=True)
+class TrialRecord:
+    """One (estimator, n, trial) cell result."""
+
+    estimator: str
+    n: int
+    trial: int
+    error_sq: float
+    elapsed_ms: float
+
+
+@dataclass(frozen=True)
+class _PassState:
+    """What a trial pass reads besides its own stream; built by _pass_state."""
+
+    cfg: ProblemConfig
+    a0: OperatorMatrix
+    n_list: tuple[int, ...]
+    estimators: tuple[str, ...]
+    lmaps: dict[tuple[int, str], LambdaMap]
+    mu_w: np.ndarray
+    rho_w: np.ndarray
+    a0_terms: np.ndarray
+
+
+def _pass_state(cfg: ProblemConfig, a0: OperatorMatrix, n_list: Sequence[int],
+                estimators: Sequence[str]) -> _PassState:
+    """What a trial pass over n_list reads that its trial does not change.
+
+    The LambdaMap.for_estimator of each (n, estimator), the norm's weights
+    (mu_i^(1-beta'), rho_j^-(1-gamma')) and a0's row terms; the noise law
+    is cfg.noise. Built without BLAS, so the same bits in every process,
+    and once per process: for one cell, or by each of a sweep's workers for
+    all its trials. The row terms are formed _ROW_CHUNK rows at a time in
+    one buffer, not in a copy of a0; each row's term has the same bits
+    either way (see _row_terms).
+
+    Raises:
+        ConfigError: a norm weight is past double precision.
+        ValueError: an unknown estimator.
+    """
+    lmaps = {(n, name): LambdaMap.for_estimator(cfg, n, name)
+             for n in n_list for name in estimators}
+    with np.errstate(over="ignore"):  # refused below, or an a0 term as the cell's error
+        mu_w, rho_w = _norm_weights(cfg.input_decay, cfg.output_decay,
+                                    cfg.beta_prime, cfg.gamma_prime)
+        a0_terms = np.empty(a0.d_out)
+        buf = np.empty((min(_ROW_CHUNK, a0.d_out), a0.d_in))
+        for start in range(0, a0.d_out, _ROW_CHUNK):
+            rows = slice(start, min(start + _ROW_CHUNK, a0.d_out))
+            chunk = buf[: rows.stop - start]
+            np.copyto(chunk, a0.m[rows])
+            a0_terms[rows] = _row_terms(chunk, mu_w)
+    if not _finite(rho_w):  # mu_w's powers are positive, so at most 1
+        raise ConfigError(f"q={cfg.q} with d_out={cfg.d_out} and gamma_prime={cfg.gamma_prime} "
+                          "give norm weights rho_j^-(1-gamma_prime) past double precision")
+    return _PassState(cfg, a0, tuple(n_list), tuple(estimators), lmaps, mu_w, rho_w, a0_terms)
+
+
+def _run_trial(state: _PassState, trial_index: int) -> tuple[TrialRecord, ...]:
+    """Records of every (n, estimator) of one trial, in that order, from one pass.
+
+    The pass only seeds, streams, solves and scores; all else it reads is
+    in state (_pass_state), and its arrays are _pass_peak_bytes. The
+    stream is seeded by (cfg.seed, trial_index) alone, and cell n gets its
+    first n rows and its own noise draw, the same bits whatever else n_list
+    holds. A record's elapsed_ms is that estimator's own learned-row solve
+    and score: the draws, the Gram sum and each eigh are shared. A snapshot
+    whose cross moment is not finite has no error: each of its records
+    would be nan, and the first is refused by name like any other
+    non-finite error.
+
+    Only the learned rows 0..k-1 are solved and scored. An unlearned row
+    j >= k has error -a0[j], so its term of the norm is a0's; error_sq is
+    then bg_norm(estimate_from_covariances(cov, cfg, name).difference(a0),
+    beta', gamma') ** 2 bit for bit.
+    """
+    cfg = state.cfg
+    seed = derive_seed(cfg.seed, _TAG_TRIAL, trial_index)
+    records = []
+    for cov in _nested_covariances(state.a0, state.n_list, cfg.noise, seed):
+        finite = _finite(cov.c_lq)
+        for name in state.estimators:
+            t0 = time.perf_counter()
+            err = _error_sq(cov, state.lmaps[cov.n, name], state) if finite else math.nan
+            elapsed = time.perf_counter() - t0
+            if not math.isfinite(err):
+                raise ConfigError(
+                    f"the {name} error at n={cov.n} is {err}: the scales B={cfg.B} and "
+                    f"sigma={cfg.sigma} are too large for double precision"
+                )
+            records.append(TrialRecord(name, cov.n, int(trial_index), err, elapsed * 1e3))
+        # The loop would hold this snapshot while the stream sums the next.
+        del cov
+    return tuple(records)
+
+
+def _error_sq(cov: EmpiricalCovariances, lmap: LambdaMap, state: _PassState) -> float:
+    """bg_norm(estimate - a0) ** 2 from the learned rows alone.
+
+    Each chunk of rows _learned_rows yields is scored in its own buffer
+    before the next is solved: the difference, its squares and their
+    weights are formed there, and only the row terms are kept. The caller
+    refuses an overflow.
+    """
+    with np.errstate(over="ignore"):
+        terms = state.a0_terms.copy()
+        for rows, err in _learned_rows(cov, lmap):
+            err -= state.a0.m[rows]
+            terms[rows] = _row_terms(err, state.mu_w)
+        return math.sqrt(float(terms @ state.rho_w)) ** 2
 
 
 def single_ridge_lambda(cfg: ProblemConfig, n: int) -> float:

@@ -1,29 +1,18 @@
-"""Experiment orchestration: configs, trial grids, rate fits, persistence.
+"""Experiment orchestration: configs, plans, the worker pool, rate fits, files, oracle suites.
 
 A convergence experiment is a grid of cells indexed by (sample count n,
-trial). Each trial is one stream of inputs, seeded only by (config seed,
-trial), and cell (n, trial) takes the stream's first n rows and a noise
-term drawn for (trial, n) alone. One pass over the stream snapshots the
-covariances at every n, and the snapshot at n is the same bits whatever
-else n_list holds, so the numbers are a pure function of (config, n,
-trial) regardless of execution order or worker count. The errors at
-different n of one trial share their inputs, so they are correlated;
-different trials are independent. run_convergence, like the simulate
-subcommand, executes trials in spawned worker processes pinned to one
-BLAS thread -- even with one worker -- so the parent interpreter never
-does cell arithmetic and the output bytes depend neither on how many
-workers were requested nor on the caller's BLAS thread variables. Only
-the workers build the ground truth and what their passes read besides
-their streams, each once for all its trials (_pass_state); only the
-solves and scores run per snapshot. A refusal of that build comes back
-from the pool by name, so the parent neither builds a0 nor imports
-numpy.random. A worker costs little beyond its passes: it builds a0 with
-in-place scaling (two a0-sized arrays at the peak), starts with fixed
-glibc heap thresholds (_WORKER_ENV) so that its passes reuse resident
-pages instead of faulting in new ones, keeps OpenSSL's libcrypto
-unmapped (numpy.random loads it only to seed from OS entropy), and
-freezes the garbage collector's view of its state once built, which
-shortens its exit.
+trial); each trial is one pass of estimators._run_trial over n_list. The
+errors at different n of one trial share their inputs, so they are
+correlated; different trials are independent. run_convergence, like the
+simulate subcommand, executes trials in spawned worker processes pinned
+to one BLAS thread -- even with one worker -- so the parent interpreter
+never does cell arithmetic and the output bytes depend neither on how
+many workers were requested nor on the caller's BLAS thread variables.
+Only the workers build the ground truth and their pass state, each once
+for all its trials (_pool_init). A refusal of that build comes back from
+the pool by name, so the parent neither builds a0 nor imports
+numpy.random. A worker starts with fixed glibc heap thresholds
+(_WORKER_ENV), so that its passes reuse resident pages.
 
 Error is always the squared (beta', gamma')-norm of (estimate - truth),
 summarized across trials by median and interquartile range; the target
@@ -54,9 +43,6 @@ from .core import (
     OperatorMatrix,
     ProblemConfig,
     SourceCoefficients,
-    _finite,
-    _norm_weights,
-    _row_terms,
     _scalar,
     bg_norm,
     bg_norm_via_embedding,
@@ -65,13 +51,13 @@ from .core import (
     theoretical_rate,
 )
 from .estimators import (
-    _ROW_CHUNK,
     ESTIMATOR_NAMES,
     EmpiricalCovariances,
     LambdaMap,
-    _learned_rows,
-    _nested_covariances,
+    TrialRecord,
     _pass_peak_bytes,
+    _pass_state,
+    _run_trial,
     analytic_bias,
     fit_rowwise_ridge,
     population_regularized,
@@ -90,7 +76,6 @@ __all__ = [
     "RateFit",
     "RateReport",
     "RateSummary",
-    "TrialRecord",
     "config_to_dict",
     "fit_rate",
     "load_config",
@@ -102,9 +87,6 @@ __all__ = [
     "write_runs_csv",
     "write_summary_csv",
 ]
-
-# Sub-seed stream tag for trial streams; tags 1-3 belong to the synth module.
-_TAG_TRIAL = 0x7
 
 # Each ground-truth kind: the params it requires, then every param it allows.
 _GROUND_TRUTH_PARAMS = {
@@ -269,7 +251,8 @@ class ExperimentPlan:
     set, run_convergence writes the summary CSV there, the runs CSV to its
     _runs sibling and the JSON report to its .json sibling (outputs), once
     the sweep is done. An out that names no file, or any of whose three
-    paths is a directory or lies outside one, is refused here.
+    paths cannot be opened for writing, is refused here; a file made to
+    check this is removed again.
     """
 
     cfg: ProblemConfig
@@ -307,34 +290,29 @@ class ExperimentPlan:
         # Refused here, before any worker exists, not when the sweep is done.
         if self.out is not None and not Path(self.out).name:
             raise ConfigError(f"--out {self.out!r} names no file")
-        for path in self.outputs():
-            if path.is_dir():
-                raise ConfigError(f"--out {self.out!r} would write {path}, which is a directory")
-            if not path.parent.is_dir():
-                raise ConfigError(f"--out {self.out!r} would write {path}, but {path.parent} "
-                                  "is not a directory")
         written = [p.resolve() for p in self.outputs()]
         if len(set(written)) < len(written):
             raise ConfigError(f"--out {self.out} makes two output files share a path; "
                               "the report goes to the .json sibling of --out")
+        for path in self.outputs():  # opened to append, so no byte of a file moves
+            made = not path.exists()
+            try:
+                path.open("a").close()
+            except OSError as exc:
+                raise ConfigError(f"--out {self.out!r} would write {path}, which cannot be "
+                                  f"written: {exc.strerror}") from None
+            if made:
+                path.unlink()
 
     def outputs(self) -> tuple[Path, ...]:
         """The summary CSV, runs CSV and JSON report paths; none when out is None."""
-        if self.out is None:
-            return ()
-        out = Path(self.out)
-        return out, out.with_name(out.stem + "_runs" + out.suffix), out.with_suffix(".json")
+        return () if self.out is None else _outputs(self.out)
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    """One (estimator, n, trial) cell result."""
-
-    estimator: str
-    n: int
-    trial: int
-    error_sq: float
-    elapsed_ms: float
+def _outputs(out: str) -> tuple[Path, ...]:
+    """The summary CSV out, its _runs sibling and its .json sibling; out names a file."""
+    path = Path(out)
+    return path, path.with_name(path.stem + "_runs" + path.suffix), path.with_suffix(".json")
 
 
 @dataclass(frozen=True)
@@ -413,108 +391,6 @@ def run_cell(
     if noise.sigma != cfg.sigma:
         raise ValueError(f"noise.sigma={noise.sigma} is not the config's sigma={cfg.sigma}")
     return _run_trial(_pass_state(cfg, a0, (n,), estimators), trial_index)
-
-
-@dataclass(frozen=True)
-class _PassState:
-    """What a trial pass reads besides its own stream; built by _pass_state."""
-
-    cfg: ProblemConfig
-    a0: OperatorMatrix
-    n_list: tuple[int, ...]
-    estimators: tuple[str, ...]
-    lmaps: dict[tuple[int, str], LambdaMap]
-    mu_w: np.ndarray
-    rho_w: np.ndarray
-    a0_terms: np.ndarray
-
-
-def _pass_state(cfg: ProblemConfig, a0: OperatorMatrix, n_list: Sequence[int],
-                estimators: Sequence[str]) -> _PassState:
-    """What a trial pass over n_list reads that its trial does not change.
-
-    The LambdaMap.for_estimator of each (n, estimator), the norm's weights
-    (mu_i^(1-beta'), rho_j^-(1-gamma')) and a0's row terms; the noise law
-    is cfg.noise. Built without BLAS, so the same bits in every process:
-    run_cell builds it for its cell, and each of a sweep's workers once for
-    all its trials. The row terms are formed _ROW_CHUNK rows at a time in
-    one buffer, not in a copy of a0; each row's term has the same bits
-    either way (see _row_terms).
-
-    Raises:
-        ConfigError: a norm weight is past double precision.
-        ValueError: an unknown estimator.
-    """
-    lmaps = {(n, name): LambdaMap.for_estimator(cfg, n, name)
-             for n in n_list for name in estimators}
-    with np.errstate(over="ignore"):  # refused below, or an a0 term as the cell's error
-        mu_w, rho_w = _norm_weights(cfg.input_decay, cfg.output_decay,
-                                    cfg.beta_prime, cfg.gamma_prime)
-        a0_terms = np.empty(a0.d_out)
-        buf = np.empty((min(_ROW_CHUNK, a0.d_out), a0.d_in))
-        for start in range(0, a0.d_out, _ROW_CHUNK):
-            rows = slice(start, min(start + _ROW_CHUNK, a0.d_out))
-            chunk = buf[: rows.stop - start]
-            np.copyto(chunk, a0.m[rows])
-            a0_terms[rows] = _row_terms(chunk, mu_w)
-    if not _finite(rho_w):  # mu_w's powers are positive, so at most 1
-        raise ConfigError(f"q={cfg.q} with d_out={cfg.d_out} and gamma_prime={cfg.gamma_prime} "
-                          "give norm weights rho_j^-(1-gamma_prime) past double precision")
-    return _PassState(cfg, a0, tuple(n_list), tuple(estimators), lmaps, mu_w, rho_w, a0_terms)
-
-
-def _run_trial(state: _PassState, trial_index: int) -> tuple[TrialRecord, ...]:
-    """Records of every (n, estimator) of one trial, in that order, from one pass.
-
-    The pass only seeds, streams, solves and scores; all else it reads is
-    in state (_pass_state), and its arrays are estimators._pass_peak_bytes.
-    The stream is seeded by (cfg.seed, trial_index) alone, and cell n gets
-    its first n rows and its own noise draw, the same bits whatever else
-    n_list holds. A record's elapsed_ms is that estimator's own learned-row
-    solve and score: the draws, the Gram sum and each eigh are shared. A
-    snapshot whose cross moment is not finite has no error: each of its
-    records would be nan, and the first is refused by name like any other
-    non-finite error.
-
-    Only the learned rows 0..k-1 are solved and scored. An unlearned row
-    j >= k has error -a0[j], so its term of the norm is a0's; error_sq is
-    then bg_norm(estimate_from_covariances(cov, cfg, name).difference(a0),
-    beta', gamma') ** 2 bit for bit.
-    """
-    cfg = state.cfg
-    seed = derive_seed(cfg.seed, _TAG_TRIAL, trial_index)
-    records = []
-    for cov in _nested_covariances(state.a0, state.n_list, cfg.noise, seed):
-        finite = _finite(cov.c_lq)
-        for name in state.estimators:
-            t0 = time.perf_counter()
-            err = _error_sq(cov, state.lmaps[cov.n, name], state) if finite else math.nan
-            elapsed = time.perf_counter() - t0
-            if not math.isfinite(err):
-                raise ConfigError(
-                    f"the {name} error at n={cov.n} is {err}: the scales B={cfg.B} and "
-                    f"sigma={cfg.sigma} are too large for double precision"
-                )
-            records.append(TrialRecord(name, cov.n, int(trial_index), err, elapsed * 1e3))
-        # The loop would hold this snapshot while the stream sums the next.
-        del cov
-    return tuple(records)
-
-
-def _error_sq(cov: EmpiricalCovariances, lmap: LambdaMap, state: _PassState) -> float:
-    """bg_norm(estimate - a0) ** 2 from the learned rows alone.
-
-    Each chunk of rows _learned_rows yields is scored in its own buffer
-    before the next is solved: the difference, its squares and their
-    weights are formed there, and only the row terms are kept. The caller
-    refuses an overflow.
-    """
-    with np.errstate(over="ignore"):
-        terms = state.a0_terms.copy()
-        for rows, err in _learned_rows(cov, lmap):
-            err -= state.a0.m[rows]
-            terms[rows] = _row_terms(err, state.mu_w)
-        return math.sqrt(float(terms @ state.rho_w)) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -665,19 +541,15 @@ def _run_cells(cfg: ProblemConfig, ground_truth: GroundTruthSpec, estimators: Se
     Each task is _run_trial over n_list, in spawned workers with one BLAS
     thread and fixed heap thresholds (_worker_environment); results come
     back in trial order, and progress(done, total, seconds) is called as
-    each arrives. The parent never does cell
-    arithmetic, so an error depends on (cfg, ground truth, n, trial) alone,
-    not on n_list, the worker count or the caller's BLAS thread variables.
-    The pool starts _pool_size(workers, len(trials)) processes, and says so
-    on stderr when that is fewer than workers.
+    each arrives. The pool starts _pool_size(workers, len(trials))
+    processes, and says so on stderr when that is fewer than workers.
 
     Before the pool starts, this checks that its processes fit in memory
-    (_check_memory). The parent builds neither a0 nor the _pass_state:
-    each worker builds them in _pool_init, and a refusal of that build comes
-    back from pool.map as the exception the build raised. The spawn
-    arguments hold cfg and the ground-truth spec, not a0: a worker reads
-    them only after importing this module, so a payload larger than a pipe
-    holds would make the worker starts run one after another.
+    (_check_memory). Each worker builds a0 and its pass state in
+    _pool_init. The spawn arguments hold cfg and the ground-truth spec, not
+    a0: a worker reads them only after importing this module, so a payload
+    larger than a pipe holds would make the worker starts run one after
+    another.
 
     The second value is the wall-clock seconds from the pool's creation
     until the last worker that ran a trial had finished _pool_init.
@@ -738,13 +610,11 @@ def run_convergence(
 ) -> RateReport:
     """Execute the full (estimator, n, trial) grid and fit the rates.
 
-    Trials run through _run_cells, one pass over n_list each: in spawned
-    worker processes with BLAS threading pinned to one thread, whatever the
-    caller's environment says, so every error value is identical for any
-    worker count. Results are assembled in a fixed order independent of
-    scheduling. progress(done, total, seconds), if given, is called as
-    each trial finishes, in trial order, with the seconds since the trials
-    started. Output files are written only once every rate is fitted.
+    Trials run through _run_cells, one pass over n_list each, and results
+    are assembled in a fixed order independent of scheduling.
+    progress(done, total, seconds), if given, is called as each trial
+    finishes, in trial order, with the seconds since the trials started.
+    Output files are written only once every rate is fitted.
 
     Raises:
         ConfigError: _run_cells refuses cfg: before its pool starts
@@ -752,7 +622,8 @@ def run_convergence(
             cell's error that is not finite, see run_cell); or a median
             error is 0, so no rate can be fitted:
             the ground truth is the zero operator and sigma is 0, or they
-            are so small that every error underflows.
+            are so small that every error underflows; or an output file
+            cannot be written once the sweep is done.
     """
     t0 = time.perf_counter()
     trials, worker_start = _run_cells(plan.cfg, plan.ground_truth, plan.estimators,
@@ -794,9 +665,12 @@ def run_convergence(
     )
     if plan.out is not None:
         summary, runs_csv, report_json = plan.outputs()
-        write_summary_csv(report, summary)
-        write_runs_csv(report, runs_csv)
-        write_report_json(report, report_json, cfg=plan.cfg)
+        try:
+            write_summary_csv(report, summary)
+            write_runs_csv(report, runs_csv)
+            write_report_json(report, report_json, cfg=plan.cfg)
+        except OSError as exc:  # the plan opened each, so a full disk, say
+            raise ConfigError(f"--out {plan.out!r} cannot be written: {exc.strerror}") from None
     return report
 
 
@@ -910,13 +784,7 @@ def _csv(header: Sequence[str], rows: Iterable[Iterable[Any]],
 
 
 def write_runs_csv(report: RateReport, path: str | Path) -> None:
-    """Per-trial rows; wall times make this file non-reproducible.
-
-    elapsed_ms is the estimator's own learned-row solve and score. Its
-    lambda map, built once per worker, is not in it, nor are the draw, the
-    Gram sums and each snapshot's eigh, which every estimator of a trial
-    shares.
-    """
+    """Per-trial rows; wall times (elapsed_ms, see _run_trial) make this file non-reproducible."""
     rows = ({**vars(r), "elapsed_ms": round(r.elapsed_ms, 3)}.values() for r in report.runs)
     Path(path).write_text(_csv([f.name for f in fields(TrialRecord)], rows))
 

@@ -1,13 +1,12 @@
 """Synthetic data generation: datasets v = A0 u + eps and ground truths.
 
 A dataset's inputs are one stream per seed, written by an in-place fill
-of buffers the caller allocates; the streamed pass of the estimators
-module splits that stream into row blocks, each filled into one reused
-buffer, and any split gives the same bits, as do rows drawn ahead of the
-stream without moving it. The noise reaches an estimate
-only through eps.T @ u, so the pass draws that statistic of each cell,
-given its inputs, directly in the eigenbasis of the cell's c_kk
-(_noise_cross_moment); make_dataset draws noise rows of the same law.
+of buffers the caller allocates; any split of the stream into row blocks
+gives the same bits, as do rows drawn ahead of it without moving it. The
+noise reaches an estimate only through eps.T @ u, so a trial pass draws
+that statistic of each cell, given its inputs, directly in the eigenbasis
+of the cell's c_kk (_noise_cross_moment); make_dataset draws noise rows
+of the same law.
 
 Input coordinates are bounded uniforms scaled by sqrt(mu_i) so the
 almost-sure embedding bound genuinely holds (Gaussians would violate it).
@@ -308,7 +307,9 @@ def packing_operator(
         beta_prime, gamma_prime: the norm exponents the family is built for.
 
     Raises:
-        ValueError: if the block does not fit the grid or omega is invalid.
+        ValueError: the block does not fit the grid.
+        ConfigError: omega is not an m1 x K matrix of 0s and 1s, naming
+            ground_truth.params.omega.
         OverflowError: a block entry is past double range (eps too large).
     """
     if m1 < 1 or K < 1 or m2 < 0:
@@ -322,11 +323,13 @@ def packing_operator(
         raise ValueError(f"eps must be positive, got {eps}")
     if isinstance(omega, np.random.Generator):
         omega = omega.integers(0, 2, size=(m1, K))
-    omega = np.asarray(omega, dtype=np.float64)
-    if omega.shape != (m1, K):
-        raise ValueError(f"omega shape {omega.shape} must be (m1, K)=({m1}, {K})")
-    if not np.all(np.isin(omega, (0.0, 1.0))):
-        raise ValueError("omega entries must be 0 or 1")
+    try:
+        omega = np.asarray(omega, dtype=np.float64)
+        valid = omega.shape == (m1, K) and bool(np.all(np.isin(omega, (0.0, 1.0))))
+    except (TypeError, ValueError):  # not numbers, or rows of unequal length
+        valid = False
+    if not valid:
+        raise ConfigError(f"ground_truth.params.omega must be an m1 x K = {m1} x {K} 0/1 matrix")
     c = math.sqrt(32.0 * eps / (m1 * K))
     mu_w = in_decay.values[m1 : 2 * m1] ** ((beta_prime - 1.0) / 2.0)
     rho_w = out_decay.values[m2 : m2 + K] ** ((1.0 - gamma_prime) / 2.0)

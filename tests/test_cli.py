@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -565,6 +566,52 @@ class TestExitCodes:
         assert "--out" in err and "Traceback" not in err, err
         assert sorted(tmp_path.rglob("*")) == before, "nothing may be written"
 
+    def test_an_out_no_file_can_be_made_in_stops_rates_before_the_pool(self, tmp_path, capsys,
+                                                                       monkeypatch):
+        # /proc is a directory, even writable by root, in which no new file
+        # can be made: only opening the path tells.
+        def no_pool(*args, **kwargs):
+            raise AssertionError("no worker pool may start")
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        path, _ = write_config(tmp_path)
+        assert cli_main(["rates", "--config", str(path), "--n-list", "64,128,256",
+                         "--trials", "2", "--out", "/proc/x.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --out '/proc/x.csv'") and err.count("\n") == 1, err
+        assert not Path("/proc/x.csv").exists()
+
+    def test_a_write_that_fails_after_the_sweep_exits_two(self, tmp_path, capsys, monkeypatch):
+        def full_disk(*args, **kwargs):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(harness, "write_report_json", full_disk)
+        path, _ = write_config(tmp_path)
+        out = tmp_path / "x.csv"
+        assert cli_main(["rates", "--config", str(path), "--trials", "1",
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"config error: --out {str(out)!r} cannot be written: "
+                            f"{os.strerror(errno.ENOSPC)}\n"), err
+        assert "Traceback" not in err, err
+
+    @pytest.mark.parametrize("argv", [["schedule", "--n", "64"], ["contours", "--n", "64"],
+                                      ["simulate", "--n", "64"], ["packing"]],
+                             ids=lambda argv: argv[0])
+    def test_an_out_onto_the_config_is_refused_by_every_command(self, tmp_path, capsys,
+                                                                monkeypatch, argv):
+        # rates refuses it too (TestRates); no command may replace its own config.
+        def no_pool(*args, **kwargs):
+            raise AssertionError("no worker pool may start")
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        path, _ = write_config(tmp_path)
+        before = path.read_bytes()
+        assert cli_main([*argv, "--config", str(path), "--out", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: --out {path} would overwrite the config file {path}\n", err
+        assert path.read_bytes() == before, "the config must be left as it was"
+
     def test_contour_samples_past_the_cap_exit_two(self, tmp_path, capsys, monkeypatch):
         def no_contour(*args):
             raise AssertionError("no contour may be drawn")
@@ -635,6 +682,11 @@ class TestExitCodes:
         # Every error underflows to 0, so no rate can be fitted.
         (["rates", "--n-list", "16,32,64"], {"B": 1e-200, "sigma": 0.0}, ("B=", "sigma=")),
         (["rates", "--n-list", "16,32,64"], {"B": 0.0, "sigma": 1e-200}, ("B=", "sigma=")),
+        # numpy cannot read these as a matrix, so its message named no field.
+        *((["packing"], {"ground_truth": {"kind": "packing", "params": {
+            "m1": 2, "K": 2, "eps": 0.01, "omega": omega}}}, ("ground_truth.params.omega",
+                                                                "m1 x K = 2 x 2"))
+          for omega in ("x", {}, [[1, 0], [0]])),
     ], ids=["two-sample-counts", "n-list-empty", "n-list-comma", "B-400-digit-int", "B-1e200",
             "sigma-1e200",
             "q-underflows-at-d_out", "p-underflows-at-d_in", "B-5000-digit-int",
@@ -643,7 +695,8 @@ class TestExitCodes:
             "packing-m1-infinite", "random-taper-nan", "packing-m1-not-integral",
             "B-1e300-overflows-the-operator", "laplacian-coefficients-overflow",
             "laplacian-decay-underflows",
-            "B-1e-200-sigma-0-underflows", "B-0-sigma-1e-200-underflows"])
+            "B-1e-200-sigma-0-underflows", "B-0-sigma-1e-200-underflows",
+            "packing-omega-string", "packing-omega-object", "packing-omega-ragged"])
     def test_valid_looking_config_exits_two(self, tmp_path, capsys, argv, overrides, fields):
         # Each config passes the JSON-shape checks, or (given as text) is a
         # file JSON itself cannot read; a rule further in must still end in
@@ -803,8 +856,10 @@ class TestExitCodes:
         ({"ground_truth": {"kind": "packing", "params": {"m1": 2, "K": 4, "eps": 0.01,
                                                          "omega": None}}},
          "ground_truth.params.omega"),
+        ({"ground_truth": {"kind": "random", "taper_in": 0.5}}, "ground_truth key(s)"),
     ], ids=["beta-true", "trials-2.5", "trials-true", "trials-string", "n_list-string-entry",
-            "n_list-empty", "n_list-string", "packing-without-eps", "kind-list", "omega-null"])
+            "n_list-empty", "n_list-string", "packing-without-eps", "kind-list", "omega-null",
+            "ground_truth-unknown-key"])
     def test_bad_field_value_names_the_field(self, tmp_path, capsys, overrides, field):
         # schedule reads neither trials nor the ground truth: every command
         # that loads the config refuses them.

@@ -265,7 +265,7 @@ class TestNoiseStatistic:
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         n_list = (100, STREAM_BLOCK_ROWS, 3 * STREAM_BLOCK_ROWS + 5)
-        records = harness._run_trial(harness._pass_state(cfg, a0, n_list, ESTIMATOR_NAMES), 0)
+        records = estimators._run_trial(estimators._pass_state(cfg, a0, n_list, ESTIMATOR_NAMES), 0)
         assert len(records) == len(n_list) * len(ESTIMATOR_NAMES)
         assert calls == [(8, 8)] * len(n_list)
 

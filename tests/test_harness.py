@@ -285,7 +285,8 @@ class TestGroundTruthSpec:
 
 def run_pass(cfg, a0, n_list, trial_index):
     """The records of one trial pass over n_list with every estimator."""
-    return harness._run_trial(harness._pass_state(cfg, a0, n_list, ESTIMATOR_NAMES), trial_index)
+    state = estimators._pass_state(cfg, a0, n_list, ESTIMATOR_NAMES)
+    return estimators._run_trial(state, trial_index)
 
 
 def trial_record(cfg, a0, n, trial_index, estimator):
@@ -529,11 +530,11 @@ def pass_peak(cfg: ProblemConfig, n_list: tuple[int, ...]) -> int:
     """tracemalloc peak of one _run_trial pass over n_list, above its live heap."""
     _, a0 = random_source_operator(cfg, ground_truth_seed(cfg))
     run_pass(cfg, a0, (_B,), 0)  # first-call allocations
-    state = harness._pass_state(cfg, a0, n_list, ESTIMATOR_NAMES)
+    state = estimators._pass_state(cfg, a0, n_list, ESTIMATOR_NAMES)
     tracemalloc.start()
     try:
         live = tracemalloc.get_traced_memory()[0]
-        harness._run_trial(state, 0)
+        estimators._run_trial(state, 0)
         return tracemalloc.get_traced_memory()[1] - live
     finally:
         tracemalloc.stop()
@@ -634,13 +635,13 @@ class TestPassMemory:
     # block.
     RSS_SCRIPT = """
 import json, os, resource
-from opridge import ESTIMATOR_NAMES, GroundTruthSpec, ProblemConfig, harness
+from opridge import ESTIMATOR_NAMES, GroundTruthSpec, ProblemConfig, estimators
 cfg = ProblemConfig(**json.loads(os.environ["PASS_CONFIG"]))
-state = harness._pass_state(cfg, GroundTruthSpec().build(cfg), (300, 512), ESTIMATOR_NAMES)
+state = estimators._pass_state(cfg, GroundTruthSpec().build(cfg), (300, 512), ESTIMATOR_NAMES)
 high = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
 with open("/proc/self/statm") as f:
     now = int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
-harness._run_trial(state, 0)
+estimators._run_trial(state, 0)
 print(json.dumps([high, now, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024]))
 """
 
@@ -678,7 +679,7 @@ class TestPassState:
         cfg = small_config(d_in=40, d_out=2 * _CHUNK + 7)
         _, a0 = random_source_operator(cfg, ground_truth_seed(cfg))
         a0 = OperatorMatrix(np.array(a0.m, order=order), a0.input_decay, a0.output_decay)
-        state = harness._pass_state(cfg, a0, (64,), ESTIMATOR_NAMES)
+        state = estimators._pass_state(cfg, a0, (64,), ESTIMATOR_NAMES)
         want = _row_terms(np.array(a0.m, order="C"), state.mu_w)
         assert state.a0_terms.tobytes() == want.tobytes(), \
             f"row terms differ by {np.max(np.abs(state.a0_terms - want)):.3g}"
@@ -688,11 +689,11 @@ class TestPassState:
         # neither the parent's pre-pool check nor a worker holds a second a0.
         cfg = small_config(d_in=512, d_out=512)
         a0 = GroundTruthSpec().build(cfg)
-        harness._pass_state(cfg, a0, (64, 128), ESTIMATOR_NAMES)  # first-call allocations
+        estimators._pass_state(cfg, a0, (64, 128), ESTIMATOR_NAMES)  # first-call allocations
         tracemalloc.start()
         try:
             live = tracemalloc.get_traced_memory()[0]
-            harness._pass_state(cfg, a0, (64, 128), ESTIMATOR_NAMES)
+            estimators._pass_state(cfg, a0, (64, 128), ESTIMATOR_NAMES)
             peak = tracemalloc.get_traced_memory()[1] - live
         finally:
             tracemalloc.stop()
@@ -729,9 +730,11 @@ class TestExperimentPlan:
         with pytest.raises(ConfigError, match="trials"):
             tiny_plan(trials=trials)
 
-    def test_unknown_estimator_rejected(self):
-        with pytest.raises(ConfigError, match="lasso"):
-            tiny_plan(estimators=("single", "lasso"))
+    @pytest.mark.parametrize("names, named", [(("single", "lasso"), "lasso"),
+                                              ((), "nonempty subset")], ids=["lasso", "none"])
+    def test_unknown_estimator_rejected(self, names, named):
+        with pytest.raises(ConfigError, match=named):
+            tiny_plan(estimators=names)
 
     def test_repeated_estimator_rejected(self):
         with pytest.raises(ConfigError, match="repeat"):
@@ -759,6 +762,14 @@ class TestExperimentPlan:
         # The report of r.json would overwrite the summary.
         with pytest.raises(ConfigError, match="share a path"):
             tiny_plan(out=str(tmp_path / "r.json"))
+
+    def test_out_is_opened_when_the_plan_is_made_and_no_file_is_left(self, tmp_path):
+        # Opened to append: an existing output keeps its bytes, and a file
+        # made by the check is removed again.
+        (tmp_path / "r_runs.csv").write_text("kept\n")
+        tiny_plan(out=str(tmp_path / "r.csv"))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r_runs.csv"]
+        assert (tmp_path / "r_runs.csv").read_text() == "kept\n"
 
     def test_noise_defaults_to_config_sigma(self):
         # The sweep's cells draw their noise at the config's sigma.
@@ -1020,7 +1031,8 @@ class TestWorkerState:
         assert alone == [f"{r.estimator} {r.error_sq.hex()}" for r in records], \
             "run_cell on one BLAS thread differs from the spawned worker's cell"
 
-    @pytest.mark.parametrize("refusal", ["build", "lambda map", "norm weights"])
+    @pytest.mark.parametrize("refusal", ["build", "operator coordinates", "lambda map",
+                                         "norm weights"])
     def test_a_refusal_comes_back_by_name_from_the_pool(self, monkeypatch, refusal):
         # The worker's init keeps the refusal and its trials raise it, so
         # pool.map gives the caller the exception the build raised.
@@ -1029,6 +1041,9 @@ class TestWorkerState:
         cfg, spec, error, match = small_config(), GroundTruthSpec(), ConfigError, None
         if refusal == "build":  # laplacian needs a square grid
             spec = GroundTruthSpec("laplacian")
+        elif refusal == "operator coordinates":  # mu_8^((beta-1)/2) = 8^4.75 times B = 1e308
+            cfg = small_config(p=0.1, beta=0.05, beta_prime=0.01, B=1e308)
+            match = r"^B=1e\+308 with p=0\.1 and beta=0\.05"
         elif refusal == "norm weights":  # rho_8^-(1-gamma') = 8^(0.99/q) is past double range
             cfg = small_config(q=0.002867, gamma=0.0, gamma_prime=0.01, d_in=4, d_out=8)
             match = "norm weights"
@@ -1054,9 +1069,9 @@ class TestWorkerState:
         results, _ = harness._run_cells(cfg, GroundTruthSpec(), ESTIMATOR_NAMES, n_list,
                                         range(2), 1)
         assert InProcessPool.sizes == [1, 1]
-        state = harness._pass_state(cfg, GroundTruthSpec().build(cfg), n_list, ESTIMATOR_NAMES)
+        state = estimators._pass_state(cfg, GroundTruthSpec().build(cfg), n_list, ESTIMATOR_NAMES)
         for trial, records in enumerate(results):
-            assert key(records) == key(harness._run_trial(state, trial)), \
+            assert key(records) == key(estimators._run_trial(state, trial)), \
                 f"trial {trial} of the good run differs from its pass run here"
 
     def test_the_spawn_payload_fits_a_pipe_at_any_dimension(self, monkeypatch):
@@ -1163,13 +1178,13 @@ class TestWorkerProcess:
 
     FAULT_SCRIPT = """
 import resource
-from opridge import ESTIMATOR_NAMES, harness
+from opridge import ESTIMATOR_NAMES, estimators, harness
 from opridge.cli import _template_config
 cfg, spec, _, _ = harness.parse_config(_template_config())
-state = harness._pass_state(cfg, spec.build(cfg), {n_list}, ESTIMATOR_NAMES)
-harness._run_trial(state, 0)
+state = estimators._pass_state(cfg, spec.build(cfg), {n_list}, ESTIMATOR_NAMES)
+estimators._run_trial(state, 0)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-harness._run_trial(state, 1)
+estimators._run_trial(state, 1)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
@@ -1538,11 +1553,11 @@ def _pass_outcome(obj: dict, trial: int) -> str:
         warnings.simplefilter("error")
         try:
             cfg, spec, _, _ = parse_config(obj)
-            state = harness._pass_state(cfg, spec.build(cfg), obj["n_list"], ESTIMATOR_NAMES)
+            state = estimators._pass_state(cfg, spec.build(cfg), obj["n_list"], ESTIMATOR_NAMES)
         except ConfigError:
             return "refused"
         try:
-            records = harness._run_trial(state, trial)
+            records = estimators._run_trial(state, trial)
         except ConfigError as exc:
             assert re.match(r"the \w+ error at n=\d+ is ", str(exc)), f"refused {exc} in the pass"
             return "refused"

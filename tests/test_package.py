@@ -22,6 +22,28 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def test_the_trial_pass_is_private_to_estimators():
+    # harness orchestrates; the pass, its chunking and its scoring live in
+    # estimators, and harness reaches them only through these three names.
+    src = Path(opridge.__file__).parent
+    imported = {alias.name
+                for node in ast.walk(ast.parse((src / "harness.py").read_text()))
+                if isinstance(node, ast.ImportFrom) and node.module == "estimators"
+                for alias in node.names if alias.name.startswith("_")}
+    assert imported == {"_pass_state", "_run_trial", "_pass_peak_bytes"}, sorted(imported)
+    internals = {"_ROW_CHUNK", "_learned_rows", "_nested_covariances", "_from_sums"}
+    for path in sorted(set(src.glob("*.py")) - {src / "estimators.py"}):
+        named = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                named.update(alias.name for alias in node.names)
+        assert not named & internals, f"{path.name} names {sorted(named & internals)}"
+
+
 def test_exports_are_the_modules_lists_once_each():
     module_names = [name for mod in MODULES for name in mod.__all__]
     assert len(set(module_names)) == len(module_names), "a name is listed by two modules"
