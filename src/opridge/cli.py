@@ -27,6 +27,7 @@ from .harness import (
     GroundTruthSpec,
     _check_memory,
     _check_sample_count,
+    _check_writable,
     _csv,
     _outputs,
     _run_cells,
@@ -121,13 +122,20 @@ def _resolve_n(args: argparse.Namespace, extras: dict[str, Any]) -> int:
 
 
 def _load(args: argparse.Namespace) -> tuple[Any, ...]:
-    """load_config(args.config), once no file the command writes (for rates, three) is it."""
+    """load_config(args.config), once no file the command writes (for rates, three) is it.
+
+    Any other command's --out is then opened, so a path that cannot be
+    written is refused before the work; rates' plan opens its three files.
+    """
     out = args.out and Path(args.out)
-    if out and out.name:  # a nameless --out is refused where it is written
+    if out and out.name:  # a nameless --out is refused when it is opened
         written = _outputs(args.out) if args.command == "rates" else (out,)
         if Path(args.config).resolve() in [p.resolve() for p in written]:
             raise ConfigError(f"--out {args.out} would overwrite the config file {args.config}")
-    return load_config(args.config)
+    loaded = load_config(args.config)
+    if args.out is not None and args.command != "rates":
+        _check_writable(args.out, (Path(args.out),))
+    return loaded
 
 
 def _estimator_list(arg: str) -> tuple[str, ...]:

@@ -82,8 +82,8 @@ _EIG_TOL = 1e-12
 # derived from n or the worker count: the Gram sums then run in an order
 # that depends on n alone, so a cell gives the same bytes in any pool, and
 # the memory a trial needs does not grow with n. A template block (d_in =
-# 256 columns) is 1 MiB, and a pass fills every block into one buffer of
-# that size, which no snapshot holds (see _nested_covariances).
+# 256 columns) is 1 MiB, and a pass fills the blocks below each n into one
+# buffer of that size, which no snapshot holds (see _nested_covariances).
 # _pass_peak_bytes counts a pass's working set.
 STREAM_BLOCK_ROWS = 512
 
@@ -109,9 +109,9 @@ def _pass_peak_bytes(d_in: int, d_out: int) -> int:
     With a = d_in^2, b = d_out * d_in and c = min(_ROW_CHUNK, d_out) * d_in
     doubles, a pass (_run_trial over _nested_covariances) holds the
     running sum u.T @ u (a) at every moment, and one of:
-      - while it sums a block, or the rows a snapshot inside a block draws
-        ahead, those rows (at most one block of STREAM_BLOCK_ROWS rows of
-        u) and their Gram product (a);
+      - while it sums a block, or the rows past n's whole blocks that a
+        snapshot draws ahead, those rows (at most one block of
+        STREAM_BLOCK_ROWS rows of u) and their Gram product (a);
       - while eigh decomposes c_kk, c_kk and the eigenvectors (2a), and
         _EIGH_UNTRACED more d_in^2 arrays;
       - while it builds the rest of a snapshot and fits, c_kk, the
@@ -230,14 +230,14 @@ def _nested_covariances(
     """Covariances of n rows of the (a0, profile, rng_seed) model for each n in n_list.
 
     n_list must be strictly increasing counts >= 1: _pass_state's lambda
-    maps refuse any n < 2. One pass: draws the inputs u of the
-    n_list[-1]-row dataset once, in blocks of STREAM_BLOCK_ROWS rows, and
-    accumulates u.T @ u over the full blocks. For each n, in ascending
-    order, it yields the covariances of the first n rows: the full blocks
-    below n plus the first n mod STREAM_BLOCK_ROWS rows of n's block,
-    added as a separate term.
-    The running full-block sum never includes such a term, so c_kk at n is
-    the same bits whatever else n_list holds.
+    maps refuse any n < 2. One pass over n_list, which draws the inputs u
+    of the n_list[-1]-row dataset once. For each n, in ascending order, it
+    fills every whole block of STREAM_BLOCK_ROWS rows below n not yet
+    summed and adds its u.T @ u to the running sum, then yields the
+    covariances of the first n rows: that sum plus the product of the
+    n mod STREAM_BLOCK_ROWS rows past it, drawn ahead of the stream (none
+    when n ends a block). The running sum never includes such a term, so
+    c_kk at n is the same bits whatever else n_list holds.
 
     Since v = u @ a0.m.T + eps, c_lk = a0.m @ c_kk + eps.T @ u / n. Given
     u, the last term's law is fixed by c_kk, so each snapshot draws it from
@@ -248,38 +248,29 @@ def _nested_covariances(
     agrees up to rounding and c_lk in law.
 
     Memory does not grow with n: one buffer of STREAM_BLOCK_ROWS rows,
-    kept from block to block, which each block is filled into on the
-    calling thread; the running sum; and one Gram product or the arrays of
-    one snapshot (_pass_peak_bytes). No snapshot holds the buffer. A
-    snapshot at an n inside a block draws the block's first rows ahead of
-    the stream, into an array of their own, and keeps only their Gram
-    product; the block is filled from the stream, the same bits, and
-    summed after it. A snapshot at an n that ends a block follows the
-    block's sum. The buffer is allocated again once the consumer asks for
-    the next snapshot; below the workers' mmap threshold the heap hands
-    back the same pages. The pass keeps no reference to a yielded
-    snapshot, so a consumer that drops it holds one at a time. A
-    snapshot's c_lq is not checked (see _from_sums).
+    which the blocks below n are filled into on the calling thread and
+    which is freed before n's snapshot; the running sum; and one Gram
+    product or the arrays of one snapshot (_pass_peak_bytes). The rows
+    past the blocks are drawn from a copy of the generator into an array
+    of their own, dropped once their product is formed; the stream does
+    not move, so the next block holds them, bit for bit. Below the
+    workers' mmap threshold the heap hands the buffer back the same
+    pages. The pass keeps no reference to a yielded snapshot, so a
+    consumer that drops it holds one at a time. A snapshot's c_lq is not
+    checked (see _from_sums).
     """
     fill = _stream_filler(a0, rng_seed)
     noise_sd = np.sqrt(profile.variances(a0.d_out))
     uu = np.zeros((a0.d_in, a0.d_in))
-    buf = None
-    pending = list(n_list)
-    for start in range(0, n_list[-1], STREAM_BLOCK_ROWS):
-        stop = min(start + STREAM_BLOCK_ROWS, n_list[-1])
-        while pending[0] < stop:
-            n = pending.pop(0)
-            u = buf = None  # no snapshot holds the block
-            yield _from_sums(a0, uu, n, noise_sd, rng_seed, _gram_ahead(fill, n - start, a0.d_in))
-        if buf is None:
-            buf = np.empty((min(STREAM_BLOCK_ROWS, n_list[-1]), a0.d_in))
-        u = buf[: stop - start]
-        fill(u)
-        uu += u.T @ u
-        if pending[0] == stop:
-            u = buf = None  # summed into uu
-            yield _from_sums(a0, uu, pending.pop(0), noise_sd, rng_seed)
+    summed = 0
+    for n in n_list:
+        u = np.empty((STREAM_BLOCK_ROWS, a0.d_in))
+        while n - summed >= STREAM_BLOCK_ROWS:
+            fill(u)
+            uu += u.T @ u
+            summed += STREAM_BLOCK_ROWS
+        del u  # no snapshot holds the block
+        yield _from_sums(a0, uu, n, noise_sd, rng_seed, _gram_ahead(fill, n - summed, a0.d_in))
 
 
 def _gram_ahead(fill: Callable[..., None], rows: int, d_in: int) -> np.ndarray:
@@ -290,26 +281,24 @@ def _gram_ahead(fill: Callable[..., None], rows: int, d_in: int) -> np.ndarray:
 
 
 def _from_sums(a0: OperatorMatrix, uu: np.ndarray, n: int, noise_sd: np.ndarray,
-               rng_seed: int, part_uu: np.ndarray | None = None) -> EmpiricalCovariances:
+               rng_seed: int, part_uu: np.ndarray) -> EmpiricalCovariances:
     """Covariances of n rows from their sum u.T @ u, with the noise term drawn.
 
-    The sum is uu, plus part_uu, the product part.T @ part of the last rows,
-    when it is given, and c_kk is the sum / n: formed in part_uu, which the
-    snapshot then owns, or else in one new array. numpy computes each
-    u.T @ u of a C-contiguous block as a symmetric rank-k update, so c_kk
-    is exactly symmetric, and finite as a sum of bounded inputs. In its
-    eigenbasis, c_lk = a0.m @ c_kk + eps.T @ u / n is (a0.m @ Q) diag(Lambda)
-    plus the noise draw of synth._noise_cross_moment in its last r columns,
-    added _ROW_CHUNK rows at a time; neither c_lk nor the draw in input
-    coordinates is formed. c_lq is not checked: an a0 or noise scale past
-    double precision leaves it with an inf or nan, which _run_trial refuses.
+    The sum is part_uu, the product part.T @ part of the rows past the
+    whole blocks (zeros when there are none), plus uu, the sum over those
+    blocks, and c_kk is the sum / n, formed in part_uu, which the snapshot
+    then owns. numpy computes each u.T @ u of a C-contiguous block as a
+    symmetric rank-k update, so c_kk is exactly symmetric, and finite as a
+    sum of bounded inputs. In its eigenbasis, c_lk = a0.m @ c_kk +
+    eps.T @ u / n is (a0.m @ Q) diag(Lambda) plus the noise draw of
+    synth._noise_cross_moment in its last r columns, added _ROW_CHUNK rows
+    at a time; neither c_lk nor the draw in input coordinates is formed.
+    c_lq is not checked: an a0 or noise scale past double precision leaves
+    it with an inf or nan, which _run_trial refuses.
     """
-    if part_uu is None:
-        c_kk = uu / n
-    else:
-        c_kk = part_uu
-        c_kk += uu
-        c_kk /= n
+    c_kk = part_uu
+    c_kk += uu
+    c_kk /= n
     cov = object.__new__(EmpiricalCovariances)
     cov._decompose(c_kk, n)
     with np.errstate(over="ignore", invalid="ignore"):  # the consumer refuses it

@@ -99,6 +99,13 @@ _GROUND_TRUTH_PARAMS = {
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                      "OMP_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
+# Environment variables that choose the kernel a BLAS library runs, and so
+# the last bits of its products: OpenBLAS's core type and MKL's code path.
+# A worker starts without them, so it runs the kernel its library picks
+# for the CPU.
+_BLAS_KERNEL_VARS = ("OPENBLAS_CORETYPE", "MKL_CBWR", "MKL_ENABLE_INSTRUCTIONS",
+                     "MKL_DEBUG_CPU_TYPE")
+
 # glibc's malloc reads these when a worker starts. A fixed mmap threshold
 # puts every array below it on the heap, whatever the heap's history, and
 # the trim threshold (twice it, glibc's own pairing when it moves the mmap
@@ -171,6 +178,9 @@ class GroundTruthSpec:
     def build(self, cfg: ProblemConfig) -> OperatorMatrix:
         """Materialize the operator on the config's frequency grid."""
         p = self.params
+        if 8 * cfg.d_out * cfg.d_in > sys.maxsize:  # numpy's largest array, in bytes
+            raise ConfigError(f"d_in={cfg.d_in} and d_out={cfg.d_out} make a ground truth of "
+                              f"{cfg.d_out * cfg.d_in} doubles, more than an array can hold")
         try:
             if self.kind == "random":
                 seed = p.get("seed", ground_truth_seed(cfg))
@@ -294,19 +304,28 @@ class ExperimentPlan:
         if len(set(written)) < len(written):
             raise ConfigError(f"--out {self.out} makes two output files share a path; "
                               "the report goes to the .json sibling of --out")
-        for path in self.outputs():  # opened to append, so no byte of a file moves
-            made = not path.exists()
-            try:
-                path.open("a").close()
-            except OSError as exc:
-                raise ConfigError(f"--out {self.out!r} would write {path}, which cannot be "
-                                  f"written: {exc.strerror}") from None
-            if made:
-                path.unlink()
+        _check_writable(self.out, self.outputs())
 
     def outputs(self) -> tuple[Path, ...]:
         """The summary CSV, runs CSV and JSON report paths; none when out is None."""
         return () if self.out is None else _outputs(self.out)
+
+
+def _check_writable(out: str, paths: Sequence[Path]) -> None:
+    """Refuse --out unless each of paths, which it names, can be opened for writing.
+
+    Each is opened to append, so no byte of a file moves, and a file made
+    to check this is removed again.
+    """
+    for path in paths:
+        made = not path.exists()
+        try:
+            path.open("a").close()
+        except OSError as exc:
+            which = "" if path == Path(out) else f" would write {path}, which"
+            raise ConfigError(f"--out {out!r}{which} cannot be written: {exc.strerror}") from None
+        if made:
+            path.unlink()
 
 
 def _outputs(out: str) -> tuple[Path, ...]:
@@ -585,15 +604,17 @@ def _run_cells(cfg: ProblemConfig, ground_truth: GroundTruthSpec, estimators: Se
 
 @contextmanager
 def _worker_environment() -> Iterator[None]:
-    """Set _WORKER_ENV in os.environ while processes are spawned, then restore the caller's.
+    """Set _WORKER_ENV and unset _BLAS_KERNEL_VARS while processes are spawned, then restore.
 
-    A spawned process reads the BLAS thread count at import and the malloc
-    settings at its first allocation, so setting them before the spawn pins
-    them without touching the already-initialized parent. They are set
-    outright: a user's export must change neither the floating-point
+    A spawned process reads the BLAS thread count and kernel at import and
+    the malloc settings at its first allocation, so setting them before the
+    spawn pins them without touching the already-initialized parent. They
+    are set outright: a user's export must change neither the floating-point
     environment nor a worker's heap.
     """
-    saved = {v: os.environ.get(v) for v in _WORKER_ENV}
+    saved = {v: os.environ.get(v) for v in (*_WORKER_ENV, *_BLAS_KERNEL_VARS)}
+    for v in _BLAS_KERNEL_VARS:
+        os.environ.pop(v, None)
     os.environ.update(_WORKER_ENV)
     try:
         yield

@@ -7,6 +7,7 @@ import errno
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -376,6 +377,37 @@ class TestBlasThreadsInTheCallersEnvironment:
         assert got == cell, "simulate must reproduce the rates cell bit for bit"
 
 
+def _openblas_on_x86_64() -> bool:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return "openblas" in blas["name"] and platform.machine() in ("x86_64", "AMD64")
+
+
+class TestBlasKernelInTheCallersEnvironment:
+    @pytest.mark.skipif(not _openblas_on_x86_64(),
+                        reason="OPENBLAS_CORETYPE picks a kernel of an x86-64 OpenBLAS")
+    def test_an_exported_openblas_core_type_moves_no_byte(self, tmp_path, monkeypatch):
+        # A Sandybridge kernel rounds the Gram sums and solves differently
+        # from the one OpenBLAS picks on a newer CPU; a worker runs the latter.
+        cfg = tmp_path / "cfg.json"
+        assert cli_main(["gen-config", "--out", str(cfg)]) == 0
+        outputs = []
+        for coretype in (None, "Sandybridge"):
+            if coretype is None:
+                monkeypatch.delenv("OPENBLAS_CORETYPE", raising=False)
+            else:
+                monkeypatch.setenv("OPENBLAS_CORETYPE", coretype)
+            summary, simulated = tmp_path / f"{coretype}.csv", tmp_path / f"{coretype}.json"
+            assert cli_main(["rates", "--config", str(cfg), "--n-list", "512,1024,2048",
+                             "--trials", "2", "--workers", "1", "--out", str(summary)]) == 0
+            assert cli_main(["simulate", "--config", str(cfg), "--n", "1024",
+                             "--out", str(simulated)]) == 0
+            results = json.loads(simulated.read_text())["results"]
+            outputs.append((summary.read_bytes(), [r["error_sq"] for r in results]))
+        (plain_csv, plain_sim), (sandy_csv, sandy_sim) = outputs
+        assert plain_csv == sandy_csv, "OPENBLAS_CORETYPE changed the rates summary"
+        assert plain_sim == sandy_sim, "OPENBLAS_CORETYPE changed the simulate errors"
+
+
 class TestCallingProcess:
     """A sweep's calling process, each test in a fresh interpreter. Only the
     workers build the ground truth, so the caller never imports numpy.random
@@ -543,18 +575,24 @@ class TestExitCodes:
         *((["rates", "--trials", "2", "--n-list", "1024,2048,4096"], out)
           for out in (*UNWRITABLE_OUTS, "jsondir/x.csv")),
         *((argv, out) for argv in (["gen-config"], ["schedule", "--n", "64"],
-                                   ["simulate", "--n", "64"])
+                                   ["contours", "--n", "64"], ["simulate", "--n", "64"],
+                                   ["packing"])
           for out in UNWRITABLE_OUTS),
     ], ids=lambda v: v[0] if isinstance(v, list) else v or "empty")
     def test_an_out_that_cannot_be_written_exits_two(self, tmp_path, capsys, monkeypatch,
                                                      argv, out):
         # rates refuses it in its plan, before any cell runs, and also when
-        # its .json sibling (jsondir/x.json) is a directory; the others name
-        # --out when the write fails.
+        # its .json sibling (jsondir/x.json) is a directory; every other
+        # command that reads a config opens --out once the config has
+        # loaded, so simulate starts no worker either.
         def no_cells(*args, **kwargs):
             raise AssertionError("rates must refuse --out before any cell runs")
 
+        def no_pool(*args, **kwargs):
+            raise AssertionError("no worker pool may start")
+
         monkeypatch.setattr(harness, "_run_cells", no_cells)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
         monkeypatch.chdir(tmp_path)
         path, _ = write_config(tmp_path)
         (tmp_path / "d").mkdir()

@@ -177,14 +177,35 @@ class TestStreamedCovariances:
             "every block and every look-ahead must be drawn on the thread that consumes the pass"
         assert [count for _, count, *_ in filled] == [threads] * len(filled), \
             "a draw must run with no thread started"
-        # The snapshot at 100 draws its rows ahead of the first block.
+        # Each snapshot draws the rows past its whole blocks ahead of the stream.
         assert [(ahead, u.shape[0]) for *_, ahead, u in filled] == [
-            (True, 100), (False, STREAM_BLOCK_ROWS), (False, STREAM_BLOCK_ROWS), (False, 100)]
+            (True, 100), (False, STREAM_BLOCK_ROWS), (False, STREAM_BLOCK_ROWS), (True, 100)]
         inline = synth._stream_filler(a0, 57)
         for k, (*_, ahead, u) in enumerate(filled):
             want_u = np.empty_like(u)
             inline(want_u, ahead=ahead)
             assert np.array_equal(u, want_u), f"draw {k} is not the stream's next rows"
+
+    @pytest.mark.parametrize("n_list", [
+        (4, 8, 16), (100, 300, 512, 700, 1500, 5000), (5, 600), (513, 1023, 1024, 1025)])
+    def test_c_kk_is_the_bits_of_its_whole_blocks_and_its_last_rows(self, n_list):
+        # Built apart from the pass: all rows drawn by one fill, then for
+        # each n on its own, the blocks below n summed from zero in order
+        # and the product of the rows past them added last.
+        a0, profile = self.problem()
+        u = np.empty((n_list[-1], a0.d_in))
+        synth._stream_filler(a0, 58)(u)
+        covs = _nested_covariances(a0, n_list, profile, rng_seed=58)
+        for n, cov in zip(n_list, covs, strict=True):
+            summed = n - n % STREAM_BLOCK_ROWS
+            uu = np.zeros((a0.d_in, a0.d_in))
+            for start in range(0, summed, STREAM_BLOCK_ROWS):
+                block = u[start:start + STREAM_BLOCK_ROWS]
+                uu += block.T @ block
+            want = u[summed:n].T @ u[summed:n]
+            want += uu
+            want /= n
+            assert cov.c_kk.tobytes() == want.tobytes(), f"c_kk at n={n} is not its sums' bits"
 
 
 class TestNoiseStatistic:
@@ -204,7 +225,7 @@ class TestNoiseStatistic:
         uu = u.T @ u
         rows = np.empty((draws, d_out, d_in))
         for k in range(draws):
-            cov = estimators._from_sums(a0, uu, n, noise_sd, rng_seed=k)
+            cov = estimators._from_sums(a0, uu, n, noise_sd, k, np.zeros((d_in, d_in)))
             rows[k] = n * (cov.c_lk - a0.m @ cov.c_kk)
         for j in range(d_out):
             target = noise_sd[j] ** 2 * n * cov.c_kk

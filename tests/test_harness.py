@@ -125,6 +125,14 @@ class TestGroundTruthSpec:
         assert np.array_equal(spec.build(cfg).m, want.m), \
             "random spec must reproduce the generator draw for the derived seed"
 
+    @pytest.mark.parametrize("dim", ["d_in", "d_out"])
+    def test_a_grid_past_the_largest_array_is_refused_naming_it(self, dim):
+        cfg = dataclasses.replace(small_config(), **{dim: 2**70})
+        with pytest.raises(ConfigError, match=r"^d_in=\d+ and d_out=\d+ make a ground truth "
+                                              r"of \d+ doubles") as info:
+            GroundTruthSpec("random").build(cfg)
+        assert f"{dim}={2**70}" in str(info.value), str(info.value)
+
     def test_random_kind_explicit_seed(self):
         cfg = small_config()
         a = GroundTruthSpec("random", {"seed": 5}).build(cfg)
@@ -782,7 +790,8 @@ class TestExperimentPlan:
 
 
 WORKER_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS",
-               "NUMEXPR_NUM_THREADS", "MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_")
+               "NUMEXPR_NUM_THREADS", "MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_",
+               "OPENBLAS_CORETYPE", "MKL_CBWR", "MKL_ENABLE_INSTRUCTIONS", "MKL_DEBUG_CPU_TYPE")
 
 
 class InProcessPool:
@@ -1101,10 +1110,11 @@ class TestWorkerState:
 
 
 class TestWorkerEnvironment:
-    # The caller exports some of the variables, one of them a heap variable,
-    # and leaves the others unset.
+    # The caller exports some of the variables, one of them a heap variable
+    # and two of them BLAS kernel choices, and leaves the others unset.
     CALLER = {"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "3",
-              "MALLOC_TRIM_THRESHOLD_": "0"}
+              "MALLOC_TRIM_THRESHOLD_": "0", "OPENBLAS_CORETYPE": "Sandybridge",
+              "MKL_CBWR": "COMPATIBLE"}
 
     @pytest.fixture(autouse=True)
     def callers_environment(self, monkeypatch):
@@ -1123,9 +1133,11 @@ class TestWorkerEnvironment:
         run_convergence(tiny_plan())
         want = {"OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
                 "NUMEXPR_NUM_THREADS": "1", "MALLOC_MMAP_THRESHOLD_": str(4 * 2**20),
-                "MALLOC_TRIM_THRESHOLD_": str(8 * 2**20)}
+                "MALLOC_TRIM_THRESHOLD_": str(8 * 2**20), "OPENBLAS_CORETYPE": None,
+                "MKL_CBWR": None, "MKL_ENABLE_INSTRUCTIONS": None, "MKL_DEBUG_CPU_TYPE": None}
         assert InProcessPool.envs == [want], \
-            f"workers must start with one BLAS thread and the fixed heap thresholds " \
+            f"workers must start with one BLAS thread, the library's own kernel and the " \
+            f"fixed heap thresholds " \
             f"whatever the caller exports: {InProcessPool.envs}"
 
     @pytest.mark.parametrize("refusal", [None, "in a worker", "in a worker's init"])
