@@ -25,7 +25,6 @@ from .estimators import ESTIMATOR_NAMES
 from .harness import (
     ExperimentPlan,
     GroundTruthSpec,
-    _check_memory,
     _check_sample_count,
     _check_writable,
     _csv,
@@ -259,7 +258,6 @@ def _cmd_packing(args: argparse.Namespace) -> int:
     elif "omega" not in params:
         params.setdefault("seed", ground_truth_seed(cfg))
     spec = GroundTruthSpec(kind="packing", params=params)
-    _check_memory(cfg, 0)  # packing builds the operator here and starts no worker
     op = spec.build(cfg)
     rows = [(int(j) + 1, int(i) + 1, float(op.m[j, i])) for j, i in zip(*np.nonzero(op.m))]
     return _print_table(args, {"params": params}, "entries", ("row", "col", "value"), rows)

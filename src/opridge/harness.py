@@ -176,11 +176,16 @@ class GroundTruthSpec:
         object.__setattr__(self, "params", params)
 
     def build(self, cfg: ProblemConfig) -> OperatorMatrix:
-        """Materialize the operator on the config's frequency grid."""
+        """Materialize the operator on the config's frequency grid.
+
+        Raises:
+            ConfigError: naming d_in and d_out, before anything is
+                allocated, when this process and its build of a0 exceed
+                physical memory (_check_memory(cfg, 0)); or naming the
+                fields that give no operator on this grid.
+        """
+        _check_memory(cfg, 0)
         p = self.params
-        if 8 * cfg.d_out * cfg.d_in > sys.maxsize:  # numpy's largest array, in bytes
-            raise ConfigError(f"d_in={cfg.d_in} and d_out={cfg.d_out} make a ground truth of "
-                              f"{cfg.d_out * cfg.d_in} doubles, more than an array can hold")
         try:
             if self.kind == "random":
                 seed = p.get("seed", ground_truth_seed(cfg))
@@ -528,9 +533,11 @@ def _check_memory(cfg: ProblemConfig, workers: int) -> None:
     larger of its own build of a0 and a0 with the arrays of one pass
     (estimators._pass_peak_bytes): when d_out is much larger than d_in, a
     pass's arrays and a0 come to less than the two a0s of a build. With
-    workers == 0 (packing, which starts none) the parent counts its own
-    build of a0. Called before a0 is built, so a refused config allocates
-    nothing.
+    workers == 0 the caller is a process that builds a0, GroundTruthSpec.build
+    before each build, and it counts that build. A worker's own check then
+    cannot refuse once its pool's has passed, which counted at least that
+    for each worker. Called before a0 is built, so a refused config
+    allocates nothing.
 
     Raises:
         ConfigError: naming d_in and d_out.

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import sys
 import threading
 from typing import Any
 
@@ -102,6 +104,59 @@ def random_valid_config(rng: np.random.Generator) -> dict[str, Any]:
         "ground_truth": {"kind": kind, "params": params},
         "n_list": n_list,
     }
+
+
+def _log_uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
+    """Log-uniform over [lo, hi], positive floats."""
+    return float(10.0 ** rng.uniform(math.log10(lo), math.log10(hi)))
+
+
+def _extreme(rng: np.random.Generator, hi: float) -> float:
+    """0, or log-uniform over 1e-300 to hi."""
+    return 0.0 if rng.random() < 0.1 else _log_uniform(rng, 1e-300, hi)
+
+
+def _signed(rng: np.random.Generator) -> float:
+    """Either sign, with a magnitude log-uniform over 1e-3 to 1e300."""
+    return float(rng.choice([-1.0, 1.0])) * _log_uniform(rng, 1e-3, 1e300)
+
+
+# How documented_range_config redraws a ground-truth param at its extremes.
+_EXTREME_PARAMS = {
+    "taper_in": _signed,
+    "taper_out": _signed,
+    "t": lambda rng: int(rng.integers(0, 201)),
+    "scale": _signed,
+    # Near either end of 1e-300 to 1.7e308 on a log scale: about a quarter of the
+    # draws put 32 * eps past double range.
+    "eps": lambda rng: 10.0 ** _near_either_end(rng, -300.0, math.log10(1.7e308)),
+}
+
+
+def documented_range_config(rng: np.random.Generator) -> dict[str, Any]:
+    """Draw a rates config file's object over every documented range, ends included.
+
+    A random_valid_config widened: B is 0 or log-uniform from 1e-300 to
+    1.7e308, sigma up to the root of the largest double (its square must be
+    finite), d_in and d_out are 1 to 40, n_list is an increasing triple from
+    2, around a stream block's end, and trials is 1 or 2. Each number param
+    of the ground truth is redrawn at its extremes with probability 0.3: a
+    taper or a laplacian scale of either sign up to 1e300, a laplacian t up
+    to 200, a packing eps near 1e-300 or 1.7e308.
+    """
+    obj = random_valid_config(rng)
+    d_in, d_out = (int(d) for d in rng.integers(1, 41, size=2))
+    if obj["d_in"] == obj["d_out"]:  # mostly a laplacian's square grid
+        d_out = d_in
+    params = obj["ground_truth"]["params"]
+    for key, draw in _EXTREME_PARAMS.items():
+        if key in params and rng.random() < 0.3:
+            params[key] = draw(rng)
+    n_list = sorted(rng.choice([2, 3, 4, 5, 8, 64, 511, 512, 513, 1000, 1024, 1025],
+                               size=3, replace=False).tolist())
+    obj.update(B=_extreme(rng, 1.7e308), sigma=_extreme(rng, math.sqrt(sys.float_info.max)),
+               d_in=d_in, d_out=d_out, n_list=n_list, trials=int(rng.integers(1, 3)))
+    return obj
 
 
 def random_decay(rng: np.random.Generator, dim: int) -> EigenDecay:

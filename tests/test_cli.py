@@ -534,7 +534,8 @@ class TestExitCodes:
         def no_pool(*args, **kwargs):
             raise AssertionError("no worker pool may start")
 
-        monkeypatch.setattr(harness.GroundTruthSpec, "build", no_build)
+        for builder in ("random_source_operator", "laplacian_operator", "packing_operator"):
+            monkeypatch.setattr(harness, builder, no_build)  # build checks memory first
         monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
         if budget is not None:
             monkeypatch.setattr(harness, "_physical_memory", lambda: budget)
@@ -560,7 +561,8 @@ class TestExitCodes:
         def no_build(*args):
             raise AssertionError("the ground truth must not be built")
 
-        monkeypatch.setattr(harness.GroundTruthSpec, "build", no_build)
+        for builder in ("random_source_operator", "laplacian_operator", "packing_operator"):
+            monkeypatch.setattr(harness, builder, no_build)  # build checks memory first
         monkeypatch.setattr(harness, "_physical_memory", lambda: harness._INTERPRETER_BYTES)
         path, _ = write_config(tmp_path, d_in=16, d_out=16)
         out = tmp_path / "x.csv"

@@ -56,7 +56,7 @@ from opridge.estimators import (
     _pass_peak_bytes,
 )
 
-from conftest import random_problem_config, random_valid_config
+from conftest import documented_range_config, random_problem_config, random_valid_config
 
 
 @pytest.fixture(autouse=True)
@@ -125,13 +125,27 @@ class TestGroundTruthSpec:
         assert np.array_equal(spec.build(cfg).m, want.m), \
             "random spec must reproduce the generator draw for the derived seed"
 
-    @pytest.mark.parametrize("dim", ["d_in", "d_out"])
-    def test_a_grid_past_the_largest_array_is_refused_naming_it(self, dim):
-        cfg = dataclasses.replace(small_config(), **{dim: 2**70})
-        with pytest.raises(ConfigError, match=r"^d_in=\d+ and d_out=\d+ make a ground truth "
-                                              r"of \d+ doubles") as info:
-            GroundTruthSpec("random").build(cfg)
-        assert f"{dim}={2**70}" in str(info.value), str(info.value)
+    @pytest.mark.parametrize("kind, params, d_in, d_out", [
+        ("random", {}, 2**70, 12),
+        ("random", {}, 8, 2**70),
+        ("random", {}, 2**40, 16),
+        ("packing", {"m1": 4, "K": 8, "eps": 0.01}, 2**40, 16),
+        ("laplacian", {}, 2**40, 2**40),
+    ], ids=["d_in", "d_out", "random-2^40", "packing-2^40", "laplacian-2^40"])
+    def test_a_grid_past_the_largest_array_is_refused_naming_it(self, kind, params, d_in,
+                                                                 d_out):
+        # Past physical memory, numpy's largest array included: the build
+        # refuses it through _check_memory before it allocates anything.
+        cfg = dataclasses.replace(small_config(), d_in=d_in, d_out=d_out)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=rf"^d_in={d_in} and d_out={d_out} need "
+                                                  r"\S+ GiB of arrays to build the ground truth"):
+                GroundTruthSpec(kind, params).build(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, f"the refused {kind} build allocated {peak} B first"
 
     def test_random_kind_explicit_seed(self):
         cfg = small_config()
@@ -1605,15 +1619,67 @@ class TestSampledConfigs:
 
     def test_an_overflowing_snapshot_is_refused_by_name(self, tmp_path):
         assert _pass_outcome(OVERFLOW_CONFIG, 0) == "refused"
-        path = tmp_path / "ovf.json"
-        path.write_text(json.dumps(OVERFLOW_CONFIG))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [str(Path(harness.__file__).resolve().parents[1]),
-             *filter(None, [os.environ.get("PYTHONPATH")])])}
-        proc = subprocess.run([sys.executable, "-m", "opridge.cli", "rates", "--config", str(path),
-                               "--out", str(tmp_path / "summary.csv")],
-                              env=env, capture_output=True, text=True)
+        proc = _rates_in_a_subprocess(OVERFLOW_CONFIG, tmp_path / "ovf")
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("config error: the single error at n=2 is nan: "
                                       "the scales B=7.575e+299 and sigma=0.1"), proc.stderr
         assert "Warning" not in proc.stderr, proc.stderr
+
+    def test_every_documented_range_config_gives_a_report_or_is_refused_by_name(
+            self, monkeypatch):
+        # parse_config, ExperimentPlan and run_convergence, with warnings as
+        # errors and the sweep's worker functions in this process:
+        # InProcessPool runs _pool_init, then _pool_trial for each trial. A
+        # failure shows the config as JSON, which opridge rates --config replays.
+        monkeypatch.setattr(InProcessPool, "sizes", [])
+        monkeypatch.setattr(InProcessPool, "envs", [])
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        outcomes = {"ran": 0, "refused": 0}
+        for case, obj in enumerate(documented_range_configs(400)):
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    cfg, spec, _, extras = parse_config(obj)
+                    report = run_convergence(ExperimentPlan(cfg=cfg, ground_truth=spec, **extras))
+            except ConfigError:
+                outcomes["refused"] += 1
+                continue
+            except Exception as exc:
+                pytest.fail(f"case {case} raised {type(exc).__name__}: {exc}\n{json.dumps(obj)}")
+            assert all(math.isfinite(r.error_sq) for r in report.runs), json.dumps(obj)
+            outcomes["ran"] += 1
+        # Both outcomes are common, so the sampler reaches past validation.
+        assert min(outcomes.values()) >= 50, outcomes
+
+    def test_drawn_configs_exit_zero_or_two_through_the_cli(self, tmp_path):
+        codes = []
+        for case, obj in enumerate(documented_range_configs(CLI_CASES)):
+            proc = _rates_in_a_subprocess(obj, tmp_path / f"case{case}")
+            codes.append(proc.returncode)
+            assert proc.returncode in (0, 2), f"{proc.stderr}\n{json.dumps(obj)}"
+            if proc.returncode == 2:
+                assert proc.stderr.count("config error:") == 1, proc.stderr
+                assert "Traceback" not in proc.stderr, proc.stderr
+        assert set(codes) == {0, 2}, f"the cases should both run and be refused: {codes}"
+
+
+# The first CLI_CASES of documented_range_configs both run and are refused.
+CLI_CASES = 6
+
+
+def documented_range_configs(count: int) -> list[dict]:
+    """The first count configs of a fixed draw over every documented range."""
+    rng = np.random.default_rng(37)
+    return [documented_range_config(rng) for _ in range(count)]
+
+
+def _rates_in_a_subprocess(obj: dict, stem: Path) -> subprocess.CompletedProcess:
+    """`python -m opridge.cli rates` on the config object, its files named from stem."""
+    path = stem.with_name(stem.name + "_config.json")  # stem.json is the report
+    path.write_text(json.dumps(obj))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(harness.__file__).resolve().parents[1]),
+         *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run([sys.executable, "-m", "opridge.cli", "rates", "--config", str(path),
+                           "--out", str(stem.with_suffix(".csv"))],
+                          env=env, capture_output=True, text=True)
