@@ -252,7 +252,13 @@ def _cmd_packing(args: argparse.Namespace) -> int:
     else:
         # Small default block fitting any grid with d_in >= 8, d_out >= 8.
         params = {"m1": 4, "m2": 0, "K": 8, "eps": 0.01}
+        if cfg.d_in < 8 or cfg.d_out < 8:  # the config names no m1 or K to blame
+            raise ConfigError(f"d_in={cfg.d_in} and d_out={cfg.d_out} do not hold the default "
+                              "packing block m1=4, K=8, which needs d_in >= 8 and d_out >= 8: "
+                              "give a packing ground_truth that fits, or a larger grid")
     if args.seed is not None:  # the flag's pattern replaces the config's
+        if args.seed < 0:  # named here, not as a ground_truth.params.seed the file lacks
+            raise ConfigError(f"--seed must be an integer >= 0, got {args.seed}")
         params.pop("omega", None)
         params["seed"] = args.seed
     elif "omega" not in params:

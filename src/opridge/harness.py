@@ -95,6 +95,10 @@ _GROUND_TRUTH_PARAMS = {
     "packing": (("m1", "K", "eps"), {"m1", "m2", "K", "eps", "omega", "seed"}),
 }
 
+# The least value of each integer param; numpy seeds its generators with
+# nonnegative integers. Every other param but omega is a finite float.
+_GROUND_TRUTH_INT_MIN = {"seed": 0, "m1": 1, "m2": 0, "K": 1, "t": 0}
+
 # Environment variables that set a BLAS library's thread count.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                      "OMP_NUM_THREADS", "NUMEXPR_NUM_THREADS")
@@ -140,8 +144,10 @@ class GroundTruthSpec:
     load time, not in the middle of a sweep: packing needs m1, K and eps,
     omega is a matrix, not null, and each number param is stored as a
     finite float, or as an int where an integral float such as 4.0 is
-    accepted; any other value raises a ConfigError naming
-    ground_truth.params.<key>.
+    accepted. The ints are seed >= 0, m1 >= 1, m2 >= 0, K >= 1 and t >= 0,
+    and eps > 0; any other value raises a ConfigError naming
+    ground_truth.params.<key>. build refuses only what the grid decides,
+    and an omega that is not an m1 x K 0/1 matrix.
     """
 
     kind: str = "random"
@@ -167,12 +173,15 @@ class GroundTruthSpec:
         if "omega" in self.params and "seed" in self.params:
             raise ConfigError("ground_truth.params.omega and ground_truth.params.seed both "
                               "given: the seed only draws an omega, so give one of them")
-        integers = ("seed", "m1", "m2", "K", "t")  # every param but omega is a number
-        params = {k: v if k == "omega" else _scalar(f"ground_truth.params.{k}", v, k in integers)
+        params = {k: v if k == "omega"
+                  else _scalar(f"ground_truth.params.{k}", v, k in _GROUND_TRUTH_INT_MIN)
                   for k, v in self.params.items()}
-        if params.get("seed", 0) < 0:  # numpy seeds its generators with nonnegative integers
-            raise ConfigError(f"ground_truth.params.seed must be a nonnegative integer, "
-                              f"got {params['seed']}")
+        for key, least in _GROUND_TRUTH_INT_MIN.items():
+            if params.get(key, least) < least:
+                raise ConfigError(f"ground_truth.params.{key} must be an integer >= {least}, "
+                                  f"got {params[key]}")
+        if params.get("eps", 1.0) <= 0.0:
+            raise ConfigError(f"ground_truth.params.eps must be positive, got {params['eps']}")
         object.__setattr__(self, "params", params)
 
     def build(self, cfg: ProblemConfig) -> OperatorMatrix:
@@ -182,62 +191,53 @@ class GroundTruthSpec:
             ConfigError: naming d_in and d_out, before anything is
                 allocated, when this process and its build of a0 exceed
                 physical memory (_check_memory(cfg, 0)); or naming the
-                fields that give no operator on this grid.
+                fields that give no operator on this grid: a laplacian on
+                a grid that is not square, a packing block past it, or
+                coefficients past double range.
         """
         _check_memory(cfg, 0)
         p = self.params
-        try:
-            if self.kind == "random":
-                seed = p.get("seed", ground_truth_seed(cfg))
-                # A taper that params leave out takes random_source_operator's default.
-                tapers = {k: p[k] for k in ("taper_in", "taper_out") if k in p}
-                _, a0 = random_source_operator(cfg, seed, **tapers)
-                return a0
-            if self.kind == "laplacian":
-                if cfg.d_in != cfg.d_out:
-                    raise ConfigError(
-                        "ground_truth.kind 'laplacian' needs a square grid, "
-                        f"got d_in={cfg.d_in}, d_out={cfg.d_out}"
-                    )
-                # Smoothness orders are pinned by the config decays
-                # (mu_i = i^(-1/p) means s = 1/(2p)), so only the symbol
-                # is free here. Each decay raises its own ConfigError first.
-                decays = cfg.input_decay, cfg.output_decay
-                t, scale = p.get("t", 1), p.get("scale", 1.0)
-                try:
-                    with np.errstate(over="ignore", invalid="ignore"):  # refused by name
-                        _, op, _ = laplacian_operator(
-                            s=1.0 / (2.0 * cfg.p),
-                            m=1.0 / (2.0 * cfg.q),
-                            t=t,
-                            dim=cfg.d_in,
-                            scale=scale,
-                            beta=cfg.beta,
-                            gamma=cfg.gamma,
-                        )
-                except OverflowError:
-                    raise ConfigError(
-                        f"q={cfg.q} and p={cfg.p} at d_in={cfg.d_in} with ground_truth.params."
-                        f"t={t} and ground_truth.params.scale={scale} put the laplacian "
-                        "coefficients d_n mu_n^(-beta/2) rho_n^(-(2-gamma)/2) past double "
-                        "precision: raise q or p, or lower t or scale") from None
-                return OperatorMatrix(op.m, *decays)
-            omega = p.get("omega")
-            if omega is None:  # packing_operator draws it once the block fits the grid
-                omega = np.random.default_rng(p.get("seed", ground_truth_seed(cfg)))
+        if self.kind == "random":
+            seed = p.get("seed", ground_truth_seed(cfg))
+            # A taper that params leave out takes random_source_operator's default.
+            tapers = {k: p[k] for k in ("taper_in", "taper_out") if k in p}
+            _, a0 = random_source_operator(cfg, seed, **tapers)
+            return a0
+        if self.kind == "laplacian":
+            if cfg.d_in != cfg.d_out:
+                raise ConfigError(
+                    "ground_truth.kind 'laplacian' needs a square grid, "
+                    f"got d_in={cfg.d_in}, d_out={cfg.d_out}"
+                )
+            # Smoothness orders are pinned by the config decays
+            # (mu_i = i^(-1/p) means s = 1/(2p)), so only the symbol
+            # is free here. Each decay raises its own ConfigError first.
+            decays = cfg.input_decay, cfg.output_decay
+            t, scale = p.get("t", 1), p.get("scale", 1.0)
             try:
                 with np.errstate(over="ignore", invalid="ignore"):  # refused by name
-                    return packing_operator(p["m1"], p.get("m2", 0), p["K"], p["eps"], omega,
-                                            cfg.input_decay, cfg.output_decay,
-                                            cfg.beta_prime, cfg.gamma_prime)
+                    _, op, _ = laplacian_operator(
+                        s=1.0 / (2.0 * cfg.p),
+                        m=1.0 / (2.0 * cfg.q),
+                        t=t,
+                        dim=cfg.d_in,
+                        scale=scale,
+                        beta=cfg.beta,
+                        gamma=cfg.gamma,
+                    )
             except OverflowError:
-                raise ConfigError(f"ground_truth.params.eps={p['eps']} puts the packing block "
-                                  "sqrt(32*eps/(m1*K)) * weights past double range: lower eps"
-                                  ) from None
-        except ConfigError:  # names a config field, not a ground-truth parameter
-            raise
-        except (TypeError, ValueError, OverflowError) as exc:  # a value the builder refuses
-            raise ConfigError(f"ground_truth.params invalid: {exc}") from exc
+                raise ConfigError(
+                    f"q={cfg.q} and p={cfg.p} at d_in={cfg.d_in} with ground_truth.params."
+                    f"t={t} and ground_truth.params.scale={scale} put the laplacian "
+                    "coefficients d_n mu_n^(-beta/2) rho_n^(-(2-gamma)/2) past double "
+                    "precision: raise q or p, or lower t or scale") from None
+            return OperatorMatrix(op.m, *decays)
+        omega = p.get("omega")
+        if omega is None:  # packing_operator draws it once the block fits the grid
+            omega = np.random.default_rng(p.get("seed", ground_truth_seed(cfg)))
+        return packing_operator(p["m1"], p.get("m2", 0), p["K"], p["eps"], omega,
+                                cfg.input_decay, cfg.output_decay,
+                                cfg.beta_prime, cfg.gamma_prime)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +254,7 @@ def _check_sample_count(n: int, field: str) -> None:
         raise ConfigError(f"{field} must be >= 2, got {n}")
     if n > sys.float_info.max:
         raise ConfigError(f"{field} must be at most {sys.float_info.max:.6g}, the largest "
-                          f"double, got a {len(str(n))}-digit count")
+                          f"double, got a {n.bit_length()}-bit count")
 
 
 @dataclass(frozen=True)

@@ -307,20 +307,24 @@ def packing_operator(
         beta_prime, gamma_prime: the norm exponents the family is built for.
 
     Raises:
-        ValueError: the block does not fit the grid.
-        ConfigError: omega is not an m1 x K matrix of 0s and 1s, naming
-            ground_truth.params.omega.
-        OverflowError: a block entry is past double range (eps too large).
+        ValueError: m1 < 1, K < 1, m2 < 0 or eps <= 0. GroundTruthSpec
+            refuses these when a config loads; they stay for direct callers.
+        ConfigError: what the grid decides, naming ground_truth.params:
+            m1 when the input block is past d_in, m2 and K when the output
+            block is past d_out, eps when a block entry is past double
+            range; or omega when it is not an m1 x K matrix of 0s and 1s.
     """
     if m1 < 1 or K < 1 or m2 < 0:
         raise ValueError(f"block sizes must satisfy m1>=1, K>=1, m2>=0, got {(m1, m2, K)}")
-    d_in, d_out = len(in_decay), len(out_decay)
-    if 2 * m1 > d_in:
-        raise ValueError(f"input block 2*m1={2 * m1} exceeds d_in={d_in}")
-    if m2 + K > d_out:
-        raise ValueError(f"output block m2+K={m2 + K} exceeds d_out={d_out}")
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
+    d_in, d_out = len(in_decay), len(out_decay)
+    if 2 * m1 > d_in:
+        raise ConfigError(f"ground_truth.params.m1={m1} puts the input block 2*m1={2 * m1} "
+                          f"past d_in={d_in}")
+    if m2 + K > d_out:
+        raise ConfigError(f"ground_truth.params.m2={m2} and ground_truth.params.K={K} put the "
+                          f"output block m2+K={m2 + K} past d_out={d_out}")
     if isinstance(omega, np.random.Generator):
         omega = omega.integers(0, 2, size=(m1, K))
     try:
@@ -330,15 +334,17 @@ def packing_operator(
         valid = False
     if not valid:
         raise ConfigError(f"ground_truth.params.omega must be an m1 x K = {m1} x {K} 0/1 matrix")
-    c = math.sqrt(32.0 * eps / (m1 * K))
-    mu_w = in_decay.values[m1 : 2 * m1] ** ((beta_prime - 1.0) / 2.0)
-    rho_w = out_decay.values[m2 : m2 + K] ** ((1.0 - gamma_prime) / 2.0)
     mat = np.zeros((d_out, d_in))
-    mat[m2 : m2 + K, m1 : 2 * m1] = c * omega.T * rho_w[:, np.newaxis] * mu_w[np.newaxis, :]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused by name
+        c = math.sqrt(32.0 * eps / (m1 * K))
+        mu_w = in_decay.values[m1 : 2 * m1] ** ((beta_prime - 1.0) / 2.0)
+        rho_w = out_decay.values[m2 : m2 + K] ** ((1.0 - gamma_prime) / 2.0)
+        mat[m2 : m2 + K, m1 : 2 * m1] = c * omega.T * rho_w[:, np.newaxis] * mu_w[np.newaxis, :]
     try:  # the shapes match, so only an entry past double range is refused
         return OperatorMatrix(mat, in_decay, out_decay)
-    except ValueError as exc:
-        raise OverflowError(f"{exc} at eps={eps}") from None
+    except ValueError:
+        raise ConfigError(f"ground_truth.params.eps={eps} puts the packing block "
+                          "sqrt(32*eps/(m1*K)) * weights past double range: lower eps") from None
 
 
 def ground_truth_seed(cfg: ProblemConfig) -> int:

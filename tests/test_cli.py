@@ -317,6 +317,37 @@ class TestRates:
         assert path.read_bytes() == before
         assert not out.exists()
 
+    def test_n_list_flag_that_is_not_integers_exits_two(self, tmp_path, capsys):
+        path, _ = write_config(tmp_path)
+        out = tmp_path / "sweep.csv"
+        assert cli_main(["rates", "--config", str(path), "--out", str(out),
+                         "--n-list", "64,x,256"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --n-list must be comma-separated integers"), err
+        assert not out.exists()
+
+    def test_no_sample_counts_anywhere_exits_two(self, tmp_path, capsys):
+        path, obj = write_config(tmp_path)
+        del obj["n_list"]
+        path.write_text(json.dumps(obj))
+        out = tmp_path / "sweep.csv"
+        assert cli_main(["rates", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "n_list" in err and "--n-list" in err and "Traceback" not in err, err
+        assert not out.exists()
+
+    def test_seed_flag_changes_the_draw(self, tmp_path, capsys):
+        # elapsed_ms is a timing, so the runs are compared without it.
+        runs = []
+        for stem, seed in (("a", "7"), ("b", "8"), ("c", "7")):
+            self.run(tmp_path, f"{stem}.csv", "--seed", seed)
+            lines = (tmp_path / f"{stem}_runs.csv").read_text().splitlines()
+            runs.append([line.rsplit(",", 1)[0] for line in lines])
+        capsys.readouterr()
+        assert runs[0] != runs[1], "--seed must reseed the dataset draws"
+        assert runs[0] == runs[2], "equal seeds must reproduce exactly"
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "c.csv").read_bytes()
+
     def test_n_list_flag_overrides_config(self, tmp_path, capsys):
         path, _ = write_config(tmp_path)
         out = tmp_path / "sweep.csv"
@@ -897,9 +928,16 @@ class TestExitCodes:
                                                          "omega": None}}},
          "ground_truth.params.omega"),
         ({"ground_truth": {"kind": "random", "taper_in": 0.5}}, "ground_truth key(s)"),
+        *(({"ground_truth": {"kind": "packing", "params": {"m1": 2, "K": 4, "eps": 0.01,
+                                                           key: value}}},
+           f"ground_truth.params.{key} must be")
+          for key, value in (("m1", 0), ("K", 0), ("m2", -1), ("eps", 0), ("eps", -1))),
+        ({"ground_truth": {"kind": "laplacian", "params": {"t": -1}}},
+         "ground_truth.params.t must be"),
     ], ids=["beta-true", "trials-2.5", "trials-true", "trials-string", "n_list-string-entry",
             "n_list-empty", "n_list-string", "packing-without-eps", "kind-list", "omega-null",
-            "ground_truth-unknown-key"])
+            "ground_truth-unknown-key", "packing-m1-0", "packing-K-0", "packing-m2-negative",
+            "packing-eps-0", "packing-eps-negative", "laplacian-t-negative"])
     def test_bad_field_value_names_the_field(self, tmp_path, capsys, overrides, field):
         # schedule reads neither trials nor the ground truth: every command
         # that loads the config refuses them.
@@ -1012,6 +1050,23 @@ class TestPacking:
         err = capsys.readouterr().err
         assert "ground_truth.params.omega" in err and "ground_truth.params.seed" in err, err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("dims", [{"d_in": 4}, {"d_out": 7}], ids=["d_in-4", "d_out-7"])
+    def test_a_grid_too_small_for_the_default_block_names_the_grid(self, tmp_path, capsys,
+                                                                  dims):
+        path, _ = write_config(tmp_path, **dims)
+        assert cli_main(["packing", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        for named in (f"d_in={dims.get('d_in', 12)}", f"d_out={dims.get('d_out', 16)}",
+                      "default packing block m1=4, K=8"):
+            assert named in err, err
+        assert "ground_truth.params" not in err, "the config gives no packing params"
+
+    def test_a_negative_seed_flag_names_the_flag(self, tmp_path, capsys):
+        path, _ = write_config(tmp_path, ground_truth=OMEGA_PACKING)
+        assert cli_main(["packing", "--config", str(path), "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: --seed must be an integer >= 0, got -1\n", err
 
     def test_default_block_on_plain_config(self, tmp_path, capsys):
         path, _ = write_config(tmp_path)

@@ -223,6 +223,17 @@ class TestGroundTruthSpec:
             with pytest.raises(ConfigError, match=r"^ground_truth\.params\.eps="):
                 spec.build(cfg)
 
+    @pytest.mark.parametrize("params, named", [
+        ({"m1": 5, "K": 4, "eps": 0.5}, ("ground_truth.params.m1=5", "d_in=8")),
+        ({"m1": 2, "m2": 9, "K": 4, "eps": 0.5},
+         ("ground_truth.params.m2=9", "ground_truth.params.K=4", "d_out=12")),
+    ], ids=["input-block", "output-block"])
+    def test_a_packing_block_past_the_grid_names_its_params(self, params, named):
+        spec = GroundTruthSpec("packing", params)
+        with pytest.raises(ConfigError, match=r"^ground_truth\.params\.") as exc:
+            spec.build(small_config(d_in=8, d_out=12))
+        assert all(name in str(exc.value) for name in named), exc.value
+
     @pytest.mark.parametrize("kind", ["fourier", ["random"], {"random": 1}, None, 3])
     def test_unknown_kind_rejected(self, kind):
         with pytest.raises(ConfigError, match="^ground_truth.kind must be one of"):
@@ -247,10 +258,17 @@ class TestGroundTruthSpec:
         ("random", {"seed": -1}, "seed"),
         ("packing", {"m1": 2, "K": 4, "eps": 0.5, "seed": -1}, "seed"),
         ("packing", {"m1": 2, "K": 4, "eps": 0.5, "omega": None}, "omega"),
+        ("packing", {"m1": 0, "K": 4, "eps": 0.5}, "m1"),
+        ("packing", {"m1": 2, "K": 0, "eps": 0.5}, "K"),
+        ("packing", {"m1": 2, "m2": -1, "K": 4, "eps": 0.5}, "m2"),
+        ("packing", {"m1": 2, "K": 4, "eps": 0.0}, "eps"),
+        ("packing", {"m1": 2, "K": 4, "eps": -1}, "eps"),
+        ("laplacian", {"t": -1}, "t"),
     ])
     def test_a_param_not_usable_as_written_is_refused_at_load(self, kind, params, key):
         # A NaN taper once built the zero operator, and int() truncated 2.5 to
         # 2. A null omega was drawn by build but counted as given beside a seed.
+        # A range that holds on every grid is refused here, not by the build.
         obj = config_to_dict(small_config())
         obj["ground_truth"] = {"kind": kind, "params": params}
         with pytest.raises(ConfigError, match=rf"^ground_truth\.params\.{key} must be"):
@@ -746,6 +764,12 @@ class TestExperimentPlan:
         # The regularization floor is undefined at n = 1.
         with pytest.raises(ConfigError, match="n_list"):
             tiny_plan(n_list=n_list)
+
+    def test_a_count_too_long_to_print_is_refused_by_name(self):
+        # Python refuses str() of an int past 4300 digits, so its size is told in bits.
+        with pytest.raises(ConfigError, match=r"^each n_list entry must be at most .*"
+                                              r"got a 16610-bit count$"):
+            ExperimentPlan(small_config(), (2, 3, 10**5000), 1)
 
     @pytest.mark.parametrize("trials", [0, 2.5, True], ids=["zero", "fraction", "bool"])
     def test_trials_must_be_positive(self, trials):
