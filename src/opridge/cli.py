@@ -30,6 +30,7 @@ from .harness import (
     _csv,
     _outputs,
     _run_cells,
+    _write,
     config_to_dict,
     format_number,
     load_config,
@@ -75,11 +76,8 @@ def _emit(text: str, out: str | None) -> None:
     text = text if text.endswith("\n") else text + "\n"
     if out is None:
         sys.stdout.write(text)
-        return
-    try:
-        Path(out).write_text(text)
-    except OSError as exc:
-        raise ConfigError(f"--out {out!r} cannot be written: {exc.strerror}") from None
+    else:
+        _write(out, Path(out), text)
 
 
 def _print_table(args: argparse.Namespace, doc: dict[str, Any], key: str,
@@ -123,18 +121,22 @@ def _resolve_n(args: argparse.Namespace, extras: dict[str, Any]) -> int:
 def _load(args: argparse.Namespace) -> tuple[Any, ...]:
     """load_config(args.config), once no file the command writes (for rates, three) is it.
 
-    Any other command's --out is then opened, so a path that cannot be
-    written is refused before the work; rates' plan opens its three files.
+    For simulate and rates, --seed then replaces the config seed. Any
+    other command's --out is then opened, so a path that cannot be written
+    is refused before the work; rates' plan opens its three files.
     """
     out = args.out and Path(args.out)
     if out and out.name:  # a nameless --out is refused when it is opened
         written = _outputs(args.out) if args.command == "rates" else (out,)
         if Path(args.config).resolve() in [p.resolve() for p in written]:
             raise ConfigError(f"--out {args.out} would overwrite the config file {args.config}")
-    loaded = load_config(args.config)
+    cfg, *loaded = load_config(args.config)
+    if args.command in ("simulate", "rates") and args.seed is not None:  # packing's is its own
+        _check_seed_label(args.seed, "--seed")
+        cfg = replace(cfg, seed=args.seed)
     if args.out is not None and args.command != "rates":
         _check_writable(args.out, (Path(args.out),))
-    return loaded
+    return cfg, *loaded
 
 
 def _estimator_list(arg: str) -> tuple[str, ...]:
@@ -177,8 +179,6 @@ def _cmd_contours(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg, gt, _, extras = _load(args)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
     n = _resolve_n(args, extras)
     _check_seed_label(args.trial, "--trial")
     # The one cell runs in a pinned worker, as rates runs it, so its errors
@@ -206,8 +206,6 @@ def _report_progress(done: int, total: int, seconds: float) -> None:
 
 def _cmd_rates(args: argparse.Namespace) -> int:
     cfg, gt, _, extras = _load(args)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
     if args.out is None:
         raise ConfigError("rates requires --out for the summary CSV")
     n_list = _parse_n_list(args.n_list) if args.n_list is not None else extras.get("n_list")

@@ -83,9 +83,6 @@ __all__ = [
     "parse_config",
     "run_cell",
     "run_convergence",
-    "write_report_json",
-    "write_runs_csv",
-    "write_summary_csv",
 ]
 
 # Each ground-truth kind: the params it requires, then every param it allows.
@@ -265,9 +262,9 @@ class ExperimentPlan:
     ints, where an integral float such as 64.0 is accepted. When out is
     set, run_convergence writes the summary CSV there, the runs CSV to its
     _runs sibling and the JSON report to its .json sibling (outputs), once
-    the sweep is done. An out that names no file, or any of whose three
-    paths cannot be opened for writing, is refused here; a file made to
-    check this is removed again.
+    the sweep is done, each through _write. An out that names no file, or
+    any of whose three paths cannot be opened for writing, is refused
+    here; a file made to check this is removed again.
     """
 
     cfg: ProblemConfig
@@ -319,18 +316,30 @@ class ExperimentPlan:
 def _check_writable(out: str, paths: Sequence[Path]) -> None:
     """Refuse --out unless each of paths, which it names, can be opened for writing.
 
-    Each is opened to append, so no byte of a file moves, and a file made
-    to check this is removed again.
+    Each is opened to append (_write with no text), so no byte of a file
+    moves, and a file made to check this is removed again.
     """
     for path in paths:
         made = not path.exists()
-        try:
-            path.open("a").close()
-        except OSError as exc:
-            which = "" if path == Path(out) else f" would write {path}, which"
-            raise ConfigError(f"--out {out!r}{which} cannot be written: {exc.strerror}") from None
+        _write(out, path, None)
         if made:
             path.unlink()
+
+
+def _write(out: str, path: Path, text: str | None) -> None:
+    """Write text to path, a file that --out names; None only opens path to append.
+
+    The one write of every --out file. An OSError becomes the ConfigError
+    refusing --out, which also names path when it is a sibling of out.
+    """
+    try:
+        if text is None:
+            path.open("a").close()
+        else:
+            path.write_text(text)
+    except OSError as exc:
+        which = "" if path == Path(out) else f" would write {path}, which"
+        raise ConfigError(f"--out {out!r}{which} cannot be written: {exc.strerror}") from None
 
 
 def _outputs(out: str) -> tuple[Path, ...]:
@@ -642,7 +651,8 @@ def run_convergence(
     are assembled in a fixed order independent of scheduling.
     progress(done, total, seconds), if given, is called as each trial
     finishes, in trial order, with the seconds since the trials started.
-    Output files are written only once every rate is fitted.
+    Output files are written only once every rate is fitted, in
+    plan.outputs() order, each through _write.
 
     Raises:
         ConfigError: _run_cells refuses cfg: before its pool starts
@@ -651,7 +661,8 @@ def run_convergence(
             error is 0, so no rate can be fitted:
             the ground truth is the zero operator and sigma is 0, or they
             are so small that every error underflows; or an output file
-            cannot be written once the sweep is done.
+            cannot be written once the sweep is done, naming --out and,
+            for a sibling, the file.
     """
     t0 = time.perf_counter()
     trials, worker_start = _run_cells(plan.cfg, plan.ground_truth, plan.estimators,
@@ -691,14 +702,9 @@ def run_convergence(
         total_seconds=time.perf_counter() - t0,
         worker_start_seconds=worker_start,
     )
-    if plan.out is not None:
-        summary, runs_csv, report_json = plan.outputs()
-        try:
-            write_summary_csv(report, summary)
-            write_runs_csv(report, runs_csv)
-            write_report_json(report, report_json, cfg=plan.cfg)
-        except OSError as exc:  # the plan opened each, so a full disk, say
-            raise ConfigError(f"--out {plan.out!r} cannot be written: {exc.strerror}") from None
+    if plan.out is not None:  # the plan opened each, so a failure here is a full disk, say
+        for path, text in zip(plan.outputs(), _report_texts(report, plan.cfg)):
+            _write(plan.out, path, text)
     return report
 
 
@@ -811,20 +817,17 @@ def _csv(header: Sequence[str], rows: Iterable[Iterable[Any]],
     return "\n".join(lines) + "\n"
 
 
-def write_runs_csv(report: RateReport, path: str | Path) -> None:
-    """Per-trial rows; wall times (elapsed_ms, see _run_trial) make this file non-reproducible."""
-    rows = ({**vars(r), "elapsed_ms": round(r.elapsed_ms, 3)}.values() for r in report.runs)
-    Path(path).write_text(_csv([f.name for f in fields(TrialRecord)], rows))
+def _report_texts(report: RateReport, cfg: ProblemConfig) -> tuple[str, str, str]:
+    """The summary CSV, runs CSV and JSON report texts, in ExperimentPlan.outputs() order.
 
-
-def write_summary_csv(report: RateReport, path: str | Path) -> None:
-    """Median/IQR rows; byte-reproducible for a given config and seed."""
-    rows = (vars(s).values() for s in report.summaries)
-    Path(path).write_text(_csv([f.name for f in fields(RateSummary)], rows))
-
-
-def write_report_json(report: RateReport, path: str | Path, cfg: ProblemConfig) -> None:
-    """Full report (fits, summaries, theory target, timings) as JSON."""
+    The summary CSV (median/IQR rows) is byte-reproducible for a given
+    config and seed; the runs CSV's wall times (elapsed_ms, see _run_trial)
+    and the report's timings are not.
+    """
+    summary = _csv([f.name for f in fields(RateSummary)],
+                   (vars(s).values() for s in report.summaries))
+    runs = _csv([f.name for f in fields(TrialRecord)],
+                ({**vars(r), "elapsed_ms": round(r.elapsed_ms, 3)}.values() for r in report.runs))
     eta1, eta2, u = theoretical_rate(cfg)
     doc: dict[str, Any] = {
         "theoretical_eta1": report.theoretical_eta1,
@@ -838,7 +841,7 @@ def write_report_json(report: RateReport, path: str | Path, cfg: ProblemConfig) 
         "total_seconds": report.total_seconds,
         "worker_start_seconds": report.worker_start_seconds,
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return summary, runs, json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -652,19 +652,28 @@ class TestExitCodes:
         assert err.startswith("config error: --out '/proc/x.csv'") and err.count("\n") == 1, err
         assert not Path("/proc/x.csv").exists()
 
-    def test_a_write_that_fails_after_the_sweep_exits_two(self, tmp_path, capsys, monkeypatch):
-        def full_disk(*args, **kwargs):
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    @pytest.mark.parametrize("failed", ["x.csv", "x_runs.csv", "x.json"])
+    def test_a_write_that_fails_after_the_sweep_exits_two(self, tmp_path, capsys, monkeypatch,
+                                                          failed):
+        # The plan opened all three files, so only a full disk, say, stops
+        # one now; the refusal names --out and the file that failed.
+        write_text = Path.write_text
 
-        monkeypatch.setattr(harness, "write_report_json", full_disk)
+        def full_disk(self, *args, **kwargs):
+            if self.name == failed:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return write_text(self, *args, **kwargs)
+
         path, _ = write_config(tmp_path)
+        monkeypatch.setattr(Path, "write_text", full_disk)
         out = tmp_path / "x.csv"
         assert cli_main(["rates", "--config", str(path), "--trials", "1",
                          "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.endswith(f"config error: --out {str(out)!r} cannot be written: "
+        which = "" if failed == out.name else f" would write {tmp_path / failed}, which"
+        assert err.endswith(f"config error: --out {str(out)!r}{which} cannot be written: "
                             f"{os.strerror(errno.ENOSPC)}\n"), err
-        assert "Traceback" not in err, err
+        assert err.count("config error:") == 1 and "Traceback" not in err, err
 
     @pytest.mark.parametrize("argv", [["schedule", "--n", "64"], ["contours", "--n", "64"],
                                       ["simulate", "--n", "64"], ["packing"]],
@@ -861,21 +870,31 @@ class TestExitCodes:
         (["simulate", "--n", "64", "--trial", str(2**64)], "--trial"),
         (["oracle-check", "--seed", "-5"], "--seed"),
         (["oracle-check", "--seed", str(2**64)], "--seed"),
-    ], ids=["trial-negative", "trial-2^64", "oracle-seed-negative", "oracle-seed-2^64"])
+        (["simulate", "--n", "64", "--seed", "-1"], "--seed"),
+        (["simulate", "--n", "64", "--seed", str(2**64)], "--seed"),
+        (["rates", "--out", "x.csv", "--seed", "-1"], "--seed"),
+        (["rates", "--out", "x.csv", "--seed", str(2**64)], "--seed"),
+    ], ids=["trial-negative", "trial-2^64", "oracle-seed-negative", "oracle-seed-2^64",
+            "simulate-seed-negative", "simulate-seed-2^64", "rates-seed-negative",
+            "rates-seed-2^64"])
     def test_seed_labels_outside_64_bits_exit_two(self, tmp_path, capsys, monkeypatch,
                                                   argv, flag):
         # derive_seed reads its inputs modulo 2^64, so these would alias
-        # values inside the range instead of failing.
+        # values inside the range instead of failing; a --seed that replaces
+        # the config seed is named as the flag, not as the config field.
         def no_run(*args, **kwargs):
             raise AssertionError("nothing may run")
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", no_run)
         monkeypatch.setattr(cli, "oracle_checks", no_run)
+        monkeypatch.chdir(tmp_path)
         path, _ = write_config(tmp_path)
-        config = ["--config", str(path)] if argv[0] == "simulate" else []
+        config = [] if argv[0] == "oracle-check" else ["--config", str(path)]
         assert cli_main([*argv, *config]) == 2
         err = capsys.readouterr().err
-        assert f"{flag} must be an integer in [0, 2^64)" in err and "Traceback" not in err
+        assert err.startswith(f"config error: {flag} must be an integer in [0, 2^64)"), err
+        assert err.count("\n") == 1 and "Traceback" not in err, err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"], "nothing may be written"
 
     def test_missing_config_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -44,6 +44,29 @@ def test_the_trial_pass_is_private_to_estimators():
         assert not named & internals, f"{path.name} names {sorted(named & internals)}"
 
 
+def test_every_out_file_is_written_by_one_function():
+    # harness._write is the one write of a file --out names and the one
+    # place that words its refusal; the open-probe and the CLI go through it.
+    src = Path(opridge.__file__).parent
+    writers, refusals = [], 0
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        scope = {}  # node -> name of the innermost function holding it, or None
+        for parent in ast.walk(tree):
+            name = parent.name if isinstance(parent, ast.FunctionDef) else None
+            for child in ast.iter_child_nodes(parent):
+                scope[child] = name or scope.get(parent)
+        writers += [f"{path.stem}.{scope[node]}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "write_text"]
+        refusals += sum(
+            1 for node in ast.walk(tree) if isinstance(node, ast.Raise)
+            and any(isinstance(c, ast.Constant) and "cannot be written" in str(c.value)
+                    for c in ast.walk(node)))
+    assert writers == ["harness._write"], writers
+    assert refusals == 1, f"{refusals} raises word the --out refusal"
+
+
 def test_exports_are_the_modules_lists_once_each():
     module_names = [name for mod in MODULES for name in mod.__all__]
     assert len(set(module_names)) == len(module_names), "a name is listed by two modules"
