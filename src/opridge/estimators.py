@@ -7,9 +7,10 @@ output rows an estimator learns, row j < k of the estimate solves
     a_hat[j] @ (c_kk + lambda_j I) = c_lk[j]
 
 and rows k..d_out-1 are exactly zero. Every such ridge is a spectral
-filter of c_kk = Q diag(Lambda) Q.T, so EmpiricalCovariances keeps one
-eigendecomposition, made when it is built, and the cross moment in its
-basis, c_lq = c_lk @ Q. Row j is (c_lq[j] / (Lambda + lambda_j)) @ Q.T:
+filter of c_kk = Q diag(Lambda) Q.T. EmpiricalCovariances(c_kk, n, cross),
+the one constructor of every snapshot, makes the package's one eigh and
+keeps the cross moment in its basis, c_lq = cross(Lambda, Q): c_lk @ Q
+for a c_lk in hand. Row j is (c_lq[j] / (Lambda + lambda_j)) @ Q.T:
 one private solver, _learned_rows, computes the k learned rows alone,
 _ROW_CHUNK rows and one product at a time; fit_rowwise_ridge stacks them
 on zeros, and a trial pass scores each chunk and drops it before the
@@ -23,12 +24,12 @@ estimate_from_covariances fits it this way.
 A trial pass (_run_trial) scores every estimator at each sample count of
 a simulated trial, reading what _pass_state builds once per process and
 the covariances _nested_covariances computes at every count in one pass:
-it sums u.T @ u over input blocks and builds each snapshot's c_lq in the
-eigenbasis, a0.m @ Q scaled by Lambda plus the noise term drawn in those
-coordinates, without building the dataset, c_lk or the draw in input
-coordinates. empirical_covariances computes them for a dataset (u, v) in
-hand. _pass_peak_bytes counts the arrays a pass holds at once; only the
-cross moment c_lq grows with d_out.
+it sums u.T @ u over input blocks, and each snapshot's cross is a0.m @ Q
+scaled by Lambda plus the noise term drawn in those coordinates, without
+building the dataset, c_lk or the draw in input coordinates.
+empirical_covariances computes them for a dataset (u, v) in hand, and
+refuses moments that are not finite. _pass_peak_bytes counts the arrays a
+pass holds at once; only the cross moment c_lq grows with d_out.
 
 The population oracles (population_regularized, analytic_bias) evaluate the
 infinite-sample limit of the same ridge in closed form; tests pit the solver
@@ -56,7 +57,8 @@ from .core import (
     _norm_weights,
     _row_terms,
 )
-from .schedules import _LOG_HUGE, bias_lambdas, multilevel_schedule, variance_lambdas
+from .schedules import (_LOG_HUGE, _check_map_samples, bias_lambdas, multilevel_schedule,
+                        variance_lambdas)
 from .synth import _noise_cross_moment, _stream_filler, derive_seed
 
 __all__ = [
@@ -73,9 +75,10 @@ __all__ = [
     "analytic_bias",
 ]
 
-# Tolerances for the covariance invariants; empirical Gram matrices are
-# symmetric PSD up to accumulated rounding only.
-_SYM_TOL = 1e-12
+# Relative PSD tolerance: c_kk is refused when an eigenvalue lies below
+# -_EIG_TOL times its largest, or times 1 when that is smaller. Rounding
+# leaves the zero eigenvalues of an exact Gram matrix of rank below d_in a
+# few ulps of the largest from 0, however large the data.
 _EIG_TOL = 1e-12
 
 # Rows per block when streaming a trial's statistics. A constant, never
@@ -136,11 +139,18 @@ def _pass_peak_bytes(d_in: int, d_out: int) -> int:
 class EmpiricalCovariances:
     """Uncentered second moments of one sample set, in the eigenbasis of c_kk.
 
-    EmpiricalCovariances(c_kk, c_lk, n) checks both moments, decomposes
-    c_kk = eigvecs @ diag(eigvals) @ eigvecs.T once, and keeps the cross
-    moment in those coordinates, c_lq = c_lk @ eigvecs, which is all a
-    solve reads. A trial pass builds c_lq directly (_from_sums), and c_lk
-    is formed only when it is read.
+    EmpiricalCovariances(c_kk, n, cross) decomposes c_kk = eigvecs @
+    diag(eigvals) @ eigvecs.T, the package's one eigh, refuses an
+    indefinite c_kk, and keeps the cross moment in those coordinates, c_lq
+    = cross(eigvals, eigvecs), which is all a solve reads. cross gets the
+    clamped eigenvalues: a builder whose cross moment is a function of the
+    eigenbasis (_from_sums, the population-ridge oracle) forms it there,
+    and one with c_lk in hand passes lambda _, q: c_lk @ q
+    (empirical_covariances). c_lk is formed only when it is read.
+
+    c_kk must be symmetric, and finite where it comes from outside the
+    package (empirical_covariances checks it): every builder's products fix
+    the shapes and make c_kk exactly symmetric.
 
     Attributes:
         c_kk: input Gram matrix u.T @ u / n, symmetric PSD, shape
@@ -148,6 +158,9 @@ class EmpiricalCovariances:
         n: number of samples the moments were computed from.
         eigvals, eigvecs: eigenvalues ascending, clamped at 0; orthonormal columns.
         c_lq: the cross moment v.T @ u @ eigvecs / n, shape (d_out, d_in).
+
+    Raises:
+        ValueError: an eigenvalue below -_EIG_TOL * max(1, the largest).
     """
 
     c_kk: np.ndarray
@@ -156,39 +169,16 @@ class EmpiricalCovariances:
     eigvecs: np.ndarray = field(repr=False)
     c_lq: np.ndarray = field(repr=False)
 
-    def __init__(self, c_kk: np.ndarray, c_lk: np.ndarray, n: int) -> None:
-        c_kk = np.asarray(c_kk, dtype=np.float64)
-        c_lk = np.asarray(c_lk, dtype=np.float64)
-        if c_kk.ndim != 2 or c_kk.shape[0] != c_kk.shape[1]:
-            raise ValueError(f"c_kk must be square, got shape {c_kk.shape}")
-        if c_lk.ndim != 2 or c_lk.shape[1] != c_kk.shape[0]:
-            raise ValueError(
-                f"c_lk shape {c_lk.shape} does not match c_kk {c_kk.shape}"
-            )
-        if not (_finite(c_kk) and _finite(c_lk)):
-            raise ValueError("covariances must be finite")
-        diff = c_kk - c_kk.T
-        asym = float(np.max(np.abs(diff, out=diff), initial=0.0))
-        del diff  # not alive through eigh
-        if asym > _SYM_TOL:
-            raise ValueError(f"c_kk asymmetric by {asym:.3e}")
-        self._decompose(c_kk, n)
-        object.__setattr__(self, "c_lq", c_lk @ self.eigvecs)
-
-    def _decompose(self, c_kk: np.ndarray, n: int) -> None:
-        """Check n and that c_kk, finite and symmetric, is PSD; keep both and its eigh.
-
-        Eigenvalues are clamped at 0: one below c_kk's rounding error can come
-        out slightly negative, and Lambda + lambda_j must stay positive.
-        """
-        if n < 1:
-            raise ValueError(f"sample count must be >= 1, got {n}")
+    def __init__(self, c_kk: np.ndarray, n: int,
+                 cross: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> None:
+        # Eigenvalues are clamped at 0: one below c_kk's rounding error can
+        # come out slightly negative, and Lambda + lambda_j must stay positive.
         eigvals, eigvecs = np.linalg.eigh(c_kk)
-        if eigvals[0] < -_EIG_TOL:
+        if eigvals[0] < -_EIG_TOL * max(1.0, eigvals[-1]):
             raise ValueError(f"c_kk indefinite, min eigenvalue {eigvals[0]:.3e}")
         np.maximum(eigvals, 0.0, out=eigvals)
         for name, value in (("c_kk", c_kk), ("n", n), ("eigvals", eigvals),
-                            ("eigvecs", eigvecs)):
+                            ("eigvecs", eigvecs), ("c_lq", cross(eigvals, eigvecs))):
             object.__setattr__(self, name, value)
 
     @cached_property
@@ -211,14 +201,21 @@ class EmpiricalCovariances:
 def empirical_covariances(data: tuple[np.ndarray, np.ndarray]) -> EmpiricalCovariances:
     """Uncentered covariances c_kk = u.T@u/n, c_lk = v.T@u/n of make_dataset's (u, v).
 
-    The products refuse unequal row counts, and EmpiricalCovariances checks the rest.
+    Outside data enters here, so it refuses moments that are not finite (an
+    empty dataset's among them); the products refuse unequal row counts.
+    c_kk is symmetrized exactly, and the snapshot keeps c_lk @ Q.
+
+    Raises:
+        ValueError: a moment is not finite, or c_kk is indefinite.
     """
-    u, v = data
+    u, v = (np.asarray(x, dtype=np.float64) for x in data)
     n = u.shape[0]
     c_kk = u.T @ u / n
     c_kk = (c_kk + c_kk.T) / 2.0
     c_lk = v.T @ u / n
-    return EmpiricalCovariances(c_kk=c_kk, c_lk=c_lk, n=n)
+    if not (_finite(c_kk) and _finite(c_lk)):
+        raise ValueError("covariances must be finite")
+    return EmpiricalCovariances(c_kk, n, lambda _, q: c_lk @ q)
 
 
 def _nested_covariances(
@@ -289,25 +286,27 @@ def _from_sums(a0: OperatorMatrix, uu: np.ndarray, n: int, noise_sd: np.ndarray,
     blocks, and c_kk is the sum / n, formed in part_uu, which the snapshot
     then owns. numpy computes each u.T @ u of a C-contiguous block as a
     symmetric rank-k update, so c_kk is exactly symmetric, and finite as a
-    sum of bounded inputs. In its eigenbasis, c_lk = a0.m @ c_kk +
-    eps.T @ u / n is (a0.m @ Q) diag(Lambda) plus the noise draw of
-    synth._noise_cross_moment in its last r columns, added _ROW_CHUNK rows
-    at a time; neither c_lk nor the draw in input coordinates is formed.
-    c_lq is not checked: an a0 or noise scale past double precision leaves
-    it with an inf or nan, which _run_trial refuses.
+    sum of bounded inputs. Its cross moment, c_lk = a0.m @ c_kk +
+    eps.T @ u / n in the eigenbasis the constructor makes, is (a0.m @ Q)
+    diag(Lambda) plus the noise draw of synth._noise_cross_moment in its
+    last r columns, added _ROW_CHUNK rows at a time; neither c_lk nor the
+    draw in input coordinates is formed. c_lq is not checked: an a0 or
+    noise scale past double precision leaves it with an inf or nan, which
+    _run_trial refuses.
     """
     c_kk = part_uu
     c_kk += uu
     c_kk /= n
-    cov = object.__new__(EmpiricalCovariances)
-    cov._decompose(c_kk, n)
-    with np.errstate(over="ignore", invalid="ignore"):  # the consumer refuses it
-        c_lq = a0.m @ cov.eigvecs
-        c_lq *= cov.eigvals
-        for rows, z in _noise_cross_moment(noise_sd, cov.eigvals, n, rng_seed, _ROW_CHUNK):
-            c_lq[rows, cov.d_in - z.shape[1]:] += z
-    object.__setattr__(cov, "c_lq", c_lq)
-    return cov
+
+    def cross(eigvals: np.ndarray, eigvecs: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):  # the consumer refuses it
+            c_lq = a0.m @ eigvecs
+            c_lq *= eigvals
+            for rows, z in _noise_cross_moment(noise_sd, eigvals, n, rng_seed, _ROW_CHUNK):
+                c_lq[rows, eigvals.shape[0] - z.shape[1]:] += z
+        return c_lq
+
+    return EmpiricalCovariances(c_kk, n, cross)
 
 
 @dataclass(frozen=True)
@@ -530,9 +529,11 @@ def _error_sq(cov: EmpiricalCovariances, lmap: LambdaMap, state: _PassState) -> 
 
 
 def single_ridge_lambda(cfg: ProblemConfig, n: int) -> float:
-    """Baseline uniform coefficient n^(-1/(beta+p)), floored at e^-709 as the schedules' are."""
-    if n < 1:
-        raise ValueError(f"sample count must be >= 1, got {n}")
+    """Baseline uniform coefficient n^(-1/(beta+p)), floored at e^-709 as the schedules' are.
+
+    Refuses n < 2 by the schedules' rule, so every lambda map takes the same counts.
+    """
+    _check_map_samples(n)
     return max(float(n) ** (-1.0 / (cfg.beta + cfg.p)), math.exp(-_LOG_HUGE))
 
 

@@ -879,12 +879,11 @@ def _bias_instance(rng: np.random.Generator) -> tuple[float, float]:
 
 def _population_ridge_instance(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """The row-wise solve on the population moments diag(mu) and a0 diag(mu)
-    against the population ridge (all zeros for an empty map)."""
+    against the population ridge (all zeros for an empty map). In the
+    eigenbasis Q of diag(mu), the cross moment is (a0 Q) diag(Lambda)."""
     src, in_d, out_d, lmap, _, _ = _random_small_instance(rng)
     a0 = operator_from_source(src, in_d, out_d)
-    cov = EmpiricalCovariances(
-        c_kk=np.diag(in_d.values), c_lk=a0.m * in_d.values[np.newaxis, :], n=1
-    )
+    cov = EmpiricalCovariances(np.diag(in_d.values), 1, lambda lam, q: (a0.m @ q) * lam)
     return fit_rowwise_ridge(cov, lmap), population_regularized(a0, lmap).m
 
 

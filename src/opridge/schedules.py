@@ -94,10 +94,15 @@ def _row_bound(cfg: ProblemConfig, ly: float) -> tuple[int, bool]:
     return min(row, cfg.d_out + 1), row > cfg.d_out
 
 
-def lambda_floor(cfg: ProblemConfig, n: int) -> float:
-    """Smallest trustworthy regularization, c0 * (n / ln n)^(-1/alpha)."""
+def _check_map_samples(n: int) -> None:
+    """The sample-count rule of every lambda map: n >= 2, as lambda_floor's ln n needs."""
     if n < 2:
         raise ValueError(f"sample count must be >= 2, got {n}")
+
+
+def lambda_floor(cfg: ProblemConfig, n: int) -> float:
+    """Smallest trustworthy regularization, c0 * (n / ln n)^(-1/alpha)."""
+    _check_map_samples(n)
     return cfg.c0 * (n / math.log(n)) ** (-1.0 / cfg.alpha)
 
 

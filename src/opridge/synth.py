@@ -113,9 +113,10 @@ def _noise_cross_moment(noise_sd: np.ndarray, eigvals: np.ndarray, n: int, rng_s
     Given u, row j of eps.T @ u / n is N(0, sigma_j^2 c_kk / n) for make_dataset's noise,
     independent of the others, so in the eigenbasis Q it is independent normals of
     variance sigma_j^2 L_i / n. The draw is diag(noise_sd) Z diag(sqrt(L / n)) over the
-    r = min(n, d_in) largest eigenvalues L (c_kk has rank at most n), which
-    EmpiricalCovariances has clamped at 0: shape (d_out, r), the last r columns of the
-    statistic; the others are zero. Z is
+    r = min(n, d_in) largest eigenvalues L (c_kk has rank at most n): shape (d_out, r),
+    the last r columns of the statistic; the others are zero. eigvals are those the
+    EmpiricalCovariances constructor hands the cross moment it is built with, clamped
+    at 0, so the draw is made inside that construction (estimators._from_sums). Z is
     standard normal from the sub-stream (rng_seed, noise, n), so the draw depends on
     the cell alone.
 

@@ -48,10 +48,16 @@ def small_config(**overrides) -> ProblemConfig:
     return ProblemConfig(**fields)
 
 
+def covariances(c_kk: np.ndarray, c_lk: np.ndarray, n: int = 1) -> EmpiricalCovariances:
+    """A snapshot of hand-built moments, with c_lq = c_lk @ Q."""
+    return EmpiricalCovariances(c_kk, n, lambda _, q: c_lk @ q)
+
+
 def population_covariances(a0: OperatorMatrix) -> EmpiricalCovariances:
-    """Infinite-sample covariances: c_kk = diag(mu), c_lk = m diag(mu)."""
-    mu = a0.input_decay.values
-    return EmpiricalCovariances(c_kk=np.diag(mu), c_lk=a0.m * mu[None, :], n=1)
+    """Infinite-sample covariances c_kk = diag(mu), c_lk = m diag(mu), built as the oracle's:
+    in the eigenbasis Q of diag(mu), c_lq = (m Q) diag(Lambda)."""
+    return EmpiricalCovariances(np.diag(a0.input_decay.values), 1,
+                                lambda lam, q: (a0.m @ q) * lam)
 
 
 class TestEmpiricalCovariances:
@@ -71,26 +77,39 @@ class TestEmpiricalCovariances:
         cov = empirical_covariances((rng.normal(size=(40, 7)), rng.normal(size=(40, 3))))
         assert np.array_equal(cov.c_kk, cov.c_kk.T), "symmetrization must be exact"
 
-    def test_rejects_indefinite_matrix(self):
+    @pytest.mark.parametrize("scale", [1.0, 1e6])
+    def test_rejects_indefinite_matrix(self, scale):
+        # The tolerance grows with the largest eigenvalue, 3 * scale here,
+        # and the least, -scale, lies far below it at any scale.
         with pytest.raises(ValueError, match="indefinite"):
-            EmpiricalCovariances(
-                c_kk=np.array([[1.0, 2.0], [2.0, 1.0]]),
-                c_lk=np.zeros((1, 2)),
-                n=1,
-            )
+            covariances(scale * np.array([[1.0, 2.0], [2.0, 1.0]]), np.zeros((1, 2)))
 
-    @pytest.mark.parametrize("which", ["c_kk", "c_lk"])
+    @pytest.mark.parametrize("scale", [1e3, 1e6])
+    def test_accepts_the_gram_matrix_of_rank_deficient_data_at_any_scale(self, scale):
+        # 10 samples of 50 inputs: 40 of c_kk's eigenvalues are 0, which
+        # rounding leaves a few ulps of the largest below 0. An absolute
+        # tolerance of 1e-12 refused both scales.
+        rng = np.random.default_rng(6)
+        u = scale * rng.normal(size=(10, 50))
+        cov = empirical_covariances((u, rng.normal(size=(10, 3))))
+        least = np.linalg.eigvalsh(cov.c_kk)[0]
+        assert least < -1e-12, f"the least eigenvalue {least:.3e} is not below 0 by rounding"
+        assert cov.eigvals[0] == 0.0, f"the least eigenvalue {least:.3e} must be clamped at 0"
+
+    @pytest.mark.parametrize("which", ["u", "v"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_entries(self, which, bad):
-        mats = {"c_kk": np.eye(2), "c_lk": np.ones((3, 2))}
-        mats[which][1, 0] = bad
-        with pytest.raises(ValueError, match="finite"):
-            EmpiricalCovariances(c_kk=mats["c_kk"], c_lk=mats["c_lk"], n=1)
+        # A bad input makes both moments non-finite, a bad output c_lk alone.
+        data = {"u": np.ones((3, 2)), "v": np.ones((3, 4))}
+        data[which][1, 0] = bad
+        # numpy can warn of an invalid value in the products of an inf first.
+        with pytest.raises(ValueError, match="finite"), np.errstate(invalid="ignore"):
+            empirical_covariances((data["u"], data["v"]))
 
     def test_eigendecomposition_reconstructs_c_kk(self):
         g = np.random.default_rng(3).normal(size=(6, 6))
         c_kk = g @ g.T
-        cov = EmpiricalCovariances(c_kk=c_kk, c_lk=np.zeros((2, 6)), n=1)
+        cov = covariances(c_kk, np.zeros((2, 6)))
         assert np.all(np.diff(cov.eigvals) >= 0.0), "eigenvalues must ascend"
         rebuilt = cov.eigvecs @ np.diag(cov.eigvals) @ cov.eigvecs.T
         np.testing.assert_allclose(rebuilt, c_kk, rtol=0, atol=1e-12 * np.abs(c_kk).max())
@@ -306,9 +325,7 @@ def pass_peak(a0: OperatorMatrix, profile: NoiseProfile, n_list: tuple[int, ...]
 
 class TestFitRowwiseRidge:
     def test_scalar_system(self):
-        cov = EmpiricalCovariances(
-            c_kk=np.array([[1.0]]), c_lk=np.array([[2.0]]), n=1
-        )
+        cov = covariances(np.array([[1.0]]), np.array([[2.0]]))
         out = fit_rowwise_ridge(cov, LambdaMap.uniform(1, 1.0))
         assert out[0, 0] == pytest.approx(1.0, rel=1e-14)
 
@@ -317,15 +334,13 @@ class TestFitRowwiseRidge:
         g = rng.normal(size=(5, 5))
         c_kk = g @ g.T + np.eye(5)
         c_lk = rng.normal(size=(3, 5))
-        cov = EmpiricalCovariances(c_kk=c_kk, c_lk=c_lk, n=1)
+        cov = covariances(c_kk, c_lk)
         out = fit_rowwise_ridge(cov, LambdaMap.uniform(3, 1e-12))
         want = c_lk @ np.linalg.inv(c_kk)
         np.testing.assert_allclose(out, want, rtol=1e-9, atol=1e-11)
 
     def test_diagonal_system(self):
-        cov = EmpiricalCovariances(
-            c_kk=np.diag([4.0, 1.0]), c_lk=np.array([[4.0, 1.0]]), n=1
-        )
+        cov = covariances(np.diag([4.0, 1.0]), np.array([[4.0, 1.0]]))
         out = fit_rowwise_ridge(cov, LambdaMap.uniform(1, 1.0))
         np.testing.assert_allclose(out, [[0.8, 0.5]], rtol=1e-14)
 
@@ -353,9 +368,7 @@ class TestFitRowwiseRidge:
     def test_a_rounding_negative_eigenvalue_gives_finite_rows(self):
         # c_kk passes the PSD tolerance, and its negative eigenvalue would
         # make c_kk + lambda I singular; it is clamped at 0 instead.
-        cov = EmpiricalCovariances(
-            c_kk=np.diag([1.0, -1e-13]), c_lk=np.ones((2, 2)), n=1
-        )
+        cov = covariances(np.diag([1.0, -1e-13]), np.ones((2, 2)))
         assert cov.eigvals[0] == 0.0, f"eigenvalues {cov.eigvals} must be clamped at 0"
         rows = fit_rowwise_ridge(cov, LambdaMap.uniform(2, 1e-13))
         assert np.all(np.isfinite(rows)), f"rows {rows} must be finite"
@@ -370,8 +383,7 @@ class TestFitRowwiseRidge:
         chunk = estimators._ROW_CHUNK
         d_in, d_out = 6, (2 * chunk + 1 if rows == "chunks" else 9)
         g = rng.normal(size=(d_in, d_in))
-        cov = EmpiricalCovariances(c_kk=g @ g.T + 0.1 * np.eye(d_in),
-                                   c_lk=rng.normal(size=(d_out, d_in)), n=1)
+        cov = covariances(g @ g.T + 0.1 * np.eye(d_in), rng.normal(size=(d_out, d_in)))
         k = {"empty": 0, "full": d_out, "leading": 4, "chunks": d_out}[rows]
         lmap = LambdaMap(lams=rng.uniform(0.01, 2.0, size=k), d_out=d_out)
         # Each chunk is copied: the solver reuses its buffer for the next.
@@ -390,9 +402,7 @@ class TestFitRowwiseRidge:
             assert err <= 1e-10, f"row {j} off by {err:.3e} relative"
 
     def test_row_count_mismatch_rejected(self):
-        cov = EmpiricalCovariances(
-            c_kk=np.eye(2), c_lk=np.zeros((3, 2)), n=1
-        )
+        cov = covariances(np.eye(2), np.zeros((3, 2)))
         with pytest.raises(ValueError):
             fit_rowwise_ridge(cov, LambdaMap.uniform(2, 1.0))
 
@@ -478,6 +488,11 @@ class TestEstimators:
             estimate_from_covariances(cov, cfg, "lasso")
         with pytest.raises(ValueError, match="unknown estimator 'lasso'"):
             LambdaMap.for_estimator(cfg, 64, "lasso")
+
+    @pytest.mark.parametrize("name", ESTIMATOR_NAMES)
+    def test_every_map_refuses_one_sample_by_the_same_rule(self, name):
+        with pytest.raises(ValueError, match="sample count must be >= 2, got 1"):
+            LambdaMap.for_estimator(small_config(), 1, name)
 
     @pytest.mark.parametrize("lams, d_out", [
         ([1.0, 1.0], 1), ([1.0, 0.0], 2), ([np.inf], 1), ([1.0, np.nan], 2), ([[1.0]], 1),

@@ -44,27 +44,48 @@ def test_the_trial_pass_is_private_to_estimators():
         assert not named & internals, f"{path.name} names {sorted(named & internals)}"
 
 
+def _source_trees() -> list[tuple[str, ast.Module]]:
+    """(module name, parsed source) of every module of the package."""
+    src = Path(opridge.__file__).parent
+    return [(path.stem, ast.parse(path.read_text())) for path in sorted(src.glob("*.py"))]
+
+
+def _calls_of(attr: str) -> list[str]:
+    """'module.qualname' of the function or class around each call of an .attr(...)."""
+    sites = []
+    for module, tree in _source_trees():
+        scope = {}  # node -> qualified name of the innermost class or function holding it
+        for parent in ast.walk(tree):
+            name = scope.get(parent)
+            if isinstance(parent, (ast.ClassDef, ast.FunctionDef)):
+                name = f"{name}.{parent.name}" if name else parent.name
+            for child in ast.iter_child_nodes(parent):
+                scope[child] = name
+        sites += [f"{module}.{scope[node]}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == attr]
+    return sites
+
+
 def test_every_out_file_is_written_by_one_function():
     # harness._write is the one write of a file --out names and the one
     # place that words its refusal; the open-probe and the CLI go through it.
-    src = Path(opridge.__file__).parent
-    writers, refusals = [], 0
-    for path in sorted(src.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        scope = {}  # node -> name of the innermost function holding it, or None
-        for parent in ast.walk(tree):
-            name = parent.name if isinstance(parent, ast.FunctionDef) else None
-            for child in ast.iter_child_nodes(parent):
-                scope[child] = name or scope.get(parent)
-        writers += [f"{path.stem}.{scope[node]}" for node in ast.walk(tree)
-                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "write_text"]
-        refusals += sum(
-            1 for node in ast.walk(tree) if isinstance(node, ast.Raise)
-            and any(isinstance(c, ast.Constant) and "cannot be written" in str(c.value)
-                    for c in ast.walk(node)))
+    refusals = sum(
+        1 for _, tree in _source_trees() for node in ast.walk(tree) if isinstance(node, ast.Raise)
+        and any(isinstance(c, ast.Constant) and "cannot be written" in str(c.value)
+                for c in ast.walk(node)))
+    writers = _calls_of("write_text")
     assert writers == ["harness._write"], writers
     assert refusals == 1, f"{refusals} raises word the --out refusal"
+
+
+def test_every_snapshot_is_built_by_one_constructor():
+    # The snapshot constructor makes the package's one eigendecomposition,
+    # and no builder gets round it by allocating a snapshot bare.
+    assert _calls_of("eigh") == ["estimators.EmpiricalCovariances.__init__"], _calls_of("eigh")
+    bare = [module for module, tree in _source_trees() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "__new__"]
+    assert not bare, f"__new__ is named in {bare}"
 
 
 def test_exports_are_the_modules_lists_once_each():
