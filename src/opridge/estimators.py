@@ -24,7 +24,8 @@ estimate_from_covariances fits it this way.
 A trial pass (_run_trial) scores every estimator at each sample count of
 a simulated trial, reading what _pass_state builds once per process and
 the covariances _nested_covariances computes at every count in one pass:
-it sums u.T @ u over input blocks, and each snapshot's cross is a0.m @ Q
+it sums u.T @ u over input blocks, filling the next on a helper thread
+when the process has a CPU to spare, and each snapshot's cross is a0.m @ Q
 scaled by Lambda plus the noise term drawn in those coordinates, without
 building the dataset, c_lk or the draw in input coordinates.
 empirical_covariances computes them for a dataset (u, v) in hand, and
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterator, Sequence
@@ -86,7 +88,8 @@ _EIG_TOL = 1e-12
 # that depends on n alone, so a cell gives the same bytes in any pool, and
 # the memory a trial needs does not grow with n. A template block (d_in =
 # 256 columns) is 1 MiB, and a pass fills the blocks below each n into one
-# buffer of that size, which no snapshot holds (see _nested_covariances).
+# buffer of that size, or two when a helper thread fills the next block,
+# which no snapshot holds (see _nested_covariances).
 # _pass_peak_bytes counts a pass's working set.
 STREAM_BLOCK_ROWS = 512
 
@@ -106,7 +109,7 @@ _TAG_TRIAL = 0x7
 _EIGH_UNTRACED = 3
 
 
-def _pass_peak_bytes(d_in: int, d_out: int) -> int:
+def _pass_peak_bytes(d_in: int, d_out: int, overlap: bool = False) -> int:
     """The most bytes of arrays a trial pass holds at once, besides its a0.
 
     With a = d_in^2, b = d_out * d_in and c = min(_ROW_CHUNK, d_out) * d_in
@@ -114,7 +117,9 @@ def _pass_peak_bytes(d_in: int, d_out: int) -> int:
     running sum u.T @ u (a) at every moment, and one of:
       - while it sums a block, or the rows past n's whole blocks that a
         snapshot draws ahead, those rows (at most one block of
-        STREAM_BLOCK_ROWS rows of u) and their Gram product (a);
+        STREAM_BLOCK_ROWS rows of u) and their Gram product (a); with
+        overlap, the next block too, which a helper thread fills
+        meanwhile (_sum_blocks);
       - while eigh decomposes c_kk, c_kk and the eigenvectors (2a), and
         _EIGH_UNTRACED more d_in^2 arrays;
       - while it builds the rest of a snapshot and fits, c_kk, the
@@ -122,16 +127,18 @@ def _pass_peak_bytes(d_in: int, d_out: int) -> int:
         one chunk of the noise draw Z (at most c) or of an estimator's
         scaled rows and their back-rotation (2c).
     No snapshot holds a block, whatever the n_list: the largest phase is a
-    block's sum, 5a (the eigh) or 2a + b + 2c (the fits).
+    block's sum (two blocks' with overlap), 5a (the eigh) or 2a + b + 2c
+    (the fits).
     tests/test_harness.py pins a pass's resident growth to this, within the
-    allocator's slack, and its traced peak with _EIGH_UNTRACED = 0, up to
-    small arrays: the d_out-long row terms and lambda maps of a pass, and
-    one numpy iteration buffer of at most 8192 doubles, which a broadcast
-    operation holds while it runs (the fill's column scaling, a chunk's
-    table, _row_terms' weighting).
+    allocator's slack, and its traced peak on both paths with
+    _EIGH_UNTRACED = 0, up to small arrays: the d_out-long row terms and
+    lambda maps of a pass, and one numpy iteration buffer of at most 8192
+    doubles, which a broadcast operation holds while it runs (the fill's
+    column scaling, a chunk's table, _row_terms' weighting).
     """
     a, b, c = d_in * d_in, d_out * d_in, min(_ROW_CHUNK, d_out) * d_in
-    return 8 * (a + max(STREAM_BLOCK_ROWS * d_in + a, (2 + _EIGH_UNTRACED) * a,
+    buffers = 2 if overlap else 1
+    return 8 * (a + max(buffers * STREAM_BLOCK_ROWS * d_in + a, (2 + _EIGH_UNTRACED) * a,
                         2 * a + b + 2 * c))
 
 
@@ -202,17 +209,19 @@ def empirical_covariances(data: tuple[np.ndarray, np.ndarray]) -> EmpiricalCovar
     """Uncentered covariances c_kk = u.T@u/n, c_lk = v.T@u/n of make_dataset's (u, v).
 
     Outside data enters here, so it refuses moments that are not finite (an
-    empty dataset's among them); the products refuse unequal row counts.
-    c_kk is symmetrized exactly, and the snapshot keeps c_lk @ Q.
+    empty dataset's among them), and the products that form them do not
+    warn first; the products refuse unequal row counts. c_kk is
+    symmetrized exactly, and the snapshot keeps c_lk @ Q.
 
     Raises:
         ValueError: a moment is not finite, or c_kk is indefinite.
     """
     u, v = (np.asarray(x, dtype=np.float64) for x in data)
     n = u.shape[0]
-    c_kk = u.T @ u / n
-    c_kk = (c_kk + c_kk.T) / 2.0
-    c_lk = v.T @ u / n
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        c_kk = u.T @ u / n
+        c_kk = (c_kk + c_kk.T) / 2.0
+        c_lk = v.T @ u / n
     if not (_finite(c_kk) and _finite(c_lk)):
         raise ValueError("covariances must be finite")
     return EmpiricalCovariances(c_kk, n, lambda _, q: c_lk @ q)
@@ -223,6 +232,7 @@ def _nested_covariances(
     n_list: tuple[int, ...],
     profile: NoiseProfile,
     rng_seed: int,
+    overlap: bool = False,
 ) -> Iterator[EmpiricalCovariances]:
     """Covariances of n rows of the (a0, profile, rng_seed) model for each n in n_list.
 
@@ -230,11 +240,11 @@ def _nested_covariances(
     maps refuse any n < 2. One pass over n_list, which draws the inputs u
     of the n_list[-1]-row dataset once. For each n, in ascending order, it
     fills every whole block of STREAM_BLOCK_ROWS rows below n not yet
-    summed and adds its u.T @ u to the running sum, then yields the
-    covariances of the first n rows: that sum plus the product of the
-    n mod STREAM_BLOCK_ROWS rows past it, drawn ahead of the stream (none
-    when n ends a block). The running sum never includes such a term, so
-    c_kk at n is the same bits whatever else n_list holds.
+    summed and adds its u.T @ u to the running sum (_sum_blocks), then
+    yields the covariances of the first n rows: that sum plus the product
+    of the n mod STREAM_BLOCK_ROWS rows past it, drawn ahead of the stream
+    (none when n ends a block). The running sum never includes such a
+    term, so c_kk at n is the same bits whatever else n_list holds.
 
     Since v = u @ a0.m.T + eps, c_lk = a0.m @ c_kk + eps.T @ u / n. Given
     u, the last term's law is fixed by c_kk, so each snapshot draws it from
@@ -244,30 +254,60 @@ def _nested_covariances(
     noise. Against empirical_covariances(make_dataset(a0, n, ...)), c_kk
     agrees up to rounding and c_lk in law.
 
-    Memory does not grow with n: one buffer of STREAM_BLOCK_ROWS rows,
-    which the blocks below n are filled into on the calling thread and
-    which is freed before n's snapshot; the running sum; and one Gram
-    product or the arrays of one snapshot (_pass_peak_bytes). The rows
-    past the blocks are drawn from a copy of the generator into an array
-    of their own, dropped once their product is formed; the stream does
-    not move, so the next block holds them, bit for bit. Below the
-    workers' mmap threshold the heap hands the buffer back the same
-    pages. The pass keeps no reference to a yielded snapshot, so a
-    consumer that drops it holds one at a time. A snapshot's c_lq is not
-    checked (see _from_sums).
+    With overlap, a helper thread fills the next block while this one sums
+    the last, for the process has a CPU to spare (harness._pool_size).
+    The fills, the blocks and the order of the sums are the same, so every
+    bit is. The helper lives only while the blocks below one n are summed,
+    and only when there are at least two: none is alive at a yield.
+
+    Memory does not grow with n: the block buffers (two with overlap),
+    which the blocks below n are filled into and which are freed before
+    n's snapshot; the running sum; and one Gram product or the arrays of
+    one snapshot (_pass_peak_bytes). The rows past the blocks are drawn on
+    the calling thread, after every block's fill, from a copy of the
+    generator into an array of their own, dropped once their product is
+    formed; the stream does not move, so the next block holds them, bit
+    for bit. Below the workers' mmap threshold the heap hands the buffers
+    back the same pages. The pass keeps no reference to a yielded
+    snapshot, so a consumer that drops it holds one at a time. A
+    snapshot's c_lq is not checked (see _from_sums).
     """
     fill = _stream_filler(a0, rng_seed)
     noise_sd = np.sqrt(profile.variances(a0.d_out))
     uu = np.zeros((a0.d_in, a0.d_in))
     summed = 0
     for n in n_list:
-        u = np.empty((STREAM_BLOCK_ROWS, a0.d_in))
-        while n - summed >= STREAM_BLOCK_ROWS:
+        blocks = (n - summed) // STREAM_BLOCK_ROWS
+        _sum_blocks(fill, uu, blocks, overlap)
+        summed += blocks * STREAM_BLOCK_ROWS
+        yield _from_sums(a0, uu, n, noise_sd, rng_seed, _gram_ahead(fill, n - summed, a0.d_in))
+
+
+def _sum_blocks(fill: Callable[..., None], uu: np.ndarray, blocks: int, overlap: bool) -> None:
+    """Fill the stream's next blocks, one at a time, and add each u.T @ u to uu in order.
+
+    Inline, one buffer is filled and summed in turn. With overlap and at
+    least two blocks, a helper thread fills the next block into a second
+    buffer while this thread sums the one before: the random fill and the
+    Gram product both release the GIL. Each fill starts once the last has
+    finished, so the generator moves as it does inline. The helper is
+    joined before this returns, and the buffers are freed.
+    """
+    u = np.empty((STREAM_BLOCK_ROWS, uu.shape[0]))
+    if not overlap or blocks < 2:
+        for _ in range(blocks):
             fill(u)
             uu += u.T @ u
-            summed += STREAM_BLOCK_ROWS
-        del u  # no snapshot holds the block
-        yield _from_sums(a0, uu, n, noise_sd, rng_seed, _gram_ahead(fill, n - summed, a0.d_in))
+        return
+    spare = np.empty_like(u)
+    with ThreadPoolExecutor(1) as helper:
+        fill(u)
+        for _ in range(blocks - 1):
+            filled = helper.submit(fill, spare)
+            uu += u.T @ u
+            filled.result()
+            u, spare = spare, u
+    uu += u.T @ u
 
 
 def _gram_ahead(fill: Callable[..., None], rows: int, d_in: int) -> np.ndarray:
@@ -438,17 +478,20 @@ class _PassState:
     mu_w: np.ndarray
     rho_w: np.ndarray
     a0_terms: np.ndarray
+    overlap: bool
 
 
 def _pass_state(cfg: ProblemConfig, a0: OperatorMatrix, n_list: Sequence[int],
-                estimators: Sequence[str]) -> _PassState:
+                estimators: Sequence[str], overlap: bool = False) -> _PassState:
     """What a trial pass over n_list reads that its trial does not change.
 
     The LambdaMap.for_estimator of each (n, estimator), the norm's weights
     (mu_i^(1-beta'), rho_j^-(1-gamma')) and a0's row terms; the noise law
-    is cfg.noise. Built without BLAS, so the same bits in every process,
-    and once per process: for one cell, or by each of a sweep's workers for
-    all its trials. The row terms are formed _ROW_CHUNK rows at a time in
+    is cfg.noise. overlap is whether the pass fills its next input block
+    on a helper thread (see _nested_covariances): a sweep's worker does
+    when its pool leaves it a spare CPU. Built without BLAS, so the same
+    bits in every process, and once per process: for one cell, or by each
+    of a sweep's workers for all its trials. The row terms are formed _ROW_CHUNK rows at a time in
     one buffer, not in a copy of a0; each row's term has the same bits
     either way (see _row_terms).
 
@@ -471,7 +514,8 @@ def _pass_state(cfg: ProblemConfig, a0: OperatorMatrix, n_list: Sequence[int],
     if not _finite(rho_w):  # mu_w's powers are positive, so at most 1
         raise ConfigError(f"q={cfg.q} with d_out={cfg.d_out} and gamma_prime={cfg.gamma_prime} "
                           "give norm weights rho_j^-(1-gamma_prime) past double precision")
-    return _PassState(cfg, a0, tuple(n_list), tuple(estimators), lmaps, mu_w, rho_w, a0_terms)
+    return _PassState(cfg, a0, tuple(n_list), tuple(estimators), lmaps, mu_w, rho_w, a0_terms,
+                      overlap)
 
 
 def _run_trial(state: _PassState, trial_index: int) -> tuple[TrialRecord, ...]:
@@ -495,7 +539,7 @@ def _run_trial(state: _PassState, trial_index: int) -> tuple[TrialRecord, ...]:
     cfg = state.cfg
     seed = derive_seed(cfg.seed, _TAG_TRIAL, trial_index)
     records = []
-    for cov in _nested_covariances(state.a0, state.n_list, cfg.noise, seed):
+    for cov in _nested_covariances(state.a0, state.n_list, cfg.noise, seed, state.overlap):
         finite = _finite(cov.c_lq)
         for name in state.estimators:
             t0 = time.perf_counter()

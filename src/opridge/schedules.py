@@ -94,10 +94,14 @@ def _row_bound(cfg: ProblemConfig, ly: float) -> tuple[int, bool]:
     return min(row, cfg.d_out + 1), row > cfg.d_out
 
 
-def _check_map_samples(n: int) -> None:
-    """The sample-count rule of every lambda map: n >= 2, as lambda_floor's ln n needs."""
+def _check_map_samples(n: int, field: str = "sample count") -> None:
+    """The sample-count rule of every lambda map: n >= 2, as lambda_floor's ln n needs.
+
+    The ValueError names field; an ExperimentPlan refuses its n_list by
+    this rule too (harness._check_sample_count).
+    """
     if n < 2:
-        raise ValueError(f"sample count must be >= 2, got {n}")
+        raise ValueError(f"{field} must be >= 2, got {n}")
 
 
 def lambda_floor(cfg: ProblemConfig, n: int) -> float:
