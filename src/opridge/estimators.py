@@ -25,9 +25,9 @@ A trial pass (_run_trial) scores every estimator at each sample count of
 a simulated trial, reading what _pass_state builds once per process and
 the covariances _nested_covariances computes at every count in one pass:
 it sums u.T @ u over input blocks, filling the next on a helper thread
-when the process has a CPU to spare, and each snapshot's cross is a0.m @ Q
-scaled by Lambda plus the noise term drawn in those coordinates, without
-building the dataset, c_lk or the draw in input coordinates.
+meanwhile, and each snapshot's cross is a0.m @ Q scaled by Lambda plus
+the noise term drawn in those coordinates, without building the dataset,
+c_lk or the draw in input coordinates.
 empirical_covariances computes them for a dataset (u, v) in hand, and
 refuses moments that are not finite. _pass_peak_bytes counts the arrays a
 pass holds at once; only the cross moment c_lq grows with d_out.
@@ -87,9 +87,8 @@ _EIG_TOL = 1e-12
 # derived from n or the worker count: the Gram sums then run in an order
 # that depends on n alone, so a cell gives the same bytes in any pool, and
 # the memory a trial needs does not grow with n. A template block (d_in =
-# 256 columns) is 1 MiB, and a pass fills the blocks below each n into one
-# buffer of that size, or two when a helper thread fills the next block,
-# which no snapshot holds (see _nested_covariances).
+# 256 columns) is 1 MiB, and a pass fills the blocks below each n into
+# two buffers of that size, which no snapshot holds (see _sum_blocks).
 # _pass_peak_bytes counts a pass's working set.
 STREAM_BLOCK_ROWS = 512
 
@@ -109,7 +108,7 @@ _TAG_TRIAL = 0x7
 _EIGH_UNTRACED = 3
 
 
-def _pass_peak_bytes(d_in: int, d_out: int, overlap: bool = False) -> int:
+def _pass_peak_bytes(d_in: int, d_out: int) -> int:
     """The most bytes of arrays a trial pass holds at once, besides its a0.
 
     With a = d_in^2, b = d_out * d_in and c = min(_ROW_CHUNK, d_out) * d_in
@@ -117,9 +116,8 @@ def _pass_peak_bytes(d_in: int, d_out: int, overlap: bool = False) -> int:
     running sum u.T @ u (a) at every moment, and one of:
       - while it sums a block, or the rows past n's whole blocks that a
         snapshot draws ahead, those rows (at most one block of
-        STREAM_BLOCK_ROWS rows of u) and their Gram product (a); with
-        overlap, the next block too, which a helper thread fills
-        meanwhile (_sum_blocks);
+        STREAM_BLOCK_ROWS rows of u) and their Gram product (a), and the
+        next block, which a helper thread fills meanwhile (_sum_blocks);
       - while eigh decomposes c_kk, c_kk and the eigenvectors (2a), and
         _EIGH_UNTRACED more d_in^2 arrays;
       - while it builds the rest of a snapshot and fits, c_kk, the
@@ -127,18 +125,17 @@ def _pass_peak_bytes(d_in: int, d_out: int, overlap: bool = False) -> int:
         one chunk of the noise draw Z (at most c) or of an estimator's
         scaled rows and their back-rotation (2c).
     No snapshot holds a block, whatever the n_list: the largest phase is a
-    block's sum (two blocks' with overlap), 5a (the eigh) or 2a + b + 2c
+    sum of a block while the next is filled, 5a (the eigh) or 2a + b + 2c
     (the fits).
     tests/test_harness.py pins a pass's resident growth to this, within the
-    allocator's slack, and its traced peak on both paths with
-    _EIGH_UNTRACED = 0, up to small arrays: the d_out-long row terms and
-    lambda maps of a pass, and one numpy iteration buffer of at most 8192
-    doubles, which a broadcast operation holds while it runs (the fill's
-    column scaling, a chunk's table, _row_terms' weighting).
+    allocator's slack, and its traced peak with _EIGH_UNTRACED = 0, up to
+    small arrays: the d_out-long row terms and lambda maps of a pass, and
+    one numpy iteration buffer of at most 8192 doubles, which a broadcast
+    operation holds while it runs (the fill's column scaling, a chunk's
+    table, _row_terms' weighting).
     """
     a, b, c = d_in * d_in, d_out * d_in, min(_ROW_CHUNK, d_out) * d_in
-    buffers = 2 if overlap else 1
-    return 8 * (a + max(buffers * STREAM_BLOCK_ROWS * d_in + a, (2 + _EIGH_UNTRACED) * a,
+    return 8 * (a + max(2 * STREAM_BLOCK_ROWS * d_in + a, (2 + _EIGH_UNTRACED) * a,
                         2 * a + b + 2 * c))
 
 
@@ -232,7 +229,6 @@ def _nested_covariances(
     n_list: tuple[int, ...],
     profile: NoiseProfile,
     rng_seed: int,
-    overlap: bool = False,
 ) -> Iterator[EmpiricalCovariances]:
     """Covariances of n rows of the (a0, profile, rng_seed) model for each n in n_list.
 
@@ -254,16 +250,15 @@ def _nested_covariances(
     noise. Against empirical_covariances(make_dataset(a0, n, ...)), c_kk
     agrees up to rounding and c_lk in law.
 
-    With overlap, a helper thread fills the next block while this one sums
-    the last, for the process has a CPU to spare (harness._pool_size).
-    The fills, the blocks and the order of the sums are the same, so every
-    bit is. The helper lives only while the blocks below one n are summed,
-    and only when there are at least two: none is alive at a yield.
+    A helper thread fills the next block while this one sums the last;
+    the fills, the blocks and the order of the sums are those of one
+    thread, so every bit is. The helper lives only while the blocks below
+    one n are summed, and only when there are at least two: none is alive
+    at a yield.
 
-    Memory does not grow with n: the block buffers (two with overlap),
-    which the blocks below n are filled into and which are freed before
-    n's snapshot; the running sum; and one Gram product or the arrays of
-    one snapshot (_pass_peak_bytes). The rows past the blocks are drawn on
+    Memory does not grow with n: two block buffers, which the blocks below
+    n are filled into and which are freed before n's snapshot; the running sum; and one Gram product or the
+    arrays of one snapshot (_pass_peak_bytes). The rows past the blocks are drawn on
     the calling thread, after every block's fill, from a copy of the
     generator into an array of their own, dropped once their product is
     formed; the stream does not move, so the next block holds them, bit
@@ -278,28 +273,25 @@ def _nested_covariances(
     summed = 0
     for n in n_list:
         blocks = (n - summed) // STREAM_BLOCK_ROWS
-        _sum_blocks(fill, uu, blocks, overlap)
+        _sum_blocks(fill, uu, blocks)
         summed += blocks * STREAM_BLOCK_ROWS
         yield _from_sums(a0, uu, n, noise_sd, rng_seed, _gram_ahead(fill, n - summed, a0.d_in))
 
 
-def _sum_blocks(fill: Callable[..., None], uu: np.ndarray, blocks: int, overlap: bool) -> None:
+def _sum_blocks(fill: Callable[..., None], uu: np.ndarray, blocks: int) -> None:
     """Fill the stream's next blocks, one at a time, and add each u.T @ u to uu in order.
 
-    Inline, one buffer is filled and summed in turn. With overlap and at
-    least two blocks, a helper thread fills the next block into a second
-    buffer while this thread sums the one before: the random fill and the
-    Gram product both release the GIL. Each fill starts once the last has
-    finished, so the generator moves as it does inline. The helper is
-    joined before this returns, and the buffers are freed.
+    The first block is filled on this thread. Each later one is filled by
+    a helper thread into the second buffer while this thread sums the one
+    before: the random fill and the Gram product both release the GIL.
+    Each fill starts once the last has finished, so the generator moves as
+    it does on one thread. The executor starts its thread at its first
+    submit, so a single block starts none; the helper is joined before
+    this returns, and the buffers are freed.
     """
-    u = np.empty((STREAM_BLOCK_ROWS, uu.shape[0]))
-    if not overlap or blocks < 2:
-        for _ in range(blocks):
-            fill(u)
-            uu += u.T @ u
+    if not blocks:
         return
-    spare = np.empty_like(u)
+    u, spare = (np.empty((STREAM_BLOCK_ROWS, uu.shape[0])) for _ in range(2))
     with ThreadPoolExecutor(1) as helper:
         fill(u)
         for _ in range(blocks - 1):
@@ -478,20 +470,17 @@ class _PassState:
     mu_w: np.ndarray
     rho_w: np.ndarray
     a0_terms: np.ndarray
-    overlap: bool
 
 
 def _pass_state(cfg: ProblemConfig, a0: OperatorMatrix, n_list: Sequence[int],
-                estimators: Sequence[str], overlap: bool = False) -> _PassState:
+                estimators: Sequence[str]) -> _PassState:
     """What a trial pass over n_list reads that its trial does not change.
 
     The LambdaMap.for_estimator of each (n, estimator), the norm's weights
     (mu_i^(1-beta'), rho_j^-(1-gamma')) and a0's row terms; the noise law
-    is cfg.noise. overlap is whether the pass fills its next input block
-    on a helper thread (see _nested_covariances): a sweep's worker does
-    when its pool leaves it a spare CPU. Built without BLAS, so the same
-    bits in every process, and once per process: for one cell, or by each
-    of a sweep's workers for all its trials. The row terms are formed _ROW_CHUNK rows at a time in
+    is cfg.noise. Built without BLAS, so the same bits in every process,
+    and once per process: for one cell, or by each of a sweep's workers for
+    all its trials. The row terms are formed _ROW_CHUNK rows at a time in
     one buffer, not in a copy of a0; each row's term has the same bits
     either way (see _row_terms).
 
@@ -514,8 +503,7 @@ def _pass_state(cfg: ProblemConfig, a0: OperatorMatrix, n_list: Sequence[int],
     if not _finite(rho_w):  # mu_w's powers are positive, so at most 1
         raise ConfigError(f"q={cfg.q} with d_out={cfg.d_out} and gamma_prime={cfg.gamma_prime} "
                           "give norm weights rho_j^-(1-gamma_prime) past double precision")
-    return _PassState(cfg, a0, tuple(n_list), tuple(estimators), lmaps, mu_w, rho_w, a0_terms,
-                      overlap)
+    return _PassState(cfg, a0, tuple(n_list), tuple(estimators), lmaps, mu_w, rho_w, a0_terms)
 
 
 def _run_trial(state: _PassState, trial_index: int) -> tuple[TrialRecord, ...]:
@@ -539,7 +527,7 @@ def _run_trial(state: _PassState, trial_index: int) -> tuple[TrialRecord, ...]:
     cfg = state.cfg
     seed = derive_seed(cfg.seed, _TAG_TRIAL, trial_index)
     records = []
-    for cov in _nested_covariances(state.a0, state.n_list, cfg.noise, seed, state.overlap):
+    for cov in _nested_covariances(state.a0, state.n_list, cfg.noise, seed):
         finite = _finite(cov.c_lq)
         for name in state.estimators:
             t0 = time.perf_counter()

@@ -472,20 +472,18 @@ _WORKER_STATE: dict[str, Any] = {}
 
 
 def _pool_init(cfg: ProblemConfig, ground_truth: GroundTruthSpec, n_list: tuple[int, ...],
-               estimators: tuple[str, ...], overlap: bool) -> None:
+               estimators: tuple[str, ...]) -> None:
     """Keep a worker's _pass_state, for all its trials, and the time it was ready.
 
-    overlap is _pool_size's verdict that each worker has a spare CPU, on
-    which its passes fill their next input block. The state slot holds one
-    outcome: the pass state, or the exception its build raised, which
-    _pool_trial raises so that the refusal reaches the caller by name and
-    the pool does not break. Either way it replaces the last run's, so a
-    refused run leaves nothing to a later one in the same process. First
-    mark OpenSSL's _hashlib absent, so that the build's import of
-    numpy.random maps no libcrypto (3.4 MiB resident). Last, freeze the
-    garbage collector's view of every object alive: the modules and the
-    state live until the worker exits, so no collection, the one at exit
-    included, needs to traverse them again.
+    The state slot holds one outcome: the pass state, or the exception its
+    build raised, which _pool_trial raises so that the refusal reaches the
+    caller by name and the pool does not break. Either way it replaces the
+    last run's, so a refused run leaves nothing to a later one in the same
+    process. First mark OpenSSL's _hashlib absent, so that the build's
+    import of numpy.random maps no libcrypto (3.4 MiB resident). Last,
+    freeze the garbage collector's view of every object alive: the modules
+    and the state live until the worker exits, so no collection, the one at
+    exit included, needs to traverse them again.
     """
     # numpy.random imports secrets, whose hashlib and hmac then fall back to
     # CPython's built-in digests. numpy uses them only to seed from OS
@@ -493,8 +491,7 @@ def _pool_init(cfg: ProblemConfig, ground_truth: GroundTruthSpec, n_list: tuple[
     # keeps a _hashlib already loaded.
     sys.modules.setdefault("_hashlib", None)
     try:
-        _WORKER_STATE["state"] = _pass_state(cfg, ground_truth.build(cfg), n_list, estimators,
-                                             overlap)
+        _WORKER_STATE["state"] = _pass_state(cfg, ground_truth.build(cfg), n_list, estimators)
     except Exception as exc:  # a refusal, raised by each of this worker's trials
         _WORKER_STATE["state"] = exc
     _WORKER_STATE["ready"] = time.time()
@@ -513,21 +510,13 @@ def _pool_trial(trial: int) -> tuple[float, tuple[TrialRecord, ...]]:
     return _WORKER_STATE["ready"], _run_trial(state, trial)
 
 
-def _pool_size(workers: int, trials: int) -> tuple[int, bool]:
-    """Worker processes a sweep starts, and whether each has a second CPU to itself.
-
-    The pool starts workers processes, but no more than trials or usable
-    CPUs. With two usable CPUs per worker, each worker's passes fill their
-    next input block on a helper thread (overlap, see
-    estimators._nested_covariances); with fewer, the helper would contend
-    with another worker for a CPU, and the fill stays inline.
-    """
+def _pool_size(workers: int, trials: int) -> int:
+    """Worker processes a sweep starts: workers, but no more than trials or usable CPUs."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:  # the platform cannot pin a process to CPUs
         cpus = os.cpu_count() or 1
-    size = min(workers, trials, cpus)
-    return size, 2 * size <= cpus
+    return min(workers, trials, cpus)
 
 
 def _physical_memory() -> int:
@@ -549,15 +538,14 @@ _BUILD_PEAK_ARRAYS = 2
 _INTERPRETER_BYTES = 38 * 2**20
 
 
-def _check_memory(cfg: ProblemConfig, workers: int, overlap: bool = False) -> None:
+def _check_memory(cfg: ProblemConfig, workers: int) -> None:
     """Refuse dimensions whose processes, with workers workers, exceed physical memory.
 
     Each interpreter, parent and workers alike, counts _INTERPRETER_BYTES.
     With workers > 0 only the workers hold arrays: each counts the free
     heap its trim threshold lets it keep (_WORKER_TRIM_BYTES) and the
     larger of its own build of a0 and a0 with the arrays of one pass
-    (estimators._pass_peak_bytes, with a second block when the pass fills
-    on a helper thread, overlap): when d_out is much larger than d_in, a
+    (estimators._pass_peak_bytes): when d_out is much larger than d_in, a
     pass's arrays and a0 come to less than the two a0s of a build. With
     workers == 0 the caller is a process that builds a0, GroundTruthSpec.build
     before each build, and it counts that build. A worker's own check then
@@ -571,8 +559,7 @@ def _check_memory(cfg: ProblemConfig, workers: int, overlap: bool = False) -> No
     a0_bytes = 8 * cfg.d_out * cfg.d_in
     if workers:
         worker = _WORKER_TRIM_BYTES + max(_BUILD_PEAK_ARRAYS * a0_bytes,
-                                          a0_bytes + _pass_peak_bytes(cfg.d_in, cfg.d_out,
-                                                                      overlap))
+                                          a0_bytes + _pass_peak_bytes(cfg.d_in, cfg.d_out))
         arrays, holders = workers * worker, f"in {workers} worker(s)"
     else:
         arrays, holders = _BUILD_PEAK_ARRAYS * a0_bytes, "to build the ground truth"
@@ -596,17 +583,16 @@ def _run_cells(cfg: ProblemConfig, ground_truth: GroundTruthSpec, estimators: Se
     back in trial order, and progress(done, total, seconds) is called as
     each arrives. The pool starts _pool_size(workers, len(trials))
     processes, and says so on stderr when that is fewer than workers.
-    When twice that many CPUs are usable, so a worker would leave one
-    idle, _pool_size's verdict travels to each worker's pass state
-    (_pool_init), and its passes fill the next input block on a helper
-    thread while they sum the last; the bits are the same either way.
+    Each worker's passes fill the next input block on a helper thread
+    while they sum the last (estimators._sum_blocks); the bits are those of
+    one thread.
 
     Before the pool starts, this checks that its processes fit in memory
-    (_check_memory, with the second block of a helper's fill). Each
-    worker builds a0 and its pass state in _pool_init. The spawn arguments
-    hold cfg and the ground-truth spec, not a0: a worker reads them only
-    after importing this module, so a payload larger than a pipe holds
-    would make the worker starts run one after another.
+    (_check_memory). Each worker builds a0 and its pass state in
+    _pool_init. The spawn arguments hold cfg and the ground-truth spec, not
+    a0: a worker reads them only after importing this module, so a payload
+    larger than a pipe holds would make the worker starts run one after
+    another.
 
     The second value is the wall-clock seconds from the pool's creation
     until the last worker that ran a trial had finished _pool_init.
@@ -617,8 +603,8 @@ def _run_cells(cfg: ProblemConfig, ground_truth: GroundTruthSpec, estimators: Se
             cannot be built on cfg or a cell's error is not finite.
         ValueError: from a worker, _pass_state refuses an estimator.
     """
-    size, overlap = _pool_size(workers, len(trials))
-    _check_memory(cfg, size, overlap)
+    size = _pool_size(workers, len(trials))
+    _check_memory(cfg, size)
     if size < workers:
         sys.stderr.write(f"starting {size} of {workers} workers: at most one per trial "
                          "and per usable CPU\n")
@@ -628,7 +614,7 @@ def _run_cells(cfg: ProblemConfig, ground_truth: GroundTruthSpec, estimators: Se
             max_workers=size,
             mp_context=get_context("spawn"),
             initializer=_pool_init,
-            initargs=(cfg, ground_truth, tuple(n_list), tuple(estimators), overlap),
+            initargs=(cfg, ground_truth, tuple(n_list), tuple(estimators)),
         ) as pool:
             t0 = time.perf_counter()
             results, ready = [], []

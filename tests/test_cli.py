@@ -293,31 +293,6 @@ class TestRates:
         assert a == b, "two single-worker invocations disagree"
         assert a == c, "a 4-worker pool changed the summary bytes"
 
-    def test_a_helper_threads_fill_keeps_the_summary_bytes(self, tmp_path, capsys,
-                                                           monkeypatch):
-        # On two usable CPUs one worker has a spare CPU and fills on a
-        # helper thread; two workers fill inline. n = 1100 and 2600 each
-        # sum at least two whole blocks, so the helper runs.
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        overlap, pool = [], harness.ProcessPoolExecutor
-
-        def recording(*args, initargs, **kwargs):
-            overlap.append(initargs[-1])
-            return pool(*args, initargs=initargs, **kwargs)
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", recording)
-        path, _ = write_config(tmp_path, n_list=[300, 1100, 2600])
-        outs = []
-        for workers in ("1", "2"):
-            out = tmp_path / f"w{workers}.csv"
-            assert cli_main(["rates", "--config", str(path), "--out", str(out),
-                             "--workers", workers]) == 0
-            runs = (tmp_path / f"w{workers}_runs.csv").read_text().splitlines()
-            outs.append((out.read_bytes(), [line.rsplit(",", 1)[0] for line in runs]))
-        capsys.readouterr()
-        assert overlap == [True, False], overlap
-        assert outs[0] == outs[1], "the helper thread's fill changed the bytes"
-
     def test_missing_out_is_a_config_error(self, tmp_path, capsys):
         path, _ = write_config(tmp_path)
         assert cli_main(["rates", "--config", str(path)]) == 2

@@ -165,27 +165,34 @@ class TestStreamedCovariances:
         assert large <= 1.1 * small, \
             f"peak {large} B over {len(n_list)} snapshots to 16 blocks vs {small} B at 2 blocks"
 
-    @pytest.mark.parametrize("overlap", [False, True], ids=["inline", "overlap"])
-    def test_a_failed_fill_is_raised_from_the_pass(self, monkeypatch, overlap):
-        # With overlap, the helper's second fill fails while its first block is summed.
+    @pytest.mark.parametrize("failing", [1, 3], ids=["ahead", "block"])
+    def test_a_failed_fill_is_raised_from_the_pass(self, monkeypatch, failing):
+        # The first fill is the rows drawn ahead at n=100; the third is the
+        # helper's, which fails while the block before is summed.
         a0, profile = self.problem()
         threads = threading.active_count()
         fills = []
 
         def failing_fill(rng, out, scale):
             fills.append(out.shape[0])
-            if len(fills) == 3:
+            if len(fills) == failing:
                 raise RuntimeError("fill failed")
 
         monkeypatch.setattr(synth, "_fill_scaled_uniform", failing_fill)
         with pytest.raises(RuntimeError, match="fill failed"):
-            list(_nested_covariances(a0, (100, 5 * STREAM_BLOCK_ROWS), profile, 56, overlap))
-        assert fills == [100, STREAM_BLOCK_ROWS, STREAM_BLOCK_ROWS], fills
+            list(_nested_covariances(a0, (100, 5 * STREAM_BLOCK_ROWS), profile, rng_seed=56))
+        assert fills == [100, STREAM_BLOCK_ROWS, STREAM_BLOCK_ROWS][:failing], fills
         assert threading.active_count() == threads, "the helper must be joined"
 
-    def test_every_block_is_filled_on_the_calling_thread(self, monkeypatch):
+    def test_a_helper_fills_only_whole_blocks_and_is_gone_at_every_snapshot(self,
+                                                                              monkeypatch):
+        # Each n whose blocks number two or more fills its first block on
+        # the calling thread and the rest on one helper, each while the
+        # block before is summed; a single block is filled on the calling
+        # thread, and the rows past the blocks are drawn on it, with no
+        # helper alive, once every block is filled.
         a0, profile = self.problem()
-        n = 2 * STREAM_BLOCK_ROWS + 100  # two full blocks and a short last one
+        b = STREAM_BLOCK_ROWS
         threads = threading.active_count()
         filled = []
 
@@ -200,68 +207,33 @@ class TestStreamedCovariances:
             return record
 
         monkeypatch.setattr(estimators, "_stream_filler", recording_filler)
-        for cov in _nested_covariances(a0, (100, n), profile, rng_seed=57):
-            assert threading.active_count() == threads, f"a thread was started by n={cov.n}"
-        assert [t for t, *_ in filled] == [threading.current_thread()] * len(filled), \
-            "every block and every look-ahead must be drawn on the thread that consumes the pass"
-        assert [count for _, count, *_ in filled] == [threads] * len(filled), \
-            "a draw must run with no thread started"
-        # Each snapshot draws the rows past its whole blocks ahead of the stream.
-        assert [(ahead, u.shape[0]) for *_, ahead, u in filled] == [
-            (True, 100), (False, STREAM_BLOCK_ROWS), (False, STREAM_BLOCK_ROWS), (True, 100)]
-        inline = synth._stream_filler(a0, 57)
+        n_list = (100, 3 * b + 7, 4 * b, 6 * b + 1)
+        for cov in _nested_covariances(a0, n_list, profile, rng_seed=59):
+            assert threading.active_count() == threads, f"a thread is alive at n={cov.n}"
+        here = threading.current_thread()
+        assert [(t is here, ahead, u.shape[0]) for t, _, ahead, u in filled] == [
+            (True, True, 100),
+            (True, False, b), (False, False, b), (False, False, b), (True, True, 7),
+            (True, False, b), (True, True, 0),
+            (True, False, b), (False, False, b), (True, True, 1)]
+        assert [count for _, count, ahead, _ in filled if ahead] == [threads] * 4, \
+            "a look-ahead must be drawn with no helper alive"
+        inline = synth._stream_filler(a0, 59)
         for k, (*_, ahead, u) in enumerate(filled):
             want_u = np.empty_like(u)
             inline(want_u, ahead=ahead)
             assert np.array_equal(u, want_u), f"draw {k} is not the stream's next rows"
 
-    def test_a_helper_fills_only_whole_blocks_and_is_gone_at_every_snapshot(self,
-                                                                              monkeypatch):
-        # With overlap, each n whose blocks number two or more fills its
-        # first block on the calling thread and the rest on one helper,
-        # each while the block before is summed; the rows past the blocks
-        # are drawn on the calling thread once every block is filled.
-        a0, profile = self.problem()
-        b = STREAM_BLOCK_ROWS
-        threads = threading.active_count()
-        filled = []
-
-        def recording_filler(*args):
-            fill = synth._stream_filler(*args)
-
-            def record(u, ahead=False):
-                fill(u, ahead=ahead)
-                filled.append((threading.current_thread(), ahead, u.copy()))
-
-            return record
-
-        monkeypatch.setattr(estimators, "_stream_filler", recording_filler)
-        n_list = (100, 3 * b + 7, 4 * b, 6 * b + 1)
-        for cov in _nested_covariances(a0, n_list, profile, 59, overlap=True):
-            assert threading.active_count() == threads, f"a thread is alive at n={cov.n}"
-        here = threading.current_thread()
-        assert [(t is here, ahead, u.shape[0]) for t, ahead, u in filled] == [
-            (True, True, 100),
-            (True, False, b), (False, False, b), (False, False, b), (True, True, 7),
-            (True, False, b), (True, True, 0),
-            (True, False, b), (False, False, b), (True, True, 1)]
-        inline = synth._stream_filler(a0, 59)
-        for k, (_, ahead, u) in enumerate(filled):
-            want_u = np.empty_like(u)
-            inline(want_u, ahead=ahead)
-            assert np.array_equal(u, want_u), f"draw {k} is not the stream's next rows"
-
-    @pytest.mark.parametrize("overlap", [False, True], ids=["inline", "overlap"])
     @pytest.mark.parametrize("n_list", [
         (4, 8, 16), (100, 300, 512, 700, 1500, 5000), (5, 600), (513, 1023, 1024, 1025)])
-    def test_c_kk_is_the_bits_of_its_whole_blocks_and_its_last_rows(self, n_list, overlap):
+    def test_c_kk_is_the_bits_of_its_whole_blocks_and_its_last_rows(self, n_list):
         # Built apart from the pass: all rows drawn by one fill, then for
         # each n on its own, the blocks below n summed from zero in order
         # and the product of the rows past them added last.
         a0, profile = self.problem()
         u = np.empty((n_list[-1], a0.d_in))
         synth._stream_filler(a0, 58)(u)
-        covs = _nested_covariances(a0, n_list, profile, 58, overlap)
+        covs = _nested_covariances(a0, n_list, profile, rng_seed=58)
         for n, cov in zip(n_list, covs, strict=True):
             summed = n - n % STREAM_BLOCK_ROWS
             uu = np.zeros((a0.d_in, a0.d_in))

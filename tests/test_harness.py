@@ -17,6 +17,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -526,61 +527,58 @@ class TestRunCell:
 
 
 # The template's widths, where a block (1 MiB) is what a helper fills.
-OVERLAP_N_LISTS = ((4, 8, 16), tuple(2**k for k in range(8, 13)),
-                   tuple(2**k for k in range(10, 15)), (100, 700, 1500, 5000),
-                   (513, 1023, 1024, 1025))
+HELPER_N_LISTS = ((4, 8, 16), tuple(2**k for k in range(8, 13)),
+                  tuple(2**k for k in range(10, 15)), (100, 700, 1500, 5000),
+                  (513, 1023, 1024, 1025))
 
 
-class TestOverlap:
-    """A pass that fills its next input block on a helper thread (overlap)."""
+class OneThreadExecutor:
+    """Stands in for ThreadPoolExecutor(1): runs each fill when it is
+    submitted, on the calling thread, so a pass fills and sums on one."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        done = Future()
+        done.set_result(fn(*args))
+        return done
+
+
+class TestHelperThread:
+    """A pass that fills its next input block on a helper thread."""
 
     @pytest.fixture(scope="class")
     def template(self):
         cfg, ground_truth, _, _ = parse_config(_template_config())
         return cfg, ground_truth.build(cfg)
 
-    @pytest.mark.parametrize("n_list", OVERLAP_N_LISTS,
+    @pytest.mark.parametrize("n_list", HELPER_N_LISTS,
                              ids=["no-block", "2^8-2^12", "2^10-2^14", "inside-blocks",
                                   "around-a-boundary"])
-    def test_records_are_the_bits_of_the_inline_pass(self, template, n_list):
+    def test_records_are_the_bits_of_a_pass_on_one_thread(self, monkeypatch, template,
+                                                          n_list):
         cfg, a0 = template
-        hexes = {}
-        for overlap in (False, True):
-            state = estimators._pass_state(cfg, a0, n_list, ESTIMATOR_NAMES, overlap)
-            assert state.overlap is overlap
-            hexes[overlap] = [(r.estimator, r.n, r.error_sq.hex())
-                              for r in estimators._run_trial(state, 3)]
-        assert hexes[True] == hexes[False], "the helper's fill changed an error's bits"
+        state = estimators._pass_state(cfg, a0, n_list, ESTIMATOR_NAMES)
+        hexes = []
+        for _ in range(2):
+            hexes.append([(r.estimator, r.n, r.error_sq.hex())
+                          for r in estimators._run_trial(state, 3)])
+            monkeypatch.setattr(estimators, "ThreadPoolExecutor", OneThreadExecutor)
+        assert hexes[0] == hexes[1], "the helper's fill changed an error's bits"
 
     def test_no_thread_outlives_a_pass(self, template):
         cfg, a0 = template
-        state = estimators._pass_state(cfg, a0, (700, 3000), ESTIMATOR_NAMES, True)
+        state = estimators._pass_state(cfg, a0, (700, 3000), ESTIMATOR_NAMES)
         threads = threading.active_count()
         estimators._run_trial(state, 0)
         assert threading.active_count() == threads, "the pass left a thread running"
-
-    @pytest.mark.parametrize("cpus, workers, trials, want", [
-        (2, 1, 1, (1, True)), (2, 2, 2, (2, False)), (2, 2, 1, (1, True)),
-        (2, 4, 8, (2, False)), (3, 2, 8, (2, False)), (4, 2, 8, (2, True)),
-        (1, 1, 1, (1, False)), (16, 8, 8, (8, True)),
-    ], ids=["one-worker-two-cpus", "two-workers-two-cpus", "clamped-by-trials",
-            "clamped-by-cpus", "one-cpu-short", "four-cpus", "one-cpu", "sixteen-cpus"])
-    def test_a_worker_overlaps_only_with_a_second_cpu_to_itself(self, monkeypatch, cpus,
-                                                                workers, trials, want):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                            raising=False)
-        assert harness._pool_size(workers, trials) == want
-
-    @pytest.mark.parametrize("workers, overlap", [(1, True), (2, False)])
-    def test_the_pools_verdict_reaches_each_workers_pass_state(self, monkeypatch, workers,
-                                                               overlap):
-        monkeypatch.setattr(InProcessPool, "sizes", [])
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        harness._run_cells(small_config(), GroundTruthSpec(), ESTIMATOR_NAMES, (64, 128, 1100),
-                           range(2), workers)
-        assert InProcessPool.sizes == [workers]
-        assert harness._WORKER_STATE["state"].overlap is overlap
 
 
 class TestIndependentRoute:
@@ -625,11 +623,11 @@ class TestIndependentRoute:
                 f"{rec.estimator} at n={n}: {rec.error_sq} vs {want} ({rel:.2e})"
 
 
-def pass_peak(cfg: ProblemConfig, n_list: tuple[int, ...], overlap: bool = False) -> int:
+def pass_peak(cfg: ProblemConfig, n_list: tuple[int, ...]) -> int:
     """tracemalloc peak of one _run_trial pass over n_list, above its live heap."""
     _, a0 = random_source_operator(cfg, ground_truth_seed(cfg))
     run_pass(cfg, a0, (_B,), 0)  # first-call allocations
-    state = estimators._pass_state(cfg, a0, n_list, ESTIMATOR_NAMES, overlap)
+    state = estimators._pass_state(cfg, a0, n_list, ESTIMATOR_NAMES)
     tracemalloc.start()
     try:
         live = tracemalloc.get_traced_memory()[0]
@@ -648,12 +646,11 @@ _SMALL = 64 * 1024
 
 
 class TestPassMemory:
-    # At these sizes the block outweighs every other array, so one block
-    # more than a path fills into alive at any moment would show 256 KiB
-    # above its bound, and a d_out x d_in array in place of a chunk's (the
-    # table of all of an estimator's rows) 96 KiB. Each traced pass runs
-    # inline and with a helper's fill (overlap), whose first n sums two
-    # whole blocks.
+    # At these sizes the block outweighs every other array, so a third
+    # block alive at any moment would show 256 KiB above a bound, and a
+    # d_out x d_in array in place of a chunk's (the table of all of an
+    # estimator's rows) 96 KiB. Each traced pass's first n sums two whole
+    # blocks, so a helper fills the second.
     D_IN, D_OUT = 64, 4 * _CHUNK
     BLOCK = _B * D_IN  # inputs only: no noise row is drawn
     SUMS = D_IN * D_IN  # u.T @ u
@@ -661,41 +658,32 @@ class TestPassMemory:
     # chunk x d_in arrays: a chunk's scaled rows and their back-rotation
     # (a chunk of the noise draw, while a snapshot is built, is one).
     SNAPSHOT = 2 * D_IN * D_IN + D_OUT * D_IN + 2 * _CHUNK * D_IN
-    PATHS = pytest.mark.parametrize("overlap", [False, True], ids=["inline", "overlap"])
+    # A pass holds two blocks (one summed while the helper fills the next)
+    # and two sums (a Gram product added to the running one), or the sums
+    # and one snapshot, never a block and a snapshot at once.
+    BLOCK_ENDS_BOUND = 8 * max(2 * BLOCK + 2 * SUMS, SUMS + SNAPSHOT) + _FILL_BUFFER + _SMALL
 
-    def block_ends_bound(self, overlap):
-        # A pass holds its blocks (one inline, two with overlap, or the
-        # rows a snapshot draws ahead) and two sums (a Gram product added
-        # to the running one), or the sums and one snapshot, never a block
-        # and a snapshot at once.
-        blocks = 2 if overlap else 1
-        return (8 * max(blocks * self.BLOCK + 2 * self.SUMS, self.SUMS + self.SNAPSHOT)
-                + _FILL_BUFFER + _SMALL)
-
-    @PATHS
-    def test_a_snapshot_inside_a_block_holds_no_block(self, overlap):
+    def test_a_snapshot_inside_a_block_holds_no_block(self):
         # Its rows of the block are drawn ahead and dropped once their Gram
         # product is formed; the block is filled and summed after it.
-        bound = self.block_ends_bound(overlap)
+        bound = self.BLOCK_ENDS_BOUND
         peak = pass_peak(small_config(d_in=self.D_IN, d_out=self.D_OUT),
-                         (2 * _B, 4 * _B + 300, 8 * _B), overlap)
+                         (2 * _B, 4 * _B + 300, 8 * _B))
         assert peak <= bound, f"a pass peaked at {peak} B, {peak - bound} B over its {bound} B"
 
-    @PATHS
-    def test_a_snapshot_at_the_end_of_a_block_holds_no_block(self, overlap):
+    def test_a_snapshot_at_the_end_of_a_block_holds_no_block(self):
         # The block is in the running sum before such a snapshot.
-        bound = self.block_ends_bound(overlap)
+        bound = self.BLOCK_ENDS_BOUND
         peak = pass_peak(small_config(d_in=self.D_IN, d_out=self.D_OUT),
-                         (2 * _B, 4 * _B, 8 * _B), overlap)
+                         (2 * _B, 4 * _B, 8 * _B))
         assert peak <= bound, f"a pass peaked at {peak} B, {peak - bound} B over its {bound} B"
 
-    @PATHS
     @pytest.mark.parametrize("n_list", [(2 * _B, 4 * _B, 8 * _B), (2 * _B, 4 * _B + 300, 8 * _B)],
                              ids=["block-ends", "inside-a-block"])
-    def test_a_pass_keeps_no_snapshot_its_consumer_dropped(self, n_list, overlap):
+    def test_a_pass_keeps_no_snapshot_its_consumer_dropped(self, n_list):
         # The same passes with no solve, whose consumer drops each snapshot
         # before it asks for the next: within the same bound.
-        bound = self.block_ends_bound(overlap)
+        bound = self.BLOCK_ENDS_BOUND
         cfg = small_config(d_in=self.D_IN, d_out=self.D_OUT)
         _, a0 = random_source_operator(cfg, ground_truth_seed(cfg))
         noise = NoiseProfile(sigma=cfg.sigma)
@@ -703,7 +691,7 @@ class TestPassMemory:
         tracemalloc.start()
         try:
             live = tracemalloc.get_traced_memory()[0]
-            stream = _nested_covariances(a0, n_list, noise, 5, overlap)
+            stream = _nested_covariances(a0, n_list, noise, rng_seed=5)
             for cov in stream:
                 del cov
             peak = tracemalloc.get_traced_memory()[1] - live
@@ -711,35 +699,32 @@ class TestPassMemory:
             tracemalloc.stop()
         assert peak <= bound, f"a stream peaked at {peak} B, {peak - bound} B over its {bound} B"
 
-    @PATHS
     @pytest.mark.parametrize("d_in, d_out", [(512, 512), (256, 512)],
                              ids=["square", "template"])
-    def test_pass_peak_bytes_is_the_peak_of_a_pass(self, monkeypatch, d_in, d_out, overlap):
+    def test_pass_peak_bytes_is_the_peak_of_a_pass(self, monkeypatch, d_in, d_out):
         # Here the d^2 arrays outweigh the block or match it, and n_list
         # holds an n inside a block and one on a block boundary, after two
         # more blocks. Within the slack on either side, the formula is the
         # peak itself, once it leaves out the arrays of eigh that
-        # tracemalloc cannot see. At the template's widths a helper's two
-        # blocks are the peak.
+        # tracemalloc cannot see. At the template's widths the two blocks
+        # of a helper's fill are the peak.
         monkeypatch.setattr(estimators, "_EIGH_UNTRACED", 0)
-        want = _pass_peak_bytes(d_in, d_out, overlap)
-        peak = pass_peak(small_config(d_in=d_in, d_out=d_out), (_B + 300, 3 * _B), overlap)
+        want = _pass_peak_bytes(d_in, d_out)
+        peak = pass_peak(small_config(d_in=d_in, d_out=d_out), (_B + 300, 3 * _B))
         assert abs(peak - want) <= 2 * (_FILL_BUFFER + _SMALL), \
             f"a pass peaked at {peak} B, _pass_peak_bytes says {want} B"
 
-    @PATHS
     @pytest.mark.parametrize("d_in, d_out", [(512, 128), (256, 1024)],
                              ids=["d_in-dominates", "d_out-dominates"])
     def test_pass_peak_bytes_is_the_peak_when_one_dimension_dominates(self, monkeypatch,
-                                                                      d_in, d_out, overlap):
-        # Inline, a fit holds the most that tracemalloc sees either way: the
-        # sums, c_kk, the eigenvectors, the cross moment and two chunks of
-        # rows. With d_out * d_in > d_in^2, the cross moment is the largest
-        # array of a pass. With overlap, two blocks outweigh a fit when
-        # d_in dominates.
+                                                                      d_in, d_out):
+        # When d_in dominates, the two blocks of a helper's fill and their
+        # sums outweigh a fit. When d_out does, a fit holds the most that
+        # tracemalloc sees: the sums, c_kk, the eigenvectors, the cross
+        # moment and two chunks of rows, the cross moment the largest.
         monkeypatch.setattr(estimators, "_EIGH_UNTRACED", 0)
-        want = _pass_peak_bytes(d_in, d_out, overlap)
-        peak = pass_peak(small_config(d_in=d_in, d_out=d_out), (_B + 300, 3 * _B), overlap)
+        want = _pass_peak_bytes(d_in, d_out)
+        peak = pass_peak(small_config(d_in=d_in, d_out=d_out), (_B + 300, 3 * _B))
         assert abs(peak - want) <= 2 * (_FILL_BUFFER + _SMALL), \
             f"a pass peaked at {peak} B, _pass_peak_bytes says {want} B"
 
@@ -992,26 +977,24 @@ class TestPoolAndMemory:
             run_convergence(plan)
         assert InProcessPool.sizes == [2], "no pool may start"
 
-    @pytest.mark.parametrize("overlap", [False, True], ids=["inline", "overlap"])
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("d_in, d_out", [(12, 16), (1, 4096)])
     def test_the_budget_of_the_workers_and_one_parent_is_exact(self, monkeypatch, workers,
-                                                                d_in, d_out, overlap):
+                                                                d_in, d_out):
         # The parent builds no a0, so with workers it counts one interpreter
         # and no arrays: exactly that much memory is accepted, a byte less
-        # is refused. At (12, 16) a pass's largest phase is a block's sum,
-        # so a helper's second block raises the budget.
+        # is refused.
         cfg = small_config(d_in=d_in, d_out=d_out)
         a0_bytes = 8 * d_out * d_in
-        worker = harness._WORKER_TRIM_BYTES + max(
-            harness._BUILD_PEAK_ARRAYS * a0_bytes, a0_bytes + _pass_peak_bytes(d_in, d_out, overlap))
+        worker = harness._WORKER_TRIM_BYTES + max(harness._BUILD_PEAK_ARRAYS * a0_bytes,
+                                                  a0_bytes + _pass_peak_bytes(d_in, d_out))
         budget = workers * worker + (1 + workers) * harness._INTERPRETER_BYTES
         monkeypatch.setattr(harness, "_physical_memory", lambda: budget)
-        harness._check_memory(cfg, workers, overlap)
+        harness._check_memory(cfg, workers)
         monkeypatch.setattr(harness, "_physical_memory", lambda: budget - 1)
         with pytest.raises(ConfigError, match=f"in {workers} worker\\(s\\), besides "
                                               f"{1 + workers} interpreter"):
-            harness._check_memory(cfg, workers, overlap)
+            harness._check_memory(cfg, workers)
 
 
 def build_peak(spec: GroundTruthSpec, cfg: ProblemConfig) -> int:
@@ -1286,7 +1269,7 @@ class TestWorkerEnvironment:
     def test_a_worker_freezes_the_collector_once_its_state_is_built(self):
         assert gc.get_freeze_count() == 0
         modules = dict(sys.modules)
-        harness._pool_init(small_config(), GroundTruthSpec(), (64, 128), ESTIMATOR_NAMES, False)
+        harness._pool_init(small_config(), GroundTruthSpec(), (64, 128), ESTIMATOR_NAMES)
         try:
             assert gc.get_freeze_count() > 0, "_pool_init must end with gc.freeze()"
             # Its _hashlib mark is for a fresh worker: this process loaded
@@ -1320,36 +1303,33 @@ import resource
 from opridge import ESTIMATOR_NAMES, estimators, harness
 from opridge.cli import _template_config
 cfg, spec, _, _ = harness.parse_config(_template_config())
-state = estimators._pass_state(cfg, spec.build(cfg), {n_list}, ESTIMATOR_NAMES, {overlap})
+state = estimators._pass_state(cfg, spec.build(cfg), {n_list}, ESTIMATOR_NAMES)
 estimators._run_trial(state, 0)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 estimators._run_trial(state, 1)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
-    def second_pass_faults(self, n_list: tuple[int, ...], overlap: bool) -> int:
-        return int(_worker_env_subprocess(self.FAULT_SCRIPT.format(n_list=n_list,
-                                                                   overlap=overlap)))
+    def second_pass_faults(self, n_list: tuple[int, ...]) -> int:
+        return int(_worker_env_subprocess(self.FAULT_SCRIPT.format(n_list=n_list)))
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                         reason="the heap variables are glibc's")
-    @pytest.mark.parametrize("overlap", [False, True], ids=["inline", "overlap"])
-    def test_a_second_pass_reuses_the_pages_of_the_first(self, overlap):
+    def test_a_second_pass_reuses_the_pages_of_the_first(self):
         # Without the heap variables this pass took 3,065 minor faults, 1,950
         # of them inside eigh; with a 4 MiB trim threshold, 1,092. It takes
-        # 0-1 with the workers' thresholds inline, and 3-4 when a helper
-        # thread fills, whose stack and arena the next helper reuses.
-        faults = self.second_pass_faults(self.N_LIST, overlap)
+        # 3-4 with the workers' thresholds: the helper thread's stack and
+        # heap arena, which the next helper reuses.
+        faults = self.second_pass_faults(self.N_LIST)
         assert faults < 500, f"a second trial pass took {faults} minor page faults"
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                         reason="the heap variables are glibc's")
-    @pytest.mark.parametrize("overlap", [False, True], ids=["inline", "overlap"])
-    def test_a_block_freed_at_each_snapshot_comes_back_from_the_same_pages(self, overlap):
+    def test_a_block_freed_at_each_snapshot_comes_back_from_the_same_pages(self):
         # Every n of this grid ends a block, so the blocks are freed before
         # each snapshot and allocated again after it, below the workers'
         # mmap threshold: from the heap pages they were freed to.
-        faults = self.second_pass_faults(tuple(2**k for k in range(9, 14)), overlap)
+        faults = self.second_pass_faults(tuple(2**k for k in range(9, 14)))
         assert faults < 500, f"a second trial pass took {faults} minor page faults"
 
     # A spawned worker's status after _pool_init and after one pass, in bytes,
@@ -1372,7 +1352,7 @@ def status(pid):
 cfg, spec, _, _ = harness.parse_config(_template_config())
 with harness._worker_environment(), ProcessPoolExecutor(
         1, mp_context=get_context("spawn"), initializer=harness._pool_init,
-        initargs=(cfg, spec, {N_LIST}, ESTIMATOR_NAMES, True)) as pool:
+        initargs=(cfg, spec, {N_LIST}, ESTIMATOR_NAMES)) as pool:
     pid = pool.submit(os.getpid).result()
     idle = status(pid)
     pool.submit(harness._pool_trial, 0).result()
@@ -1398,7 +1378,6 @@ with harness._worker_environment(), ProcessPoolExecutor(
         # the worker.
         # After a pass it keeps its freed heap up to the trim threshold:
         # 5.1 MiB more resident in all, 1.8 MiB of it LAPACK's code pages.
-        # Its passes fill on a helper thread, the larger working set.
         idle, after, trim, _, _ = worker
         assert trim == str(harness._WORKER_TRIM_BYTES), "the worker must see the heap variables"
         cfg, _, _, _ = parse_config(_template_config())
@@ -1413,7 +1392,7 @@ with harness._worker_environment(), ProcessPoolExecutor(
             f"a worker kept {kept / 2**20:.2f} MiB after its pass"
         counted = (harness._INTERPRETER_BYTES + harness._WORKER_TRIM_BYTES
                    + max(harness._BUILD_PEAK_ARRAYS * a0_bytes,
-                         a0_bytes + _pass_peak_bytes(cfg.d_in, cfg.d_out, True)))
+                         a0_bytes + _pass_peak_bytes(cfg.d_in, cfg.d_out)))
         assert after["VmHWM"] <= counted, \
             f"a worker peaked at {after['VmHWM'] / 2**20:.2f} MiB, " \
             f"_check_memory counts {counted / 2**20:.2f} MiB"
