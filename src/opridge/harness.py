@@ -134,9 +134,10 @@ class GroundTruthSpec:
 
     kind "random" draws sign coefficients under polynomial tapers
     (params: taper_in, taper_out, seed), "laplacian" builds the diagonal
-    derivative-style demo (params: t, scale; requires d_in == d_out),
-    "packing" places a sign-pattern block (params: m1, m2, K, eps, and
-    either an explicit 0/1 omega matrix or a seed to draw one).
+    derivative-style symbol on the config's eigenvalues (params: t, scale;
+    requires d_in == d_out), "packing" places a sign-pattern block
+    (params: m1, m2, K, eps, and either an explicit 0/1 omega matrix or a
+    seed to draw one). Each is one builder of synth.
 
     Parameters are validated on construction so that a bad config fails at
     load time, not in the middle of a sweep: packing needs m1, K and eps,
@@ -185,6 +186,10 @@ class GroundTruthSpec:
     def build(self, cfg: ProblemConfig) -> OperatorMatrix:
         """Materialize the operator on the config's frequency grid.
 
+        After the memory check, one call of the kind's builder
+        (random_source_operator, laplacian_operator or packing_operator) on
+        cfg's own decays, which raises the other refusals below.
+
         Raises:
             ConfigError: naming d_in and d_out, before anything is
                 allocated, when this process and its build of a0 exceed
@@ -202,34 +207,8 @@ class GroundTruthSpec:
             _, a0 = random_source_operator(cfg, seed, **tapers)
             return a0
         if self.kind == "laplacian":
-            if cfg.d_in != cfg.d_out:
-                raise ConfigError(
-                    "ground_truth.kind 'laplacian' needs a square grid, "
-                    f"got d_in={cfg.d_in}, d_out={cfg.d_out}"
-                )
-            # Smoothness orders are pinned by the config decays
-            # (mu_i = i^(-1/p) means s = 1/(2p)), so only the symbol
-            # is free here. Each decay raises its own ConfigError first.
-            decays = cfg.input_decay, cfg.output_decay
-            t, scale = p.get("t", 1), p.get("scale", 1.0)
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):  # refused by name
-                    _, op, _ = laplacian_operator(
-                        s=1.0 / (2.0 * cfg.p),
-                        m=1.0 / (2.0 * cfg.q),
-                        t=t,
-                        dim=cfg.d_in,
-                        scale=scale,
-                        beta=cfg.beta,
-                        gamma=cfg.gamma,
-                    )
-            except OverflowError:
-                raise ConfigError(
-                    f"q={cfg.q} and p={cfg.p} at d_in={cfg.d_in} with ground_truth.params."
-                    f"t={t} and ground_truth.params.scale={scale} put the laplacian "
-                    "coefficients d_n mu_n^(-beta/2) rho_n^(-(2-gamma)/2) past double "
-                    "precision: raise q or p, or lower t or scale") from None
-            return OperatorMatrix(op.m, *decays)
+            _, a0 = laplacian_operator(cfg, **p)
+            return a0
         omega = p.get("omega")
         if omega is None:  # packing_operator draws it once the block fits the grid
             omega = np.random.default_rng(p.get("seed", ground_truth_seed(cfg)))

@@ -1,5 +1,11 @@
 """Synthetic data generation: datasets v = A0 u + eps and ground truths.
 
+Every ground truth lives on its config's one eigenvalue grid, the
+make_decay decays cfg.input_decay and cfg.output_decay:
+random_source_operator(cfg, seed) and laplacian_operator(cfg, t, scale)
+build on it and return (source coefficients, operator), and
+packing_operator places its block on the decays it is given.
+
 A dataset's inputs are one stream per seed, written by an in-place fill
 of buffers the caller allocates; any split of the stream into row blocks
 gives the same bits, as do rows drawn ahead of it without moving it. The
@@ -218,60 +224,45 @@ def random_source_operator(
 
 
 def laplacian_operator(
-    s: float,
-    m: float,
-    t: int,
-    dim: int,
-    scale: float,
-    beta: float,
-    gamma: float,
-) -> tuple[SourceCoefficients, OperatorMatrix, bool]:
-    """Diagonal derivative-style demo operator on Matern-type decays.
+    cfg: ProblemConfig, t: int = 1, scale: float = 1.0
+) -> tuple[SourceCoefficients, OperatorMatrix]:
+    """Diagonal derivative-style operator on the config's square grid.
 
-    Builds mu_n = n^(-2s) and rho_n = n^(-2m), the diagonal operator with
-    symbol d_n = scale * (pi*n)^(2t), and the equivalent source coefficients
-    a_nn = d_n * mu_n^(-beta/2) * rho_n^(-(2-gamma)/2) for the requested
-    source exponents.
-
-    Args:
-        s: input smoothness, > 0; the input decay exponent is 1/(2s).
-        m: output smoothness, > 0.
-        t: derivative order, integer >= 0.
-        dim: truncation dimension (the operator is square).
-        scale: symbol prefactor.
-        beta, gamma: source exponents the coefficients are expressed for.
+    The symbol d_n = scale * (pi*n)^(2t) on the config's eigenvalues
+    mu_n = n^(-1/p) and rho_n = n^(-1/q) has the source coefficients
+    a_nn = d_n * mu_n^(-beta/2) * rho_n^(-(2-gamma)/2) under the config's
+    (beta, gamma).
 
     Returns:
-        (source coefficients, operator, finite_source) where finite_source
-        reports whether the infinite-basis source norm would converge,
-        decided by the closed-form condition (1-gamma)*m < (1-beta)*s - 1/2.
+        (source coefficients, operator in orthonormal coordinates).
 
     Raises:
-        OverflowError: a source coefficient or an operator entry is past
-            double range.
+        ValueError: t is not a nonnegative integer. GroundTruthSpec refuses
+            it when a config loads; it stays for direct callers.
+        ConfigError: naming d_in and d_out when the grid is not square; or
+            naming p, q, t and scale when a coefficient or an operator
+            coordinate is past double range.
     """
-    if s <= 0.0 or m <= 0.0:
-        raise ValueError(f"smoothness orders must be positive, got s={s}, m={m}")
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
     if t < 0 or int(t) != t:
         raise ValueError(f"derivative order t must be a nonnegative integer, got {t}")
-    n = np.arange(1, dim + 1, dtype=np.float64)
-    in_decay = EigenDecay(values=n ** (-2.0 * s))
-    out_decay = EigenDecay(values=n ** (-2.0 * m))
-    d = scale * (math.pi * n) ** (2.0 * t)
-    a_diag = (
-        d
-        * in_decay.values ** (-beta / 2.0)
-        * out_decay.values ** (-(2.0 - gamma) / 2.0)
-    )
-    try:  # the shapes match, so only a coefficient past double range is refused
-        src = SourceCoefficients(a=np.diag(a_diag), beta=beta, gamma=gamma)
-        op = operator_from_source(src, in_decay, out_decay)
-    except ValueError as exc:
-        raise OverflowError(f"{exc} at dim={dim}") from None
-    finite_source = (1.0 - gamma) * m < (1.0 - beta) * s - 0.5
-    return src, op, finite_source
+    if cfg.d_in != cfg.d_out:
+        raise ConfigError("ground_truth.kind 'laplacian' needs a square grid, "
+                          f"got d_in={cfg.d_in}, d_out={cfg.d_out}")
+    in_decay, out_decay = cfg.input_decay, cfg.output_decay  # each raises its own ConfigError
+    n = np.arange(1, cfg.d_in + 1, dtype=np.float64)
+    try:  # the shapes match, so only a value past double range is refused
+        with np.errstate(over="ignore", invalid="ignore"):
+            # 2.0 * t overflows for an integer t past double range.
+            a = (scale * (math.pi * n) ** (2.0 * t) * in_decay.values ** (-cfg.beta / 2.0)
+                 * out_decay.values ** (-(2.0 - cfg.gamma) / 2.0))
+            src = SourceCoefficients(a=np.diag(a), beta=cfg.beta, gamma=cfg.gamma)
+            return src, operator_from_source(src, in_decay, out_decay)
+    except (OverflowError, ValueError):
+        raise ConfigError(
+            f"q={cfg.q} and p={cfg.p} at d_in={cfg.d_in} with ground_truth.params."
+            f"t={t} and ground_truth.params.scale={scale} put the laplacian "
+            "coefficients d_n mu_n^(-beta/2) rho_n^(-(2-gamma)/2) past double "
+            "precision: raise q or p, or lower t or scale") from None
 
 
 def packing_operator(

@@ -290,6 +290,11 @@ class TestEigenDecayValidation:
         with pytest.raises(ValueError):
             EigenDecay(values=np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("values", [np.ones((2, 2)), np.empty(0)], ids=["2-d", "empty"])
+    def test_rejects_values_that_are_not_a_nonempty_vector(self, values):
+        with pytest.raises(ValueError, match="nonempty 1-d vector"):
+            EigenDecay(values=values)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_values(self, bad):
         with pytest.raises(ValueError, match="EigenDecay values must be finite and positive"):
@@ -301,6 +306,10 @@ class TestEigenDecayValidation:
 
 
 class TestSourceCoefficientsValidation:
+    def test_rejects_a_vector(self):
+        with pytest.raises(ValueError, match="2-d matrix"):
+            SourceCoefficients(a=np.ones(3), beta=0.5, gamma=0.5)
+
     def test_the_finiteness_check_holds_no_array_as_large_as_a(self):
         # A 512 x 256 a, the template's; np.isfinite would build a flag
         # array of a.size bytes beside it.
@@ -326,6 +335,20 @@ class TestOperatorMatrixValidation:
         m[where] = bad
         with pytest.raises(ValueError, match="finite"):
             OperatorMatrix(m, make_decay(2, 0.5), make_decay(3, 0.5))
+
+    @pytest.mark.parametrize("m, match", [
+        (np.ones(2), "must be 2-d"),
+        (np.ones((2, 3)), r"shape \(2, 3\) does not match decays \(3, 2\)"),
+    ], ids=["1-d", "transposed"])
+    def test_rejects_a_matrix_that_does_not_fit_its_decays(self, m, match):
+        with pytest.raises(ValueError, match=match):
+            OperatorMatrix(m, make_decay(2, 0.5), make_decay(3, 0.5))
+
+    def test_difference_refuses_two_shapes(self):
+        a = OperatorMatrix(np.ones((3, 2)), make_decay(2, 0.5), make_decay(3, 0.5))
+        b = OperatorMatrix(np.ones((3, 3)), make_decay(3, 0.5), make_decay(3, 0.5))
+        with pytest.raises(ValueError, match="shapes differ"):
+            a.difference(b)
 
     def test_accepts_entries_whose_sum_overflows(self):
         m = np.full((3, 2), 1e308)

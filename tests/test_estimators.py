@@ -572,6 +572,11 @@ class TestPopulationRegularized:
         out = population_regularized(a0, lmap)
         assert np.abs(out.m).max() <= 1e-290
 
+    def test_refuses_a_map_of_other_rows(self):
+        a0 = OperatorMatrix(np.ones((2, 3)), make_decay(3, 0.5), make_decay(2, 0.5))
+        with pytest.raises(ValueError, match="lambda map covers 3 rows, operator has 2"):
+            population_regularized(a0, LambdaMap.uniform(3, 1.0))
+
     def test_monotone_shrinkage(self):
         rng = np.random.default_rng(31)
         a0 = OperatorMatrix(
@@ -594,6 +599,17 @@ class TestAnalyticBias:
         outd = EigenDecay(values=np.array([1.0]))
         got = analytic_bias(src, LambdaMap.uniform(1, 0.25), ind, outd, 0.1, 0.9)
         assert got**2 == pytest.approx(2.0**-3.6, rel=1e-12)
+
+    @pytest.mark.parametrize("map_rows, d_in, d_out, match", [
+        (3, 3, 4, "lambda map covers 3 rows, source has 4"),
+        (4, 2, 4, "decay lengths"),
+        (4, 3, 5, "decay lengths"),
+    ], ids=["map", "in_decay", "out_decay"])
+    def test_refuses_what_does_not_fit_the_source(self, map_rows, d_in, d_out, match):
+        src = SourceCoefficients(a=np.ones((4, 3)), beta=0.6, gamma=0.1)
+        with pytest.raises(ValueError, match=match):
+            analytic_bias(src, LambdaMap.uniform(map_rows, 1.0), make_decay(d_in, 0.5),
+                          make_decay(d_out, 0.5), 0.3, 0.7)
 
     def test_zero_lambda_zero_bias(self):
         rng = np.random.default_rng(33)

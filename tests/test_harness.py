@@ -32,6 +32,7 @@ from opridge import (
     NoiseProfile,
     OperatorMatrix,
     ProblemConfig,
+    RateFit,
     analytic_bias,
     bg_norm,
     config_to_dict,
@@ -116,6 +117,12 @@ class TestFitRate:
         with pytest.raises(ValueError, match="degenerate"):
             fit_rate([(8.0, 1.0), (8.0, 2.0), (8.0, 3.0)])
 
+    @pytest.mark.parametrize("slope, intercept", [(math.nan, 0.0), (-math.inf, 0.0),
+                                                  (-0.5, math.inf)])
+    def test_a_non_finite_fit_is_refused(self, slope, intercept):
+        with pytest.raises(ValueError, match="degenerate rate fit for 'single'"):
+            RateFit("single", slope, intercept, 1.0)
+
 
 class TestGroundTruthSpec:
     def test_random_kind_matches_generator(self):
@@ -160,12 +167,9 @@ class TestGroundTruthSpec:
     def test_laplacian_kind_square_grid(self):
         cfg = small_config(d_in=10, d_out=10)
         op = GroundTruthSpec("laplacian", {"t": 1, "scale": 0.5}).build(cfg)
-        _, want, _ = laplacian_operator(
-            s=1.0 / (2.0 * cfg.p), m=1.0 / (2.0 * cfg.q), t=1, dim=10,
-            scale=0.5, beta=cfg.beta, gamma=cfg.gamma,
-        )
-        assert np.allclose(op.m, want.m, rtol=0.0, atol=0.0), \
-            "laplacian spec must match the demo generator entrywise"
+        _, want = laplacian_operator(cfg, t=1, scale=0.5)
+        assert op.m.tobytes() == want.m.tobytes(), \
+            "laplacian spec must match the builder byte for byte"
         assert np.array_equal(op.input_decay.values, cfg.input_decay.values), \
             "laplacian decays must coincide with the config grid"
 
@@ -295,12 +299,14 @@ class TestGroundTruthSpec:
         got = {k for k in ("taper_in", "taper_out") if f"ground_truth.params.{k}=" in message}
         assert got == set(named), message
 
-    @pytest.mark.parametrize("q, params", [(0.0022, {"t": 1}), (0.5, {"scale": 1e308})],
-                             ids=["small-q", "large-scale"])
+    @pytest.mark.parametrize("q, params", [(0.0022, {"t": 1}), (0.5, {"scale": 1e308}),
+                                           (0.5, {"t": 10**400})],
+                             ids=["small-q", "large-scale", "t-past-double-range"])
     def test_a_laplacian_whose_coefficients_overflow_is_named_without_a_warning(self, q,
                                                                                params):
         # At d = 5 and gamma = 0, rho_5^-1 = 5^(1/q) is past double range for
-        # q = 0.0022; scale = 1e308 takes d_5 = scale * (5 pi)^2 past it.
+        # q = 0.0022; scale = 1e308 takes d_5 = scale * (5 pi)^2 past it; and
+        # a JSON integer t can be past it, where 2.0 * t raises OverflowError.
         cfg = small_config(q=q, gamma=0.0, d_in=5, d_out=5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test

@@ -51,7 +51,7 @@ def _source_trees() -> list[tuple[str, ast.Module]]:
 
 
 def _calls_of(attr: str) -> list[str]:
-    """'module.qualname' of the function or class around each call of an .attr(...)."""
+    """'module.qualname' of the function or class around each call of attr(...) or .attr(...)."""
     sites = []
     for module, tree in _source_trees():
         scope = {}  # node -> qualified name of the innermost class or function holding it
@@ -62,8 +62,8 @@ def _calls_of(attr: str) -> list[str]:
             for child in ast.iter_child_nodes(parent):
                 scope[child] = name
         sites += [f"{module}.{scope[node]}" for node in ast.walk(tree)
-                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                  and node.func.attr == attr]
+                  if isinstance(node, ast.Call)
+                  and attr in (getattr(node.func, "attr", None), getattr(node.func, "id", None))]
     return sites
 
 
@@ -86,6 +86,12 @@ def test_every_snapshot_is_built_by_one_constructor():
     bare = [module for module, tree in _source_trees() for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and node.attr == "__new__"]
     assert not bare, f"__new__ is named in {bare}"
+
+
+def test_every_config_has_one_eigenvalue_grid():
+    # make_decay is the one builder of an EigenDecay, so a ground truth
+    # cannot carry a grid of its own beside the config's.
+    assert _calls_of("EigenDecay") == ["core.make_decay"], _calls_of("EigenDecay")
 
 
 def test_exports_are_the_modules_lists_once_each():

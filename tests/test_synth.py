@@ -246,47 +246,36 @@ class TestRandomSourceOperator:
 
 class TestLaplacianOperator:
     def test_flat_symbol_at_t_zero(self):
-        src, op, _ = laplacian_operator(
-            s=1.0, m=0.5, t=0, dim=4, scale=1.0, beta=0.0, gamma=1.0
-        )
+        _, op = laplacian_operator(small_config(d_in=4, d_out=4), t=0)
         mu, rho = op.input_decay.values, op.output_decay.values
         d = op.m.diagonal() * np.sqrt(mu * rho)
         np.testing.assert_allclose(d, 1.0, rtol=1e-12)
 
     def test_symbol_value_at_t_one(self):
-        _, op, _ = laplacian_operator(
-            s=1.0, m=0.5, t=1, dim=4, scale=1.0, beta=0.0, gamma=1.0
-        )
+        _, op = laplacian_operator(small_config(d_in=4, d_out=4), t=1)
         mu, rho = op.input_decay.values, op.output_decay.values
         d = op.m.diagonal() * np.sqrt(mu * rho)
         assert d[1] == pytest.approx(4.0 * math.pi**2, rel=1e-12)
 
-    def test_finite_source_flag(self):
-        # (1-gamma)m < (1-beta)s - 1/2 with s=1, m=0.5, beta=0, gamma=1:
-        # 0 < 0.5, so the source norm is finite.
-        _, _, finite = laplacian_operator(
-            s=1.0, m=0.5, t=0, dim=4, scale=1.0, beta=0.0, gamma=1.0
-        )
-        assert finite
-        _, _, infinite = laplacian_operator(
-            s=1.0, m=2.0, t=0, dim=4, scale=1.0, beta=0.0, gamma=0.0
-        )
-        assert not infinite
-
     def test_decays_follow_power_laws(self):
-        _, op, _ = laplacian_operator(
-            s=1.0, m=0.5, t=0, dim=5, scale=1.0, beta=0.0, gamma=0.5
-        )
+        cfg = small_config(p=0.5, q=0.25, d_in=5, d_out=5)
+        _, op = laplacian_operator(cfg, t=0)
         n = np.arange(1, 6, dtype=float)
+        assert np.array_equal(op.input_decay.values, cfg.input_decay.values)
+        assert np.array_equal(op.output_decay.values, cfg.output_decay.values)
         np.testing.assert_allclose(op.input_decay.values, n**-2.0, rtol=1e-14)
-        np.testing.assert_allclose(op.output_decay.values, n**-1.0, rtol=1e-14)
+        np.testing.assert_allclose(op.output_decay.values, n**-4.0, rtol=1e-14)
 
     def test_source_round_trips_through_operator(self):
-        src, op, _ = laplacian_operator(
-            s=0.8, m=0.6, t=1, dim=6, scale=0.3, beta=0.4, gamma=0.2
-        )
+        cfg = small_config(p=0.625, q=0.8333, beta=0.4, gamma=0.2, d_in=6, d_out=6)
+        src, op = laplacian_operator(cfg, t=1, scale=0.3)
         rebuilt = operator_from_source(src, op.input_decay, op.output_decay)
         np.testing.assert_allclose(rebuilt.m, op.m, rtol=1e-13)
+
+    @pytest.mark.parametrize("t", [1.5, -1, -2.0])
+    def test_refuses_a_t_that_is_not_a_nonnegative_integer(self, t):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            laplacian_operator(small_config(), t=t)
 
 
 class TestPackingOperator:
@@ -335,6 +324,14 @@ class TestPackingOperator:
             packing_operator(3, 0, 1, 0.1, np.ones((3, 1)), ind, outd, 0.3, 0.5)
         with pytest.raises(ValueError):
             packing_operator(1, 3, 2, 0.1, np.ones((1, 2)), ind, outd, 0.3, 0.5)
+
+    @pytest.mark.parametrize("m1, m2, K, eps", [
+        (0, 0, 1, 0.1), (1, 0, 0, 0.1), (1, -1, 1, 0.1), (1, 0, 1, 0.0), (1, 0, 1, -0.1),
+    ], ids=["m1-0", "K-0", "m2-negative", "eps-0", "eps-negative"])
+    def test_out_of_range_arguments_rejected(self, m1, m2, K, eps):
+        ind, outd = make_decay(4, 0.5), make_decay(4, 0.5)
+        with pytest.raises(ValueError, match="block sizes|eps must be positive"):
+            packing_operator(m1, m2, K, eps, np.random.default_rng(0), ind, outd, 0.3, 0.5)
 
     def test_non_binary_pattern_rejected(self):
         ind, outd = make_decay(4, 0.5), make_decay(4, 0.5)
