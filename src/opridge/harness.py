@@ -63,13 +63,7 @@ from .estimators import (
     population_regularized,
 )
 from .schedules import _check_map_samples
-from .synth import (
-    derive_seed,
-    ground_truth_seed,
-    laplacian_operator,
-    packing_operator,
-    random_source_operator,
-)
+from .synth import _laplacian_operator, _packing_operator, _random_operator, derive_seed
 
 __all__ = [
     "ExperimentPlan",
@@ -86,11 +80,12 @@ __all__ = [
     "run_convergence",
 ]
 
-# Each ground-truth kind: the params it requires, then every param it allows.
-_GROUND_TRUTH_PARAMS = {
-    "random": ((), {"taper_in", "taper_out", "seed"}),
-    "laplacian": ((), {"t", "scale"}),
-    "packing": (("m1", "K", "eps"), {"m1", "m2", "K", "eps", "omega", "seed"}),
+# Each ground-truth kind: its builder in synth, called as builder(cfg, **params),
+# the params it requires, then every param it allows.
+_GROUND_TRUTH_KINDS = {
+    "random": (_random_operator, (), {"taper_in", "taper_out", "seed"}),
+    "laplacian": (_laplacian_operator, (), {"t", "scale"}),
+    "packing": (_packing_operator, ("m1", "K", "eps"), {"m1", "m2", "K", "eps", "omega", "seed"}),
 }
 
 # The least value of each integer param; numpy seeds its generators with
@@ -137,7 +132,7 @@ class GroundTruthSpec:
     derivative-style symbol on the config's eigenvalues (params: t, scale;
     requires d_in == d_out), "packing" places a sign-pattern block
     (params: m1, m2, K, eps, and either an explicit 0/1 omega matrix or a
-    seed to draw one). Each is one builder of synth.
+    seed to draw one). Each kind is one builder of synth, which build calls.
 
     Parameters are validated on construction so that a bad config fails at
     load time, not in the middle of a sweep: packing needs m1, K and eps,
@@ -153,10 +148,10 @@ class GroundTruthSpec:
     params: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.kind, str) or self.kind not in _GROUND_TRUTH_PARAMS:
-            raise ConfigError(f"ground_truth.kind must be one of {tuple(_GROUND_TRUTH_PARAMS)}, "
+        if not isinstance(self.kind, str) or self.kind not in _GROUND_TRUTH_KINDS:
+            raise ConfigError(f"ground_truth.kind must be one of {tuple(_GROUND_TRUTH_KINDS)}, "
                               f"got {self.kind!r}")
-        required, allowed = _GROUND_TRUTH_PARAMS[self.kind]
+        _, required, allowed = _GROUND_TRUTH_KINDS[self.kind]
         unknown = set(self.params) - allowed
         if unknown:
             raise ConfigError(
@@ -186,9 +181,9 @@ class GroundTruthSpec:
     def build(self, cfg: ProblemConfig) -> OperatorMatrix:
         """Materialize the operator on the config's frequency grid.
 
-        After the memory check, one call of the kind's builder
-        (random_source_operator, laplacian_operator or packing_operator) on
-        cfg's own decays, which raises the other refusals below.
+        After the memory check, one call builder(cfg, **params) of the
+        kind's builder in synth, on cfg's own decays, which raises the
+        other refusals below.
 
         Raises:
             ConfigError: naming d_in and d_out, before anything is
@@ -199,22 +194,8 @@ class GroundTruthSpec:
                 coefficients past double range.
         """
         _check_memory(cfg, 0)
-        p = self.params
-        if self.kind == "random":
-            seed = p.get("seed", ground_truth_seed(cfg))
-            # A taper that params leave out takes random_source_operator's default.
-            tapers = {k: p[k] for k in ("taper_in", "taper_out") if k in p}
-            _, a0 = random_source_operator(cfg, seed, **tapers)
-            return a0
-        if self.kind == "laplacian":
-            _, a0 = laplacian_operator(cfg, **p)
-            return a0
-        omega = p.get("omega")
-        if omega is None:  # packing_operator draws it once the block fits the grid
-            omega = np.random.default_rng(p.get("seed", ground_truth_seed(cfg)))
-        return packing_operator(p["m1"], p.get("m2", 0), p["K"], p["eps"], omega,
-                                cfg.input_decay, cfg.output_decay,
-                                cfg.beta_prime, cfg.gamma_prime)
+        builder = _GROUND_TRUTH_KINDS[self.kind][0]
+        return builder(cfg, **self.params)
 
 
 # ---------------------------------------------------------------------------
@@ -504,8 +485,9 @@ def _physical_memory() -> int:
 
 
 # GroundTruthSpec.build peaks at this many a0-sized arrays: the "random"
-# and "laplacian" kinds hold their source coefficients and the weighted
-# operator, each scaled in place (tracemalloc; pinned by a tier-1 test).
+# kind holds its source coefficients and the weighted operator, each scaled
+# in place, and the other kinds the operator alone (tracemalloc; pinned by a
+# tier-1 test).
 _BUILD_PEAK_ARRAYS = 2
 
 # Resident bytes of one idle interpreter, the larger of two measured on the
@@ -895,15 +877,18 @@ def _packing_instance(rng: np.random.Generator) -> tuple[float, float]:
     m2 = int(rng.integers(0, 5))
     d_in = 2 * m1 + int(rng.integers(0, 4))
     d_out = m2 + k + int(rng.integers(0, 4))
-    in_d = make_decay(d_in, float(rng.uniform(0.2, 0.9)))
-    out_d = make_decay(d_out, float(rng.uniform(0.2, 0.9)))
+    p = float(rng.uniform(0.2, 0.9))
+    q = float(rng.uniform(0.2, 0.9))
     bp = float(rng.uniform(0.05, 0.9))
     gp = float(rng.uniform(0.05, 0.97))
     eps = float(10.0 ** rng.uniform(-4.0, 0.0))
     om1 = rng.integers(0, 2, size=(m1, k)).astype(np.float64)
     om2 = rng.integers(0, 2, size=(m1, k)).astype(np.float64)
-    a = packing_operator(m1, m2, k, eps, om1, in_d, out_d, bp, gp)
-    b = packing_operator(m1, m2, k, eps, om2, in_d, out_d, bp, gp)
+    # beta = 0.95 and gamma = 0 admit every drawn (beta', gamma').
+    cfg = ProblemConfig(p=p, q=q, alpha=0.5, beta=0.95, beta_prime=bp, gamma=0.0,
+                        gamma_prime=gp, d_in=d_in, d_out=d_out)
+    a = _packing_operator(cfg, m1, k, eps, m2=m2, omega=om1)
+    b = _packing_operator(cfg, m1, k, eps, m2=m2, omega=om2)
     want = (32.0 * eps / (m1 * k)) * float(np.sum((om1 - om2) ** 2))
     return bg_norm(a.difference(b), bp, gp) ** 2, want
 

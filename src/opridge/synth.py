@@ -1,10 +1,10 @@
 """Synthetic data generation: datasets v = A0 u + eps and ground truths.
 
-Every ground truth lives on its config's one eigenvalue grid, the
-make_decay decays cfg.input_decay and cfg.output_decay:
-random_source_operator(cfg, seed) and laplacian_operator(cfg, t, scale)
-build on it and return (source coefficients, operator), and
-packing_operator places its block on the decays it is given.
+Every ground truth is built on its config's one eigenvalue grid, the
+make_decay decays cfg.input_decay and cfg.output_decay, by the builder of
+its GroundTruthSpec kind: _random_operator, _laplacian_operator or
+_packing_operator, each called as builder(cfg, **params) and returning
+the operator.
 
 A dataset's inputs are one stream per seed, written by an in-place fill
 of buffers the caller allocates; any split of the stream into row blocks
@@ -30,13 +30,12 @@ from __future__ import annotations
 
 import copy
 import math
-from typing import Callable, Iterator
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
 from .core import (  # perfbench also imports NoiseProfile from here
     ConfigError,
-    EigenDecay,
     NoiseProfile,
     OperatorMatrix,
     ProblemConfig,
@@ -48,9 +47,6 @@ __all__ = [
     "derive_seed",
     "make_dataset",
     "ground_truth_seed",
-    "random_source_operator",
-    "laplacian_operator",
-    "packing_operator",
 ]
 
 SQRT3 = math.sqrt(3.0)
@@ -165,29 +161,26 @@ def make_dataset(
     return u, u @ a0.m.T + eps
 
 
-def random_source_operator(
+def _random_operator(
     cfg: ProblemConfig,
-    rng_seed: int,
+    seed: int | None = None,
     taper_in: float = 0.75,
     taper_out: float = 0.75,
-) -> tuple[SourceCoefficients, OperatorMatrix]:
-    """Draw a random ground truth with source norm exactly B.
+) -> OperatorMatrix:
+    """GroundTruthSpec kind "random": a random operator with source norm exactly B.
 
     Coefficients are a[j][i] = sign * i^(-taper_in) * j^(-taper_out) with
-    i.i.d. random signs, globally rescaled so the Frobenius norm equals
-    cfg.B. The default tapers spread coefficient mass while keeping it
-    summable; smaller tapers push the instance toward the boundary of the
-    source class.
-
-    Returns:
-        (source coefficients, operator in orthonormal coordinates).
+    i.i.d. random signs drawn from seed (ground_truth_seed(cfg) when None),
+    globally rescaled so the Frobenius norm equals cfg.B. The default
+    tapers spread coefficient mass while keeping it summable; smaller
+    tapers push the instance toward the boundary of the source class.
 
     Raises:
         ConfigError: the coefficients overflow before the rescaling, naming
             ground_truth.params.taper_in or taper_out; or an operator
             coordinate overflows, naming B, p and beta.
     """
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(ground_truth_seed(cfg) if seed is None else seed)
     # Scaled in place, in the order the formula reads, so a is the same bits
     # as signs * w_out * w_in and the build never holds more than two a0s.
     a = rng.integers(0, 2, size=(cfg.d_out, cfg.d_in)) * 2.0
@@ -217,108 +210,96 @@ def random_source_operator(
     decays = cfg.input_decay, cfg.output_decay  # each raises its own ConfigError
     try:  # a has norm B, so only the weights mu_i^((beta-1)/2) can overflow
         with np.errstate(over="ignore"):  # OperatorMatrix refuses it
-            return src, operator_from_source(src, *decays)
+            return operator_from_source(src, *decays)
     except ValueError:
         raise ConfigError(f"B={cfg.B} with p={cfg.p} and beta={cfg.beta} puts ground-truth "
                           "coordinates past double precision: lower B or raise p or beta") from None
 
 
-def laplacian_operator(
-    cfg: ProblemConfig, t: int = 1, scale: float = 1.0
-) -> tuple[SourceCoefficients, OperatorMatrix]:
-    """Diagonal derivative-style operator on the config's square grid.
+def _laplacian_operator(cfg: ProblemConfig, t: int = 1, scale: float = 1.0) -> OperatorMatrix:
+    """GroundTruthSpec kind "laplacian": a diagonal derivative-style operator on a square grid.
 
     The symbol d_n = scale * (pi*n)^(2t) on the config's eigenvalues
     mu_n = n^(-1/p) and rho_n = n^(-1/q) has the source coefficients
-    a_nn = d_n * mu_n^(-beta/2) * rho_n^(-(2-gamma)/2) under the config's
-    (beta, gamma).
-
-    Returns:
-        (source coefficients, operator in orthonormal coordinates).
+    a_n = d_n * mu_n^(-beta/2) * rho_n^(-(2-gamma)/2) under the config's
+    (beta, gamma). The operator's diagonal is operator_from_source's
+    weighting of a_n, in its order, so the build holds one a0.
 
     Raises:
-        ValueError: t is not a nonnegative integer. GroundTruthSpec refuses
-            it when a config loads; it stays for direct callers.
         ConfigError: naming d_in and d_out when the grid is not square; or
             naming p, q, t and scale when a coefficient or an operator
             coordinate is past double range.
     """
-    if t < 0 or int(t) != t:
-        raise ValueError(f"derivative order t must be a nonnegative integer, got {t}")
     if cfg.d_in != cfg.d_out:
         raise ConfigError("ground_truth.kind 'laplacian' needs a square grid, "
                           f"got d_in={cfg.d_in}, d_out={cfg.d_out}")
     in_decay, out_decay = cfg.input_decay, cfg.output_decay  # each raises its own ConfigError
     n = np.arange(1, cfg.d_in + 1, dtype=np.float64)
-    try:  # the shapes match, so only a value past double range is refused
+    try:  # 2.0 * t overflows for an integer t past double range
         with np.errstate(over="ignore", invalid="ignore"):
-            # 2.0 * t overflows for an integer t past double range.
             a = (scale * (math.pi * n) ** (2.0 * t) * in_decay.values ** (-cfg.beta / 2.0)
                  * out_decay.values ** (-(2.0 - cfg.gamma) / 2.0))
-            src = SourceCoefficients(a=np.diag(a), beta=cfg.beta, gamma=cfg.gamma)
-            return src, operator_from_source(src, in_decay, out_decay)
-    except (OverflowError, ValueError):
-        raise ConfigError(
-            f"q={cfg.q} and p={cfg.p} at d_in={cfg.d_in} with ground_truth.params."
-            f"t={t} and ground_truth.params.scale={scale} put the laplacian "
-            "coefficients d_n mu_n^(-beta/2) rho_n^(-(2-gamma)/2) past double "
-            "precision: raise q or p, or lower t or scale") from None
+            diag = a * in_decay.values ** ((cfg.beta - 1.0) / 2.0)
+            diag *= out_decay.values ** ((1.0 - cfg.gamma) / 2.0)
+        # mu's weight is at least 1 and rho's in [0, 1], so a non-finite a_n
+        # leaves diag[n] non-finite: checking diag checks a too.
+        if np.isfinite(diag).all():
+            return OperatorMatrix(np.diag(diag), in_decay, out_decay)
+    except OverflowError:
+        pass
+    raise ConfigError(
+        f"q={cfg.q} and p={cfg.p} at d_in={cfg.d_in} with ground_truth.params."
+        f"t={t} and ground_truth.params.scale={scale} put the laplacian "
+        "coefficients d_n mu_n^(-beta/2) rho_n^(-(2-gamma)/2) past double "
+        "precision: raise q or p, or lower t or scale")
 
 
-def packing_operator(
+def _packing_operator(
+    cfg: ProblemConfig,
     m1: int,
-    m2: int,
     K: int,
     eps: float,
-    omega: np.ndarray | np.random.Generator,
-    in_decay: EigenDecay,
-    out_decay: EigenDecay,
-    beta_prime: float,
-    gamma_prime: float,
+    m2: int = 0,
+    omega: Any = None,
+    seed: int | None = None,
 ) -> OperatorMatrix:
-    """Sign-pattern operator from the adversarial packing family.
+    """GroundTruthSpec kind "packing": a sign-pattern operator of the adversarial packing family.
 
     Places the block entry (1-based output row j+m2, input column i+m1)
 
         sqrt(32*eps/(m1*K)) * omega[i-1][j-1]
-            * mu_{i+m1}^((beta_prime-1)/2) * rho_{j+m2}^((1-gamma_prime)/2)
+            * mu_{i+m1}^((beta'-1)/2) * rho_{j+m2}^((1-gamma')/2)
 
-    for i = 1..m1, j = 1..K and zero elsewhere. Any two members with sign
-    patterns omega, omega' satisfy the exact separation identity
-    bg_norm(A - A', beta_prime, gamma_prime)^2
-        = (32*eps/(m1*K)) * sum (omega - omega')^2.
+    for i = 1..m1, j = 1..K and zero elsewhere, on the config's decays and
+    its (beta', gamma'). Any two members with sign patterns omega, omega'
+    satisfy the exact separation identity
+    bg_norm(A - A', beta', gamma')^2 = (32*eps/(m1*K)) * sum (omega - omega')^2.
 
     Args:
-        m1: input block width; the block occupies input columns m1+1..2*m1.
-        m2: output row offset, >= 0; the block occupies rows m2+1..m2+K.
-        K: output block height.
+        m1: input block width, >= 1; the block occupies input columns m1+1..2*m1.
+        K: output block height, >= 1.
         eps: separation scale, > 0.
-        omega: m1 x K matrix with entries in {0, 1}, or a Generator to draw
-            one from uniformly, which it does only once the block fits.
-        in_decay, out_decay: eigenvalue decays fixing the grid.
-        beta_prime, gamma_prime: the norm exponents the family is built for.
+        m2: output row offset, >= 0; the block occupies rows m2+1..m2+K.
+        omega: m1 x K matrix with entries in {0, 1}; when None, one is
+            drawn uniformly from seed (ground_truth_seed(cfg) when None),
+            only once the block fits.
 
     Raises:
-        ValueError: m1 < 1, K < 1, m2 < 0 or eps <= 0. GroundTruthSpec
-            refuses these when a config loads; they stay for direct callers.
         ConfigError: what the grid decides, naming ground_truth.params:
             m1 when the input block is past d_in, m2 and K when the output
             block is past d_out, eps when a block entry is past double
             range; or omega when it is not an m1 x K matrix of 0s and 1s.
     """
-    if m1 < 1 or K < 1 or m2 < 0:
-        raise ValueError(f"block sizes must satisfy m1>=1, K>=1, m2>=0, got {(m1, m2, K)}")
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    d_in, d_out = len(in_decay), len(out_decay)
-    if 2 * m1 > d_in:
+    in_decay, out_decay = cfg.input_decay, cfg.output_decay  # each raises its own ConfigError
+    if 2 * m1 > cfg.d_in:
         raise ConfigError(f"ground_truth.params.m1={m1} puts the input block 2*m1={2 * m1} "
-                          f"past d_in={d_in}")
-    if m2 + K > d_out:
+                          f"past d_in={cfg.d_in}")
+    if m2 + K > cfg.d_out:
         raise ConfigError(f"ground_truth.params.m2={m2} and ground_truth.params.K={K} put the "
-                          f"output block m2+K={m2 + K} past d_out={d_out}")
-    if isinstance(omega, np.random.Generator):
-        omega = omega.integers(0, 2, size=(m1, K))
+                          f"output block m2+K={m2 + K} past d_out={cfg.d_out}")
+    if omega is None:
+        rng = np.random.default_rng(ground_truth_seed(cfg) if seed is None else seed)
+        omega = rng.integers(0, 2, size=(m1, K))
     try:
         omega = np.asarray(omega, dtype=np.float64)
         valid = omega.shape == (m1, K) and bool(np.all(np.isin(omega, (0.0, 1.0))))
@@ -326,11 +307,11 @@ def packing_operator(
         valid = False
     if not valid:
         raise ConfigError(f"ground_truth.params.omega must be an m1 x K = {m1} x {K} 0/1 matrix")
-    mat = np.zeros((d_out, d_in))
+    mat = np.zeros((cfg.d_out, cfg.d_in))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused by name
         c = math.sqrt(32.0 * eps / (m1 * K))
-        mu_w = in_decay.values[m1 : 2 * m1] ** ((beta_prime - 1.0) / 2.0)
-        rho_w = out_decay.values[m2 : m2 + K] ** ((1.0 - gamma_prime) / 2.0)
+        mu_w = in_decay.values[m1 : 2 * m1] ** ((cfg.beta_prime - 1.0) / 2.0)
+        rho_w = out_decay.values[m2 : m2 + K] ** ((1.0 - cfg.gamma_prime) / 2.0)
         mat[m2 : m2 + K, m1 : 2 * m1] = c * omega.T * rho_w[:, np.newaxis] * mu_w[np.newaxis, :]
     try:  # the shapes match, so only an entry past double range is refused
         return OperatorMatrix(mat, in_decay, out_decay)

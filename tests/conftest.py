@@ -1,4 +1,5 @@
-"""Shared helpers: random valid configurations for property and fuzz tests, and a thread leak check."""
+"""Shared helpers: random valid configurations for property and fuzz tests, ground truths
+built through GroundTruthSpec, and a thread leak check."""
 
 from __future__ import annotations
 
@@ -12,9 +13,11 @@ import pytest
 
 from opridge import (
     EigenDecay,
+    GroundTruthSpec,
     NoiseProfile,
     OperatorMatrix,
     ProblemConfig,
+    SourceCoefficients,
     make_dataset,
     make_decay,
 )
@@ -157,6 +160,18 @@ def documented_range_config(rng: np.random.Generator) -> dict[str, Any]:
     obj.update(B=_extreme(rng, 1.7e308), sigma=_extreme(rng, math.sqrt(sys.float_info.max)),
                d_in=d_in, d_out=d_out, n_list=n_list, trials=int(rng.integers(1, 3)))
     return obj
+
+
+def ground_truth(cfg: ProblemConfig, kind: str = "random", **params: Any) -> OperatorMatrix:
+    """cfg's a0 of a ground-truth kind and its params, built through GroundTruthSpec."""
+    return GroundTruthSpec(kind, params).build(cfg)
+
+
+def source_of(a0: OperatorMatrix, beta: float, gamma: float) -> SourceCoefficients:
+    """a0's source coefficients under (beta, gamma): operator_from_source undone, to rounding."""
+    col_w = a0.input_decay.values ** ((1.0 - beta) / 2.0)
+    row_w = a0.output_decay.values ** ((gamma - 1.0) / 2.0)
+    return SourceCoefficients(a0.m * col_w[np.newaxis, :] * row_w[:, np.newaxis], beta, gamma)
 
 
 def random_decay(rng: np.random.Generator, dim: int) -> EigenDecay:

@@ -14,13 +14,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import ground_truth
 
 import opridge
 from opridge import (
     cli,
     harness,
     multilevel_schedule,
-    packing_operator,
     parse_config,
     theoretical_rate,
 )
@@ -39,6 +39,15 @@ def write_config(tmp_path, name="cfg.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(obj))
     return path, obj
+
+
+def forbid_builds(monkeypatch) -> None:
+    """Make the builder of every kind in GroundTruthSpec's table fail the test when called."""
+    def no_build(*args, **kwargs):
+        raise AssertionError("the ground truth must not be built")
+
+    for kind, (_, required, allowed) in harness._GROUND_TRUTH_KINDS.items():
+        monkeypatch.setitem(harness._GROUND_TRUTH_KINDS, kind, (no_build, required, allowed))
 
 
 def fresh_env() -> dict[str, str]:
@@ -559,14 +568,10 @@ class TestExitCodes:
                                                   argv, dims, budget):
         # d_in = d_out = 10^7 needs petabytes of arrays against the real
         # budget; both are refused before any array of that size is made.
-        def no_build(*args):
-            raise AssertionError("the ground truth must not be built")
-
         def no_pool(*args, **kwargs):
             raise AssertionError("no worker pool may start")
 
-        for builder in ("random_source_operator", "laplacian_operator", "packing_operator"):
-            monkeypatch.setattr(harness, builder, no_build)  # build checks memory first
+        forbid_builds(monkeypatch)  # build checks memory first
         monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
         if budget is not None:
             monkeypatch.setattr(harness, "_physical_memory", lambda: budget)
@@ -589,11 +594,7 @@ class TestExitCodes:
         # The arrays of d_in = d_out = 16 take well under 1 MiB, so a budget
         # of one interpreter holds them; it cannot hold the interpreters as
         # well, since every command runs at least one process besides them.
-        def no_build(*args):
-            raise AssertionError("the ground truth must not be built")
-
-        for builder in ("random_source_operator", "laplacian_operator", "packing_operator"):
-            monkeypatch.setattr(harness, builder, no_build)  # build checks memory first
+        forbid_builds(monkeypatch)  # build checks memory first
         monkeypatch.setattr(harness, "_physical_memory", lambda: harness._INTERPRETER_BYTES)
         path, _ = write_config(tmp_path, d_in=16, d_out=16)
         out = tmp_path / "x.csv"
@@ -1033,10 +1034,7 @@ class TestPacking:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "row,col,value"
         cfg, _, _, _ = parse_config(obj)
-        want = packing_operator(
-            2, 1, 3, 0.01, np.asarray(omega),
-            cfg.input_decay, cfg.output_decay, cfg.beta_prime, cfg.gamma_prime,
-        )
+        want = ground_truth(cfg, "packing", m1=2, m2=1, K=3, eps=0.01, omega=omega)
         got = {}
         for line in lines[1:]:
             r, c, v = line.split(",")
@@ -1054,9 +1052,7 @@ class TestPacking:
                              "--format", "json"]) == 0
             doc = json.loads(capsys.readouterr().out)
             assert "omega" not in doc["params"] and doc["params"]["seed"] == seed
-            want = packing_operator(2, 0, 2, 0.01, np.random.default_rng(seed),
-                                    cfg.input_decay, cfg.output_decay,
-                                    cfg.beta_prime, cfg.gamma_prime)
+            want = ground_truth(cfg, "packing", m1=2, m2=0, K=2, eps=0.01, seed=seed)
             rows, cols = np.nonzero(want.m)
             assert [(e["row"], e["col"], e["value"]) for e in doc["entries"]] == [
                 (int(j) + 1, int(i) + 1, want.m[j, i]) for j, i in zip(rows, cols)

@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import drawn_inputs, random_decay, random_problem_config
+from conftest import drawn_inputs, ground_truth, random_decay, random_problem_config
 
 from opridge import (
     ESTIMATOR_NAMES,
@@ -32,7 +32,6 @@ from opridge import (
     multilevel_schedule,
     operator_from_source,
     population_regularized,
-    random_source_operator,
     single_ridge_lambda,
     variance_lambdas,
 )
@@ -121,7 +120,7 @@ class TestStreamedCovariances:
     @staticmethod
     def problem():
         cfg = small_config(d_in=8, d_out=12)
-        _, a0 = random_source_operator(cfg, rng_seed=51)
+        a0 = ground_truth(cfg, seed=51)
         return a0, NoiseProfile(sigma=0.3)
 
     @pytest.mark.parametrize("n", [100, 16 * STREAM_BLOCK_ROWS + 123])
@@ -276,7 +275,7 @@ class TestNoiseStatistic:
         # With n < d_in, c_kk has rank n; eps.T @ u lies in the span of the
         # rows of u, so the drawn term must have no part in c_kk's null space.
         cfg = small_config(d_in=16, d_out=12)
-        _, a0 = random_source_operator(cfg, rng_seed=63)
+        a0 = ground_truth(cfg, seed=63)
         (cov,) = _nested_covariances(a0, (5,), NoiseProfile(sigma=0.3), rng_seed=64)
         noise = cov.c_lk - a0.m @ cov.c_kk
         null = cov.eigvecs[:, cov.eigvals <= 1e-12 * cov.eigvals[-1]]
@@ -293,7 +292,7 @@ class TestNoiseStatistic:
         # standard normals behind the two draws, recovered by whitening, are
         # uncorrelated (96 entries each, a standard error of about 0.1).
         cfg = small_config(d_in=8, d_out=12)
-        _, a0 = random_source_operator(cfg, rng_seed=68)
+        a0 = ground_truth(cfg, seed=68)
         profile = NoiseProfile(sigma=0.3)
         sd = np.sqrt(profile.variances(cfg.d_out))[:, None]
         z = [((cov.c_lk - a0.m @ cov.c_kk) / sd) @ cov.eigvecs * np.sqrt(cov.n / cov.eigvals)
@@ -304,7 +303,7 @@ class TestNoiseStatistic:
     @pytest.mark.parametrize("n_list", [(100,), (STREAM_BLOCK_ROWS, 2 * STREAM_BLOCK_ROWS + 7)])
     def test_zero_sigma_gives_the_noiseless_cross_matrix_exactly(self, n_list):
         cfg = small_config(d_in=8, d_out=12)
-        _, a0 = random_source_operator(cfg, rng_seed=65)
+        a0 = ground_truth(cfg, seed=65)
         # The pass keeps c_lk in the eigenbasis of c_kk: c_lk Q = (a0.m Q) diag(Lambda).
         for cov in _nested_covariances(a0, n_list, NoiseProfile(sigma=0.0), rng_seed=66):
             want = a0.m @ cov.eigvecs
@@ -314,7 +313,7 @@ class TestNoiseStatistic:
     def test_one_eigendecomposition_per_snapshot(self, monkeypatch):
         # The noise draw reuses the eigh every snapshot makes for its solves.
         cfg = small_config(d_in=8, d_out=12)
-        _, a0 = random_source_operator(cfg, rng_seed=67)
+        a0 = ground_truth(cfg, seed=67)
         calls = []
         eigh = np.linalg.eigh
 
@@ -446,7 +445,7 @@ class TestFitRowwiseRidge:
 class TestEstimators:
     def test_multilevel_equals_grouped_ridge_bitwise(self):
         cfg = small_config(d_in=16, d_out=16)
-        _, a0 = random_source_operator(cfg, rng_seed=21)
+        a0 = ground_truth(cfg, seed=21)
         cov = empirical_covariances(
             make_dataset(a0, 200, NoiseProfile(sigma=cfg.sigma), rng_seed=22))
         est = estimate_from_covariances(cov, cfg, "multilevel")
@@ -457,7 +456,7 @@ class TestEstimators:
 
     def test_contour_estimators_learn_scheduled_rows_only(self):
         cfg = small_config(d_in=8, d_out=8)
-        _, a0 = random_source_operator(cfg, rng_seed=23)
+        a0 = ground_truth(cfg, seed=23)
         cov = empirical_covariances(
             make_dataset(a0, 64, NoiseProfile(sigma=cfg.sigma), rng_seed=24))
         for name, sched_fn in (("variance", variance_lambdas), ("bias", bias_lambdas)):
@@ -468,7 +467,7 @@ class TestEstimators:
 
     def test_noiseless_recovery_with_tiny_lambda(self):
         cfg = small_config(d_in=8, d_out=8, sigma=0.0)
-        _, a0 = random_source_operator(cfg, rng_seed=25)
+        a0 = ground_truth(cfg, seed=25)
         cov = empirical_covariances(make_dataset(a0, 4096, NoiseProfile(sigma=0.0), rng_seed=26))
         lmap = LambdaMap.uniform(cfg.d_out, lambda_floor(cfg, cov.n))
         est = OperatorMatrix(fit_rowwise_ridge(cov, lmap),
@@ -492,7 +491,7 @@ class TestEstimators:
         # 512^(-1/0.006) underflows to 0; the rule saturates as the schedules do.
         tiny = small_config(p=0.005, beta=0.001, beta_prime=0.0005)
         assert single_ridge_lambda(tiny, 512) == math.exp(-709.0)
-        _, a0 = random_source_operator(cfg, rng_seed=29)
+        a0 = ground_truth(cfg, seed=29)
         cov = empirical_covariances(make_dataset(a0, 100, NoiseProfile(sigma=0.1), rng_seed=30))
         default = estimate_from_covariances(cov, cfg, "single")
         explicit = fit_rowwise_ridge(
@@ -502,7 +501,7 @@ class TestEstimators:
 
     def test_unknown_name_rejected(self):
         cfg = small_config()
-        cov = population_covariances(random_source_operator(cfg, rng_seed=31)[1])
+        cov = population_covariances(ground_truth(cfg, seed=31))
         with pytest.raises(ValueError, match="lasso"):
             estimate_from_covariances(cov, cfg, "lasso")
         with pytest.raises(ValueError, match="unknown estimator 'lasso'"):

@@ -41,12 +41,9 @@ from opridge import (
     fit_rate,
     fit_rowwise_ridge,
     ground_truth_seed,
-    laplacian_operator,
     load_config,
     oracle_checks,
-    packing_operator,
     parse_config,
-    random_source_operator,
     run_cell,
     run_convergence,
 )
@@ -59,7 +56,13 @@ from opridge.estimators import (
     _pass_peak_bytes,
 )
 
-from conftest import documented_range_config, random_problem_config, random_valid_config
+from conftest import (
+    documented_range_config,
+    ground_truth,
+    random_problem_config,
+    random_valid_config,
+    source_of,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -128,9 +131,7 @@ class TestGroundTruthSpec:
     def test_random_kind_matches_generator(self):
         cfg = small_config()
         spec = GroundTruthSpec("random", {"taper_in": 0.3, "taper_out": 2.0})
-        _, want = random_source_operator(
-            cfg, ground_truth_seed(cfg), taper_in=0.3, taper_out=2.0
-        )
+        want = ground_truth(cfg, taper_in=0.3, taper_out=2.0, seed=ground_truth_seed(cfg))
         assert np.array_equal(spec.build(cfg).m, want.m), \
             "random spec must reproduce the generator draw for the derived seed"
 
@@ -167,9 +168,6 @@ class TestGroundTruthSpec:
     def test_laplacian_kind_square_grid(self):
         cfg = small_config(d_in=10, d_out=10)
         op = GroundTruthSpec("laplacian", {"t": 1, "scale": 0.5}).build(cfg)
-        _, want = laplacian_operator(cfg, t=1, scale=0.5)
-        assert op.m.tobytes() == want.m.tobytes(), \
-            "laplacian spec must match the builder byte for byte"
         assert np.array_equal(op.input_decay.values, cfg.input_decay.values), \
             "laplacian decays must coincide with the config grid"
 
@@ -183,11 +181,12 @@ class TestGroundTruthSpec:
         op = GroundTruthSpec(
             "packing", {"m1": 2, "m2": 1, "K": 3, "eps": 0.01, "omega": omega}
         ).build(cfg)
-        want = packing_operator(
-            2, 1, 3, 0.01, np.asarray(omega, dtype=float),
-            cfg.input_decay, cfg.output_decay, cfg.beta_prime, cfg.gamma_prime,
-        )
-        assert np.array_equal(op.m, want.m), "explicit omega must pass through unchanged"
+        mu_w = cfg.input_decay.values[2:4] ** ((cfg.beta_prime - 1.0) / 2.0)
+        rho_w = cfg.output_decay.values[1:4] ** ((1.0 - cfg.gamma_prime) / 2.0)
+        want = np.zeros((12, 8))
+        want[1:4, 2:4] = (math.sqrt(32.0 * 0.01 / 6) * np.asarray(omega, dtype=float).T
+                          * rho_w[:, np.newaxis] * mu_w[np.newaxis, :])
+        assert np.array_equal(op.m, want), "explicit omega must pass through unchanged"
 
     def test_packing_kind_random_omega_deterministic(self):
         cfg = small_config(d_in=8, d_out=12)
@@ -195,8 +194,7 @@ class TestGroundTruthSpec:
         assert np.array_equal(spec.build(cfg).m, spec.build(cfg).m), \
             "omega drawn from the derived seed must be reproducible"
         omega = np.random.default_rng(ground_truth_seed(cfg)).integers(0, 2, size=(2, 4))
-        want = packing_operator(2, 0, 4, 0.5, omega, cfg.input_decay, cfg.output_decay,
-                                cfg.beta_prime, cfg.gamma_prime)
+        want = ground_truth(cfg, "packing", m1=2, m2=0, K=4, eps=0.5, omega=omega)
         assert np.array_equal(spec.build(cfg).m, want.m), "omega is the seed's first draw"
 
     def test_packing_kind_refuses_omega_with_seed(self):
@@ -348,14 +346,14 @@ class TestRunTrial:
 
     def test_bitwise_deterministic(self):
         cfg = small_config()
-        _, a0 = random_source_operator(cfg, ground_truth_seed(cfg))
+        a0 = ground_truth(cfg)
         e1 = trial_record(cfg, a0, 256, 3, "variance").error_sq
         e2 = trial_record(cfg, a0, 256, 3, "variance").error_sq
         assert e1 == e2, f"same (seed, n, trial) must reproduce the error bit for bit: {e1} vs {e2}"
 
     def test_trials_decorrelated(self):
         cfg = small_config()
-        _, a0 = random_source_operator(cfg, ground_truth_seed(cfg))
+        a0 = ground_truth(cfg)
         e1 = trial_record(cfg, a0, 256, 0, "single").error_sq
         e2 = trial_record(cfg, a0, 256, 1, "single").error_sq
         assert e1 != e2, "different trial indices must draw different datasets"
@@ -364,7 +362,8 @@ class TestRunTrial:
         # With sigma=0 the only stochastic part is the input design, so the
         # squared error of the multilevel fit hugs its population bias.
         cfg = small_config(sigma=0.0, d_in=8, d_out=32, seed=99)
-        src, a0 = random_source_operator(cfg, 1234)
+        a0 = ground_truth(cfg, seed=1234)
+        src = source_of(a0, cfg.beta, cfg.gamma)
         n = 16384
         err_sq = trial_record(cfg, a0, n, 0, "multilevel").error_sq
         lmap = LambdaMap.for_estimator(cfg, n, "multilevel")
@@ -375,7 +374,7 @@ class TestRunTrial:
 
     def test_huge_lambda_recovers_truth_norm(self):
         cfg = small_config()
-        _, a0 = random_source_operator(cfg, ground_truth_seed(cfg))
+        a0 = ground_truth(cfg)
         (cov,) = _nested_covariances(a0, (128,), NoiseProfile(sigma=cfg.sigma),
                                      derive_seed(cfg.seed, 0x7, 0))
         a_hat = OperatorMatrix(fit_rowwise_ridge(cov, LambdaMap.uniform(cfg.d_out, 1e30)),
@@ -387,7 +386,7 @@ class TestRunTrial:
 
     def test_elapsed_positive(self):
         cfg = small_config()
-        _, a0 = random_source_operator(cfg, ground_truth_seed(cfg))
+        a0 = ground_truth(cfg)
         assert trial_record(cfg, a0, 64, 0, "multilevel").elapsed_ms > 0.0
 
 
@@ -409,14 +408,14 @@ def key(records):
 class TestRunCell:
     def test_records_follow_requested_order(self):
         cfg = small_config()
-        _, a0 = random_source_operator(cfg, ground_truth_seed(cfg))
+        a0 = ground_truth(cfg)
         recs = run_cell(cfg, a0, 128, 0, ("multilevel", "single"), NoiseProfile(sigma=cfg.sigma))
         assert [r.estimator for r in recs] == ["multilevel", "single"]
         assert all(r.n == 128 and r.trial == 0 for r in recs)
 
     def test_shared_covariances_match_standalone_estimates(self):
         cfg = small_config()
-        _, a0 = random_source_operator(cfg, ground_truth_seed(cfg))
+        a0 = ground_truth(cfg)
         rec = run_cell(cfg, a0, 256, 2, ("multilevel",), NoiseProfile(sigma=cfg.sigma))[0]
         (cov,) = _nested_covariances(a0, (256,), NoiseProfile(sigma=cfg.sigma),
                                      derive_seed(cfg.seed, 0x7, 2))
@@ -432,7 +431,7 @@ class TestRunCell:
         # unlearned, so the cell scores those rows by a0's own terms.
         cfg = small_config(alpha=0.4, beta=0.9, beta_prime=0.1, gamma=0.0, gamma_prime=0.5,
                            d_in=32, d_out=64)
-        _, a0 = random_source_operator(cfg, ground_truth_seed(cfg))
+        a0 = ground_truth(cfg)
         noise = NoiseProfile(sigma=cfg.sigma)
         assert LambdaMap.for_estimator(cfg, n, "multilevel").k < cfg.d_out
         recs = run_cell(cfg, a0, n, 3, ESTIMATOR_NAMES, noise)
@@ -454,7 +453,7 @@ class TestRunCell:
         # d_out spans several row chunks of the solves and the noise draw.
         cfg = small_config(alpha=0.4, beta=0.9, beta_prime=0.1, gamma=0.0, gamma_prime=0.5,
                            d_in=d_in, d_out=d_out)
-        _, a0 = random_source_operator(cfg, ground_truth_seed(cfg))
+        a0 = ground_truth(cfg)
         noise = NoiseProfile(sigma=cfg.sigma)
         seed = derive_seed(cfg.seed, 0x7, 3)
         recs = run_cell(cfg, a0, n, 3, ESTIMATOR_NAMES, noise)
@@ -475,7 +474,7 @@ class TestRunCell:
 
     def test_cell_of_a_nested_pass_equals_the_standalone_cell(self):
         cfg = small_config()
-        _, a0 = random_source_operator(cfg, ground_truth_seed(cfg))
+        a0 = ground_truth(cfg)
         noise = NoiseProfile(sigma=cfg.sigma)
         for n_list in NESTED_N_LISTS:
             nested = key(run_pass(cfg, a0, n_list, 1))
@@ -486,7 +485,7 @@ class TestRunCell:
 
     def test_a_noise_scale_other_than_the_configs_is_refused_before_any_draw(self, monkeypatch):
         cfg = small_config()
-        _, a0 = random_source_operator(cfg, ground_truth_seed(cfg))
+        a0 = ground_truth(cfg)
         fills = []
         monkeypatch.setattr(synth, "_fill_scaled_uniform", lambda *args: fills.append(args))
         with pytest.raises(ValueError, match=r"noise\.sigma=0\.2 .* sigma=0\.1"):
@@ -497,7 +496,7 @@ class TestRunCell:
         # The draw and the Gram sums are shared: charging them to every record
         # would make the records add up to more than the whole cell.
         cfg = small_config(d_in=64, d_out=64)
-        _, a0 = random_source_operator(cfg, ground_truth_seed(cfg))
+        a0 = ground_truth(cfg)
         t0 = time.perf_counter()
         recs = run_cell(cfg, a0, 20000, 0, ESTIMATOR_NAMES, NoiseProfile(sigma=cfg.sigma))
         wall_ms = (time.perf_counter() - t0) * 1e3
@@ -600,7 +599,7 @@ class TestIndependentRoute:
         # its 5 largest eigenpairs; 100 lies in the first block, 700 inside
         # the second. sigma = 1 makes the noise a visible share of each error.
         cfg = small_config(sigma=1.0)
-        _, a0 = random_source_operator(cfg, ground_truth_seed(cfg))
+        a0 = ground_truth(cfg)
         trial = 2
         records = run_pass(cfg, a0, (n,), trial)
         seed = derive_seed(cfg.seed, 0x7, trial)
@@ -631,7 +630,7 @@ class TestIndependentRoute:
 
 def pass_peak(cfg: ProblemConfig, n_list: tuple[int, ...]) -> int:
     """tracemalloc peak of one _run_trial pass over n_list, above its live heap."""
-    _, a0 = random_source_operator(cfg, ground_truth_seed(cfg))
+    a0 = ground_truth(cfg)
     run_pass(cfg, a0, (_B,), 0)  # first-call allocations
     state = estimators._pass_state(cfg, a0, n_list, ESTIMATOR_NAMES)
     tracemalloc.start()
@@ -691,7 +690,7 @@ class TestPassMemory:
         # before it asks for the next: within the same bound.
         bound = self.BLOCK_ENDS_BOUND
         cfg = small_config(d_in=self.D_IN, d_out=self.D_OUT)
-        _, a0 = random_source_operator(cfg, ground_truth_seed(cfg))
+        a0 = ground_truth(cfg)
         noise = NoiseProfile(sigma=cfg.sigma)
         list(_nested_covariances(a0, (_B,), noise, rng_seed=5))  # first-call allocations
         tracemalloc.start()
@@ -783,7 +782,7 @@ class TestPassState:
     def test_a0_row_terms_equal_the_terms_of_a_c_ordered_copy(self, order):
         # Two full chunks and a short one; a Fortran-ordered a0 too.
         cfg = small_config(d_in=40, d_out=2 * _CHUNK + 7)
-        _, a0 = random_source_operator(cfg, ground_truth_seed(cfg))
+        a0 = ground_truth(cfg)
         a0 = OperatorMatrix(np.array(a0.m, order=order), a0.input_decay, a0.output_decay)
         state = estimators._pass_state(cfg, a0, (64,), ESTIMATOR_NAMES)
         want = _row_terms(np.array(a0.m, order="C"), state.mu_w)
@@ -1016,9 +1015,10 @@ def build_peak(spec: GroundTruthSpec, cfg: ProblemConfig) -> int:
 
 
 class TestBuildMemory:
-    """A build of a0 peaks at two a0s: the source coefficients and the
-    operator, each scaled in place. _check_memory counts _BUILD_PEAK_ARRAYS
-    a0s for it in each worker, or in the parent when it starts none."""
+    """A random build of a0 peaks at two a0s, the source coefficients and
+    the operator, each scaled in place; the other kinds build the operator
+    alone. _check_memory counts _BUILD_PEAK_ARRAYS a0s for a build in each
+    worker, or in the parent when it starts none."""
 
     D = 512
     A0 = 8 * D * D
@@ -1039,6 +1039,8 @@ class TestBuildMemory:
     ], ids=["laplacian", "packing"])
     def test_no_other_kind_peaks_higher(self, spec):
         peak = build_peak(spec, small_config(d_in=self.D, d_out=self.D))
+        assert abs(peak - self.A0) <= 2 * _SMALL, \
+            f"a {spec.kind} build peaked at {peak} B, not one a0 ({self.A0} B)"
         assert peak <= 2 * self.A0 + 2 * _SMALL, \
             f"a {spec.kind} build peaked at {peak} B, more than two a0s ({2 * self.A0} B)"
         assert peak <= self.counted() + 2 * _SMALL, \
@@ -1617,7 +1619,7 @@ def malformed_configs():
             gt = {"kind": kind, "params": params}
             for key in ("kind", "params"):
                 yield f"ground_truth.{key}", value, {**base, "ground_truth": {**gt, key: value}}
-            for key in sorted(harness._GROUND_TRUTH_PARAMS[kind][1]):
+            for key in sorted(harness._GROUND_TRUTH_KINDS[kind][2]):
                 gt_obj = {"kind": kind, "params": {**params, key: value}}
                 yield f"{kind} ground_truth.params.{key}", value, {**base, "ground_truth": gt_obj}
 

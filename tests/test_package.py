@@ -94,6 +94,19 @@ def test_every_config_has_one_eigenvalue_grid():
     assert _calls_of("EigenDecay") == ["core.make_decay"], _calls_of("EigenDecay")
 
 
+def test_every_ground_truth_is_built_through_its_spec():
+    # GroundTruthSpec.build calls each kind's builder from harness's kind
+    # table; only the packing oracle calls one by name, and synth exports none.
+    names = {"random": "_random_operator", "laplacian": "_laplacian_operator",
+             "packing": "_packing_operator"}
+    table = {kind: row[0] for kind, row in harness._GROUND_TRUTH_KINDS.items()}
+    assert table == {kind: getattr(synth, name) for kind, name in names.items()}, table
+    assert not set(names.values()) & set(synth.__all__), synth.__all__
+    assert _calls_of("builder") == ["harness.GroundTruthSpec.build"], _calls_of("builder")
+    called = [site for name in names.values() for site in _calls_of(name)]
+    assert called == ["harness._packing_instance"] * 2, called
+
+
 def test_exports_are_the_modules_lists_once_each():
     module_names = [name for mod in MODULES for name in mod.__all__]
     assert len(set(module_names)) == len(module_names), "a name is listed by two modules"

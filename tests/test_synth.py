@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import drawn_inputs, random_problem_config
+from conftest import drawn_inputs, ground_truth, random_problem_config, source_of
 
 from opridge import (
     ConfigError,
@@ -16,12 +16,9 @@ from opridge import (
     SourceCoefficients,
     bg_norm,
     derive_seed,
-    laplacian_operator,
     make_dataset,
     make_decay,
     operator_from_source,
-    packing_operator,
-    random_source_operator,
 )
 from opridge.estimators import _nested_covariances
 from opridge.synth import _stream_filler
@@ -177,7 +174,7 @@ class TestMakeDataset:
 
     def test_rejects_zero_samples(self):
         cfg = small_config()
-        _, a0 = random_source_operator(cfg, rng_seed=1)
+        a0 = ground_truth(cfg, seed=1)
         with pytest.raises(ValueError, match="sample count must be >= 1"):
             make_dataset(a0, 0, NoiseProfile(sigma=0.1), rng_seed=9)
 
@@ -187,7 +184,7 @@ class TestStreamFiller:
         # Any split of the input stream gives the same bits; the streamed
         # pass relies on it for c_kk to match make_dataset's inputs.
         cfg = small_config(d_in=5, d_out=7)
-        _, a0 = random_source_operator(cfg, rng_seed=1)
+        a0 = ground_truth(cfg, seed=1)
         want_u, _ = make_dataset(a0, 23, NoiseProfile(sigma=0.3), rng_seed=9)
         fill = _stream_filler(a0, 9)
         blocks = [np.empty((rows, 5)) for rows in (5, 5, 5, 5, 3)]
@@ -198,7 +195,7 @@ class TestStreamFiller:
     @pytest.mark.parametrize("rows", [1, 4, 5])
     def test_a_look_ahead_is_the_next_fills_first_rows(self, rows):
         cfg = small_config(d_in=5, d_out=7)
-        _, a0 = random_source_operator(cfg, rng_seed=1)
+        a0 = ground_truth(cfg, seed=1)
         fill = _stream_filler(a0, 9)
         fill(np.empty((3, 5)))
         ahead = np.empty((rows, 5))
@@ -210,7 +207,7 @@ class TestStreamFiller:
     def test_look_aheads_and_fills_stack_to_the_dataset_bit_for_bit(self):
         # The streamed pass's order: rows drawn ahead of a block, then the block.
         cfg = small_config(d_in=5, d_out=7)
-        _, a0 = random_source_operator(cfg, rng_seed=1)
+        a0 = ground_truth(cfg, seed=1)
         want_u, _ = make_dataset(a0, 23, NoiseProfile(sigma=0.3), rng_seed=9)
         fill = _stream_filler(a0, 9)
         blocks = []
@@ -228,38 +225,36 @@ class TestRandomSourceOperator:
         rng = np.random.default_rng(31)
         for _ in range(10):
             cfg = random_problem_config(rng, B=float(rng.uniform(0.5, 4.0)))
-            src, op = random_source_operator(cfg, rng_seed=int(rng.integers(2**32)))
+            op = ground_truth(cfg, seed=int(rng.integers(2**32)))
+            src = source_of(op, cfg.beta, cfg.gamma)
             assert bg_norm(op, cfg.beta, cfg.gamma) == pytest.approx(cfg.B, rel=1e-10)
             assert math.sqrt(float(np.sum(src.a**2))) == pytest.approx(cfg.B, rel=1e-12)
 
     def test_zero_bound_gives_zero_operator(self):
-        cfg = small_config(B=0.0)
-        src, op = random_source_operator(cfg, rng_seed=1)
+        op = ground_truth(small_config(B=0.0), seed=1)
         assert np.all(op.m == 0.0)
 
     def test_same_seed_identical(self):
         cfg = small_config()
-        src1, _ = random_source_operator(cfg, rng_seed=77)
-        src2, _ = random_source_operator(cfg, rng_seed=77)
-        assert np.array_equal(src1.a, src2.a)
+        assert np.array_equal(ground_truth(cfg, seed=77).m, ground_truth(cfg, seed=77).m)
 
 
 class TestLaplacianOperator:
     def test_flat_symbol_at_t_zero(self):
-        _, op = laplacian_operator(small_config(d_in=4, d_out=4), t=0)
+        op = ground_truth(small_config(d_in=4, d_out=4), "laplacian", t=0)
         mu, rho = op.input_decay.values, op.output_decay.values
         d = op.m.diagonal() * np.sqrt(mu * rho)
         np.testing.assert_allclose(d, 1.0, rtol=1e-12)
 
     def test_symbol_value_at_t_one(self):
-        _, op = laplacian_operator(small_config(d_in=4, d_out=4), t=1)
+        op = ground_truth(small_config(d_in=4, d_out=4), "laplacian", t=1)
         mu, rho = op.input_decay.values, op.output_decay.values
         d = op.m.diagonal() * np.sqrt(mu * rho)
         assert d[1] == pytest.approx(4.0 * math.pi**2, rel=1e-12)
 
     def test_decays_follow_power_laws(self):
         cfg = small_config(p=0.5, q=0.25, d_in=5, d_out=5)
-        _, op = laplacian_operator(cfg, t=0)
+        op = ground_truth(cfg, "laplacian", t=0)
         n = np.arange(1, 6, dtype=float)
         assert np.array_equal(op.input_decay.values, cfg.input_decay.values)
         assert np.array_equal(op.output_decay.values, cfg.output_decay.values)
@@ -267,29 +262,29 @@ class TestLaplacianOperator:
         np.testing.assert_allclose(op.output_decay.values, n**-4.0, rtol=1e-14)
 
     def test_source_round_trips_through_operator(self):
+        # The documented source a_n = d_n mu_n^(-beta/2) rho_n^(-(2-gamma)/2) gives the operator.
         cfg = small_config(p=0.625, q=0.8333, beta=0.4, gamma=0.2, d_in=6, d_out=6)
-        src, op = laplacian_operator(cfg, t=1, scale=0.3)
+        op = ground_truth(cfg, "laplacian", t=1, scale=0.3)
+        mu, rho = cfg.input_decay.values, cfg.output_decay.values
+        n = np.arange(1, 7, dtype=float)
+        a = 0.3 * (math.pi * n) ** 2 * mu ** (-cfg.beta / 2) * rho ** (-(2 - cfg.gamma) / 2)
+        src = SourceCoefficients(np.diag(a), cfg.beta, cfg.gamma)
         rebuilt = operator_from_source(src, op.input_decay, op.output_decay)
         np.testing.assert_allclose(rebuilt.m, op.m, rtol=1e-13)
-
-    @pytest.mark.parametrize("t", [1.5, -1, -2.0])
-    def test_refuses_a_t_that_is_not_a_nonnegative_integer(self, t):
-        with pytest.raises(ValueError, match="nonnegative integer"):
-            laplacian_operator(small_config(), t=t)
 
 
 class TestPackingOperator:
     def test_zero_pattern_gives_zero_operator(self):
-        ind, outd = make_decay(4, 0.5), make_decay(4, 0.5)
-        op = packing_operator(1, 1, 1, 1 / 32, np.zeros((1, 1)), ind, outd, 0.0, 0.5)
+        cfg = small_config(d_in=4, d_out=4)
+        op = ground_truth(cfg, "packing", m1=1, m2=1, K=1, eps=1 / 32, omega=np.zeros((1, 1)))
         assert np.all(op.m == 0.0)
 
     def test_single_entry_value(self):
         # m1 = K = 1, m2 = 1, eps = 1/32 puts sqrt(32 eps) = 1 on the
-        # (row 2, col 2) cell, weighted by mu_2^(-1/2) rho_2^(1/4) = sqrt(2)
-        # for quadratic decays at (beta', gamma') = (0, 0.5).
-        ind, outd = make_decay(4, 0.5), make_decay(4, 0.5)
-        op = packing_operator(1, 1, 1, 1 / 32, np.ones((1, 1)), ind, outd, 0.0, 0.5)
+        # (row 2, col 2) cell, weighted by mu_2^(-3/8) rho_2^(1/8) = sqrt(2)
+        # for quadratic decays at (beta', gamma') = (0.25, 0.75).
+        cfg = small_config(beta_prime=0.25, gamma_prime=0.75, d_in=4, d_out=4)
+        op = ground_truth(cfg, "packing", m1=1, m2=1, K=1, eps=1 / 32, omega=np.ones((1, 1)))
         assert op.m[1, 1] == pytest.approx(math.sqrt(2.0), rel=1e-14)
         mask = np.zeros((4, 4), dtype=bool)
         mask[1, 1] = True
@@ -301,16 +296,17 @@ class TestPackingOperator:
             m1 = int(rng.integers(1, 5))
             k = int(rng.integers(1, 6))
             m2 = int(rng.integers(0, 4))
-            d_in, d_out = 2 * m1, m2 + k
-            ind = make_decay(d_in, float(rng.uniform(0.2, 0.8)))
-            outd = make_decay(d_out, float(rng.uniform(0.2, 0.8)))
-            bp = float(rng.uniform(0.05, 0.8))
-            gp = float(rng.uniform(0.1, 0.9))
+            # beta = 0.95 and gamma = 0 admit every drawn (beta', gamma').
+            cfg = small_config(d_in=2 * m1, d_out=m2 + k, p=float(rng.uniform(0.2, 0.8)),
+                               q=float(rng.uniform(0.2, 0.8)), beta=0.95,
+                               beta_prime=float(rng.uniform(0.05, 0.8)), gamma=0.0,
+                               gamma_prime=float(rng.uniform(0.1, 0.9)))
+            bp, gp = cfg.beta_prime, cfg.gamma_prime
             eps = float(rng.uniform(0.01, 1.0))
             om1 = rng.integers(0, 2, size=(m1, k)).astype(float)
             om2 = rng.integers(0, 2, size=(m1, k)).astype(float)
-            op1 = packing_operator(m1, m2, k, eps, om1, ind, outd, bp, gp)
-            op2 = packing_operator(m1, m2, k, eps, om2, ind, outd, bp, gp)
+            op1 = ground_truth(cfg, "packing", m1=m1, m2=m2, K=k, eps=eps, omega=om1)
+            op2 = ground_truth(cfg, "packing", m1=m1, m2=m2, K=k, eps=eps, omega=om2)
             got = bg_norm(op1.difference(op2), bp, gp) ** 2
             want = (32.0 * eps / (m1 * k)) * float(np.sum((om1 - om2) ** 2))
             if want == 0.0:
@@ -319,21 +315,13 @@ class TestPackingOperator:
                 assert got == pytest.approx(want, rel=1e-12), f"trial {trial}"
 
     def test_out_of_range_block_rejected(self):
-        ind, outd = make_decay(4, 0.5), make_decay(4, 0.5)
-        with pytest.raises(ValueError):
-            packing_operator(3, 0, 1, 0.1, np.ones((3, 1)), ind, outd, 0.3, 0.5)
-        with pytest.raises(ValueError):
-            packing_operator(1, 3, 2, 0.1, np.ones((1, 2)), ind, outd, 0.3, 0.5)
-
-    @pytest.mark.parametrize("m1, m2, K, eps", [
-        (0, 0, 1, 0.1), (1, 0, 0, 0.1), (1, -1, 1, 0.1), (1, 0, 1, 0.0), (1, 0, 1, -0.1),
-    ], ids=["m1-0", "K-0", "m2-negative", "eps-0", "eps-negative"])
-    def test_out_of_range_arguments_rejected(self, m1, m2, K, eps):
-        ind, outd = make_decay(4, 0.5), make_decay(4, 0.5)
-        with pytest.raises(ValueError, match="block sizes|eps must be positive"):
-            packing_operator(m1, m2, K, eps, np.random.default_rng(0), ind, outd, 0.3, 0.5)
+        cfg = small_config(d_in=4, d_out=4)
+        with pytest.raises(ConfigError, match=r"^ground_truth\.params\.m1=3"):
+            ground_truth(cfg, "packing", m1=3, m2=0, K=1, eps=0.1, omega=np.ones((3, 1)))
+        with pytest.raises(ConfigError, match=r"^ground_truth\.params\.m2=3"):
+            ground_truth(cfg, "packing", m1=1, m2=3, K=2, eps=0.1, omega=np.ones((1, 2)))
 
     def test_non_binary_pattern_rejected(self):
-        ind, outd = make_decay(4, 0.5), make_decay(4, 0.5)
-        with pytest.raises(ValueError):
-            packing_operator(1, 1, 1, 0.1, np.array([[0.5]]), ind, outd, 0.3, 0.5)
+        with pytest.raises(ConfigError, match=r"^ground_truth\.params\.omega"):
+            ground_truth(small_config(d_in=4, d_out=4), "packing", m1=1, m2=1, K=1, eps=0.1,
+                         omega=np.array([[0.5]]))
