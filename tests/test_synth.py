@@ -272,6 +272,11 @@ class TestLaplacianOperator:
         rebuilt = operator_from_source(src, op.input_decay, op.output_decay)
         np.testing.assert_allclose(rebuilt.m, op.m, rtol=1e-13)
 
+    @pytest.mark.parametrize("t", [1.5, -1, -2.0])
+    def test_refuses_a_t_that_is_not_a_nonnegative_integer(self, t):
+        with pytest.raises(ConfigError, match=r"^ground_truth\.params\.t must be an integer"):
+            ground_truth(small_config(), "laplacian", t=t)
+
 
 class TestPackingOperator:
     def test_zero_pattern_gives_zero_operator(self):
@@ -320,6 +325,15 @@ class TestPackingOperator:
             ground_truth(cfg, "packing", m1=3, m2=0, K=1, eps=0.1, omega=np.ones((3, 1)))
         with pytest.raises(ConfigError, match=r"^ground_truth\.params\.m2=3"):
             ground_truth(cfg, "packing", m1=1, m2=3, K=2, eps=0.1, omega=np.ones((1, 2)))
+
+    @pytest.mark.parametrize("m1, m2, K, eps, field", [
+        (0, 0, 1, 0.1, "m1"), (1, 0, 0, 0.1, "K"), (1, -1, 1, 0.1, "m2"), (1, 0, 1, 0.0, "eps"),
+        (1, 0, 1, -0.1, "eps"),
+    ], ids=["m1-0", "K-0", "m2-negative", "eps-0", "eps-negative"])
+    def test_out_of_range_arguments_rejected(self, m1, m2, K, eps, field):
+        with pytest.raises(ConfigError, match=rf"^ground_truth\.params\.{field} must be"):
+            ground_truth(small_config(d_in=4, d_out=4), "packing", m1=m1, m2=m2, K=K, eps=eps,
+                         seed=0)
 
     def test_non_binary_pattern_rejected(self):
         with pytest.raises(ConfigError, match=r"^ground_truth\.params\.omega"):
